@@ -14,6 +14,7 @@
 #include "net/transport.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/signer.h"
 
 namespace blockplane {
@@ -27,7 +28,32 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(100000);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(32768)->Arg(100000);
+
+void BM_Sha256Kernel(benchmark::State& state) {
+  // One kernel call over a 32 KB payload's 512 blocks (the local_rw value
+  // size): arg 0 = the scalar definition, 1 = the SHA-extensions kernel.
+  // ns per block = reported time / 512.
+  constexpr size_t kBlocks = 512;
+  crypto::internal::CompressFn kernel =
+      state.range(0) == 0 ? &crypto::internal::CompressScalar
+                          : crypto::internal::AcceleratedKernel();
+  if (kernel == nullptr) {
+    state.SkipWithError("CPU lacks the SHA extensions");
+    return;
+  }
+  Bytes data(kBlocks * 64, 0xab);
+  uint32_t digest_state[8] = {};
+  for (auto _ : state) {
+    kernel(digest_state, data.data(), kBlocks);
+    benchmark::DoNotOptimize(digest_state);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.size()));
+  state.SetLabel(state.range(0) == 0 ? "scalar" : "sha-ni");
+}
+BENCHMARK(BM_Sha256Kernel)->Arg(0)->Arg(1);
 
 void BM_HmacSha256(benchmark::State& state) {
   Bytes key(32, 0x42);
@@ -206,6 +232,10 @@ int main(int argc, char** argv) {
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
   }
+  // The SHA-256 kernel this process selected; every hashing number in the
+  // run depends on it.
+  benchmark::AddCustomContext("sha256_backend",
+                             blockplane::crypto::Sha256Backend());
   int ac = static_cast<int>(args.size());
   benchmark::Initialize(&ac, args.data());
   if (benchmark::ReportUnrecognizedArguments(ac, args.data())) return 1;

@@ -19,14 +19,14 @@
 #       threaded results element-for-element against inline; the >=3x
 #       scaling gate is enforced only on hosts with >= 4 hardware
 #       threads (the JSON records the core count either way).
-#       Every bench pass MUST refresh its repo-root BENCH_*.json copy —
-#       a bench that ran without updating the versioned results fails
-#       the gate (refresh_bench below).
 #   3c. Quorum-cert ablation smoke: bench_fig6_communication --qc runs
 #       the same send workload with real crypto, QC-off vs QC-on, and
 #       fails unless QC-on performs at most half the individual MAC
 #       verifications and ships strictly fewer WAN proof bytes (the
-#       DESIGN.md §14 aggregation gate). Writes BENCH_qc.json.
+#       DESIGN.md §14 aggregation gate).
+#   Bench passes write their JSON under build/ only. The repo-root
+#   BENCH_*.json files are the record of full runs, and a smoke gate never
+#   overwrites them (check_bench below only checks the build/ output).
 #   4a. Static analysis: clang-tidy (.clang-tidy at the repo root; the
 #       gate set is bugprone-* + performance-*) over src/ using the
 #       compile database — skipped with a notice when clang-tidy is not
@@ -69,17 +69,15 @@ FAST=0
 
 JOBS_SMOKE="$(nproc 2>/dev/null || echo 4)"
 
-# Copies build/$1 to the repo root, failing when the bench pass that was
-# supposed to produce it did not: versioned bench results must never go
-# stale relative to a bench run that succeeded.
-refresh_bench() {
-  local name="$1"
-  [[ -s "build/$name" ]] \
-    || { echo "$name missing after its bench pass — not refreshed"; exit 1; }
-  cp "build/$name" "$name"
-  cmp -s "build/$name" "$name" \
-    || { echo "$name at the repo root does not match the fresh run"; exit 1; }
-  echo "refreshed $name"
+# Fails unless the bench pass that was supposed to write build/$1 left a
+# non-empty, valid JSON file there.
+check_bench() {
+  local path="build/$1"
+  [[ -s "$path" ]] || { echo "$path missing after its bench pass"; exit 1; }
+  if command -v python3 >/dev/null 2>&1; then
+    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$path" \
+      || { echo "$path is not valid JSON"; exit 1; }
+  fi
 }
 
 if [[ "${1:-}" == "--tsan" ]]; then
@@ -109,7 +107,7 @@ if [[ "${1:-}" == "--chaos-smoke" ]]; then
   CHAOS_SOAK_SEEDS=2 build/tests/chaos_soak_test
   echo "=== chaos smoke: fig-8 chaos bench (outage recovery gate) ==="
   build/bench/bench_fig8_failures --chaos --out=build/BENCH_chaos.json
-  refresh_bench BENCH_chaos.json
+  check_bench BENCH_chaos.json
   echo "=== chaos smoke passed ==="
   exit 0
 fi
@@ -156,33 +154,21 @@ echo "metrics snapshot OK (build/METRICS_dump.json)"
 
 echo "=== pass 3: pipeline smoke (window 1 vs 8, adaptive vs static) ==="
 build/bench/bench_pipeline --smoke --out=build/BENCH_pipeline.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 -c "import json,sys; json.load(open('build/BENCH_pipeline.json'))" \
-    || { echo "BENCH_pipeline.json is not valid JSON"; exit 1; }
-fi
-refresh_bench BENCH_pipeline.json
-echo "pipeline smoke OK (BENCH_pipeline.json)"
+check_bench BENCH_pipeline.json
+echo "pipeline smoke OK (build/BENCH_pipeline.json)"
 
 echo "=== pass 3b: parallel-runtime smoke (Runner worker sweep) ==="
 build/bench/bench_parallel_runtime --smoke --out=build/BENCH_parallel.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 -c "import json,sys; json.load(open('build/BENCH_parallel.json'))" \
-    || { echo "BENCH_parallel.json is not valid JSON"; exit 1; }
-fi
-refresh_bench BENCH_parallel.json
-echo "parallel-runtime smoke OK (BENCH_parallel.json)"
+check_bench BENCH_parallel.json
+echo "parallel-runtime smoke OK (build/BENCH_parallel.json)"
 
 echo "=== pass 3c: quorum-cert ablation smoke (QC gate, DESIGN.md §14) ==="
 # QC-on must perform at most half the individual MAC verifications of
 # QC-off and ship strictly fewer WAN proof bytes; the bench exits non-zero
 # otherwise.
 build/bench/bench_fig6_communication --qc --out=build/BENCH_qc.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 -c "import json,sys; json.load(open('build/BENCH_qc.json'))" \
-    || { echo "BENCH_qc.json is not valid JSON"; exit 1; }
-fi
-refresh_bench BENCH_qc.json
-echo "qc ablation smoke OK (BENCH_qc.json)"
+check_bench BENCH_qc.json
+echo "qc ablation smoke OK (build/BENCH_qc.json)"
 
 if [[ "$FAST" == "1" ]]; then
   run_bplint

@@ -73,6 +73,13 @@ class Decoder {
   Status GetVarint(uint64_t* out);
   Status GetBytes(Bytes* out);
   Status GetString(std::string* out);
+  /// Exactly `n` raw bytes with no length prefix (the PutRaw counterpart).
+  Status GetRaw(uint8_t* out, size_t n) {
+    if (remaining() < n) return Status::Corruption("raw bytes underflow");
+    if (n > 0) std::memcpy(out, data_ + pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
 
   /// Number of unread bytes.
   size_t remaining() const { return size_ - pos_; }

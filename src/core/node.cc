@@ -79,7 +79,9 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
   }
   replica_ = std::make_unique<pbft::PbftReplica>(
       network_, keys_, std::move(group), self_,
-      [this](uint64_t seq, const Bytes& value) { OnExecute(seq, value); });
+      [this](uint64_t seq, const Bytes& value, const crypto::Digest& digest) {
+        OnExecute(seq, value, digest);
+      });
   replica_->SetVerifier(
       [this](const Bytes& value) { return VerifyValue(value); });
   replica_->SetAdmission(
@@ -473,22 +475,17 @@ bool BlockplaneNode::VerifyMirroredProof(const LogRecord& record) const {
                             options_.fi + 1);
 }
 
-void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value) {
+void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value,
+                               const crypto::Digest& digest) {
   if (seq <= applied_high_) return;  // already applied via log sync
-  ApplyValue(seq, value);
+  ApplyValue(seq, value, digest);
 }
 
-void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value) {
+void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
+                                const crypto::Digest& digest) {
   // Mirror the PBFT replica's state-digest chain so synced log contents
   // can be verified against a certified checkpoint.
-  {
-    crypto::Digest value_digest =
-        pbft::ComputeDigest(value, options_.hash_payloads);
-    Encoder chain;
-    chain.PutRaw(chain_digest_.data(), chain_digest_.size());
-    chain.PutRaw(value_digest.data(), value_digest.size());
-    chain_digest_ = crypto::Sha256Digest(chain.buffer());
-  }
+  chain_digest_ = pbft::ChainDigest(chain_digest_, digest);
   applied_high_ = seq;
 
   LogRecord record;
@@ -731,15 +728,14 @@ void BlockplaneNode::TryInstallSyncedLog() {
     if (sync_buffer_.count(pos) == 0) return;
   }
   // Verify the digest chain against the certified checkpoint digest
-  // before applying anything.
+  // before applying anything; the value digests are kept for ApplyValue.
   crypto::Digest chain = chain_digest_;
+  std::vector<crypto::Digest> value_digests;
+  value_digests.reserve(sync_target_seq_ - applied_high_);
   for (uint64_t pos = applied_high_ + 1; pos <= sync_target_seq_; ++pos) {
-    crypto::Digest value_digest =
-        pbft::ComputeDigest(sync_buffer_.at(pos), options_.hash_payloads);
-    Encoder enc;
-    enc.PutRaw(chain.data(), chain.size());
-    enc.PutRaw(value_digest.data(), value_digest.size());
-    chain = crypto::Sha256Digest(enc.buffer());
+    value_digests.push_back(
+        pbft::ComputeDigest(sync_buffer_.at(pos), options_.hash_payloads));
+    chain = pbft::ChainDigest(chain, value_digests.back());
   }
   if (options_.sign_messages && chain != sync_target_digest_) {
     // A lying peer fed us garbage; drop it all and re-request.
@@ -757,8 +753,9 @@ void BlockplaneNode::TryInstallSyncedLog() {
   uint64_t target = sync_target_seq_;
   crypto::Digest target_digest = sync_target_digest_;
   sync_target_seq_ = 0;
-  for (uint64_t pos = applied_high_ + 1; pos <= target; ++pos) {
-    ApplyValue(pos, sync_buffer_.at(pos));
+  const uint64_t first = applied_high_ + 1;
+  for (uint64_t pos = first; pos <= target; ++pos) {
+    ApplyValue(pos, sync_buffer_.at(pos), value_digests[pos - first]);
   }
   sync_buffer_.clear();
   replica_->InstallCheckpoint(target, target_digest);

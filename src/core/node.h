@@ -161,10 +161,13 @@ class BlockplaneNode : public net::Host {
   /// replica on view entry / checkpoint install before replaying the
   /// in-flight values through AdmitValue).
   void ResetAdmission();
-  void OnExecute(uint64_t seq, const Bytes& value);
+  void OnExecute(uint64_t seq, const Bytes& value,
+                 const crypto::Digest& digest);
   /// Applies a committed value to this node's Local Log copy and derived
-  /// state (used by both normal execution and log sync).
-  void ApplyValue(uint64_t seq, const Bytes& value);
+  /// state (used by both normal execution and log sync). `digest` is the
+  /// value's pbft::ComputeDigest, already computed by the caller.
+  void ApplyValue(uint64_t seq, const Bytes& value,
+                  const crypto::Digest& digest);
 
   // -- recovery past the checkpoint window (§VI-B) --
   void OnSnapshotCertificate(const pbft::SnapshotMsg& snapshot);

@@ -35,6 +35,48 @@ Status GetCertSection(Decoder* dec, std::vector<crypto::QuorumCert>* a,
   return Status::OK();
 }
 
+/// Streams `v` into `ctx` in Encoder's fixed-width little-endian layout.
+template <typename T>
+void HashFixed(crypto::Sha256* ctx, T v) {
+  uint8_t bytes[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  ctx->Update(bytes, sizeof(T));
+}
+
+/// Streams `v` into `ctx` in Encoder's varint layout.
+void HashVarint(crypto::Sha256* ctx, uint64_t v) {
+  uint8_t bytes[10];
+  size_t n = 0;
+  while (v >= 0x80) {
+    bytes[n++] = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  bytes[n++] = static_cast<uint8_t>(v);
+  ctx->Update(bytes, n);
+}
+
+/// SHA-256 over the identity fields of a record (not the proofs, which vary
+/// by which f_i+1 nodes happened to sign), fed to the hash in the exact byte
+/// layout LogRecord::Encode gives them, without building that encoding.
+crypto::Digest IdentityDigest(RecordType type, uint64_t routine_id,
+                              const Bytes& payload, net::SiteId dest_site,
+                              net::SiteId src_site, uint64_t src_log_pos,
+                              uint64_t prev_src_log_pos, uint64_t geo_pos) {
+  crypto::Sha256 ctx;
+  HashFixed(&ctx, static_cast<uint8_t>(type));
+  HashVarint(&ctx, routine_id);
+  HashVarint(&ctx, payload.size());
+  ctx.Update(payload);
+  HashFixed(&ctx, static_cast<uint32_t>(dest_site));
+  HashFixed(&ctx, static_cast<uint32_t>(src_site));
+  HashFixed(&ctx, src_log_pos);
+  HashFixed(&ctx, prev_src_log_pos);
+  HashFixed(&ctx, geo_pos);
+  return ctx.Finish();
+}
+
 }  // namespace
 
 Bytes LogRecord::Encode() const {
@@ -73,18 +115,8 @@ Status LogRecord::Decode(const Bytes& buf, LogRecord* out) {
 }
 
 crypto::Digest LogRecord::ContentDigest() const {
-  // Digest over the identity-defining fields (not the proofs, which vary
-  // by which f_i+1 nodes happened to sign).
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(type));
-  enc.PutVarint(routine_id);
-  enc.PutBytes(payload);
-  PutSite(&enc, dest_site);
-  PutSite(&enc, src_site);
-  enc.PutU64(src_log_pos);
-  enc.PutU64(prev_src_log_pos);
-  enc.PutU64(geo_pos);
-  return crypto::Sha256Digest(enc.buffer());
+  return IdentityDigest(type, routine_id, payload, dest_site, src_site,
+                        src_log_pos, prev_src_log_pos, geo_pos);
 }
 
 Bytes AttestCanonical(AttestPurpose purpose, net::SiteId site, uint64_t pos,
@@ -98,7 +130,10 @@ Bytes AttestCanonical(AttestPurpose purpose, net::SiteId site, uint64_t pos,
 }
 
 crypto::Digest TransmissionRecord::ContentDigest() const {
-  return ToReceivedRecord().ContentDigest();
+  // The digest of the kReceived record this transmission becomes, without
+  // copying the payload and proofs into one.
+  return IdentityDigest(RecordType::kReceived, routine_id, payload, dest_site,
+                        src_site, src_log_pos, prev_src_log_pos, geo_pos);
 }
 
 Bytes TransmissionRecord::Encode() const {

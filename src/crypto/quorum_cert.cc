@@ -74,10 +74,7 @@ Status QuorumCert::DecodeFrom(Decoder* dec) {
   BP_RETURN_NOT_OK(dec->GetU32(&raw_base));
   index_base = static_cast<int32_t>(raw_base);
   BP_RETURN_NOT_OK(dec->GetU64(&signer_bits));
-  for (auto& byte : agg) {
-    BP_RETURN_NOT_OK(dec->GetU8(&byte));
-  }
-  return Status::OK();
+  return dec->GetRaw(agg.data(), agg.size());
 }
 
 void EncodeCertList(Encoder* enc, const std::vector<QuorumCert>& certs) {

@@ -1,5 +1,8 @@
 // SHA-256 (FIPS 180-4), implemented from scratch. Used for message digests
-// in PBFT pre-prepares and as the MAC core for node signatures.
+// in PBFT pre-prepares and as the MAC core for node signatures. Whole blocks
+// are compressed by the x86 SHA extensions when the CPU has them and by a
+// portable scalar kernel otherwise (sha256_kernels.h); digests are the same
+// on every host.
 #ifndef BLOCKPLANE_CRYPTO_SHA256_H_
 #define BLOCKPLANE_CRYPTO_SHA256_H_
 
@@ -48,8 +51,6 @@ class Sha256 {
   void RestoreMidstate(const Sha256Midstate& midstate);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t total_len_ = 0;
   uint8_t buffer_[64];
@@ -69,6 +70,9 @@ std::string DigestToHex(const Digest& d);
 inline Bytes DigestToBytes(const Digest& d) {
   return Bytes(d.begin(), d.end());
 }
+
+/// The compression kernel this process selected: "sha-ni" or "scalar".
+const char* Sha256Backend();
 
 }  // namespace blockplane::crypto
 

@@ -196,10 +196,7 @@ Status DecodeSignature(Decoder* dec, Signature* out) {
   BP_RETURN_NOT_OK(dec->GetU32(&index));
   out->signer.site = static_cast<int32_t>(site);
   out->signer.index = static_cast<int32_t>(index);
-  for (auto& byte : out->mac) {
-    BP_RETURN_NOT_OK(dec->GetU8(&byte));
-  }
-  return Status::OK();
+  return dec->GetRaw(out->mac.data(), out->mac.size());
 }
 
 void EncodeProof(Encoder* enc, const std::vector<Signature>& proof) {

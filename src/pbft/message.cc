@@ -11,10 +11,7 @@ void PutDigest(Encoder* enc, const Digest& d) {
 }
 
 Status GetDigest(Decoder* dec, Digest* d) {
-  for (auto& byte : *d) {
-    BP_RETURN_NOT_OK(dec->GetU8(&byte));
-  }
-  return Status::OK();
+  return dec->GetRaw(d->data(), d->size());
 }
 
 }  // namespace
@@ -46,6 +43,13 @@ Digest ComputeDigest(const Bytes& value, bool crypto_hash) {
   uint64_t len = value.size();
   for (int i = 0; i < 8; ++i) d[16 + i] = static_cast<uint8_t>(len >> (8 * i));
   return d;
+}
+
+Digest ChainDigest(const Digest& prev, const Digest& value_digest) {
+  crypto::Sha256 ctx;
+  ctx.Update(prev.data(), prev.size());
+  ctx.Update(value_digest.data(), value_digest.size());
+  return ctx.Finish();
 }
 
 // --- RequestMsg --------------------------------------------------------------

@@ -46,6 +46,11 @@ net::NodeId ClientFromToken(uint64_t token);
 /// 128-bit fingerprint (bench mode; see PbftConfig::hash_payloads).
 Digest ComputeDigest(const Bytes& value, bool crypto_hash);
 
+/// One link of the executed-state digest chain: SHA-256(prev || value_digest).
+/// Replicas chain every executed value's digest; Blockplane nodes keep the
+/// same chain to verify synced logs against a certified checkpoint.
+Digest ChainDigest(const Digest& prev, const Digest& value_digest);
+
 struct RequestMsg {
   uint64_t client_token = 0;
   uint64_t req_id = 0;

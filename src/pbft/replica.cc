@@ -630,11 +630,8 @@ void PbftReplica::ExecuteReady() {
       executed_reqs_[instance.client_token].insert(instance.req_id);
       executed_log_[seq] = instance.value;
       // Chain the state digest (cheap: fixed 64-byte input).
-      Encoder chain;
-      chain.PutRaw(state_digest_.data(), state_digest_.size());
-      chain.PutRaw(instance.digest.data(), instance.digest.size());
-      state_digest_ = crypto::Sha256Digest(chain.buffer());
-      if (execute_) execute_(seq, instance.value);
+      state_digest_ = ChainDigest(state_digest_, instance.digest);
+      if (execute_) execute_(seq, instance.value, instance.digest);
       Tracer& tr = tracer();
       if (tr.enabled() && instance.trace_id != 0) {
         // Per-replica phase spans: how long this instance spent reaching
@@ -1031,10 +1028,10 @@ void PbftReplica::MaybeSendNewView(uint64_t v) {
 }
 
 bool PbftReplica::ValidatePreparedProof(const PreparedProof& proof) const {
+  // Checked in every mode: an executed instance's digest must always be the
+  // digest of its value (ExecuteCallback hands it on instead of rehashing).
+  if (DigestOf(proof.value) != proof.digest) return false;
   if (!config_.sign_messages) return true;
-  if (ComputeDigest(proof.value, config_.hash_payloads) != proof.digest) {
-    return false;
-  }
   // The pre-prepare must be signed by the leader of the view it cites.
   PrePrepareMsg pp;
   pp.view = proof.view;

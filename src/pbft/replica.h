@@ -55,9 +55,12 @@ enum class ByzantineMode {
 
 class PbftReplica : public net::Host {
  public:
-  /// Called for every committed value, in sequence order.
-  using ExecuteCallback =
-      std::function<void(uint64_t seq, const Bytes& value)>;
+  /// Called for every committed value, in sequence order, with the
+  /// value's digest: ComputeDigest(value, hash_payloads), checked against
+  /// the value on every path that fills an instance, so callers need not
+  /// hash the value again.
+  using ExecuteCallback = std::function<void(uint64_t seq, const Bytes& value,
+                                             const Digest& digest)>;
   /// The Blockplane verification-routine hook. Returning false withholds
   /// this replica's commit vote for the value.
   using Verifier = std::function<bool(const Bytes& value)>;

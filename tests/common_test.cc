@@ -155,6 +155,29 @@ TEST(CodecTest, TruncatedBytesIsCorruption) {
   EXPECT_TRUE(dec.GetBytes(&b).IsCorruption());
 }
 
+TEST(CodecTest, RawBytesRoundTripAndTruncationIsCorruption) {
+  Bytes raw(32);
+  for (size_t i = 0; i < raw.size(); ++i) raw[i] = static_cast<uint8_t>(i);
+  Encoder enc;
+  enc.PutRaw(raw.data(), raw.size());
+  Bytes full = enc.Take();
+
+  uint8_t out[32] = {};
+  Decoder dec(full);
+  ASSERT_TRUE(dec.GetRaw(out, sizeof(out)).ok());
+  EXPECT_TRUE(dec.AtEnd());
+  EXPECT_EQ(Bytes(out, out + sizeof(out)), raw);
+  EXPECT_TRUE(dec.GetRaw(out, 0).ok());  // zero bytes at the end is fine
+
+  // One byte short: rejected, nothing consumed, nothing written.
+  Bytes truncated(full.begin(), full.end() - 1);
+  uint8_t untouched[32] = {};
+  Decoder short_dec(truncated);
+  EXPECT_TRUE(short_dec.GetRaw(untouched, sizeof(untouched)).IsCorruption());
+  EXPECT_EQ(short_dec.remaining(), truncated.size());
+  EXPECT_EQ(Bytes(untouched, untouched + sizeof(untouched)), Bytes(32, 0));
+}
+
 TEST(CodecTest, InvalidBoolIsCorruption) {
   Encoder enc;
   enc.PutU8(2);

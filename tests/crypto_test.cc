@@ -1,11 +1,17 @@
 // Unit tests for the crypto substrate: SHA-256 against FIPS vectors,
-// HMAC-SHA256 against RFC 4231 vectors, and signature/proof semantics.
+// HMAC-SHA256 against RFC 4231 vectors, the SHA-extensions compression
+// kernel against the scalar definition, and signature/proof semantics.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/metrics.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/signer.h"
 #include "sim/random.h"
 
@@ -175,6 +181,21 @@ TEST(ProofCodecTest, RoundTrip) {
   EXPECT_TRUE(store.VerifyProof(msg, decoded, 2, 2));
 }
 
+TEST(ProofCodecTest, TruncatedMacRejected) {
+  KeyStore store;
+  auto s0 = store.RegisterNode({0, 0});
+  Encoder enc;
+  EncodeProof(&enc, {s0->Sign(ToBytes("m"))});
+  const Bytes& wire = enc.buffer();
+  // Every cut inside the 32-byte MAC must fail cleanly.
+  for (size_t cut = wire.size() - 32; cut < wire.size(); ++cut) {
+    Bytes truncated(wire.data(), wire.data() + cut);
+    Decoder dec(truncated);
+    std::vector<Signature> decoded;
+    EXPECT_TRUE(DecodeProof(&dec, &decoded).IsCorruption()) << "cut=" << cut;
+  }
+}
+
 TEST(ProofCodecTest, OversizedProofRejected) {
   Encoder enc;
   enc.PutVarint(100000);
@@ -251,6 +272,177 @@ TEST(PrecomputedHmacKeyTest, VerifyAcceptsGenuineRejectsTampered) {
   Bytes bad_msg = msg;
   bad_msg.back() ^= 0x01;
   EXPECT_FALSE(fast.Verify(bad_msg, mac));
+}
+
+// --- compression kernels: SHA extensions vs the scalar definition ------------
+
+/// Digest oracle over one compression kernel: the FIPS 180-4 padding is
+/// spelled out here, independently of Sha256::Finish, and every block goes
+/// through `kernel`.
+Digest DigestWithKernel(internal::CompressFn kernel, const Bytes& msg) {
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const uint64_t bits = static_cast<uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+  kernel(state, padded.data(), padded.size() / 64);
+  Digest out;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      out[4 * i + j] = static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+Digest ScalarDigest(const Bytes& msg) {
+  return DigestWithKernel(&internal::CompressScalar, msg);
+}
+
+/// The RFC 2104 key block: long keys hashed (by the scalar oracle), then
+/// zero-padded to 64 bytes.
+Bytes ScalarHmacKeyBlock(const Bytes& key) {
+  Bytes block(64, 0);
+  if (key.size() > 64) {
+    Digest kd = ScalarDigest(key);
+    std::copy(kd.begin(), kd.end(), block.begin());
+  } else {
+    std::copy(key.begin(), key.end(), block.begin());
+  }
+  return block;
+}
+
+/// RFC 2104 HMAC-SHA256 built on the scalar oracle alone.
+Digest ScalarHmac(const Bytes& key, const Bytes& msg) {
+  const Bytes block = ScalarHmacKeyBlock(key);
+  Bytes inner;
+  Bytes outer;
+  for (uint8_t b : block) {
+    inner.push_back(b ^ 0x36);
+    outer.push_back(b ^ 0x5c);
+  }
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  Digest inner_digest = ScalarDigest(inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return ScalarDigest(outer);
+}
+
+TEST(Sha256KernelTest, ScalarOracleMatchesPublishedVectors) {
+  EXPECT_EQ(DigestToHex(ScalarDigest(ToBytes(""))),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(DigestToHex(ScalarDigest(ToBytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      DigestToHex(ScalarDigest(ToBytes(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(DigestToHex(ScalarHmac(Bytes(20, 0x0b), ToBytes("Hi There"))),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  EXPECT_EQ(
+      DigestToHex(ScalarHmac(
+          Bytes(131, 0xaa),
+          ToBytes("Test Using Larger Than Block-Size Key - Hash Key First"))),
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+/// Runs only where the CPU has the SHA extensions; every other test in
+/// this file already exercises whichever kernel the host selected.
+class ShaNiKernelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    accel_ = internal::AcceleratedKernel();
+    if (accel_ == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+
+  internal::CompressFn accel_ = nullptr;
+};
+
+TEST_F(ShaNiKernelTest, DispatchSelectsTheAcceleratedKernel) {
+  EXPECT_EQ(internal::ActiveKernel(), accel_);
+  EXPECT_STREQ(Sha256Backend(), "sha-ni");
+}
+
+TEST_F(ShaNiKernelTest, RandomStatesAndBlockRunsMatchScalar) {
+  sim::Rng rng(0x5a256);
+  const size_t runs[] = {1, 2, 3, 7, 16, 512};
+  for (size_t nblocks : runs) {
+    for (int trial = 0; trial < 8; ++trial) {
+      uint32_t scalar[8];
+      for (uint32_t& word : scalar) {
+        word = static_cast<uint32_t>(rng.NextU64());
+      }
+      uint32_t accel[8];
+      std::copy(std::begin(scalar), std::end(scalar), std::begin(accel));
+      Bytes data = RandomBytes(&rng, nblocks * 64);
+      internal::CompressScalar(scalar, data.data(), nblocks);
+      accel_(accel, data.data(), nblocks);
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_EQ(accel[i], scalar[i])
+            << "nblocks=" << nblocks << " trial=" << trial << " word=" << i;
+      }
+    }
+  }
+}
+
+TEST_F(ShaNiKernelTest, EveryLengthUpTo1KiBAnd32KiB) {
+  sim::Rng rng(1024);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 1024; ++len) lengths.push_back(len);
+  lengths.push_back(32768);
+  for (size_t len : lengths) {
+    Bytes msg = RandomBytes(&rng, len);
+    const Digest expected = ScalarDigest(msg);
+    ASSERT_EQ(DigestWithKernel(accel_, msg), expected) << "len=" << len;
+    ASSERT_EQ(Sha256Digest(msg), expected) << "len=" << len;
+  }
+}
+
+TEST_F(ShaNiKernelTest, UpdateSplitAtEveryOffsetOfThreeBlocks) {
+  // Three Update() calls cut at every pair of offsets into a 3-block
+  // message: partial-buffer fills, whole-block runs, and empty pieces.
+  sim::Rng rng(192);
+  Bytes msg = RandomBytes(&rng, 192);
+  const Digest expected = ScalarDigest(msg);
+  for (size_t i = 0; i <= msg.size(); ++i) {
+    for (size_t j = i; j <= msg.size(); ++j) {
+      Sha256 ctx;
+      ctx.Update(msg.data(), i);
+      ctx.Update(msg.data() + i, j - i);
+      ctx.Update(msg.data() + j, msg.size() - j);
+      ASSERT_EQ(ctx.Finish(), expected) << "split at " << i << "," << j;
+    }
+  }
+}
+
+TEST_F(ShaNiKernelTest, HmacMidstatesMatchScalar) {
+  sim::Rng rng(4231);
+  const size_t key_lens[] = {0, 1, 20, 32, 63, 64, 65, 131};
+  const size_t msg_lens[] = {0, 1, 55, 56, 63, 64, 65, 200, 1000, 32768};
+  for (size_t key_len : key_lens) {
+    Bytes key = RandomBytes(&rng, key_len);
+    PrecomputedHmacKey fast(key);
+    // The captured midstate is one scalar compression of key ^ ipad.
+    Bytes block = ScalarHmacKeyBlock(key);
+    for (uint8_t& b : block) b ^= 0x36;
+    Sha256 ctx;
+    ctx.Update(block);
+    Sha256Midstate midstate = ctx.CaptureMidstate();
+    uint32_t scalar[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    internal::CompressScalar(scalar, block.data(), 1);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(midstate.state[i], scalar[i]) << "key_len=" << key_len;
+    }
+    for (size_t msg_len : msg_lens) {
+      Bytes msg = RandomBytes(&rng, msg_len);
+      EXPECT_EQ(fast.Sign(msg), ScalarHmac(key, msg))
+          << "key_len=" << key_len << " msg_len=" << msg_len;
+    }
+  }
 }
 
 // --- KeyStore verify-once cache ---------------------------------------------

@@ -42,8 +42,9 @@ class PbftHarness {
     for (const NodeId& node : config_.nodes) {
       auto replica = std::make_unique<PbftReplica>(
           &network_, &keys_, config_, node,
-          [this, node](uint64_t seq, const Bytes& value) {
-            executions_.push_back({node, seq, value});
+          [this, node](uint64_t seq, const Bytes& value,
+                       const Digest& digest) {
+            executions_.push_back({node, seq, value, digest});
           });
       replica->RegisterWithNetwork();
       replicas_.push_back(std::move(replica));
@@ -94,6 +95,7 @@ class PbftHarness {
     NodeId node;
     uint64_t seq;
     Bytes value;
+    Digest digest;
   };
 
   sim::Simulator simulator_;
@@ -173,6 +175,38 @@ TEST(PbftTest, LeaderCrashTriggersViewChange) {
   harness.ExpectAgreement({0});
   EXPECT_GT(harness.replicas_[1]->view(), 0u);
   EXPECT_EQ(harness.LogOf(1).back(), "after");
+}
+
+TEST(PbftTest, ExecutedDigestIsTheValueDigestAcrossViewChange) {
+  // The execute callback hands on the instance digest instead of letting
+  // the application rehash the value, so it must be ComputeDigest(value)
+  // on every path that fills an instance: the leader's proposal, verified
+  // pre-prepares, and prepared proposals carried into a new view.
+  PbftHarness harness(1);
+  for (auto& replica : harness.replicas_) {
+    const_cast<PbftConfig&>(replica->config()).window = 4;
+  }
+  constexpr int kCount = 6;
+  for (int i = 0; i < kCount; ++i) {
+    harness.client_->Submit(ToBytes("v" + std::to_string(i)), nullptr);
+  }
+  // Kill the leader with a window of pre-prepares in flight, so the new
+  // view re-proposes them from prepared certificates.
+  harness.simulator_.RunFor(Milliseconds(1));
+  harness.network_.Crash(NodeId{0, 0});
+  ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+      [&] { return harness.client_->completed() >= kCount; }, Seconds(60)));
+  harness.simulator_.RunFor(Seconds(1));
+  EXPECT_GT(harness.replicas_[1]->view(), 0u);
+
+  size_t live_executions = 0;
+  for (const auto& execution : harness.executions_) {
+    EXPECT_EQ(execution.digest,
+              ComputeDigest(execution.value, harness.config_.hash_payloads))
+        << execution.node.ToString() << " seq " << execution.seq;
+    if (execution.node != NodeId{0, 0}) ++live_executions;
+  }
+  EXPECT_EQ(live_executions, 3u * kCount);
 }
 
 TEST(PbftTest, RepeatedLeaderCrashes) {

@@ -40,7 +40,7 @@ class WindowedPbftHarness {
     for (size_t i = 0; i < config_.nodes.size(); ++i) {
       auto replica = std::make_unique<pbft::PbftReplica>(
           &network_, &keys_, config_, config_.nodes[i],
-          [this, i](uint64_t, const Bytes& value) {
+          [this, i](uint64_t, const Bytes& value, const crypto::Digest&) {
             if (!value.empty()) executed_[i].push_back(ToString(value));
           });
       replica->RegisterWithNetwork();

@@ -123,6 +123,54 @@ TEST_P(RecordRoundTripTest, DigestSensitiveToEveryIdentityField) {
   EXPECT_EQ(mutated.ContentDigest(), original);
 }
 
+/// The digest's defining form: encode the identity fields, then hash the
+/// encoding. ContentDigest streams the same bytes without the buffer.
+crypto::Digest EncodeThenHash(const LogRecord& r) {
+  Encoder enc;
+  enc.PutU8(static_cast<uint8_t>(r.type));
+  enc.PutVarint(r.routine_id);
+  enc.PutBytes(r.payload);
+  enc.PutU32(static_cast<uint32_t>(r.dest_site));
+  enc.PutU32(static_cast<uint32_t>(r.src_site));
+  enc.PutU64(r.src_log_pos);
+  enc.PutU64(r.prev_src_log_pos);
+  enc.PutU64(r.geo_pos);
+  return crypto::Sha256Digest(enc.buffer());
+}
+
+TEST_P(RecordRoundTripTest, StreamedDigestEqualsEncodeThenHash) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 0x5eed);
+  const size_t payload_lens[] = {0, 1024, 32768};
+  for (size_t len : payload_lens) {
+    for (int i = 0; i < 20; ++i) {
+      LogRecord record = RandomRecord(rng);
+      record.payload.resize(len);
+      for (auto& b : record.payload) b = static_cast<uint8_t>(rng.NextU64());
+      // Full-width field values reach every varint length and the sign
+      // bit of the site fields.
+      record.routine_id = rng.NextU64() >> rng.NextBelow(64);
+      record.dest_site = static_cast<net::SiteId>(rng.NextU64());
+      record.src_site = static_cast<net::SiteId>(rng.NextU64());
+      record.src_log_pos = rng.NextU64();
+      record.prev_src_log_pos = rng.NextU64();
+      record.geo_pos = rng.NextU64();
+      EXPECT_EQ(record.ContentDigest(), EncodeThenHash(record))
+          << "payload " << len << " iteration " << i;
+
+      TransmissionRecord tr;
+      tr.src_site = record.src_site;
+      tr.dest_site = record.dest_site;
+      tr.src_log_pos = record.src_log_pos;
+      tr.prev_src_log_pos = record.prev_src_log_pos;
+      tr.routine_id = record.routine_id;
+      tr.payload = record.payload;
+      tr.geo_pos = record.geo_pos;
+      EXPECT_EQ(tr.ContentDigest(), EncodeThenHash(tr.ToReceivedRecord()))
+          << "payload " << len << " iteration " << i;
+    }
+  }
+}
+
 TEST_P(RecordRoundTripTest, AttestCanonicalSeparatesPurposes) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 0x777);
   crypto::Digest digest;
