@@ -22,15 +22,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/metrics.h"
-#include "common/runner.h"
 #include "core/deployment.h"
 #include "crypto/hmac.h"
 #include "crypto/signer.h"
@@ -339,37 +335,6 @@ HotPathStats RunLossyTransmissionWorkload(int n) {
   return stats;
 }
 
-/// SignBatch+VerifyBatch throughput through `runner` (DESIGN.md §12):
-/// the --workers dimension. Returns sign+verify round trips per second
-/// over a 64-message batch; the cache is disabled so every configuration
-/// performs identical MAC work.
-double BatchSignVerifyOpsPerSec(common::Runner* runner, int iters) {
-  crypto::KeyStore keys;
-  keys.set_verify_cache_capacity(0);
-  auto signer = keys.RegisterNode({0, 0});
-  constexpr size_t kBatch = 64;
-  std::vector<crypto::SignJob> sign_jobs(kBatch);
-  for (size_t i = 0; i < kBatch; ++i) {
-    sign_jobs[i].msg = Bytes(48, static_cast<uint8_t>(i));
-  }
-  std::vector<crypto::VerifyJob> verify_jobs(kBatch);
-  auto start = Clock::now();
-  int rounds = std::max(1, iters / static_cast<int>(kBatch));
-  bool ok = true;
-  for (int round = 0; round < rounds; ++round) {
-    signer->SignBatch(&sign_jobs, runner);
-    for (size_t i = 0; i < kBatch; ++i) {
-      verify_jobs[i].msg = sign_jobs[i].msg;
-      verify_jobs[i].sig = sign_jobs[i].sig;
-    }
-    keys.VerifyBatch(&verify_jobs, runner);
-    for (const auto& job : verify_jobs) ok &= job.ok;
-  }
-  auto end = Clock::now();
-  if (!ok) std::fprintf(stderr, "batch verify failed?!\n");
-  return rounds * static_cast<double>(kBatch) / Seconds(start, end);
-}
-
 void PutStats(std::ofstream& out, const HotPathStats& s,
               const char* indent) {
   out << indent << "\"sig_cache_hits\": " << s.sig_cache_hits << ",\n"
@@ -388,23 +353,13 @@ void PutStats(std::ofstream& out, const HotPathStats& s,
 int main(int argc, char** argv) {
   using namespace blockplane;
 
-  int sweep_workers = 4;
   std::string out_path = "BENCH_hotpath.json";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--workers=", 0) == 0) {
-      char* end = nullptr;
-      const long v = std::strtol(arg.c_str() + 10, &end, 10);
-      if (end == arg.c_str() + 10 || *end != '\0' || v < 1) {
-        std::fprintf(stderr, "--workers needs a positive integer, got \"%s\"\n",
-                     arg.c_str() + 10);
-        return 2;
-      }
-      sweep_workers = static_cast<int>(v);
-    } else if (arg.rfind("--out=", 0) == 0) {
+    if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else {
-      std::fprintf(stderr, "usage: %s [--workers=N] [--out=PATH]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--out=PATH]\n", argv[0]);
       return 2;
     }
   }
@@ -459,25 +414,6 @@ int main(int argc, char** argv) {
   std::printf("  bytes_copied_saved=%lld (shared retransmit/dup buffers)\n",
               static_cast<long long>(lossy.bytes_copied_saved));
 
-  // --- 4. batched crypto through the Runner seam (--workers dimension) ------
-  double batch_inline;
-  double batch_threaded;
-  {
-    common::InlineRunner inline_runner;
-    batch_inline = BatchSignVerifyOpsPerSec(&inline_runner, kIters / 10);
-    common::ThreadPoolRunner pool(
-        {sweep_workers, /*queue_capacity=*/256, /*spin=*/false});
-    batch_threaded = BatchSignVerifyOpsPerSec(&pool, kIters / 10);
-  }
-  const double batch_speedup = batch_threaded / batch_inline;
-  const double batch_efficiency = batch_speedup / sweep_workers;
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("batched sign+verify (workers=%d, %u hardware threads):\n",
-              sweep_workers, cores);
-  std::printf("  inline            : %12.0f ops/s\n", batch_inline);
-  std::printf("  threadpool        : %12.0f ops/s  (%.2fx, %.2f/worker)\n",
-              batch_threaded, batch_speedup, batch_efficiency);
-
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "cannot open --out path \"%s\"\n", out_path.c_str());
@@ -498,15 +434,7 @@ int main(int argc, char** argv) {
   out << "  },\n"
       << "  \"lossy_transmission_workload\": {\n";
   PutStats(out, lossy, "    ");
-  out << "  },\n"
-      << "  \"batch_sign_verify\": {\n"
-      << "    \"workers\": " << sweep_workers << ",\n"
-      << "    \"hardware_concurrency\": " << cores << ",\n"
-      << "    \"inline_ops_per_sec\": " << batch_inline << ",\n"
-      << "    \"threadpool_ops_per_sec\": " << batch_threaded << ",\n"
-      << "    \"speedup_vs_inline\": " << batch_speedup << ",\n"
-      << "    \"efficiency_per_worker\": " << batch_efficiency << "\n"
-      << "  }\n"
+  out << "  }\n"
       << "}\n";
   out.close();
   std::printf("wrote %s\n", out_path.c_str());

@@ -24,7 +24,7 @@ Taint queries run over the graph in both directions:
     call chain, with a deterministic witness chain for diagnostics
     (ties broken by smallest node key, so output is byte-stable).
   * forward_closure(roots): every node reachable FROM the roots — used
-    by BP007 to grow the prologue-path file set.
+    by BP010 to recognize a timer callback that re-arms through helpers.
 
 Cycles are handled naturally by the BFS visited sets; recursion neither
 loops nor double-taints.

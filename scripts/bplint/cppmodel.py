@@ -33,10 +33,6 @@ Facts per file (see FileFacts):
     discarded result, plus the names called / handles assigned inside
     the scheduled lambda for self-rearm detection) and the identifiers
     appearing in Cancel(...) argument lists
-  * prologue-context call roots for BP007: names called inside lambdas
-    passed to RunPrologue (the returned epilogue — a lambda after
-    `return` — is excluded: it retires on the submit thread) and inside
-    lambdas pushed into BatchTask vectors in files that call RunBatch
 """
 
 from __future__ import annotations
@@ -189,7 +185,6 @@ class FileFacts:
     fn_defs: List[FunctionDef] = field(default_factory=list)
     fn_decls: List[FnDecl] = field(default_factory=list)
     cancel_args: Set[str] = field(default_factory=set)
-    prologue_roots: Set[str] = field(default_factory=set)
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +941,7 @@ def _parse_cancels(toks: List[Tok], facts: FileFacts) -> None:
 
 
 # ---------------------------------------------------------------------------
-# prologue-context roots (BP007 transitive scope)
+# lambdas
 # ---------------------------------------------------------------------------
 
 def _lambda_body_span(toks: Sequence[Tok], i: int) -> Optional[Tuple[int, int]]:
@@ -969,61 +964,6 @@ def _lambda_body_span(toks: Sequence[Tok], i: int) -> Optional[Tuple[int, int]]:
     if j < n and toks[j].text == "{":
         return j + 1, match_balanced(toks, j) - 1
     return None
-
-
-def _collect_worker_calls(toks: Sequence[Tok], start: int, end: int,
-                          out: Set[str]) -> None:
-    """Call names in [start, end), skipping lambdas that follow a
-    `return`: a returned lambda is the epilogue, and epilogues retire on
-    the submit thread (DESIGN.md section 12), not on workers."""
-    i = start
-    prev_id = ""
-    while i < end:
-        t = toks[i]
-        if t.text == "[":
-            span = _lambda_body_span(toks, i)
-            if span is not None:
-                lam_start, lam_end = span
-                if prev_id != "return":
-                    _collect_worker_calls(toks, lam_start, lam_end, out)
-                i = lam_end + 1
-                prev_id = ""
-                continue
-        if t.kind == "id":
-            if t.text not in _NON_FN_IDS and i + 1 < end and \
-                    toks[i + 1].text == "(":
-                out.add(t.text)
-            prev_id = t.text
-        elif t.kind == "punct":
-            prev_id = ""
-        i += 1
-
-
-def _parse_prologue_roots(toks: List[Tok], facts: FileFacts) -> None:
-    n = len(toks)
-    mentions_runbatch = any(t.kind == "id" and t.text == "RunBatch"
-                            for t in toks)
-    i = 0
-    while i < n:
-        t = toks[i]
-        if t.kind != "id" or i + 1 >= n or toks[i + 1].text != "(":
-            i += 1
-            continue
-        if t.text == "RunPrologue":
-            end = match_balanced(toks, i + 1)
-            _collect_worker_calls(toks, i + 2, end - 1,
-                                  facts.prologue_roots)
-            i = end
-            continue
-        if mentions_runbatch and t.text in ("push_back", "emplace_back"):
-            end = match_balanced(toks, i + 1)
-            region = toks[i + 2:end - 1]
-            if any(a.text == "[" for a in region):
-                _collect_worker_calls(toks, i + 2, end - 1,
-                                      facts.prologue_roots)
-            i = end
-            continue
-        i += 1
 
 
 def _parse_usage_contexts(toks: List[Tok], facts: FileFacts) -> None:
@@ -1087,5 +1027,4 @@ def analyze_file(path: str, text: str) -> FileFacts:
     _parse_usage_contexts(toks, facts)
     _parse_functions(toks, facts)
     _parse_cancels(toks, facts)
-    _parse_prologue_roots(toks, facts)
     return facts

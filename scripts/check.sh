@@ -14,11 +14,6 @@
 #      with and without injected loss and fails unless adaptive beats
 #      the best static window under loss while matching it lossless
 #      (the DESIGN.md §13 congestion-control gate).
-#   3b. Parallel-runtime smoke: bench_parallel_runtime --smoke sweeps the
-#       Runner seam (inline + 1/2/4/8 workers, DESIGN.md §12), checking
-#       threaded results element-for-element against inline; the >=3x
-#       scaling gate is enforced only on hosts with >= 4 hardware
-#       threads (the JSON records the core count either way).
 #   3c. Quorum-cert ablation smoke: bench_fig6_communication --qc runs
 #       the same send workload with real crypto, QC-off vs QC-on, and
 #       fails unless QC-on performs at most half the individual MAC
@@ -32,12 +27,12 @@
 #       compile database — skipped with a notice when clang-tidy is not
 #       installed.
 #   4b. bplint: the project-invariant static-analysis suite
-#       (scripts/bplint; rules BP001–BP011 — determinism, entropy
-#       hygiene, wire-field coverage, dispatch exhaustiveness, integer
-#       consensus math, metrics/trace hygiene, runner prologue-path
-#       state, discarded Status, lock-scope discipline, timer hygiene,
-#       bounded decode; the entropy/float/prologue rules chase call
-#       chains across translation units via the project call graph).
+#       (scripts/bplint; rules BP001–BP011 except the retired BP007 —
+#       determinism, entropy hygiene, wire-field coverage, dispatch
+#       exhaustiveness, integer consensus math, metrics/trace hygiene,
+#       discarded Status, lock-scope discipline, timer hygiene, bounded
+#       decode; the entropy and float rules chase call chains across
+#       translation units via the project call graph).
 #       Zero unsuppressed diagnostics required; the serial run, a
 #       rerun, and a --jobs=4 run must all be byte-identical; and the
 #       whole-tree pass must finish inside its 1.5 s budget. Runs even
@@ -48,19 +43,14 @@
 #      buffers — exactly the kind of lifetime bug a sanitizer catches and
 #      a passing test hides.
 #
-# Usage: scripts/check.sh [--fast|--chaos-smoke|--tsan]
-#   --fast         passes 1–3b + bplint; skip clang-tidy and sanitizers.
+# Usage: scripts/check.sh [--fast|--chaos-smoke]
+#   --fast         passes 1–3c + bplint; skip clang-tidy and sanitizers.
 #   --chaos-smoke  quick chaos gate (<60s): build, then run the chaos
 #                  regression + a reduced soak (2 seeds per template via
 #                  CHAOS_SOAK_SEEDS) and the fig-8 chaos bench variant,
 #                  which fails unless throughput recovers after the
 #                  scheduled site outage. Failing campaigns print their
 #                  JSON for seed-exact reproduction (see EXPERIMENTS.md).
-#   --tsan         ThreadSanitizer gate for the Runner seam: Debug build
-#                  with -fsanitize=thread (build-tsan/), then runner_test,
-#                  pbft_test, and bench_parallel_runtime --smoke. The
-#                  worker threads touch only prologue-captured state, so
-#                  any TSan report is a seam violation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,24 +70,6 @@ check_bench() {
   fi
 }
 
-if [[ "${1:-}" == "--tsan" ]]; then
-  echo "=== tsan: Debug build with -fsanitize=thread ==="
-  cmake -B build-tsan -S . \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    >/dev/null
-  cmake --build build-tsan -j "$JOBS_SMOKE" \
-    --target runner_test pbft_test bench_parallel_runtime
-  echo "=== tsan: runner_test ==="
-  build-tsan/tests/runner_test
-  echo "=== tsan: pbft_test ==="
-  build-tsan/tests/pbft_test
-  echo "=== tsan: bench_parallel_runtime --smoke ==="
-  build-tsan/bench/bench_parallel_runtime --smoke \
-    --out=build-tsan/BENCH_parallel.json
-  echo "=== tsan pass complete ==="
-  exit 0
-fi
 if [[ "${1:-}" == "--chaos-smoke" ]]; then
   echo "=== chaos smoke: build ==="
   cmake -B build -S . >/dev/null
@@ -127,7 +99,7 @@ ctest --test-dir build --output-on-failure
 # must also stay inside the 1.5 s whole-tree budget that keeps the gate
 # viable as a pre-commit hook.
 run_bplint() {
-  echo "=== pass 4b: bplint (BP001-BP011 project invariants) ==="
+  echo "=== pass 4b: bplint (BP001-BP011 project invariants, BP007 retired) ==="
   local t0 t1 elapsed_ms
   t0="$(date +%s%N)"
   python3 scripts/bplint -p build src bench | tee build/bplint.out
@@ -156,11 +128,6 @@ echo "=== pass 3: pipeline smoke (window 1 vs 8, adaptive vs static) ==="
 build/bench/bench_pipeline --smoke --out=build/BENCH_pipeline.json
 check_bench BENCH_pipeline.json
 echo "pipeline smoke OK (build/BENCH_pipeline.json)"
-
-echo "=== pass 3b: parallel-runtime smoke (Runner worker sweep) ==="
-build/bench/bench_parallel_runtime --smoke --out=build/BENCH_parallel.json
-check_bench BENCH_parallel.json
-echo "parallel-runtime smoke OK (build/BENCH_parallel.json)"
 
 echo "=== pass 3c: quorum-cert ablation smoke (QC gate, DESIGN.md §14) ==="
 # QC-on must perform at most half the individual MAC verifications of

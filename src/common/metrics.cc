@@ -9,43 +9,31 @@
 namespace blockplane {
 
 HotPathStats& hotpath_stats() {
-  // bplint:allow(BP007) submit/serial-thread-owned counter block (metrics.h); worker prologues call only *Detached paths, and the lone Verify chain is runner->serial()-gated
   static HotPathStats stats;
   return stats;
 }
 
 TransportStats& transport_stats() {
-  // bplint:allow(BP007) submit/serial-thread-owned counter block (metrics.h); worker prologues call only *Detached paths, and the lone Verify chain is runner->serial()-gated
   static TransportStats stats;
   return stats;
 }
 
 PipelineStats& pipeline_stats() {
-  // bplint:allow(BP007) submit/serial-thread-owned counter block (metrics.h); worker prologues call only *Detached paths, and the lone Verify chain is runner->serial()-gated
   static PipelineStats stats;
   return stats;
 }
 
 RobustnessStats& robustness_stats() {
-  // bplint:allow(BP007) submit/serial-thread-owned counter block (metrics.h); worker prologues call only *Detached paths, and the lone Verify chain is runner->serial()-gated
   static RobustnessStats stats;
   return stats;
 }
 
-RunnerStats& runner_stats() {
-  // bplint:allow(BP007) submit/serial-thread-owned counter block (metrics.h); worker prologues call only *Detached paths, and the lone Verify chain is runner->serial()-gated
-  static RunnerStats stats;
-  return stats;
-}
-
 CongestionStats& congestion_stats() {
-  // bplint:allow(BP007) submit/serial-thread-owned counter block (metrics.h); worker prologues call only *Detached paths, and the lone Verify chain is runner->serial()-gated
   static CongestionStats stats;
   return stats;
 }
 
 QcStats& qc_stats() {
-  // bplint:allow(BP007) submit/serial-thread-owned counter block (metrics.h); worker prologues call only *Detached paths, and the lone Verify chain is runner->serial()-gated
   static QcStats stats;
   return stats;
 }
@@ -117,20 +105,6 @@ MetricsRegistry::MetricsRegistry() {
         };
       },
       []() { robustness_stats().Reset(); });
-  Register(
-      "runner",
-      []() {
-        const RunnerStats& s = runner_stats();
-        return std::map<std::string, int64_t>{
-            {"prologues_submitted", s.prologues_submitted},
-            {"epilogues_retired", s.epilogues_retired},
-            {"prologues_dropped", s.prologues_dropped},
-            {"backpressure_waits", s.backpressure_waits},
-            {"queue_depth_peak", s.queue_depth_peak},
-            {"batch_tasks", s.batch_tasks},
-        };
-      },
-      []() { runner_stats().Reset(); });
   Register(
       "congestion",
       []() {
@@ -215,7 +189,6 @@ std::string MetricsRegistry::ToJson() const {
 }
 
 MetricsRegistry& metrics_registry() {
-  // bplint:allow(BP007) submit/serial-thread-owned counter block (metrics.h); worker prologues call only *Detached paths, and the lone Verify chain is runner->serial()-gated
   static MetricsRegistry registry;
   return registry;
 }

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/runner.h"
 #include "common/trace.h"
 #include "core/congestion.h"
 #include "core/node.h"
@@ -54,8 +53,7 @@ void CommDaemon::OnMessage(const net::Message& msg) {
       OnRecvStatusReply(msg);
       break;
     default:
-      // kAttestResponse arrives pre-decoded via OnAttestResponseDecoded:
-      // the host node's prologue does the decode off the delivery thread.
+      // kAttestResponse arrives pre-decoded via OnAttestResponse.
       break;
   }
 }
@@ -72,10 +70,9 @@ void CommDaemon::PumpPipeline() {
   size_t window = window_ctl_ ? static_cast<size_t>(window_ctl_->window())
                               : host_->options_.daemon_window;
 
-  // Phase 1: build the new flights and collect their attestation bodies
+  // Phase 1: build the new flights and their attestation canonicals
   // (digest + canonical encode — the CPU-heavy part of the scan).
   std::vector<uint64_t> new_positions;
-  std::vector<crypto::SignJob> jobs;
   auto pos_it = std::upper_bound(positions.begin(), positions.end(),
                                  std::max(next_send_pos_, acked_pos_));
   bool geo_proof_wait = false;
@@ -115,11 +112,10 @@ void CommDaemon::PumpPipeline() {
     flight.record.geo_certs = std::move(geo_certs);
     next_send_pos_ = pos;
 
-    crypto::Digest digest = flight.record.ContentDigest();
-    new_positions.push_back(pos);
-    jobs.push_back(crypto::SignJob{
+    flight.attest_canonical =
         AttestCanonical(AttestPurpose::kTransmission, flight.record.src_site,
-                        pos, digest)});
+                        pos, flight.record.ContentDigest());
+    new_positions.push_back(pos);
   }
   // Stall accounting: an *episode* opens when admission is blocked purely
   // by the flight window while sendable work remains, and closes on any
@@ -131,19 +127,13 @@ void CommDaemon::PumpPipeline() {
     window_stalled_ = true;
     ++pipeline_stats().daemon_window_stalls;
   }
-  if (jobs.empty()) return;
-
-  // Phase 2: self-attest the whole batch. Fans out to workers when the
-  // host's Runner is threaded; under the InlineRunner this degenerates to
-  // the seed's per-record Sign loop. Signing sends nothing, so batching
-  // here cannot reorder the send sequence phase 3 produces.
-  host_->signer_->SignBatch(&jobs, host_->runner());
-
-  // Phase 3: collect f_i+1 signatures for the validity of P from local
-  // nodes (our own plus f_i others) and ship, in scan order.
+  // Phase 2: self-attest, then collect f_i+1 signatures for the validity
+  // of P from local nodes (our own plus f_i others) and ship, in scan
+  // order.
   for (size_t i = 0; i < new_positions.size(); ++i) {
     Flight& flight = flights_.at(new_positions[i]);
-    flight.record.sigs.push_back(jobs[i].sig);
+    flight.record.sigs.push_back(
+        host_->signer_->Sign(flight.attest_canonical));
     if (static_cast<int>(flight.record.sigs.size()) >=
         host_->options_.fi + 1) {
       flight.sigs_complete = true;
@@ -172,44 +162,24 @@ void CommDaemon::RequestAttestations(uint64_t pos) {
   }
 }
 
-void CommDaemon::OnAttestResponseDecoded(net::NodeId src,
-                                         const AttestResponseMsg& response) {
-  if (response.sig.signer != src) return;  // also checked by the prologue
+void CommDaemon::OnAttestResponse(const AttestResponseMsg& response) {
   auto it = flights_.find(response.pos);
   if (it == flights_.end() || it->second.sigs_complete) return;
-  Flight& flight = it->second;
-  if (!host_->options_.sign_messages) {
-    ApplyAttestation(response.pos, response.sig);
+  if (host_->options_.sign_messages &&
+      !host_->keys()->Verify(it->second.attest_canonical, response.sig)) {
     return;
   }
-  // Capture-at-submit: the canonical bytes come from the flight as it
-  // exists right now (we are on the retire thread, where flight state is
-  // safe to read); the worker verifies the MAC over that immutable copy
-  // and the ordered epilogue re-validates the flight before applying.
-  auto canonical = std::make_shared<Bytes>(AttestCanonical(
-      AttestPurpose::kTransmission, flight.record.src_site,
-      flight.record.src_log_pos, flight.record.ContentDigest()));
-  uint64_t pos = response.pos;
-  crypto::Signature sig = response.sig;
-  common::Runner* runner = host_->runner();
-  runner->RunPrologue(
-      [this, runner, canonical, pos, sig]() -> common::Runner::Epilogue {
-        bool ok = runner->serial()
-                      ? host_->keys()->Verify(*canonical, sig)
-                      : host_->keys()->VerifyDetached(*canonical, sig);
-        if (!ok) return nullptr;
-        return [this, pos, sig] { ApplyAttestation(pos, sig); };
-      });
+  ApplyAttestation(response.pos, response.sig);
 }
 
 void CommDaemon::FinalizeProof(Flight* flight) {
   if (!host_->options_.qc.enabled || !host_->options_.sign_messages) return;
   // Compress the completed f_i+1 signature set into one compact cert
   // (DESIGN.md §14). The constituent MACs were either produced by this
-  // node's own signer or verified on arrival (ApplyAttestation's verify
-  // prologue), so the aggregation is over trusted material. The vector is
-  // dropped: every Transmit of this flight — including widened
-  // retransmissions — now ships 48 proof bytes instead of 40*(f_i+1).
+  // node's own signer or verified on arrival (OnAttestResponse), so the
+  // aggregation is over trusted material. The vector is dropped: every
+  // Transmit of this flight — including widened retransmissions — now
+  // ships 48 proof bytes instead of 40*(f_i+1).
   TransmissionRecord& record = flight->record;
   record.sig_certs = {
       crypto::BuildQuorumCert(record.src_site, record.sigs)};

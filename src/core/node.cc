@@ -39,17 +39,12 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
       options_(options),
       self_(self),
       origin_site_(origin_site) {
-  runner_ = options_.runner != nullptr ? options_.runner
-                                       : common::DefaultRunner();
   group.hash_payloads = options_.hash_payloads;
   group.sign_messages = options_.sign_messages;
   group.view_timeout = options_.local_view_timeout;
   group.client_retry = options_.local_client_retry;
   group.checkpoint_interval = options_.checkpoint_interval;
   group.window = options_.pbft_window;
-  // One runner per deployment: the replica shares this node's seam so all
-  // of a node's epilogues retire in one delivery order (DESIGN.md §12).
-  group.runner = runner_;
   if (options_.congestion.adaptive) {
     // Adaptive proposal window (DESIGN.md §13): the replica consults the
     // controller at admission time and feeds it propose-to-execute
@@ -110,11 +105,6 @@ void BlockplaneNode::SendTo(net::NodeId dst, net::MessageType type,
 }
 
 void BlockplaneNode::HandleMessage(const net::Message& msg) {
-  // Runner seam (DESIGN.md §12). PBFT traffic submits its own prologues
-  // inside the replica; the transmission/attestation hot paths get decode
-  // (and signature-check) prologues here; everything else rides a
-  // pass-through prologue so threaded epilogues still retire in this
-  // node's delivery order.
   if (msg.type >= 100 && msg.type < 200) {
     // kReply messages addressed to this node are answers to SubmitLocalCommit
     // requests; execution is what matters, so they need no handling.
@@ -124,21 +114,11 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
   }
   switch (msg.type) {
     case kTransmission:
-      runner_->RunPrologue(PrologueTransmission(msg));
+      OnTransmission(msg);
       return;
     case kAttestResponse:
-      runner_->RunPrologue(PrologueAttestResponse(msg));
+      OnAttestResponse(msg);
       return;
-    default:
-      runner_->RunPrologue([this, msg]() -> common::Runner::Epilogue {
-        return [this, msg] { DispatchSerial(msg); };
-      });
-      return;
-  }
-}
-
-void BlockplaneNode::DispatchSerial(const net::Message& msg) {
-  switch (msg.type) {
     case kTransmissionAck:
     case kRecvStatusReply:
       for (auto& daemon : daemons_) daemon->OnMessage(msg);
@@ -764,79 +744,22 @@ void BlockplaneNode::TryInstallSyncedLog() {
 
 // --- transmissions ---------------------------------------------------------------
 
-common::Runner::Prologue BlockplaneNode::PrologueTransmission(
-    net::Message msg) {
-  // The decode (the bulk of the per-record receive cost: payload bytes plus
-  // the geo-proof vector) runs on a worker; everything that reads node
-  // state waits for the ordered epilogue. is_mirror()/origin_site_ are
-  // fixed at construction, so the early drops are pure.
-  return [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
-    auto tr = std::make_shared<TransmissionRecord>();
-    if (!TransmissionRecord::Decode(msg.body(), tr.get()).ok()) return nullptr;
-    if (is_mirror() || tr->dest_site != origin_site_) return nullptr;
-    // Capture-at-submit cert verification (DESIGN.md §12): when the record
-    // carries a quorum cert, recompute its MACs here on the worker —
-    // keys_/options_ are fixed at construction, so this stage stays pure —
-    // and hand the verdict to the ordered epilogue, which seeds the cert
-    // cache so admission-time VerifyCert calls hit instead of re-verifying.
-    // A failed cert is NOT seeded: admission re-runs the full check and
-    // rejects, exactly as the serial path would.
-    std::shared_ptr<Bytes> cert_msg;
-    crypto::QuorumCert cert_checked;
-    if (options_.sign_messages && !tr->sig_certs.empty()) {
-      Bytes canonical =
-          AttestCanonical(AttestPurpose::kTransmission, tr->src_site,
-                          tr->src_log_pos, tr->ContentDigest());
-      for (const crypto::QuorumCert& cert : tr->sig_certs) {
-        if (cert.site != tr->src_site) continue;
-        if (keys_->VerifyCertDetached(canonical, cert, options_.fi + 1)) {
-          cert_msg = std::make_shared<Bytes>(std::move(canonical));
-          cert_checked = cert;
-        }
-        break;
-      }
-    }
-    net::NodeId src = msg.src;
-    return [this, src, tr, cert_msg, cert_checked] {
-      if (cert_msg != nullptr) keys_->SeedCertCache(*cert_msg, cert_checked);
-      OnTransmissionDecoded(src, std::move(*tr));
-    };
-  };
-}
-
-common::Runner::Prologue BlockplaneNode::PrologueAttestResponse(
-    net::Message msg) {
-  // Decode on a worker; the signer==src sanity check only needs the message
-  // envelope. Flight lookup and signature verification stay with the
-  // daemons (which submit their own verify prologues).
-  return [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
-    auto response = std::make_shared<AttestResponseMsg>();
-    if (!AttestResponseMsg::Decode(msg.body(), response.get()).ok()) {
-      return nullptr;
-    }
-    if (response->purpose != AttestPurpose::kTransmission) return nullptr;
-    if (response->sig.signer != msg.src) return nullptr;
-    net::NodeId src = msg.src;
-    return [this, src, response] {
-      for (auto& daemon : daemons_) {
-        daemon->OnAttestResponseDecoded(src, *response);
-      }
-    };
-  };
-}
-
-void BlockplaneNode::OnTransmissionDecoded(net::NodeId src,
-                                           TransmissionRecord tr) {
+void BlockplaneNode::OnTransmission(const net::Message& msg) {
+  TransmissionRecord tr;
+  if (!TransmissionRecord::Decode(msg.body(), &tr).ok()) return;
+  if (is_mirror() || tr.dest_site != origin_site_) return;
   if (tr.src_log_pos <= last_received_pos(tr.src_site)) {
     // Already in the Local Log (duplicate daemons or retransmission): the
     // receiving end verifies validity and duplicates are dropped (§IV-C),
-    // but we still ack so the sender stops retrying.
+    // but we still ack so the sender stops retrying. Proofs are checked
+    // once, by the verification routine at commit, so a duplicate costs
+    // no MAC work.
     TransmissionAckMsg ack;
     ack.src_log_pos = tr.src_log_pos;
-    SendTo(src, kTransmissionAck, ack.Encode());
+    SendTo(msg.src, kTransmissionAck, ack.Encode());
     return;
   }
-  pending_acks_[{tr.src_site, tr.src_log_pos}].insert(src);
+  pending_acks_[{tr.src_site, tr.src_log_pos}].insert(msg.src);
   // Escalating re-submission (see RecvSubmit): leader-only at first; the
   // sender's retransmissions drive later attempts, and persistent failure
   // broadcasts to the unit so backup watchdogs can act.
@@ -845,6 +768,14 @@ void BlockplaneNode::OnTransmissionDecoded(net::NodeId src,
   ++sub.attempts;
   SubmitRequest(tr.ToReceivedRecord(), sub.req_id,
                 /*broadcast=*/sub.attempts >= 3);
+}
+
+void BlockplaneNode::OnAttestResponse(const net::Message& msg) {
+  AttestResponseMsg response;
+  if (!AttestResponseMsg::Decode(msg.body(), &response).ok()) return;
+  if (response.purpose != AttestPurpose::kTransmission) return;
+  if (response.sig.signer != msg.src) return;
+  for (auto& daemon : daemons_) daemon->OnAttestResponse(response);
 }
 
 // --- attestation service ----------------------------------------------------------

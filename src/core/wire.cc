@@ -1,9 +1,5 @@
 #include "core/wire.h"
 
-#include <algorithm>
-
-#include "common/runner.h"
-
 namespace blockplane::core {
 
 namespace {
@@ -267,57 +263,6 @@ Status GeoProofBundleMsg::Decode(const Bytes& buf, GeoProofBundleMsg* out) {
     BP_RETURN_NOT_OK(crypto::DecodeCertList(&dec, &out->proof_certs));
   }
   return Status::OK();
-}
-
-namespace {
-// Jobs per prologue: amortizes the runner's queue round-trip over several
-// codec calls (a short transmission record encodes in ~1 µs).
-constexpr size_t kCodecChunk = 8;
-}  // namespace
-
-std::vector<Bytes> EncodeTransmissionBatch(
-    const std::vector<TransmissionRecord>& records, common::Runner* runner) {
-  if (runner == nullptr) runner = common::DefaultRunner();
-  std::vector<Bytes> out(records.size());
-  if (runner->serial()) {
-    for (size_t i = 0; i < records.size(); ++i) out[i] = records[i].Encode();
-    return out;
-  }
-  std::vector<common::Runner::BatchTask> tasks;
-  tasks.reserve((records.size() + kCodecChunk - 1) / kCodecChunk);
-  for (size_t start = 0; start < records.size(); start += kCodecChunk) {
-    size_t end = std::min(start + kCodecChunk, records.size());
-    // Each chunk writes a disjoint slice of `out`; `records` is immutable
-    // for the duration (the caller blocks inside RunBatch).
-    tasks.push_back([&records, &out, start, end] {
-      for (size_t i = start; i < end; ++i) out[i] = records[i].Encode();
-    });
-  }
-  runner->RunBatch(std::move(tasks));
-  return out;
-}
-
-void DecodeTransmissionBatch(std::vector<TransmissionDecodeJob>* jobs,
-                             common::Runner* runner) {
-  if (runner == nullptr) runner = common::DefaultRunner();
-  if (runner->serial()) {
-    for (TransmissionDecodeJob& job : *jobs) {
-      job.ok = TransmissionRecord::Decode(job.buf, &job.record).ok();
-    }
-    return;
-  }
-  std::vector<common::Runner::BatchTask> tasks;
-  tasks.reserve((jobs->size() + kCodecChunk - 1) / kCodecChunk);
-  for (size_t start = 0; start < jobs->size(); start += kCodecChunk) {
-    size_t end = std::min(start + kCodecChunk, jobs->size());
-    tasks.push_back([jobs, start, end] {
-      for (size_t i = start; i < end; ++i) {
-        TransmissionDecodeJob& job = (*jobs)[i];
-        job.ok = TransmissionRecord::Decode(job.buf, &job.record).ok();
-      }
-    });
-  }
-  runner->RunBatch(std::move(tasks));
 }
 
 }  // namespace blockplane::core

@@ -9,10 +9,6 @@
 
 #include "core/record.h"
 
-namespace blockplane::common {
-class Runner;
-}  // namespace blockplane::common
-
 namespace blockplane::core {
 
 struct TransmissionAckMsg {
@@ -168,26 +164,6 @@ struct GeoProofBundleMsg {
   Bytes Encode() const;
   static Status Decode(const Bytes& buf, GeoProofBundleMsg* out);
 };
-
-/// One element of a batched transmission decode: input buffer in, decoded
-/// record + per-element status out. Elements are independent, so a
-/// threaded Runner decodes them on workers; results land in the caller's
-/// order regardless.
-struct TransmissionDecodeJob {
-  Bytes buf;
-  TransmissionRecord record;
-  bool ok = false;
-};
-
-/// Batched transmission codec (DESIGN.md §12). Encodes each record /
-/// decodes each buffer through `runner`'s fork-join RunBatch (nullptr =
-/// the process-wide default), so outputs are complete and in input order
-/// on return; safe even inside an epilogue. Under a serial runner both
-/// degrade to the plain per-element loop — bit-identical output.
-std::vector<Bytes> EncodeTransmissionBatch(
-    const std::vector<TransmissionRecord>& records, common::Runner* runner);
-void DecodeTransmissionBatch(std::vector<TransmissionDecodeJob>* jobs,
-                             common::Runner* runner);
 
 }  // namespace blockplane::core
 

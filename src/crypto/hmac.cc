@@ -66,11 +66,6 @@ PrecomputedHmacKey::PrecomputedHmacKey(const Bytes& key) {
 
 Digest PrecomputedHmacKey::Sign(const uint8_t* data, size_t len) const {
   hotpath_stats().hmac_precomputed_ops++;
-  return SignDetached(data, len);
-}
-
-Digest PrecomputedHmacKey::SignDetached(const uint8_t* data,
-                                        size_t len) const {
   Sha256 ctx;
   ctx.RestoreMidstate(inner_);
   ctx.Update(data, len);

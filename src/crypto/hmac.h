@@ -52,20 +52,6 @@ class PrecomputedHmacKey {
     return Sign(data) == mac;
   }
 
-  /// As Sign(), but without the hot-path counter update. This object is
-  /// immutable after construction and the counter block is owned by the
-  /// runner submit thread, so this is the entry point for Runner prologue
-  /// work on worker threads (DESIGN.md §12); callers account the op count
-  /// at epilogue retirement instead.
-  Digest SignDetached(const uint8_t* data, size_t len) const;
-  Digest SignDetached(const Bytes& data) const {
-    return SignDetached(data.data(), data.size());
-  }
-  /// Worker-thread-safe verify: recomputes via SignDetached and compares.
-  bool VerifyDetached(const Bytes& data, const Digest& mac) const {
-    return SignDetached(data) == mac;
-  }
-
  private:
   Sha256Midstate inner_;  // state after absorbing key ^ ipad
   Sha256Midstate outer_;  // state after absorbing key ^ opad

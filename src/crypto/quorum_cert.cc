@@ -140,10 +140,8 @@ void KeyStore::CertCacheInsert(VerifiedCert entry) const {
   cert_cur_.insert(std::move(entry));
 }
 
-bool KeyStore::VerifyCertDetached(const Bytes& msg, const QuorumCert& cert,
-                                  int threshold) const {
+bool KeyStore::RecomputeCert(const Bytes& msg, const QuorumCert& cert) const {
   if (cert.site < 0 || cert.index_base < 0) return false;
-  if (cert.signer_count() < threshold) return false;
   // Recompute each listed signer's MAC (ascending index — the canonical
   // aggregation order) and compare the aggregate. One unregistered index
   // or one tampered MAC byte changes the aggregate and the cert fails.
@@ -153,7 +151,7 @@ bool KeyStore::VerifyCertDetached(const Bytes& msg, const QuorumCert& cert,
     if ((cert.signer_bits >> offset & 1) == 0) continue;
     auto it = keys_.find(net::NodeId{cert.site, cert.index_base + offset});
     if (it == keys_.end()) return false;
-    Digest mac = it->second.hmac.SignDetached(msg);
+    Digest mac = it->second.hmac.Sign(msg);
     macs.insert(macs.end(), mac.begin(), mac.end());
   }
   return Sha256Digest(macs) == cert.agg;
@@ -163,7 +161,7 @@ bool KeyStore::VerifyCert(const Bytes& msg, const QuorumCert& cert,
                           int threshold) const {
   if (cert.signer_count() < threshold) return false;
   if (verify_cache_capacity_ == 0) {
-    bool ok = VerifyCertDetached(msg, cert, threshold);
+    bool ok = RecomputeCert(msg, cert);
     qc_stats().certs_verified++;
     qc_stats().proof_sig_verifies += cert.signer_count();
     return ok;
@@ -177,25 +175,11 @@ bool KeyStore::VerifyCert(const Bytes& msg, const QuorumCert& cert,
     qc_stats().verifies_elided += cert.signer_count();
     return true;
   }
-  bool ok = VerifyCertDetached(msg, cert, threshold);
+  bool ok = RecomputeCert(msg, cert);
   qc_stats().certs_verified++;
   qc_stats().proof_sig_verifies += cert.signer_count();
   if (ok) CertCacheInsert(std::move(probe));
   return ok;
-}
-
-void KeyStore::SeedCertCache(const Bytes& msg, const QuorumCert& cert) const {
-  // Ordered-epilogue half of a worker-thread VerifyCertDetached (the
-  // capture-at-submit pattern of DESIGN.md §12): accounting and cache
-  // seeding land on the retire thread, exactly as the serial VerifyCert
-  // miss path would have produced them.
-  qc_stats().certs_verified++;
-  qc_stats().proof_sig_verifies += cert.signer_count();
-  if (verify_cache_capacity_ == 0) return;
-  VerifiedCert entry{cert.site, cert.index_base, cert.signer_bits, cert.agg,
-                     msg};
-  if (CertCacheLookup(entry)) return;
-  CertCacheInsert(std::move(entry));
 }
 
 }  // namespace blockplane::crypto

@@ -13,10 +13,6 @@
 #include "net/node_id.h"
 #include "sim/sim_time.h"
 
-namespace blockplane::common {
-class Runner;
-}  // namespace blockplane::common
-
 namespace blockplane::pbft {
 
 struct PbftConfig {
@@ -73,13 +69,6 @@ struct PbftConfig {
   bool hash_payloads = true;
   /// When false, message signing/verification is skipped (bench mode).
   bool sign_messages = true;
-
-  /// Parallel-runtime seam (DESIGN.md §12): the Runner this replica routes
-  /// message prologues through. nullptr selects the process-wide
-  /// InlineRunner — seed behavior, deterministic, what the simulator and
-  /// every ctest suite use. Threaded harnesses inject a ThreadPoolRunner
-  /// whose submitting thread is the delivery thread.
-  common::Runner* runner = nullptr;
 
   int n() const { return static_cast<int>(nodes.size()); }
   /// 2f+1: prepares needed beyond the pre-prepare, commits needed, and the

@@ -16,8 +16,6 @@ PbftReplica::PbftReplica(net::Network* network, crypto::KeyStore* keys,
       sim_(network->simulator()),
       keys_(keys),
       config_(std::move(config)),
-      runner_(config_.runner != nullptr ? config_.runner
-                                        : common::DefaultRunner()),
       self_(self),
       execute_(std::move(execute)) {
   config_.Validate();
@@ -51,38 +49,14 @@ int PbftReplica::CountMatching(const Map& votes, const Digest& digest) {
 
 void PbftReplica::HandleMessage(const net::Message& msg) {
   if (byzantine_ == ByzantineMode::kSilent) return;
-  // Runner seam (DESIGN.md §12): every PBFT message rides the runner so
-  // that epilogues — the state-touching halves — retire strictly in
-  // delivery order, whatever the prologue fan-out. The three-phase hot
-  // types get real prologues (decode + signature checks, offloadable to
-  // worker threads); everything else submits a pass-through prologue.
   switch (msg.type) {
     case kPrePrepare:
-      runner_->RunPrologue(ProloguePrePrepare(msg));
-      return;
+      OnPrePrepare(msg);
+      break;
     case kPrepare:
     case kCommit:
-      runner_->RunPrologue(PrologueVote(msg));
-      return;
-    case kRequest:
-    case kCheckpoint:
-    case kViewChange:
-    case kNewView:
-    case kFetchCommitted:
-    case kCommittedEntry:
-    case kFetchSnapshot:
-    case kSnapshot:
-      runner_->RunPrologue([this, msg]() -> common::Runner::Epilogue {
-        return [this, msg]() { DispatchSerial(msg); };
-      });
-      return;
-    default:
-      return;  // not a PBFT message; ignore
-  }
-}
-
-void PbftReplica::DispatchSerial(const net::Message& msg) {
-  switch (msg.type) {
+      OnVote(msg);
+      break;
     case kRequest:
       OnRequest(msg);
       break;
@@ -108,7 +82,7 @@ void PbftReplica::DispatchSerial(const net::Message& msg) {
       OnSnapshot(msg);
       break;
     default:
-      break;
+      break;  // not a PBFT message; ignore
   }
 }
 
@@ -173,12 +147,6 @@ bool PbftReplica::VerifySig(const Bytes& canonical,
                             const Signature& sig) const {
   if (!config_.sign_messages) return true;
   return keys_->Verify(canonical, sig);
-}
-
-bool PbftReplica::VerifySigPure(const Bytes& canonical,
-                                const Signature& sig) const {
-  if (!config_.sign_messages) return true;
-  return keys_->VerifyDetached(canonical, sig);
 }
 
 bool PbftReplica::RunVerifier(const Bytes& value) const {
@@ -413,31 +381,13 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
 
 // --- three-phase protocol -----------------------------------------------------
 
-common::Runner::Prologue PbftReplica::ProloguePrePrepare(net::Message msg) {
-  return [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
-    // Pure stage: decode, leader-of-view, signature, and payload-digest
-    // checks read only the captured message, the immutable config, and the
-    // registered key material. On a serial runner the cached VerifySig path
-    // is safe (single thread) and keeps the verify-once cache warm exactly
-    // as the seed did; threaded prologues take the detached path and leave
-    // counters/caches to epilogues (BP007 discipline).
-    auto pp = std::make_shared<PrePrepareMsg>();
-    if (!PrePrepareMsg::Decode(msg.body(), pp.get()).ok()) return nullptr;
-    if (msg.src != config_.LeaderOf(pp->view)) return nullptr;
-    const bool sig_ok = runner_->serial()
-                            ? VerifySig(pp->CanonicalHeader(), pp->sig)
-                            : VerifySigPure(pp->CanonicalHeader(), pp->sig);
-    if (!sig_ok) return nullptr;
-    if (pp->sig.signer != msg.src) return nullptr;
-    if (DigestOf(pp->value) != pp->digest) return nullptr;
-    const uint64_t trace_id = msg.trace_id;
-    return [this, pp, trace_id]() {
-      OnPrePrepareVerified(std::move(*pp), trace_id);
-    };
-  };
-}
-
-void PbftReplica::OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id) {
+void PbftReplica::OnPrePrepare(const net::Message& msg) {
+  PrePrepareMsg pp;
+  if (!PrePrepareMsg::Decode(msg.body(), &pp).ok()) return;
+  if (msg.src != config_.LeaderOf(pp.view)) return;
+  if (!VerifySig(pp.CanonicalHeader(), pp.sig)) return;
+  if (pp.sig.signer != msg.src) return;
+  if (DigestOf(pp.value) != pp.digest) return;
   if (pp.view != view_ || in_view_change_) return;
   if (pp.seq <= last_stable_) return;
   // Flood protection: reject sequence numbers far beyond our high
@@ -469,7 +419,7 @@ void PbftReplica::OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id) {
   instance.value = std::move(pp.value);
   instance.client_token = pp.client_token;
   instance.req_id = pp.req_id;
-  if (instance.trace_id == 0) instance.trace_id = trace_id;
+  if (instance.trace_id == 0) instance.trace_id = msg.trace_id;
   if (instance.ts_started == 0) instance.ts_started = sim_->Now();
   ArmProgressTimer(pp.seq);
 
@@ -489,42 +439,24 @@ void PbftReplica::OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id) {
   MaybePrepared(pp.seq);
 }
 
-common::Runner::Prologue PbftReplica::PrologueVote(net::Message msg) {
-  return [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
-    // Pure stage for both vote types: decode, membership, leaders-don't-
-    // prepare, and the signature check. The canonical-body memo is only
-    // consulted on a serial runner (single thread); threaded prologues
-    // re-encode — pure, at worker-thread prices — and verify detached.
-    auto vote = std::make_shared<VoteMsg>();
-    const PbftMessageType type = msg.type == kPrepare ? kPrepare : kCommit;
-    if (!VoteMsg::Decode(type, msg.body(), vote.get()).ok()) return nullptr;
-    const int sender = config_.ReplicaIndex(msg.src);
-    if (sender < 0) return nullptr;
-    if (type == kPrepare && msg.src == config_.LeaderOf(vote->view)) {
-      return nullptr;  // leaders don't prepare
-    }
-    const bool sig_ok =
-        runner_->serial()
-            ? VerifySig(CanonicalBodyFor(*vote), vote->sig)
-            : VerifySigPure(vote->CanonicalBody(), vote->sig);
-    if (!sig_ok) return nullptr;
-    if (vote->sig.signer != msg.src) return nullptr;
-    const uint64_t trace_id = msg.trace_id;
-    return [this, vote, sender, trace_id]() {
-      OnVoteVerified(std::move(*vote), sender, trace_id);
-    };
-  };
-}
-
-void PbftReplica::OnVoteVerified(VoteMsg vote, int sender,
-                                 uint64_t trace_id) {
+void PbftReplica::OnVote(const net::Message& msg) {
+  VoteMsg vote;
+  const PbftMessageType type = msg.type == kPrepare ? kPrepare : kCommit;
+  if (!VoteMsg::Decode(type, msg.body(), &vote).ok()) return;
+  const int sender = config_.ReplicaIndex(msg.src);
+  if (sender < 0) return;
+  if (type == kPrepare && msg.src == config_.LeaderOf(vote.view)) {
+    return;  // leaders don't prepare
+  }
+  if (!VerifySig(CanonicalBodyFor(vote), vote.sig)) return;
+  if (vote.sig.signer != msg.src) return;
   if (vote.view != view_ || in_view_change_) return;
   if (vote.seq <= last_stable_) return;
 
   if (vote.type == kPrepare) {
     Instance& instance = instances_[vote.seq];
     if (!instance.has_preprepare) instance.view = vote.view;
-    if (instance.trace_id == 0) instance.trace_id = trace_id;
+    if (instance.trace_id == 0) instance.trace_id = msg.trace_id;
     // Buffered early votes carry their digest; only matching ones count.
     instance.prepares.emplace(sender,
                               Instance::Vote{vote.digest, vote.sig});
@@ -533,7 +465,7 @@ void PbftReplica::OnVoteVerified(VoteMsg vote, int sender,
     return;
   }
   Instance& instance = instances_[vote.seq];
-  if (instance.trace_id == 0) instance.trace_id = trace_id;
+  if (instance.trace_id == 0) instance.trace_id = msg.trace_id;
   instance.commit_view = vote.view;
   instance.commits[sender] = {vote.digest, vote.sig};
   MaybeCommitted(vote.seq);

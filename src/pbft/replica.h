@@ -25,7 +25,6 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "common/runner.h"
 #include "crypto/signer.h"
 #include "net/network.h"
 #include "pbft/config.h"
@@ -189,22 +188,12 @@ class PbftReplica : public net::Host {
   void OnCheckpoint(const net::Message& msg);
   void OnViewChange(const net::Message& msg);
   void OnNewView(const net::Message& msg);
-
-  // -- the Runner seam (DESIGN.md §12) --
-  /// State-only handlers dispatched from an epilogue: they ride the runner
-  /// so they retire in delivery order relative to the offloaded types.
-  void DispatchSerial(const net::Message& msg);
-  /// Prologue for kPrePrepare: decode + leader/signature/digest checks,
-  /// all pure over the captured message and the immutable config/keys.
-  common::Runner::Prologue ProloguePrePrepare(net::Message msg);
-  /// Prologue for kPrepare/kCommit: decode + membership + signature check.
-  common::Runner::Prologue PrologueVote(net::Message msg);
-  /// Epilogue halves: the state-touching remainder of the old handlers.
-  void OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id);
-  void OnVoteVerified(VoteMsg vote, int sender, uint64_t trace_id);
-  /// Worker-thread-safe signature check for threaded prologues: skips the
-  /// verify-once cache and its counters (KeyStore::VerifyDetached).
-  bool VerifySigPure(const Bytes& canonical, const Signature& sig) const;
+  /// kPrePrepare: decode, leader/signature/digest checks, then the state
+  /// transition and this replica's prepare vote.
+  void OnPrePrepare(const net::Message& msg);
+  /// kPrepare/kCommit: decode, membership and signature checks, then the
+  /// vote is recorded.
+  void OnVote(const net::Message& msg);
 
   // -- leader logic --
   void MaybeProposeNext();
@@ -282,8 +271,6 @@ class PbftReplica : public net::Host {
   crypto::KeyStore* keys_;
   std::unique_ptr<crypto::Signer> signer_;
   PbftConfig config_;
-  /// config_.runner, or the process-wide InlineRunner. Never null.
-  common::Runner* runner_;
   net::NodeId self_;
   int index_;
   ExecuteCallback execute_;

@@ -5,6 +5,7 @@
 
 #include "common/metrics.h"
 #include "core/deployment.h"
+#include "core/wire.h"
 #include "pbft/client.h"
 #include "pbft/message.h"
 #include "protocols/bank.h"
@@ -347,6 +348,77 @@ TEST(ByzantineEndToEndTest, ForgedCertCannotVouchForNewContent) {
     EXPECT_EQ(bank.NodeBalance(kIreland, i, "seamus"), 40);
   }
   qc_stats().Reset();
+}
+
+TEST(ByzantineEndToEndTest, MisboundAttestationCannotCompleteAFlight) {
+  // A unit peer's attestation is verified against the canonical bytes of
+  // the flight it names. A genuine MAC by that peer over a different
+  // position must not count toward the f_i+1 proof; the honest attestation
+  // that follows completes the flight, and the record arrives once.
+  sim::Simulator simulator(49);
+  Deployment deployment(&simulator, Topology::Aws4(), {});
+  for (int i = 0; i < 4; ++i) {
+    deployment.node(kCalifornia, i)->RefuseAttestations();
+  }
+  deployment.participant(kCalifornia)
+      ->Send(kOregon, ToBytes("attested once"), 0, nullptr);
+
+  // Node 0 runs the active daemon; wait for the communication record.
+  BlockplaneNode* daemon_host = deployment.node(kCalifornia, 0);
+  uint64_t pos = 0;
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] {
+        for (const auto& [p, record] : daemon_host->log()) {
+          if (record.type == RecordType::kCommunication) pos = p;
+        }
+        return pos != 0;
+      },
+      Seconds(30)));
+  simulator.RunFor(Seconds(1));
+  Participant* receiver = deployment.participant(kOregon);
+  Bytes payload;
+  ASSERT_FALSE(receiver->TryReceive(kCalifornia, &payload));
+
+  // The canonical a correct peer signs for this record (first record to
+  // Oregon, so the chain pointer is 0).
+  LogRecord as_received = daemon_host->log().at(pos);
+  as_received.type = RecordType::kReceived;
+  as_received.src_site = kCalifornia;
+  as_received.src_log_pos = pos;
+  as_received.prev_src_log_pos = 0;
+  const crypto::Digest digest = as_received.ContentDigest();
+  const net::NodeId peer{kCalifornia, 1};
+  auto peer_signer = deployment.keys()->RegisterNode(peer);
+  auto respond = [&](uint64_t signed_pos) {
+    AttestResponseMsg response;
+    response.purpose = AttestPurpose::kTransmission;
+    response.pos = pos;
+    response.sig = peer_signer->Sign(AttestCanonical(
+        AttestPurpose::kTransmission, kCalifornia, signed_pos, digest));
+    net::Message msg;
+    msg.src = peer;
+    msg.dst = daemon_host->self();
+    msg.type = kAttestResponse;
+    msg.set_body(response.Encode());
+    deployment.network()->Send(msg);
+  };
+
+  respond(pos + 1);  // the peer's real key, the wrong position
+  simulator.RunFor(Seconds(1));
+  EXPECT_FALSE(receiver->TryReceive(kCalifornia, &payload));
+
+  respond(pos);
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return receiver->TryReceive(kCalifornia, &payload); },
+      Seconds(30)));
+  EXPECT_EQ(ToString(payload), "attested once");
+  simulator.RunFor(Seconds(5));
+  EXPECT_FALSE(receiver->TryReceive(kCalifornia, &payload));
+  int received = 0;
+  for (const auto& [p, record] : deployment.node(kOregon, 0)->log()) {
+    if (record.type == RecordType::kReceived) ++received;
+  }
+  EXPECT_EQ(received, 1);
 }
 
 TEST(ByzantineEndToEndTest, QuorumReadSurvivesALyingReplica) {

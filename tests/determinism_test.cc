@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
-#include "common/runner.h"
 #include "common/trace.h"
 #include "core/deployment.h"
 #include "protocols/counter.h"
@@ -70,8 +69,7 @@ struct JsonExports {
   std::string trace_json;
 };
 
-JsonExports RunScenarioWithExports(uint64_t seed,
-                                   common::Runner* runner = nullptr) {
+JsonExports RunScenarioWithExports(uint64_t seed) {
   // The tracer and metrics registry are process-wide; reset both so the
   // export is a pure function of the scenario below.
   tracer().Clear();
@@ -81,9 +79,7 @@ JsonExports RunScenarioWithExports(uint64_t seed,
   JsonExports out;
   {
     sim::Simulator simulator(seed);
-    core::BlockplaneOptions options;
-    options.runner = runner;
-    core::Deployment deployment(&simulator, Topology::Aws4(), options);
+    core::Deployment deployment(&simulator, Topology::Aws4(), {});
     protocols::CounterProtocol counter(&deployment);
     for (int i = 0; i < 4; ++i) {
       counter.UserRequest(net::kCalifornia, net::kOregon, "trusted-json");
@@ -117,25 +113,6 @@ TEST(DeterminismTest, SameSeedByteIdenticalJsonExports) {
   EXPECT_EQ(a.metrics, b.metrics);
   EXPECT_EQ(a.chrome_trace, b.chrome_trace);
   EXPECT_EQ(a.trace_json, b.trace_json);
-}
-
-// The Runner seam (DESIGN.md §12) must not perturb determinism: an
-// explicitly injected InlineRunner is the seed execution model, so its
-// exports are byte-identical to the default (no runner injected), and the
-// runner counter group shows up in the metrics snapshot.
-TEST(DeterminismTest, InlineRunnerKeepsJsonExportsByteIdentical) {
-  JsonExports defaulted = RunScenarioWithExports(777);
-  common::InlineRunner inline_runner;
-  JsonExports injected = RunScenarioWithExports(777, &inline_runner);
-
-  EXPECT_NE(injected.metrics.find("\"runner\""), std::string::npos);
-  EXPECT_NE(injected.metrics.find("\"prologues_submitted\""),
-            std::string::npos);
-  EXPECT_NE(injected.metrics.find("\"batch_tasks\""), std::string::npos);
-
-  EXPECT_EQ(injected.metrics, defaulted.metrics);
-  EXPECT_EQ(injected.chrome_trace, defaulted.chrome_trace);
-  EXPECT_EQ(injected.trace_json, defaulted.trace_json);
 }
 
 }  // namespace

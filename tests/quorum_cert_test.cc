@@ -177,22 +177,6 @@ TEST_F(CertVerifyTest, DisabledCacheStillVerifiesCorrectly) {
   EXPECT_FALSE(keys_.VerifyCert(msg_, tampered, 2));
 }
 
-TEST_F(CertVerifyTest, SeedCertCacheLandsTheDetachedVerdict) {
-  // The Runner-prologue split: VerifyCertDetached on a worker thread is
-  // counter- and cache-free; SeedCertCache at ordered retirement lands the
-  // accounting, and every later serial verify is a hit.
-  EXPECT_TRUE(keys_.VerifyCertDetached(msg_, cert_, 2));
-  EXPECT_EQ(qc_stats().certs_verified, 0);
-
-  keys_.SeedCertCache(msg_, cert_);
-  EXPECT_EQ(qc_stats().certs_verified, 1);
-  EXPECT_EQ(qc_stats().proof_sig_verifies, 3);
-
-  EXPECT_TRUE(keys_.VerifyCert(msg_, cert_, 2));
-  EXPECT_EQ(qc_stats().cache_hits, 1);
-  EXPECT_EQ(qc_stats().verifies_elided, 3);
-}
-
 // --- Hardened VerifyProof (duplicate-signer rejection) ----------------------
 
 TEST(ProofHardeningTest, ForgedDuplicatePoisonsAnOtherwiseValidProof) {
@@ -293,6 +277,54 @@ TEST(QuorumCertEndToEndTest, QcOffBuildsNoCerts) {
   EXPECT_EQ(qc_stats().certs_built, 0);
   EXPECT_EQ(qc_stats().certs_verified, 0);
   EXPECT_EQ(qc_stats().cache_hits, 0);
+}
+
+TEST(QuorumCertEndToEndTest, DuplicateTransmissionRunsNoCertVerification) {
+  // A transmission a receiver already holds is acked and dropped before
+  // any proof work: the cert is verified once, by the receive routine at
+  // commit, never again for a duplicate or retransmitted copy.
+  sim::Simulator simulator(29);
+  Deployment deployment(&simulator, Topology::Aws4(), QcOptions());
+  Participant* receiver = deployment.participant(kOregon);
+  deployment.participant(kCalifornia)
+      ->Send(kOregon, ToBytes("once"), 0, nullptr);
+  Bytes payload;
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return receiver->TryReceive(kCalifornia, &payload); },
+      Seconds(60)));
+  simulator.RunFor(Seconds(2));
+
+  // Rebuild the exact transmission from the committed received record.
+  const LogRecord* held = nullptr;
+  for (const auto& [pos, record] : deployment.node(kOregon, 0)->log()) {
+    if (record.type == RecordType::kReceived) held = &record;
+  }
+  ASSERT_NE(held, nullptr);
+  ASSERT_FALSE(held->proof_certs.empty());
+  TransmissionRecord copy;
+  copy.src_site = held->src_site;
+  copy.dest_site = kOregon;
+  copy.src_log_pos = held->src_log_pos;
+  copy.prev_src_log_pos = held->prev_src_log_pos;
+  copy.routine_id = held->routine_id;
+  copy.payload = held->payload;
+  copy.geo_pos = held->geo_pos;
+  copy.sig_certs = held->proof_certs;
+
+  const int64_t certs_verified = qc_stats().certs_verified;
+  const int64_t proof_sig_verifies = qc_stats().proof_sig_verifies;
+  net::Message msg;
+  msg.src = {kCalifornia, 0};
+  msg.dst = {kOregon, 0};
+  msg.type = kTransmission;
+  msg.set_body(copy.Encode());
+  deployment.network()->Send(msg);
+  simulator.RunFor(Seconds(2));
+
+  EXPECT_EQ(qc_stats().certs_verified, certs_verified);
+  EXPECT_EQ(qc_stats().proof_sig_verifies, proof_sig_verifies);
+  EXPECT_FALSE(receiver->TryReceive(kCalifornia, &payload));
+  qc_stats().Reset();
 }
 
 TEST(QuorumCertEndToEndTest, RetransmissionsAfterAPartitionHitTheCache) {
