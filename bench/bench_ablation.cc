@@ -8,8 +8,6 @@
 //   C. Crypto on/off — what the paper's prototype omitted: the cost of
 //      real SHA-256 digests and HMAC signatures on local commitment.
 //   D. Read strategies (§VI-A) — read-1 vs 2f+1-quorum vs linearizable.
-//   F. Quorum-certificate aggregation (DESIGN.md §14) — compact certs vs
-//      f_i+1 signature vectors on the cross-site wire.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -228,50 +226,6 @@ void AblateCosts() {
               "size.)\n\n");
 }
 
-// --- F: quorum-certificate aggregation (DESIGN.md §14) ---------------------------
-
-void AblateQuorumCerts() {
-  std::printf("--- F. quorum certificates vs signature vectors "
-              "(California -> Virginia sends, real crypto) ---\n");
-  std::printf("%6s %16s %16s %16s\n", "qc", "WAN KB/commit",
-              "proof B/commit", "MAC verifies");
-  constexpr int kMessages = 20;
-  for (bool qc_on : {false, true}) {
-    qc_stats().Reset();
-    sim::Simulator simulator(1);
-    core::BlockplaneOptions options;
-    options.fi = 1;
-    options.sign_messages = true;
-    options.hash_payloads = true;
-    options.qc.enabled = qc_on;
-    core::Deployment deployment(&simulator, net::Topology::Aws4(), options,
-                                BenchNet());
-    core::BlockplaneNode* daemon_host =
-        deployment.node(net::kCalifornia, 0);
-    for (int i = 0; i < kMessages; ++i) {
-      deployment.participant(net::kCalifornia)
-          ->Send(net::kVirginia, bench::MakeBatch(1), 0, nullptr);
-    }
-    simulator.RunUntilCondition(
-        [&] {
-          return daemon_host->daemon_acked(net::kVirginia) >= kMessages;
-        },
-        sim::Seconds(120));
-    simulator.RunFor(sim::Seconds(1));
-    const CounterSet& counters = deployment.network()->counters();
-    std::printf("%6s %16.2f %16.1f %16llu\n", qc_on ? "on" : "off",
-                static_cast<double>(counters.Get("wan_bytes")) / kMessages /
-                    1000.0,
-                static_cast<double>(qc_stats().wan_proof_bytes) / kMessages,
-                static_cast<unsigned long long>(
-                    qc_stats().proof_sig_verifies));
-  }
-  std::printf("(one 48-byte cert replaces f_i+1 40-byte signatures on every\n"
-              " transmission copy, and the receivers' cert cache answers\n"
-              " repeat verifications with a single probe; the full sweep\n"
-              " with gates is bench_fig6_communication --qc.)\n\n");
-}
-
 // --- D: read strategies -------------------------------------------------------------
 
 void AblateReads() {
@@ -323,7 +277,6 @@ int main() {
   AblateWanMessages();
   AblatePipelining();
   AblateCrypto();
-  AblateQuorumCerts();
   AblateReads();
   AblateCosts();
   return 0;

@@ -14,11 +14,6 @@
 #      with and without injected loss and fails unless adaptive beats
 #      the best static window under loss while matching it lossless
 #      (the DESIGN.md §13 congestion-control gate).
-#   3c. Quorum-cert ablation smoke: bench_fig6_communication --qc runs
-#       the same send workload with real crypto, QC-off vs QC-on, and
-#       fails unless QC-on performs at most half the individual MAC
-#       verifications and ships strictly fewer WAN proof bytes (the
-#       DESIGN.md §14 aggregation gate).
 #   Bench passes write their JSON under build/ only. The repo-root
 #   BENCH_*.json files are the record of full runs, and a smoke gate never
 #   overwrites them (check_bench below only checks the build/ output).
@@ -44,7 +39,7 @@
 #      a passing test hides.
 #
 # Usage: scripts/check.sh [--fast|--chaos-smoke]
-#   --fast         passes 1–3c + bplint; skip clang-tidy and sanitizers.
+#   --fast         passes 1–3 + bplint; skip clang-tidy and sanitizers.
 #   --chaos-smoke  quick chaos gate (<60s): build, then run the chaos
 #                  regression + a reduced soak (2 seeds per template via
 #                  CHAOS_SOAK_SEEDS) and the fig-8 chaos bench variant,
@@ -128,14 +123,6 @@ echo "=== pass 3: pipeline smoke (window 1 vs 8, adaptive vs static) ==="
 build/bench/bench_pipeline --smoke --out=build/BENCH_pipeline.json
 check_bench BENCH_pipeline.json
 echo "pipeline smoke OK (build/BENCH_pipeline.json)"
-
-echo "=== pass 3c: quorum-cert ablation smoke (QC gate, DESIGN.md §14) ==="
-# QC-on must perform at most half the individual MAC verifications of
-# QC-off and ship strictly fewer WAN proof bytes; the bench exits non-zero
-# otherwise.
-build/bench/bench_fig6_communication --qc --out=build/BENCH_qc.json
-check_bench BENCH_qc.json
-echo "qc ablation smoke OK (build/BENCH_qc.json)"
 
 if [[ "$FAST" == "1" ]]; then
   run_bplint

@@ -85,7 +85,6 @@ class Engine {
     options.pbft_window = cfg.pbft_window;
     options.participant_window = cfg.participant_window;
     options.congestion.adaptive = cfg.adaptive_windows;
-    options.qc.enabled = cfg.quorum_certs;
     // Byzantine detection depends on real signatures; corruption bursts
     // depend on real digests. Chaos always runs with crypto on.
     options.sign_messages = true;

@@ -129,7 +129,6 @@ MetricsRegistry::MetricsRegistry() {
             {"cache_hits", s.cache_hits},
             {"verifies_elided", s.verifies_elided},
             {"proof_sig_verifies", s.proof_sig_verifies},
-            {"wan_proof_bytes", s.wan_proof_bytes},
         };
       },
       []() { qc_stats().Reset(); });

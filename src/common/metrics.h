@@ -223,7 +223,8 @@ RobustnessStats& robustness_stats();
 /// Observability-only, like the other stat blocks — nothing reads them to
 /// make protocol decisions.
 struct QcStats {
-  /// Certificates assembled from completed f_i+1 signature sets.
+  /// Certificates assembled from completed attestation sets (plus the
+  /// participant's one-signer certs on mirror-acting commits).
   int64_t certs_built = 0;
   /// Certificates that ran the full MAC-recompute verification (cold path —
   /// the cache had no entry, or caching was disabled).
@@ -233,14 +234,9 @@ struct QcStats {
   /// Individual MAC verifications skipped thanks to cert-cache hits (each
   /// hit elides the certificate's full signer count).
   int64_t verifies_elided = 0;
-  /// Individual MAC verifications actually performed while checking proofs:
-  /// per matching signature in VerifyProof, per listed signer in a cold
-  /// cert verification. The QC-on / QC-off ratio of this counter is the
-  /// bench ablation's headline number.
+  /// Individual MAC recomputations performed while checking proofs: one
+  /// per listed signer in a cold cert verification.
   int64_t proof_sig_verifies = 0;
-  /// Wire bytes of proof material (signature vectors or certificates)
-  /// shipped across the WAN by comm daemons, counted once per receiver.
-  int64_t wan_proof_bytes = 0;
 
   void Reset() { *this = QcStats{}; }
 };

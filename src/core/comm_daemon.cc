@@ -17,16 +17,11 @@ CommDaemon::CommDaemon(BlockplaneNode* host, net::SiteId dest, bool reserve)
     // Per-destination flight window (DESIGN.md §13). The RTT prior is the
     // topology round trip plus an intra-site allowance for the remote
     // commit the ack waits on; measured samples take over immediately.
-    const CongestionOptions& c = host_->options_.congestion;
-    uint64_t initial =
-        c.initial_window != 0
-            ? c.initial_window
-            : std::max<uint64_t>(1, host_->options_.daemon_window);
     sim::SimTime prior =
         host_->network()->topology().Rtt(host_->self().site, dest_) +
         4 * host_->network()->options().intra_site_one_way;
     window_ctl_ = std::make_unique<WindowController>(
-        c, initial, prior,
+        host_->options_.daemon_window, prior,
         "daemon_s" + std::to_string(host_->self().site) + "n" +
             std::to_string(host_->self().index) + "_to_s" +
             std::to_string(dest_));
@@ -81,11 +76,8 @@ void CommDaemon::PumpPipeline() {
     const LogRecord& record = host_->log_.at(pos);
 
     // With geo-correlated tolerance, transmissions must carry the mirror
-    // proofs; wait until the participant bundles them (§V). Under
-    // qc.enabled the bundle carries compact certs instead (possibly with
-    // an empty signature vector) — both ride the flight as-is.
-    std::vector<crypto::Signature> geo_proof;
-    std::vector<crypto::QuorumCert> geo_certs;
+    // proofs; wait until the participant bundles them (§V).
+    std::vector<crypto::QuorumCert> geo_proof;
     if (host_->options_.fg > 0) {
       auto proof_it = host_->geo_proofs_.find(pos);
       if (proof_it == host_->geo_proofs_.end()) {
@@ -93,10 +85,6 @@ void CommDaemon::PumpPipeline() {
         break;                  // keep order
       }
       geo_proof = proof_it->second;
-      auto cert_it = host_->geo_proof_certs_.find(pos);
-      if (cert_it != host_->geo_proof_certs_.end()) {
-        geo_certs = cert_it->second;
-      }
     }
 
     Flight& flight = flights_[pos];
@@ -109,7 +97,6 @@ void CommDaemon::PumpPipeline() {
     flight.record.payload = record.payload;
     flight.record.geo_pos = record.geo_pos;
     flight.record.geo_proof = std::move(geo_proof);
-    flight.record.geo_certs = std::move(geo_certs);
     next_send_pos_ = pos;
 
     flight.attest_canonical =
@@ -132,10 +119,8 @@ void CommDaemon::PumpPipeline() {
   // order.
   for (size_t i = 0; i < new_positions.size(); ++i) {
     Flight& flight = flights_.at(new_positions[i]);
-    flight.record.sigs.push_back(
-        host_->signer_->Sign(flight.attest_canonical));
-    if (static_cast<int>(flight.record.sigs.size()) >=
-        host_->options_.fi + 1) {
+    flight.sigs.push_back(host_->signer_->Sign(flight.attest_canonical));
+    if (static_cast<int>(flight.sigs.size()) >= host_->options_.fi + 1) {
       flight.sigs_complete = true;
       FinalizeProof(&flight);
       if (window_ctl_) {
@@ -173,17 +158,14 @@ void CommDaemon::OnAttestResponse(const AttestResponseMsg& response) {
 }
 
 void CommDaemon::FinalizeProof(Flight* flight) {
-  if (!host_->options_.qc.enabled || !host_->options_.sign_messages) return;
-  // Compress the completed f_i+1 signature set into one compact cert
+  // Compress the completed f_i+1 attestation set into one compact cert
   // (DESIGN.md §14). The constituent MACs were either produced by this
   // node's own signer or verified on arrival (OnAttestResponse), so the
-  // aggregation is over trusted material. The vector is dropped: every
-  // Transmit of this flight — including widened retransmissions — now
-  // ships 48 proof bytes instead of 40*(f_i+1).
-  TransmissionRecord& record = flight->record;
-  record.sig_certs = {
-      crypto::BuildQuorumCert(record.src_site, record.sigs)};
-  record.sigs.clear();
+  // aggregation is over trusted material. Every Transmit of this flight,
+  // widened retransmissions included, ships this same cert.
+  flight->record.proof = {
+      crypto::BuildQuorumCert(flight->record.src_site, flight->sigs)};
+  flight->sigs.clear();
   qc_stats().certs_built++;
 }
 
@@ -191,13 +173,11 @@ void CommDaemon::ApplyAttestation(uint64_t pos, const crypto::Signature& sig) {
   auto it = flights_.find(pos);
   if (it == flights_.end() || it->second.sigs_complete) return;
   Flight& flight = it->second;
-  for (const crypto::Signature& existing : flight.record.sigs) {
+  for (const crypto::Signature& existing : flight.sigs) {
     if (existing.signer == sig.signer) return;  // duplicate
   }
-  flight.record.sigs.push_back(sig);
-  if (static_cast<int>(flight.record.sigs.size()) < host_->options_.fi + 1) {
-    return;
-  }
+  flight.sigs.push_back(sig);
+  if (static_cast<int>(flight.sigs.size()) < host_->options_.fi + 1) return;
   flight.sigs_complete = true;
   FinalizeProof(&flight);
   if (window_ctl_) {
@@ -247,26 +227,11 @@ void CommDaemon::Transmit(Flight& flight, bool widen) {
                  host_->self().index, flight.record.src_log_pos);
     }
   }
-  // Send P and the f_i+1 signatures to Blockplane nodes in the destination.
-  // Initially f_i+1 receivers suffice; retransmissions widen to the whole
-  // unit in case some of the first picks are faulty.
+  // Send P and its proof to Blockplane nodes in the destination. Initially
+  // f_i+1 receivers suffice; retransmissions widen to the whole unit in
+  // case some of the first picks are faulty.
   int receivers = widen ? 3 * host_->options_.fi + 1 : host_->options_.fi + 1;
   Bytes encoded = flight.record.Encode();
-  // Proof-byte accounting for the QC ablation (serial thread — the encode
-  // batch helpers never run this): the exact wire bytes the proof material
-  // (signature vectors or certs) contributes, once per receiver.
-  {
-    Encoder proof_enc;
-    crypto::EncodeProof(&proof_enc, flight.record.sigs);
-    crypto::EncodeProof(&proof_enc, flight.record.geo_proof);
-    if (!flight.record.sig_certs.empty() ||
-        !flight.record.geo_certs.empty()) {
-      crypto::EncodeCertList(&proof_enc, flight.record.sig_certs);
-      crypto::EncodeCertList(&proof_enc, flight.record.geo_certs);
-    }
-    qc_stats().wan_proof_bytes +=
-        static_cast<int64_t>(receivers * proof_enc.buffer().size());
-  }
   for (int i = 0; i < receivers; ++i) {
     host_->SendTo(net::NodeId{dest_, i}, kTransmission, Bytes(encoded));
   }
@@ -281,13 +246,13 @@ void CommDaemon::ArmRetransmit(uint64_t pos) {
   sim::SimTime period = host_->options_.transmission_retry;
   if (window_ctl_) {
     if (it->second.sigs_complete) {
-      period = window_ctl_->RetryTimeout(host_->options_.congestion.min_rto,
+      period = window_ctl_->RetryTimeout(kMinRto,
                                          host_->options_.transmission_retry);
     } else {
       // Attestation round trips are a couple of intra-site hops; retrying
       // a lost attest response on the WAN-scale static period would park
       // the flight (and everything chained behind it) for half a second.
-      period = std::max(host_->options_.congestion.min_rto,
+      period = std::max(kMinRto,
                         8 * host_->network()->options().intra_site_one_way);
     }
   }

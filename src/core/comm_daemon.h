@@ -66,6 +66,9 @@ class CommDaemon {
     /// AttestCanonical over the record: what this node signs and what
     /// every peer attestation must verify against. Built once per flight.
     Bytes attest_canonical;
+    /// Attestations collected toward f_i+1, cleared once FinalizeProof
+    /// folds them into the record's quorum cert.
+    std::vector<crypto::Signature> sigs;
     bool sigs_complete = false;
     std::set<net::NodeId> ack_senders;
     sim::EventId retransmit_timer = sim::kInvalidEventId;
@@ -80,10 +83,9 @@ class CommDaemon {
   };
 
   void PumpPipeline();
-  /// Called once when a flight's f_i+1 signature set completes. With
-  /// qc.enabled, compresses the signature vector (and any geo proof) into
-  /// compact quorum certs (DESIGN.md §14) so every subsequent Transmit —
-  /// including widened retransmissions — ships certs instead of vectors.
+  /// Called once when a flight's f_i+1 signature set completes: builds
+  /// the record's quorum cert (DESIGN.md §14), which every subsequent
+  /// Transmit — widened retransmissions included — ships.
   void FinalizeProof(Flight* flight);
   /// Applies a verified attestation: re-finds the flight, dedups signers,
   /// and transmits on the f_i+1-th signature.

@@ -11,17 +11,15 @@ void CongestionGauge(std::map<std::string, int64_t>* out, const char* key,
   (*out)[key] = value;
 }
 
-WindowController::WindowController(const CongestionOptions& opts,
-                                   uint64_t initial_window,
+WindowController::WindowController(uint64_t initial_window,
                                    sim::SimTime rtt_prior, std::string label)
-    : opts_(opts),
-      rtt_(rtt_prior),
+    : rtt_(rtt_prior),
       label_(std::move(label)),
       window_(0),
       // Slow start runs until the first decrease establishes a real
-      // ssthresh; starting it at max_window means a small initial window
+      // ssthresh; starting it at kMaxWindow means a small initial window
       // ramps exponentially instead of crawling toward the BDP.
-      ssthresh_(opts.max_window) {
+      ssthresh_(kMaxWindow) {
   window_ = Clamp(initial_window);
   min_window_seen_ = window_;
   congestion_stats().controllers_created++;
@@ -33,10 +31,9 @@ WindowController::~WindowController() {
   metrics_registry().Unregister(registry_handle_);
 }
 
-uint64_t WindowController::Clamp(uint64_t window) const {
-  uint64_t lo = opts_.min_window < 1 ? 1 : opts_.min_window;
-  if (window < lo) return lo;
-  if (window > opts_.max_window) return opts_.max_window;
+uint64_t WindowController::Clamp(uint64_t window) {
+  if (window < kMinWindow) return kMinWindow;
+  if (window > kMaxWindow) return kMaxWindow;
   return window;
 }
 
@@ -52,7 +49,7 @@ void WindowController::OnAck(sim::SimTime rtt) {
 void WindowController::OnAckNoSample() { Grow(); }
 
 void WindowController::Grow() {
-  if (window_ >= opts_.max_window) {
+  if (window_ >= kMaxWindow) {
     ack_credit_ = 0;
     return;
   }
@@ -80,7 +77,7 @@ void WindowController::OnLoss(sim::SimTime now) {
   // adaptive timer) but keep the window; back-to-back head stalls — a
   // partition or a sustained burst fires one per RTO — cross the
   // threshold and mean the path is genuinely degraded.
-  sim::SimTime rto = rtt_.Rto(opts_.min_rto);
+  sim::SimTime rto = rtt_.Rto(kMinRto);
   if (spike_count_ == 0 ||
       now - spike_started_ > static_cast<sim::SimTime>(spike_threshold()) *
                                  rto) {
@@ -100,7 +97,7 @@ void WindowController::OnViewChange(sim::SimTime now) {
 void WindowController::Decrease(sim::SimTime now, bool from_viewchange) {
   // One decrease per RTO: a burst of correlated loss signals (every
   // in-flight item timing out at once) is one congestion event.
-  sim::SimTime rto = rtt_.Rto(opts_.min_rto);
+  sim::SimTime rto = rtt_.Rto(kMinRto);
   if (last_decrease_ >= 0 && now - last_decrease_ < rto) return;
   last_decrease_ = now;
   spike_count_ = 0;
@@ -115,7 +112,7 @@ void WindowController::Decrease(sim::SimTime now, bool from_viewchange) {
 
 sim::SimTime WindowController::RetryTimeout(sim::SimTime floor,
                                             sim::SimTime cap) const {
-  sim::SimTime rto = rtt_.Rto(opts_.min_rto);
+  sim::SimTime rto = rtt_.Rto(kMinRto);
   if (rto < floor) rto = floor;
   if (rto > cap) rto = cap;
   return rto;

@@ -9,7 +9,7 @@
 //
 //   * Growth uses slow start below ssthresh (+1 per clean ack) and
 //     congestion avoidance above it (+1 per window of acks), clamped to
-//     [min_window, max_window].
+//     [kMinWindow, kMaxWindow].
 //   * Decrease is driven by *spikes*, not single losses. The simulated WAN
 //     (and a real one under BFT traffic) drops messages at random even
 //     when nothing is congested; halving on every isolated timeout would
@@ -35,10 +35,16 @@
 #include <string>
 
 #include "common/rtt_estimator.h"
-#include "core/options.h"
 #include "sim/sim_time.h"
 
 namespace blockplane::core {
+
+/// Window clamp bounds shared by every controller.
+inline constexpr uint64_t kMinWindow = 1;
+inline constexpr uint64_t kMaxWindow = 64;
+/// Floor for RTT-derived retransmission timeouts: a too-optimistic
+/// estimate must not cause a spurious-retransmission storm.
+inline constexpr sim::SimTime kMinRto = sim::Milliseconds(5);
 
 /// Catalog of per-controller gauge keys (bplint BP006: every
 /// CongestionGauge emission must use a key listed here, and every listed
@@ -62,13 +68,14 @@ void CongestionGauge(std::map<std::string, int64_t>* out, const char* key,
 
 class WindowController {
  public:
-  /// `initial_window` is the resolved starting window (callers apply the
-  /// CongestionOptions::initial_window == 0 "inherit the static knob"
-  /// rule); `rtt_prior` seeds the estimator, typically the topology RTT
-  /// plus a commit allowance; `label` names the registry gauge group
+  /// `initial_window` is the starting window, clamped to [kMinWindow,
+  /// kMaxWindow] — callers pass the static knob the controller replaces,
+  /// which keeps a lossless adaptive run on the static schedule;
+  /// `rtt_prior` seeds the estimator, typically the topology RTT plus a
+  /// commit allowance; `label` names the registry gauge group
   /// ("congestion.<label>").
-  WindowController(const CongestionOptions& opts, uint64_t initial_window,
-                   sim::SimTime rtt_prior, std::string label);
+  WindowController(uint64_t initial_window, sim::SimTime rtt_prior,
+                   std::string label);
   ~WindowController();
 
   WindowController(const WindowController&) = delete;
@@ -113,9 +120,8 @@ class WindowController {
   void Grow();
   /// Applies one multiplicative decrease if the per-RTO rate limit allows.
   void Decrease(sim::SimTime now, bool from_viewchange);
-  uint64_t Clamp(uint64_t window) const;
+  static uint64_t Clamp(uint64_t window);
 
-  CongestionOptions opts_;
   common::RttEstimator rtt_;
   std::string label_;
 

@@ -15,6 +15,16 @@ namespace {
 /// The participant (user-space) process of a site lives at index 1000.
 constexpr int32_t kParticipantIndex = 1000;
 
+/// The first cert in `certs` issued by `site`, or null. Honest records
+/// carry one cert per signing site; any other entry is ignored padding.
+const crypto::QuorumCert* CertFrom(
+    const std::vector<crypto::QuorumCert>& certs, net::SiteId site) {
+  for (const crypto::QuorumCert& cert : certs) {
+    if (cert.site == site) return &cert;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 net::NodeId ParticipantNodeId(net::SiteId site) {
@@ -50,12 +60,8 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
     // controller at admission time and feeds it propose-to-execute
     // latencies; view changes back it off. The controller's "RTT" is an
     // intra-site consensus round, so the prior is a few one-way hops.
-    uint64_t initial = options_.congestion.initial_window != 0
-                           ? options_.congestion.initial_window
-                           : std::max<uint64_t>(1, options_.pbft_window);
     pbft_window_ctl_ = std::make_unique<WindowController>(
-        options_.congestion, initial,
-        4 * network_->options().intra_site_one_way,
+        options_.pbft_window, 4 * network_->options().intra_site_one_way,
         "pbft_s" + std::to_string(self_.site) + "n" +
             std::to_string(self_.index));
     group.window_provider = [this] { return pbft_window_ctl_->window(); };
@@ -351,26 +357,16 @@ bool BlockplaneNode::VerifyReceivedAt(const LogRecord& record,
   if (record.dest_site != origin_site_) return false;
   if (record.src_site == origin_site_ || record.src_site < 0) return false;
 
-  // (1) f_i+1 signatures from the source participant's unit. With quorum
-  // certificates (wire v2, DESIGN.md §14) the record carries one compact
-  // cert instead of the signature vector; repeats of the same cert hit the
-  // KeyStore's cert cache and elide the per-MAC re-verification entirely.
+  // (1) The source participant's unit attested the record: one quorum
+  // cert over f_i+1 attestations (DESIGN.md §14). Repeats of the same cert
+  // hit the KeyStore's cert cache and skip the MAC recomputation.
   if (options_.sign_messages) {
+    const crypto::QuorumCert* cert = CertFrom(record.proof, record.src_site);
+    if (cert == nullptr) return false;
     Bytes canonical =
         AttestCanonical(AttestPurpose::kTransmission, record.src_site,
                         record.src_log_pos, record.ContentDigest());
-    if (!record.proof_certs.empty()) {
-      bool ok = false;
-      for (const crypto::QuorumCert& cert : record.proof_certs) {
-        if (cert.site != record.src_site) continue;
-        ok = keys_->VerifyCert(canonical, cert, options_.fi + 1);
-        break;
-      }
-      if (!ok) return false;
-    } else if (!keys_->VerifyProof(canonical, record.proof, record.src_site,
-                                   options_.fi + 1)) {
-      return false;
-    }
+    if (!keys_->VerifyCert(canonical, *cert, options_.fi + 1)) return false;
   }
 
   // (2) Not received before, and (3) no earlier unreceived transmission:
@@ -389,27 +385,15 @@ bool BlockplaneNode::VerifyReceivedAt(const LogRecord& record,
     original.geo_pos = record.geo_pos;
     crypto::Digest geo_digest = crypto::Sha256Digest(original.Encode());
 
+    // One cert per proving mirror site.
     std::set<net::SiteId> proven;
-    if (!record.geo_certs.empty()) {
-      // Wire v2: one cert per proving mirror site.
-      for (const crypto::QuorumCert& cert : record.geo_certs) {
-        if (cert.site == record.src_site || cert.site < 0) continue;
-        if (cert.site >= network_->topology().num_sites()) continue;
-        Bytes canonical = AttestCanonical(AttestPurpose::kGeoAck, cert.site,
-                                          record.geo_pos, geo_digest);
-        if (keys_->VerifyCert(canonical, cert, options_.fi + 1)) {
-          proven.insert(cert.site);
-        }
-      }
-    } else {
-      for (int site = 0; site < network_->topology().num_sites(); ++site) {
-        if (site == record.src_site) continue;
-        Bytes canonical = AttestCanonical(AttestPurpose::kGeoAck, site,
-                                          record.geo_pos, geo_digest);
-        if (keys_->VerifyProof(canonical, record.geo_proof, site,
-                               options_.fi + 1)) {
-          proven.insert(site);
-        }
+    for (const crypto::QuorumCert& cert : record.geo_proof) {
+      if (cert.site == record.src_site || cert.site < 0) continue;
+      if (cert.site >= network_->topology().num_sites()) continue;
+      Bytes canonical = AttestCanonical(AttestPurpose::kGeoAck, cert.site,
+                                        record.geo_pos, geo_digest);
+      if (keys_->VerifyCert(canonical, cert, options_.fi + 1)) {
+        proven.insert(cert.site);
       }
     }
     if (static_cast<int>(proven.size()) < options_.fg) return false;
@@ -430,29 +414,18 @@ bool BlockplaneNode::VerifyMirroredProof(const LogRecord& record) const {
   crypto::Digest digest = crypto::Sha256Digest(record.payload);
   Bytes canonical = AttestCanonical(AttestPurpose::kGeoSource,
                                     record.src_site, record.geo_pos, digest);
+  const crypto::QuorumCert* cert = CertFrom(record.proof, record.src_site);
+  if (cert == nullptr) return false;
   if (record.src_site == self_.site) {
     // Locally-acting participant: the (trusted, user-space) participant
-    // process signs its own submissions; local PBFT masks byzantine nodes.
-    for (const crypto::Signature& sig : record.proof) {
-      if (sig.signer == ParticipantNodeId(self_.site) &&
-          keys_->Verify(canonical, sig)) {
-        return true;
-      }
-    }
-    return false;
+    // process signs its own submissions, as a one-signer cert; local PBFT
+    // masks byzantine nodes.
+    return cert->index_base == kParticipantIndex && cert->signer_bits == 1 &&
+           keys_->VerifyCert(canonical, *cert, 1);
   }
-  // Remote acting site: f_i+1 of its nodes must attest the record. With
-  // quorum certificates the attestations arrive as one compact cert, so
-  // backfill replays and buffered re-verification hit the cert cache.
-  if (!record.proof_certs.empty()) {
-    for (const crypto::QuorumCert& cert : record.proof_certs) {
-      if (cert.site != record.src_site) continue;
-      return keys_->VerifyCert(canonical, cert, options_.fi + 1);
-    }
-    return false;
-  }
-  return keys_->VerifyProof(canonical, record.proof, record.src_site,
-                            options_.fi + 1);
+  // Remote acting site: f_i+1 of its nodes attested the record. Backfill
+  // replays and buffered re-verification hit the cert cache.
+  return keys_->VerifyCert(canonical, *cert, options_.fi + 1);
 }
 
 void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value,
@@ -893,8 +866,7 @@ void BlockplaneNode::OnGeoReplicate(const net::Message& msg) {
   record.payload = std::move(replicate.record);
   record.src_site = replicate.acting_site;
   record.geo_pos = replicate.geo_pos;
-  record.proof = std::move(replicate.sigs);
-  record.proof_certs = std::move(replicate.sig_certs);
+  record.proof = std::move(replicate.proof);
 
   if (replicate.geo_pos > mirror_high_pos_ + 1) {
     // The geo stream moved past this mirror (e.g. the hosting site sat out
@@ -989,7 +961,6 @@ void BlockplaneNode::OnGeoProofBundle(const net::Message& msg) {
   GeoProofBundleMsg bundle;
   if (!GeoProofBundleMsg::Decode(msg.body(), &bundle).ok()) return;
   geo_proofs_[bundle.pos] = std::move(bundle.proof);
-  geo_proof_certs_[bundle.pos] = std::move(bundle.proof_certs);
   for (auto& daemon : daemons_) daemon->NotifyLogAppend();
 }
 

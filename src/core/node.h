@@ -243,12 +243,9 @@ class BlockplaneNode : public net::Host {
   std::unordered_map<net::SiteId, uint64_t> last_received_pos_;
   /// Communication records per destination (positions, in order).
   std::unordered_map<net::SiteId, std::vector<uint64_t>> comm_positions_;
-  /// Geo proofs attached by the participant, by log position.
-  std::unordered_map<uint64_t, std::vector<crypto::Signature>> geo_proofs_;
-  /// Wire v2 (qc.enabled): per-mirror-site certificates delivered alongside
-  /// (or in place of) the geo proofs, keyed the same way.
-  std::unordered_map<uint64_t, std::vector<crypto::QuorumCert>>
-      geo_proof_certs_;
+  /// Geo proofs (one cert per acking mirror site) attached by the
+  /// participant, by log position.
+  std::unordered_map<uint64_t, std::vector<crypto::QuorumCert>> geo_proofs_;
 
   /// Count of API records (log-commit + communication) executed so far —
   /// the geo-replication stream position of the latest API record.

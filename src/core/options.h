@@ -14,28 +14,8 @@ struct CongestionOptions {
   /// Master switch: AIMD WindowControllers replace the static
   /// pbft/participant/daemon window knobs (which become initial values)
   /// and retransmission timers derive from smoothed per-destination RTT.
+  /// The clamp bounds and RTO floor are constants in core/congestion.h.
   bool adaptive = false;
-  /// Window clamp bounds for every controller.
-  uint64_t min_window = 1;
-  uint64_t max_window = 64;
-  /// Starting window; 0 inherits the static knob the controller replaces
-  /// (daemon_window / participant_window / pbft_window), which is what
-  /// keeps a lossless adaptive run on the static schedule.
-  uint64_t initial_window = 0;
-  /// Floor for RTT-derived retransmission timeouts: a too-optimistic
-  /// estimate must not cause a spurious-retransmission storm.
-  sim::SimTime min_rto = sim::Milliseconds(5);
-};
-
-/// Quorum-certificate aggregation (DESIGN.md §14). Off by default: records
-/// carry plain f_i+1 signature vectors and every hop runs VerifyProof, so
-/// fig4–fig8, golden traces, and same-seed JSON exports stay bit-identical.
-struct QuorumCertOptions {
-  /// Master switch: completed proofs are compressed into one compact
-  /// crypto::QuorumCert per (decision, site), carried on the wire in place
-  /// of the signature vector, and verified once per receiver through the
-  /// KeyStore's digest-keyed cert cache.
-  bool enabled = false;
 };
 
 struct BlockplaneOptions {
@@ -89,10 +69,6 @@ struct BlockplaneOptions {
   /// Adaptive per-destination congestion control over the three windows
   /// above (DESIGN.md §13). congestion.adaptive defaults to false.
   CongestionOptions congestion;
-
-  /// Quorum-certificate aggregation (DESIGN.md §14). qc.enabled defaults
-  /// to false.
-  QuorumCertOptions qc;
 
   /// Bench-mode switches mirroring the paper's prototype, which "does not
   /// implement creating and checking signatures and digests".

@@ -50,16 +50,11 @@ Participant::Participant(net::Network* network, crypto::KeyStore* keys,
     // One controller per mirror destination (DESIGN.md §13): the geo-ack
     // round trip toward each mirror feeds its RTT estimate; the effective
     // pipeline window is the minimum across them.
-    const CongestionOptions& c = options_.congestion;
-    uint64_t initial =
-        c.initial_window != 0
-            ? c.initial_window
-            : std::max<uint64_t>(1, options_.participant_window);
     for (net::SiteId target : mirror_sites_) {
       sim::SimTime prior = network_->topology().Rtt(site_, target) +
                            4 * network_->options().intra_site_one_way;
       geo_ctl_[target] = std::make_unique<WindowController>(
-          c, initial, prior,
+          options_.participant_window, prior,
           "geo_s" + std::to_string(site_) + "_to_s" +
               std::to_string(target));
     }
@@ -313,13 +308,10 @@ void Participant::OnAttestResponse(const net::Message& msg) {
   }
   round.source_sigs.push_back(response.sig);
   if (static_cast<int>(round.source_sigs.size()) == options_.fi + 1) {
-    if (options_.qc.enabled && options_.sign_messages) {
-      // Compress the attestation vector once; every replicate fan-out
-      // (including retries) ships this same certificate (DESIGN.md §14).
-      round.source_certs = {
-          crypto::BuildQuorumCert(site_, round.source_sigs)};
-      qc_stats().certs_built++;
-    }
+    // Compress the attestations once; every replicate fan-out (retries
+    // included) ships this same certificate (DESIGN.md §14).
+    round.source_cert = crypto::BuildQuorumCert(site_, round.source_sigs);
+    qc_stats().certs_built++;
     round.ts_attested = sim_->Now();
     Tracer& tr = tracer();
     if (tr.enabled() && round.trace != kNoTrace) {
@@ -346,8 +338,7 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
       auto ctl = geo_ctl_.find(target);
       if (ctl == geo_ctl_.end()) continue;
       rto = std::max(rto,
-                     ctl->second->RetryTimeout(options_.congestion.min_rto,
-                                               options_.geo_retry));
+                     ctl->second->RetryTimeout(kMinRto, options_.geo_retry));
     }
     if (rto > 0) period = rto;
   }
@@ -409,13 +400,7 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
   replicate.acting_site = site_;
   replicate.geo_pos = round.geo_pos;
   replicate.record = round.record_encoded;
-  replicate.sigs = round.source_sigs;
-  if (!round.source_certs.empty()) {
-    // Quorum-cert mode: ship the compact certificate in place of the
-    // f_i+1 signature vector (wire v2 trailing section).
-    replicate.sig_certs = round.source_certs;
-    replicate.sigs.clear();
-  }
+  replicate.proof = {round.source_cert};
   Bytes encoded = replicate.Encode();
   for (net::SiteId target : round.targets) {
     if (round.ack_sigs.count(target) > 0) continue;  // already proven
@@ -477,14 +462,9 @@ void Participant::FinishGeoRound(uint64_t geo_pos) {
     GeoProofBundleMsg bundle;
     bundle.pos = round.unit_pos;
     for (auto& [site, sigs] : round.ack_sigs) {
-      if (options_.qc.enabled && options_.sign_messages) {
-        // One compact cert per mirror site in place of the flattened
-        // signature vector (DESIGN.md §14).
-        bundle.proof_certs.push_back(crypto::BuildQuorumCert(site, sigs));
-        qc_stats().certs_built++;
-      } else {
-        bundle.proof.insert(bundle.proof.end(), sigs.begin(), sigs.end());
-      }
+      // One compact cert per mirror site (DESIGN.md §14).
+      bundle.proof.push_back(crypto::BuildQuorumCert(site, sigs));
+      qc_stats().certs_built++;
     }
     Bytes encoded = bundle.Encode();
     for (const net::NodeId& node : unit_group_.nodes) {
@@ -670,7 +650,7 @@ void Participant::OnMirrorEntry(const net::Message& msg) {
   replicate.acting_site = outer.src_site;
   replicate.geo_pos = outer.geo_pos;
   replicate.record = std::move(outer.payload);
-  replicate.sigs = std::move(outer.proof);
+  replicate.proof = std::move(outer.proof);
   Bytes encoded = replicate.Encode();
   for (int i = 0; i < options_.fi + 1; ++i) {
     SendTo(MirrorNodeId(site_, entry.origin_site, i), kGeoReplicate,
@@ -693,8 +673,12 @@ void Participant::CommitMirrorRecord(net::SiteId origin, uint64_t geo_pos) {
   outer.payload = inner;
   outer.src_site = site_;
   outer.geo_pos = geo_pos;
-  outer.proof.push_back(signer_->Sign(
-      AttestCanonical(AttestPurpose::kGeoSource, site_, geo_pos, digest)));
+  // The participant's own signature, as a one-signer cert
+  // (BlockplaneNode::VerifyMirroredProof).
+  outer.proof = {crypto::BuildQuorumCert(
+      site_, {signer_->Sign(AttestCanonical(AttestPurpose::kGeoSource, site_,
+                                            geo_pos, digest))})};
+  qc_stats().certs_built++;
 
   // Commit into the local mirror group, then replicate to the other
   // mirror peers of the failed origin.

@@ -101,10 +101,10 @@ class Participant : public net::Host {
     Bytes record_encoded;   // the replicated record R
     crypto::Digest digest;  // Sha256(R)
     std::vector<crypto::Signature> source_sigs;  // f_i+1 attestations
-    /// With qc.enabled: `source_sigs` compressed into one compact cert,
-    /// built once when the f_i+1-th attestation lands (DESIGN.md §14) so
-    /// timer-driven replicate retries re-ship the same certificate.
-    std::vector<crypto::QuorumCert> source_certs;
+    /// `source_sigs` compressed into one compact cert, built once when the
+    /// f_i+1-th attestation lands (DESIGN.md §14) so timer-driven
+    /// replicate retries re-ship the same certificate.
+    crypto::QuorumCert source_cert;
     std::map<net::SiteId, std::set<net::NodeId>> ack_nodes;
     /// Signatures accumulating toward a site's f_i+1 threshold.
     std::map<net::SiteId, std::vector<crypto::Signature>> ack_sigs_partial;

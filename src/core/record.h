@@ -16,7 +16,6 @@
 #include "common/status.h"
 #include "crypto/quorum_cert.h"
 #include "crypto/sha256.h"
-#include "crypto/signer.h"
 #include "net/message.h"
 #include "net/node_id.h"
 
@@ -75,22 +74,20 @@ struct LogRecord {
   /// Position of the previous communication record from the same source to
   /// this destination (0 if none) — the in-order chain pointer.
   uint64_t prev_src_log_pos = 0;
-  /// f_i+1 source-unit signatures over the transmission canonical bytes,
-  /// embedded so every replica can run the receive verification routine.
-  std::vector<crypto::Signature> proof;
-  /// With fg > 0: per mirror site, f_i+1 signatures proving the source
-  /// participant's geo-replication of this record.
-  std::vector<crypto::Signature> geo_proof;
   /// Position in the origin participant's geo-replication stream (counts
   /// API records only; 0 when fg == 0). For kMirrored records this is the
   /// mirror-log position.
   uint64_t geo_pos = 0;
-  /// Wire v2 (qc.enabled): compact certificates standing in for `proof` /
-  /// `geo_proof`. Encoded as a trailing optional section, emitted only when
-  /// non-empty — v1 (qc off) encodings stay byte-identical, and a v1
-  /// decoder's trailing bytes are simply these sections.
-  std::vector<crypto::QuorumCert> proof_certs;
-  std::vector<crypto::QuorumCert> geo_certs;
+  /// kReceived: the source unit's quorum cert over the transmission
+  /// canonical bytes, embedded so every replica can run the receive
+  /// verification routine. kMirrored: the acting site's cert over the
+  /// geo-source canonical bytes, or — when the acting participant is local
+  /// to the mirror group — a one-signer cert whose sole signer is
+  /// ParticipantNodeId(site). Empty for API records.
+  std::vector<crypto::QuorumCert> proof;
+  /// kReceived with fg > 0: one cert per mirror site proving the source
+  /// participant's geo-replication of this record.
+  std::vector<crypto::QuorumCert> geo_proof;
 
   Bytes Encode() const;
   static Status Decode(const Bytes& buf, LogRecord* out);
@@ -114,7 +111,7 @@ Bytes AttestCanonical(AttestPurpose purpose, net::SiteId site, uint64_t pos,
 
 /// A transmission record P (§IV-C): the message content plus a pointer to
 /// the previous communication record to the same destination, carried with
-/// f_i+1 signatures from the source unit.
+/// the source unit's quorum cert over f_i+1 attestations.
 struct TransmissionRecord {
   net::SiteId src_site = -1;
   net::SiteId dest_site = -1;
@@ -123,12 +120,8 @@ struct TransmissionRecord {
   uint64_t routine_id = 0;
   Bytes payload;
   uint64_t geo_pos = 0;  // geo-replication stream position (fg > 0)
-  std::vector<crypto::Signature> sigs;       // f_i+1 from the source unit
-  std::vector<crypto::Signature> geo_proof;  // fg extension (§V)
-  /// Wire v2 (qc.enabled): certificates standing in for `sigs`/`geo_proof`
-  /// — trailing optional section, absent when both are empty.
-  std::vector<crypto::QuorumCert> sig_certs;
-  std::vector<crypto::QuorumCert> geo_certs;
+  std::vector<crypto::QuorumCert> proof;      // the source unit's cert
+  std::vector<crypto::QuorumCert> geo_proof;  // one per mirror site (§V)
 
   /// The digest the source unit's attestations cover.
   crypto::Digest ContentDigest() const;

@@ -111,10 +111,7 @@ Bytes GeoReplicateMsg::Encode() const {
   enc.PutU32(static_cast<uint32_t>(acting_site));
   enc.PutU64(geo_pos);
   enc.PutBytes(record);
-  crypto::EncodeProof(&enc, sigs);
-  // Trailing optional cert section (wire v2): absent when empty, so
-  // qc-off encodings stay byte-identical to v1.
-  if (!sig_certs.empty()) crypto::EncodeCertList(&enc, sig_certs);
+  crypto::EncodeCertList(&enc, proof);
   return enc.Take();
 }
 
@@ -125,12 +122,7 @@ Status GeoReplicateMsg::Decode(const Bytes& buf, GeoReplicateMsg* out) {
   out->acting_site = static_cast<net::SiteId>(site);
   BP_RETURN_NOT_OK(dec.GetU64(&out->geo_pos));
   BP_RETURN_NOT_OK(dec.GetBytes(&out->record));
-  BP_RETURN_NOT_OK(crypto::DecodeProof(&dec, &out->sigs));
-  out->sig_certs.clear();
-  if (!dec.AtEnd()) {
-    BP_RETURN_NOT_OK(crypto::DecodeCertList(&dec, &out->sig_certs));
-  }
-  return Status::OK();
+  return crypto::DecodeCertList(&dec, &out->proof);
 }
 
 Bytes GeoAckMsg::Encode() const {
@@ -248,21 +240,14 @@ Status LogSyncReplyMsg::Decode(const Bytes& buf, LogSyncReplyMsg* out) {
 Bytes GeoProofBundleMsg::Encode() const {
   Encoder enc;
   enc.PutU64(pos);
-  crypto::EncodeProof(&enc, proof);
-  // Trailing optional cert section (wire v2), as in GeoReplicateMsg.
-  if (!proof_certs.empty()) crypto::EncodeCertList(&enc, proof_certs);
+  crypto::EncodeCertList(&enc, proof);
   return enc.Take();
 }
 
 Status GeoProofBundleMsg::Decode(const Bytes& buf, GeoProofBundleMsg* out) {
   Decoder dec(buf);
   BP_RETURN_NOT_OK(dec.GetU64(&out->pos));
-  BP_RETURN_NOT_OK(crypto::DecodeProof(&dec, &out->proof));
-  out->proof_certs.clear();
-  if (!dec.AtEnd()) {
-    BP_RETURN_NOT_OK(crypto::DecodeCertList(&dec, &out->proof_certs));
-  }
-  return Status::OK();
+  return crypto::DecodeCertList(&dec, &out->proof);
 }
 
 }  // namespace blockplane::core

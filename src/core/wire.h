@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/record.h"
+#include "crypto/signer.h"
 
 namespace blockplane::core {
 
@@ -68,12 +69,9 @@ struct GeoReplicateMsg {
   net::SiteId acting_site = -1;  // the (current) primary issuing the record
   uint64_t geo_pos = 0;
   Bytes record;  // encoded origin LogRecord
-  /// f_i+1 attestations from the acting site (empty when the mirror group
-  /// is hosted at the acting site itself).
-  std::vector<crypto::Signature> sigs;
-  /// Wire v2 (qc.enabled): certificates standing in for `sigs` — trailing
-  /// optional section, absent when empty.
-  std::vector<crypto::QuorumCert> sig_certs;
+  /// The acting site's quorum cert over its f_i+1 attestations (a
+  /// replayed mirror entry carries the proof stored with it).
+  std::vector<crypto::QuorumCert> proof;
 
   Bytes Encode() const;
   static Status Decode(const Bytes& buf, GeoReplicateMsg* out);
@@ -156,10 +154,8 @@ struct LogSyncReplyMsg {
 
 struct GeoProofBundleMsg {
   uint64_t pos = 0;  // unit log position of the communication record
-  std::vector<crypto::Signature> proof;
-  /// Wire v2 (qc.enabled): one certificate per mirror site standing in for
-  /// `proof` — trailing optional section, absent when empty.
-  std::vector<crypto::QuorumCert> proof_certs;
+  /// One quorum cert per mirror site that acked the record.
+  std::vector<crypto::QuorumCert> proof;
 
   Bytes Encode() const;
   static Status Decode(const Bytes& buf, GeoProofBundleMsg* out);

@@ -1,11 +1,10 @@
 // bplint:wire-coverage — every field below must appear in Encode,
 // Decode, and (where a digest exists) the digest path (BP003).
-// Quorum certificates: one compact, canonically-encoded certificate in
-// place of an f_i+1 signature vector (DESIGN.md §14).
+// Quorum certificates: the one proof format cross-site records carry
+// (DESIGN.md §14).
 //
-// A transmission record today carries f_i+1 individual HMAC signatures;
-// every hop re-walks the vector and re-checks each entry. A QuorumCert
-// compresses the vector into
+// A source collects f_i+1 individual HMAC attestations and compresses
+// them into
 //
 //   * the site whose nodes signed,
 //   * a sorted signer bitmap (bit k set = node index k contributed), and
@@ -14,8 +13,8 @@
 //
 // The bitmap makes duplicate signers *unrepresentable* (a bit cannot be
 // set twice), the aggregate binds every MAC byte-for-byte, and the whole
-// certificate costs 48 wire bytes where the f_i+1 vector costs 40 bytes
-// per signature. Verification recomputes each listed signer's MAC from
+// certificate costs 48 wire bytes where the f_i+1 signatures would cost
+// 40 bytes each. Verification recomputes each listed signer's MAC from
 // the shared KeyStore and compares the aggregate — once; repeats hit the
 // KeyStore's digest-keyed cert cache (see KeyStore::VerifyCert).
 #ifndef BLOCKPLANE_CRYPTO_QUORUM_CERT_H_
@@ -41,8 +40,8 @@ struct QuorumCert {
   /// the bitmap 64 bits regardless of where the group sits.
   int32_t index_base = 0;
   /// Bit k set = node index `index_base + k` of `site` contributed its
-  /// MAC. A group is 3f_i+1 nodes, so 64 bits is plenty; signers further
-  /// than 64 from the base cannot be certified and fall back to vectors.
+  /// MAC. A group is 3f_i+1 nodes, so 64 bits covers f_i <= 21; signers
+  /// further than 64 from the base cannot be certified.
   uint64_t signer_bits = 0;
   /// SHA-256 over the constituent MACs, ascending signer index.
   Digest agg{};
@@ -68,7 +67,7 @@ struct QuorumCert {
 QuorumCert BuildQuorumCert(net::SiteId site,
                            const std::vector<Signature>& sigs);
 
-/// Wire helpers for cert lists, mirroring EncodeProof/DecodeProof.
+/// Wire helpers for cert lists (the proof fields of core records).
 void EncodeCertList(Encoder* enc, const std::vector<QuorumCert>& certs);
 Status DecodeCertList(Decoder* dec, std::vector<QuorumCert>* out);
 

@@ -63,21 +63,13 @@ class KeyStore {
   /// Verifies that `sig` is `sig.signer`'s signature over `msg`.
   bool Verify(const Bytes& msg, const Signature& sig) const;
 
-  /// Verifies a proof: at least `threshold` valid signatures over `msg` from
-  /// *distinct* nodes of site `site`. Invalid signatures and other sites'
-  /// entries are ignored (a malicious sender may pad the list), but a
-  /// duplicated signer index *within* `site` rejects the whole proof: an
-  /// honest unit never emits one (every collection path dedups by signer),
-  /// so a duplicate is a forgery attempt at counting one signature twice.
-  bool VerifyProof(const Bytes& msg, const std::vector<Signature>& proof,
-                   net::SiteId site, int threshold) const;
-
-  /// Verifies a quorum certificate (crypto/quorum_cert.h, DESIGN.md §14):
-  /// at least `threshold` signers in the bitmap, every listed MAC
-  /// recomputed from registered key material, aggregate compared. Consults
-  /// the digest-keyed two-generation cert cache first, so retransmissions,
-  /// go-back-N trailing flights, backfill replays, and re-submissions cost
-  /// one probe instead of f_i+1 signature checks.
+  /// Verifies a quorum certificate (crypto/quorum_cert.h, DESIGN.md §14),
+  /// the only proof format cross-site records carry: at least `threshold`
+  /// signers in the bitmap, every listed MAC recomputed from registered
+  /// key material, aggregate compared. Consults the digest-keyed
+  /// two-generation cert cache first, so retransmissions, go-back-N
+  /// trailing flights, backfill replays, and re-submissions cost one probe
+  /// instead of f_i+1 signature checks.
   bool VerifyCert(const Bytes& msg, const QuorumCert& cert,
                   int threshold) const;
 
@@ -183,7 +175,8 @@ class Signer {
   net::NodeId node_;
 };
 
-/// Wire helpers for signatures and proofs.
+/// Wire helpers for signatures and signature-vector proofs (PBFT messages;
+/// cross-site records carry quorum certs instead).
 void EncodeSignature(Encoder* enc, const Signature& sig);
 Status DecodeSignature(Decoder* dec, Signature* out);
 void EncodeProof(Encoder* enc, const std::vector<Signature>& proof);

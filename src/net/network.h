@@ -57,7 +57,7 @@ struct NetworkOptions {
   uint64_t header_bytes = 64;
   /// Per-message-type WAN byte accounting: adds a `wan_bytes.type_<id>`
   /// counter per protocol MessageType tag seen on wide-area sends. Off by
-  /// default — it is bench-only instrumentation (bench_fig6's
+  /// default — it is bench-only instrumentation (the e2e benchmark's
   /// per-message-type breakdown), and keeping it off leaves the counter
   /// namespace byte-identical to the seed.
   bool per_type_wan_counters = false;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -193,20 +194,24 @@ TEST(BlockplaneCoreTest, UserVerificationRoutineBlocksBadCommits) {
 
 TEST(BlockplaneCoreTest, ForgedTransmissionIsRejected) {
   CoreHarness harness;
-  // A malicious node fabricates a transmission record with bogus
-  // signatures and pushes it at Oregon's unit.
+  // A malicious node fabricates a transmission record with a bogus quorum
+  // cert (two claimed signers, garbage aggregate) and pushes it at
+  // Oregon's unit.
   TransmissionRecord forged;
   forged.src_site = kCalifornia;
   forged.dest_site = kOregon;
   forged.src_log_pos = 1;
   forged.prev_src_log_pos = 0;
   forged.payload = ToBytes("increment your counter, trust me");
-  crypto::Signature bogus;
-  bogus.signer = {kCalifornia, 0};
-  forged.sigs = {bogus, bogus};
+  crypto::QuorumCert bogus;
+  bogus.site = kCalifornia;
+  bogus.signer_bits = 0b11;
+  forged.proof = {bogus};
 
-  // Register the claimed signer so verification runs (and fails on MAC).
+  // The claimed signers are registered, so verification runs (and fails
+  // on the aggregate).
   harness.deployment_.keys()->RegisterNode({kCalifornia, 0});
+  harness.deployment_.keys()->RegisterNode({kCalifornia, 1});
   net::Message msg;
   msg.src = {kCalifornia, 3};
   msg.dst = {kOregon, 0};
@@ -439,52 +444,59 @@ TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
   // The primary needs proofs from only fg mirrors, so a secondary's mirror
   // can lag. Before acting as primary it must fetch the missing entries
   // from an up-to-date peer (§V's fg+1-intersection argument), or it would
-  // fork the stream.
-  BlockplaneOptions options;
-  options.fg = 1;
-  CoreHarness harness(options);
-  harness.CommitAndWait(kCalifornia, "first");
-  harness.simulator_.RunFor(Seconds(2));
+  // fork the stream. Runs with the secondary one and two entries behind.
+  for (int lag : {1, 2}) {
+    SCOPED_TRACE("lag " + std::to_string(lag));
+    BlockplaneOptions options;
+    options.fg = 1;
+    CoreHarness harness(options);
+    harness.CommitAndWait(kCalifornia, "first");
+    harness.simulator_.RunFor(Seconds(2));
 
-  // Virginia's datacenter goes dark while the primary keeps committing
-  // (Oregon supplies the fg=1 proofs).
-  harness.deployment_.network()->CrashSite(kVirginia);
-  harness.CommitAndWait(kCalifornia, "second");
-  harness.CommitAndWait(kCalifornia, "third");
+    // Virginia's datacenter goes dark while the primary keeps committing
+    // (Oregon supplies the fg=1 proofs).
+    harness.deployment_.network()->CrashSite(kVirginia);
+    const char* kMissed[] = {"second", "third"};
+    std::vector<std::string> expected = {"first"};
+    for (int i = 0; i < lag; ++i) {
+      expected.push_back(kMissed[i]);
+      harness.CommitAndWait(kCalifornia, kMissed[i]);
+    }
 
-  // Virginia comes back; California fails; Virginia takes over.
-  harness.deployment_.network()->RecoverSite(kVirginia);
-  harness.deployment_.network()->CrashSite(kCalifornia);
-  Participant* secondary = harness.deployment_.participant(kVirginia);
-  std::vector<net::SiteId> peers =
-      harness.deployment_.mirror_sites_of(kCalifornia);
-  peers.push_back(kCalifornia);
-  secondary->SetMirrorPeers(kCalifornia, peers);
+    // Virginia comes back; California fails; Virginia takes over.
+    harness.deployment_.network()->RecoverSite(kVirginia);
+    harness.deployment_.network()->CrashSite(kCalifornia);
+    Participant* secondary = harness.deployment_.participant(kVirginia);
+    std::vector<net::SiteId> peers =
+        harness.deployment_.mirror_sites_of(kCalifornia);
+    peers.push_back(kCalifornia);
+    secondary->SetMirrorPeers(kCalifornia, peers);
 
-  bool done = false;
-  uint64_t pos = 0;
-  secondary->MirrorCommit(kCalifornia, ToBytes("fourth"), 0,
-                          [&](uint64_t p) {
-                            pos = p;
-                            done = true;
-                          });
-  ASSERT_TRUE(
-      harness.simulator_.RunUntilCondition([&] { return done; }, Seconds(120)));
-  // The new entry continues after the three the old primary committed —
-  // Virginia reconciled entries 2 and 3 from Oregon before acting.
-  EXPECT_EQ(pos, 4u);
-  harness.simulator_.RunFor(Seconds(2));
-  BlockplaneNode* mirror =
-      harness.deployment_.mirror_node(kVirginia, kCalifornia, 0);
-  ASSERT_EQ(mirror->log_size(), 4u);
-  std::vector<std::string> contents;
-  for (const auto& [mirror_pos, record] : mirror->log()) {
-    LogRecord inner;
-    ASSERT_TRUE(LogRecord::Decode(record.payload, &inner).ok());
-    contents.push_back(ToString(inner.payload));
+    bool done = false;
+    uint64_t pos = 0;
+    expected.push_back("takeover");
+    secondary->MirrorCommit(kCalifornia, ToBytes(expected.back()), 0,
+                            [&](uint64_t p) {
+                              pos = p;
+                              done = true;
+                            });
+    ASSERT_TRUE(harness.simulator_.RunUntilCondition([&] { return done; },
+                                                     Seconds(120)));
+    // The new entry continues after the ones the old primary committed —
+    // Virginia reconciled the missed entries from Oregon before acting.
+    EXPECT_EQ(pos, expected.size());
+    harness.simulator_.RunFor(Seconds(2));
+    BlockplaneNode* mirror =
+        harness.deployment_.mirror_node(kVirginia, kCalifornia, 0);
+    ASSERT_EQ(mirror->log_size(), expected.size());
+    std::vector<std::string> contents;
+    for (const auto& [mirror_pos, record] : mirror->log()) {
+      LogRecord inner;
+      ASSERT_TRUE(LogRecord::Decode(record.payload, &inner).ok());
+      contents.push_back(ToString(inner.payload));
+    }
+    EXPECT_EQ(contents, expected);
   }
-  EXPECT_EQ(contents, (std::vector<std::string>{"first", "second", "third",
-                                                "fourth"}));
 }
 
 TEST(BlockplaneGeoTest, SendCarriesGeoProofs) {
@@ -496,11 +508,18 @@ TEST(BlockplaneGeoTest, SendCarriesGeoProofs) {
                                      &received, Seconds(120)));
   EXPECT_EQ(ToString(received), "geo send");
   harness.simulator_.RunFor(Seconds(1));
-  // The received record embeds a non-empty geo proof.
+  // The received record embeds the geo proof: a cert from a mirror site
+  // of California, with f_i+1 signers.
   const auto& log = harness.deployment_.node(kVirginia, 0)->log();
   ASSERT_GE(log.size(), 1u);
   EXPECT_EQ(log.at(1).type, RecordType::kReceived);
-  EXPECT_FALSE(log.at(1).geo_proof.empty());
+  ASSERT_EQ(log.at(1).geo_proof.size(), 1u);
+  const crypto::QuorumCert& geo_cert = log.at(1).geo_proof[0];
+  std::vector<net::SiteId> mirrors =
+      harness.deployment_.mirror_sites_of(kCalifornia);
+  EXPECT_NE(std::find(mirrors.begin(), mirrors.end(), geo_cert.site),
+            mirrors.end());
+  EXPECT_EQ(geo_cert.signer_count(), 2);
 }
 
 // --- property sweeps ----------------------------------------------------------

@@ -19,46 +19,35 @@
 namespace blockplane::core {
 namespace {
 
-CongestionOptions TestOptions() {
-  CongestionOptions opts;
-  opts.adaptive = true;
-  opts.min_window = 1;
-  opts.max_window = 64;
-  opts.min_rto = sim::Milliseconds(5);
-  return opts;
-}
-
-// With the 10 ms prior, Rto = srtt + max(4*rttvar, srtt, min_rto)
+// With the 10 ms prior, Rto = srtt + max(4*rttvar, srtt, kMinRto)
 //                            = 10 + max(20, 10, 5) = 30 ms.
 constexpr sim::SimTime kPrior = sim::Milliseconds(10);
 constexpr sim::SimTime kRto = sim::Milliseconds(30);
 
 TEST(WindowControllerTest, SlowStartAddsOnePerAck) {
-  WindowController ctl(TestOptions(), /*initial_window=*/4, kPrior, "t-ss");
+  WindowController ctl(/*initial_window=*/4, kPrior, "t-ss");
   EXPECT_EQ(ctl.window(), 4u);
-  EXPECT_EQ(ctl.ssthresh(), 64u) << "slow start runs until the first decrease";
+  EXPECT_EQ(ctl.ssthresh(), kMaxWindow)
+      << "slow start runs until the first decrease";
   ctl.OnAck(kPrior);
   EXPECT_EQ(ctl.window(), 5u);
   ctl.OnAckNoSample();
   EXPECT_EQ(ctl.window(), 6u) << "sample-free acks still grow the window";
   for (int i = 0; i < 200; ++i) ctl.OnAckNoSample();
-  EXPECT_EQ(ctl.window(), 64u) << "growth stops at max_window";
+  EXPECT_EQ(ctl.window(), kMaxWindow) << "growth stops at kMaxWindow";
 }
 
 TEST(WindowControllerTest, InitialWindowIsClamped) {
-  WindowController high(TestOptions(), /*initial_window=*/1000, kPrior,
-                        "t-hi");
-  EXPECT_EQ(high.window(), 64u);
+  WindowController high(/*initial_window=*/1000, kPrior, "t-hi");
+  EXPECT_EQ(high.window(), kMaxWindow);
 
-  CongestionOptions floor = TestOptions();
-  floor.min_window = 2;
-  WindowController low(floor, /*initial_window=*/0, kPrior, "t-lo");
-  EXPECT_EQ(low.window(), 2u);
-  EXPECT_EQ(low.min_window_seen(), 2u);
+  WindowController low(/*initial_window=*/0, kPrior, "t-lo");
+  EXPECT_EQ(low.window(), kMinWindow);
+  EXPECT_EQ(low.min_window_seen(), kMinWindow);
 }
 
 TEST(WindowControllerTest, IsolatedLossesNeverDecrease) {
-  WindowController ctl(TestOptions(), /*initial_window=*/32, kPrior, "t-iso");
+  WindowController ctl(/*initial_window=*/32, kPrior, "t-iso");
   // Random single drops land more than spike_threshold()*RTO apart: each
   // one opens a fresh spike bucket and the threshold is never crossed.
   sim::SimTime now = sim::Milliseconds(100);
@@ -72,7 +61,7 @@ TEST(WindowControllerTest, IsolatedLossesNeverDecrease) {
 }
 
 TEST(WindowControllerTest, LossSpikeHalvesOnceAndIsRateLimited) {
-  WindowController ctl(TestOptions(), /*initial_window=*/32, kPrior, "t-spk");
+  WindowController ctl(/*initial_window=*/32, kPrior, "t-spk");
   const sim::SimTime t0 = sim::Milliseconds(100);
   ctl.OnLoss(t0);
   ctl.OnLoss(t0 + sim::Milliseconds(10));
@@ -100,7 +89,7 @@ TEST(WindowControllerTest, LossSpikeHalvesOnceAndIsRateLimited) {
 }
 
 TEST(WindowControllerTest, CongestionAvoidanceAfterDecrease) {
-  WindowController ctl(TestOptions(), /*initial_window=*/32, kPrior, "t-ca");
+  WindowController ctl(/*initial_window=*/32, kPrior, "t-ca");
   const sim::SimTime t0 = sim::Milliseconds(100);
   for (int i = 0; i < 3; ++i) ctl.OnLoss(t0 + i * sim::Milliseconds(5));
   ASSERT_EQ(ctl.window(), 16u);
@@ -114,7 +103,7 @@ TEST(WindowControllerTest, CongestionAvoidanceAfterDecrease) {
 }
 
 TEST(WindowControllerTest, ViewChangeDecreasesUnconditionally) {
-  WindowController ctl(TestOptions(), /*initial_window=*/32, kPrior, "t-vc");
+  WindowController ctl(/*initial_window=*/32, kPrior, "t-vc");
   const sim::SimTime t0 = sim::Milliseconds(100);
   // No loss spike needed: churn alone shrinks the window.
   ctl.OnViewChange(t0);
@@ -129,22 +118,20 @@ TEST(WindowControllerTest, ViewChangeDecreasesUnconditionally) {
 }
 
 TEST(WindowControllerTest, WindowNeverLeavesClampBounds) {
-  CongestionOptions opts = TestOptions();
-  opts.min_window = 2;
-  WindowController ctl(opts, /*initial_window=*/4, kPrior, "t-clamp");
+  WindowController ctl(/*initial_window=*/4, kPrior, "t-clamp");
   sim::SimTime now = sim::Milliseconds(100);
   // Hammer the controller with decrease-eligible spikes: the window must
-  // bottom out at min_window, never below.
+  // bottom out at kMinWindow, never below.
   for (int i = 0; i < 30; ++i) {
     ctl.OnLoss(now);
     now += sim::Milliseconds(2);
   }
-  EXPECT_GE(ctl.window(), 2u);
-  EXPECT_EQ(ctl.min_window_seen(), 2u);
+  EXPECT_GE(ctl.window(), kMinWindow);
+  EXPECT_EQ(ctl.min_window_seen(), kMinWindow);
 }
 
 TEST(WindowControllerTest, RetryTimeoutClampsToFloorAndCap) {
-  WindowController ctl(TestOptions(), /*initial_window=*/8, kPrior, "t-rto");
+  WindowController ctl(/*initial_window=*/8, kPrior, "t-rto");
   // Prior 10 ms → raw Rto 30 ms (see kRto above).
   EXPECT_EQ(ctl.RetryTimeout(sim::Milliseconds(5), sim::Milliseconds(500)),
             kRto);
@@ -157,7 +144,7 @@ TEST(WindowControllerTest, RetryTimeoutClampsToFloorAndCap) {
 }
 
 TEST(WindowControllerTest, FirstSampleReplacesPrior) {
-  WindowController ctl(TestOptions(), /*initial_window=*/8, kPrior, "t-srtt");
+  WindowController ctl(/*initial_window=*/8, kPrior, "t-srtt");
   EXPECT_EQ(ctl.srtt(), kPrior);
   ctl.OnAck(sim::Milliseconds(80));
   EXPECT_EQ(ctl.srtt(), sim::Milliseconds(80))
@@ -168,7 +155,7 @@ TEST(WindowControllerTest, FirstSampleReplacesPrior) {
 }
 
 TEST(WindowControllerTest, SnapshotEmitsEveryCatalogKey) {
-  WindowController ctl(TestOptions(), /*initial_window=*/8, kPrior, "t-snap");
+  WindowController ctl(/*initial_window=*/8, kPrior, "t-snap");
   ctl.OnAck(kPrior);
   ctl.OnLoss(sim::Milliseconds(50));
   std::map<std::string, int64_t> gauges = ctl.SnapshotGauges();
@@ -194,8 +181,7 @@ TEST(WindowControllerTest, RegistersGaugeGroupForLifetime) {
   };
   ASSERT_FALSE(has_group());
   {
-    WindowController ctl(TestOptions(), /*initial_window=*/8, kPrior,
-                         "t-registry");
+    WindowController ctl(/*initial_window=*/8, kPrior, "t-registry");
     EXPECT_TRUE(has_group());
   }
   EXPECT_FALSE(has_group()) << "destruction must unregister the group";

@@ -23,6 +23,14 @@ Bytes RandomBytes(Rng& rng, size_t max_len) {
   return out;
 }
 
+crypto::QuorumCert SomeCert(net::SiteId site) {
+  crypto::QuorumCert cert;
+  cert.site = site;
+  cert.signer_bits = 0b11;
+  cert.agg[0] = 0x5a;
+  return cert;
+}
+
 /// Runs every decoder in the code base against one input.
 void DecodeEverything(const Bytes& input) {
   {
@@ -56,6 +64,10 @@ void DecodeEverything(const Bytes& input) {
   {
     core::GeoAckMsg out;
     (void)core::GeoAckMsg::Decode(input, &out);
+  }
+  {
+    core::GeoProofBundleMsg out;
+    (void)core::GeoProofBundleMsg::Decode(input, &out);
   }
   {
     core::MirrorFetchMsg out;
@@ -122,10 +134,13 @@ TEST_P(FuzzDecodeTest, TruncatedValidRecordsFailCleanly) {
   record.dest_site = 2;
   record.src_log_pos = 5;
   record.prev_src_log_pos = 3;
+  record.proof = {SomeCert(1)};
+  record.geo_proof = {SomeCert(0), SomeCert(3)};
   Bytes valid = record.Encode();
 
   // Every strict prefix must decode to an error, never to success with
-  // garbage fields silently accepted... and never crash.
+  // garbage fields silently accepted... and never crash. The cert lists
+  // are required fields, so a cut at a list boundary fails too.
   for (size_t len = 0; len < valid.size(); ++len) {
     Bytes truncated(valid.begin(), valid.begin() + len);
     core::LogRecord out;
@@ -137,6 +152,8 @@ TEST_P(FuzzDecodeTest, TruncatedValidRecordsFailCleanly) {
   ASSERT_TRUE(core::LogRecord::Decode(valid, &out).ok());
   EXPECT_EQ(out.payload, record.payload);
   EXPECT_EQ(out.src_log_pos, record.src_log_pos);
+  EXPECT_EQ(out.proof, record.proof);
+  EXPECT_EQ(out.geo_proof, record.geo_proof);
 }
 
 TEST_P(FuzzDecodeTest, MutatedValidEncodingsNeverCrash) {
@@ -147,9 +164,8 @@ TEST_P(FuzzDecodeTest, MutatedValidEncodingsNeverCrash) {
   tr.src_log_pos = 11;
   tr.prev_src_log_pos = 9;
   tr.payload = RandomBytes(rng, 128);
-  crypto::Signature sig;
-  sig.signer = {0, 1};
-  tr.sigs = {sig, sig};
+  tr.proof = {SomeCert(0)};
+  tr.geo_proof = {SomeCert(1)};
   Bytes valid = tr.Encode();
 
   for (int i = 0; i < 300; ++i) {

@@ -1,8 +1,8 @@
 // Quorum-certificate tests (DESIGN.md §14): the compact-cert codec and
 // builder, KeyStore::VerifyCert semantics and its two-generation cert
-// cache, the hardened duplicate-signer proof rejection, and end-to-end
-// deployments where retransmissions, go-back-N replays, and mirror gap
-// backfill all hit the verify-once cert cache.
+// cache, end-to-end deployments where retransmissions, go-back-N replays,
+// and mirror gap backfill all hit the verify-once cert cache, and pinned
+// cert counts for the fig-6 communication and fg=1 geo scenarios.
 #include "crypto/quorum_cert.h"
 
 #include <gtest/gtest.h>
@@ -177,32 +177,6 @@ TEST_F(CertVerifyTest, DisabledCacheStillVerifiesCorrectly) {
   EXPECT_FALSE(keys_.VerifyCert(msg_, tampered, 2));
 }
 
-// --- Hardened VerifyProof (duplicate-signer rejection) ----------------------
-
-TEST(ProofHardeningTest, ForgedDuplicatePoisonsAnOtherwiseValidProof) {
-  // The forged-duplicate attack: pad a genuine f_i+1 proof with a second
-  // entry claiming an already-present signer. Before hardening the invalid
-  // duplicate was merely ignored; now any repeated index within the
-  // verifying site rejects the whole proof — honest units never emit one.
-  KeyStore keys;
-  auto s0 = keys.RegisterNode({0, 0});
-  auto s1 = keys.RegisterNode({0, 1});
-  auto other = keys.RegisterNode({1, 0});
-  Bytes msg = ToBytes("state change");
-  Signature sig0 = s0->Sign(msg);
-  Signature sig1 = s1->Sign(msg);
-  Signature forged_dup = sig0;
-  forged_dup.mac[0] ^= 0xff;
-
-  ASSERT_TRUE(keys.VerifyProof(msg, {sig0, sig1}, 0, 2));
-  // A forged duplicate of signer 0 — invalid MAC, repeated index.
-  EXPECT_FALSE(keys.VerifyProof(msg, {sig0, forged_dup, sig1}, 0, 2));
-  // A byte-identical duplicate is equally poisonous.
-  EXPECT_FALSE(keys.VerifyProof(msg, {sig0, sig0, sig1}, 0, 2));
-  // Other sites' entries are still ignored padding, not duplicates.
-  EXPECT_TRUE(keys.VerifyProof(msg, {sig0, sig1, other->Sign(msg)}, 0, 2));
-}
-
 }  // namespace
 }  // namespace blockplane::crypto
 
@@ -217,16 +191,15 @@ using net::kVirginia;
 using net::Topology;
 using sim::Seconds;
 
-BlockplaneOptions QcOptions(int fg = 0) {
+BlockplaneOptions GeoOptions() {
   BlockplaneOptions options;
-  options.qc.enabled = true;
-  options.fg = fg;
+  options.fg = 1;
   return options;
 }
 
 TEST(QuorumCertEndToEndTest, SendsShipCertsAndEveryExtraHopHitsTheCache) {
   sim::Simulator simulator(11);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions());
+  Deployment deployment(&simulator, Topology::Aws4(), {});
   qc_stats().Reset();
 
   Participant* sender = deployment.participant(kCalifornia);
@@ -259,32 +232,12 @@ TEST(QuorumCertEndToEndTest, SendsShipCertsAndEveryExtraHopHitsTheCache) {
   qc_stats().Reset();
 }
 
-TEST(QuorumCertEndToEndTest, QcOffBuildsNoCerts) {
-  // The default configuration must not touch the qc pipeline at all —
-  // the wire stays v1-byte-identical and the counters stay zero.
-  sim::Simulator simulator(13);
-  Deployment deployment(&simulator, Topology::Aws4(), {});
-  qc_stats().Reset();
-
-  Participant* receiver = deployment.participant(kOregon);
-  deployment.participant(kCalifornia)
-      ->Send(kOregon, ToBytes("vanilla"), 0, nullptr);
-  Bytes payload;
-  ASSERT_TRUE(simulator.RunUntilCondition(
-      [&] { return receiver->TryReceive(kCalifornia, &payload); },
-      Seconds(60)));
-  simulator.RunFor(Seconds(2));
-  EXPECT_EQ(qc_stats().certs_built, 0);
-  EXPECT_EQ(qc_stats().certs_verified, 0);
-  EXPECT_EQ(qc_stats().cache_hits, 0);
-}
-
 TEST(QuorumCertEndToEndTest, DuplicateTransmissionRunsNoCertVerification) {
   // A transmission a receiver already holds is acked and dropped before
   // any proof work: the cert is verified once, by the receive routine at
   // commit, never again for a duplicate or retransmitted copy.
   sim::Simulator simulator(29);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions());
+  Deployment deployment(&simulator, Topology::Aws4(), {});
   Participant* receiver = deployment.participant(kOregon);
   deployment.participant(kCalifornia)
       ->Send(kOregon, ToBytes("once"), 0, nullptr);
@@ -300,7 +253,7 @@ TEST(QuorumCertEndToEndTest, DuplicateTransmissionRunsNoCertVerification) {
     if (record.type == RecordType::kReceived) held = &record;
   }
   ASSERT_NE(held, nullptr);
-  ASSERT_FALSE(held->proof_certs.empty());
+  ASSERT_FALSE(held->proof.empty());
   TransmissionRecord copy;
   copy.src_site = held->src_site;
   copy.dest_site = kOregon;
@@ -309,7 +262,7 @@ TEST(QuorumCertEndToEndTest, DuplicateTransmissionRunsNoCertVerification) {
   copy.routine_id = held->routine_id;
   copy.payload = held->payload;
   copy.geo_pos = held->geo_pos;
-  copy.sig_certs = held->proof_certs;
+  copy.proof = held->proof;
 
   const int64_t certs_verified = qc_stats().certs_verified;
   const int64_t proof_sig_verifies = qc_stats().proof_sig_verifies;
@@ -332,7 +285,7 @@ TEST(QuorumCertEndToEndTest, RetransmissionsAfterAPartitionHitTheCache) {
   // 3f_i+1 receivers) once the link heals; the replayed flights carry the
   // same certificate, so every re-verify is a cache probe, not f_i+1 MACs.
   sim::Simulator simulator(17);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions());
+  Deployment deployment(&simulator, Topology::Aws4(), {});
   qc_stats().Reset();
 
   Participant* sender = deployment.participant(kCalifornia);
@@ -369,7 +322,7 @@ TEST(QuorumCertEndToEndTest, MirrorGapBackfillHitsTheCache) {
   // certs, already verified deployment-wide during the original
   // replication — the gap fill must ride the cert cache.
   sim::Simulator simulator(19);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions(/*fg=*/1));
+  Deployment deployment(&simulator, Topology::Aws4(), GeoOptions());
   robustness_stats().Reset();
 
   auto commit = [&](const std::string& payload) {
@@ -413,7 +366,7 @@ TEST(QuorumCertEndToEndTest, GeoCommitsCarryCertsInReplicationAndBundles) {
   // fg > 0 exercises both geo cert paths: replicate messages carry the
   // source unit's cert, and proof bundles carry one cert per acking site.
   sim::Simulator simulator(23);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions(/*fg=*/1));
+  Deployment deployment(&simulator, Topology::Aws4(), GeoOptions());
   qc_stats().Reset();
 
   int completed = 0;
@@ -429,7 +382,7 @@ TEST(QuorumCertEndToEndTest, GeoCommitsCarryCertsInReplicationAndBundles) {
   EXPECT_GT(qc_stats().certs_built, 0);
   EXPECT_GT(qc_stats().certs_verified, 0);
   EXPECT_GT(qc_stats().verifies_elided, 0);
-  // Mirror logs hold the records despite the vector-free wire.
+  // Mirror logs hold the records.
   int holding = 0;
   for (net::SiteId host : deployment.mirror_sites_of(kCalifornia)) {
     if (deployment.mirror_node(host, kCalifornia, 0)->log_size() >= 3) {
@@ -438,6 +391,114 @@ TEST(QuorumCertEndToEndTest, GeoCommitsCarryCertsInReplicationAndBundles) {
   }
   EXPECT_GE(holding, 1);
   qc_stats().Reset();
+}
+
+TEST(QuorumCertEndToEndTest, GenuineCertFromAnotherSiteDoesNotCount) {
+  // A cert vouches only for its own site's nodes. A forged California
+  // transmission carrying a *genuine* cert from Virginia's unit — valid
+  // MACs over the exact canonical bytes the receiver checks — must not
+  // count toward the source unit's f_i+1 attestations.
+  sim::Simulator simulator(31);
+  Deployment deployment(&simulator, Topology::Aws4(), {});
+
+  TransmissionRecord forged;
+  forged.src_site = kCalifornia;
+  forged.dest_site = kOregon;
+  forged.src_log_pos = 1;
+  forged.prev_src_log_pos = 0;
+  forged.payload = ToBytes("vouched for by the wrong site");
+  Bytes canonical = AttestCanonical(AttestPurpose::kTransmission, kCalifornia,
+                                    1, forged.ContentDigest());
+  std::vector<crypto::Signature> sigs;
+  for (int i = 0; i < 2; ++i) {
+    // RegisterNode is idempotent and hands back the node's signing handle.
+    sigs.push_back(
+        deployment.keys()->RegisterNode({kVirginia, i})->Sign(canonical));
+  }
+  forged.proof = {crypto::BuildQuorumCert(kVirginia, sigs)};
+  ASSERT_TRUE(deployment.keys()->VerifyCert(canonical, forged.proof[0], 2));
+
+  for (int i = 0; i < 4; ++i) {
+    net::Message msg;
+    msg.src = {kCalifornia, 3};
+    msg.dst = {kOregon, i};
+    msg.type = kTransmission;
+    msg.set_body(forged.Encode());
+    deployment.network()->Send(msg);
+  }
+  simulator.RunFor(Seconds(5));
+  Bytes payload;
+  EXPECT_FALSE(
+      deployment.participant(kOregon)->TryReceive(kCalifornia, &payload));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(deployment.node(kOregon, i)->log_size(), 0u);
+  }
+}
+
+// --- Pinned cert counts ---------------------------------------------------
+//
+// The fig-6 send workload with real crypto (California -> Virginia, 1 KB
+// payloads, seed 1): every decision builds one cert at its source and is
+// verified cold exactly once deployment-wide; every further hop is a cache
+// hit. A regression to re-verifying certs at every hop changes these
+// counts.
+
+struct CertCounts {
+  int64_t built = 0;
+  int64_t verified = 0;
+  int64_t sig_verifies = 0;
+};
+
+CertCounts RunFig6Scenario(int fg, int messages) {
+  qc_stats().Reset();
+  sim::Simulator simulator(1);
+  BlockplaneOptions options;
+  options.fi = 1;
+  options.fg = fg;
+  net::NetworkOptions net_options;
+  net_options.intra_site_one_way = sim::Microseconds(100);
+  net_options.per_message_cpu = sim::Microseconds(25);
+  Deployment deployment(&simulator, Topology::Aws4(), options, net_options);
+
+  Bytes payload(1000);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  for (int i = 0; i < messages; ++i) {
+    deployment.participant(kCalifornia)
+        ->Send(kVirginia, Bytes(payload), 0, nullptr);
+  }
+  BlockplaneNode* daemon_host = deployment.node(kCalifornia, 0);
+  uint64_t target = static_cast<uint64_t>(messages);
+  EXPECT_TRUE(simulator.RunUntilCondition(
+      [&] { return daemon_host->daemon_acked(kVirginia) >= target; },
+      Seconds(120)));
+  simulator.RunFor(Seconds(2));  // trailing acks, polls, retransmissions
+
+  CertCounts counts{qc_stats().certs_built, qc_stats().certs_verified,
+                    qc_stats().proof_sig_verifies};
+  qc_stats().Reset();
+  return counts;
+}
+
+TEST(QuorumCertPinTest, CommunicationScenarioVerifiesEachCertOnce) {
+  // 30 sends, fg = 0: one transmission cert per send, verified once at
+  // the receiving unit (f_i+1 = 2 MAC recomputations).
+  CertCounts counts = RunFig6Scenario(/*fg=*/0, /*messages=*/30);
+  EXPECT_EQ(counts.built, 30);
+  EXPECT_EQ(counts.verified, 30);
+  EXPECT_EQ(counts.sig_verifies, 60);
+}
+
+TEST(QuorumCertPinTest, GeoScenarioVerifiesEachCertOnce) {
+  // 20 sends, fg = 1: per send, the source unit's geo-source cert
+  // (verified by the first mirror), one proof-bundle cert for the acking
+  // mirror site and the transmission cert (both verified by the receiving
+  // unit).
+  CertCounts counts = RunFig6Scenario(/*fg=*/1, /*messages=*/20);
+  EXPECT_EQ(counts.built, 60);
+  EXPECT_EQ(counts.verified, 60);
+  EXPECT_EQ(counts.sig_verifies, 120);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Structured round-trip property tests: randomly generated Local Log
-// records and transmission records (with proofs) must encode/decode to
-// exactly equal values, and content digests must be stable under
-// re-encoding and sensitive to every identity field.
+// records and transmission records (with quorum-cert proofs) must
+// encode/decode to exactly equal values, and content digests must be
+// stable under re-encoding and sensitive to every identity field.
 #include <gtest/gtest.h>
 
 #include "core/blockplane.h"
@@ -18,12 +18,19 @@ Bytes RandomPayload(Rng& rng, size_t max_len) {
   return out;
 }
 
-crypto::Signature RandomSig(Rng& rng) {
-  crypto::Signature sig;
-  sig.signer = {static_cast<int32_t>(rng.NextBelow(4)),
-                static_cast<int32_t>(rng.NextBelow(2000))};
-  for (auto& b : sig.mac) b = static_cast<uint8_t>(rng.NextU64());
-  return sig;
+crypto::QuorumCert RandomCert(Rng& rng) {
+  crypto::QuorumCert cert;
+  cert.site = static_cast<net::SiteId>(rng.NextBelow(4));
+  cert.index_base = static_cast<int32_t>(rng.NextBelow(2000));
+  cert.signer_bits = rng.NextU64();
+  for (auto& b : cert.agg) b = static_cast<uint8_t>(rng.NextU64());
+  return cert;
+}
+
+std::vector<crypto::QuorumCert> RandomCerts(Rng& rng) {
+  std::vector<crypto::QuorumCert> certs(rng.NextBelow(4));
+  for (auto& cert : certs) cert = RandomCert(rng);
+  return certs;
 }
 
 LogRecord RandomRecord(Rng& rng) {
@@ -36,12 +43,8 @@ LogRecord RandomRecord(Rng& rng) {
   record.src_log_pos = rng.NextBelow(1000);
   record.prev_src_log_pos = rng.NextBelow(1000);
   record.geo_pos = rng.NextBelow(1000);
-  for (uint64_t i = 0; i < rng.NextBelow(4); ++i) {
-    record.proof.push_back(RandomSig(rng));
-  }
-  for (uint64_t i = 0; i < rng.NextBelow(4); ++i) {
-    record.geo_proof.push_back(RandomSig(rng));
-  }
+  record.proof = RandomCerts(rng);
+  record.geo_proof = RandomCerts(rng);
   return record;
 }
 
@@ -79,12 +82,13 @@ TEST_P(RecordRoundTripTest, TransmissionRecordsRoundTripExactly) {
     tr.routine_id = rng.NextBelow(100);
     tr.payload = RandomPayload(rng, 200);
     tr.geo_pos = rng.NextBelow(1000);
-    for (uint64_t s = 0; s < 1 + rng.NextBelow(3); ++s) {
-      tr.sigs.push_back(RandomSig(rng));
-    }
+    tr.proof = {RandomCert(rng)};
+    tr.geo_proof = RandomCerts(rng);
     TransmissionRecord decoded;
     ASSERT_TRUE(TransmissionRecord::Decode(tr.Encode(), &decoded).ok());
     EXPECT_EQ(tr.Encode(), decoded.Encode());
+    EXPECT_EQ(decoded.proof, tr.proof);
+    EXPECT_EQ(decoded.geo_proof, tr.geo_proof);
     // The transmission's digest equals its received-record form's digest —
     // the invariant source attestations and receive verification share.
     EXPECT_EQ(tr.ContentDigest(),
@@ -119,7 +123,8 @@ TEST_P(RecordRoundTripTest, DigestSensitiveToEveryIdentityField) {
 
   // ...but NOT to the proofs, which vary by which nodes happened to sign.
   mutated = base;
-  mutated.proof.push_back(RandomSig(rng));
+  mutated.proof.push_back(RandomCert(rng));
+  mutated.geo_proof.push_back(RandomCert(rng));
   EXPECT_EQ(mutated.ContentDigest(), original);
 }
 
