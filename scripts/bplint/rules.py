@@ -564,9 +564,9 @@ def rule_bp006(project: Project) -> Iterable[Diagnostic]:
                     f"(stale catalog or missing instrumentation)")
 
     # (c) congestion-gauge hygiene against the kCongestionGaugeKeys
-    # catalog: a key outside the catalog is invisible to the adaptive-
-    # window dashboards/benches keyed on it, and a catalog entry nothing
-    # emits means a documented gauge silently reads as absent.
+    # catalog: a key outside the catalog is invisible to the window
+    # dashboards/benches keyed on it, and a catalog entry nothing emits
+    # means a documented gauge silently reads as absent.
     gauge_catalog: List[str] = []
     gauge_file: FileFacts = None  # type: ignore[assignment]
     gauge_line = 0

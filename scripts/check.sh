@@ -10,10 +10,9 @@
 #   3. Pipeline smoke: bench_pipeline --smoke compares window 1 vs 8 on
 #      the Table-I WAN matrix and fails unless window 8 is strictly
 #      faster (the DESIGN.md §9 pipelining regression gate), then sweeps
-#      adaptive vs static daemon windows over the remote-delivery path
-#      with and without injected loss and fails unless adaptive beats
-#      the best static window under loss while matching it lossless
-#      (the DESIGN.md §13 congestion-control gate).
+#      daemon windows over the remote-delivery path with and without 1 %
+#      injected loss and fails if any lossy row saw no dropped message
+#      (so the DESIGN.md §13 loss path is really exercised).
 #   Bench passes write their JSON under build/ only. The repo-root
 #   BENCH_*.json files are the record of full runs, and a smoke gate never
 #   overwrites them (check_bench below only checks the build/ output).
@@ -119,7 +118,7 @@ if command -v python3 >/dev/null 2>&1; then
 fi
 echo "metrics snapshot OK (build/METRICS_dump.json)"
 
-echo "=== pass 3: pipeline smoke (window 1 vs 8, adaptive vs static) ==="
+echo "=== pass 3: pipeline smoke (window 1 vs 8, daemon windows under loss) ==="
 build/bench/bench_pipeline --smoke --out=build/BENCH_pipeline.json
 check_bench BENCH_pipeline.json
 echo "pipeline smoke OK (build/BENCH_pipeline.json)"

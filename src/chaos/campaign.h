@@ -88,10 +88,6 @@ struct CampaignConfig {
   int fg = 0;
   uint64_t pbft_window = 1;
   uint64_t participant_window = 1;
-  /// Enables the adaptive AIMD window controllers (DESIGN.md §13) in every
-  /// daemon/participant/replica of the deployment. Off preserves the
-  /// static-window campaigns bit-for-bit.
-  bool adaptive_windows = false;
   double rtt_ms = 40.0;
 
   /// All faults are injected in [start, horizon] and healed by horizon.

@@ -84,7 +84,6 @@ class Engine {
     options.fg = cfg.fg;
     options.pbft_window = cfg.pbft_window;
     options.participant_window = cfg.participant_window;
-    options.congestion.adaptive = cfg.adaptive_windows;
     // Byzantine detection depends on real signatures; corruption bursts
     // depend on real digests. Chaos always runs with crypto on.
     options.sign_messages = true;
@@ -438,7 +437,7 @@ class Engine {
 
   /// Snapshots the per-controller "congestion.<label>" gauge groups while
   /// the deployment is still alive (controllers unregister on teardown)
-  /// plus the process-wide aggregates. All zeros when adaptive is off.
+  /// plus the process-wide aggregates.
   void CollectCongestion() {
     const CongestionStats& cs = congestion_stats();
     report_.congestion_loss_events = cs.loss_events;

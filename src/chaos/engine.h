@@ -54,11 +54,10 @@ struct ChaosReport {
   sim::SimTime finished_at = 0;
   uint64_t events_processed = 0;
 
-  /// Congestion-controller aggregates over the whole deployment, collected
-  /// before teardown (all zero when config.adaptive_windows is off):
-  /// summed loss events / multiplicative decreases, and the min/max of the
-  /// per-controller gauges at campaign end plus the smallest window any
-  /// controller ever reached.
+  /// Window-controller aggregates over the whole deployment, collected
+  /// before teardown: summed loss events / multiplicative decreases, and
+  /// the min/max of the per-controller gauges at campaign end plus the
+  /// smallest window any controller ever reached.
   int64_t congestion_loss_events = 0;
   int64_t congestion_decreases = 0;
   int64_t window_min_seen = 0;

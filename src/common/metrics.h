@@ -155,17 +155,17 @@ struct PipelineStats {
 /// The process-wide pipeline counter block.
 PipelineStats& pipeline_stats();
 
-/// Process-wide aggregate counters for the adaptive per-destination window
+/// Process-wide aggregate counters for the per-destination window
 /// controllers (DESIGN.md §13). Each live controller additionally registers
 /// its own "congestion.<label>" gauge group with the registry; this block
 /// sums the events across all controllers (and outlives them, so tests can
 /// assert on totals after a deployment is torn down). Observability-only.
 struct CongestionStats {
-  /// WindowController instances constructed (adaptive mode only).
+  /// WindowController instances constructed.
   int64_t controllers_created = 0;
   /// Clean RTT samples accepted by controllers (Karn-filtered).
   int64_t rtt_samples = 0;
-  /// Additive window increases (slow-start and congestion-avoidance).
+  /// Additive window increases (regrowth toward the knob).
   int64_t increases = 0;
   /// Multiplicative decreases actually applied (spike threshold crossed or
   /// view-change churn, rate-limited to one per RTO).

@@ -1,5 +1,5 @@
 // Smoothed round-trip-time estimation shared by the reliable transport and
-// the adaptive congestion controllers (DESIGN.md §13).
+// the pipeline window controllers (DESIGN.md §13).
 //
 // This is the RFC 6298 estimator in pure integer arithmetic: srtt and
 // rttvar use the standard 1/8 and 1/4 gains, computed with int64 division

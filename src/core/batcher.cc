@@ -11,12 +11,8 @@ Batcher::Batcher(Participant* participant, sim::Simulator* simulator,
     : participant_(participant),
       sim_(simulator),
       options_(options),
-      routine_id_(routine_id) {
-  size_t configured = options_.max_in_flight != 0
-                          ? options_.max_in_flight
-                          : participant_->options().batcher_in_flight;
-  max_in_flight_ = std::max<size_t>(1, configured);
-}
+      routine_id_(routine_id),
+      max_in_flight_(std::max<size_t>(1, options_.max_in_flight)) {}
 
 Batcher::~Batcher() { sim_->Cancel(delay_timer_); }
 

@@ -11,9 +11,9 @@
 // Log record. Operations keep their submission order within and across
 // batches (a conservative superset of dependency order), and by default at
 // most one batch is in flight at a time (the paper's group-commit rule).
-// Options::max_in_flight (or BlockplaneOptions::batcher_in_flight) lifts
-// that to k concurrent batches (DESIGN.md §9); the Participant still
-// completes batches in submission order, so callbacks keep their order.
+// Options::max_in_flight lifts that to k concurrent batches (DESIGN.md
+// §9); the Participant still completes batches in submission order, so
+// callbacks keep their order.
 // Completion callbacks carry the batch's log position and the operation's
 // index within the batch.
 #ifndef BLOCKPLANE_CORE_BATCHER_H_
@@ -37,10 +37,9 @@ class Batcher {
     /// Flush this long after the first pending operation arrived, even if
     /// the size thresholds are not met.
     sim::SimTime max_delay = sim::Milliseconds(5);
-    /// Concurrently in-flight batches. 1 is the paper's group-commit rule;
-    /// 0 inherits BlockplaneOptions::batcher_in_flight from the
-    /// participant (DESIGN.md §9).
-    size_t max_in_flight = 0;
+    /// Concurrently in-flight batches (at least 1). 1 is the paper's
+    /// group-commit rule (DESIGN.md §9).
+    size_t max_in_flight = 1;
   };
 
   /// Called when an operation's batch is durably committed.

@@ -5,27 +5,37 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "core/congestion.h"
 #include "core/node.h"
 #include "core/wire.h"
 
 namespace blockplane::core {
 
+namespace {
+
+/// Ceiling of a shipped flight's measured retransmission timeout.
+constexpr sim::SimTime kTransmissionRetryCap = sim::Milliseconds(500);
+/// How often a reserve polls the destination for reception progress.
+constexpr sim::SimTime kReservePollInterval = sim::Milliseconds(800);
+/// Send/receive watermark gap (in records) that makes a reserve suspect
+/// the active daemon; the gap must persist across two consecutive polls
+/// before the reserve takes over.
+constexpr uint64_t kReserveGapThreshold = 1;
+
+}  // namespace
+
 CommDaemon::CommDaemon(BlockplaneNode* host, net::SiteId dest, bool reserve)
-    : host_(host), dest_(dest), active_(!reserve) {
-  if (host_->options_.congestion.adaptive) {
-    // Per-destination flight window (DESIGN.md §13). The RTT prior is the
-    // topology round trip plus an intra-site allowance for the remote
-    // commit the ack waits on; measured samples take over immediately.
-    sim::SimTime prior =
-        host_->network()->topology().Rtt(host_->self().site, dest_) +
-        4 * host_->network()->options().intra_site_one_way;
-    window_ctl_ = std::make_unique<WindowController>(
-        host_->options_.daemon_window, prior,
-        "daemon_s" + std::to_string(host_->self().site) + "n" +
-            std::to_string(host_->self().index) + "_to_s" +
-            std::to_string(dest_));
-  }
+    : host_(host),
+      dest_(dest),
+      active_(!reserve),
+      // The RTT prior is the topology round trip plus an intra-site
+      // allowance for the remote commit the ack waits on; measured samples
+      // take over immediately.
+      window_ctl_(host->options_.daemon_window,
+                  host->network()->topology().Rtt(host->self().site, dest) +
+                      4 * host->network()->options().intra_site_one_way,
+                  "daemon_s" + std::to_string(host->self().site) + "n" +
+                      std::to_string(host->self().index) + "_to_s" +
+                      std::to_string(dest)) {
   if (reserve) PollReceiver();
 }
 
@@ -60,10 +70,7 @@ void CommDaemon::PumpPipeline() {
   if (comm_it == host_->comm_positions_.end()) return;
   const std::vector<uint64_t>& positions = comm_it->second;
 
-  // Flight admission: the adaptive controller's current window when one
-  // is installed, the static knob otherwise.
-  size_t window = window_ctl_ ? static_cast<size_t>(window_ctl_->window())
-                              : host_->options_.daemon_window;
+  size_t window = static_cast<size_t>(window_ctl_.window());
 
   // Phase 1: build the new flights and their attestation canonicals
   // (digest + canonical encode — the CPU-heavy part of the scan).
@@ -123,11 +130,7 @@ void CommDaemon::PumpPipeline() {
     if (static_cast<int>(flight.sigs.size()) >= host_->options_.fi + 1) {
       flight.sigs_complete = true;
       FinalizeProof(&flight);
-      if (window_ctl_) {
-        TransmitReady();  // in-order shipping (see TransmitReady)
-      } else {
-        Transmit(flight, /*widen=*/false);
-      }
+      TransmitReady();
     } else {
       RequestAttestations(new_positions[i]);
     }
@@ -180,29 +183,24 @@ void CommDaemon::ApplyAttestation(uint64_t pos, const crypto::Signature& sig) {
   if (static_cast<int>(flight.sigs.size()) < host_->options_.fi + 1) return;
   flight.sigs_complete = true;
   FinalizeProof(&flight);
-  if (window_ctl_) {
-    // In-order shipping: this flight may have been blocking later
-    // sigs-complete flights, and it may itself be blocked behind an
-    // earlier one still collecting signatures.
-    TransmitReady();
-    // The pending timer was armed with the attest-retry period while
-    // signatures were outstanding; re-arm so the first wire retransmit
-    // uses the measured, per-destination timeout.
-    host_->network()->simulator()->Cancel(flight.retransmit_timer);
-    flight.retransmit_timer = sim::kInvalidEventId;
-    ArmRetransmit(pos);
-    return;
-  }
-  Transmit(flight, /*widen=*/false);
+  // In-order shipping: this flight may have been blocking later
+  // sigs-complete flights, and it may itself be blocked behind an earlier
+  // one still collecting signatures.
+  TransmitReady();
+  // The pending timer was armed with the attest-retry period while
+  // signatures were outstanding; re-arm so the first wire retransmit uses
+  // the measured, per-destination timeout.
+  host_->network()->simulator()->Cancel(flight.retransmit_timer);
+  flight.retransmit_timer = sim::kInvalidEventId;
+  ArmRetransmit(pos);
 }
 
 void CommDaemon::TransmitReady() {
-  // First transmissions go on the wire strictly in log order (adaptive
-  // mode): the receiver rejects any record that does not extend its chain
-  // watermark, so shipping a later record while an earlier one is still
-  // collecting signatures produces guaranteed rejections and an RTO-sized
-  // recovery stall once the stragglers finally arrive. (The static path
-  // keeps the seed's ship-on-completion behavior bit-identically.)
+  // First transmissions go on the wire strictly in log order: the receiver
+  // rejects any record that does not extend its chain watermark, so
+  // shipping a later record while an earlier one is still collecting
+  // signatures produces guaranteed rejections and an RTO-sized recovery
+  // stall once the stragglers finally arrive.
   for (auto& [pos, flight] : flights_) {
     if (!flight.sigs_complete) break;
     if (flight.first_transmit == 0) Transmit(flight, /*widen=*/false);
@@ -241,21 +239,16 @@ void CommDaemon::ArmRetransmit(uint64_t pos) {
   sim::Simulator* simulator = host_->network()->simulator();
   auto it = flights_.find(pos);
   if (it == flights_.end()) return;
-  // Signature collection is intra-site; only the wire retransmit (sigs
-  // complete, record in flight to dest_) uses the measured RTO.
-  sim::SimTime period = host_->options_.transmission_retry;
-  if (window_ctl_) {
-    if (it->second.sigs_complete) {
-      period = window_ctl_->RetryTimeout(kMinRto,
-                                         host_->options_.transmission_retry);
-    } else {
-      // Attestation round trips are a couple of intra-site hops; retrying
-      // a lost attest response on the WAN-scale static period would park
-      // the flight (and everything chained behind it) for half a second.
-      period = std::max(kMinRto,
-                        8 * host_->network()->options().intra_site_one_way);
-    }
-  }
+  // Signature collection is intra-site: attestation round trips are a
+  // couple of intra-site hops, so retrying a lost attest response on a
+  // WAN-scale period would park the flight (and everything chained behind
+  // it). Only the wire retransmit (sigs complete, record in flight to
+  // dest_) uses the measured RTO.
+  sim::SimTime period =
+      it->second.sigs_complete
+          ? window_ctl_.RetryTimeout(common::kMinRto, kTransmissionRetryCap)
+          : std::max(common::kMinRto,
+                     8 * host_->network()->options().intra_site_one_way);
   it->second.retransmit_timer =
       simulator->Schedule(period, [this, pos, period]() {
         auto flight_it = flights_.find(pos);
@@ -274,7 +267,7 @@ void CommDaemon::OnRetransmitTimer(uint64_t pos, sim::SimTime period) {
     ArmRetransmit(pos);
     return;
   }
-  if (window_ctl_ && flight.first_transmit == 0) {
+  if (flight.first_transmit == 0) {
     // Never been on the wire: blocked behind an earlier flight still
     // collecting signatures (in-order shipping). TransmitReady ships it
     // the moment the chain ahead completes; keep the timer as a backstop.
@@ -282,54 +275,49 @@ void CommDaemon::OnRetransmitTimer(uint64_t pos, sim::SimTime period) {
     ArmRetransmit(pos);
     return;
   }
-  if (window_ctl_ && flight.first_transmit != 0) {
-    sim::Simulator* simulator = host_->network()->simulator();
-    sim::SimTime now = simulator->Now();
-    // Progress-deferred timeout: the receiver commits in order, so flowing
-    // acks prove the path (and the stream ahead of this flight) is alive.
-    // A timeout only counts once nothing progressed for a full RTO since
-    // the last transmission — otherwise the destination-side commit queue
-    // under a deep window would make every flight's timer fire spuriously,
-    // and Karn's rule would then starve the estimator of samples for good.
-    sim::SimTime deadline =
-        std::max(flight.last_transmit, last_progress_) + period;
-    if (now < deadline) {
-      flight.retransmit_timer =
-          simulator->Schedule(deadline - now, [this, pos, period]() {
-            auto again = flights_.find(pos);
-            if (again == flights_.end()) return;
-            again->second.retransmit_timer = sim::kInvalidEventId;
-            OnRetransmitTimer(pos, period);
-          });
-      return;
-    }
-    // The receiver validates the chain pointer strictly (no out-of-order
-    // buffering), so a dropped head means every trailing flight that
-    // arrived meanwhile was rejected too: all of them must retransmit.
-    // Only the head's timeout is a *loss signal*, though — the trailing
-    // timeouts are a symptom of the same head-of-line event.
-    flight.retransmitted = true;  // Karn: no RTT sample from this flight
-    if (flights_.begin()->first == pos) {
-      uint64_t before = window_ctl_->window();
-      window_ctl_->OnLoss(now);
-      if (window_ctl_->window() < before) {
-        // A decrease is the congestion-control event worth seeing on a
-        // timeline: anchor it to the head flight's trace.
-        Tracer& tr = tracer();
-        if (tr.enabled()) {
-          TraceId trace = tr.LookupCommRecord(host_->origin_site(),
-                                              flight.record.src_log_pos);
-          if (trace != kNoTrace) {
-            tr.Instant(trace, "congestion_decrease", "geo", now,
-                       host_->self().site, host_->self().index,
-                       window_ctl_->window());
-          }
+  sim::Simulator* simulator = host_->network()->simulator();
+  sim::SimTime now = simulator->Now();
+  // Progress-deferred timeout: the receiver commits in order, so flowing
+  // acks prove the path (and the stream ahead of this flight) is alive. A
+  // timeout only counts once nothing progressed for a full RTO since the
+  // last transmission — otherwise the destination-side commit queue under
+  // a deep window would make every flight's timer fire spuriously, and
+  // Karn's rule would then starve the estimator of samples for good.
+  sim::SimTime deadline =
+      std::max(flight.last_transmit, last_progress_) + period;
+  if (now < deadline) {
+    flight.retransmit_timer =
+        simulator->Schedule(deadline - now, [this, pos, period]() {
+          auto again = flights_.find(pos);
+          if (again == flights_.end()) return;
+          again->second.retransmit_timer = sim::kInvalidEventId;
+          OnRetransmitTimer(pos, period);
+        });
+    return;
+  }
+  // The receiver validates the chain pointer strictly (no out-of-order
+  // buffering), so a dropped head means every trailing flight that arrived
+  // meanwhile was rejected too: all of them must retransmit. Only the
+  // head's timeout is a *loss signal*, though — the trailing timeouts are
+  // a symptom of the same head-of-line event.
+  flight.retransmitted = true;  // Karn: no RTT sample from this flight
+  if (flights_.begin()->first == pos) {
+    uint64_t before = window_ctl_.window();
+    window_ctl_.OnLoss(now);
+    if (window_ctl_.window() < before) {
+      // A decrease is the congestion-control event worth seeing on a
+      // timeline: anchor it to the head flight's trace.
+      Tracer& tr = tracer();
+      if (tr.enabled()) {
+        TraceId trace = tr.LookupCommRecord(host_->origin_site(),
+                                            flight.record.src_log_pos);
+        if (trace != kNoTrace) {
+          tr.Instant(trace, "congestion_decrease", "geo", now,
+                     host_->self().site, host_->self().index,
+                     window_ctl_.window());
         }
       }
     }
-    Transmit(flight, /*widen=*/true);
-    ArmRetransmit(pos);
-    return;
   }
   Transmit(flight, /*widen=*/true);
   ArmRetransmit(pos);
@@ -340,57 +328,40 @@ void CommDaemon::OnTransmissionAck(const net::Message& msg) {
   if (!TransmissionAckMsg::Decode(msg.body(), &ack).ok()) return;
   if (msg.src.site != dest_) return;
   // Any ack from the destination is progress for the in-order stream; the
-  // adaptive retransmit timers defer to it (see last_progress_).
+  // retransmit timers defer to it (see last_progress_).
   last_progress_ = host_->network()->simulator()->Now();
-  if (window_ctl_) {
-    // Cumulative ack interpretation (adaptive mode only — the static path
-    // must stay bit-identical): the receiver commits the chain strictly
-    // in order, so a node acknowledging position p has committed every
-    // earlier position too. Crediting the ack to all flights <= p
-    // unsticks a head flight whose own ack frame was dropped — the
-    // stream is fine, only the ack was lost, yet exact-match acking
-    // would pin the watermark and progress-defer its timer forever.
-    bool completed = false;
-    for (auto it = flights_.begin();
-         it != flights_.end() && it->first <= ack.src_log_pos;) {
-      Flight& flight = it->second;
-      flight.ack_senders.insert(msg.src);
-      if (static_cast<int>(flight.ack_senders.size()) <
-          host_->options_.fi + 1) {
-        ++it;
-        continue;
-      }
-      // f_i+1 destination nodes confirmed the commit: one is honest.
-      // Only the exactly-acked flight yields an RTT sample — a flight
-      // completed by cumulative credit lost its own ack, so its round
-      // trip measurement includes the dead time (Karn's rule in spirit).
-      if (it->first == ack.src_log_pos && flight.first_transmit != 0 &&
-          !flight.retransmitted) {
-        window_ctl_->OnAck(last_progress_ - flight.first_transmit);
-      } else {
-        window_ctl_->OnAckNoSample();
-      }
-      host_->network()->simulator()->Cancel(flight.retransmit_timer);
-      acked_out_of_order_.insert(it->first);
-      it = flights_.erase(it);
-      completed = true;
+  // Cumulative ack: the receiver commits the chain strictly in order, so
+  // a node acknowledging position p has committed every earlier position
+  // too. Crediting the ack to all flights <= p unsticks a head flight
+  // whose own ack frame was dropped — the stream is fine, only the ack was
+  // lost, yet exact-match acking would pin the watermark and
+  // progress-defer its timer forever.
+  bool completed = false;
+  for (auto it = flights_.begin();
+       it != flights_.end() && it->first <= ack.src_log_pos;) {
+    Flight& flight = it->second;
+    flight.ack_senders.insert(msg.src);
+    if (static_cast<int>(flight.ack_senders.size()) <
+        host_->options_.fi + 1) {
+      ++it;
+      continue;
     }
-    if (!completed) return;
-    AdvanceAckedWatermark();
-    PumpPipeline();
-    return;
+    // f_i+1 destination nodes confirmed the commit: one is honest. Only
+    // the exactly-acked flight yields an RTT sample — a flight completed
+    // by cumulative credit lost its own ack, so its round trip includes
+    // the dead time (Karn's rule in spirit).
+    if (it->first == ack.src_log_pos && flight.first_transmit != 0 &&
+        !flight.retransmitted) {
+      window_ctl_.OnAck(last_progress_ - flight.first_transmit);
+    } else {
+      window_ctl_.OnAckNoSample();
+    }
+    host_->network()->simulator()->Cancel(flight.retransmit_timer);
+    acked_out_of_order_.insert(it->first);
+    it = flights_.erase(it);
+    completed = true;
   }
-  auto it = flights_.find(ack.src_log_pos);
-  if (it == flights_.end()) return;
-  Flight& flight = it->second;
-  flight.ack_senders.insert(msg.src);
-  if (static_cast<int>(flight.ack_senders.size()) < host_->options_.fi + 1) {
-    return;
-  }
-  // f_i+1 destination nodes confirmed the commit: at least one is honest.
-  host_->network()->simulator()->Cancel(flight.retransmit_timer);
-  flights_.erase(it);
-  acked_out_of_order_.insert(ack.src_log_pos);
+  if (!completed) return;
   AdvanceAckedWatermark();
   PumpPipeline();
 }
@@ -416,7 +387,7 @@ void CommDaemon::AdvanceAckedWatermark() {
 void CommDaemon::PollReceiver() {
   sim::Simulator* simulator = host_->network()->simulator();
   poll_timer_ = simulator->Schedule(
-      host_->options_.reserve_poll_interval, [this]() {
+      kReservePollInterval, [this]() {
         poll_timer_ = sim::kInvalidEventId;
         if (active_) return;  // promoted; no more polling
         status_replies_.clear();
@@ -458,7 +429,7 @@ void CommDaemon::OnRecvStatusReply(const net::Message& msg) {
   }
   // A substantial gap that persists across polls means the active daemon
   // is failing to deliver (maliciously or otherwise): take over.
-  if (expected >= attested + host_->options_.reserve_gap_threshold &&
+  if (expected >= attested + kReserveGapThreshold &&
       attested <= last_attested_) {
     if (++stalled_polls_ >= 2) {
       BP_LOG(kInfo) << host_->self().ToString()

@@ -9,7 +9,10 @@
 //
 // Transmissions are pipelined up to a window: the receiver's chain-pointer
 // verification guarantees in-order commitment regardless, so the daemon
-// never needs to stall on an ack before shipping the next record.
+// never needs to stall on an ack before shipping the next record. The
+// window is a per-destination controller capped at `daemon_window`
+// (DESIGN.md §13); first transmissions ship in log order, acks credit
+// cumulatively, and retransmit timers follow the measured RTT.
 //
 // A *reserve* daemon stays passive: it periodically asks >= f_i+1 nodes at
 // the destination for the most recent transmission they received from this
@@ -20,17 +23,16 @@
 #define BLOCKPLANE_CORE_COMM_DAEMON_H_
 
 #include <map>
-#include <memory>
 #include <set>
 #include <vector>
 
+#include "common/congestion.h"
 #include "core/record.h"
 #include "net/network.h"
 
 namespace blockplane::core {
 
 class BlockplaneNode;
-class WindowController;
 struct AttestResponseMsg;
 
 class CommDaemon {
@@ -74,7 +76,7 @@ class CommDaemon {
     sim::EventId retransmit_timer = sim::kInvalidEventId;
     /// Time of the first actual wire transmission (0 = not yet sent).
     sim::SimTime first_transmit = 0;
-    /// Time of the most recent wire transmission (adaptive timer deadline
+    /// Time of the most recent wire transmission (retransmit deadline
     /// base).
     sim::SimTime last_transmit = 0;
     /// The flight was actually retransmitted on the wire: Karn's rule
@@ -94,14 +96,12 @@ class CommDaemon {
   void OnRecvStatusReply(const net::Message& msg);
   void Transmit(Flight& flight, bool widen);
   /// Ships every sigs-complete flight that has never been transmitted, in
-  /// log order, stopping at the first flight still collecting signatures
-  /// (adaptive mode only — static mode ships each flight on completion).
+  /// log order, stopping at the first flight still collecting signatures.
   void TransmitReady();
   void RequestAttestations(uint64_t pos);
   void ArmRetransmit(uint64_t pos);
-  /// Retransmit-timer fire: static mode retransmits unconditionally (seed
-  /// behavior); adaptive mode defers while acks are flowing and lets only
-  /// the head-of-line flight retransmit and report loss (DESIGN.md §13).
+  /// Retransmit-timer fire: defers while acks are flowing, and lets only
+  /// the head-of-line flight report loss (DESIGN.md §13).
   void OnRetransmitTimer(uint64_t pos, sim::SimTime period);
   void AdvanceAckedWatermark();
   void PollReceiver();
@@ -116,16 +116,14 @@ class CommDaemon {
   std::map<uint64_t, Flight> flights_;   // by source-log pos
   std::set<uint64_t> acked_out_of_order_;
 
-  /// Adaptive flight window + retransmit timing toward dest_ (DESIGN.md
-  /// §13); non-null only when options.congestion.adaptive. Null keeps the
-  /// static daemon_window and transmission_retry behavior bit-identical.
-  std::unique_ptr<WindowController> window_ctl_;
+  /// Flight window + retransmit timing toward dest_ (DESIGN.md §13).
+  common::WindowController window_ctl_;
   /// Open window-stall episode flag: pipeline.daemon_window_stalls counts
   /// episodes (any admission closes one), not pump invocations.
   bool window_stalled_ = false;
-  /// Last time any transmission ack arrived from dest_ (adaptive mode).
-  /// The receiver commits in order, so flowing acks prove the path and
-  /// stream are alive; the adaptive retransmit timer defers to
+  /// Last time any transmission ack arrived from dest_. The receiver
+  /// commits in order, so flowing acks prove the path and stream are
+  /// alive; the retransmit timer defers to
   /// max(last_transmit, last_progress_) + RTO instead of firing blindly —
   /// destination-side queueing under a deep window would otherwise make
   /// every flight's timer fire spuriously and Karn-freeze the estimator.

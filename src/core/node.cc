@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/trace.h"
 #include "core/comm_daemon.h"
-#include "core/congestion.h"
 #include "core/wire.h"
 
 namespace blockplane::core {
@@ -51,33 +50,8 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
       origin_site_(origin_site) {
   group.hash_payloads = options_.hash_payloads;
   group.sign_messages = options_.sign_messages;
-  group.view_timeout = options_.local_view_timeout;
-  group.client_retry = options_.local_client_retry;
   group.checkpoint_interval = options_.checkpoint_interval;
   group.window = options_.pbft_window;
-  if (options_.congestion.adaptive) {
-    // Adaptive proposal window (DESIGN.md §13): the replica consults the
-    // controller at admission time and feeds it propose-to-execute
-    // latencies; view changes back it off. The controller's "RTT" is an
-    // intra-site consensus round, so the prior is a few one-way hops.
-    pbft_window_ctl_ = std::make_unique<WindowController>(
-        options_.pbft_window, 4 * network_->options().intra_site_one_way,
-        "pbft_s" + std::to_string(self_.site) + "n" +
-            std::to_string(self_.index));
-    group.window_provider = [this] { return pbft_window_ctl_->window(); };
-    group.on_commit_latency = [this](sim::SimTime latency) {
-      // latency == 0: backup-executed instance — grow without an RTT
-      // sample (see PbftReplica::ExecuteReady).
-      if (latency > 0) {
-        pbft_window_ctl_->OnAck(latency);
-      } else {
-        pbft_window_ctl_->OnAckNoSample();
-      }
-    };
-    group.on_view_change = [this] {
-      pbft_window_ctl_->OnViewChange(sim_->Now());
-    };
-  }
   replica_ = std::make_unique<pbft::PbftReplica>(
       network_, keys_, std::move(group), self_,
       [this](uint64_t seq, const Bytes& value, const crypto::Digest& digest) {

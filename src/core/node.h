@@ -33,7 +33,6 @@
 namespace blockplane::core {
 
 class CommDaemon;
-class WindowController;
 
 /// The network address of a site's participant (user-space) process.
 net::NodeId ParticipantNodeId(net::SiteId site);
@@ -230,10 +229,6 @@ class BlockplaneNode : public net::Host {
   net::NodeId self_;
   net::SiteId origin_site_;
 
-  /// Adaptive PBFT proposal-window controller (DESIGN.md §13); non-null
-  /// only when options_.congestion.adaptive. Declared before replica_ so
-  /// it outlives the replica whose config hooks call into it.
-  std::unique_ptr<WindowController> pbft_window_ctl_;
   std::unique_ptr<pbft::PbftReplica> replica_;
   std::map<uint64_t, LogRecord> log_;
   std::unordered_map<uint64_t, VerifyRoutine> verifiers_;

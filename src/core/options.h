@@ -2,21 +2,10 @@
 #ifndef BLOCKPLANE_CORE_OPTIONS_H_
 #define BLOCKPLANE_CORE_OPTIONS_H_
 
-#include "sim/sim_time.h"
+#include <cstddef>
+#include <cstdint>
 
 namespace blockplane::core {
-
-/// Adaptive per-destination window control (DESIGN.md §13). Off by
-/// default: no controllers are constructed and every window/retry knob in
-/// BlockplaneOptions behaves exactly as its static value, keeping the
-/// paper figures and golden traces bit-identical.
-struct CongestionOptions {
-  /// Master switch: AIMD WindowControllers replace the static
-  /// pbft/participant/daemon window knobs (which become initial values)
-  /// and retransmission timers derive from smoothed per-destination RTT.
-  /// The clamp bounds and RTO floor are constants in core/congestion.h.
-  bool adaptive = false;
-};
 
 struct BlockplaneOptions {
   /// Tolerated independent byzantine failures per unit (f_i). Each
@@ -27,48 +16,26 @@ struct BlockplaneOptions {
   /// participants and commits require proofs from fg of them.
   int fg = 0;
 
-  /// PBFT view-change timeout inside a unit (intra-datacenter).
-  sim::SimTime local_view_timeout = sim::Milliseconds(60);
-  /// Client retry for local commits.
-  sim::SimTime local_client_retry = sim::Milliseconds(120);
   /// Checkpoint interval for unit logs.
   uint64_t checkpoint_interval = 128;
 
-  /// Retransmission period for unacked transmission records.
-  sim::SimTime transmission_retry = sim::Milliseconds(500);
+  /// Pipeline window knobs (DESIGN.md §9). Each knob is the ceiling of a
+  /// per-destination window controller that starts at the knob, halves on
+  /// head-of-line loss spikes and completed view changes, and regrows back
+  /// up to it (DESIGN.md §13); a lossless run keeps the knob throughout.
+  ///
   /// Transmissions a communication daemon keeps in flight per destination.
   /// 1 disables pipelining (each record waits for the previous record's
   /// f_i+1 acks — one extra RTT per message under load).
   size_t daemon_window = 32;
-  /// How often reserve nodes poll remote units for reception progress.
-  sim::SimTime reserve_poll_interval = sim::Milliseconds(800);
-  /// Send/receive watermark gap (in records) that makes a reserve suspect
-  /// the active communication daemon; the gap must persist across two
-  /// consecutive polls before the reserve takes over.
-  uint64_t reserve_gap_threshold = 1;
-
-  /// Time a geo-replicated commit waits for mirror proofs before retrying
-  /// the replicate round.
-  sim::SimTime geo_retry = sim::Milliseconds(400);
-
-  /// Sliding-window pipelining knobs (DESIGN.md §9). The defaults (all 1)
-  /// reproduce the paper's stop-and-wait behaviour exactly; larger values
-  /// pipeline the corresponding layer while keeping application-visible
-  /// semantics (in-order execution, in-order completion callbacks).
-  ///
-  /// Concurrently outstanding PBFT proposals per unit/mirror leader.
+  /// Concurrently outstanding PBFT proposals per unit/mirror leader. 1
+  /// reproduces the paper's stop-and-wait group commit (§VI-C).
   uint64_t pbft_window = 1;
   /// Concurrently in-flight geo ops per participant (local commits, geo
   /// rounds, and mirror acks proceed concurrently keyed by geo position;
-  /// completion callbacks still fire in submission order).
+  /// completion callbacks still fire in submission order). 1 reproduces
+  /// the paper's stop-and-wait behaviour.
   uint64_t participant_window = 1;
-  /// Concurrently in-flight group-commit batches per Batcher. 1 preserves
-  /// the paper's §VI-C group-commit rule.
-  size_t batcher_in_flight = 1;
-
-  /// Adaptive per-destination congestion control over the three windows
-  /// above (DESIGN.md §13). congestion.adaptive defaults to false.
-  CongestionOptions congestion;
 
   /// Bench-mode switches mirroring the paper's prototype, which "does not
   /// implement creating and checking signatures and digests".

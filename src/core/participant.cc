@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "core/congestion.h"
 
 namespace blockplane::core {
 
@@ -13,6 +12,9 @@ namespace {
 
 constexpr int32_t kClientIndexBase = 1001;
 constexpr int32_t kMirrorClientIndexBase = 2000;
+/// Retry period of a geo round's attestation collection and of mirror-op
+/// steps, and the ceiling of a replicate fan-out's measured timeout.
+constexpr sim::SimTime kGeoRetry = sim::Milliseconds(400);
 
 /// Starts a causal trace for one API operation: allocates the id (kNoTrace
 /// when tracing is disabled — every downstream site then skips its work)
@@ -42,22 +44,17 @@ Participant::Participant(net::Network* network, crypto::KeyStore* keys,
   signer_ = keys_->RegisterNode(self_);
   unit_group_.hash_payloads = options_.hash_payloads;
   unit_group_.sign_messages = options_.sign_messages;
-  unit_group_.view_timeout = options_.local_view_timeout;
-  unit_group_.client_retry = options_.local_client_retry;
   client_ = std::make_unique<pbft::PbftClient>(
       network_, unit_group_, net::NodeId{site, kClientIndexBase});
-  if (options_.congestion.adaptive && options_.fg > 0) {
-    // One controller per mirror destination (DESIGN.md §13): the geo-ack
-    // round trip toward each mirror feeds its RTT estimate; the effective
-    // pipeline window is the minimum across them.
-    for (net::SiteId target : mirror_sites_) {
-      sim::SimTime prior = network_->topology().Rtt(site_, target) +
-                           4 * network_->options().intra_site_one_way;
-      geo_ctl_[target] = std::make_unique<WindowController>(
-          options_.participant_window, prior,
-          "geo_s" + std::to_string(site_) + "_to_s" +
-              std::to_string(target));
-    }
+  // One window controller per mirror destination (DESIGN.md §13): the
+  // geo-ack round trip toward each mirror feeds its RTT estimate; the
+  // pipeline window is the minimum across them.
+  for (net::SiteId target : mirror_sites_) {
+    sim::SimTime prior = network_->topology().Rtt(site_, target) +
+                         4 * network_->options().intra_site_one_way;
+    geo_ctl_.try_emplace(
+        target, options_.participant_window, prior,
+        "geo_s" + std::to_string(site_) + "_to_s" + std::to_string(target));
   }
   network_->Register(self_, this);
 }
@@ -172,7 +169,7 @@ void Participant::PumpOps() {
     }
     uint64_t window = std::max<uint64_t>(1, options_.participant_window);
     for (const auto& [target, ctl] : geo_ctl_) {
-      window = std::min(window, std::max<uint64_t>(1, ctl->window()));
+      window = std::min(window, ctl.window());
     }
     if (inflight_.size() >= window) {
       // Stall *episode*: opened once while admission stays blocked by the
@@ -274,7 +271,7 @@ void Participant::StartGeoRound(const ApiOp& op, uint64_t unit_pos) {
     SendTo(node, kAttestRequest, Bytes(encoded));
   }
   round.retry_timer = sim_->Schedule(
-      options_.geo_retry, [this, geo_pos]() { ReplicateRound(geo_pos); });
+      kGeoRetry, [this, geo_pos]() { ReplicateRound(geo_pos); });
 }
 
 void Participant::OnAttestResponse(const net::Message& msg) {
@@ -326,27 +323,27 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
   if (it == geo_rounds_.end()) return;
   GeoRound& round = *it->second;
   sim_->Cancel(round.retry_timer);
-  sim::SimTime period = options_.geo_retry;
-  if (!geo_ctl_.empty() &&
-      static_cast<int>(round.source_sigs.size()) >= options_.fi + 1) {
+  const bool attested =
+      static_cast<int>(round.source_sigs.size()) >= options_.fi + 1;
+  sim::SimTime period = kGeoRetry;
+  if (attested) {
     // Wire fan-out retries follow the slowest unproven mirror's measured
-    // timeout (attestation collection is intra-site and keeps the static
-    // knob). Capped at geo_retry: adaptive only ever retries sooner.
+    // timeout, capped at kGeoRetry (attestation collection is intra-site
+    // and keeps kGeoRetry).
     sim::SimTime rto = 0;
     for (net::SiteId target : round.targets) {
       if (round.ack_sigs.count(target) > 0) continue;
       auto ctl = geo_ctl_.find(target);
       if (ctl == geo_ctl_.end()) continue;
       rto = std::max(rto,
-                     ctl->second->RetryTimeout(kMinRto, options_.geo_retry));
+                     ctl->second.RetryTimeout(common::kMinRto, kGeoRetry));
     }
     if (rto > 0) period = rto;
   }
-  // Progress-deferred retry (adaptive wire phase only): while geo acks
-  // are flowing the mirrors are just working through their commit queues;
-  // re-entering the send path would mark the round retried for nothing.
-  if (!geo_ctl_.empty() && round.replicate_sent != 0 &&
-      static_cast<int>(round.source_sigs.size()) >= options_.fi + 1) {
+  // Progress-deferred retry (wire phase only): while geo acks are flowing
+  // the mirrors are just working through their commit queues; re-entering
+  // the send path would mark the round retried for nothing.
+  if (attested && round.replicate_sent != 0) {
     sim::SimTime deadline =
         std::max(round.last_sent, last_geo_progress_) + period;
     if (sim_->Now() < deadline) {
@@ -359,7 +356,7 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
   round.retry_timer = sim_->Schedule(
       period, [this, geo_pos]() { ReplicateRound(geo_pos); });
 
-  if (static_cast<int>(round.source_sigs.size()) < options_.fi + 1) {
+  if (!attested) {
     // Still collecting attestations: re-ask (covers lost responses).
     AttestRequestMsg request;
     request.purpose = AttestPurpose::kGeoSource;
@@ -391,7 +388,7 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
       for (net::SiteId target : round.targets) {
         if (round.ack_sigs.count(target) > 0) continue;
         auto ctl = geo_ctl_.find(target);
-        if (ctl != geo_ctl_.end()) ctl->second->OnLoss(sim_->Now());
+        if (ctl != geo_ctl_.end()) ctl->second.OnLoss(sim_->Now());
       }
     }
   }
@@ -440,9 +437,9 @@ void Participant::OnGeoAck(const net::Message& msg) {
   auto ctl = geo_ctl_.find(target);
   if (ctl != geo_ctl_.end()) {
     if (round.replicate_sent != 0 && !round.retried) {
-      ctl->second->OnAck(sim_->Now() - round.replicate_sent);
+      ctl->second.OnAck(sim_->Now() - round.replicate_sent);
     } else {
-      ctl->second->OnAckNoSample();
+      ctl->second.OnAckNoSample();
     }
   }
   int proven = static_cast<int>(round.ack_sigs.size());
@@ -547,7 +544,7 @@ void Participant::StartMirrorOp() {
   // Dead peers never answer; proceed with whoever responded.
   sim_->Cancel(mirror_op_timer_);
   mirror_op_timer_ =
-      sim_->Schedule(options_.geo_retry, [this]() { ProceedMirrorOp(); });
+      sim_->Schedule(kGeoRetry, [this]() { ProceedMirrorOp(); });
 }
 
 namespace {
@@ -595,7 +592,7 @@ void Participant::ProceedMirrorOp() {
     // Local replies are mandatory; re-poll shortly.
     sim_->Cancel(mirror_op_timer_);
     mirror_op_timer_ =
-        sim_->Schedule(options_.geo_retry, [this]() { StartMirrorOp(); });
+        sim_->Schedule(kGeoRetry, [this]() { StartMirrorOp(); });
     return;
   }
   mirror_op_proceeded_ = true;
@@ -631,7 +628,7 @@ void Participant::ProceedMirrorOp() {
     }
     sim_->Cancel(mirror_op_timer_);
     mirror_op_timer_ =
-        sim_->Schedule(options_.geo_retry, [this]() { StartMirrorOp(); });
+        sim_->Schedule(kGeoRetry, [this]() { StartMirrorOp(); });
     return;
   }
 
@@ -712,7 +709,7 @@ void Participant::CommitMirrorRecord(net::SiteId origin, uint64_t geo_pos) {
                  Bytes(encoded));
         }
         round.retry_timer = sim_->Schedule(
-            options_.geo_retry, [this, geo_pos]() { ReplicateRound(geo_pos); });
+            kGeoRetry, [this, geo_pos]() { ReplicateRound(geo_pos); });
         geo_rounds_[geo_pos] = std::move(owned);
       },
       trace);
@@ -728,8 +725,6 @@ pbft::PbftClient* Participant::MirrorClient(net::SiteId origin) {
   }
   group.hash_payloads = options_.hash_payloads;
   group.sign_messages = options_.sign_messages;
-  group.view_timeout = options_.local_view_timeout;
-  group.client_retry = options_.local_client_retry;
   auto client = std::make_unique<pbft::PbftClient>(
       network_, group,
       net::NodeId{site_, kMirrorClientIndexBase + origin});
@@ -829,7 +824,7 @@ void Participant::Read(uint64_t pos, ReadStrategy strategy, ReadCallback done) {
     // whole unit after a grace period (the first response still wins).
     SendTo(unit_group_.nodes[0], kReadRequest, Bytes(encoded));
     pending.retry_timer = sim_->Schedule(
-        2 * options_.local_client_retry,
+        2 * unit_group_.client_retry,
         [this, read_id, encoded = std::move(encoded)]() {
           auto it = reads_.find(read_id);
           if (it == reads_.end()) return;
@@ -928,7 +923,7 @@ void Participant::OnGeoGapNotice(const net::Message& msg) {
   // notice, but one nudge per half retry period is plenty.
   sim::SimTime now = sim_->Now();
   if (last_gap_nudge_ != 0 &&
-      now - last_gap_nudge_ < options_.local_client_retry / 2) {
+      now - last_gap_nudge_ < unit_group_.client_retry / 2) {
     return;
   }
   last_gap_nudge_ = now;

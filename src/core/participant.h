@@ -17,6 +17,7 @@
 #include <memory>
 #include <set>
 
+#include "common/congestion.h"
 #include "common/trace.h"
 #include "core/node.h"
 #include "core/options.h"
@@ -24,8 +25,6 @@
 #include "pbft/client.h"
 
 namespace blockplane::core {
-
-class WindowController;
 
 /// How a Local Log entry is read back (§VI-A).
 enum class ReadStrategy {
@@ -117,7 +116,7 @@ class Participant : public net::Host {
     /// Time the replicate fan-out first hit the wire (0 = not yet); the
     /// geo-ack round trip is sampled from it under Karn's rule.
     sim::SimTime replicate_sent = 0;
-    /// Time of the most recent fan-out (adaptive timer deadline base).
+    /// Time of the most recent fan-out (retry deadline base).
     sim::SimTime last_sent = 0;
     /// The replicate fan-out was retried at least once: Karn's rule
     /// excludes this round from RTT sampling.
@@ -197,16 +196,16 @@ class Participant : public net::Host {
   std::deque<InflightOp> inflight_;
   /// A MirrorCommit reconciliation/commit is active; it runs exclusively.
   bool mirror_op_active_ = false;
-  /// Adaptive geo-round windows, one per mirror site (DESIGN.md §13);
-  /// empty unless options.congestion.adaptive and fg > 0. The effective
-  /// window is the minimum across mirrors: a geo round only completes when
-  /// fg sites prove it, so the slowest mirror gates the pipeline.
-  std::map<net::SiteId, std::unique_ptr<WindowController>> geo_ctl_;
+  /// Geo-round windows, one per mirror site, each capped at
+  /// `participant_window` (DESIGN.md §13). The effective window is the
+  /// minimum across mirrors: a geo round only completes when fg sites
+  /// prove it, so the slowest mirror gates the pipeline.
+  std::map<net::SiteId, common::WindowController> geo_ctl_;
   /// Open window-stall episode flag (pipeline.participant_window_stalls
   /// counts episodes, closed by any admission — not pump invocations).
   bool geo_window_stalled_ = false;
-  /// Last time any geo ack arrived (adaptive mode): flowing acks prove
-  /// the mirror paths are alive, so adaptive retries defer to
+  /// Last time any geo ack arrived: flowing acks prove the mirror paths
+  /// are alive, so replicate retries defer to
   /// max(round.last_sent, last_geo_progress_) + RTO — mirror-side commit
   /// queueing would otherwise trigger spurious re-sends that Karn-freeze
   /// the RTT estimators.

@@ -36,6 +36,12 @@ void Network::Send(Message msg) {
     msg.wire_bytes = msg.body().size() + options_.header_bytes;
   }
 
+  // A crashed sender emits nothing, so its messages are not traffic.
+  if (IsCrashed(msg.src)) {
+    counters_.Increment("dropped_messages");
+    return;
+  }
+
   const bool local = msg.src.site == msg.dst.site;
   counters_.Increment(local ? "lan_messages" : "wan_messages");
   counters_.Increment(local ? "lan_bytes" : "wan_bytes",
@@ -47,8 +53,8 @@ void Network::Send(Message msg) {
                         static_cast<int64_t>(msg.wire_bytes));
   }
 
-  // A crashed sender emits nothing; a crashed destination hears nothing.
-  if (IsCrashed(msg.src) || IsCrashed(msg.dst)) {
+  // A crashed destination hears nothing (the bytes did leave the sender).
+  if (IsCrashed(msg.dst)) {
     counters_.Increment("dropped_messages");
     return;
   }

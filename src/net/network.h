@@ -124,7 +124,8 @@ class Network {
   // --- Accounting ----------------------------------------------------------
 
   /// Counters: {lan,wan}_messages, {lan,wan}_bytes, dropped_messages,
-  /// corrupted_messages.
+  /// corrupted_messages. A crashed sender's messages count only as drops:
+  /// they never reach the wire.
   const CounterSet& counters() const { return counters_; }
   void ResetCounters() { counters_.Clear(); }
 

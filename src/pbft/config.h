@@ -6,7 +6,6 @@
 #ifndef BLOCKPLANE_PBFT_CONFIG_H_
 #define BLOCKPLANE_PBFT_CONFIG_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/macros.h"
@@ -40,28 +39,15 @@ struct PbftConfig {
   /// executed sequence numbers.
   uint64_t checkpoint_interval = 128;
 
-  /// Maximum number of concurrently outstanding (proposed-but-unexecuted)
-  /// instances at the leader — the sliding proposal window. 1 reproduces the
-  /// paper's group-commit rule ("a leader only attempts to commit a single
-  /// batch and does not start the next one until the current one is
-  /// committed"); larger values pipeline consensus instances while execution
-  /// and replies stay strictly in sequence order (DESIGN.md §9).
+  /// Ceiling of the leader's proposal window: at most this many
+  /// concurrently outstanding (proposed-but-unexecuted) instances. 1
+  /// reproduces the paper's group-commit rule ("a leader only attempts to
+  /// commit a single batch and does not start the next one until the
+  /// current one is committed"); larger values pipeline consensus instances
+  /// while execution and replies stay strictly in sequence order
+  /// (DESIGN.md §9). The replica's window controller starts here, halves on
+  /// each completed view change and regrows back up to it (DESIGN.md §13).
   uint64_t window = 1;
-
-  /// Adaptive proposal-window hooks (DESIGN.md §13), installed by the
-  /// layer above (core::BlockplaneNode) when adaptive congestion control
-  /// is on. PBFT stays independent of core: it only consumes these
-  /// callbacks. All default-null, which means the static `window` knob
-  /// governs — bit-identical to the seed behavior.
-  ///
-  /// Effective proposal window consulted at admission time; the replica
-  /// clamps the returned value to >= 1. Null = use `window`.
-  std::function<uint64_t()> window_provider;
-  /// Propose-to-execute latency of each instance this leader proposed in
-  /// the current view (the controller's clean "RTT" sample).
-  std::function<void(sim::SimTime)> on_commit_latency;
-  /// Fired when this replica initiates a view change (churn signal).
-  std::function<void()> on_view_change;
 
   /// When false, payload digests use a fast non-cryptographic hash. The
   /// paper's prototype skipped digest creation/checking entirely; benches

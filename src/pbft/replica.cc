@@ -17,9 +17,14 @@ PbftReplica::PbftReplica(net::Network* network, crypto::KeyStore* keys,
       keys_(keys),
       config_(std::move(config)),
       self_(self),
+      index_(config_.ReplicaIndex(self_)),
+      // The controller's "RTT" is an intra-site consensus round, so the
+      // prior is a few one-way hops.
+      window_ctl_(config_.window, 4 * network->options().intra_site_one_way,
+                  "pbft_s" + std::to_string(self.site) + "n" +
+                      std::to_string(self.index)),
       execute_(std::move(execute)) {
   config_.Validate();
-  index_ = config_.ReplicaIndex(self_);
   BP_CHECK_MSG(index_ >= 0, "replica is not a member of its own group");
   signer_ = keys_->RegisterNode(self_);
   state_digest_.fill(0);
@@ -229,20 +234,12 @@ void PbftReplica::ArmRequestWatchdog(
   });
 }
 
-uint64_t PbftReplica::EffectiveWindow() const {
-  if (config_.window_provider) {
-    uint64_t window = config_.window_provider();
-    return window < 1 ? 1 : window;
-  }
-  return config_.window;
-}
-
 uint64_t PbftReplica::HighWatermark() const {
   // Keep the un-truncated log bounded: never run more than two checkpoint
   // intervals (or two windows, whichever is larger) past the last stable
   // checkpoint. At window 1 this is never the binding constraint.
   uint64_t span = std::max<uint64_t>(2 * config_.checkpoint_interval,
-                                     2 * EffectiveWindow());
+                                     2 * window_ctl_.window());
   return last_stable_ + span;
 }
 
@@ -292,7 +289,8 @@ void PbftReplica::MaybeProposeNext() {
     // Sliding window: at most `window` proposed-but-unexecuted instances,
     // and never beyond the high watermark (checkpoint lag bound).
     uint64_t outstanding = (next_seq_ - 1) - last_executed_;
-    if (outstanding >= EffectiveWindow() || next_seq_ > HighWatermark()) {
+    if (outstanding >= window_ctl_.window() ||
+        next_seq_ > HighWatermark()) {
       // Count stall *episodes*, not pump invocations: this path re-enters
       // on every request arrival and execution while the same stall
       // persists, and ticking the counter each time made it meaningless
@@ -581,18 +579,16 @@ void PbftReplica::ExecuteReady() {
                    self_.site, self_.index, seq);
       }
       SendReply(instance, seq);
-      if (config_.on_commit_latency) {
-        // Every executed instance grows the adaptive proposal window on
-        // every replica — a backup that never grew would hand its next
-        // leadership term a stale, collapsed window. Only the leader of
-        // the proposing view reports a propose-to-execute latency sample
-        // (an instance inherited across a view change mixes two leaders'
-        // clocks — the congestion controller's Karn rule); backups report
-        // 0, meaning "count the ack, skip the sample".
-        bool clean = IsLeader() && instance.view == view_ &&
-                     instance.ts_started > 0;
-        config_.on_commit_latency(
-            clean ? sim_->Now() - instance.ts_started : 0);
+      // Every executed instance grows the proposal window on every replica
+      // — a backup that never grew would hand its next leadership term a
+      // stale, collapsed window. Only the leader of the proposing view
+      // samples a propose-to-execute latency (an instance inherited across
+      // a view change mixes two leaders' clocks: Karn's rule).
+      if (IsLeader() && instance.view == view_ && instance.ts_started > 0 &&
+          sim_->Now() > instance.ts_started) {
+        window_ctl_.OnAck(sim_->Now() - instance.ts_started);
+      } else {
+        window_ctl_.OnAckNoSample();
       }
     }
 
@@ -1045,12 +1041,12 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
   target_view_ = v;
   in_view_change_ = false;
   viewchange_attempts_ = 0;
-  // Churn signal for the adaptive proposal window (DESIGN.md §13): a
-  // *completed* view change re-proposes the in-flight tail, so a deep
-  // window amplifies the disruption — back off before resuming. Spurious
-  // backup escalations that never gather a quorum are not churn; firing on
-  // attempts would let 1% message loss collapse the window for nothing.
-  if (config_.on_view_change) config_.on_view_change();
+  // Churn signal for the proposal window (DESIGN.md §13): a *completed*
+  // view change re-proposes the in-flight tail, so a deep window amplifies
+  // the disruption — back off before resuming. Spurious backup escalations
+  // that never gather a quorum are not churn; counting attempts would let
+  // 1% message loss collapse the window for nothing.
+  window_ctl_.OnViewChange(sim_->Now());
   sim_->Cancel(view_change_timer_);
   view_change_timer_ = sim::kInvalidEventId;
   view_changes_.erase(view_changes_.begin(),

@@ -25,6 +25,7 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "common/congestion.h"
 #include "crypto/signer.h"
 #include "net/network.h"
 #include "pbft/config.h"
@@ -197,9 +198,6 @@ class PbftReplica : public net::Host {
 
   // -- leader logic --
   void MaybeProposeNext();
-  /// The proposal window in force right now: the adaptive provider when
-  /// installed (clamped to >= 1), else the static config window.
-  uint64_t EffectiveWindow() const;
   void Propose(uint64_t client_token, uint64_t req_id, Bytes value,
                uint64_t trace_id, sim::SimTime enqueued);
   /// Highest sequence number a leader may assign: the low watermark
@@ -273,6 +271,9 @@ class PbftReplica : public net::Host {
   PbftConfig config_;
   net::NodeId self_;
   int index_;
+  /// The proposal window (DESIGN.md §13): starts at and never exceeds
+  /// `config_.window`; completed view changes halve it.
+  common::WindowController window_ctl_;
   ExecuteCallback execute_;
   Verifier verifier_;
   AdmissionCheck admission_;

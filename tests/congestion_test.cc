@@ -1,10 +1,10 @@
-// AIMD window-controller tests (DESIGN.md §13): slow-start and
-// congestion-avoidance growth, clamp bounds, spike-gated multiplicative
-// decrease with the one-per-RTO rate limit, view-change churn handling,
-// RTT-derived retransmission timeouts, and the metrics-registry gauge
-// contract. The chaos-campaign tests at the bottom drive the controllers
-// end-to-end through a loss burst and a partition/heal cycle and assert
-// the windows shrink under loss and the deployment still satisfies I1–I4.
+// Window-controller tests (DESIGN.md §13): the knob as start and ceiling,
+// regrowth by one per window of acks, spike-gated multiplicative decrease
+// with the one-per-RTO rate limit, view-change churn handling, RTT-derived
+// retransmission timeouts, and the metrics-registry gauge contract. The
+// chaos-campaign tests at the bottom drive the controllers end-to-end
+// through a loss burst and a partition/heal cycle and assert the windows
+// shrink under loss and the deployment still satisfies I1–I4.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,10 +13,10 @@
 #include "chaos/campaign.h"
 #include "chaos/engine.h"
 #include "common/metrics.h"
-#include "core/congestion.h"
+#include "common/congestion.h"
 #include "sim/sim_time.h"
 
-namespace blockplane::core {
+namespace blockplane::common {
 namespace {
 
 // With the 10 ms prior, Rto = srtt + max(4*rttvar, srtt, kMinRto)
@@ -24,30 +24,36 @@ namespace {
 constexpr sim::SimTime kPrior = sim::Milliseconds(10);
 constexpr sim::SimTime kRto = sim::Milliseconds(30);
 
-TEST(WindowControllerTest, SlowStartAddsOnePerAck) {
-  WindowController ctl(/*initial_window=*/4, kPrior, "t-ss");
-  EXPECT_EQ(ctl.window(), 4u);
-  EXPECT_EQ(ctl.ssthresh(), kMaxWindow)
-      << "slow start runs until the first decrease";
-  ctl.OnAck(kPrior);
-  EXPECT_EQ(ctl.window(), 5u);
-  ctl.OnAckNoSample();
-  EXPECT_EQ(ctl.window(), 6u) << "sample-free acks still grow the window";
-  for (int i = 0; i < 200; ++i) ctl.OnAckNoSample();
-  EXPECT_EQ(ctl.window(), kMaxWindow) << "growth stops at kMaxWindow";
+TEST(WindowControllerTest, KnobIsStartAndCeiling) {
+  WindowController ctl(/*max_window=*/8, kPrior, "t-knob");
+  EXPECT_EQ(ctl.window(), 8u);
+  for (int i = 0; i < 100; ++i) ctl.OnAckNoSample();
+  EXPECT_EQ(ctl.window(), 8u) << "acks never grow a window past its knob";
+  EXPECT_EQ(ctl.SnapshotGauges()["increases"], 0);
+
+  // After a decrease the window regrows by one per window of acks and
+  // stops at the knob again.
+  ctl.OnViewChange(sim::Milliseconds(100));
+  ASSERT_EQ(ctl.window(), 4u);
+  for (int i = 0; i < 4 + 5 + 6 + 7; ++i) ctl.OnAckNoSample();
+  EXPECT_EQ(ctl.window(), 8u);
+  for (int i = 0; i < 100; ++i) ctl.OnAckNoSample();
+  EXPECT_EQ(ctl.window(), 8u);
+  EXPECT_EQ(ctl.SnapshotGauges()["increases"], 4);
 }
 
 TEST(WindowControllerTest, InitialWindowIsClamped) {
-  WindowController high(/*initial_window=*/1000, kPrior, "t-hi");
-  EXPECT_EQ(high.window(), kMaxWindow);
+  // No global ceiling: the knob is the window, however large.
+  WindowController high(/*max_window=*/1000, kPrior, "t-hi");
+  EXPECT_EQ(high.window(), 1000u);
 
-  WindowController low(/*initial_window=*/0, kPrior, "t-lo");
+  WindowController low(/*max_window=*/0, kPrior, "t-lo");
   EXPECT_EQ(low.window(), kMinWindow);
   EXPECT_EQ(low.min_window_seen(), kMinWindow);
 }
 
 TEST(WindowControllerTest, IsolatedLossesNeverDecrease) {
-  WindowController ctl(/*initial_window=*/32, kPrior, "t-iso");
+  WindowController ctl(/*max_window=*/32, kPrior, "t-iso");
   // Random single drops land more than spike_threshold()*RTO apart: each
   // one opens a fresh spike bucket and the threshold is never crossed.
   sim::SimTime now = sim::Milliseconds(100);
@@ -61,7 +67,7 @@ TEST(WindowControllerTest, IsolatedLossesNeverDecrease) {
 }
 
 TEST(WindowControllerTest, LossSpikeHalvesOnceAndIsRateLimited) {
-  WindowController ctl(/*initial_window=*/32, kPrior, "t-spk");
+  WindowController ctl(/*max_window=*/32, kPrior, "t-spk");
   const sim::SimTime t0 = sim::Milliseconds(100);
   ctl.OnLoss(t0);
   ctl.OnLoss(t0 + sim::Milliseconds(10));
@@ -69,7 +75,6 @@ TEST(WindowControllerTest, LossSpikeHalvesOnceAndIsRateLimited) {
   ctl.OnLoss(t0 + sim::Milliseconds(20));
   EXPECT_EQ(ctl.decreases(), 1);
   EXPECT_EQ(ctl.window(), 16u);
-  EXPECT_EQ(ctl.ssthresh(), 16u);
   EXPECT_EQ(ctl.min_window_seen(), 16u);
 
   // A correlated burst right behind the decrease (every in-flight item
@@ -89,13 +94,11 @@ TEST(WindowControllerTest, LossSpikeHalvesOnceAndIsRateLimited) {
 }
 
 TEST(WindowControllerTest, CongestionAvoidanceAfterDecrease) {
-  WindowController ctl(/*initial_window=*/32, kPrior, "t-ca");
+  WindowController ctl(/*max_window=*/32, kPrior, "t-ca");
   const sim::SimTime t0 = sim::Milliseconds(100);
   for (int i = 0; i < 3; ++i) ctl.OnLoss(t0 + i * sim::Milliseconds(5));
   ASSERT_EQ(ctl.window(), 16u);
-  ASSERT_EQ(ctl.ssthresh(), 16u);
-  // At or above ssthresh growth is +1 per full window of acks, not +1
-  // per ack.
+  // Regrowth is +1 per full window of acks, not +1 per ack.
   for (int i = 0; i < 15; ++i) ctl.OnAckNoSample();
   EXPECT_EQ(ctl.window(), 16u);
   ctl.OnAckNoSample();
@@ -103,7 +106,7 @@ TEST(WindowControllerTest, CongestionAvoidanceAfterDecrease) {
 }
 
 TEST(WindowControllerTest, ViewChangeDecreasesUnconditionally) {
-  WindowController ctl(/*initial_window=*/32, kPrior, "t-vc");
+  WindowController ctl(/*max_window=*/32, kPrior, "t-vc");
   const sim::SimTime t0 = sim::Milliseconds(100);
   // No loss spike needed: churn alone shrinks the window.
   ctl.OnViewChange(t0);
@@ -118,7 +121,7 @@ TEST(WindowControllerTest, ViewChangeDecreasesUnconditionally) {
 }
 
 TEST(WindowControllerTest, WindowNeverLeavesClampBounds) {
-  WindowController ctl(/*initial_window=*/4, kPrior, "t-clamp");
+  WindowController ctl(/*max_window=*/4, kPrior, "t-clamp");
   sim::SimTime now = sim::Milliseconds(100);
   // Hammer the controller with decrease-eligible spikes: the window must
   // bottom out at kMinWindow, never below.
@@ -131,7 +134,7 @@ TEST(WindowControllerTest, WindowNeverLeavesClampBounds) {
 }
 
 TEST(WindowControllerTest, RetryTimeoutClampsToFloorAndCap) {
-  WindowController ctl(/*initial_window=*/8, kPrior, "t-rto");
+  WindowController ctl(/*max_window=*/8, kPrior, "t-rto");
   // Prior 10 ms → raw Rto 30 ms (see kRto above).
   EXPECT_EQ(ctl.RetryTimeout(sim::Milliseconds(5), sim::Milliseconds(500)),
             kRto);
@@ -140,11 +143,11 @@ TEST(WindowControllerTest, RetryTimeoutClampsToFloorAndCap) {
       << "floor wins over an optimistic estimate";
   EXPECT_EQ(ctl.RetryTimeout(sim::Milliseconds(1), sim::Milliseconds(20)),
             sim::Milliseconds(20))
-      << "cap keeps adaptive retries no later than the static knob";
+      << "the cap bounds a pessimistic estimate";
 }
 
 TEST(WindowControllerTest, FirstSampleReplacesPrior) {
-  WindowController ctl(/*initial_window=*/8, kPrior, "t-srtt");
+  WindowController ctl(/*max_window=*/8, kPrior, "t-srtt");
   EXPECT_EQ(ctl.srtt(), kPrior);
   ctl.OnAck(sim::Milliseconds(80));
   EXPECT_EQ(ctl.srtt(), sim::Milliseconds(80))
@@ -155,7 +158,7 @@ TEST(WindowControllerTest, FirstSampleReplacesPrior) {
 }
 
 TEST(WindowControllerTest, SnapshotEmitsEveryCatalogKey) {
-  WindowController ctl(/*initial_window=*/8, kPrior, "t-snap");
+  WindowController ctl(/*max_window=*/8, kPrior, "t-snap");
   ctl.OnAck(kPrior);
   ctl.OnLoss(sim::Milliseconds(50));
   std::map<std::string, int64_t> gauges = ctl.SnapshotGauges();
@@ -165,7 +168,7 @@ TEST(WindowControllerTest, SnapshotEmitsEveryCatalogKey) {
   EXPECT_EQ(gauges.size(),
             sizeof(kCongestionGaugeKeys) / sizeof(kCongestionGaugeKeys[0]))
       << "every emitted key must be in the catalog (bplint BP006)";
-  EXPECT_EQ(gauges["window"], 9);
+  EXPECT_EQ(gauges["window"], 8) << "an ack at the knob does not grow it";
   EXPECT_EQ(gauges["loss_events"], 1);
   EXPECT_EQ(gauges["rtt_samples"], 1);
 }
@@ -181,24 +184,24 @@ TEST(WindowControllerTest, RegistersGaugeGroupForLifetime) {
   };
   ASSERT_FALSE(has_group());
   {
-    WindowController ctl(/*initial_window=*/8, kPrior, "t-registry");
+    WindowController ctl(/*max_window=*/8, kPrior, "t-registry");
     EXPECT_TRUE(has_group());
   }
   EXPECT_FALSE(has_group()) << "destruction must unregister the group";
 }
 
 }  // namespace
-}  // namespace blockplane::core
+}  // namespace blockplane::common
 
 namespace blockplane::chaos {
 namespace {
 
-// A hand-built campaign that exercises the adaptive controllers under the
+// A hand-built campaign that exercises the window controllers under the
 // two signals they exist for: a sustained drop burst (loss spikes) and a
 // partition/heal cycle (head-of-line stalls, then recovery). All faults
 // end before the horizon and the schedule ends with the heal-all sweep,
 // matching the compiler's recoverability constraints.
-Campaign AdaptiveLossCampaign(bool adaptive) {
+Campaign LossCampaign() {
   Campaign campaign;
   campaign.config.seed = 4242;
   campaign.config.num_sites = 3;
@@ -206,7 +209,6 @@ Campaign AdaptiveLossCampaign(bool adaptive) {
   campaign.config.fg = 0;
   campaign.config.pbft_window = 8;
   campaign.config.participant_window = 4;
-  campaign.config.adaptive_windows = adaptive;
   campaign.config.rtt_ms = 40.0;
   campaign.config.start = sim::Milliseconds(500);
   campaign.config.horizon = sim::Seconds(20);
@@ -248,8 +250,8 @@ Campaign AdaptiveLossCampaign(bool adaptive) {
 }
 
 TEST(CongestionChaosTest, WindowsShrinkUnderLossAndRecover) {
-  ChaosReport report = RunCampaign(AdaptiveLossCampaign(/*adaptive=*/true));
-  // I1–I4 must survive the adaptive controllers.
+  ChaosReport report = RunCampaign(LossCampaign());
+  // I1–I4 must survive the window controllers.
   EXPECT_TRUE(report.ok) << report.ToString();
   EXPECT_TRUE(report.live) << report.ToString();
   // The burst and the partition must have registered as loss signals and
@@ -261,21 +263,8 @@ TEST(CongestionChaosTest, WindowsShrinkUnderLossAndRecover) {
       << "windows must recover after the faults heal: " << report.ToString();
 }
 
-TEST(CongestionChaosTest, StaticCampaignReportsNoCongestionActivity) {
-  ChaosReport report = RunCampaign(AdaptiveLossCampaign(/*adaptive=*/false));
-  EXPECT_TRUE(report.ok) << report.ToString();
-  EXPECT_TRUE(report.live) << report.ToString();
-  // Defaults-off: no controllers exist, so every congestion aggregate in
-  // the report stays zero.
-  EXPECT_EQ(report.congestion_loss_events, 0);
-  EXPECT_EQ(report.congestion_decreases, 0);
-  EXPECT_EQ(report.window_min_seen, 0);
-  EXPECT_EQ(report.window_final_min, 0);
-  EXPECT_EQ(report.window_final_max, 0);
-}
-
 TEST(CongestionChaosTest, AdaptiveCampaignIsDeterministic) {
-  Campaign campaign = AdaptiveLossCampaign(/*adaptive=*/true);
+  Campaign campaign = LossCampaign();
   ChaosReport a = RunCampaign(campaign);
   ChaosReport b = RunCampaign(campaign);
   EXPECT_EQ(a.ToString(), b.ToString());

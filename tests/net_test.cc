@@ -243,6 +243,34 @@ TEST_F(NetworkTest, CrashedNodeIsSilent) {
   EXPECT_EQ(hosts_[0].messages.size(), 1u);
 }
 
+TEST_F(NetworkTest, CrashedSenderIsNotTraffic) {
+  RegisterHost({kOregon, 0}, 0);
+  Message msg;
+  msg.src = {kCalifornia, 0};
+  msg.dst = {kOregon, 0};
+  msg.set_body(Bytes(100, 0xab));
+
+  // A crashed sender's message never reaches the wire: it is a drop, not
+  // WAN traffic.
+  network_->Crash({kCalifornia, 0});
+  network_->Send(msg);
+  simulator_.Run();
+  EXPECT_EQ(network_->counters().Get("dropped_messages"), 1);
+  EXPECT_EQ(network_->counters().Get("wan_messages"), 0);
+  EXPECT_EQ(network_->counters().Get("wan_bytes"), 0);
+
+  // A crashed destination's bytes did leave the sender: still counted.
+  network_->Recover({kCalifornia, 0});
+  network_->Crash({kOregon, 0});
+  network_->Send(msg);
+  simulator_.Run();
+  EXPECT_TRUE(hosts_[0].messages.empty());
+  EXPECT_EQ(network_->counters().Get("dropped_messages"), 2);
+  EXPECT_EQ(network_->counters().Get("wan_messages"), 1);
+  EXPECT_EQ(network_->counters().Get("wan_bytes"),
+            static_cast<int64_t>(100 + options_.header_bytes));
+}
+
 TEST_F(NetworkTest, CrashDuringFlightDropsDelivery) {
   RegisterHost({kOregon, 0}, 0);
   Message msg;

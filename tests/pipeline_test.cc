@@ -1,12 +1,14 @@
 // Tests for the sliding-window pipelining of DESIGN.md §9: PBFT proposal
 // windows (out-of-order certificate collection, strict in-order
 // execution), view changes with multiple proposals in flight, byzantine
-// leaders inside the window, and the Participant's windowed geo-commit
-// path (completion callbacks in submission order, contiguous mirror
-// streams).
+// leaders inside the window, the Participant's windowed geo-commit path
+// (completion callbacks in submission order, contiguous mirror streams),
+// and the window controllers every window runs on (DESIGN.md §13).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +23,8 @@ namespace blockplane {
 namespace {
 
 using net::kCalifornia;
+using net::kIreland;
+using net::kOregon;
 using net::NodeId;
 using net::Topology;
 using sim::Milliseconds;
@@ -302,6 +306,102 @@ TEST(PipelineTest, ParticipantStallEpisodesCloseOnPartialDrain) {
   // episodes, not one tick per pump.
   EXPECT_EQ(pipeline_stats().participant_window_stalls,
             static_cast<int64_t>(kCount - 2));
+}
+
+// --- window controllers (DESIGN.md §13) -----------------------------------
+
+// A lossless run never shrinks a window, and no window grows past its
+// knob, so every controller ends where it started. This is what keeps the
+// paper figures on the static schedule.
+TEST(PipelineTest, LosslessRunKeepsEveryWindowAtItsKnob) {
+  congestion_stats().Reset();
+  sim::Simulator simulator(19);
+  core::BlockplaneOptions options;
+  options.fg = 1;
+  options.pbft_window = 8;
+  options.participant_window = 8;
+  options.daemon_window = 32;
+  core::Deployment deployment(&simulator, Topology::Aws4(), options);
+
+  constexpr int kCount = 16;
+  int committed = 0;
+  int received = 0;
+  deployment.participant(kIreland)->SetReceiveHandler(
+      [&received](net::SiteId, const Bytes&) { ++received; });
+  core::Participant* sender = deployment.participant(kCalifornia);
+  for (int i = 0; i < kCount; ++i) {
+    sender->LogCommit(ToBytes("c" + std::to_string(i)), 0,
+                      [&](uint64_t) { ++committed; });
+    sender->Send(kIreland, ToBytes("s" + std::to_string(i)), 0, nullptr);
+  }
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return committed >= kCount && received >= kCount; },
+      Seconds(600)));
+  simulator.RunFor(Seconds(1));
+
+  const std::map<std::string, int64_t> knobs = {
+      {"congestion.pbft_", 8}, {"congestion.geo_", 8},
+      {"congestion.daemon_", 32}};
+  std::map<std::string, int> controllers;
+  for (const auto& [group, gauges] : metrics_registry().Snapshot()) {
+    for (const auto& [prefix, knob] : knobs) {
+      if (group.rfind(prefix, 0) != 0) continue;
+      ++controllers[prefix];
+      EXPECT_EQ(gauges.at("window"), knob) << group;
+      EXPECT_EQ(gauges.at("min_window_seen"), knob) << group;
+      EXPECT_EQ(gauges.at("decreases"), 0) << group;
+    }
+  }
+  // 4 sites x (4 unit + 2 mirror groups x 4) replicas; one geo controller
+  // per mirror site; 3 destinations x (active + 2 reserves) per site.
+  EXPECT_EQ(controllers["congestion.pbft_"], 4 * (4 + 2 * 4));
+  EXPECT_EQ(controllers["congestion.geo_"], 4 * 2);
+  EXPECT_EQ(controllers["congestion.daemon_"], 4 * 3 * 3);
+  EXPECT_EQ(congestion_stats().decreases, 0);
+  EXPECT_EQ(congestion_stats().loss_events, 0);
+  EXPECT_GT(congestion_stats().rtt_samples, 0)
+      << "the controllers were exercised";
+}
+
+// bench_pipeline section C at 1 % loss: a window-4 daemon stream from
+// Oregon to California and Ireland. With exact-match acks, ship-on-
+// completion and a fixed retransmit period this seed wedged at 176/240
+// deliveries for good; the one controller path delivers everything.
+TEST(PipelineTest, LossyDeliveryAtWindowFourDoesNotWedge) {
+  sim::Simulator simulator(2);
+  net::NetworkOptions net_options;
+  net_options.intra_site_one_way = sim::Microseconds(100);
+  net_options.per_message_cpu = sim::Microseconds(25);
+  core::BlockplaneOptions options;
+  options.sign_messages = false;
+  options.hash_payloads = false;
+  options.checkpoint_interval = 32;
+  options.pbft_window = 8;
+  options.daemon_window = 4;
+  core::Deployment deployment(&simulator, Topology::Aws4(), options,
+                              net_options);
+  deployment.network()->set_drop_prob(0.01);
+
+  constexpr uint64_t kTotal = 2 * 120;
+  uint64_t received = 0;
+  for (net::SiteId dest : {kCalifornia, kIreland}) {
+    deployment.participant(dest)->SetReceiveHandler(
+        [&received](net::SiteId, const Bytes&) { ++received; });
+  }
+  core::Participant* sender = deployment.participant(kOregon);
+  const Bytes payload(1000, 0x5a);
+  uint64_t issued = 0;
+  std::function<void()> submit_next = [&]() {
+    if (issued >= kTotal) return;
+    net::SiteId dest = issued % 2 == 0 ? kCalifornia : kIreland;
+    ++issued;
+    sender->Send(dest, Bytes(payload), 0, [&](uint64_t) { submit_next(); });
+  };
+  for (int i = 0; i < 8; ++i) submit_next();
+  simulator.RunUntilCondition([&] { return received >= kTotal; },
+                              Seconds(60));
+  EXPECT_EQ(received, kTotal);
+  EXPECT_GT(deployment.network()->counters().Get("dropped_messages"), 0);
 }
 
 }  // namespace
