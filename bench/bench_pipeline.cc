@@ -38,6 +38,7 @@ struct Result {
   double throughput_per_sec = 0;
   uint64_t ooo_commits = 0;        // certificates finished out of order
   uint64_t ooo_completions = 0;    // geo rounds finished out of order
+  uint64_t mirror_gap_fetches = 0;  // robustness.mirror_gap_fetches
 };
 
 net::NetworkOptions BenchNet() {
@@ -109,6 +110,7 @@ Result RunWanPbft(uint64_t window, uint64_t target_commits) {
 
 Result RunGeoCommit(uint64_t window, uint64_t target_commits) {
   pipeline_stats().Reset();
+  robustness_stats().Reset();
   sim::Simulator simulator(1);
   core::BlockplaneOptions options;
   options.fi = 1;
@@ -146,6 +148,8 @@ Result RunGeoCommit(uint64_t window, uint64_t target_commits) {
   r.throughput_per_sec = completed / (r.sim_ms / 1000.0);
   r.ooo_commits = pipeline_stats().pbft_ooo_commits;
   r.ooo_completions = pipeline_stats().participant_ooo_completions;
+  r.mirror_gap_fetches =
+      static_cast<uint64_t>(robustness_stats().mirror_gap_fetches);
   return r;
 }
 
@@ -317,7 +321,8 @@ void PutResults(std::ofstream& out, const std::vector<Result>& results) {
         << ", \"sim_ms\": " << r.sim_ms
         << ", \"throughput_per_sec\": " << r.throughput_per_sec
         << ", \"ooo_commits\": " << r.ooo_commits
-        << ", \"ooo_completions\": " << r.ooo_completions << "}"
+        << ", \"ooo_completions\": " << r.ooo_completions
+        << ", \"mirror_gap_fetches\": " << r.mirror_gap_fetches << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]";

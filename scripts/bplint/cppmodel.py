@@ -127,7 +127,6 @@ class FunctionDef:
     params: List[Tok] = field(default_factory=list)
     body: List[Tok] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
-    lock_param: Optional[str] = None  # name of a unique_lock& parameter
 
     @property
     def qname(self) -> str:
@@ -740,21 +739,6 @@ def _extract_calls(body: Sequence[Tok]) -> List[CallSite]:
     return calls
 
 
-def _lock_param_name(params: Sequence[Tok]) -> Optional[str]:
-    """The name of a unique_lock& parameter, if the signature has one."""
-    n = len(params)
-    for i, t in enumerate(params):
-        if t.kind == "id" and t.text == "unique_lock":
-            j = i + 1
-            if j < n and params[j].text == "<":
-                j = match_template(params, j)
-            while j < n and params[j].text in ("&", "*", "const"):
-                j += 1
-            if j < n and params[j].kind == "id":
-                return params[j].text
-    return None
-
-
 def _parse_functions(toks: List[Tok], facts: FileFacts) -> None:
     """Collects every function/method definition and declaration.
 
@@ -858,8 +842,7 @@ def _try_function(toks: List[Tok], paren: int,
     body = list(toks[k + 1:body_end - 1])
     fn = FunctionDef(path=facts.path, cls=cls, name=name, line=line,
                      ret=ret, params=params, body=body,
-                     calls=_extract_calls(body),
-                     lock_param=_lock_param_name(params))
+                     calls=_extract_calls(body))
     facts.fn_defs.append(fn)
     return body_end
 
@@ -941,30 +924,8 @@ def _parse_cancels(toks: List[Tok], facts: FileFacts) -> None:
 
 
 # ---------------------------------------------------------------------------
-# lambdas
+# usage contexts
 # ---------------------------------------------------------------------------
-
-def _lambda_body_span(toks: Sequence[Tok], i: int) -> Optional[Tuple[int, int]]:
-    """toks[i] == '['. Returns the (start, end) token span of the lambda
-    body when this really is a lambda, else None."""
-    n = len(toks)
-    j = match_balanced(toks, i)  # past the capture list
-    if j < n and toks[j].text == "(":
-        j = match_balanced(toks, j)
-    while j < n and toks[j].kind == "id" and \
-            toks[j].text in ("mutable", "noexcept", "constexpr"):
-        j += 1
-    if j < n and toks[j].text == "->":
-        j += 1
-        while j < n and toks[j].text not in ("{", ";", ")"):
-            if toks[j].text == "<":
-                j = match_template(toks, j)
-                continue
-            j += 1
-    if j < n and toks[j].text == "{":
-        return j + 1, match_balanced(toks, j) - 1
-    return None
-
 
 def _parse_usage_contexts(toks: List[Tok], facts: FileFacts) -> None:
     n = len(toks)

@@ -7,9 +7,9 @@ by the engine, so rules are free to emit in any order.
 Since v2 the Project carries a call graph (callgraph.py), and the
 reachability rules are interprocedural: BP002 and BP005 flag a
 forbidden sink reached through ANY chain of project helpers, with the
-witness chain spelled out in the diagnostic. The flow-sensitive family
-BP008-BP011 targets the concurrency/error-handling bug classes this
-repo has actually hit (see DESIGN.md section 15).
+witness chain spelled out in the diagnostic. The flow-sensitive rules
+BP008, BP010 and BP011 target error-handling, timer and allocation bug
+classes this repo has actually hit (see DESIGN.md section 15).
 
 Rule catalog (see DESIGN.md sections 11 and 15 for the rationale):
 
@@ -37,13 +37,8 @@ Rule catalog (see DESIGN.md sections 11 and 15 for the rationale):
          reused.
   BP008  discarded Status/StatusOr results in src/: an unchecked error
          is a silent failure (the PR 2 transport-drop bug class).
-  BP009  lock-scope discipline in code that uses lock_guard/unique_lock:
-         callbacks, Send, or Drain must not be reachable — directly or
-         through any call chain — while a lock scope is open (the PR 6
-         RunBatch-nested-Drain deadlock class). Functions taking a
-         unique_lock& parameter are analyzed entry-locked with their own
-         unlock()/lock() toggles honored, so the unlock-before-invoke
-         handoff idiom proves itself clean.
+  BP009  retired: no code in the tree takes a lock, so lock-scope
+         discipline has no subject; the id is not reused.
   BP010  timer hygiene in files that manage cancellable timers: every
          Schedule'd handle must reach a Cancel or a self-rearm (the
          PR 1 Simulator Cancel-leak class), and a discarded Schedule
@@ -58,12 +53,11 @@ Rule catalog (see DESIGN.md sections 11 and 15 for the rationale):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from callgraph import CallGraph, Key, key_str, render_chain
-from cppmodel import (CallSite, Enum, FileFacts, FunctionDef, Struct, Tok,
-                      _NON_FN_IDS, _lambda_body_span, match_balanced,
-                      match_template, schedule_sites)
+from callgraph import CallGraph, Key, render_chain
+from cppmodel import (Enum, FileFacts, FunctionDef, Tok, match_balanced,
+                      schedule_sites)
 
 RULE_DESCRIPTIONS = [
     ("BP001", "unordered-container iteration order escapes into an "
@@ -81,9 +75,6 @@ RULE_DESCRIPTIONS = [
               "congestion gauge key outside kCongestionGaugeKeys"),
     ("BP008", "Status/StatusOr result silently discarded in src/ "
               "(an unchecked error is a silent failure)"),
-    ("BP009", "callback, Send, or Drain reachable — directly or through "
-              "a call chain — while a lock_guard/unique_lock scope is "
-              "open"),
     ("BP010", "Schedule'd timer handle never reaches a Cancel or a "
               "self-rearm (leaked or orphaned timer)"),
     ("BP011", "wire-controlled count flows into reserve/resize without "
@@ -652,203 +643,6 @@ def _bp008_fn(project: Project, f: FileFacts,
 
 
 # ---------------------------------------------------------------------------
-# BP009 — lock-scope discipline
-# ---------------------------------------------------------------------------
-
-# Invoking any of these (or a stored callback) while a lock is held can
-# re-enter the runner/transport and deadlock — the PR 6 RunBatch
-# nested-Drain class.
-_BP009_SINKS = {"Send", "SendTo", "SendShared", "Broadcast", "Drain"}
-_BP009_LOCK_TYPES = {"lock_guard", "unique_lock", "scoped_lock",
-                     "shared_lock"}
-# Types whose values are invokable callbacks in this codebase.
-_BP009_CB_TYPES = {"Callback", "function"}
-
-
-def _bp009_cb_vars(fn: FunctionDef) -> Set[str]:
-    """Names of parameters/locals declared with a callback type."""
-    out: Set[str] = set()
-    for toks in (fn.params, fn.body):
-        n = len(toks)
-        i = 0
-        while i < n:
-            t = toks[i]
-            if t.kind == "id" and t.text in _BP009_CB_TYPES:
-                j = i + 1
-                if j < n and toks[j].text == "<":
-                    j = match_template(toks, j)
-                while j < n and toks[j].text in ("&", "*", "const"):
-                    j += 1
-                if j < n and toks[j].kind == "id" and \
-                        (j + 1 >= n or toks[j + 1].text in
-                         ("=", ";", ",", ")")):
-                    out.add(toks[j].text)
-                    i = j + 1
-                    continue
-            i += 1
-    return out
-
-
-def _bp009_direct_sink(fn: FunctionDef) -> Optional[str]:
-    """The sink a CALLER's lock would cover: for ordinary functions any
-    sink/callback invocation in the body (the caller's lock spans all of
-    it); for unique_lock&-parameter functions only invocations while the
-    handed-off lock is held (entry-locked, unlock()/lock() honored) —
-    the unlock-before-invoke idiom proves itself clean. Lambda bodies
-    are skipped: they run later, not under this lock."""
-    cb = _bp009_cb_vars(fn)
-    body = fn.body
-    n = len(body)
-    held = True
-    i = 0
-    while i < n:
-        t = body[i]
-        if t.text == "[":
-            span = _lambda_body_span(body, i)
-            if span is not None:
-                i = span[1] + 1
-                continue
-        if fn.lock_param and t.kind == "id" and \
-                t.text in ("unlock", "lock") and i >= 2 and \
-                body[i - 1].text == "." and \
-                body[i - 2].text == fn.lock_param and \
-                i + 1 < n and body[i + 1].text == "(":
-            held = (t.text == "lock")
-            i = match_balanced(body, i + 1)
-            continue
-        if (held or not fn.lock_param) and t.kind == "id" and \
-                i + 1 < n and body[i + 1].text == "(" and \
-                (t.text in _BP009_SINKS or t.text in cb):
-            return t.text
-        i += 1
-    return None
-
-
-def rule_bp009(project: Project) -> Iterable[Diagnostic]:
-    seeds: Dict[Key, str] = {}
-    for f in project.files:
-        for fn in f.fn_defs:
-            sink = _bp009_direct_sink(fn)
-            if sink:
-                seeds.setdefault(_fn_key(fn), sink)
-    taint = project.graph.taint_toward(seeds) if seeds else {}
-    for f in project.files:
-        for fn in f.fn_defs:
-            yield from _bp009_fn(project, f, fn, taint)
-
-
-def _bp009_fn(project: Project, f: FileFacts, fn: FunctionDef,
-              taint: Dict[Key, Tuple[str, Tuple[Key, ...]]]
-              ) -> Iterable[Diagnostic]:
-    body = fn.body
-    n = len(body)
-    cb = _bp009_cb_vars(fn)
-    # Active locks: [name, brace depth at declaration, currently held].
-    locks: List[List] = []
-    if fn.lock_param:
-        locks.append([fn.lock_param, 0, True])
-    if not locks and not any(
-            t.kind == "id" and t.text in _BP009_LOCK_TYPES for t in body):
-        return
-    depth = 0
-    i = 0
-    while i < n:
-        t = body[i]
-        if t.text == "[":
-            span = _lambda_body_span(body, i)
-            if span is not None:
-                i = span[1] + 1  # deferred execution: not under this lock
-                continue
-        if t.text == "{":
-            depth += 1
-            i += 1
-            continue
-        if t.text == "}":
-            depth -= 1
-            locks = [l for l in locks if l[1] <= depth]
-            i += 1
-            continue
-        if t.kind == "id" and t.text in _BP009_LOCK_TYPES:
-            j = i + 1
-            if j < n and body[j].text == "<":
-                j = match_template(body, j)
-            if j + 1 < n and body[j].kind == "id" and \
-                    body[j + 1].text in ("(", "{"):
-                locks.append([body[j].text, depth, True])
-                i = match_balanced(body, j + 1)
-                continue
-            i += 1
-            continue
-        if t.kind == "id" and t.text in ("unlock", "lock") and \
-                i >= 2 and body[i - 1].text == "." and \
-                body[i - 2].kind == "id" and \
-                i + 1 < n and body[i + 1].text == "(":
-            for lk in locks:
-                if lk[0] == body[i - 2].text:
-                    lk[2] = (t.text == "lock")
-            i = match_balanced(body, i + 1)
-            continue
-        held = [lk for lk in locks if lk[2]]
-        if held and t.kind == "id" and t.text not in _NON_FN_IDS and \
-                i + 1 < n and body[i + 1].text == "(":
-            lock_name = held[-1][0]
-            if t.text in _BP009_SINKS:
-                yield Diagnostic(
-                    f.path, t.line, "BP009",
-                    f"'{t.text}' called while lock '{lock_name}' is "
-                    f"held; it can re-enter the runner/transport and "
-                    f"deadlock — release the lock first")
-            elif t.text in cb:
-                yield Diagnostic(
-                    f.path, t.line, "BP009",
-                    f"callback '{t.text}' invoked while lock "
-                    f"'{lock_name}' is held; callees may re-enter and "
-                    f"deadlock — use the unlock-before-invoke idiom")
-            else:
-                d = _bp009_transitive_call(project, f, fn, body, i, held,
-                                           taint)
-                if d is not None:
-                    yield d
-        i += 1
-
-
-def _bp009_transitive_call(project: Project, f: FileFacts, fn: FunctionDef,
-                           body: Sequence[Tok], i: int, held: List[List],
-                           taint: Dict[Key, Tuple[str, Tuple[Key, ...]]]
-                           ) -> Optional[Diagnostic]:
-    t = body[i]
-    recv = qual = None
-    if i >= 2 and body[i - 1].text == "::" and body[i - 2].kind == "id":
-        qual = body[i - 2].text
-    elif i >= 1 and body[i - 1].text in (".", "->"):
-        recv = body[i - 2].text if i >= 2 and body[i - 2].kind == "id" \
-            else "?"
-    callees = project.graph.resolve(
-        fn, CallSite(line=t.line, name=t.text, recv=recv, qual=qual))
-    if not callees:
-        return None
-    end = match_balanced(body, i + 1)
-    lock_names = {lk[0] for lk in held}
-    passes_lock = any(a.kind == "id" and a.text in lock_names
-                      for a in body[i + 2:end - 1])
-    for key in callees:
-        defs = project.graph.defs.get(key, [])
-        if passes_lock and defs and all(d.lock_param for d in defs):
-            # Lock handoff: the callee owns the unlock/relock protocol
-            # and is analyzed entry-locked on its own.
-            continue
-        hit = taint.get(key)
-        if hit is not None:
-            sink, chain = hit
-            return Diagnostic(
-                f.path, t.line, "BP009",
-                f"call chain {render_chain(chain)} reaches '{sink}' "
-                f"while lock '{held[-1][0]}' is held; it can re-enter "
-                f"and deadlock — release the lock first")
-    return None
-
-
-# ---------------------------------------------------------------------------
 # BP010 — timer hygiene
 # ---------------------------------------------------------------------------
 
@@ -974,7 +768,6 @@ RULE_FNS = {
     "BP005": rule_bp005,
     "BP006": rule_bp006,
     "BP008": rule_bp008,
-    "BP009": rule_bp009,
     "BP010": rule_bp010,
     "BP011": rule_bp011,
 }

@@ -13,13 +13,14 @@ Checks performed:
      byte-for-byte against fixtures/golden.txt.  Re-generate with
      --regold (or env BPLINT_REGOLD=1) after an intentional change.
 
-  2. Per-rule kill check. For each rule BP001..BP006 the matching
-     bp00N_violation.cc fixture must produce at least one diagnostic of
+  2. Per-rule kill check. For each live rule (BP001-BP006, BP008,
+     BP010, BP011; BP007 and BP009 are retired) the matching
+     bpNNN_violation.cc fixture must produce at least one diagnostic of
      that rule, and must produce zero diagnostics of that rule when the
      rule is disabled.  This is what makes each rule's fixture test fail
      if the check is disabled or broken.
 
-  3. Clean fixtures. Each bp00N_clean.cc fixture must produce zero
+  3. Clean fixtures. Each bpNNN_clean.cc fixture must produce zero
      diagnostics (suppressions honored, no false positives).
 
   4. BP000 hygiene. The bad-suppression fixture must report BP000 for

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/metrics.h"
-
 namespace blockplane::core {
 
 Batcher::Batcher(Participant* participant, sim::Simulator* simulator,
@@ -11,8 +9,7 @@ Batcher::Batcher(Participant* participant, sim::Simulator* simulator,
     : participant_(participant),
       sim_(simulator),
       options_(options),
-      routine_id_(routine_id),
-      max_in_flight_(std::max<size_t>(1, options_.max_in_flight)) {}
+      routine_id_(routine_id) {}
 
 Batcher::~Batcher() { sim_->Cancel(delay_timer_); }
 
@@ -64,18 +61,12 @@ void Batcher::Add(Bytes op, OpCallback done) {
 void Batcher::Flush() { MaybeFlush(); }
 
 void Batcher::MaybeFlush() {
-  // Group commit: at most max_in_flight_ batches at a time (1 reproduces
-  // the paper's rule); the rest waits its turn.
-  while (batches_in_flight_ < max_in_flight_ && !pending_.empty()) {
-    CommitBatch();
-  }
+  // Group commit: one batch at a time; the rest waits its turn.
+  if (!batch_in_flight_ && !pending_.empty()) CommitBatch();
 }
 
 void Batcher::CommitBatch() {
-  ++batches_in_flight_;
-  auto& stats = pipeline_stats();
-  stats.batcher_inflight_peak =
-      std::max<uint64_t>(stats.batcher_inflight_peak, batches_in_flight_);
+  batch_in_flight_ = true;
   sim_->Cancel(delay_timer_);
   delay_timer_ = sim::kInvalidEventId;
 
@@ -99,7 +90,7 @@ void Batcher::CommitBatch() {
         for (size_t i = 0; i < callbacks.size(); ++i) {
           if (callbacks[i]) callbacks[i](pos, static_cast<uint32_t>(i));
         }
-        --batches_in_flight_;
+        batch_in_flight_ = false;
         MaybeFlush();
       });
 }

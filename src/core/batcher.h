@@ -9,11 +9,8 @@
 //
 // The Batcher accumulates small operations and commits them as one Local
 // Log record. Operations keep their submission order within and across
-// batches (a conservative superset of dependency order), and by default at
-// most one batch is in flight at a time (the paper's group-commit rule).
-// Options::max_in_flight lifts that to k concurrent batches (DESIGN.md
-// §9); the Participant still completes batches in submission order, so
-// callbacks keep their order.
+// batches (a conservative superset of dependency order), and at most one
+// batch is in flight at a time (the paper's group-commit rule).
 // Completion callbacks carry the batch's log position and the operation's
 // index within the batch.
 #ifndef BLOCKPLANE_CORE_BATCHER_H_
@@ -37,9 +34,6 @@ class Batcher {
     /// Flush this long after the first pending operation arrived, even if
     /// the size thresholds are not met.
     sim::SimTime max_delay = sim::Milliseconds(5);
-    /// Concurrently in-flight batches (at least 1). 1 is the paper's
-    /// group-commit rule (DESIGN.md §9).
-    size_t max_in_flight = 1;
   };
 
   /// Called when an operation's batch is durably committed.
@@ -84,9 +78,7 @@ class Batcher {
 
   std::deque<PendingOp> pending_;
   size_t pending_bytes_ = 0;
-  /// Effective in-flight cap (>= 1), resolved at construction.
-  size_t max_in_flight_ = 1;
-  size_t batches_in_flight_ = 0;
+  bool batch_in_flight_ = false;
   sim::EventId delay_timer_ = sim::kInvalidEventId;
   uint64_t batches_committed_ = 0;
   uint64_t ops_committed_ = 0;

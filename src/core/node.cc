@@ -842,7 +842,12 @@ void BlockplaneNode::OnGeoReplicate(const net::Message& msg) {
   record.geo_pos = replicate.geo_pos;
   record.proof = std::move(replicate.proof);
 
-  if (replicate.geo_pos > mirror_high_pos_ + 1) {
+  // The leader judges contiguity against its admission projection
+  // (DESIGN.md §9): a pipelined replicate that extends positions it has
+  // admitted but not yet applied is next in line, not a hole.
+  uint64_t high = mirror_high_pos_;
+  if (replica_->leader() == self_) high = std::max(high, adm_mirror_high_);
+  if (replicate.geo_pos > high + 1) {
     // The geo stream moved past this mirror (e.g. the hosting site sat out
     // an outage while the other mirrors kept acking). Mirror logs commit
     // strictly in geo order, so this record cannot be admitted yet: buffer

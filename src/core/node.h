@@ -278,10 +278,11 @@ class BlockplaneNode : public net::Host {
 
   /// Mirror gap backfill (§V, DESIGN.md §10). After an outage the geo
   /// stream has moved on; replicates for positions ahead of
-  /// `mirror_high_pos_ + 1` cannot be admitted (mirror logs commit
-  /// strictly in geo order), so they are buffered here while the group
-  /// leader fetches the hole from a peer mirror. Proof-checked on entry;
-  /// re-verified in full at admission.
+  /// `mirror_high_pos_ + 1` (on the leader: ahead of its admission
+  /// projection `adm_mirror_high_ + 1`) cannot be admitted (mirror logs
+  /// commit strictly in geo order), so they are buffered here while the
+  /// group leader fetches the hole from a peer mirror. Proof-checked on
+  /// entry; re-verified in full at admission.
   std::vector<net::SiteId> mirror_peer_hosts_;
   std::map<uint64_t, LogRecord> mirror_backfill_;
   /// Highest backfill position already submitted for commit (re-based on

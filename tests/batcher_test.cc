@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "common/codec.h"
-#include "common/metrics.h"
 #include "core/deployment.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
@@ -115,30 +114,6 @@ TEST_F(BatcherTest, DecodeRejectsCountExceedingPayload) {
   Encoder huge;
   huge.PutVarint(uint64_t{1} << 40);  // absurd count, empty payload
   EXPECT_TRUE(Batcher::DecodeBatch(huge.Take(), &decoded).IsCorruption());
-}
-
-TEST_F(BatcherTest, KInFlightPipelinesBatches) {
-  // DESIGN.md §9: max_in_flight > 1 lifts the group-commit rule while the
-  // participant keeps completions in submission order.
-  pipeline_stats().Reset();
-  Batcher::Options options;
-  options.max_ops = 2;
-  options.max_delay = Milliseconds(1);
-  options.max_in_flight = 4;
-  Batcher batcher(deployment_.participant(0), &simulator_, options);
-  constexpr int kOps = 16;
-  std::vector<int> order;
-  for (int i = 0; i < kOps; ++i) {
-    batcher.Add(ToBytes(std::to_string(i)),
-                [&, i](uint64_t, uint32_t) { order.push_back(i); });
-  }
-  batcher.Flush();
-  ASSERT_TRUE(simulator_.RunUntilCondition(
-      [&] { return order.size() == kOps; }, Seconds(10)));
-  EXPECT_EQ(batcher.batches_committed(), 8u);  // 16 ops / 2 per batch
-  EXPECT_GE(pipeline_stats().batcher_inflight_peak, 2u);
-  // Completion callbacks still fire in submission order.
-  for (int i = 0; i < kOps; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST_F(BatcherTest, GroupCommitKeepsOneBatchInFlight) {

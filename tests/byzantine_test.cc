@@ -3,6 +3,7 @@
 // soak over the counter protocol.
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "common/metrics.h"
 #include "core/deployment.h"
 #include "core/wire.h"
@@ -329,6 +330,9 @@ TEST(ByzantineEndToEndTest, ForgedCertCannotVouchForNewContent) {
 
   // Forge the "next" transmission: correct chain pointers, the genuine
   // (cached-as-valid) certificate — but content its signers never saw.
+  // The content is a valid bank wire credit (the genuine op re-encoded
+  // with amount 1000), so the bank's own verifier accepts it and only the
+  // cert check stands between the forgery and the balance.
   const auto& log = deployment.node(kIreland, 0)->log();
   const LogRecord* wire = nullptr;
   for (const auto& [pos, record] : log) {
@@ -336,13 +340,29 @@ TEST(ByzantineEndToEndTest, ForgedCertCannotVouchForNewContent) {
   }
   ASSERT_NE(wire, nullptr);
   ASSERT_FALSE(wire->proof.empty());
+  uint8_t kind = 0;
+  std::string from;
+  std::string to;
+  int64_t amount = 0;
+  Decoder dec(wire->payload);
+  ASSERT_TRUE(dec.GetU8(&kind).ok());
+  ASSERT_TRUE(dec.GetString(&from).ok());
+  ASSERT_TRUE(dec.GetString(&to).ok());
+  ASSERT_TRUE(dec.GetI64(&amount).ok());
+  ASSERT_TRUE(dec.AtEnd());
+  ASSERT_EQ(amount, 40);
+  Encoder credit;
+  credit.PutU8(kind);
+  credit.PutString(from);
+  credit.PutString(to);
+  credit.PutI64(1000);
   TransmissionRecord forged;
   forged.src_site = kCalifornia;
   forged.dest_site = kIreland;
   forged.src_log_pos = wire->src_log_pos + 1;
   forged.prev_src_log_pos = wire->src_log_pos;
   forged.routine_id = wire->routine_id;
-  forged.payload = ToBytes("forged credit of 1000 coins");
+  forged.payload = credit.Take();
   forged.proof = wire->proof;  // genuine cert over other bytes
   for (int i = 0; i < 4; ++i) {
     net::Message msg;

@@ -312,16 +312,22 @@ TEST(PipelineTest, ParticipantStallEpisodesCloseOnPartialDrain) {
 
 // A lossless run never shrinks a window, and no window grows past its
 // knob, so every controller ends where it started. This is what keeps the
-// paper figures on the static schedule.
+// paper figures on the static schedule. The same run pins the quiet path:
+// a fault-free pipelined geo stream takes no recovery path, so every
+// robustness counter stays at zero and no mirror backfill crosses the WAN.
 TEST(PipelineTest, LosslessRunKeepsEveryWindowAtItsKnob) {
   congestion_stats().Reset();
+  robustness_stats().Reset();
   sim::Simulator simulator(19);
   core::BlockplaneOptions options;
   options.fg = 1;
   options.pbft_window = 8;
   options.participant_window = 8;
   options.daemon_window = 32;
-  core::Deployment deployment(&simulator, Topology::Aws4(), options);
+  net::NetworkOptions net_options;
+  net_options.per_type_wan_counters = true;
+  core::Deployment deployment(&simulator, Topology::Aws4(), options,
+                              net_options);
 
   constexpr int kCount = 16;
   int committed = 0;
@@ -361,6 +367,21 @@ TEST(PipelineTest, LosslessRunKeepsEveryWindowAtItsKnob) {
   EXPECT_EQ(congestion_stats().loss_events, 0);
   EXPECT_GT(congestion_stats().rtt_samples, 0)
       << "the controllers were exercised";
+
+  const auto robustness = metrics_registry().Snapshot().at("robustness");
+  EXPECT_FALSE(robustness.empty());
+  for (const auto& [name, value] : robustness) {
+    EXPECT_EQ(value, 0) << "robustness." << name;
+  }
+  const CounterSet& traffic = deployment.network()->counters();
+  EXPECT_GT(traffic.Get("wan_bytes.type_" +
+                        std::to_string(core::kGeoReplicate)),
+            0)
+      << "the geo stream crossed the WAN";
+  for (net::MessageType type : {core::kMirrorFetch, core::kMirrorEntry}) {
+    EXPECT_EQ(traffic.Get("wan_bytes.type_" + std::to_string(type)), 0)
+        << "message type " << type;
+  }
 }
 
 // bench_pipeline section C at 1 % loss: a window-4 daemon stream from
