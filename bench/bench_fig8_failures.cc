@@ -22,7 +22,7 @@
 #include <string>
 
 #include "bench_util.h"
-#include "chaos/campaign.h"
+#include "chaos/engine.h"
 #include "core/deployment.h"
 
 namespace blockplane {
@@ -173,49 +173,7 @@ int RunChaosVariant(const std::string& out_path) {
   // Apply the campaign actions.
   for (const chaos::FaultAction& action : campaign.actions) {
     simulator.ScheduleAt(action.at, [&deployment, action]() {
-      switch (action.type) {
-        case chaos::FaultType::kCrashSite:
-          deployment.network()->CrashSite(action.site_a);
-          break;
-        case chaos::FaultType::kRecoverSite: {
-          deployment.network()->RecoverSite(action.site_a);
-          for (int i = 0; i < 4; ++i) {
-            deployment.node(action.site_a, i)->Recover();
-          }
-          for (net::SiteId origin = 0; origin < 4; ++origin) {
-            if (origin == action.site_a) continue;
-            const auto& hosts = deployment.mirror_sites_of(origin);
-            bool hosted = false;
-            for (net::SiteId h : hosts) hosted = hosted || h == action.site_a;
-            if (!hosted) continue;
-            for (int i = 0; i < 4; ++i) {
-              deployment.mirror_node(action.site_a, origin, i)->Recover();
-            }
-          }
-          break;
-        }
-        case chaos::FaultType::kHealAll:
-          deployment.network()->HealAll();
-          break;
-        case chaos::FaultType::kCrashNode:
-        case chaos::FaultType::kRecoverNode:
-        case chaos::FaultType::kPartition:
-        case chaos::FaultType::kHeal:
-        case chaos::FaultType::kPartitionOneWay:
-        case chaos::FaultType::kHealOneWay:
-        case chaos::FaultType::kDropBurst:
-        case chaos::FaultType::kCorruptBurst:
-        case chaos::FaultType::kDuplicateBurst:
-        case chaos::FaultType::kByzEquivocate:
-        case chaos::FaultType::kByzSilent:
-        case chaos::FaultType::kByzBogusVotes:
-        case chaos::FaultType::kByzWithholdAttest:
-        case chaos::FaultType::kByzForgeReads:
-        case chaos::FaultType::kByzReorderGeo:
-          // This figure scripts whole-site outages only; the chaos soak
-          // covers node- and link-level faults (tests/chaos_soak_test.cc).
-          break;
-      }
+      chaos::ApplyFault(&deployment, action);
     });
   }
 

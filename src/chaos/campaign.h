@@ -44,7 +44,8 @@ enum class FaultType : uint8_t {
   kCorruptBurst,
   kDuplicateBurst,
   kHealAll,         // heal every partition (the end-of-campaign sweep)
-  // Scripted byzantine behaviors (site_a + node_index; permanent).
+  // Scripted byzantine behaviors (site_a + node_index; permanent). They
+  // stay last: the engine tells them apart by `>= kByzEquivocate`.
   kByzEquivocate,       // leader sends conflicting pre-prepares
   kByzSilent,           // mute node
   kByzBogusVotes,       // corrupted vote digests

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/bytes.h"
-#include "core/deployment.h"
 #include "sim/simulator.h"
 
 namespace blockplane::chaos {
@@ -103,107 +102,12 @@ class Engine {
     }
   }
 
-  core::BlockplaneNode* UnitNode(const FaultAction& a) {
-    return deployment_.node(a.site_a, a.node_index);
-  }
-
-  void RecoverSiteNodes(net::SiteId site) {
-    for (int i = 0; i < 3 * cfg_.fi + 1; ++i) {
-      deployment_.node(site, i)->Recover();
-    }
-    if (cfg_.fg > 0) {
-      // Mirror groups hosted at this site replicate other origins' logs;
-      // they crashed with the datacenter and need catch-up too.
-      for (net::SiteId origin = 0; origin < cfg_.num_sites; ++origin) {
-        if (origin == site) continue;
-        const auto& hosts = deployment_.mirror_sites_of(origin);
-        if (std::find(hosts.begin(), hosts.end(), site) == hosts.end()) {
-          continue;
-        }
-        for (int i = 0; i < 3 * cfg_.fi + 1; ++i) {
-          deployment_.mirror_node(site, origin, i)->Recover();
-        }
-      }
-    }
-  }
-
   void Apply(const FaultAction& action) {
-    net::Network* net = deployment_.network();
-    switch (action.type) {
-      case FaultType::kCrashNode:
-        net->Crash({action.site_a, action.node_index});
-        break;
-      case FaultType::kRecoverNode:
-        net->Recover({action.site_a, action.node_index});
-        UnitNode(action)->Recover();
-        break;
-      case FaultType::kCrashSite:
-        net->CrashSite(action.site_a);
-        break;
-      case FaultType::kRecoverSite:
-        net->RecoverSite(action.site_a);
-        RecoverSiteNodes(action.site_a);
-        break;
-      case FaultType::kPartition:
-        net->PartitionSites(action.site_a, action.site_b);
-        break;
-      case FaultType::kHeal:
-        net->HealPartition(action.site_a, action.site_b);
-        break;
-      case FaultType::kPartitionOneWay:
-        net->PartitionOneWay(action.site_a, action.site_b);
-        break;
-      case FaultType::kHealOneWay:
-        net->HealOneWay(action.site_a, action.site_b);
-        break;
-      case FaultType::kDropBurst:
-        net->set_drop_prob(action.probability);
-        sim_.Schedule(action.duration,
-                      [net]() { net->set_drop_prob(0.0); });
-        break;
-      case FaultType::kCorruptBurst:
-        net->set_corrupt_prob(action.probability);
-        sim_.Schedule(action.duration,
-                      [net]() { net->set_corrupt_prob(0.0); });
-        break;
-      case FaultType::kDuplicateBurst:
-        net->set_duplicate_prob(action.probability);
-        sim_.Schedule(action.duration,
-                      [net]() { net->set_duplicate_prob(0.0); });
-        break;
-      case FaultType::kHealAll:
-        net->HealAll();
-        break;
-      case FaultType::kByzEquivocate:
-        MarkByzantine(action);
-        UnitNode(action)->SetByzantineMode(pbft::ByzantineMode::kEquivocate);
-        break;
-      case FaultType::kByzSilent:
-        MarkByzantine(action);
-        UnitNode(action)->SetByzantineMode(pbft::ByzantineMode::kSilent);
-        UnitNode(action)->MuteDaemons();
-        break;
-      case FaultType::kByzBogusVotes:
-        MarkByzantine(action);
-        UnitNode(action)->SetByzantineMode(pbft::ByzantineMode::kBogusVotes);
-        break;
-      case FaultType::kByzWithholdAttest:
-        MarkByzantine(action);
-        UnitNode(action)->RefuseAttestations();
-        break;
-      case FaultType::kByzForgeReads:
-        MarkByzantine(action);
-        UnitNode(action)->LieOnReads();
-        break;
-      case FaultType::kByzReorderGeo:
-        MarkByzantine(action);
-        UnitNode(action)->SetByzantineMode(pbft::ByzantineMode::kReorderGeo);
-        break;
+    // Byzantine roles are permanent; I1 compares honest nodes only.
+    if (action.type >= FaultType::kByzEquivocate) {
+      byzantine_.insert({action.site_a, action.node_index});
     }
-  }
-
-  void MarkByzantine(const FaultAction& action) {
-    byzantine_.insert({action.site_a, action.node_index});
+    ApplyFault(&deployment_, action);
   }
 
   bool IsByzantine(net::SiteId site, int index) const {
@@ -485,6 +389,95 @@ class Engine {
 };
 
 }  // namespace
+
+void ApplyFault(core::Deployment* deployment, const FaultAction& action) {
+  net::Network* net = deployment->network();
+  auto node = [&]() {
+    return deployment->node(action.site_a, action.node_index);
+  };
+  switch (action.type) {
+    case FaultType::kCrashNode:
+      net->Crash({action.site_a, action.node_index});
+      break;
+    case FaultType::kRecoverNode:
+      net->Recover({action.site_a, action.node_index});
+      node()->Recover();
+      break;
+    case FaultType::kCrashSite:
+      net->CrashSite(action.site_a);
+      break;
+    case FaultType::kRecoverSite: {
+      net->RecoverSite(action.site_a);
+      // The site's unit and the mirror groups it hosts for other origins
+      // all went down with it, and all need catch-up (§VI-B).
+      const int group_size = 3 * deployment->options().fi + 1;
+      for (int i = 0; i < group_size; ++i) {
+        deployment->node(action.site_a, i)->Recover();
+      }
+      for (net::SiteId origin = 0; origin < deployment->num_sites();
+           ++origin) {
+        const auto& hosts = deployment->mirror_sites_of(origin);
+        if (std::find(hosts.begin(), hosts.end(), action.site_a) ==
+            hosts.end()) {
+          continue;
+        }
+        for (int i = 0; i < group_size; ++i) {
+          deployment->mirror_node(action.site_a, origin, i)->Recover();
+        }
+      }
+      break;
+    }
+    case FaultType::kPartition:
+      net->PartitionSites(action.site_a, action.site_b);
+      break;
+    case FaultType::kHeal:
+      net->HealPartition(action.site_a, action.site_b);
+      break;
+    case FaultType::kPartitionOneWay:
+      net->PartitionOneWay(action.site_a, action.site_b);
+      break;
+    case FaultType::kHealOneWay:
+      net->HealOneWay(action.site_a, action.site_b);
+      break;
+    case FaultType::kDropBurst:
+      net->set_drop_prob(action.probability);
+      net->simulator()->Schedule(action.duration,
+                                 [net]() { net->set_drop_prob(0.0); });
+      break;
+    case FaultType::kCorruptBurst:
+      net->set_corrupt_prob(action.probability);
+      net->simulator()->Schedule(action.duration,
+                                 [net]() { net->set_corrupt_prob(0.0); });
+      break;
+    case FaultType::kDuplicateBurst:
+      net->set_duplicate_prob(action.probability);
+      net->simulator()->Schedule(action.duration,
+                                 [net]() { net->set_duplicate_prob(0.0); });
+      break;
+    case FaultType::kHealAll:
+      net->HealAll();
+      break;
+    case FaultType::kByzEquivocate:
+      node()->SetByzantineMode(pbft::ByzantineMode::kEquivocate);
+      break;
+    case FaultType::kByzSilent:
+      node()->SetByzantineMode(pbft::ByzantineMode::kSilent);
+      node()->MuteDaemons();
+      break;
+    case FaultType::kByzBogusVotes:
+      node()->SetByzantineMode(pbft::ByzantineMode::kBogusVotes);
+      break;
+    case FaultType::kByzWithholdAttest:
+      node()->RefuseAttestations();
+      break;
+    case FaultType::kByzForgeReads:
+      node()->LieOnReads();
+      break;
+    case FaultType::kByzReorderGeo:
+      node()->SetByzantineMode(pbft::ByzantineMode::kReorderGeo);
+      break;
+  }
+}
 
 std::string ChaosReport::ToString() const {
   std::ostringstream os;

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "chaos/campaign.h"
+#include "core/deployment.h"
 
 namespace blockplane::chaos {
 
@@ -67,6 +68,12 @@ struct ChaosReport {
   /// One-line summary plus one line per failure.
   std::string ToString() const;
 };
+
+/// Applies one fault action to `deployment` now. A recovery also re-runs
+/// catch-up (§VI-B) on the recovered nodes: a site's unit and the mirror
+/// groups it hosts. A burst restores its probability to 0 after
+/// `action.duration`. Callers schedule the call at `action.at`.
+void ApplyFault(core::Deployment* deployment, const FaultAction& action);
 
 /// Runs `campaign` from scratch (fresh Simulator seeded with
 /// `campaign.config.seed`, fresh Deployment) and checks I1–I4. Bit-for-bit

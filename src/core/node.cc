@@ -100,9 +100,24 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
       OnAttestResponse(msg);
       return;
     case kTransmissionAck:
-    case kRecvStatusReply:
       for (auto& daemon : daemons_) daemon->OnMessage(msg);
       return;
+    case kRecvStatusReply: {
+      if (!is_mirror()) {
+        for (auto& daemon : daemons_) daemon->OnMessage(msg);
+        return;
+      }
+      // On a mirror node: this site's participant, about to take over for
+      // the origin, relays the highest position a peer mirror attests.
+      RecvStatusReplyMsg target;
+      if (msg.src != ParticipantNodeId(self_.site) ||
+          !RecvStatusReplyMsg::Decode(msg.body(), &target).ok() ||
+          target.src_site != origin_site_) {
+        return;
+      }
+      MaybeFetchMirrorGap(target.last_pos);
+      return;
+    }
     case kAttestRequest:
       OnAttestRequest(msg);
       return;
@@ -122,10 +137,10 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
       OnLogSyncReply(msg);
       return;
     case kMirrorFetch: {
-      // Mirror reconciliation (§V): hand out the mirrored entries (with
-      // their proofs) a recovering acting primary is missing. Mirror logs
-      // commit strictly in geo order, so the PBFT sequence number equals
-      // the geo position.
+      // Mirror gap backfill (§V): hand out the mirrored entries (with
+      // their proofs) a lagging peer mirror group's leader is missing.
+      // Mirror logs commit strictly in geo order, so the PBFT sequence
+      // number equals the geo position.
       if (!is_mirror()) return;
       MirrorFetchMsg fetch;
       if (!MirrorFetchMsg::Decode(msg.body(), &fetch).ok()) return;
@@ -852,10 +867,11 @@ void BlockplaneNode::OnGeoReplicate(const net::Message& msg) {
     // an outage while the other mirrors kept acking). Mirror logs commit
     // strictly in geo order, so this record cannot be admitted yet: buffer
     // it and backfill the hole from a peer mirror (§V, DESIGN.md §10).
+    // Only a proven replicate may move the backfill target (DESIGN.md §10).
+    if (!VerifyMirroredProof(record)) return;
     if (replicate.geo_pos <= mirror_high_pos_ + kMirrorBackfillCap &&
         (mirror_backfill_.size() < kMirrorBackfillCap ||
-         mirror_backfill_.count(replicate.geo_pos) > 0) &&
-        VerifyMirroredProof(record)) {
+         mirror_backfill_.count(replicate.geo_pos) > 0)) {
       mirror_backfill_[replicate.geo_pos] = std::move(record);
     }
     MaybeFetchMirrorGap(replicate.geo_pos);

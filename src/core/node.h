@@ -80,10 +80,9 @@ class BlockplaneNode : public net::Host {
   /// daemons stay passive until they detect a delivery gap (§IV-C).
   void StartCommDaemon(net::SiteId dest, bool reserve);
 
-  /// Mirror role only: the other host sites mirroring the same origin.
-  /// Peer mirrors are the fetch targets for gap backfill (§V, DESIGN.md
-  /// §10): after an outage, the geo stream has moved past this group, and
-  /// the missing positions can only come from a mirror that has them.
+  /// Mirror role only: the other host sites mirroring the same origin, the
+  /// fetch targets of gap backfill (§V, DESIGN.md §10). Backfill fills
+  /// every mirror hole: after an outage, and before this site takes over.
   void SetMirrorPeerHosts(std::vector<net::SiteId> hosts) {
     mirror_peer_hosts_ = std::move(hosts);
   }
@@ -288,7 +287,8 @@ class BlockplaneNode : public net::Host {
   /// Highest backfill position already submitted for commit (re-based on
   /// the applied watermark at each fetch, so lost submissions are retried).
   uint64_t mirror_backfill_submitted_ = 0;
-  /// Highest geo position observed in a replicate — the backfill target.
+  /// The backfill target: the highest geo position of a proven replicate
+  /// or of a takeover target relayed by the participant.
   uint64_t mirror_gap_target_ = 0;
   sim::SimTime last_mirror_gap_fetch_ = 0;
   static constexpr size_t kMirrorBackfillCap = 4096;

@@ -601,30 +601,26 @@ void Participant::ProceedMirrorOp() {
 
   uint64_t local_high = AttestedHigh(local_it->second, options_.fi + 1);
   uint64_t target_high = local_high;
-  net::SiteId ahead_peer = -1;
   for (auto& [peer, replies] : mirror_status_) {
     if (peer == site_) continue;
-    uint64_t attested = AttestedHigh(replies, options_.fi + 1);
-    if (attested > target_high) {
-      target_high = attested;
-      ahead_peer = peer;
-    }
+    target_high =
+        std::max(target_high, AttestedHigh(replies, options_.fi + 1));
   }
 
-  if (target_high > local_high && ahead_peer >= 0) {
-    // Our mirror is missing entries that committed globally: fetch them
-    // from the most advanced peer, replay into the local mirror group,
-    // then re-run the status round until caught up.
+  if (target_high > local_high) {
+    // Our mirror is missing entries that committed globally: tell the
+    // local mirror group how far the stream reaches, let its leader
+    // backfill from the peers (DESIGN.md §10), and re-poll until caught up.
     BP_LOG(kInfo) << "participant " << site_ << " reconciling mirror of "
                   << mirror_status_origin_ << ": " << local_high << " -> "
                   << target_high;
-    MirrorFetchMsg fetch;
-    fetch.origin_site = mirror_status_origin_;
-    fetch.from_geo_pos = local_high;
-    Bytes encoded = fetch.Encode();
-    for (int i = 0; i < options_.fi + 1; ++i) {
-      SendTo(MirrorNodeId(ahead_peer, mirror_status_origin_, i),
-             kMirrorFetch, Bytes(encoded));
+    RecvStatusReplyMsg target;
+    target.src_site = mirror_status_origin_;
+    target.last_pos = target_high;
+    Bytes encoded = target.Encode();
+    for (int i = 0; i < 3 * options_.fi + 1; ++i) {
+      SendTo(MirrorNodeId(site_, mirror_status_origin_, i), kRecvStatusReply,
+             Bytes(encoded));
     }
     sim_->Cancel(mirror_op_timer_);
     mirror_op_timer_ =
@@ -633,26 +629,6 @@ void Participant::ProceedMirrorOp() {
   }
 
   CommitMirrorRecord(mirror_status_origin_, target_high + 1);
-}
-
-void Participant::OnMirrorEntry(const net::Message& msg) {
-  MirrorEntryMsg entry;
-  if (!MirrorEntryMsg::Decode(msg.body(), &entry).ok()) return;
-  LogRecord outer;
-  if (!LogRecord::Decode(entry.record, &outer).ok()) return;
-  if (outer.type != RecordType::kMirrored) return;
-  // Replay into the local mirror group; verification re-checks the stored
-  // proof and the chain position, so a lying peer achieves nothing.
-  GeoReplicateMsg replicate;
-  replicate.acting_site = outer.src_site;
-  replicate.geo_pos = outer.geo_pos;
-  replicate.record = std::move(outer.payload);
-  replicate.proof = std::move(outer.proof);
-  Bytes encoded = replicate.Encode();
-  for (int i = 0; i < options_.fi + 1; ++i) {
-    SendTo(MirrorNodeId(site_, entry.origin_site, i), kGeoReplicate,
-           Bytes(encoded));
-  }
 }
 
 void Participant::CommitMirrorRecord(net::SiteId origin, uint64_t geo_pos) {
@@ -890,9 +866,6 @@ void Participant::HandleMessage(const net::Message& msg) {
       break;
     case kRecvStatusReply:
       OnRecvStatusReply(msg);
-      break;
-    case kMirrorEntry:
-      OnMirrorEntry(msg);
       break;
     case kReadReply:
       OnReadReply(msg);

@@ -172,7 +172,6 @@ class Participant : public net::Host {
   void StartMirrorOp();
   void ProceedMirrorOp();
   void CommitMirrorRecord(net::SiteId origin, uint64_t geo_pos);
-  void OnMirrorEntry(const net::Message& msg);
   pbft::PbftClient* MirrorClient(net::SiteId origin);
   void SendTo(net::NodeId dst, net::MessageType type, Bytes payload);
 
@@ -225,9 +224,10 @@ class Participant : public net::Host {
 
   /// Mirror status collection for MirrorCommit: per site, per node, the
   /// reported mirror-log high position. Before acting as primary, the
-  /// participant reconciles its local mirror with the most advanced peer
-  /// (§V: entries are on fg+1 participants, so some reachable mirror has
-  /// everything that ever committed).
+  /// participant waits until its local mirror reaches the highest position
+  /// a peer attests (§V: entries are on fg+1 participants, so some
+  /// reachable mirror has everything that ever committed); the local
+  /// mirror leader backfills the hole.
   std::map<net::SiteId, std::map<net::NodeId, uint64_t>> mirror_status_;
   net::SiteId mirror_status_origin_ = -1;
   sim::EventId mirror_op_timer_ = sim::kInvalidEventId;

@@ -57,6 +57,9 @@ struct RecvStatusQueryMsg {
   static Status Decode(const Bytes& buf, RecvStatusQueryMsg* out);
 };
 
+/// Answers a RecvStatusQueryMsg. Before a takeover the participant sends
+/// one to its own mirror group: `last_pos` is then the highest position a
+/// peer mirror attests, and the leader backfills up to it (DESIGN.md §10).
 struct RecvStatusReplyMsg {
   net::SiteId src_site = -1;
   uint64_t last_pos = 0;
@@ -69,8 +72,8 @@ struct GeoReplicateMsg {
   net::SiteId acting_site = -1;  // the (current) primary issuing the record
   uint64_t geo_pos = 0;
   Bytes record;  // encoded origin LogRecord
-  /// The acting site's quorum cert over its f_i+1 attestations (a
-  /// replayed mirror entry carries the proof stored with it).
+  /// The acting site's quorum cert over f_i+1 attestations: from its unit,
+  /// or from its mirror group when it acts for a failed origin.
   std::vector<crypto::QuorumCert> proof;
 
   Bytes Encode() const;
@@ -115,8 +118,8 @@ struct ReadReplyMsg {
   static Status Decode(const Bytes& buf, ReadReplyMsg* out);
 };
 
-/// Mirror reconciliation (§V failover): a new acting primary fetches the
-/// mirrored entries it is missing from an up-to-date peer mirror.
+/// Mirror gap backfill (§V, DESIGN.md §10): a lagging mirror group's
+/// leader fetches the mirrored entries it is missing from peer mirrors.
 struct MirrorFetchMsg {
   net::SiteId origin_site = -1;
   uint64_t from_geo_pos = 0;  // exclusive

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/wire.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
@@ -442,10 +443,11 @@ TEST(BlockplaneGeoTest, SecondaryActsAfterPrimaryFailure) {
 
 TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
   // The primary needs proofs from only fg mirrors, so a secondary's mirror
-  // can lag. Before acting as primary it must fetch the missing entries
-  // from an up-to-date peer (§V's fg+1-intersection argument), or it would
-  // fork the stream. Runs with the secondary one and two entries behind.
-  for (int lag : {1, 2}) {
+  // can lag. Before acting as primary its mirror group must fetch the
+  // missing entries from an up-to-date peer (§V's fg+1-intersection
+  // argument), or it would fork the stream. Runs with the secondary one,
+  // two and 100 entries behind; 100 spans two 64-entry fetches.
+  for (int lag : {1, 2, 100}) {
     SCOPED_TRACE("lag " + std::to_string(lag));
     BlockplaneOptions options;
     options.fg = 1;
@@ -456,11 +458,10 @@ TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
     // Virginia's datacenter goes dark while the primary keeps committing
     // (Oregon supplies the fg=1 proofs).
     harness.deployment_.network()->CrashSite(kVirginia);
-    const char* kMissed[] = {"second", "third"};
     std::vector<std::string> expected = {"first"};
     for (int i = 0; i < lag; ++i) {
-      expected.push_back(kMissed[i]);
-      harness.CommitAndWait(kCalifornia, kMissed[i]);
+      expected.push_back("missed " + std::to_string(i));
+      harness.CommitAndWait(kCalifornia, expected.back());
     }
 
     // Virginia comes back; California fails; Virginia takes over.
@@ -475,6 +476,7 @@ TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
     bool done = false;
     uint64_t pos = 0;
     expected.push_back("takeover");
+    robustness_stats().Reset();
     secondary->MirrorCommit(kCalifornia, ToBytes(expected.back()), 0,
                             [&](uint64_t p) {
                               pos = p;
@@ -485,6 +487,9 @@ TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
     // The new entry continues after the ones the old primary committed —
     // Virginia reconciled the missed entries from Oregon before acting.
     EXPECT_EQ(pos, expected.size());
+    // One mechanism: every missed entry entered Virginia's mirror through
+    // its leader's backfill, exactly once.
+    EXPECT_EQ(robustness_stats().mirror_gap_filled, lag);
     harness.simulator_.RunFor(Seconds(2));
     BlockplaneNode* mirror =
         harness.deployment_.mirror_node(kVirginia, kCalifornia, 0);

@@ -194,6 +194,58 @@ TEST(ByzantineEndToEndTest, ForgedGeoAcksCannotFakeGlobalCommit) {
       simulator.RunUntilCondition([&] { return committed; }, Seconds(5)));
 }
 
+TEST(ByzantineEndToEndTest, UnprovenReplicateCannotPinMirrorBackfill) {
+  // Only a proven replicate may move a mirror leader's backfill target
+  // (DESIGN.md §10). Believed, one unproven replicate at a far-future
+  // position would make the leader re-fetch from every peer mirror after
+  // each apply, for as long as the stream runs.
+  sim::Simulator simulator(5);
+  BlockplaneOptions options;
+  options.fg = 1;
+  net::NetworkOptions net_options;
+  net_options.per_type_wan_counters = true;
+  Deployment deployment(&simulator, Topology::Aws4(), options, net_options);
+  robustness_stats().Reset();
+  BlockplaneNode* leader = deployment.mirror_node(
+      deployment.mirror_sites_of(kCalifornia)[0], kCalifornia, 0);
+  ASSERT_EQ(leader->replica()->leader(), leader->self());
+
+  // A byzantine Ireland node forges a replicate of California's stream at
+  // geo position 1,000,000: a well-formed record under a cert nobody signed.
+  LogRecord inner;
+  inner.type = RecordType::kLogCommit;
+  inner.payload = ToBytes("never attested");
+  inner.geo_pos = 1000000;
+  GeoReplicateMsg forged;
+  forged.acting_site = kCalifornia;
+  forged.geo_pos = inner.geo_pos;
+  forged.record = inner.Encode();
+  crypto::QuorumCert cert;
+  cert.site = kCalifornia;
+  cert.signer_bits = 0b11;
+  cert.agg[0] = 0x5a;
+  forged.proof = {cert};
+  net::Message msg;
+  msg.src = {kIreland, 0};
+  msg.dst = leader->self();
+  msg.type = kGeoReplicate;
+  msg.set_body(forged.Encode());
+  deployment.network()->Send(msg);
+
+  Participant* primary = deployment.participant(kCalifornia);
+  for (int i = 0; i < 100; ++i) {
+    bool committed = false;
+    primary->LogCommit(ToBytes("op " + std::to_string(i)), 0,
+                       [&](uint64_t) { committed = true; });
+    ASSERT_TRUE(simulator.RunUntilCondition(
+        [&] { return committed; }, simulator.Now() + Seconds(30)));
+  }
+  EXPECT_EQ(robustness_stats().mirror_gap_fetches, 0);
+  EXPECT_EQ(deployment.network()->counters().Get(
+                "wan_bytes.type_" + std::to_string(kMirrorFetch)),
+            0);
+}
+
 TEST(ByzantineEndToEndTest, ReplayedWireCannotDoubleCredit) {
   // A byzantine daemon replaying a committed wire must not mint money.
   sim::Simulator simulator(39);

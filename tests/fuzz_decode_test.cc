@@ -6,6 +6,7 @@
 // single-byte mutations of valid encodings.
 #include <gtest/gtest.h>
 
+#include "core/batcher.h"
 #include "core/record.h"
 #include "core/wire.h"
 #include "paxos/message.h"
@@ -31,88 +32,57 @@ crypto::QuorumCert SomeCert(net::SiteId site) {
   return cert;
 }
 
+template <typename Msg>
+void DecodeAs(const Bytes& input) {
+  Msg out;
+  (void)Msg::Decode(input, &out);
+}
+
 /// Runs every decoder in the code base against one input.
 void DecodeEverything(const Bytes& input) {
+  DecodeAs<core::LogRecord>(input);
+  DecodeAs<core::TransmissionRecord>(input);
+  DecodeAs<core::TransmissionAckMsg>(input);
+  DecodeAs<core::AttestRequestMsg>(input);
+  DecodeAs<core::AttestResponseMsg>(input);
+  DecodeAs<core::DeliverNoticeMsg>(input);
+  DecodeAs<core::RecvStatusQueryMsg>(input);
+  DecodeAs<core::RecvStatusReplyMsg>(input);
+  DecodeAs<core::GeoReplicateMsg>(input);
+  DecodeAs<core::GeoAckMsg>(input);
+  DecodeAs<core::GeoGapNoticeMsg>(input);
+  DecodeAs<core::ReadRequestMsg>(input);
+  DecodeAs<core::ReadReplyMsg>(input);
+  DecodeAs<core::MirrorFetchMsg>(input);
+  DecodeAs<core::MirrorEntryMsg>(input);
+  DecodeAs<core::LogSyncRequestMsg>(input);
+  DecodeAs<core::LogSyncReplyMsg>(input);
+  DecodeAs<core::GeoProofBundleMsg>(input);
   {
-    core::LogRecord out;
-    (void)core::LogRecord::Decode(input, &out);
+    std::vector<Bytes> ops;
+    (void)core::Batcher::DecodeBatch(input, &ops);
   }
-  {
-    core::TransmissionRecord out;
-    (void)core::TransmissionRecord::Decode(input, &out);
-  }
-  {
-    core::TransmissionAckMsg out;
-    (void)core::TransmissionAckMsg::Decode(input, &out);
-  }
-  {
-    core::AttestRequestMsg out;
-    (void)core::AttestRequestMsg::Decode(input, &out);
-  }
-  {
-    core::AttestResponseMsg out;
-    (void)core::AttestResponseMsg::Decode(input, &out);
-  }
-  {
-    core::DeliverNoticeMsg out;
-    (void)core::DeliverNoticeMsg::Decode(input, &out);
-  }
-  {
-    core::GeoReplicateMsg out;
-    (void)core::GeoReplicateMsg::Decode(input, &out);
-  }
-  {
-    core::GeoAckMsg out;
-    (void)core::GeoAckMsg::Decode(input, &out);
-  }
-  {
-    core::GeoProofBundleMsg out;
-    (void)core::GeoProofBundleMsg::Decode(input, &out);
-  }
-  {
-    core::MirrorFetchMsg out;
-    (void)core::MirrorFetchMsg::Decode(input, &out);
-  }
-  {
-    core::MirrorEntryMsg out;
-    (void)core::MirrorEntryMsg::Decode(input, &out);
-  }
-  {
-    core::ReadReplyMsg out;
-    (void)core::ReadReplyMsg::Decode(input, &out);
-  }
-  {
-    pbft::RequestMsg out;
-    (void)pbft::RequestMsg::Decode(input, &out);
-  }
-  {
-    pbft::PrePrepareMsg out;
-    (void)pbft::PrePrepareMsg::Decode(input, &out);
-  }
+  DecodeAs<pbft::RequestMsg>(input);
+  DecodeAs<pbft::PrePrepareMsg>(input);
   {
     pbft::VoteMsg out;
     (void)pbft::VoteMsg::Decode(pbft::kPrepare, input, &out);
   }
-  {
-    pbft::ViewChangeMsg out;
-    (void)pbft::ViewChangeMsg::Decode(input, &out);
-  }
-  {
-    pbft::NewViewMsg out;
-    (void)pbft::NewViewMsg::Decode(input, &out);
-  }
-  {
-    pbft::CommittedEntryMsg out;
-    (void)pbft::CommittedEntryMsg::Decode(input, &out);
-  }
-  {
-    paxos::PromiseMsg out;
-    (void)paxos::PromiseMsg::Decode(input, &out);
-  }
-  {
-    paxos::AcceptMsg out;
-    (void)paxos::AcceptMsg::Decode(input, &out);
-  }
+  DecodeAs<pbft::ReplyMsg>(input);
+  DecodeAs<pbft::CheckpointMsg>(input);
+  DecodeAs<pbft::FetchCommittedMsg>(input);
+  DecodeAs<pbft::CommittedEntryMsg>(input);
+  DecodeAs<pbft::SnapshotMsg>(input);
+  DecodeAs<pbft::ViewChangeMsg>(input);
+  DecodeAs<pbft::NewViewMsg>(input);
+  DecodeAs<paxos::PrepareMsg>(input);
+  DecodeAs<paxos::PromiseMsg>(input);
+  DecodeAs<paxos::AcceptMsg>(input);
+  DecodeAs<paxos::AcceptedMsg>(input);
+  DecodeAs<paxos::NackMsg>(input);
+  DecodeAs<paxos::LearnMsg>(input);
+  DecodeAs<paxos::HeartbeatMsg>(input);
+  DecodeAs<paxos::ForwardMsg>(input);
 }
 
 class FuzzDecodeTest : public ::testing::TestWithParam<int> {};
