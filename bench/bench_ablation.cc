@@ -5,9 +5,8 @@
 //      Blockplane-paxos looks like paxos's, not PBFT's.
 //   B. Communication-daemon pipelining — serializing transmissions per
 //      destination (window = 1) adds an extra cross-round RTT under load.
-//   C. Crypto on/off — what the paper's prototype omitted: the cost of
-//      real SHA-256 digests and HMAC signatures on local commitment.
 //   D. Read strategies (§VI-A) — read-1 vs 2f+1-quorum vs linearizable.
+//   E. Resource and message cost per deployment and local commit (§VI-D).
 #include <cstdio>
 
 #include "bench_util.h"
@@ -70,10 +69,7 @@ void AblateWanMessages() {
 
   {  // Blockplane-paxos
     sim::Simulator simulator(1);
-    core::BlockplaneOptions options;
-    options.sign_messages = false;
-    options.hash_payloads = false;
-    core::Deployment deployment(&simulator, net::Topology::Aws4(), options,
+    core::Deployment deployment(&simulator, net::Topology::Aws4(), {},
                                 BenchNet());
     protocols::BpPaxos paxos(&deployment);
     bool elected = false;
@@ -99,8 +95,7 @@ void AblateWanMessages() {
     sim::Simulator simulator(1);
     net::Network network(&simulator, net::Topology::Aws4(), BenchNet());
     crypto::KeyStore keys;
-    protocols::FlatPbft pbft(&network, &keys, net::kVirginia,
-                             /*sign_messages=*/false);
+    protocols::FlatPbft pbft(&network, &keys, net::kVirginia);
     network.ResetCounters();
     for (int i = 0; i < kRounds; ++i) {
       bool done = false;
@@ -132,8 +127,6 @@ void AblatePipelining() {
   for (size_t window : {size_t{1}, size_t{4}, size_t{32}}) {
     sim::Simulator simulator(1);
     core::BlockplaneOptions options;
-    options.sign_messages = false;
-    options.hash_payloads = false;
     options.daemon_window = window;
     core::Deployment deployment(&simulator, net::Topology::Aws4(), options,
                                 BenchNet());
@@ -154,41 +147,6 @@ void AblatePipelining() {
   std::printf("(window=1 pays ~1 extra RTT per queued message.)\n\n");
 }
 
-// --- C: crypto cost ---------------------------------------------------------------
-
-void AblateCrypto() {
-  std::printf("--- C. real crypto vs the paper's prototype mode "
-              "(local commit, 100 KB batches) ---\n");
-  std::printf("%24s %14s\n", "mode", "latency (ms)");
-  for (bool crypto_on : {false, true}) {
-    sim::Simulator simulator(1);
-    core::BlockplaneOptions options;
-    options.sign_messages = crypto_on;
-    options.hash_payloads = crypto_on;
-    options.checkpoint_interval = 8;
-    options.prune_applied_log = 8;
-    core::Deployment deployment(&simulator,
-                                net::Topology::SingleSite("Virginia"),
-                                options, BenchNet());
-    Bytes batch = bench::MakeBatch(100);
-    Histogram latency_ms;
-    for (int i = 0; i < 120; ++i) {
-      bool done = false;
-      sim::SimTime start = simulator.Now();
-      deployment.participant(0)->LogCommit(Bytes(batch), 0,
-                                           [&](uint64_t) { done = true; });
-      simulator.RunUntilCondition([&] { return done; },
-                                  simulator.Now() + sim::Seconds(10));
-      if (i >= 20) latency_ms.Add(sim::ToMillis(simulator.Now() - start));
-    }
-    std::printf("%24s %14.2f\n",
-                crypto_on ? "SHA-256 + HMAC signatures" : "paper mode (none)",
-                latency_ms.Mean());
-  }
-  std::printf("(simulated network time is identical; the real crypto cost "
-              "is host CPU, visible in bench_micro.)\n\n");
-}
-
 // --- E: resource & message cost summary (§VI-D) ---------------------------------
 
 void AblateCosts() {
@@ -200,8 +158,6 @@ void AblateCosts() {
     sim::Simulator simulator(1);
     core::BlockplaneOptions options;
     options.fi = fi;
-    options.sign_messages = false;
-    options.hash_payloads = false;
     core::Deployment deployment(&simulator,
                                 net::Topology::SingleSite("Virginia"),
                                 options, BenchNet());
@@ -272,11 +228,10 @@ void AblateReads() {
 int main() {
   using namespace blockplane;
   bench::PrintHeader("Ablations of Blockplane design choices",
-                     "hierarchy/WAN traffic, daemon pipelining, crypto, "
+                     "hierarchy/WAN traffic, daemon pipelining, "
                      "read strategies");
   AblateWanMessages();
   AblatePipelining();
-  AblateCrypto();
   AblateReads();
   AblateCosts();
   return 0;

@@ -23,9 +23,6 @@ Result RunOne(size_t batch_kb, int warmup, int batches) {
   sim::Simulator simulator(1);
   core::BlockplaneOptions options;
   options.fi = 1;
-  // Like the paper's prototype, no signatures/digests on this path.
-  options.sign_messages = false;
-  options.hash_payloads = false;
   options.checkpoint_interval = 8;
   options.prune_applied_log = 8;
   // Intra-datacenter parameters calibrated to the paper's EC2 testbed

@@ -20,8 +20,6 @@ double RunOne(net::SiteId site, int fg) {
   core::BlockplaneOptions options;
   options.fi = 1;
   options.fg = fg;
-  options.sign_messages = false;
-  options.hash_payloads = false;
   options.checkpoint_interval = 16;
   net::NetworkOptions net_options;
   net_options.intra_site_one_way = sim::Microseconds(100);
@@ -56,8 +54,6 @@ void RunTraced(const std::string& path) {
   core::BlockplaneOptions options;
   options.fi = 1;
   options.fg = 1;
-  options.sign_messages = false;
-  options.hash_payloads = false;
   net::NetworkOptions net_options;
   net_options.intra_site_one_way = sim::Microseconds(100);
   net_options.per_message_cpu = sim::Microseconds(25);

@@ -17,8 +17,6 @@ double RunOne(net::SiteId src, net::SiteId dest) {
   sim::Simulator simulator(1);
   core::BlockplaneOptions options;
   options.fi = 1;
-  options.sign_messages = false;
-  options.hash_payloads = false;
   net::NetworkOptions net_options;
   net_options.intra_site_one_way = sim::Microseconds(100);
   net_options.per_message_cpu = sim::Microseconds(25);

@@ -65,10 +65,7 @@ double RunPaxos(net::SiteId leader) {
 
 double RunBpPaxos(net::SiteId leader) {
   sim::Simulator simulator(1);
-  core::BlockplaneOptions options;
-  options.sign_messages = false;
-  options.hash_payloads = false;
-  core::Deployment deployment(&simulator, net::Topology::Aws4(), options,
+  core::Deployment deployment(&simulator, net::Topology::Aws4(), {},
                               BenchNet());
   protocols::BpPaxos paxos(&deployment);
   bool elected = false;
@@ -93,8 +90,7 @@ double RunFlatPbft(net::SiteId leader) {
   sim::Simulator simulator(1);
   net::Network network(&simulator, net::Topology::Aws4(), BenchNet());
   crypto::KeyStore keys;
-  protocols::FlatPbft pbft(&network, &keys, leader,
-                           /*sign_messages=*/false);
+  protocols::FlatPbft pbft(&network, &keys, leader);
   Histogram latency_ms;
   for (int i = 0; i < kWarmup + kRounds; ++i) {
     bool done = false;
@@ -111,8 +107,7 @@ double RunHierPbft(net::SiteId leader) {
   sim::Simulator simulator(1);
   net::Network network(&simulator, net::Topology::Aws4(), BenchNet());
   crypto::KeyStore keys;
-  protocols::HierPbft hier(&network, &keys, /*f=*/1,
-                           /*sign_messages=*/false);
+  protocols::HierPbft hier(&network, &keys, /*f=*/1);
   Histogram latency_ms;
   for (int i = 0; i < kWarmup + kRounds; ++i) {
     bool done = false;

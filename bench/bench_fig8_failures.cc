@@ -39,8 +39,6 @@ core::BlockplaneOptions GeoOptions() {
   core::BlockplaneOptions options;
   options.fi = 1;
   options.fg = 1;
-  options.sign_messages = false;
-  options.hash_payloads = false;
   options.checkpoint_interval = 16;
   return options;
 }

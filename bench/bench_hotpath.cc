@@ -280,13 +280,11 @@ struct WorkloadStats {
   double sim_wall_seconds = 0;
 };
 
-/// Commits `n` values through a full 4-node PBFT unit with signatures and
-/// payload digests ON, and snapshots the hot-path counters it generated.
+/// Commits `n` values through a full 4-node PBFT unit, and snapshots the
+/// hot-path counters it generated.
 WorkloadStats RunPbftCommitWorkload(int n) {
   sim::Simulator simulator(1);
   core::BlockplaneOptions options;
-  options.sign_messages = true;
-  options.hash_payloads = true;
   options.checkpoint_interval = 32;
   core::Deployment deployment(&simulator, net::Topology::SingleSite(),
                               options);

@@ -193,8 +193,6 @@ void BM_LocalCommitEndToEnd(benchmark::State& state) {
   // work behind Fig. 4): useful for spotting regressions in the hot path.
   sim::Simulator simulator(1);
   core::BlockplaneOptions options;
-  options.sign_messages = state.range(0) != 0;
-  options.hash_payloads = state.range(0) != 0;
   options.checkpoint_interval = 8;
   options.prune_applied_log = 8;
   core::Deployment deployment(&simulator, net::Topology::SingleSite(),
@@ -207,9 +205,8 @@ void BM_LocalCommitEndToEnd(benchmark::State& state) {
     simulator.RunUntilCondition([&] { return done; },
                                 simulator.Now() + sim::Seconds(10));
   }
-  state.SetLabel(state.range(0) ? "with-crypto" : "paper-mode");
 }
-BENCHMARK(BM_LocalCommitEndToEnd)->Arg(0)->Arg(1);
+BENCHMARK(BM_LocalCommitEndToEnd);
 
 }  // namespace
 }  // namespace blockplane

@@ -14,8 +14,6 @@ void RunOne(int fi) {
   sim::Simulator simulator(1);
   core::BlockplaneOptions options;
   options.fi = fi;
-  options.sign_messages = false;
-  options.hash_payloads = false;
   options.checkpoint_interval = 8;
   options.prune_applied_log = 8;
   net::NetworkOptions net_options;

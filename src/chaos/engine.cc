@@ -83,10 +83,6 @@ class Engine {
     options.fg = cfg.fg;
     options.pbft_window = cfg.pbft_window;
     options.participant_window = cfg.participant_window;
-    // Byzantine detection depends on real signatures; corruption bursts
-    // depend on real digests. Chaos always runs with crypto on.
-    options.sign_messages = true;
-    options.hash_payloads = true;
     return options;
   }
 

@@ -227,14 +227,6 @@ double Histogram::Max() const {
   return samples_.back();
 }
 
-double Histogram::Stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  double mean = Mean();
-  double acc = 0.0;
-  for (double v : samples_) acc += (v - mean) * (v - mean);
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-}
-
 double Histogram::Percentile(double p) const {
   if (samples_.empty()) return 0.0;
   BP_CHECK(p >= 0.0 && p <= 100.0);

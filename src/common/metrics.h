@@ -1,6 +1,5 @@
 // Measurement helpers used by the benchmark harness and tests: latency
-// histograms with percentiles, simple counters, and time-series recorders
-// for the failure-timeline experiments (Fig. 8).
+// histograms with percentiles and simple counters.
 #ifndef BLOCKPLANE_COMMON_METRICS_H_
 #define BLOCKPLANE_COMMON_METRICS_H_
 
@@ -25,7 +24,6 @@ class Histogram {
   double Mean() const;
   double Min() const;
   double Max() const;
-  double Stddev() const;
   /// p in [0, 100]; nearest-rank on sorted samples.
   double Percentile(double p) const;
   double Median() const { return Percentile(50.0); }
@@ -36,21 +34,6 @@ class Histogram {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
   void EnsureSorted() const;
-};
-
-/// Ordered (x, y) series, e.g. (batch number, latency ms) for Fig. 8.
-class TimeSeries {
- public:
-  void Add(double x, double y) { points_.push_back({x, y}); }
-  struct Point {
-    double x;
-    double y;
-  };
-  const std::vector<Point>& points() const { return points_; }
-  void Clear() { points_.clear(); }
-
- private:
-  std::vector<Point> points_;
 };
 
 /// Process-wide counters for the byzantizing hot path (encode-once /

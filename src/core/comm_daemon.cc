@@ -153,8 +153,7 @@ void CommDaemon::RequestAttestations(uint64_t pos) {
 void CommDaemon::OnAttestResponse(const AttestResponseMsg& response) {
   auto it = flights_.find(response.pos);
   if (it == flights_.end() || it->second.sigs_complete) return;
-  if (host_->options_.sign_messages &&
-      !host_->keys()->Verify(it->second.attest_canonical, response.sig)) {
+  if (!host_->keys()->Verify(it->second.attest_canonical, response.sig)) {
     return;
   }
   ApplyAttestation(response.pos, response.sig);

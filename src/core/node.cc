@@ -48,8 +48,6 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
       options_(options),
       self_(self),
       origin_site_(origin_site) {
-  group.hash_payloads = options_.hash_payloads;
-  group.sign_messages = options_.sign_messages;
   group.checkpoint_interval = options_.checkpoint_interval;
   group.window = options_.pbft_window;
   replica_ = std::make_unique<pbft::PbftReplica>(
@@ -229,11 +227,6 @@ uint64_t BlockplaneNode::last_received_pos(net::SiteId src) const {
   return it == last_received_pos_.end() ? 0 : it->second;
 }
 
-uint64_t BlockplaneNode::comm_records_to(net::SiteId dest) const {
-  auto it = comm_positions_.find(dest);
-  return it == comm_positions_.end() ? 0 : it->second.size();
-}
-
 uint64_t BlockplaneNode::daemon_acked(net::SiteId dest) const {
   for (const auto& daemon : daemons_) {
     if (daemon->dest() == dest) return daemon->acked_watermark();
@@ -349,13 +342,14 @@ bool BlockplaneNode::VerifyReceivedAt(const LogRecord& record,
   // (1) The source participant's unit attested the record: one quorum
   // cert over f_i+1 attestations (DESIGN.md §14). Repeats of the same cert
   // hit the KeyStore's cert cache and skip the MAC recomputation.
-  if (options_.sign_messages) {
-    const crypto::QuorumCert* cert = CertFrom(record.proof, record.src_site);
-    if (cert == nullptr) return false;
-    Bytes canonical =
-        AttestCanonical(AttestPurpose::kTransmission, record.src_site,
-                        record.src_log_pos, record.ContentDigest());
-    if (!keys_->VerifyCert(canonical, *cert, options_.fi + 1)) return false;
+  const crypto::QuorumCert* source_cert =
+      CertFrom(record.proof, record.src_site);
+  if (source_cert == nullptr) return false;
+  Bytes source_canonical =
+      AttestCanonical(AttestPurpose::kTransmission, record.src_site,
+                      record.src_log_pos, record.ContentDigest());
+  if (!keys_->VerifyCert(source_canonical, *source_cert, options_.fi + 1)) {
+    return false;
   }
 
   // (2) Not received before, and (3) no earlier unreceived transmission:
@@ -365,7 +359,7 @@ bool BlockplaneNode::VerifyReceivedAt(const LogRecord& record,
 
   // (4) §V: with geo-correlated tolerance, the source must prove that fg
   // other participants hold the record.
-  if (options_.fg > 0 && options_.sign_messages) {
+  if (options_.fg > 0) {
     LogRecord original;
     original.type = RecordType::kCommunication;
     original.routine_id = record.routine_id;
@@ -398,7 +392,6 @@ bool BlockplaneNode::VerifyMirrored(const LogRecord& record) const {
 bool BlockplaneNode::VerifyMirroredProof(const LogRecord& record) const {
   LogRecord inner;
   if (!LogRecord::Decode(record.payload, &inner).ok()) return false;
-  if (!options_.sign_messages) return true;
 
   crypto::Digest digest = crypto::Sha256Digest(record.payload);
   Bytes canonical = AttestCanonical(AttestPurpose::kGeoSource,
@@ -675,11 +668,10 @@ void BlockplaneNode::TryInstallSyncedLog() {
   std::vector<crypto::Digest> value_digests;
   value_digests.reserve(sync_target_seq_ - applied_high_);
   for (uint64_t pos = applied_high_ + 1; pos <= sync_target_seq_; ++pos) {
-    value_digests.push_back(
-        pbft::ComputeDigest(sync_buffer_.at(pos), options_.hash_payloads));
+    value_digests.push_back(crypto::Sha256Digest(sync_buffer_.at(pos)));
     chain = pbft::ChainDigest(chain, value_digests.back());
   }
-  if (options_.sign_messages && chain != sync_target_digest_) {
+  if (chain != sync_target_digest_) {
     // A lying peer fed us garbage; drop it all and re-request.
     BP_LOG(kWarning) << self_.ToString()
                      << " log sync failed digest verification; retrying";

@@ -123,8 +123,6 @@ class BlockplaneNode : public net::Host {
   size_t quarantined_api_records() const { return geo_quarantine_.size(); }
   /// Highest source-log position received (and committed) from `src`.
   uint64_t last_received_pos(net::SiteId src) const;
-  /// Number of communication records to `dest` in the log.
-  uint64_t comm_records_to(net::SiteId dest) const;
   /// Highest source-log position this node's daemon for `dest` has seen
   /// acknowledged by f_i+1 destination nodes (0 if no daemon here).
   uint64_t daemon_acked(net::SiteId dest) const;
@@ -159,7 +157,7 @@ class BlockplaneNode : public net::Host {
                  const crypto::Digest& digest);
   /// Applies a committed value to this node's Local Log copy and derived
   /// state (used by both normal execution and log sync). `digest` is the
-  /// value's pbft::ComputeDigest, already computed by the caller.
+  /// value's SHA-256 digest, already computed by the caller.
   void ApplyValue(uint64_t seq, const Bytes& value,
                   const crypto::Digest& digest);
 

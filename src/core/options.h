@@ -37,11 +37,6 @@ struct BlockplaneOptions {
   /// the paper's stop-and-wait behaviour.
   uint64_t participant_window = 1;
 
-  /// Bench-mode switches mirroring the paper's prototype, which "does not
-  /// implement creating and checking signatures and digests".
-  bool hash_payloads = true;
-  bool sign_messages = true;
-
   /// When positive, each node keeps only this many recent non-communication
   /// Local Log entries in memory (communication records stay until their
   /// transmissions are acknowledged). Benches with multi-megabyte batches

@@ -42,8 +42,6 @@ Participant::Participant(net::Network* network, crypto::KeyStore* keys,
       self_(ParticipantNodeId(site)),
       mirror_sites_(std::move(mirror_sites)) {
   signer_ = keys_->RegisterNode(self_);
-  unit_group_.hash_payloads = options_.hash_payloads;
-  unit_group_.sign_messages = options_.sign_messages;
   client_ = std::make_unique<pbft::PbftClient>(
       network_, unit_group_, net::NodeId{site, kClientIndexBase});
   // One window controller per mirror destination (DESIGN.md §13): the
@@ -295,11 +293,9 @@ void Participant::OnAttestResponse(const net::Message& msg) {
   if (found == nullptr) return;
   GeoRound& round = *found;
   if (static_cast<int>(round.source_sigs.size()) >= options_.fi + 1) return;
-  if (options_.sign_messages) {
-    Bytes canonical = AttestCanonical(AttestPurpose::kGeoSource, site_,
-                                      round.geo_pos, round.digest);
-    if (!keys_->Verify(canonical, response.sig)) return;
-  }
+  Bytes canonical = AttestCanonical(AttestPurpose::kGeoSource, site_,
+                                    round.geo_pos, round.digest);
+  if (!keys_->Verify(canonical, response.sig)) return;
   for (const crypto::Signature& sig : round.source_sigs) {
     if (sig.signer == response.sig.signer) return;
   }
@@ -422,11 +418,9 @@ void Participant::OnGeoAck(const net::Message& msg) {
   }
   if (round.ack_sigs.count(target) > 0) return;  // site already proven
   last_geo_progress_ = sim_->Now();
-  if (options_.sign_messages) {
-    Bytes canonical = AttestCanonical(AttestPurpose::kGeoAck, target,
-                                      round.geo_pos, round.digest);
-    if (!keys_->Verify(canonical, ack.sig)) return;
-  }
+  Bytes canonical = AttestCanonical(AttestPurpose::kGeoAck, target,
+                                    round.geo_pos, round.digest);
+  if (!keys_->Verify(canonical, ack.sig)) return;
   auto& nodes = round.ack_nodes[target];
   if (!nodes.insert(msg.src).second) return;
   round.ack_sigs_partial[target].push_back(ack.sig);
@@ -699,8 +693,6 @@ pbft::PbftClient* Participant::MirrorClient(net::SiteId origin) {
   for (int i = 0; i < 3 * options_.fi + 1; ++i) {
     group.nodes.push_back(MirrorNodeId(site_, origin, i));
   }
-  group.hash_payloads = options_.hash_payloads;
-  group.sign_messages = options_.sign_messages;
   auto client = std::make_unique<pbft::PbftClient>(
       network_, group,
       net::NodeId{site_, kMirrorClientIndexBase + origin});

@@ -111,7 +111,6 @@ class Participant : public net::Host {
     std::map<net::SiteId, std::vector<crypto::Signature>> ack_sigs;
     std::vector<net::SiteId> targets;  // mirror sites to replicate to
     bool is_communication = false;
-    CommitCallback done;
     sim::EventId retry_timer = sim::kInvalidEventId;
     /// Time the replicate fan-out first hit the wire (0 = not yet); the
     /// geo-ack round trip is sampled from it under Karn's rule.

@@ -25,16 +25,6 @@ struct PbftConfig {
   sim::SimTime view_timeout = sim::Milliseconds(60);
   /// Client retry period before broadcasting its request to all replicas.
   sim::SimTime client_retry = sim::Milliseconds(120);
-  /// Cap for the view-change escalation timer's exponential backoff. Each
-  /// failed view-change attempt doubles the escalation delay starting from
-  /// 2 * view_timeout, up to this cap, with uniform jitter on top so that
-  /// replicas whose timers fired together under a partition do not
-  /// re-synchronize into a retry storm (DESIGN.md §10).
-  sim::SimTime view_backoff_cap = sim::Seconds(2);
-  /// Uniform jitter added to each escalation delay, in permille of the
-  /// backed-off delay (200 = up to +20%). Integer so that replicas compute
-  /// bit-identical schedules regardless of libm/optimization level (BP005).
-  uint32_t view_backoff_jitter_permille = 200;
   /// A stable checkpoint is taken (and the log truncated) every this many
   /// executed sequence numbers.
   uint64_t checkpoint_interval = 128;
@@ -48,13 +38,6 @@ struct PbftConfig {
   /// (DESIGN.md §9). The replica's window controller starts here, halves on
   /// each completed view change and regrows back up to it (DESIGN.md §13).
   uint64_t window = 1;
-
-  /// When false, payload digests use a fast non-cryptographic hash. The
-  /// paper's prototype skipped digest creation/checking entirely; benches
-  /// use this mode (see DESIGN.md §1).
-  bool hash_payloads = true;
-  /// When false, message signing/verification is skipped (bench mode).
-  bool sign_messages = true;
 
   int n() const { return static_cast<int>(nodes.size()); }
   /// 2f+1: prepares needed beyond the pre-prepare, commits needed, and the

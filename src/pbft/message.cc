@@ -26,25 +26,6 @@ net::NodeId ClientFromToken(uint64_t token) {
                      static_cast<int32_t>(token & 0xffffffffu)};
 }
 
-Digest ComputeDigest(const Bytes& value, bool crypto_hash) {
-  if (crypto_hash) return crypto::Sha256Digest(value);
-  // Bench mode: two interleaved FNV-1a streams -> 128-bit fingerprint.
-  uint64_t h1 = 0xcbf29ce484222325ULL;
-  uint64_t h2 = 0x84222325cbf29ce4ULL;
-  for (uint8_t b : value) {
-    h1 = (h1 ^ b) * 0x100000001b3ULL;
-    h2 = (h2 ^ (b + 0x9e)) * 0x100000001b3ULL;
-  }
-  Digest d{};
-  for (int i = 0; i < 8; ++i) {
-    d[i] = static_cast<uint8_t>(h1 >> (8 * i));
-    d[8 + i] = static_cast<uint8_t>(h2 >> (8 * i));
-  }
-  uint64_t len = value.size();
-  for (int i = 0; i < 8; ++i) d[16 + i] = static_cast<uint8_t>(len >> (8 * i));
-  return d;
-}
-
 Digest ChainDigest(const Digest& prev, const Digest& value_digest) {
   crypto::Sha256 ctx;
   ctx.Update(prev.data(), prev.size());

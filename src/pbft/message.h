@@ -42,10 +42,6 @@ using crypto::Signature;
 uint64_t ClientToken(net::NodeId id);
 net::NodeId ClientFromToken(uint64_t token);
 
-/// Payload digest: SHA-256 when crypto_hash, otherwise a fast FNV-1a-based
-/// 128-bit fingerprint (bench mode; see PbftConfig::hash_payloads).
-Digest ComputeDigest(const Bytes& value, bool crypto_hash);
-
 /// One link of the executed-state digest chain: SHA-256(prev || value_digest).
 /// Replicas chain every executed value's digest; Blockplane nodes keep the
 /// same chain to verify synced logs against a certified checkpoint.

@@ -9,6 +9,20 @@
 
 namespace blockplane::pbft {
 
+namespace {
+
+/// Cap of the view-change escalation timer's exponential backoff: each
+/// failed attempt doubles the delay, starting from 2 * view_timeout.
+constexpr sim::SimTime kViewBackoffCap = sim::Seconds(2);
+/// Uniform jitter on each escalation delay, in permille of the backed-off
+/// delay (200 = up to +20%), so that replicas whose timers fired together
+/// under a partition do not re-synchronize into a retry storm. Integer so
+/// that replicas compute bit-identical schedules regardless of libm or
+/// optimization level (BP005).
+constexpr uint64_t kViewBackoffJitterPermille = 200;
+
+}  // namespace
+
 PbftReplica::PbftReplica(net::Network* network, crypto::KeyStore* keys,
                          PbftConfig config, net::NodeId self,
                          ExecuteCallback execute)
@@ -39,15 +53,12 @@ PbftReplica::PbftReplica(net::Network* network, crypto::KeyStore* keys,
 
 void PbftReplica::RegisterWithNetwork() { network_->Register(self_, this); }
 
-template <typename Map>
-int PbftReplica::CountMatching(const Map& votes, const Digest& digest) {
+int PbftReplica::CountMatching(
+    const std::map<int32_t, Instance::Vote>& votes, uint64_t view,
+    const Digest& digest) {
   int count = 0;
   for (const auto& [index, vote] : votes) {
-    if constexpr (std::is_same_v<std::decay_t<decltype(vote)>, Digest>) {
-      if (vote == digest) ++count;
-    } else {
-      if (vote.digest == digest) ++count;
-    }
+    if (vote.view == view && vote.digest == digest) ++count;
   }
   return count;
 }
@@ -141,17 +152,6 @@ const Bytes& PbftReplica::CanonicalBodyFor(const VoteMsg& vote) {
   // byzantine bogus-digest vote): encode and (re)install.
   CanonicalMemoEntry entry{vote.digest, vote.CanonicalBody()};
   return (canonical_memo_[key] = std::move(entry)).body;
-}
-
-Signature PbftReplica::Sign(const Bytes& canonical) const {
-  if (!config_.sign_messages) return Signature{self_, {}};
-  return signer_->Sign(canonical);
-}
-
-bool PbftReplica::VerifySig(const Bytes& canonical,
-                            const Signature& sig) const {
-  if (!config_.sign_messages) return true;
-  return keys_->Verify(canonical, sig);
 }
 
 bool PbftReplica::RunVerifier(const Bytes& value) const {
@@ -341,11 +341,11 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
   PrePrepareMsg pp;
   pp.view = view_;
   pp.seq = seq;
-  pp.digest = DigestOf(value);
+  pp.digest = crypto::Sha256Digest(value);
   pp.client_token = client_token;
   pp.req_id = req_id;
   pp.value = std::move(value);
-  pp.sig = Sign(pp.CanonicalHeader());
+  pp.sig = signer_->Sign(pp.CanonicalHeader());
 
   Instance& instance = instances_[seq];
   instance.view = view_;
@@ -367,8 +367,8 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
       PrePrepareMsg forged = pp;
       if (parity++ % 2 == 1) {
         forged.value.push_back(0xEE);
-        forged.digest = DigestOf(forged.value);
-        forged.sig = Sign(forged.CanonicalHeader());
+        forged.digest = crypto::Sha256Digest(forged.value);
+        forged.sig = signer_->Sign(forged.CanonicalHeader());
       }
       SendTo(node, kPrePrepare, forged.Encode(), trace_id);
     }
@@ -383,9 +383,9 @@ void PbftReplica::OnPrePrepare(const net::Message& msg) {
   PrePrepareMsg pp;
   if (!PrePrepareMsg::Decode(msg.body(), &pp).ok()) return;
   if (msg.src != config_.LeaderOf(pp.view)) return;
-  if (!VerifySig(pp.CanonicalHeader(), pp.sig)) return;
+  if (!keys_->Verify(pp.CanonicalHeader(), pp.sig)) return;
   if (pp.sig.signer != msg.src) return;
-  if (DigestOf(pp.value) != pp.digest) return;
+  if (crypto::Sha256Digest(pp.value) != pp.digest) return;
   if (pp.view != view_ || in_view_change_) return;
   if (pp.seq <= last_stable_) return;
   // Flood protection: reject sequence numbers far beyond our high
@@ -430,9 +430,10 @@ void PbftReplica::OnPrePrepare(const net::Message& msg) {
   if (byzantine_ == ByzantineMode::kBogusVotes) {
     prepare.digest[0] ^= 0xff;
   }
-  prepare.sig = Sign(CanonicalBodyFor(prepare));
+  prepare.sig = signer_->Sign(CanonicalBodyFor(prepare));
   instance.sent_prepare = true;
-  instance.prepares[index_] = {prepare.digest, prepare.sig};  // own vote
+  // Own vote.
+  instance.prepares[index_] = {prepare.view, prepare.digest, prepare.sig};
   Broadcast(kPrepare, prepare.Encode(), instance.trace_id);
   MaybePrepared(pp.seq);
 }
@@ -446,7 +447,7 @@ void PbftReplica::OnVote(const net::Message& msg) {
   if (type == kPrepare && msg.src == config_.LeaderOf(vote.view)) {
     return;  // leaders don't prepare
   }
-  if (!VerifySig(CanonicalBodyFor(vote), vote.sig)) return;
+  if (!keys_->Verify(CanonicalBodyFor(vote), vote.sig)) return;
   if (vote.sig.signer != msg.src) return;
   if (vote.view != view_ || in_view_change_) return;
   if (vote.seq <= last_stable_) return;
@@ -456,16 +457,15 @@ void PbftReplica::OnVote(const net::Message& msg) {
     if (!instance.has_preprepare) instance.view = vote.view;
     if (instance.trace_id == 0) instance.trace_id = msg.trace_id;
     // Buffered early votes carry their digest; only matching ones count.
-    instance.prepares.emplace(sender,
-                              Instance::Vote{vote.digest, vote.sig});
+    instance.prepares.emplace(
+        sender, Instance::Vote{vote.view, vote.digest, vote.sig});
     ArmProgressTimer(vote.seq);
     MaybePrepared(vote.seq);
     return;
   }
   Instance& instance = instances_[vote.seq];
   if (instance.trace_id == 0) instance.trace_id = msg.trace_id;
-  instance.commit_view = vote.view;
-  instance.commits[sender] = {vote.digest, vote.sig};
+  instance.commits[sender] = {vote.view, vote.digest, vote.sig};
   MaybeCommitted(vote.seq);
 }
 
@@ -475,7 +475,8 @@ void PbftReplica::MaybePrepared(uint64_t seq) {
   Instance& instance = it->second;
   if (instance.prepared || !instance.has_preprepare) return;
   // Prepared = pre-prepare + 2f matching prepares from distinct backups.
-  if (CountMatching(instance.prepares, instance.digest) < 2 * config_.f) {
+  if (CountMatching(instance.prepares, instance.view, instance.digest) <
+      2 * config_.f) {
     return;
   }
   instance.prepared = true;
@@ -506,10 +507,9 @@ void PbftReplica::SendCommitVote(uint64_t seq) {
   if (byzantine_ == ByzantineMode::kBogusVotes) {
     commit.digest[1] ^= 0xff;
   }
-  commit.sig = Sign(CanonicalBodyFor(commit));
+  commit.sig = signer_->Sign(CanonicalBodyFor(commit));
   instance.sent_commit = true;
-  instance.commit_view = instance.view;
-  instance.commits[index_] = {instance.digest, commit.sig};
+  instance.commits[index_] = {instance.view, instance.digest, commit.sig};
   Broadcast(kCommit, commit.Encode(), instance.trace_id);
   MaybeCommitted(seq);
 }
@@ -530,10 +530,21 @@ void PbftReplica::MaybeCommitted(uint64_t seq) {
   if (it == instances_.end()) return;
   Instance& instance = it->second;
   if (instance.committed || !instance.prepared) return;
-  if (CountMatching(instance.commits, instance.digest) < config_.quorum()) {
+  if (CountMatching(instance.commits, instance.view, instance.digest) <
+      config_.quorum()) {
     return;
   }
   instance.committed = true;
+  // Freeze the certificate OnFetchCommitted serves: commit votes that
+  // arrive later, e.g. from a view that re-proposes this seq, must not mix
+  // into it, or peers reject it.
+  instance.cert_view = instance.view;
+  for (const auto& [index, vote] : instance.commits) {
+    if (static_cast<int>(instance.cert.size()) == config_.quorum()) break;
+    if (vote.view == instance.view && vote.digest == instance.digest) {
+      instance.cert.push_back(vote.sig);
+    }
+  }
   instance.ts_committed = sim_->Now();
   if (seq != last_executed_ + 1) {
     // Certificate completed out of sequence order; execution will hold it
@@ -667,16 +678,12 @@ void PbftReplica::OnFetchCommitted(const net::Message& msg) {
     if (!instance.committed) continue;
     CommittedEntryMsg entry;
     entry.seq = it->first;
-    entry.view = instance.commit_view;
+    entry.view = instance.cert_view;
     entry.digest = instance.digest;
     entry.client_token = instance.client_token;
     entry.req_id = instance.req_id;
     entry.value = instance.value;
-    for (const auto& [idx, vote] : instance.commits) {
-      if (vote.digest == instance.digest) {
-        entry.commit_sigs.push_back(vote.sig);
-      }
-    }
+    entry.commit_sigs = instance.cert;
     SendTo(msg.src, kCommittedEntry, entry.Encode());
     ++sent;
   }
@@ -690,23 +697,21 @@ void PbftReplica::OnCommittedEntry(const net::Message& msg) {
   auto existing = instances_.find(entry.seq);
   if (existing != instances_.end() && existing->second.committed) return;
 
-  if (DigestOf(entry.value) != entry.digest) return;
-  if (config_.sign_messages) {
-    // The certificate must hold 2f+1 distinct valid commit votes.
-    VoteMsg commit;
-    commit.type = kCommit;
-    commit.view = entry.view;
-    commit.seq = entry.seq;
-    commit.digest = entry.digest;
-    Bytes body = commit.CanonicalBody();
-    std::set<int32_t> valid;
-    for (const Signature& sig : entry.commit_sigs) {
-      if (config_.ReplicaIndex(sig.signer) < 0) continue;
-      if (!keys_->Verify(body, sig)) continue;
-      valid.insert(config_.ReplicaIndex(sig.signer));
-    }
-    if (static_cast<int>(valid.size()) < config_.quorum()) return;
+  if (crypto::Sha256Digest(entry.value) != entry.digest) return;
+  // The certificate must hold 2f+1 distinct valid commit votes.
+  VoteMsg commit;
+  commit.type = kCommit;
+  commit.view = entry.view;
+  commit.seq = entry.seq;
+  commit.digest = entry.digest;
+  Bytes body = commit.CanonicalBody();
+  std::map<int32_t, Signature> valid;
+  for (const Signature& sig : entry.commit_sigs) {
+    if (config_.ReplicaIndex(sig.signer) < 0) continue;
+    if (!keys_->Verify(body, sig)) continue;
+    valid.emplace(config_.ReplicaIndex(sig.signer), sig);
   }
+  if (static_cast<int>(valid.size()) < config_.quorum()) return;
 
   Instance& instance = instances_[entry.seq];
   CancelProgressTimer(&instance);
@@ -718,7 +723,12 @@ void PbftReplica::OnCommittedEntry(const net::Message& msg) {
   instance.has_preprepare = true;
   instance.prepared = true;
   instance.committed = true;
-  instance.commit_view = entry.view;
+  // Keep the verified certificate so this replica can serve it onward.
+  instance.cert_view = entry.view;
+  for (const auto& [index, sig] : valid) {
+    if (static_cast<int>(instance.cert.size()) == config_.quorum()) break;
+    instance.cert.push_back(sig);
+  }
   ExecuteReady();
 }
 
@@ -737,20 +747,18 @@ void PbftReplica::OnSnapshot(const net::Message& msg) {
   SnapshotMsg snapshot;
   if (!SnapshotMsg::Decode(msg.body(), &snapshot).ok()) return;
   if (snapshot.seq <= last_executed_) return;
-  if (config_.sign_messages) {
-    // The certificate must hold 2f+1 distinct valid checkpoint votes.
-    CheckpointMsg cp;
-    cp.seq = snapshot.seq;
-    cp.state_digest = snapshot.state_digest;
-    Bytes body = cp.CanonicalBody();
-    std::set<int32_t> valid;
-    for (const Signature& sig : snapshot.cert) {
-      if (config_.ReplicaIndex(sig.signer) < 0) continue;
-      if (!keys_->Verify(body, sig)) continue;
-      valid.insert(config_.ReplicaIndex(sig.signer));
-    }
-    if (static_cast<int>(valid.size()) < config_.quorum()) return;
+  // The certificate must hold 2f+1 distinct valid checkpoint votes.
+  CheckpointMsg cp;
+  cp.seq = snapshot.seq;
+  cp.state_digest = snapshot.state_digest;
+  Bytes body = cp.CanonicalBody();
+  std::set<int32_t> valid;
+  for (const Signature& sig : snapshot.cert) {
+    if (config_.ReplicaIndex(sig.signer) < 0) continue;
+    if (!keys_->Verify(body, sig)) continue;
+    valid.insert(config_.ReplicaIndex(sig.signer));
   }
+  if (static_cast<int>(valid.size()) < config_.quorum()) return;
   if (snapshot_callback_) {
     // The application fetches + verifies the log contents, then installs.
     snapshot_callback_(snapshot);
@@ -786,7 +794,7 @@ void PbftReplica::TakeCheckpoint(uint64_t seq) {
   CheckpointMsg cp;
   cp.seq = seq;
   cp.state_digest = state_digest_;
-  cp.sig = Sign(cp.CanonicalBody());
+  cp.sig = signer_->Sign(cp.CanonicalBody());
   checkpoint_votes_[seq][cp.state_digest][index_] = cp.sig;
   Broadcast(kCheckpoint, cp.Encode());
 }
@@ -796,7 +804,7 @@ void PbftReplica::OnCheckpoint(const net::Message& msg) {
   if (!CheckpointMsg::Decode(msg.body(), &cp).ok()) return;
   int sender = config_.ReplicaIndex(msg.src);
   if (sender < 0) return;
-  if (!VerifySig(cp.CanonicalBody(), cp.sig) || cp.sig.signer != msg.src) {
+  if (!keys_->Verify(cp.CanonicalBody(), cp.sig) || cp.sig.signer != msg.src) {
     return;
   }
   if (cp.seq <= last_stable_) return;
@@ -870,7 +878,7 @@ void PbftReplica::StartViewChange(uint64_t new_view) {
     }
     vc.prepared.push_back(std::move(proof));
   }
-  vc.sig = Sign(vc.CanonicalBody());
+  vc.sig = signer_->Sign(vc.CanonicalBody());
 
   Bytes encoded = vc.Encode();
   // Record our own view-change vote, then broadcast.
@@ -883,24 +891,20 @@ void PbftReplica::StartViewChange(uint64_t new_view) {
   // every replica's escalation fire in lock-step under a partition; the
   // repeated synchronized broadcasts then become a retry storm exactly when
   // the network is least able to absorb one. Each consecutive failed
-  // attempt doubles the delay (up to view_backoff_cap), and per-replica
+  // attempt doubles the delay (up to kViewBackoffCap), and per-replica
   // jitter decorrelates the herd (DESIGN.md §10).
   sim::SimTime delay = 2 * config_.view_timeout;
   uint64_t shift = std::min<uint64_t>(viewchange_attempts_, 16);
-  if (shift > 0 && delay < config_.view_backoff_cap) {
-    // Saturating left-shift: never overflows, never exceeds the cap.
-    for (uint64_t i = 0; i < shift && delay < config_.view_backoff_cap; ++i) {
-      delay *= 2;
-    }
+  // Saturating left-shift: never overflows, never exceeds the cap.
+  for (uint64_t i = 0; i < shift && delay < kViewBackoffCap; ++i) {
+    delay *= 2;
   }
-  delay = std::min(delay, config_.view_backoff_cap);
-  if (config_.view_backoff_jitter_permille > 0) {
-    // Uniform in [0, jitter_permille/1000 * delay], all-integer so the
-    // schedule replays bit-identically (BP005: no FP in consensus paths).
-    const uint64_t span = static_cast<uint64_t>(delay) *
-                          config_.view_backoff_jitter_permille / 1000;
-    delay += static_cast<sim::SimTime>(backoff_rng_.NextBelow(span + 1));
-  }
+  delay = std::min(delay, kViewBackoffCap);
+  // Uniform in [0, kViewBackoffJitterPermille/1000 * delay], all-integer so the
+  // schedule replays bit-identically (BP005: no FP in consensus paths).
+  const uint64_t span =
+      static_cast<uint64_t>(delay) * kViewBackoffJitterPermille / 1000;
+  delay += static_cast<sim::SimTime>(backoff_rng_.NextBelow(span + 1));
   ++viewchange_attempts_;
   RobustnessStats& rs = robustness_stats();
   rs.viewchange_attempts++;
@@ -917,7 +921,7 @@ void PbftReplica::OnViewChange(const net::Message& msg) {
   if (!ViewChangeMsg::Decode(msg.body(), &vc).ok()) return;
   int sender = config_.ReplicaIndex(msg.src);
   if (sender < 0) return;
-  if (!VerifySig(vc.CanonicalBody(), vc.sig) || vc.sig.signer != msg.src) {
+  if (!keys_->Verify(vc.CanonicalBody(), vc.sig) || vc.sig.signer != msg.src) {
     return;
   }
   if (vc.new_view <= view_) return;
@@ -950,16 +954,15 @@ void PbftReplica::MaybeSendNewView(uint64_t v) {
     vcs.push_back(vc);
     if (static_cast<int>(vcs.size()) == config_.quorum()) break;
   }
-  nv.sig = Sign(nv.CanonicalBody());
+  nv.sig = signer_->Sign(nv.CanonicalBody());
   Broadcast(kNewView, nv.Encode());
   EnterView(v, vcs);
 }
 
 bool PbftReplica::ValidatePreparedProof(const PreparedProof& proof) const {
-  // Checked in every mode: an executed instance's digest must always be the
-  // digest of its value (ExecuteCallback hands it on instead of rehashing).
-  if (DigestOf(proof.value) != proof.digest) return false;
-  if (!config_.sign_messages) return true;
+  // An executed instance's digest must be the digest of its value
+  // (ExecuteCallback hands it on instead of rehashing).
+  if (crypto::Sha256Digest(proof.value) != proof.digest) return false;
   // The pre-prepare must be signed by the leader of the view it cites.
   PrePrepareMsg pp;
   pp.view = proof.view;
@@ -994,7 +997,7 @@ void PbftReplica::OnNewView(const net::Message& msg) {
   if (!NewViewMsg::Decode(msg.body(), &nv).ok()) return;
   if (nv.view <= view_) return;
   if (msg.src != config_.LeaderOf(nv.view)) return;
-  if (!VerifySig(nv.CanonicalBody(), nv.sig) || nv.sig.signer != msg.src) {
+  if (!keys_->Verify(nv.CanonicalBody(), nv.sig) || nv.sig.signer != msg.src) {
     return;
   }
 
@@ -1008,7 +1011,7 @@ void PbftReplica::OnNewView(const net::Message& msg) {
     if (vc.new_view != nv.view) return;
     int sender = config_.ReplicaIndex(vc.sig.signer);
     if (sender < 0) return;
-    if (!VerifySig(vc.CanonicalBody(), vc.sig)) return;
+    if (!keys_->Verify(vc.CanonicalBody(), vc.sig)) return;
     if (!senders.insert(sender).second) return;
     vcs.push_back(std::move(vc));
   }
@@ -1078,7 +1081,7 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
       proof.value.clear();
       proof.client_token = 0;
       proof.req_id = 0;
-      proof.digest = DigestOf(proof.value);
+      proof.digest = crypto::Sha256Digest(proof.value);
     }
     auto inst_it = instances_.find(seq);
     if (inst_it != instances_.end() && inst_it->second.committed) {
@@ -1114,7 +1117,7 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
       pp.client_token = proof.client_token;
       pp.req_id = proof.req_id;
       pp.value = proof.value;
-      pp.sig = Sign(pp.CanonicalHeader());
+      pp.sig = signer_->Sign(pp.CanonicalHeader());
 
       Instance& instance = instances_[seq];
       instance.view = view_;

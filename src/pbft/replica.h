@@ -56,9 +56,8 @@ enum class ByzantineMode {
 class PbftReplica : public net::Host {
  public:
   /// Called for every committed value, in sequence order, with the
-  /// value's digest: ComputeDigest(value, hash_payloads), checked against
-  /// the value on every path that fills an instance, so callers need not
-  /// hash the value again.
+  /// value's SHA-256 digest, checked against the value on every path that
+  /// fills an instance, so callers need not hash the value again.
   using ExecuteCallback = std::function<void(uint64_t seq, const Bytes& value,
                                              const Digest& digest)>;
   /// The Blockplane verification-routine hook. Returning false withholds
@@ -141,9 +140,11 @@ class PbftReplica : public net::Host {
     Bytes value;
     uint64_t client_token = 0;
     uint64_t req_id = 0;
-    /// A vote carries the digest it endorsed; votes that arrived before the
-    /// pre-prepare are only counted if their digest matches it.
+    /// A vote carries the view and digest it endorsed; only votes matching
+    /// the instance's view and digest count (votes can arrive before the
+    /// pre-prepare, and a later view can re-propose a committed seq).
     struct Vote {
+      uint64_t view = 0;
       Digest digest{};
       Signature sig;
     };
@@ -151,7 +152,11 @@ class PbftReplica : public net::Host {
     /// prepared-certificates can be carried into view changes.
     std::map<int32_t, Vote> prepares;
     std::map<int32_t, Vote> commits;
-    uint64_t commit_view = 0;  // view whose commit votes were collected
+    /// The commit certificate served to catching-up peers: 2f+1 matching
+    /// commit votes of `cert_view`, frozen when the instance committed, or
+    /// the verified certificate of the CommittedEntry that filled it.
+    uint64_t cert_view = 0;
+    std::vector<Signature> cert;
     bool sent_prepare = false;
     bool sent_commit = false;
     bool prepared = false;
@@ -219,9 +224,9 @@ class PbftReplica : public net::Host {
   void MaybeCommitted(uint64_t seq);
   void SendCommitVote(uint64_t seq);
   void RetryPendingVerifications();
-  /// Number of votes in `votes` matching the instance digest.
-  template <typename Map>
-  static int CountMatching(const Map& votes, const Digest& digest);
+  /// Number of votes in `votes` for `view` and `digest`.
+  static int CountMatching(const std::map<int32_t, Instance::Vote>& votes,
+                           uint64_t view, const Digest& digest);
   void ExecuteReady();
   void SendReply(const Instance& instance, uint64_t seq);
   void TakeCheckpoint(uint64_t seq);
@@ -257,11 +262,6 @@ class PbftReplica : public net::Host {
   /// identical bytes per vote. Entries whose digest differs (byzantine
   /// bogus-digest votes) bypass the memo.
   const Bytes& CanonicalBodyFor(const VoteMsg& vote);
-  Signature Sign(const Bytes& canonical) const;
-  bool VerifySig(const Bytes& canonical, const Signature& sig) const;
-  Digest DigestOf(const Bytes& value) const {
-    return ComputeDigest(value, config_.hash_payloads);
-  }
   bool RunVerifier(const Bytes& value) const;
 
   net::Network* network_;

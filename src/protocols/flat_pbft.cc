@@ -3,7 +3,7 @@
 namespace blockplane::protocols {
 
 FlatPbft::FlatPbft(net::Network* network, crypto::KeyStore* keys,
-                   net::SiteId leader_site, bool sign_messages) {
+                   net::SiteId leader_site) {
   const int num_sites = network->topology().num_sites();
   BP_CHECK_MSG((num_sites - 1) % 3 == 0,
                "flat PBFT needs n = 3f+1 sites");
@@ -14,7 +14,6 @@ FlatPbft::FlatPbft(net::Network* network, crypto::KeyStore* keys,
   for (int i = 0; i < num_sites; ++i) {
     config.nodes.push_back(net::NodeId{(leader_site + i) % num_sites, 0});
   }
-  config.sign_messages = sign_messages;
   // Wide-area deployment: timeouts must exceed WAN round trips.
   config.view_timeout = sim::Milliseconds(1500);
   config.client_retry = sim::Milliseconds(3000);

@@ -17,7 +17,7 @@ class FlatPbft {
   /// One replica per site of `network`'s topology; the leader is the
   /// replica at `leader_site` (chosen by rotating the view).
   FlatPbft(net::Network* network, crypto::KeyStore* keys,
-           net::SiteId leader_site, bool sign_messages = true);
+           net::SiteId leader_site);
   BP_DISALLOW_COPY_AND_ASSIGN(FlatPbft);
 
   /// Commits a value and invokes `done(seq)` once f+1 replicas reply to

@@ -29,14 +29,12 @@ bool DecodeRound(const Bytes& buf, uint64_t* round, Bytes* value) {
 
 }  // namespace
 
-HierPbft::HierPbft(net::Network* network, crypto::KeyStore* keys, int f,
-                   bool sign_messages)
+HierPbft::HierPbft(net::Network* network, crypto::KeyStore* keys, int f)
     : network_(network),
       majority_(network->topology().num_sites() / 2 + 1) {
   const int num_sites = network->topology().num_sites();
   for (net::SiteId site = 0; site < num_sites; ++site) {
     pbft::PbftConfig config = pbft::UnitConfig(site, f);
-    config.sign_messages = sign_messages;
     auto& unit = units_[site];
     for (const net::NodeId& node : config.nodes) {
       auto replica = std::make_unique<pbft::PbftReplica>(network, keys,

@@ -27,8 +27,7 @@ namespace blockplane::protocols {
 class HierPbft {
  public:
   /// Builds a 3f+1-node PBFT unit per site plus a per-site coordinator.
-  HierPbft(net::Network* network, crypto::KeyStore* keys, int f,
-           bool sign_messages = true);
+  HierPbft(net::Network* network, crypto::KeyStore* keys, int f);
   BP_DISALLOW_COPY_AND_ASSIGN(HierPbft);
 
   /// Runs one global replication round led by `leader_site`; `done` fires

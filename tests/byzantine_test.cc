@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "core/deployment.h"
 #include "core/wire.h"
+#include "crypto/quorum_cert.h"
 #include "pbft/client.h"
 #include "pbft/message.h"
 #include "protocols/bank.h"
@@ -136,9 +137,7 @@ TEST(ByzantineEndToEndTest, OutOfOrderTransmissionIsRejected) {
   // earlier message is refused, so messages cannot be maliciously dropped
   // or reordered by a daemon.
   sim::Simulator simulator(35);
-  BlockplaneOptions options;
-  options.sign_messages = false;  // isolates the ordering check
-  Deployment deployment(&simulator, Topology::Aws4(), options);
+  Deployment deployment(&simulator, Topology::Aws4(), {});
 
   TransmissionRecord skipping;
   skipping.src_site = kCalifornia;
@@ -146,6 +145,17 @@ TEST(ByzantineEndToEndTest, OutOfOrderTransmissionIsRejected) {
   skipping.src_log_pos = 7;       // claims to be the 7th record...
   skipping.prev_src_log_pos = 5;  // ...chained after an undelivered 5th
   skipping.payload = ToBytes("out of order");
+  // A genuine f_i+1 California cert over the received form isolates the
+  // ordering check: only the chain pointer can refuse this record.
+  const Bytes canonical =
+      AttestCanonical(AttestPurpose::kTransmission, kCalifornia,
+                      skipping.src_log_pos, skipping.ContentDigest());
+  std::vector<crypto::Signature> sigs;
+  for (int i = 0; i <= deployment.options().fi; ++i) {
+    sigs.push_back(
+        deployment.keys()->RegisterNode({kCalifornia, i})->Sign(canonical));
+  }
+  skipping.proof = {crypto::BuildQuorumCert(kCalifornia, sigs)};
   net::Message msg;
   msg.src = {kCalifornia, 0};
   msg.dst = {kOregon, 0};

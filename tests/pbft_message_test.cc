@@ -173,19 +173,6 @@ TEST(PbftMessageTest, CommittedEntryRoundTrip) {
   EXPECT_EQ(out.commit_sigs.size(), 3u);
 }
 
-TEST(PbftMessageTest, FastDigestDistinguishesContentAndLength) {
-  // Bench-mode digests are not cryptographic but must still separate
-  // different payloads and lengths.
-  Bytes a = ToBytes("aaaa");
-  Bytes b = ToBytes("aaab");
-  Bytes c = ToBytes("aaaaa");
-  EXPECT_NE(ComputeDigest(a, false), ComputeDigest(b, false));
-  EXPECT_NE(ComputeDigest(a, false), ComputeDigest(c, false));
-  EXPECT_EQ(ComputeDigest(a, false), ComputeDigest(a, false));
-  // Crypto mode matches SHA-256.
-  EXPECT_EQ(ComputeDigest(a, true), crypto::Sha256Digest(a));
-}
-
 TEST(PaxosMessageTest, BallotPacking) {
   using namespace blockplane::paxos;
   Ballot b = MakeBallot(12, 3);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "pbft/client.h"
 #include "sim/simulator.h"
 
@@ -179,7 +180,7 @@ TEST(PbftTest, LeaderCrashTriggersViewChange) {
 
 TEST(PbftTest, ExecutedDigestIsTheValueDigestAcrossViewChange) {
   // The execute callback hands on the instance digest instead of letting
-  // the application rehash the value, so it must be ComputeDigest(value)
+  // the application rehash the value, so it must be the value's SHA-256
   // on every path that fills an instance: the leader's proposal, verified
   // pre-prepares, and prepared proposals carried into a new view.
   PbftHarness harness(1);
@@ -201,8 +202,7 @@ TEST(PbftTest, ExecutedDigestIsTheValueDigestAcrossViewChange) {
 
   size_t live_executions = 0;
   for (const auto& execution : harness.executions_) {
-    EXPECT_EQ(execution.digest,
-              ComputeDigest(execution.value, harness.config_.hash_payloads))
+    EXPECT_EQ(execution.digest, crypto::Sha256Digest(execution.value))
         << execution.node.ToString() << " seq " << execution.seq;
     if (execution.node != NodeId{0, 0}) ++live_executions;
   }

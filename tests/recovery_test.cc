@@ -3,8 +3,12 @@
 // recover through certified snapshot transfer plus chain-verified log sync.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "core/deployment.h"
 #include "net/topology.h"
+#include "pbft/message.h"
 #include "sim/simulator.h"
 
 namespace blockplane::core {
@@ -40,7 +44,16 @@ class RecoveryHarness {
   int next_entry_ = 0;
 };
 
+/// Collects every message delivered to the node whose slot it takes.
+struct CapturingHost : net::Host {
+  void HandleMessage(const net::Message& msg) override {
+    received.push_back(msg);
+  }
+  std::vector<net::Message> received;
+};
+
 TEST(RecoveryTest, ShortOutageRecoversViaCatchUp) {
+  CapturingHost asker;  // declared first, so it outlives the network
   RecoveryHarness harness(/*checkpoint_interval=*/128);
   net::NodeId down{0, 3};
   harness.deployment_->network()->Crash(down);
@@ -50,6 +63,46 @@ TEST(RecoveryTest, ShortOutageRecoversViaCatchUp) {
   ASSERT_TRUE(harness.simulator_.RunUntilCondition(
       [&] { return harness.deployment_->node(0, 3)->log_size() == 10; },
       Seconds(60)));
+
+  // The recovered replica filled its instances from the peers' committed
+  // entries and kept each entry's certificate, so a replica lagging behind
+  // it can catch up from it in turn. Ask it in node 2's name: every entry
+  // it serves must carry 2f+1 valid commit votes of the entry's view.
+  const pbft::PbftReplica* recovered =
+      harness.deployment_->node(0, 3)->replica();
+  harness.deployment_->network()->Register({0, 2}, &asker);
+  pbft::FetchCommittedMsg fetch;
+  fetch.from_seq = 1;
+  net::Message msg;
+  msg.src = {0, 2};
+  msg.dst = down;
+  msg.type = pbft::kFetchCommitted;
+  msg.set_body(fetch.Encode());
+  harness.deployment_->network()->Send(msg);
+  harness.simulator_.RunFor(Seconds(1));
+
+  uint64_t served = 0;
+  for (const net::Message& reply : asker.received) {
+    if (reply.type != pbft::kCommittedEntry) continue;
+    pbft::CommittedEntryMsg entry;
+    ASSERT_TRUE(pbft::CommittedEntryMsg::Decode(reply.body(), &entry).ok());
+    pbft::VoteMsg commit;
+    commit.type = pbft::kCommit;
+    commit.view = entry.view;
+    commit.seq = entry.seq;
+    commit.digest = entry.digest;
+    const Bytes body = commit.CanonicalBody();
+    std::set<int> signers;
+    for (const crypto::Signature& sig : entry.commit_sigs) {
+      if (harness.deployment_->keys()->Verify(body, sig)) {
+        signers.insert(recovered->config().ReplicaIndex(sig.signer));
+      }
+    }
+    EXPECT_GE(static_cast<int>(signers.size()), recovered->config().quorum())
+        << "seq " << entry.seq;
+    ++served;
+  }
+  EXPECT_EQ(served, recovered->last_executed());
 }
 
 TEST(RecoveryTest, LongOutageRecoversViaSnapshotTransfer) {
