@@ -13,7 +13,6 @@ Usage:
   --disable RULES       comma-separated rule ids to disable
                         (e.g. --disable BP003,BP005)
   --list-rules          print the rule catalog and exit
-  --no-clang            skip the optional libclang refinement backend
   -j, --jobs N          analyze files on N worker processes (the rule
                         passes stay serial over the merged project, so
                         diagnostics are byte-identical to -j1)
@@ -73,7 +72,6 @@ def main(argv=None) -> int:
     parser.add_argument("--root", default=".")
     parser.add_argument("--disable", default="")
     parser.add_argument("--list-rules", action="store_true")
-    parser.add_argument("--no-clang", action="store_true")
     parser.add_argument("-j", "--jobs", type=int, default=1)
     parser.add_argument("--since-git", nargs="?", const="HEAD", default=None,
                         metavar="REF")
@@ -113,8 +111,8 @@ def main(argv=None) -> int:
             return 2
 
     diags, nfiles = run(paths, root, compile_commands_dir=args.build,
-                        disabled=disabled, use_clang=not args.no_clang,
-                        jobs=args.jobs, changed_only=changed_only)
+                        disabled=disabled, jobs=args.jobs,
+                        changed_only=changed_only)
     for d in diags:
         print(d.render())
     if args.sarif:

@@ -16,19 +16,14 @@ Facts per file (see FileFacts):
     with their body token slices
   * unordered_map/unordered_set variable names (direct declarations
     and via `using Alias = std::unordered_...` aliases)
-  * Tracer::Mark call sites and the kTracePhases catalog
-  * CongestionGauge call sites and the kCongestionGaugeKeys catalog
   * `bplint:allow(...)` suppressions and `bplint:` file markers
   * identifier usage contexts used by BP004 (case labels, ==/!=
     comparisons)
   * function/method definitions (FunctionDef) with qualified-name
     resolution data: enclosing class (inline and out-of-line `T::M`),
-    return type, parameter tokens, body, and the call sites inside the
-    body (callee name + receiver + explicit `Cls::` qualifier) — the raw
-    material callgraph.py links into the project-wide call graph
-  * function declarations (prototypes) so return-type knowledge (BP008's
-    Status/StatusOr set) covers functions declared in headers but
-    defined in another translation unit
+    body, and the call sites inside the body (callee name + receiver +
+    explicit `Cls::` qualifier) — the raw material callgraph.py links
+    into the project-wide call graph
   * timer facts for BP010: Schedule/ScheduleAt sites (assigned handle or
     discarded result, plus the names called / handles assigned inside
     the scheduled lambda for self-rearm detection) and the identifiers
@@ -102,12 +97,6 @@ class Iteration:
 
 
 @dataclass
-class MarkCall:
-    line: int
-    phase: str
-
-
-@dataclass
 class CallSite:
     """One `name(...)` call inside a function body."""
     line: int
@@ -123,23 +112,12 @@ class FunctionDef:
     cls: Optional[str]  # enclosing/qualifying class; None for free fns
     name: str
     line: int
-    ret: str  # return type as a space-joined token string ('' for ctors)
-    params: List[Tok] = field(default_factory=list)
     body: List[Tok] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
 
     @property
     def qname(self) -> str:
         return f"{self.cls}::{self.name}" if self.cls else self.name
-
-
-@dataclass
-class FnDecl:
-    """A function declaration (prototype, no body)."""
-    cls: Optional[str]
-    name: str
-    ret: str
-    line: int
 
 
 @dataclass
@@ -150,12 +128,6 @@ class ScheduleSite:
     discarded: bool  # True when the TimerId result is dropped outright
     lambda_calls: Set[str] = field(default_factory=set)
     lambda_assigns: Set[str] = field(default_factory=set)
-
-
-@dataclass
-class GaugeCall:
-    line: int
-    key: str
 
 
 @dataclass
@@ -172,17 +144,10 @@ class FileFacts:
     switches: List[Switch] = field(default_factory=list)
     iterations: List[Iteration] = field(default_factory=list)
     unordered_vars: Set[str] = field(default_factory=set)
-    mark_calls: List[MarkCall] = field(default_factory=list)
-    trace_catalog: List[str] = field(default_factory=list)
-    trace_catalog_line: int = 0
-    gauge_calls: List[GaugeCall] = field(default_factory=list)
-    gauge_catalog: List[str] = field(default_factory=list)
-    gauge_catalog_line: int = 0
     string_literals: Set[str] = field(default_factory=set)
     case_idents: Set[str] = field(default_factory=set)
     cmp_idents: Set[str] = field(default_factory=set)
     fn_defs: List[FunctionDef] = field(default_factory=list)
-    fn_decls: List[FnDecl] = field(default_factory=list)
     cancel_args: Set[str] = field(default_factory=set)
 
 
@@ -577,66 +542,6 @@ def _parse_unordered(toks: List[Tok], facts: FileFacts) -> None:
                 facts.unordered_vars.add(toks[i + 1].text)
 
 
-def _parse_marks_and_catalog(toks: List[Tok], facts: FileFacts) -> None:
-    n = len(toks)
-    i = 0
-    while i < n:
-        t = toks[i]
-        if t.kind == "id" and t.text in ("Mark", "CongestionGauge") and \
-                i + 1 < n and toks[i + 1].text == "(":
-            end = match_balanced(toks, i + 1)
-            args = toks[i + 2:end - 1]
-            # Split at top-level commas; the phase/key is argument #2
-            # (Mark(trace, phase, ...) / CongestionGauge(out, key, value)).
-            depth = 0
-            arg_idx = 0
-            name: Optional[Tok] = None
-            for a in args:
-                if a.text in _OPEN:
-                    depth += 1
-                elif a.text in (")", "}", "]"):
-                    depth -= 1
-                elif a.text == "," and depth == 0:
-                    arg_idx += 1
-                    continue
-                if arg_idx == 1 and a.kind == "str" and name is None:
-                    name = a
-            if name is not None:
-                if t.text == "Mark":
-                    facts.mark_calls.append(MarkCall(line=name.line,
-                                                     phase=name.text))
-                else:
-                    facts.gauge_calls.append(GaugeCall(line=name.line,
-                                                       key=name.text))
-            i = end
-            continue
-        if t.kind == "id" and \
-                t.text in ("kTracePhases", "kCongestionGaugeKeys"):
-            # Only a *declaration* (`... kTracePhases[] = { ... }`) defines
-            # the catalog: require an `=` before the brace so a use site
-            # (e.g. a range-for over the catalog) doesn't swallow the
-            # following block's string literals as catalog entries.
-            j = i + 1
-            saw_eq = False
-            while j < n and toks[j].text not in ("{", ";"):
-                if toks[j].text == "=":
-                    saw_eq = True
-                j += 1
-            if j < n and toks[j].text == "{" and saw_eq:
-                end = match_balanced(toks, j)
-                entries = [a.text for a in toks[j + 1:end - 1]
-                           if a.kind == "str"]
-                if t.text == "kTracePhases":
-                    facts.trace_catalog = entries
-                    facts.trace_catalog_line = t.line
-                else:
-                    facts.gauge_catalog = entries
-                    facts.gauge_catalog_line = t.line
-                i = end
-                continue
-        i += 1
-
-
 # ---------------------------------------------------------------------------
 # function definitions / declarations and call sites
 # ---------------------------------------------------------------------------
@@ -650,10 +555,6 @@ _NON_FN_IDS = {
     "else", "case", "default", "operator", "assert", "defined",
     "static_assert", "alignas", "noexcept", "typeid",
 }
-# Statement heads a return-type walk-back must stop at.
-_HEAD_STOP = {";", "{", "}", ":", ",", "(", ")"}
-_RET_SKIP_HEADS = {"public", "private", "protected", "template", "typename",
-                   "virtual", "explicit", "friend", "using"}
 
 
 def _brace_kind(toks: Sequence[Tok], i: int) -> str:
@@ -686,36 +587,6 @@ def _type_name_before(toks: Sequence[Tok], i: int) -> Optional[str]:
             return None
         j -= 1
     return None
-
-
-def _ret_type_before(toks: Sequence[Tok], end: int) -> str:
-    """Return-type token texts ending just before index `end` (exclusive)."""
-    parts: List[str] = []
-    j = end - 1
-    while j >= 0 and len(parts) < 12:
-        t = toks[j]
-        if t.text in _HEAD_STOP or t.text in _RET_SKIP_HEADS or \
-                t.text == "=":
-            break
-        if t.text == ">":
-            # Template argument list (e.g. StatusOr<T>): consume back to
-            # the matching '<' so the template name lands in the type.
-            depth = 1
-            parts.append(t.text)
-            j -= 1
-            while j >= 0 and depth > 0:
-                if toks[j].text == ">":
-                    depth += 1
-                elif toks[j].text == "<":
-                    depth -= 1
-                parts.append(toks[j].text)
-                j -= 1
-            continue
-        parts.append(t.text)
-        j -= 1
-    drop = {"inline", "static", "constexpr", "extern", "virtual", "explicit"}
-    parts = [p for p in parts if p not in drop]
-    return " ".join(reversed(parts))
 
 
 def _extract_calls(body: Sequence[Tok]) -> List[CallSite]:
@@ -782,22 +653,16 @@ def _try_function(toks: List[Tok], paren: int,
     name = toks[name_idx].text
     line = toks[name_idx].line
     cls: Optional[str] = None
-    head_end = name_idx  # exclusive end of the return-type region
     p = name_idx - 1
     if p >= 0 and toks[p].text == "~":  # destructor: Cls::~Cls()
         name = "~" + name
         p -= 1
-        head_end = p + 1
     if p >= 1 and toks[p].text == "::" and toks[p - 1].kind == "id":
         cls = toks[p - 1].text
-        head_end = p - 1
     elif stack and stack[-1][0] == "type" and stack[-1][1]:
         cls = stack[-1][1]
-    ret = _ret_type_before(toks, head_end)
 
-    close = match_balanced(toks, paren)
-    params = list(toks[paren + 1:close - 1])
-    k = close
+    k = match_balanced(toks, paren)
     while k < n and toks[k].kind == "id" and \
             toks[k].text in ("const", "noexcept", "override", "final",
                              "mutable", "try"):
@@ -813,9 +678,6 @@ def _try_function(toks: List[Tok], paren: int,
         # `= default;` / `= delete;` / `= 0;` — declaration-like.
         while k < n and toks[k].text != ";":
             k += 1
-        if ret or cls:
-            facts.fn_decls.append(FnDecl(cls=cls, name=name, ret=ret,
-                                         line=line))
         return k + 1
     if k < n and toks[k].text == ":":  # constructor initializer list
         k += 1
@@ -830,19 +692,14 @@ def _try_function(toks: List[Tok], paren: int,
                 break  # the function body
             k += 1
     if k < n and toks[k].text == ";":
-        # Prototype. Variable declarations with ctor arguments also land
-        # here; they are harmless in the return-type index.
-        if ret:
-            facts.fn_decls.append(FnDecl(cls=cls, name=name, ret=ret,
-                                         line=line))
+        # Prototype (or a variable declared with ctor arguments): no body.
         return k + 1
     if k >= n or toks[k].text != "{":
         return paren  # not a function after all (expression, macro, ...)
     body_end = match_balanced(toks, k)
     body = list(toks[k + 1:body_end - 1])
     fn = FunctionDef(path=facts.path, cls=cls, name=name, line=line,
-                     ret=ret, params=params, body=body,
-                     calls=_extract_calls(body))
+                     body=body, calls=_extract_calls(body))
     facts.fn_defs.append(fn)
     return body_end
 
@@ -984,7 +841,6 @@ def analyze_file(path: str, text: str) -> FileFacts:
 
     _parse_iterations(toks, facts)
     _parse_unordered(toks, facts)
-    _parse_marks_and_catalog(toks, facts)
     _parse_usage_contexts(toks, facts)
     _parse_functions(toks, facts)
     _parse_cancels(toks, facts)

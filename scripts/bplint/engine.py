@@ -129,7 +129,6 @@ def _analyze_one(args: Tuple[str, str]) -> FileFacts:
 def run(paths: Sequence[str], root: str,
         compile_commands_dir: Optional[str] = None,
         disabled: Optional[Set[str]] = None,
-        use_clang: bool = True,
         jobs: int = 1,
         changed_only: Optional[Set[str]] = None
         ) -> Tuple[List[Diagnostic], int]:
@@ -154,17 +153,6 @@ def run(paths: Sequence[str], root: str,
         files = [_analyze_one(w) for w in work]
 
     project = Project(files)
-    if use_clang:
-        # Optional refinement: when the libclang python bindings are
-        # installed, resolve unordered-container variable types
-        # semantically instead of lexically. Degrades to a no-op (with
-        # identical diagnostics for this codebase) when unavailable.
-        try:
-            from clang_backend import refine_project
-            refine_project(project, root, compile_commands_dir)
-        except ImportError:
-            pass
-
     diags: List[Diagnostic] = []
     for rule in ALL_RULES:
         if rule in enabled:

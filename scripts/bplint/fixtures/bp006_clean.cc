@@ -1,5 +1,5 @@
 // Fixture: BP006 clean — every counter is registered under its own
-// name and every Mark() phase is in the catalog (and vice versa).
+// name.
 
 struct DemoStats {
   long long cache_hits = 0;
@@ -14,33 +14,4 @@ struct Registry {
 void RegisterDemo(Registry* reg, DemoStats* stats) {
   reg->RegisterCounter("cache_hits", &stats->cache_hits);
   reg->RegisterCounter("cache_misses", &stats->cache_misses);
-}
-
-inline constexpr const char* kTracePhases[] = {
-    "submit",
-    "committed",
-    "done",
-};
-
-struct Tracer {
-  void Mark(unsigned long long trace, const char* phase, long long ts);
-};
-
-void Instrument(Tracer* tr, unsigned long long trace, long long now) {
-  tr->Mark(trace, "submit", now);
-  tr->Mark(trace, "committed", now);
-  tr->Mark(trace, "done", now);
-}
-
-inline constexpr const char* kCongestionGaugeKeys[] = {
-    "window",
-    "decreases",
-};
-
-struct GaugeMap {};
-void CongestionGauge(GaugeMap* out, const char* key, long long value);
-
-void SnapshotDemo(GaugeMap* out, long long window, long long decreases) {
-  CongestionGauge(out, "window", window);
-  CongestionGauge(out, "decreases", decreases);
 }

@@ -1,7 +1,6 @@
-// Fixture: BP006 — metrics/trace hygiene. A counter that is never
-// registered with MetricsRegistry is invisible to bench_metrics_dump
-// and scripts/check.sh; a Mark() phase outside the kTracePhases
-// catalog silently truncates latency breakdowns.
+// Fixture: BP006 — metrics hygiene. A counter that is never registered
+// with MetricsRegistry is invisible to bench_metrics_dump and
+// scripts/check.sh.
 
 struct DemoStats {
   long long cache_hits = 0;
@@ -16,32 +15,4 @@ struct Registry {
 void RegisterDemo(Registry* reg, DemoStats* stats) {
   reg->RegisterCounter("cache_hits", &stats->cache_hits);
   // forgot: cache_misses
-}
-
-inline constexpr const char* kTracePhases[] = {
-    "submit",
-    "committed",
-    "done",  // declared terminal phase, but no Mark() ever closes on it
-};
-
-struct Tracer {
-  void Mark(unsigned long long trace, const char* phase, long long ts);
-};
-
-void Instrument(Tracer* tr, unsigned long long trace, long long now) {
-  tr->Mark(trace, "submit", now);
-  tr->Mark(trace, "comitted", now);  // typo: not in the catalog
-}
-
-inline constexpr const char* kCongestionGaugeKeys[] = {
-    "window",
-    "decreases",  // declared but never emitted: reads as absent
-};
-
-struct GaugeMap {};
-void CongestionGauge(GaugeMap* out, const char* key, long long value);
-
-void SnapshotDemo(GaugeMap* out, long long window) {
-  CongestionGauge(out, "window", window);
-  CongestionGauge(out, "windw", 0);  // typo: not in the catalog
 }

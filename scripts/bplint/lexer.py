@@ -3,10 +3,7 @@
 bplint's rules are lexical/structural: they never need full semantic
 analysis, only a faithful token stream with comments and preprocessor
 lines separated out. Keeping the lexer dependency-free means the linter
-runs anywhere python3 runs; when the libclang python bindings are
-available, clang_backend.py refines *type resolution* on top of this
-stream, but the token stream itself is always produced here so that
-diagnostics are byte-identical with and without libclang installed.
+runs anywhere python3 runs.
 
 Tokens are (kind, text, line) where kind is one of:
   'id'    identifiers and keywords

@@ -8,8 +8,8 @@ Since v2 the Project carries a call graph (callgraph.py), and the
 reachability rules are interprocedural: BP002 and BP005 flag a
 forbidden sink reached through ANY chain of project helpers, with the
 witness chain spelled out in the diagnostic. The flow-sensitive rules
-BP008, BP010 and BP011 target error-handling, timer and allocation bug
-classes this repo has actually hit (see DESIGN.md section 15).
+BP010 and BP011 target timer and allocation bug classes this repo has
+actually hit (see DESIGN.md section 15).
 
 Rule catalog (see DESIGN.md sections 11 and 15 for the rationale):
 
@@ -28,15 +28,15 @@ Rule catalog (see DESIGN.md sections 11 and 15 for the rationale):
   BP005  no floating point in consensus/state-machine/digest paths
          (src/core, src/pbft, src/paxos, src/crypto, or files marked
          `bplint:consensus-path`).
-  BP006  metrics/trace hygiene: every *Stats counter is registered
-         with MetricsRegistry, every Tracer::Mark phase is in the
-         kTracePhases catalog (and vice versa), and every
-         CongestionGauge key is in the kCongestionGaugeKeys catalog
-         (and vice versa).
+  BP006  metrics hygiene: every *Stats counter is registered with
+         MetricsRegistry. (Trace phases are the TracePhase enum, so the
+         compiler checks every Tracer::Mark.)
   BP007  retired with the thread-pool runtime it guarded; the id is not
          reused.
-  BP008  discarded Status/StatusOr results in src/: an unchecked error
-         is a silent failure (the PR 2 transport-drop bug class).
+  BP008  retired: Status and StatusOr are [[nodiscard]] and every build
+         makes -Wunused-result an error, so the compiler rejects a
+         discarded result in every translation unit; the id is not
+         reused.
   BP009  retired: no code in the tree takes a lock, so lock-scope
          discipline has no subject; the id is not reused.
   BP010  timer hygiene in files that manage cancellable timers: every
@@ -70,11 +70,7 @@ RULE_DESCRIPTIONS = [
     ("BP004", "message-type enum dispatch is non-exhaustive or an "
               "enumerator is never dispatched"),
     ("BP005", "floating point in a consensus/state-machine/digest path"),
-    ("BP006", "metrics counter not registered with MetricsRegistry, "
-              "trace phase mark outside the kTracePhases catalog, or "
-              "congestion gauge key outside kCongestionGaugeKeys"),
-    ("BP008", "Status/StatusOr result silently discarded in src/ "
-              "(an unchecked error is a silent failure)"),
+    ("BP006", "metrics counter not registered with MetricsRegistry"),
     ("BP010", "Schedule'd timer handle never reaches a Cancel or a "
               "self-rearm (leaked or orphaned timer)"),
     ("BP011", "wire-controlled count flows into reserve/resize without "
@@ -132,33 +128,14 @@ class Project:
         # interprocedural rules consult.
         self.graph = CallGraph(self.files)
         self.cancel_args: Set[str] = set()
-        # A name is Status-returning only when every known signature
-        # (definition or prototype) with that name agrees — a single
-        # void/bool overload disqualifies it, so a statement-position
-        # call can never be misflagged through an overload set.
-        status_yes: Set[str] = set()
-        status_no: Set[str] = set()
         for f in self.files:
             self.cancel_args |= f.cancel_args
-            for fn in f.fn_defs:
-                _note_status(status_yes, status_no, fn.name, fn.ret)
-            for decl in f.fn_decls:
-                _note_status(status_yes, status_no, decl.name, decl.ret)
-        self.status_fns: Set[str] = status_yes - status_no
 
     def bodies_of(self, cls: str, names: Iterable[str]) -> List[List[Tok]]:
         out: List[List[Tok]] = []
         for name in names:
             out.extend(self.methods.get((cls, name), []))
         return out
-
-
-def _note_status(yes: Set[str], no: Set[str], name: str, ret: str) -> None:
-    parts = ret.split()
-    if "Status" in parts or "StatusOr" in parts:
-        yes.add(name)
-    else:
-        no.add(name)
 
 
 def _fn_key(fn: FunctionDef) -> Key:
@@ -507,7 +484,7 @@ def rule_bp005(project: Project) -> Iterable[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 def rule_bp006(project: Project) -> Iterable[Diagnostic]:
-    # (a) every counter field of a *Stats struct (a struct with a Reset()
+    # Every counter field of a *Stats struct (a struct with a Reset()
     # method) must be registered under its own name with MetricsRegistry —
     # i.e. the field name must appear as a string literal somewhere.
     for f in project.files:
@@ -524,122 +501,6 @@ def rule_bp006(project: Project) -> Iterable[Diagnostic]:
                         f"counter '{fld.name}' of {struct.name} is not "
                         f"registered with MetricsRegistry (no "
                         f"\"{fld.name}\" snapshot key anywhere)")
-
-    # (b) trace-phase hygiene against the kTracePhases catalog.
-    catalog: List[str] = []
-    catalog_file: FileFacts = None  # type: ignore[assignment]
-    catalog_line = 0
-    for f in project.files:
-        if f.trace_catalog:
-            catalog.extend(p for p in f.trace_catalog if p not in catalog)
-            if catalog_file is None:
-                catalog_file = f
-                catalog_line = f.trace_catalog_line
-    if catalog:
-        used: Set[str] = set()
-        for f in project.files:
-            for call in f.mark_calls:
-                used.add(call.phase)
-                if call.phase not in catalog:
-                    yield Diagnostic(
-                        f.path, call.line, "BP006",
-                        f"trace phase \"{call.phase}\" is not in the "
-                        f"kTracePhases catalog; add it (in pipeline order) "
-                        f"or fix the call site")
-        for phase in catalog:
-            if phase not in used:
-                yield Diagnostic(
-                    catalog_file.path, catalog_line, "BP006",
-                    f"kTracePhases entry \"{phase}\" has no Mark() call "
-                    f"site: a span opened earlier can never close on it "
-                    f"(stale catalog or missing instrumentation)")
-
-    # (c) congestion-gauge hygiene against the kCongestionGaugeKeys
-    # catalog: a key outside the catalog is invisible to the window
-    # dashboards/benches keyed on it, and a catalog entry nothing emits
-    # means a documented gauge silently reads as absent.
-    gauge_catalog: List[str] = []
-    gauge_file: FileFacts = None  # type: ignore[assignment]
-    gauge_line = 0
-    for f in project.files:
-        if f.gauge_catalog:
-            gauge_catalog.extend(k for k in f.gauge_catalog
-                                 if k not in gauge_catalog)
-            if gauge_file is None:
-                gauge_file = f
-                gauge_line = f.gauge_catalog_line
-    if gauge_catalog:
-        emitted: Set[str] = set()
-        for f in project.files:
-            for call in f.gauge_calls:
-                emitted.add(call.key)
-                if call.key not in gauge_catalog:
-                    yield Diagnostic(
-                        f.path, call.line, "BP006",
-                        f"congestion gauge key \"{call.key}\" is not in "
-                        f"the kCongestionGaugeKeys catalog; add it or fix "
-                        f"the emission site")
-        for key in gauge_catalog:
-            if key not in emitted:
-                yield Diagnostic(
-                    gauge_file.path, gauge_line, "BP006",
-                    f"kCongestionGaugeKeys entry \"{key}\" has no "
-                    f"CongestionGauge emission: the documented gauge "
-                    f"silently reads as absent (stale catalog or missing "
-                    f"instrumentation)")
-
-
-# ---------------------------------------------------------------------------
-# BP008 — discarded Status/StatusOr
-# ---------------------------------------------------------------------------
-
-def rule_bp008(project: Project) -> Iterable[Diagnostic]:
-    if not project.status_fns:
-        return
-    for f in project.files:
-        if _bp002_exempt(f.path):
-            continue  # sim/bench may fire-and-forget advisory calls
-        for fn in f.fn_defs:
-            yield from _bp008_fn(project, f, fn)
-
-
-def _bp008_fn(project: Project, f: FileFacts,
-              fn: FunctionDef) -> Iterable[Diagnostic]:
-    body = fn.body
-    n = len(body)
-    for i, t in enumerate(body):
-        if t.kind != "id" or t.text not in project.status_fns:
-            continue
-        if i + 1 >= n or body[i + 1].text != "(":
-            continue
-        end = match_balanced(body, i + 1)
-        if end < n and body[end].text != ";":
-            continue  # result consumed (.ok(), comparison, argument, ...)
-        # Walk back over the receiver chain (`a->b().Decode(...)`) to the
-        # start of the full expression; only a statement-position call
-        # discards its Status. A preceding `)` (e.g. a `(void)` cast or
-        # an if-condition) means the result was handled or routed.
-        p = i - 1
-        while p >= 0 and body[p].text in (".", "->", "::"):
-            p -= 1
-            if p >= 0 and body[p].text == ")":
-                depth = 1
-                p -= 1
-                while p >= 0 and depth > 0:
-                    if body[p].text == ")":
-                        depth += 1
-                    elif body[p].text == "(":
-                        depth -= 1
-                    p -= 1
-            elif p >= 0 and body[p].kind == "id":
-                p -= 1
-        if p >= 0 and body[p].text not in (";", "{", "}"):
-            continue
-        yield Diagnostic(
-            f.path, t.line, "BP008",
-            f"result of '{t.text}' (returns Status/StatusOr) is "
-            f"discarded; an unchecked error is a silent failure — check "
-            f"it, BP_RETURN_NOT_OK it, or cast to (void) with a comment")
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +628,6 @@ RULE_FNS = {
     "BP004": rule_bp004,
     "BP005": rule_bp005,
     "BP006": rule_bp006,
-    "BP008": rule_bp008,
     "BP010": rule_bp010,
     "BP011": rule_bp011,
 }

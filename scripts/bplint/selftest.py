@@ -13,8 +13,8 @@ Checks performed:
      byte-for-byte against fixtures/golden.txt.  Re-generate with
      --regold (or env BPLINT_REGOLD=1) after an intentional change.
 
-  2. Per-rule kill check. For each live rule (BP001-BP006, BP008,
-     BP010, BP011; BP007 and BP009 are retired) the matching
+  2. Per-rule kill check. For each live rule (BP001-BP006, BP010,
+     BP011; BP007, BP008 and BP009 are retired) the matching
      bpNNN_violation.cc fixture must produce at least one diagnostic of
      that rule, and must produce zero diagnostics of that rule when the
      rule is disabled.  This is what makes each rule's fixture test fail
@@ -60,8 +60,7 @@ GOLDEN = os.path.join(FIXTURES, "golden.txt")
 def analyze_fixture(name, disabled=frozenset()):
     """Analyze one fixture as a standalone single-file project."""
     path = os.path.join(FIXTURES, name)
-    diags, _ = engine.run([path], root=FIXTURES, compile_commands_dir=None,
-                          disabled=disabled, use_clang=False)
+    diags, _ = engine.run([path], root=FIXTURES, disabled=disabled)
     return diags
 
 
@@ -86,8 +85,7 @@ def group_files(group):
 def analyze_group(group, disabled=frozenset()):
     """Analyze a transitive fixture group as one multi-file project."""
     diags, _ = engine.run(group_files(group), root=FIXTURES,
-                          compile_commands_dir=None, disabled=disabled,
-                          use_clang=False)
+                          disabled=disabled)
     return diags
 
 
@@ -169,10 +167,8 @@ def main():
     # --- 5. determinism -------------------------------------------------
     if render_all() != text:
         failures.append("nondeterministic output across two identical runs")
-    serial, _ = engine.run([FIXTURES], root=FIXTURES,
-                           compile_commands_dir=None, use_clang=False)
-    par, _ = engine.run([FIXTURES], root=FIXTURES,
-                        compile_commands_dir=None, use_clang=False, jobs=2)
+    serial, _ = engine.run([FIXTURES], root=FIXTURES)
+    par, _ = engine.run([FIXTURES], root=FIXTURES, jobs=2)
     if list(map(str, serial)) != list(map(str, par)):
         failures.append("jobs=2 diagnostics differ from the serial run")
 
@@ -192,10 +188,8 @@ def main():
         chain_only = False
         for path in group_files(group):
             rel = os.path.relpath(path, FIXTURES).replace(os.sep, "/")
-            alone = [d for d in
-                     engine.run([path], root=FIXTURES,
-                                compile_commands_dir=None,
-                                use_clang=False)[0] if d.rule == rule]
+            alone = [d for d in engine.run([path], root=FIXTURES)[0]
+                     if d.rule == rule]
             if rel in grouped and not alone:
                 chain_only = True
         if not chain_only:
@@ -213,13 +207,13 @@ def main():
             failures.append("--list-rules does not mention %s" % rule)
     viol = os.path.join(FIXTURES, "bp005_violation.cc")
     hit = subprocess.run(
-        [sys.executable, _HERE, "--root", FIXTURES, viol, "--no-clang"],
+        [sys.executable, _HERE, "--root", FIXTURES, viol],
         capture_output=True, text=True)
     if hit.returncode != 1 or "BP005" not in hit.stdout:
         failures.append("CLI did not flag bp005_violation.cc (rc=%d)"
                         % hit.returncode)
     off = subprocess.run(
-        [sys.executable, _HERE, "--root", FIXTURES, viol, "--no-clang",
+        [sys.executable, _HERE, "--root", FIXTURES, viol,
          "--disable", "BP005"],
         capture_output=True, text=True)
     if off.returncode != 0:

@@ -7,11 +7,6 @@
 
 namespace blockplane::common {
 
-void CongestionGauge(std::map<std::string, int64_t>* out, const char* key,
-                     int64_t value) {
-  (*out)[key] = value;
-}
-
 WindowController::WindowController(uint64_t max_window,
                                    sim::SimTime rtt_prior, std::string label)
     : rtt_(rtt_prior),
@@ -102,17 +97,16 @@ sim::SimTime WindowController::RetryTimeout(sim::SimTime floor,
 }
 
 std::map<std::string, int64_t> WindowController::SnapshotGauges() const {
-  std::map<std::string, int64_t> out;
-  CongestionGauge(&out, "window", static_cast<int64_t>(window_));
-  CongestionGauge(&out, "min_window_seen",
-                  static_cast<int64_t>(min_window_seen_));
-  CongestionGauge(&out, "srtt_us", rtt_.srtt() / 1000);
-  CongestionGauge(&out, "rttvar_us", rtt_.rttvar() / 1000);
-  CongestionGauge(&out, "rtt_samples", rtt_samples_);
-  CongestionGauge(&out, "increases", increases_);
-  CongestionGauge(&out, "decreases", decreases_);
-  CongestionGauge(&out, "loss_events", loss_events_);
-  return out;
+  return {
+      {"window", static_cast<int64_t>(window_)},
+      {"min_window_seen", static_cast<int64_t>(min_window_seen_)},
+      {"srtt_us", rtt_.srtt() / 1000},
+      {"rttvar_us", rtt_.rttvar() / 1000},
+      {"rtt_samples", rtt_samples_},
+      {"increases", increases_},
+      {"decreases", decreases_},
+      {"loss_events", loss_events_},
+  };
 }
 
 }  // namespace blockplane::common

@@ -45,26 +45,6 @@ inline constexpr uint64_t kMinWindow = 1;
 /// estimate must not cause a spurious-retransmission storm.
 inline constexpr sim::SimTime kMinRto = sim::Milliseconds(5);
 
-/// Catalog of per-controller gauge keys (bplint BP006: every
-/// CongestionGauge emission must use a key listed here, and every listed
-/// key must be emitted somewhere).
-inline constexpr const char* kCongestionGaugeKeys[] = {
-    "window",           // current window (flights / geo rounds / proposals)
-    "min_window_seen",  // low-water mark over the controller's lifetime
-    "srtt_us",          // smoothed per-destination RTT, microseconds
-    "rttvar_us",        // RTT variance estimate, microseconds
-    "rtt_samples",      // clean (Karn-filtered) samples accepted
-    "increases",        // additive increases applied
-    "decreases",        // multiplicative decreases applied
-    "loss_events",      // raw loss signals (retransmission timeouts)
-};
-
-/// Records one gauge value into a controller's snapshot map. Funneling
-/// every emission through this helper is what lets bplint check the keys
-/// against the catalog above.
-void CongestionGauge(std::map<std::string, int64_t>* out, const char* key,
-                     int64_t value);
-
 class WindowController {
  public:
   /// `max_window` is the static knob: the starting window and the ceiling
@@ -109,7 +89,12 @@ class WindowController {
   int64_t loss_events() const { return loss_events_; }
   const std::string& label() const { return label_; }
 
-  /// Gauge snapshot, as registered with the MetricsRegistry.
+  /// Gauge snapshot, as registered with the MetricsRegistry. Its eight
+  /// keys: window (flights / geo rounds / proposals), min_window_seen
+  /// (low-water mark over the controller's lifetime), srtt_us and
+  /// rttvar_us (the RTT estimate, microseconds), rtt_samples (clean,
+  /// Karn-filtered samples accepted), increases and decreases (window
+  /// steps applied) and loss_events (raw retransmission-timeout signals).
   std::map<std::string, int64_t> SnapshotGauges() const;
 
  private:

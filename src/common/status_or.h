@@ -12,7 +12,7 @@
 namespace blockplane {
 
 template <typename T>
-class StatusOr {
+class [[nodiscard]] StatusOr {
  public:
   /// Constructs from an error status; `status` must not be OK.
   StatusOr(Status status) : status_(std::move(status)) {  // NOLINT(runtime/explicit)

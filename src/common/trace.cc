@@ -121,13 +121,36 @@ void Tracer::Instant(TraceId trace, const char* name, const char* cat,
   events_.push_back(ev);
 }
 
-void Tracer::Mark(TraceId trace, const char* phase, int64_t ts) {
+const char* TracePhaseName(TracePhase phase) {
+  switch (phase) {
+    case TracePhase::kSubmit:
+      return "submit";
+    case TracePhase::kLocalCommitted:
+      return "local_committed";
+    case TracePhase::kAttested:
+      return "attested";
+    case TracePhase::kTransmitted:
+      return "transmitted";
+    case TracePhase::kRemoteCommitted:
+      return "remote_committed";
+    case TracePhase::kMirrored:
+      return "mirrored";
+    case TracePhase::kDelivered:
+      return "delivered";
+    case TracePhase::kDone:
+      return "done";
+  }
+  return "unknown";
+}
+
+void Tracer::Mark(TraceId trace, TracePhase phase, int64_t ts) {
   if (!enabled_ || trace == kNoTrace) return;
+  const char* name = TracePhaseName(phase);
   std::vector<TraceMark>& marks = marks_[trace];
   for (const TraceMark& mark : marks) {
-    if (std::string_view(mark.phase) == phase) return;  // first call wins
+    if (std::string_view(mark.phase) == name) return;  // first call wins
   }
-  marks.push_back({phase, ts});
+  marks.push_back({name, ts});
 }
 
 const std::vector<TraceMark>& Tracer::MarksFor(TraceId trace) const {

@@ -12,10 +12,10 @@
 //     request -> pre-prepare -> prepare -> commit -> attest -> transmit ->
 //     geo-mirror -> deliver.
 //
-//   * Phase *marks* ("submit", "local_committed", "attested", ...) are
-//     first-wins timestamps per trace. The latency breakdown is the vector
-//     of deltas between consecutive marks, so the components sum EXACTLY to
-//     the end-to-end time by construction (no residual bucket).
+//   * Phase *marks* (TracePhase::kSubmit, kLocalCommitted, kAttested, ...)
+//     are first-wins timestamps per trace. The latency breakdown is the
+//     vector of deltas between consecutive marks, so the components sum
+//     EXACTLY to the end-to-end time by construction (no residual bucket).
 //
 //   * Spans and instants export to the Chrome trace_event JSON format:
 //     load the dump in chrome://tracing or https://ui.perfetto.dev and the
@@ -68,21 +68,23 @@ struct TraceEvent {
   uint64_t arg = 0;
 };
 
-/// The closed catalog of phase-mark names, in pipeline order. Every
-/// Tracer::Mark() call site must use a name from this list and every name
-/// here must have a call site — bplint rule BP006 checks both directions,
-/// so a typo'd phase cannot silently truncate a latency breakdown and a
-/// stale entry cannot linger after the instrumentation moves.
-inline constexpr const char* kTracePhases[] = {
-    "submit",            // client handed the request to the participant
-    "local_committed",   // local PBFT group committed the record
-    "attested",          // f_s+1 transmission attestations collected
-    "transmitted",       // transmission record sent to the destination
-    "remote_committed",  // destination group committed the received record
-    "mirrored",          // geo layer mirrored the record (acting-site flow)
-    "delivered",         // delivered to the destination application
-    "done",              // terminal phase: end-to-end complete
+/// The phases a commit passes through, in pipeline order. Tracer::Mark
+/// takes one of these, so a misspelled phase fails to compile instead of
+/// silently truncating a latency breakdown.
+enum class TracePhase : uint8_t {
+  kSubmit,           // client handed the request to the participant
+  kLocalCommitted,   // local PBFT group committed the record
+  kAttested,         // f_s+1 transmission attestations collected
+  kTransmitted,      // transmission record sent to the destination
+  kRemoteCommitted,  // destination group committed the received record
+  kMirrored,         // geo layer mirrored the record (acting-site flow)
+  kDelivered,        // delivered to the destination application
+  kDone,             // terminal phase: end-to-end complete
 };
+
+/// The phase's mark name ("submit", "local_committed", ...): what MarksFor,
+/// breakdowns and every export report.
+const char* TracePhaseName(TracePhase phase);
 
 /// One first-wins phase mark of a trace.
 struct TraceMark {
@@ -129,7 +131,7 @@ class Tracer {
   /// Records `phase` at `ts` for `trace`, first call wins (several replicas
   /// or nodes may report the same milestone; the earliest is the one that
   /// advanced the commit). No-op when disabled or trace == kNoTrace.
-  void Mark(TraceId trace, const char* phase, int64_t ts);
+  void Mark(TraceId trace, TracePhase phase, int64_t ts);
 
   /// The recorded marks of a trace in record order (timestamps are
   /// non-decreasing because simulation time is).

@@ -219,7 +219,7 @@ void CommDaemon::Transmit(Flight& flight, bool widen) {
     if (trace != kNoTrace) {
       sim::SimTime now = host_->network()->simulator()->Now();
       // First-wins: retransmissions do not move the milestone.
-      tr.Mark(trace, "transmitted", now);
+      tr.Mark(trace, TracePhase::kTransmitted, now);
       tr.Instant(trace, "transmit", "geo", now, host_->self().site,
                  host_->self().index, flight.record.src_log_pos);
     }

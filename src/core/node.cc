@@ -457,7 +457,7 @@ void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
               tr.LookupCommRecord(record.src_site, record.src_log_pos);
           if (trace != kNoTrace) {
             sim::SimTime now = network_->simulator()->Now();
-            tr.Mark(trace, "remote_committed", now);
+            tr.Mark(trace, TracePhase::kRemoteCommitted, now);
             tr.Instant(trace, "remote_commit", "geo", now, self_.site,
                        self_.index, record.src_log_pos);
           }
@@ -511,8 +511,10 @@ void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
 
   if (options_.prune_applied_log > 0 &&
       log_.size() > options_.prune_applied_log) {
-    // Drop old non-communication entries; communication records must stay
-    // until their transmissions are acknowledged.
+    // Drop old non-communication entries. Communication records stay for
+    // good: the daemons transmit from this log, and only the active
+    // daemon's node ever learns of the acks that would make one safe to
+    // drop.
     uint64_t keep_from = seq > options_.prune_applied_log
                              ? seq - options_.prune_applied_log
                              : 0;

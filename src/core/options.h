@@ -38,9 +38,9 @@ struct BlockplaneOptions {
   uint64_t participant_window = 1;
 
   /// When positive, each node keeps only this many recent non-communication
-  /// Local Log entries in memory (communication records stay until their
-  /// transmissions are acknowledged). Benches with multi-megabyte batches
-  /// use this to bound memory; 0 keeps everything (tests).
+  /// Local Log entries in memory (communication records are never pruned).
+  /// Benches with multi-megabyte batches use this to bound memory; 0 keeps
+  /// everything.
   uint64_t prune_applied_log = 0;
 };
 

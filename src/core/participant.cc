@@ -23,7 +23,7 @@ TraceId BeginOpTrace(sim::Simulator* sim) {
   Tracer& tr = tracer();
   if (!tr.enabled()) return kNoTrace;
   TraceId trace = tr.NewTrace();
-  tr.Mark(trace, "submit", sim->Now());
+  tr.Mark(trace, TracePhase::kSubmit, sim->Now());
   return trace;
 }
 
@@ -132,8 +132,8 @@ void Participant::EnqueueOp(ApiOp op) {
           Tracer& tr = tracer();
           if (tr.enabled() && trace != kNoTrace) {
             sim::SimTime now = sim_->Now();
-            tr.Mark(trace, "local_committed", now);
-            tr.Mark(trace, "done", now);
+            tr.Mark(trace, TracePhase::kLocalCommitted, now);
+            tr.Mark(trace, TracePhase::kDone, now);
             // A communication record's journey continues in the daemons;
             // bind (site, log pos) so they can tag later milestones.
             if (is_comm) tr.BindCommRecord(site_, pos, trace);
@@ -219,7 +219,7 @@ void Participant::DrainFinished() {
     ++commits_completed_;
     Tracer& tr = tracer();
     if (tr.enabled() && rec.op.trace != kNoTrace) {
-      tr.Mark(rec.op.trace, "done", sim_->Now());
+      tr.Mark(rec.op.trace, TracePhase::kDone, sim_->Now());
     }
     if (rec.op.done) rec.op.done(rec.result_pos);
   }
@@ -233,7 +233,7 @@ void Participant::OnLocalCommitted(uint64_t geo_pos, uint64_t unit_pos) {
     }
     Tracer& tr = tracer();
     if (tr.enabled() && rec.op.trace != kNoTrace) {
-      tr.Mark(rec.op.trace, "local_committed", sim_->Now());
+      tr.Mark(rec.op.trace, TracePhase::kLocalCommitted, sim_->Now());
       if (rec.op.record.type == RecordType::kCommunication) {
         tr.BindCommRecord(site_, unit_pos, rec.op.trace);
       }
@@ -308,7 +308,7 @@ void Participant::OnAttestResponse(const net::Message& msg) {
     round.ts_attested = sim_->Now();
     Tracer& tr = tracer();
     if (tr.enabled() && round.trace != kNoTrace) {
-      tr.Mark(round.trace, "attested", round.ts_attested);
+      tr.Mark(round.trace, TracePhase::kAttested, round.ts_attested);
     }
     ReplicateRound(round.geo_pos);
   }
@@ -475,7 +475,7 @@ void Participant::FinishGeoRound(uint64_t geo_pos) {
   Tracer& tr = tracer();
   if (tr.enabled() && round.trace != kNoTrace) {
     sim::SimTime now = sim_->Now();
-    tr.Mark(round.trace, "mirrored", now);
+    tr.Mark(round.trace, TracePhase::kMirrored, now);
     // Phase spans on the participant's track: attestation gathering and
     // the WAN mirror round. Together with the PBFT "request" span they
     // decompose the end-to-end commit latency. (The "done" mark is added
@@ -655,7 +655,7 @@ void Participant::CommitMirrorRecord(net::SiteId origin, uint64_t geo_pos) {
       [this, origin, geo_pos, inner, digest, trace](uint64_t) {
         Tracer& tr = tracer();
         if (tr.enabled() && trace != kNoTrace) {
-          tr.Mark(trace, "local_committed", sim_->Now());
+          tr.Mark(trace, TracePhase::kLocalCommitted, sim_->Now());
         }
         auto owned = std::make_unique<GeoRound>();
         GeoRound& round = *owned;
@@ -753,7 +753,7 @@ void Participant::OnDeliverNotice(const net::Message& msg) {
       TraceId t = tr.LookupCommRecord(notice.src_site, delivered);
       if (t != kNoTrace) {
         sim::SimTime now = sim_->Now();
-        tr.Mark(t, "delivered", now);
+        tr.Mark(t, TracePhase::kDelivered, now);
         tr.Instant(t, "deliver", "geo", now, site_, self_.index, delivered);
       }
     }

@@ -3,7 +3,7 @@
 // Cost model for delivering a message from node A (site Sa) to node B (Sb):
 //
 //   start      = max(now, A's NIC free time)            // FIFO per sender NIC
-//   serialize  = wire_bytes / bandwidth(Sa, Sb)
+//   serialize  = wire_bytes / 640 MB/s                  // LAN and WAN alike
 //   propagate  = OneWay(Sa, Sb)  (+ seeded jitter)      // intra-site one-way
 //                                                       //   when Sa == Sb
 //   arrive     = start + serialize + propagate
@@ -41,11 +41,6 @@ class Host {
 };
 
 struct NetworkOptions {
-  /// Intra-site NIC bandwidth; the paper measured 640 MB/s with iperf.
-  double lan_bandwidth_bps = 640e6;
-  /// Wide-area bandwidth (the paper's WAN payloads are small, so this
-  /// rarely matters).
-  double wan_bandwidth_bps = 640e6;
   /// One-way latency between two nodes in the same site.
   sim::SimTime intra_site_one_way = sim::Microseconds(250);
   /// Serial per-message receive-processing cost at a node.

@@ -88,77 +88,6 @@ Topology Topology::Uniform(int num_sites, double rtt_ms) {
   return std::move(t).value();
 }
 
-StatusOr<Topology> Topology::Parse(const std::string& spec) {
-  auto semicolon = spec.find(';');
-  if (semicolon == std::string::npos) {
-    return Status::InvalidArgument("topology spec needs 'names; pairs'");
-  }
-
-  auto split = [](const std::string& text, char sep) {
-    std::vector<std::string> out;
-    std::string current;
-    for (char c : text) {
-      if (c == sep || c == ' ' || c == '\t' || c == '\n') {
-        if (!current.empty()) out.push_back(current);
-        current.clear();
-        continue;
-      }
-      current.push_back(c);
-    }
-    if (!current.empty()) out.push_back(current);
-    return out;
-  };
-
-  std::vector<std::string> names = split(spec.substr(0, semicolon), ',');
-  if (names.size() < 2) {
-    return Status::InvalidArgument("topology needs at least two sites");
-  }
-  auto index_of = [&](const std::string& name) {
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return static_cast<int>(i);
-    }
-    return -1;
-  };
-
-  const size_t n = names.size();
-  std::vector<std::vector<double>> rtt(n, std::vector<double>(n, -1.0));
-  for (size_t i = 0; i < n; ++i) rtt[i][i] = 0.0;
-
-  for (const std::string& entry : split(spec.substr(semicolon + 1), ' ')) {
-    auto dash = entry.find('-');
-    auto colon = entry.find(':');
-    if (dash == std::string::npos || colon == std::string::npos ||
-        colon < dash) {
-      return Status::InvalidArgument("bad pair entry: " + entry);
-    }
-    int a = index_of(entry.substr(0, dash));
-    int b = index_of(entry.substr(dash + 1, colon - dash - 1));
-    if (a < 0 || b < 0 || a == b) {
-      return Status::InvalidArgument("unknown site in entry: " + entry);
-    }
-    char* end = nullptr;
-    std::string value = entry.substr(colon + 1);
-    double ms = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || ms < 0) {
-      return Status::InvalidArgument("bad RTT in entry: " + entry);
-    }
-    if (rtt[a][b] >= 0) {
-      return Status::InvalidArgument("duplicate pair: " + entry);
-    }
-    rtt[a][b] = ms;
-    rtt[b][a] = ms;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      if (rtt[i][j] < 0) {
-        return Status::InvalidArgument("missing RTT for pair " + names[i] +
-                                       "-" + names[j]);
-      }
-    }
-  }
-  return Topology::Create(std::move(names), std::move(rtt));
-}
-
 sim::SimTime Topology::Rtt(int a, int b) const {
   BP_CHECK(a >= 0 && a < num_sites() && b >= 0 && b < num_sites());
   return rtt_[a][b];

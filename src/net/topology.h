@@ -19,10 +19,7 @@ class Topology {
   /// rtt_ms must be square and match site_names, rtt_ms[i][j] must equal
   /// rtt_ms[j][i] >= 0, and rtt_ms[i][i] must be 0. Violations return
   /// InvalidArgument — operator-supplied matrices (config files, CLI
-  /// flags) must not be able to abort a daemon. (An earlier revision
-  /// validated with BP_CHECK in the constructor, which crashed the
-  /// process on asymmetric/negative input while Parse() returned a
-  /// Status for the same mistakes.)
+  /// flags) must not be able to abort a daemon.
   static StatusOr<Topology> Create(std::vector<std::string> site_names,
                                    std::vector<std::vector<double>> rtt_ms);
 
@@ -36,12 +33,6 @@ class Topology {
   /// Uniform n-site topology with the same RTT between every pair — handy
   /// for property tests.
   static Topology Uniform(int num_sites, double rtt_ms);
-
-  /// Parses a topology spec of the form
-  ///   "A,B,C; A-B:19 A-C:61 B-C:79"
-  /// (site names, then RTTs in milliseconds for every pair). Every pair
-  /// must appear exactly once.
-  static StatusOr<Topology> Parse(const std::string& spec);
 
   int num_sites() const { return static_cast<int>(names_.size()); }
   const std::string& site_name(int site) const { return names_[site]; }

@@ -353,6 +353,66 @@ TEST(BlockplaneCoreTest, ReadMissingPositionIsNotFound) {
       harness.simulator_.RunUntilCondition([&] { return done; }, Seconds(30)));
 }
 
+TEST(BlockplaneCoreTest, PrunedLogKeepsCommunicationRecords) {
+  // With prune_applied_log = 8 a node drops every entry more than 8
+  // positions behind the newest one it applied, except communication
+  // records: those stay for good.
+  BlockplaneOptions options;
+  options.prune_applied_log = 8;
+  CoreHarness harness(options);
+  Participant* california = harness.deployment_.participant(kCalifornia);
+  for (uint64_t i = 1; i <= 40; ++i) {
+    if (i % 10 != 6) {
+      ASSERT_EQ(harness.CommitAndWait(kCalifornia, "commit"), i);
+      continue;
+    }
+    uint64_t pos = 0;
+    california->Send(kOregon, ToBytes("send " + std::to_string(i)), 0,
+                     [&](uint64_t p) { pos = p; });
+    ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+        [&] { return pos != 0; }, harness.simulator_.Now() + Seconds(60)));
+    ASSERT_EQ(pos, i);
+  }
+
+  // Oregon receives every send.
+  Participant* oregon = harness.deployment_.participant(kOregon);
+  std::vector<std::string> received;
+  ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+      [&] {
+        Bytes payload;
+        while (oregon->TryReceive(kCalifornia, &payload)) {
+          received.push_back(ToString(payload));
+        }
+        return received.size() == 4;
+      },
+      harness.simulator_.Now() + Seconds(60)));
+  EXPECT_EQ(received, (std::vector<std::string>{"send 6", "send 16",
+                                                "send 26", "send 36"}));
+
+  // Each unit node holds positions 32-40 plus the three older
+  // communication records (36 is recent enough to stay anyway).
+  std::vector<uint64_t> want = {6, 16, 26};
+  for (uint64_t pos = 32; pos <= 40; ++pos) want.push_back(pos);
+  for (int i = 0; i < 4; ++i) {
+    std::vector<uint64_t> held;
+    for (const auto& [pos, record] :
+         harness.deployment_.node(kCalifornia, i)->log()) {
+      held.push_back(pos);
+    }
+    EXPECT_EQ(held, want) << "node " << i;
+  }
+
+  // A pruned entry is gone from every node: a quorum read finds nothing.
+  bool done = false;
+  california->Read(1, ReadStrategy::kReadQuorum,
+                   [&](Status status, LogRecord) {
+                     EXPECT_TRUE(status.IsNotFound()) << status;
+                     done = true;
+                   });
+  ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+      [&] { return done; }, harness.simulator_.Now() + Seconds(30)));
+}
+
 // --- geo-correlated fault tolerance (§V) ----------------------------------------
 
 TEST(BlockplaneGeoTest, CommitWaitsForMirrorProofs) {
@@ -422,23 +482,39 @@ TEST(BlockplaneGeoTest, SecondaryActsAfterPrimaryFailure) {
   peers.push_back(kCalifornia);
   secondary->SetMirrorPeers(kCalifornia, peers);
 
-  bool done = false;
-  uint64_t pos = 0;
-  secondary->MirrorCommit(kCalifornia, ToBytes("by secondary"), 0,
-                          [&](uint64_t p) {
-                            pos = p;
-                            done = true;
-                          });
-  ASSERT_TRUE(
-      harness.simulator_.RunUntilCondition([&] { return done; }, Seconds(60)));
-  // The new entry extends the mirrored stream (position 2 after the
-  // primary's one commit).
-  EXPECT_EQ(pos, 2u);
+  // Runs one MirrorCommit; returns its position and how long it took.
+  auto mirror_commit = [&](const std::string& payload, sim::SimTime* took) {
+    sim::SimTime start = harness.simulator_.Now();
+    uint64_t pos = 0;
+    secondary->MirrorCommit(kCalifornia, ToBytes(payload), 0,
+                            [&](uint64_t p) { pos = p; });
+    EXPECT_TRUE(harness.simulator_.RunUntilCondition(
+        [&] { return pos != 0; }, start + Seconds(60)));
+    *took = harness.simulator_.Now() - start;
+    return pos;
+  };
+  // The takeover first learns the mirror streams' high positions. The new
+  // entry extends the mirrored stream (position 2 after the primary's one
+  // commit).
+  sim::SimTime takeover = 0;
+  EXPECT_EQ(mirror_commit("by secondary", &takeover), 2u);
+  // Already acting for California, Virginia continues the stream directly:
+  // no status round, so each continuation is quicker than the takeover.
+  for (uint64_t want : {3u, 4u}) {
+    sim::SimTime took = 0;
+    EXPECT_EQ(mirror_commit("continued", &took), want);
+    EXPECT_LT(took, takeover);
+  }
   harness.simulator_.RunFor(Seconds(2));
-  // Virginia's mirror group of California holds both entries.
-  BlockplaneNode* mirror =
-      harness.deployment_.mirror_node(kVirginia, kCalifornia, 0);
-  EXPECT_GE(mirror->log_size(), 2u);
+  // Every node of both mirror groups of California holds all four entries.
+  for (net::SiteId host : harness.deployment_.mirror_sites_of(kCalifornia)) {
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(
+          harness.deployment_.mirror_node(host, kCalifornia, i)->log_size(),
+          4u)
+          << "site " << host << ", node " << i;
+    }
+  }
 }
 
 TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {

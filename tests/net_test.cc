@@ -44,47 +44,6 @@ TEST(TopologyTest, ProximityOrder) {
             (std::vector<int>{kCalifornia, kIreland, kOregon}));
 }
 
-TEST(TopologyTest, ParseRoundTripsTableI) {
-  auto parsed = Topology::Parse(
-      "C,O,V,I; C-O:19 C-V:61 C-I:130 O-V:79 O-I:132 V-I:70");
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  Topology aws = Topology::Aws4();
-  for (int a = 0; a < 4; ++a) {
-    for (int b = 0; b < 4; ++b) {
-      EXPECT_EQ(parsed->Rtt(a, b), aws.Rtt(a, b)) << a << "," << b;
-    }
-  }
-  EXPECT_EQ(parsed->site_name(0), "C");
-}
-
-TEST(TopologyTest, ParseRejectsMalformedSpecs) {
-  EXPECT_TRUE(Topology::Parse("no separator").status().IsInvalidArgument());
-  EXPECT_TRUE(Topology::Parse("A; ").status().IsInvalidArgument());
-  // Missing pair.
-  EXPECT_TRUE(Topology::Parse("A,B,C; A-B:10 A-C:20")
-                  .status()
-                  .IsInvalidArgument());
-  // Unknown site.
-  EXPECT_TRUE(Topology::Parse("A,B; A-X:10").status().IsInvalidArgument());
-  // Duplicate pair.
-  EXPECT_TRUE(Topology::Parse("A,B; A-B:10 B-A:20")
-                  .status()
-                  .IsInvalidArgument());
-  // Bad number.
-  EXPECT_TRUE(Topology::Parse("A,B; A-B:fast").status().IsInvalidArgument());
-  // Self pair.
-  EXPECT_TRUE(Topology::Parse("A,B; A-A:1 A-B:2")
-                  .status()
-                  .IsInvalidArgument());
-}
-
-TEST(TopologyTest, ParsedTopologyDrivesTheNetwork) {
-  auto parsed = Topology::Parse("east,west; east-west:42");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->Rtt(0, 1), Milliseconds(42));
-  EXPECT_EQ(parsed->SitesByProximity(0), std::vector<int>{1});
-}
-
 // The programmatic factory validates the matrix instead of CHECK-failing:
 // a malformed topology from config/flags surfaces as InvalidArgument the
 // caller can report, not a process abort.

@@ -47,7 +47,7 @@ class TraceTest : public ::testing::Test {
 TEST_F(TraceTest, DisabledTracerIsInert) {
   tracer().Disable();
   EXPECT_EQ(tracer().NewTrace(), kNoTrace);
-  tracer().Mark(1, "submit", 100);  // must be a no-op
+  tracer().Mark(1, TracePhase::kSubmit, 100);  // must be a no-op
   tracer().Span(1, "x", "t", 0, 10, 0, 0);
   tracer().Instant(1, "y", "t", 5, 0, 0);
   EXPECT_TRUE(tracer().events().empty());
@@ -64,11 +64,12 @@ TEST_F(TraceTest, TraceIdsAreMonotoneFromOne) {
 
 TEST_F(TraceTest, MarksAreFirstWinsAndBreakdownSumsExactly) {
   TraceId t = tracer().NewTrace();
-  tracer().Mark(t, "submit", 1000);
-  tracer().Mark(t, "local_committed", 3500);
-  tracer().Mark(t, "local_committed", 9999);  // late duplicate: ignored
-  tracer().Mark(t, "attested", 4200);
-  tracer().Mark(t, "done", 7000);
+  tracer().Mark(t, TracePhase::kSubmit, 1000);
+  tracer().Mark(t, TracePhase::kLocalCommitted, 3500);
+  // A late duplicate is ignored.
+  tracer().Mark(t, TracePhase::kLocalCommitted, 9999);
+  tracer().Mark(t, TracePhase::kAttested, 4200);
+  tracer().Mark(t, TracePhase::kDone, 7000);
 
   const std::vector<TraceMark>& marks = tracer().MarksFor(t);
   ASSERT_EQ(marks.size(), 4u);
@@ -123,7 +124,7 @@ struct UnitHarness {
 TEST_F(TraceTest, TracedCommitEmitsPhaseSpansOnEveryReplica) {
   UnitHarness unit(11);
   TraceId trace = tracer().NewTrace();
-  tracer().Mark(trace, "submit", unit.simulator.Now());
+  tracer().Mark(trace, TracePhase::kSubmit, unit.simulator.Now());
   bool done = false;
   unit.client->Submit(ToBytes("traced"), [&](uint64_t) { done = true; },
                       trace);
