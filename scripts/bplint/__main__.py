@@ -11,7 +11,7 @@ Usage:
   --root DIR            project root diagnostics are reported relative
                         to (default: the current directory)
   --disable RULES       comma-separated rule ids to disable
-                        (e.g. --disable BP003,BP005)
+                        (e.g. --disable BP004,BP005)
   --list-rules          print the rule catalog and exit
   -j, --jobs N          analyze files on N worker processes (the rule
                         passes stay serial over the merged project, so
@@ -65,8 +65,8 @@ def _git_changed_files(root: str, ref: str) -> set:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bplint",
-        description="Blockplane determinism / wire-coverage / entropy-"
-                    "hygiene static analysis")
+        description="Blockplane determinism / entropy-hygiene / "
+                    "dispatch static analysis")
     parser.add_argument("paths", nargs="*", default=None)
     parser.add_argument("-p", "--build", dest="build", default=None)
     parser.add_argument("--root", default=".")

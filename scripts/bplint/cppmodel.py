@@ -8,8 +8,7 @@ construct degrades to silence, never to a false diagnostic.
 Facts per file (see FileFacts):
   * enums (name, base, enumerators) and whether they are message-type
     enums (name ends in "MessageType" or the base mentions MessageType)
-  * structs/classes with their data fields and method bodies (inline
-    and, project-wide via Project, out-of-line `T::Method` definitions)
+  * structs/classes with their data fields
   * switch statements (subject tokens, case labels, default presence),
     parsed recursively so nested switches don't leak labels outward
   * iterations: range-for targets and `it = x.begin()` style loops,
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from lexer import Tok, lex
 
@@ -75,8 +74,6 @@ class Struct:
     name: str
     line: int
     fields: List[Field] = field(default_factory=list)
-    # method name -> list of body token slices (inline definitions).
-    methods: Dict[str, List[List[Tok]]] = field(default_factory=dict)
 
 
 @dataclass
@@ -138,9 +135,6 @@ class FileFacts:
     markers: Set[str] = field(default_factory=set)
     enums: List[Enum] = field(default_factory=list)
     structs: List[Struct] = field(default_factory=list)
-    # (class, method) -> list of body token slices (out-of-line defs).
-    out_of_line: Dict[Tuple[str, str], List[List[Tok]]] = field(
-        default_factory=dict)
     switches: List[Switch] = field(default_factory=list)
     iterations: List[Iteration] = field(default_factory=list)
     unordered_vars: Set[str] = field(default_factory=set)
@@ -318,7 +312,6 @@ def _parse_struct(toks: List[Tok], i: int, facts: FileFacts) -> int:
         # Scan one member declaration.
         stmt: List[Tok] = []
         saw_paren = False
-        fn_name: Optional[str] = None
         m = k
         while m < end - 1:
             tm = toks[m]
@@ -327,8 +320,6 @@ def _parse_struct(toks: List[Tok], i: int, facts: FileFacts) -> int:
                 break
             if tm.text == "(" and not saw_paren:
                 saw_paren = True
-                if stmt and stmt[-1].kind == "id":
-                    fn_name = stmt[-1].text
                 m = match_balanced(toks, m)
                 # cv-qualifiers / noexcept / override between ')' and body.
                 while m < end - 1 and toks[m].kind == "id" and \
@@ -342,11 +333,7 @@ def _parse_struct(toks: List[Tok], i: int, facts: FileFacts) -> int:
                     m += 1
                     break
                 if m < end - 1 and toks[m].text == "{":
-                    body_end = match_balanced(toks, m)
-                    if fn_name:
-                        struct.methods.setdefault(fn_name, []).append(
-                            list(toks[m + 1:body_end - 1]))
-                    m = body_end
+                    m = match_balanced(toks, m)
                     break
                 continue
             if tm.text == "{":
@@ -362,31 +349,9 @@ def _parse_struct(toks: List[Tok], i: int, facts: FileFacts) -> int:
             if fld is not None:
                 struct.fields.append(fld)
         k = max(m, k + 1)
-    if struct.fields or struct.methods:
+    if struct.fields:
         facts.structs.append(struct)
     return end
-
-
-def _parse_out_of_line(toks: List[Tok], facts: FileFacts) -> None:
-    """Collects `Cls::Method(...) ... { body }` definitions."""
-    n = len(toks)
-    i = 0
-    while i < n:
-        if toks[i].text == "(" and i >= 3 and toks[i - 1].kind == "id" \
-                and toks[i - 2].text == "::" and toks[i - 3].kind == "id":
-            cls = toks[i - 3].text
-            method = toks[i - 1].text
-            j = match_balanced(toks, i)
-            while j < n and toks[j].kind == "id" and \
-                    toks[j].text in ("const", "noexcept", "override", "final"):
-                j += 1
-            if j < n and toks[j].text == "{":
-                end = match_balanced(toks, j)
-                facts.out_of_line.setdefault((cls, method), []).append(
-                    list(toks[j + 1:end - 1]))
-                i = end
-                continue
-        i += 1
 
 
 def _parse_switch_body(toks: List[Tok], start: int, end: int,
@@ -829,8 +794,6 @@ def analyze_file(path: str, text: str) -> FileFacts:
             i = nxt
             continue
         i += 1
-
-    _parse_out_of_line(toks, facts)
 
     i = 0
     while i < n:

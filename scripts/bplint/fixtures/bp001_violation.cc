@@ -47,3 +47,10 @@ class PeerTable {
   std::unordered_map<unsigned, unsigned long long> peers_;
   std::unordered_set<int> pending_;
 };
+
+void WirePut(Encoder* enc, int v);
+
+// The field-list codec is a wire encoder too.
+void EncodeIds(Encoder* enc, const std::unordered_set<int>& ids) {
+  for (int id : ids) WirePut(enc, id);
+}

@@ -17,11 +17,10 @@ Rule catalog (see DESIGN.md sections 11 and 15 for the rationale):
          encoding, digests, JSON/metrics export, or event scheduling.
   BP002  forbidden entropy/time sources outside src/sim and bench/
          (all randomness must flow from the seeded simulator RNG).
-  BP003  wire-struct field coverage: every field of a struct in a
-         `bplint:wire-coverage` header must appear in its Encode,
-         Decode, and digest path (authentication material — Signature
-         and QuorumCert fields — is digest-exempt: it attests the
-         canonical bytes, so it cannot also be covered by them).
+  BP003  retired: every wire struct lists its members once (BP_WIRE in
+         common/codec.h), that list generates Encode, Decode and the
+         signed body, and Encode static-asserts that it names every
+         member; the id is not reused.
   BP004  message-type dispatch exhaustiveness: switches over
          *MessageType enums must be exhaustive or carry a default, and
          every enumerator must be dispatched somewhere in the project.
@@ -65,8 +64,6 @@ RULE_DESCRIPTIONS = [
               "export, event scheduling)"),
     ("BP002", "forbidden entropy/time source outside src/sim and bench/ "
               "(use the seeded simulator RNG / simulated clock)"),
-    ("BP003", "wire-struct field missing from its Encode, Decode, or "
-              "digest path (bplint:wire-coverage headers)"),
     ("BP004", "message-type enum dispatch is non-exhaustive or an "
               "enumerator is never dispatched"),
     ("BP005", "floating point in a consensus/state-machine/digest path"),
@@ -105,8 +102,8 @@ class Project:
         self.cmp_idents: Set[str] = set()
         self.message_enums: List[Tuple[FileFacts, Enum]] = []
         self.enumerator_owner: Dict[str, Enum] = {}
-        # (class, method) -> bodies, merged across files.
-        self.methods: Dict[Tuple[str, str], List[List[Tok]]] = {}
+        # (class, method) of every method defined anywhere in the project.
+        self.methods: Set[Tuple[str, str]] = set()
         for f in self.files:
             self.unordered_vars |= f.unordered_vars
             self.string_literals |= f.string_literals
@@ -117,12 +114,8 @@ class Project:
                     self.message_enums.append((f, enum))
                     for name, _ in enum.enumerators:
                         self.enumerator_owner[name] = enum
-            for key, bodies in f.out_of_line.items():
-                self.methods.setdefault(key, []).extend(bodies)
-            for struct in f.structs:
-                for mname, bodies in struct.methods.items():
-                    self.methods.setdefault((struct.name, mname),
-                                            []).extend(bodies)
+            self.methods |= {(fn.cls, fn.name) for fn in f.fn_defs
+                             if fn.cls}
 
         # v2: the project-wide call graph and the indexes the
         # interprocedural rules consult.
@@ -130,12 +123,6 @@ class Project:
         self.cancel_args: Set[str] = set()
         for f in self.files:
             self.cancel_args |= f.cancel_args
-
-    def bodies_of(self, cls: str, names: Iterable[str]) -> List[List[Tok]]:
-        out: List[List[Tok]] = []
-        for name in names:
-            out.extend(self.methods.get((cls, name), []))
-        return out
 
 
 def _fn_key(fn: FunctionDef) -> Key:
@@ -159,9 +146,10 @@ def _chain_call_line(graph: CallGraph, fn: FunctionDef, nxt: Key) -> int:
 # means iteration order escaped into something order-sensitive.
 _SINK_PREFIXES = ("Put", "Append", "Encode", "Sha256", "Digest")
 _SINK_IDENTS = {
-    "EncodeTo", "Update", "ToJson", "ToChromeTrace", "Json", "Schedule",
-    "ScheduleAt", "Send", "SendTo", "SendShared", "Broadcast", "Increment",
-    "write", "append", "ContentDigest",
+    "WirePut", "WirePutAll", "WireEncode", "WireSignedBody", "Update",
+    "ToJson", "ToChromeTrace", "Json", "Schedule", "ScheduleAt", "Send",
+    "SendTo", "SendShared", "Broadcast", "Increment", "write", "append",
+    "ContentDigest",
 }
 
 
@@ -302,70 +290,6 @@ def _bp002_entropy_in(body: Sequence[Tok]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# BP003
-# ---------------------------------------------------------------------------
-
-_ENCODE_FNS = ("Encode", "EncodeTo")
-_DECODE_FNS = ("Decode", "DecodeFrom")
-_DIGEST_FNS = ("CanonicalBody", "CanonicalHeader", "ContentDigest", "Digest")
-
-
-def _closure_idents(project: Project, cls: str,
-                    bodies: List[List[Tok]]) -> Set[str]:
-    """Identifiers in `bodies`, expanded through same-struct helper calls."""
-    idents: Set[str] = set()
-    seen_methods: Set[str] = set()
-    queue = list(bodies)
-    while queue:
-        body = queue.pop()
-        for t in body:
-            if t.kind != "id":
-                continue
-            idents.add(t.text)
-            if t.text not in seen_methods and \
-                    (cls, t.text) in project.methods:
-                seen_methods.add(t.text)
-                queue.extend(project.methods[(cls, t.text)])
-    return idents
-
-
-def rule_bp003(project: Project) -> Iterable[Diagnostic]:
-    for f in project.files:
-        if "wire-coverage" not in f.markers:
-            continue
-        for struct in f.structs:
-            encode_bodies = project.bodies_of(struct.name, _ENCODE_FNS)
-            if not encode_bodies:
-                continue  # encoded inline by a parent message, if at all
-            decode_bodies = project.bodies_of(struct.name, _DECODE_FNS)
-            digest_bodies = project.bodies_of(struct.name, _DIGEST_FNS)
-            encode_ids = _closure_idents(project, struct.name, encode_bodies)
-            decode_ids = _closure_idents(project, struct.name, decode_bodies)
-            digest_ids = _closure_idents(project, struct.name, digest_bodies)
-            for fld in struct.fields:
-                if fld.name not in encode_ids:
-                    yield Diagnostic(
-                        f.path, fld.line, "BP003",
-                        f"field '{fld.name}' of {struct.name} is missing "
-                        f"from its Encode path")
-                if decode_bodies and fld.name not in decode_ids:
-                    yield Diagnostic(
-                        f.path, fld.line, "BP003",
-                        f"field '{fld.name}' of {struct.name} is missing "
-                        f"from its Decode path")
-                # Authentication material is digest-exempt: signatures and
-                # quorum certs attest the canonical bytes, so neither can be
-                # covered by the digest they vouch for.
-                if digest_bodies and "Signature" not in fld.type_str and \
-                        "QuorumCert" not in fld.type_str and \
-                        fld.name not in digest_ids:
-                    yield Diagnostic(
-                        f.path, fld.line, "BP003",
-                        f"field '{fld.name}' of {struct.name} is missing "
-                        f"from its digest/canonical path")
-
-
-# ---------------------------------------------------------------------------
 # BP004
 # ---------------------------------------------------------------------------
 
@@ -491,8 +415,7 @@ def rule_bp006(project: Project) -> Iterable[Diagnostic]:
         for struct in f.structs:
             if not struct.name.endswith("Stats"):
                 continue
-            if "Reset" not in struct.methods and \
-                    (struct.name, "Reset") not in project.methods:
+            if (struct.name, "Reset") not in project.methods:
                 continue
             for fld in struct.fields:
                 if fld.name not in project.string_literals:
@@ -624,7 +547,6 @@ def _bp011_fn(f: FileFacts, fn: FunctionDef) -> Iterable[Diagnostic]:
 RULE_FNS = {
     "BP001": rule_bp001,
     "BP002": rule_bp002,
-    "BP003": rule_bp003,
     "BP004": rule_bp004,
     "BP005": rule_bp005,
     "BP006": rule_bp006,

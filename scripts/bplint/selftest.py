@@ -13,8 +13,8 @@ Checks performed:
      byte-for-byte against fixtures/golden.txt.  Re-generate with
      --regold (or env BPLINT_REGOLD=1) after an intentional change.
 
-  2. Per-rule kill check. For each live rule (BP001-BP006, BP010,
-     BP011; BP007, BP008 and BP009 are retired) the matching
+  2. Per-rule kill check. For each live rule (BP001, BP002, BP004-BP006,
+     BP010, BP011; BP003 and BP007-BP009 are retired) the matching
      bpNNN_violation.cc fixture must produce at least one diagnostic of
      that rule, and must produce zero diagnostics of that rule when the
      rule is disabled.  This is what makes each rule's fixture test fail

@@ -23,13 +23,14 @@
 #       compile database — skipped with a notice when clang-tidy is not
 #       installed.
 #   4b. bplint: the project-invariant static-analysis suite
-#       (scripts/bplint; rules BP001–BP011 except the retired BP007,
-#       BP008 and BP009 — determinism, entropy hygiene, wire-field
-#       coverage, dispatch exhaustiveness, integer consensus math,
-#       metrics registration, timer hygiene, bounded decode; the entropy
-#       and float rules chase call chains across translation units via
-#       the project call graph). A discarded Status is no bplint rule:
-#       pass 1's build rejects it (-Werror=unused-result).
+#       (scripts/bplint; rules BP001–BP011 except the retired BP003 and
+#       BP007–BP009 — determinism, entropy hygiene, dispatch
+#       exhaustiveness, integer consensus math, metrics registration,
+#       timer hygiene, bounded decode; the entropy and float rules chase
+#       call chains across translation units via the project call
+#       graph). A discarded Status and a wire-struct member missing from
+#       its BP_WIRE list are no bplint rules: pass 1's build rejects both
+#       (-Werror=unused-result and a static_assert).
 #       Zero unsuppressed diagnostics required; the serial run, a
 #       rerun, and a --jobs=4 run must all be byte-identical; and the
 #       whole-tree pass must finish inside its 1.5 s budget. Runs even
@@ -96,7 +97,7 @@ ctest --test-dir build --output-on-failure
 # must also stay inside the 1.5 s whole-tree budget that keeps the gate
 # viable as a pre-commit hook.
 run_bplint() {
-  echo "=== pass 4b: bplint (BP001-BP011 project invariants, BP007-BP009 retired) ==="
+  echo "=== pass 4b: bplint (BP001-BP011 project invariants, BP003 and BP007-BP009 retired) ==="
   local t0 t1 elapsed_ms
   t0="$(date +%s%N)"
   python3 scripts/bplint -p build src bench | tee build/bplint.out

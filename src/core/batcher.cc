@@ -14,31 +14,12 @@ Batcher::Batcher(Participant* participant, sim::Simulator* simulator,
 Batcher::~Batcher() { sim_->Cancel(delay_timer_); }
 
 Bytes Batcher::EncodeBatch(const std::vector<Bytes>& ops) {
-  Encoder enc;
-  enc.PutVarint(ops.size());
-  for (const Bytes& op : ops) enc.PutBytes(op);
-  return enc.Take();
+  return WireEncode(ops);
 }
 
 Status Batcher::DecodeBatch(const Bytes& payload, std::vector<Bytes>* ops) {
   Decoder dec(payload);
-  uint64_t count = 0;
-  BP_RETURN_NOT_OK(dec.GetVarint(&count));
-  // Every operation costs at least one payload byte (its length varint), so
-  // a count exceeding the remaining bytes cannot be satisfied. Reject it
-  // before reserve() turns an attacker-chosen varint into an attacker-chosen
-  // allocation.
-  if (count > dec.remaining()) {
-    return Status::Corruption("batch count exceeds payload");
-  }
-  if (count > 1000000) return Status::Corruption("oversized batch");
-  ops->clear();
-  ops->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Bytes op;
-    BP_RETURN_NOT_OK(dec.GetBytes(&op));
-    ops->push_back(std::move(op));
-  }
+  BP_RETURN_NOT_OK(WireGet(&dec, ops));
   if (!dec.AtEnd()) return Status::Corruption("trailing batch bytes");
   return Status::OK();
 }

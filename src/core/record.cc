@@ -8,13 +8,6 @@ void PutSite(Encoder* enc, net::SiteId site) {
   enc->PutU32(static_cast<uint32_t>(site));
 }
 
-Status GetSite(Decoder* dec, net::SiteId* site) {
-  uint32_t v = 0;
-  BP_RETURN_NOT_OK(dec->GetU32(&v));
-  *site = static_cast<net::SiteId>(v);
-  return Status::OK();
-}
-
 /// Streams `v` into `ctx` in Encoder's fixed-width little-endian layout.
 template <typename T>
 void HashFixed(crypto::Sha256* ctx, T v) {
@@ -59,39 +52,12 @@ crypto::Digest IdentityDigest(RecordType type, uint64_t routine_id,
 
 }  // namespace
 
-Bytes LogRecord::Encode() const {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(type));
-  enc.PutVarint(routine_id);
-  enc.PutBytes(payload);
-  PutSite(&enc, dest_site);
-  PutSite(&enc, src_site);
-  enc.PutU64(src_log_pos);
-  enc.PutU64(prev_src_log_pos);
-  enc.PutU64(geo_pos);
-  crypto::EncodeCertList(&enc, proof);
-  crypto::EncodeCertList(&enc, geo_proof);
-  return enc.Take();
-}
-
-Status LogRecord::Decode(const Bytes& buf, LogRecord* out) {
-  Decoder dec(buf);
-  uint8_t type = 0;
-  BP_RETURN_NOT_OK(dec.GetU8(&type));
-  if (type < 1 || type > 4) return Status::Corruption("bad record type");
-  out->type = static_cast<RecordType>(type);
-  BP_RETURN_NOT_OK(dec.GetVarint(&out->routine_id));
-  BP_RETURN_NOT_OK(dec.GetBytes(&out->payload));
-  BP_RETURN_NOT_OK(GetSite(&dec, &out->dest_site));
-  BP_RETURN_NOT_OK(GetSite(&dec, &out->src_site));
-  BP_RETURN_NOT_OK(dec.GetU64(&out->src_log_pos));
-  BP_RETURN_NOT_OK(dec.GetU64(&out->prev_src_log_pos));
-  BP_RETURN_NOT_OK(dec.GetU64(&out->geo_pos));
-  BP_RETURN_NOT_OK(crypto::DecodeCertList(&dec, &out->proof));
-  return crypto::DecodeCertList(&dec, &out->geo_proof);
-}
-
 crypto::Digest LogRecord::ContentDigest() const {
+  // The digest covers the identity fields and leaves out the two proof
+  // lists. A new member must be put on one side or the other on purpose.
+  static_assert(kMemberCount<LogRecord> == 10,
+                "decide whether IdentityDigest covers the new LogRecord "
+                "member, then update this count");
   return IdentityDigest(type, routine_id, payload, dest_site, src_site,
                         src_log_pos, prev_src_log_pos, geo_pos);
 }
@@ -111,33 +77,6 @@ crypto::Digest TransmissionRecord::ContentDigest() const {
   // copying the payload and proofs into one.
   return IdentityDigest(RecordType::kReceived, routine_id, payload, dest_site,
                         src_site, src_log_pos, prev_src_log_pos, geo_pos);
-}
-
-Bytes TransmissionRecord::Encode() const {
-  Encoder enc;
-  PutSite(&enc, src_site);
-  PutSite(&enc, dest_site);
-  enc.PutU64(src_log_pos);
-  enc.PutU64(prev_src_log_pos);
-  enc.PutVarint(routine_id);
-  enc.PutBytes(payload);
-  enc.PutU64(geo_pos);
-  crypto::EncodeCertList(&enc, proof);
-  crypto::EncodeCertList(&enc, geo_proof);
-  return enc.Take();
-}
-
-Status TransmissionRecord::Decode(const Bytes& buf, TransmissionRecord* out) {
-  Decoder dec(buf);
-  BP_RETURN_NOT_OK(GetSite(&dec, &out->src_site));
-  BP_RETURN_NOT_OK(GetSite(&dec, &out->dest_site));
-  BP_RETURN_NOT_OK(dec.GetU64(&out->src_log_pos));
-  BP_RETURN_NOT_OK(dec.GetU64(&out->prev_src_log_pos));
-  BP_RETURN_NOT_OK(dec.GetVarint(&out->routine_id));
-  BP_RETURN_NOT_OK(dec.GetBytes(&out->payload));
-  BP_RETURN_NOT_OK(dec.GetU64(&out->geo_pos));
-  BP_RETURN_NOT_OK(crypto::DecodeCertList(&dec, &out->proof));
-  return crypto::DecodeCertList(&dec, &out->geo_proof);
 }
 
 LogRecord TransmissionRecord::ToReceivedRecord() const {

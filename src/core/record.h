@@ -1,5 +1,3 @@
-// bplint:wire-coverage — every field below must appear in Encode,
-// Decode, and (where a digest exists) the digest path (BP003).
 // The Local Log record model (§III-B of the paper) and the transmission
 // records exchanged between participants (§IV-C).
 //
@@ -55,6 +53,10 @@ enum class RecordType : uint8_t {
   kMirrored = 4,       // an entry of another participant's mirrored log (§V)
 };
 
+inline Status WireGet(Decoder* dec, RecordType* t) {
+  return WireGetEnum(dec, t, RecordType::kLogCommit, RecordType::kMirrored);
+}
+
 /// A Local Log entry. The same encoding is used as the PBFT value, so the
 /// verification routines dispatch on the decoded record.
 struct LogRecord {
@@ -89,8 +91,8 @@ struct LogRecord {
   /// participant's geo-replication of this record.
   std::vector<crypto::QuorumCert> geo_proof;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, LogRecord* out);
+  BP_WIRE(LogRecord, type, Varint(routine_id), payload, dest_site, src_site,
+          src_log_pos, prev_src_log_pos, geo_pos, proof, geo_proof)
 
   /// Content digest used in attestations (always SHA-256: records are the
   /// unit of trust between sites).
@@ -104,6 +106,11 @@ enum class AttestPurpose : uint8_t {
   kGeoSource = 2,     // "this record is committed at pos p, replicate it"
   kGeoAck = 3,        // "this record is committed in my mirror log"
 };
+
+inline Status WireGet(Decoder* dec, AttestPurpose* p) {
+  return WireGetEnum(dec, p, AttestPurpose::kTransmission,
+                     AttestPurpose::kGeoAck);
+}
 
 /// Canonical bytes a unit node signs to attest a committed record.
 Bytes AttestCanonical(AttestPurpose purpose, net::SiteId site, uint64_t pos,
@@ -126,8 +133,9 @@ struct TransmissionRecord {
   /// The digest the source unit's attestations cover.
   crypto::Digest ContentDigest() const;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, TransmissionRecord* out);
+  BP_WIRE(TransmissionRecord, src_site, dest_site, src_log_pos,
+          prev_src_log_pos, Varint(routine_id), payload, geo_pos, proof,
+          geo_proof)
 
   /// The kReceived Local Log record this transmission becomes on commit.
   LogRecord ToReceivedRecord() const;

@@ -1,7 +1,6 @@
-// bplint:wire-coverage — every field below must appear in Encode,
-// Decode, and (where a digest exists) the digest path (BP003).
 // Small Blockplane-space control messages (attestations, acks, status
-// queries, geo replication) and their encodings.
+// queries, geo replication). Each lists its members in wire order
+// (common/codec.h).
 #ifndef BLOCKPLANE_CORE_WIRE_H_
 #define BLOCKPLANE_CORE_WIRE_H_
 
@@ -15,8 +14,7 @@ namespace blockplane::core {
 struct TransmissionAckMsg {
   uint64_t src_log_pos = 0;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, TransmissionAckMsg* out);
+  BP_WIRE(TransmissionAckMsg, src_log_pos)
 };
 
 struct AttestRequestMsg {
@@ -24,8 +22,7 @@ struct AttestRequestMsg {
   uint64_t pos = 0;            // unit log position
   net::SiteId dest_site = -1;  // kTransmission: which daemon stream
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, AttestRequestMsg* out);
+  BP_WIRE(AttestRequestMsg, purpose, pos, dest_site)
 };
 
 struct AttestResponseMsg {
@@ -33,8 +30,7 @@ struct AttestResponseMsg {
   uint64_t pos = 0;
   crypto::Signature sig;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, AttestResponseMsg* out);
+  BP_WIRE(AttestResponseMsg, purpose, pos, sig)
 };
 
 struct DeliverNoticeMsg {
@@ -43,8 +39,7 @@ struct DeliverNoticeMsg {
   uint64_t prev_src_log_pos = 0;  // lets the participant deliver in order
   Bytes payload;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, DeliverNoticeMsg* out);
+  BP_WIRE(DeliverNoticeMsg, src_site, src_log_pos, prev_src_log_pos, payload)
 };
 
 struct RecvStatusQueryMsg {
@@ -53,8 +48,7 @@ struct RecvStatusQueryMsg {
   /// mirror-log high position.
   net::SiteId src_site = -1;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, RecvStatusQueryMsg* out);
+  BP_WIRE(RecvStatusQueryMsg, src_site)
 };
 
 /// Answers a RecvStatusQueryMsg. Before a takeover the participant sends
@@ -64,8 +58,7 @@ struct RecvStatusReplyMsg {
   net::SiteId src_site = -1;
   uint64_t last_pos = 0;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, RecvStatusReplyMsg* out);
+  BP_WIRE(RecvStatusReplyMsg, src_site, last_pos)
 };
 
 struct GeoReplicateMsg {
@@ -76,16 +69,14 @@ struct GeoReplicateMsg {
   /// or from its mirror group when it acts for a failed origin.
   std::vector<crypto::QuorumCert> proof;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, GeoReplicateMsg* out);
+  BP_WIRE(GeoReplicateMsg, acting_site, geo_pos, record, proof)
 };
 
 struct GeoAckMsg {
   uint64_t geo_pos = 0;
   crypto::Signature sig;  // over AttestCanonical(kGeoAck, mirror_site, ...)
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, GeoAckMsg* out);
+  BP_WIRE(GeoAckMsg, geo_pos, sig)
 };
 
 /// Unit node -> own participant: the contiguous geo stream is stuck waiting
@@ -96,16 +87,14 @@ struct GeoGapNoticeMsg {
   /// Highest geo position currently quarantined at the sender (diagnostic).
   uint64_t quarantined_high = 0;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, GeoGapNoticeMsg* out);
+  BP_WIRE(GeoGapNoticeMsg, missing_geo_pos, quarantined_high)
 };
 
 struct ReadRequestMsg {
   uint64_t read_id = 0;
   uint64_t pos = 0;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, ReadRequestMsg* out);
+  BP_WIRE(ReadRequestMsg, read_id, pos)
 };
 
 struct ReadReplyMsg {
@@ -114,8 +103,7 @@ struct ReadReplyMsg {
   bool found = false;
   Bytes record;  // encoded LogRecord when found
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, ReadReplyMsg* out);
+  BP_WIRE(ReadReplyMsg, read_id, pos, found, record)
 };
 
 /// Mirror gap backfill (§V, DESIGN.md §10): a lagging mirror group's
@@ -124,16 +112,14 @@ struct MirrorFetchMsg {
   net::SiteId origin_site = -1;
   uint64_t from_geo_pos = 0;  // exclusive
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, MirrorFetchMsg* out);
+  BP_WIRE(MirrorFetchMsg, origin_site, from_geo_pos)
 };
 
 struct MirrorEntryMsg {
   net::SiteId origin_site = -1;
   Bytes record;  // encoded outer kMirrored LogRecord (with its proof)
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, MirrorEntryMsg* out);
+  BP_WIRE(MirrorEntryMsg, origin_site, record)
 };
 
 /// Log synchronization past the checkpoint window (§VI-B): a recovering
@@ -143,16 +129,14 @@ struct LogSyncRequestMsg {
   uint64_t from_pos = 0;  // inclusive
   uint64_t to_pos = 0;    // inclusive
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, LogSyncRequestMsg* out);
+  BP_WIRE(LogSyncRequestMsg, from_pos, to_pos)
 };
 
 struct LogSyncReplyMsg {
   uint64_t pos = 0;
   Bytes value;  // the committed PBFT value (encoded LogRecord)
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, LogSyncReplyMsg* out);
+  BP_WIRE(LogSyncReplyMsg, pos, value)
 };
 
 struct GeoProofBundleMsg {
@@ -160,8 +144,7 @@ struct GeoProofBundleMsg {
   /// One quorum cert per mirror site that acked the record.
   std::vector<crypto::QuorumCert> proof;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, GeoProofBundleMsg* out);
+  BP_WIRE(GeoProofBundleMsg, pos, proof)
 };
 
 }  // namespace blockplane::core

@@ -59,47 +59,6 @@ QuorumCert BuildQuorumCert(net::SiteId site,
   return cert;
 }
 
-void QuorumCert::EncodeTo(Encoder* enc) const {
-  enc->PutU32(static_cast<uint32_t>(site));
-  enc->PutU32(static_cast<uint32_t>(index_base));
-  enc->PutU64(signer_bits);
-  enc->PutRaw(agg.data(), agg.size());
-}
-
-Status QuorumCert::DecodeFrom(Decoder* dec) {
-  uint32_t raw_site = 0;
-  BP_RETURN_NOT_OK(dec->GetU32(&raw_site));
-  site = static_cast<net::SiteId>(raw_site);
-  uint32_t raw_base = 0;
-  BP_RETURN_NOT_OK(dec->GetU32(&raw_base));
-  index_base = static_cast<int32_t>(raw_base);
-  BP_RETURN_NOT_OK(dec->GetU64(&signer_bits));
-  return dec->GetRaw(agg.data(), agg.size());
-}
-
-void EncodeCertList(Encoder* enc, const std::vector<QuorumCert>& certs) {
-  enc->PutVarint(certs.size());
-  for (const QuorumCert& cert : certs) cert.EncodeTo(enc);
-}
-
-Status DecodeCertList(Decoder* dec, std::vector<QuorumCert>* out) {
-  uint64_t n = 0;
-  BP_RETURN_NOT_OK(dec->GetVarint(&n));
-  if (n > 64) return Status::Corruption("oversized cert list");
-  // Reject counts beyond the remaining payload before reserve() turns an
-  // attacker-chosen varint into an allocation (BP011); every encoded
-  // cert is multiple bytes, so this can never reject a valid list.
-  if (n > dec->remaining()) return Status::Corruption("truncated cert list");
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    QuorumCert cert;
-    BP_RETURN_NOT_OK(cert.DecodeFrom(dec));
-    out->push_back(cert);
-  }
-  return Status::OK();
-}
-
 // --- KeyStore cert verification ---------------------------------------------
 //
 // Defined here (not signer.cc) so the cert subsystem stays in one place;

@@ -1,5 +1,3 @@
-// bplint:wire-coverage — every field below must appear in Encode,
-// Decode, and (where a digest exists) the digest path (BP003).
 // Quorum certificates: the one proof format cross-site records carry
 // (DESIGN.md §14).
 //
@@ -49,9 +47,9 @@ struct QuorumCert {
   /// Number of distinct signers (popcount of the bitmap).
   int signer_count() const;
 
-  /// Wire codec (BP003-covered: every field above rides both paths).
-  void EncodeTo(Encoder* enc) const;
-  Status DecodeFrom(Decoder* dec);
+  BP_WIRE(QuorumCert, site, index_base, signer_bits, agg)
+  /// Decode cap on a list of certs (the proof fields of core records).
+  static constexpr uint64_t kWireListCap = 64;
 
   friend bool operator==(const QuorumCert& a, const QuorumCert& b) {
     return a.site == b.site && a.index_base == b.index_base &&
@@ -66,10 +64,6 @@ struct QuorumCert {
 /// signatures they collected and checked themselves.
 QuorumCert BuildQuorumCert(net::SiteId site,
                            const std::vector<Signature>& sigs);
-
-/// Wire helpers for cert lists (the proof fields of core records).
-void EncodeCertList(Encoder* enc, const std::vector<QuorumCert>& certs);
-Status DecodeCertList(Decoder* dec, std::vector<QuorumCert>* out);
 
 }  // namespace blockplane::crypto
 

@@ -82,43 +82,4 @@ bool KeyStore::Verify(const Bytes& msg, const Signature& sig) const {
   return it->second.hmac.Verify(msg, sig.mac);
 }
 
-void EncodeSignature(Encoder* enc, const Signature& sig) {
-  enc->PutU32(static_cast<uint32_t>(sig.signer.site));
-  enc->PutU32(static_cast<uint32_t>(sig.signer.index));
-  enc->PutRaw(sig.mac.data(), sig.mac.size());
-}
-
-Status DecodeSignature(Decoder* dec, Signature* out) {
-  uint32_t site = 0;
-  uint32_t index = 0;
-  BP_RETURN_NOT_OK(dec->GetU32(&site));
-  BP_RETURN_NOT_OK(dec->GetU32(&index));
-  out->signer.site = static_cast<int32_t>(site);
-  out->signer.index = static_cast<int32_t>(index);
-  return dec->GetRaw(out->mac.data(), out->mac.size());
-}
-
-void EncodeProof(Encoder* enc, const std::vector<Signature>& proof) {
-  enc->PutVarint(proof.size());
-  for (const Signature& sig : proof) EncodeSignature(enc, sig);
-}
-
-Status DecodeProof(Decoder* dec, std::vector<Signature>* out) {
-  uint64_t n = 0;
-  BP_RETURN_NOT_OK(dec->GetVarint(&n));
-  if (n > 4096) return Status::Corruption("oversized proof");
-  // Every encoded signature is multiple bytes, so a count beyond the
-  // remaining payload is corrupt — and must be rejected before reserve()
-  // turns an attacker-chosen varint into an allocation (BP011).
-  if (n > dec->remaining()) return Status::Corruption("truncated proof");
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Signature sig;
-    BP_RETURN_NOT_OK(DecodeSignature(dec, &sig));
-    out->push_back(sig);
-  }
-  return Status::OK();
-}
-
 }  // namespace blockplane::crypto

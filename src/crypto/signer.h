@@ -29,6 +29,10 @@ struct Signature {
   net::NodeId signer;
   Digest mac{};
 
+  BP_WIRE(Signature, signer, mac)
+  /// Decode cap on a list of signatures (PBFT proofs).
+  static constexpr uint64_t kWireListCap = 4096;
+
   friend bool operator==(const Signature& a, const Signature& b) {
     return a.signer == b.signer && a.mac == b.mac;
   }
@@ -174,13 +178,6 @@ class Signer {
   const KeyStore* store_;
   net::NodeId node_;
 };
-
-/// Wire helpers for signatures and signature-vector proofs (PBFT messages;
-/// cross-site records carry quorum certs instead).
-void EncodeSignature(Encoder* enc, const Signature& sig);
-Status DecodeSignature(Decoder* dec, Signature* out);
-void EncodeProof(Encoder* enc, const std::vector<Signature>& proof);
-Status DecodeProof(Decoder* dec, std::vector<Signature>* out);
 
 }  // namespace blockplane::crypto
 

@@ -7,6 +7,8 @@
 #include <functional>
 #include <string>
 
+#include "common/codec.h"
+
 namespace blockplane::net {
 
 /// Index of a participant (datacenter / site).
@@ -15,6 +17,8 @@ using SiteId = int32_t;
 struct NodeId {
   SiteId site = -1;
   int32_t index = -1;
+
+  BP_WIRE(NodeId, site, index)
 
   bool valid() const { return site >= 0 && index >= 0; }
 

@@ -1,6 +1,5 @@
-// bplint:wire-coverage — every field below must appear in Encode
-// and Decode (BP003).
-// Multi-decree Paxos wire messages.
+// Multi-decree Paxos wire messages. Each lists its members once, in wire
+// order (common/codec.h).
 //
 // Ballots are (round, node-index) pairs packed into a uint64 so that ballots
 // from different nodes never tie. Paxos here is the *benign* baseline of the
@@ -42,8 +41,7 @@ struct PrepareMsg {
   Ballot ballot = 0;
   uint64_t from_slot = 1;  // promise should report accepted slots >= this
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, PrepareMsg* out);
+  BP_WIRE(PrepareMsg, ballot, from_slot)
 };
 
 /// One previously-accepted (slot, ballot, value) reported in a promise.
@@ -51,6 +49,8 @@ struct AcceptedEntry {
   uint64_t slot = 0;
   Ballot ballot = 0;
   Bytes value;
+
+  BP_WIRE(AcceptedEntry, slot, ballot, value)
 };
 
 struct PromiseMsg {
@@ -58,8 +58,7 @@ struct PromiseMsg {
   uint64_t last_committed = 0;
   std::vector<AcceptedEntry> accepted;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, PromiseMsg* out);
+  BP_WIRE(PromiseMsg, ballot, last_committed, accepted)
 };
 
 struct AcceptMsg {
@@ -67,46 +66,40 @@ struct AcceptMsg {
   uint64_t slot = 0;
   Bytes value;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, AcceptMsg* out);
+  BP_WIRE(AcceptMsg, ballot, slot, value)
 };
 
 struct AcceptedMsg {
   Ballot ballot = 0;
   uint64_t slot = 0;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, AcceptedMsg* out);
+  BP_WIRE(AcceptedMsg, ballot, slot)
 };
 
 struct NackMsg {
   Ballot promised = 0;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, NackMsg* out);
+  BP_WIRE(NackMsg, promised)
 };
 
 struct LearnMsg {
   uint64_t slot = 0;
   Bytes value;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, LearnMsg* out);
+  BP_WIRE(LearnMsg, slot, value)
 };
 
 struct HeartbeatMsg {
   Ballot ballot = 0;
   uint64_t last_committed = 0;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, HeartbeatMsg* out);
+  BP_WIRE(HeartbeatMsg, ballot, last_committed)
 };
 
 struct ForwardMsg {
   Bytes value;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, ForwardMsg* out);
+  BP_WIRE(ForwardMsg, value)
 };
 
 }  // namespace blockplane::paxos

@@ -1,12 +1,12 @@
-// bplint:wire-coverage — every field below must appear in Encode,
-// Decode, and the canonical (signed) body (BP003).
-// PBFT wire messages and their binary encodings.
+// PBFT wire messages. Each lists its members once, in wire order
+// (common/codec.h).
 //
-// Every control message is signed over a canonical body that includes a
-// message-type tag (so a prepare cannot be replayed as a commit). The
-// pre-prepare's signature covers the header + payload digest, not the
-// payload itself — payload integrity comes from the digest, exactly as in
-// Castro & Liskov's protocol.
+// Every control message is signed over a canonical body: a message-type
+// tag (so a prepare cannot be replayed as a commit) followed by every field
+// listed before the signature. The pre-prepare's signature covers the
+// header and the payload digest, not the payload itself — payload
+// integrity comes from the digest, exactly as in Castro & Liskov's
+// protocol.
 #ifndef BLOCKPLANE_PBFT_MESSAGE_H_
 #define BLOCKPLANE_PBFT_MESSAGE_H_
 
@@ -52,8 +52,7 @@ struct RequestMsg {
   uint64_t req_id = 0;
   Bytes value;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, RequestMsg* out);
+  BP_WIRE(RequestMsg, client_token, req_id, value)
 };
 
 struct PrePrepareMsg {
@@ -62,30 +61,30 @@ struct PrePrepareMsg {
   Digest digest{};
   uint64_t client_token = 0;
   uint64_t req_id = 0;
-  // bplint:allow(BP003) integrity bound via the digest field, as in PBFT
   Bytes value;
-  Signature sig;  // over the canonical header
+  Signature sig;
 
-  /// Canonical signed header (type tag, view, seq, digest, client, req_id).
-  Bytes CanonicalHeader() const;
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, PrePrepareMsg* out);
+  // `value` rides after the signature: `digest` binds it.
+  BP_WIRE_SIGNED(PrePrepareMsg, kPrePrepare,
+                 (view, seq, digest, client_token, req_id), sig, value)
 };
 
 /// Prepare and commit share a shape; the type tag in the canonical body
 /// keeps their signatures distinct.
 struct VoteMsg {
   // kPrepare or kCommit.
-  // bplint:allow(BP003) type rides the net::Message envelope; Decode takes it
   PbftMessageType type = kPrepare;
   uint64_t view = 0;
   uint64_t seq = 0;
   Digest digest{};
   Signature sig;
 
-  Bytes CanonicalBody() const;
-  Bytes Encode() const;
-  static Status Decode(PbftMessageType type, const Bytes& buf, VoteMsg* out);
+  // `type` travels in the net::Message and tags the signed body.
+  BP_WIRE_SIGNED(VoteMsg, type, (Envelope(type), view, seq, digest), sig)
+  static Status Decode(PbftMessageType type, const Bytes& buf, VoteMsg* out) {
+    out->type = type;
+    return Decode(buf, out);
+  }
 };
 
 struct ReplyMsg {
@@ -99,8 +98,7 @@ struct ReplyMsg {
   /// seq alone could still hide up to f divergent (lying) states.
   Digest result_digest{};
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, ReplyMsg* out);
+  BP_WIRE(ReplyMsg, view, req_id, seq, replica, result_digest)
 };
 
 struct CheckpointMsg {
@@ -108,9 +106,7 @@ struct CheckpointMsg {
   Digest state_digest{};
   Signature sig;
 
-  Bytes CanonicalBody() const;
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, CheckpointMsg* out);
+  BP_WIRE_SIGNED(CheckpointMsg, kCheckpoint, (seq, state_digest), sig)
 };
 
 /// A prepared certificate carried in view changes: the instance plus its
@@ -124,11 +120,11 @@ struct PreparedProof {
   uint64_t client_token = 0;
   uint64_t req_id = 0;
   Bytes value;
-  Signature preprepare_sig;             // over PrePrepareMsg canonical header
+  Signature preprepare_sig;             // over PrePrepareMsg canonical body
   std::vector<Signature> prepare_sigs;  // over VoteMsg canonical body
 
-  void EncodeTo(Encoder* enc) const;
-  static Status DecodeFrom(Decoder* dec, PreparedProof* out);
+  BP_WIRE(PreparedProof, view, seq, digest, client_token, req_id, value,
+          preprepare_sig, prepare_sigs)
 };
 
 /// State transfer (§VI-B of the paper: a recovering replica "reads the
@@ -138,8 +134,7 @@ struct PreparedProof {
 struct FetchCommittedMsg {
   uint64_t from_seq = 0;
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, FetchCommittedMsg* out);
+  BP_WIRE(FetchCommittedMsg, from_seq)
 };
 
 struct CommittedEntryMsg {
@@ -151,8 +146,8 @@ struct CommittedEntryMsg {
   Bytes value;
   std::vector<Signature> commit_sigs;  // over VoteMsg(kCommit) canonical body
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, CommittedEntryMsg* out);
+  BP_WIRE(CommittedEntryMsg, seq, view, digest, client_token, req_id, value,
+          commit_sigs)
 };
 
 /// Snapshot transfer for nodes that fell behind the stable-checkpoint
@@ -165,20 +160,19 @@ struct SnapshotMsg {
   Digest state_digest{};
   std::vector<Signature> cert;  // over CheckpointMsg canonical body
 
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, SnapshotMsg* out);
+  BP_WIRE(SnapshotMsg, seq, state_digest, cert)
 };
 
 struct ViewChangeMsg {
   uint64_t new_view = 0;
   uint64_t last_stable = 0;
-  // bplint:allow(BP003) each PreparedProof carries its own 2f+1 signatures
   std::vector<PreparedProof> prepared;
-  Signature sig;  // over (tag, new_view, last_stable)
+  Signature sig;
 
-  Bytes CanonicalBody() const;
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, ViewChangeMsg* out);
+  // The signature covers `prepared`: a new leader that drops a proof from
+  // an honest view change breaks that view change's signature.
+  BP_WIRE_SIGNED(ViewChangeMsg, kViewChange,
+                 (new_view, last_stable, Capped<100000>(prepared)), sig)
 };
 
 /// The new leader's NEW-VIEW carries the full set of 2f+1 signed
@@ -188,11 +182,10 @@ struct ViewChangeMsg {
 struct NewViewMsg {
   uint64_t view = 0;
   std::vector<Bytes> view_changes;  // encoded, individually signed
-  Signature sig;                    // over (tag, view, digest(view_changes))
+  Signature sig;
 
-  Bytes CanonicalBody() const;
-  Bytes Encode() const;
-  static Status Decode(const Bytes& buf, NewViewMsg* out);
+  BP_WIRE_SIGNED(NewViewMsg, kNewView, (view, Capped<10000>(view_changes)),
+                 sig)
 };
 
 }  // namespace blockplane::pbft

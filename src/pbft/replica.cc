@@ -345,7 +345,7 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
   pp.client_token = client_token;
   pp.req_id = req_id;
   pp.value = std::move(value);
-  pp.sig = signer_->Sign(pp.CanonicalHeader());
+  pp.sig = signer_->Sign(pp.CanonicalBody());
 
   Instance& instance = instances_[seq];
   instance.view = view_;
@@ -368,7 +368,7 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
       if (parity++ % 2 == 1) {
         forged.value.push_back(0xEE);
         forged.digest = crypto::Sha256Digest(forged.value);
-        forged.sig = signer_->Sign(forged.CanonicalHeader());
+        forged.sig = signer_->Sign(forged.CanonicalBody());
       }
       SendTo(node, kPrePrepare, forged.Encode(), trace_id);
     }
@@ -383,7 +383,7 @@ void PbftReplica::OnPrePrepare(const net::Message& msg) {
   PrePrepareMsg pp;
   if (!PrePrepareMsg::Decode(msg.body(), &pp).ok()) return;
   if (msg.src != config_.LeaderOf(pp.view)) return;
-  if (!keys_->Verify(pp.CanonicalHeader(), pp.sig)) return;
+  if (!keys_->Verify(pp.CanonicalBody(), pp.sig)) return;
   if (pp.sig.signer != msg.src) return;
   if (crypto::Sha256Digest(pp.value) != pp.digest) return;
   if (pp.view != view_ || in_view_change_) return;
@@ -973,7 +973,7 @@ bool PbftReplica::ValidatePreparedProof(const PreparedProof& proof) const {
   if (proof.preprepare_sig.signer != config_.LeaderOf(proof.view)) {
     return false;
   }
-  if (!keys_->Verify(pp.CanonicalHeader(), proof.preprepare_sig)) return false;
+  if (!keys_->Verify(pp.CanonicalBody(), proof.preprepare_sig)) return false;
 
   // 2f distinct valid backup prepares over the canonical vote body.
   VoteMsg vote;
@@ -1117,7 +1117,7 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
       pp.client_token = proof.client_token;
       pp.req_id = proof.req_id;
       pp.value = proof.value;
-      pp.sig = signer_->Sign(pp.CanonicalHeader());
+      pp.sig = signer_->Sign(pp.CanonicalBody());
 
       Instance& instance = instances_[seq];
       instance.view = view_;

@@ -20,26 +20,14 @@ struct BankOp {
   std::string to;
   int64_t amount = 0;
 
-  Bytes Encode() const {
-    Encoder enc;
-    enc.PutU8(kind);
-    enc.PutString(from);
-    enc.PutString(to);
-    enc.PutI64(amount);
-    return enc.Take();
-  }
-  static bool Decode(const Bytes& buf, BankOp* out) {
-    Decoder dec(buf);
-    return dec.GetU8(&out->kind).ok() && dec.GetString(&out->from).ok() &&
-           dec.GetString(&out->to).ok() && dec.GetI64(&out->amount).ok();
-  }
+  BP_WIRE(BankOp, kind, from, to, amount)
 };
 
 }  // namespace
 
 bool BankLedger::Accounts::Check(const core::LogRecord& record) const {
   BankOp op;
-  if (!BankOp::Decode(record.payload, &op)) return false;
+  if (!BankOp::Decode(record.payload, &op).ok()) return false;
   if (op.amount <= 0) return false;
   switch (op.kind) {
     case kDeposit:
@@ -64,7 +52,7 @@ bool BankLedger::Accounts::Check(const core::LogRecord& record) const {
 
 bool BankLedger::Accounts::Apply(const core::LogRecord& record) {
   BankOp op;
-  if (!BankOp::Decode(record.payload, &op)) return false;
+  if (!BankOp::Decode(record.payload, &op).ok()) return false;
   switch (op.kind) {
     case kDeposit:
       balance[op.to] += op.amount;
@@ -118,7 +106,9 @@ void BankLedger::InstallAt(net::SiteId site) {
   participant->SetReceiveHandler(
       [this, site](net::SiteId src, const Bytes& payload) {
         BankOp op;
-        if (!BankOp::Decode(payload, &op) || op.kind != kWireCredit) return;
+        if (!BankOp::Decode(payload, &op).ok() || op.kind != kWireCredit) {
+          return;
+        }
         user_state_[site].balance[op.to] += op.amount;
       });
 }

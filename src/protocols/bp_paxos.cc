@@ -23,23 +23,15 @@ struct PaxosMsg {
   uint64_t accepted_ballot = 0;
   Bytes value;
 
-  Bytes Encode() const {
-    Encoder enc;
-    enc.PutU8(kind);
-    enc.PutU64(ballot);
-    enc.PutU64(slot);
-    enc.PutBool(ok);
-    enc.PutU64(accepted_ballot);
-    enc.PutBytes(value);
-    return enc.Take();
-  }
-  static bool Decode(const Bytes& buf, PaxosMsg* out) {
-    Decoder dec(buf);
-    return dec.GetU8(&out->kind).ok() && dec.GetU64(&out->ballot).ok() &&
-           dec.GetU64(&out->slot).ok() && dec.GetBool(&out->ok).ok() &&
-           dec.GetU64(&out->accepted_ballot).ok() &&
-           dec.GetBytes(&out->value).ok();
-  }
+  BP_WIRE(PaxosMsg, kind, ballot, slot, ok, accepted_ballot, value)
+};
+
+/// The "value committed" record the decision verifier checks.
+struct Decision {
+  std::string tag = "decided";
+  uint64_t slot = 0;
+
+  BP_WIRE(Decision, tag, slot)
 };
 
 /// A log-commit marker for a protocol state change (Definition 1).
@@ -69,7 +61,7 @@ void BpPaxos::InstallAt(net::SiteId site) {
         [node_state](uint64_t pos, const core::LogRecord& record) {
           if (record.type != core::RecordType::kReceived) return;
           PaxosMsg msg;
-          if (!PaxosMsg::Decode(record.payload, &msg)) return;
+          if (!PaxosMsg::Decode(record.payload, &msg).ok()) return;
           if (msg.kind == kAccept && msg.ok) {
             ++node_state->accept_oks[msg.slot];
           }
@@ -78,14 +70,12 @@ void BpPaxos::InstallAt(net::SiteId site) {
     node->RegisterVerifier(
         kVerifyDecision,
         [node_state, majority](const core::LogRecord& record) {
-          Decoder dec(record.payload);
-          uint64_t slot = 0;
-          std::string tag;
-          if (!dec.GetString(&tag).ok() || tag != "decided" ||
-              !dec.GetU64(&slot).ok()) {
+          Decision decision;
+          if (!Decision::Decode(record.payload, &decision).ok() ||
+              decision.tag != "decided") {
             return false;
           }
-          return node_state->accept_oks[slot] + 1 >= majority;
+          return node_state->accept_oks[decision.slot] + 1 >= majority;
         });
   }
 
@@ -160,7 +150,7 @@ void BpPaxos::Replicate(net::SiteId site, Bytes value,
 void BpPaxos::OnMessage(SiteState* state, net::SiteId src,
                         const Bytes& payload) {
   PaxosMsg msg;
-  if (!PaxosMsg::Decode(payload, &msg)) return;
+  if (!PaxosMsg::Decode(payload, &msg).ok()) return;
   core::Participant* participant = deployment_->participant(state->site);
 
   switch (msg.kind) {
@@ -251,13 +241,10 @@ void BpPaxos::OnMessage(SiteState* state, net::SiteId src,
         state->replicate_done = nullptr;
         uint64_t slot = msg.slot;
         // log-commit(value committed), guarded by the decision verifier.
-        Encoder enc;
-        enc.PutString("decided");
-        enc.PutU64(slot);
         Bytes value = state->accepted[slot].second;
         state->decided[slot] = value;
         participant->LogCommit(
-            enc.Take(), kVerifyDecision,
+            Decision{"decided", slot}.Encode(), kVerifyDecision,
             [this, state, slot, value, done](uint64_t) {
               // Disseminate the decision (asynchronous).
               PaxosMsg decide;

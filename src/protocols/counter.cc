@@ -11,46 +11,33 @@ constexpr uint8_t kTagRequest = 1;
 constexpr uint8_t kTagCount = 2;
 constexpr uint8_t kTagIncrement = 3;
 
-Bytes EncodeRequest(uint64_t id, const std::string& user,
-                    net::SiteId destination) {
-  Encoder enc;
-  enc.PutU8(kTagRequest);
-  enc.PutU64(id);
-  enc.PutString(user);
-  enc.PutU32(static_cast<uint32_t>(destination));
-  return enc.Take();
-}
-
 struct Request {
-  uint64_t id;
+  uint8_t tag = kTagRequest;
+  uint64_t id = 0;
   std::string user;
-  net::SiteId destination;
+  net::SiteId destination = -1;
+
+  BP_WIRE(Request, tag, id, user, destination)
+};
+
+struct Count {
+  uint8_t tag = kTagCount;
+  uint64_t id = 0;
+
+  BP_WIRE(Count, tag, id)
 };
 
 bool DecodeRequest(const Bytes& buf, Request* out) {
-  Decoder dec(buf);
-  uint8_t tag = 0;
-  uint32_t destination = 0;
-  if (!dec.GetU8(&tag).ok() || tag != kTagRequest) return false;
-  if (!dec.GetU64(&out->id).ok()) return false;
-  if (!dec.GetString(&out->user).ok()) return false;
-  if (!dec.GetU32(&destination).ok()) return false;
-  out->destination = static_cast<net::SiteId>(destination);
-  return true;
-}
-
-Bytes EncodeCount(uint64_t id) {
-  Encoder enc;
-  enc.PutU8(kTagCount);
-  enc.PutU64(id);
-  return enc.Take();
+  return Request::Decode(buf, out).ok() && out->tag == kTagRequest;
 }
 
 bool DecodeCount(const Bytes& buf, uint64_t* id) {
-  Decoder dec(buf);
-  uint8_t tag = 0;
-  if (!dec.GetU8(&tag).ok() || tag != kTagCount) return false;
-  return dec.GetU64(id).ok();
+  Count count;
+  if (!Count::Decode(buf, &count).ok() || count.tag != kTagCount) {
+    return false;
+  }
+  *id = count.id;
+  return true;
 }
 
 }  // namespace
@@ -155,9 +142,9 @@ void CounterProtocol::UserRequest(net::SiteId site, net::SiteId destination,
   core::Participant* participant = deployment_->participant(site);
   // log-commit(request info); send(to: destination).
   participant->LogCommit(
-      EncodeRequest(id, user, destination), kVerifyUserRequest,
-      [participant, destination, id](uint64_t) {
-        participant->Send(destination, EncodeCount(id),
+      Request{kTagRequest, id, user, destination}.Encode(),
+      kVerifyUserRequest, [participant, destination, id](uint64_t) {
+        participant->Send(destination, Count{kTagCount, id}.Encode(),
                           CounterProtocol::kVerifySend, nullptr);
       });
 }

@@ -15,17 +15,13 @@ enum HierMsg : net::MessageType {
 
 constexpr int32_t kCoordinatorIndex = 500;
 
-Bytes EncodeRound(uint64_t round, const Bytes& value) {
-  Encoder enc;
-  enc.PutU64(round);
-  enc.PutBytes(value);
-  return enc.Take();
-}
+/// The value the leader site pushes for one round.
+struct Round {
+  uint64_t round = 0;
+  Bytes value;
 
-bool DecodeRound(const Bytes& buf, uint64_t* round, Bytes* value) {
-  Decoder dec(buf);
-  return dec.GetU64(round).ok() && dec.GetBytes(value).ok();
-}
+  BP_WIRE(Round, round, value)
+};
 
 }  // namespace
 
@@ -62,7 +58,7 @@ void HierPbft::Replicate(net::SiteId leader_site, Bytes value,
   leader->done = std::move(done);
 
   // 1. Local PBFT commit at the leader site, then 2. push to every site.
-  Bytes encoded = EncodeRound(round, value);
+  Bytes encoded = Round{round, std::move(value)}.Encode();
   // Encode-once push fan-out: all sites' kPush messages share one payload
   // allocation (each send is a refcount bump).
   net::PayloadPtr shared = net::MakePayload(Bytes(encoded));
@@ -85,9 +81,9 @@ void HierPbft::Replicate(net::SiteId leader_site, Bytes value,
 void HierPbft::Coordinator::HandleMessage(const net::Message& msg) {
   switch (msg.type) {
     case kPush: {
-      uint64_t push_round = 0;
-      Bytes value;
-      if (!DecodeRound(msg.body(), &push_round, &value)) return;
+      Round push;
+      if (!Round::Decode(msg.body(), &push).ok()) return;
+      const uint64_t push_round = push.round;
       // 3. Commit the received value into the local SMR log, then ack.
       net::NodeId reply_to = msg.src;
       client->Submit(Bytes(msg.body()),

@@ -12,25 +12,16 @@ enum KvOpKind : uint8_t {
   kDelete = 2,
 };
 
+Status WireGet(Decoder* dec, KvOpKind* kind) {
+  return WireGetEnum(dec, kind, kPut, kDelete);
+}
+
 struct KvOp {
-  uint8_t kind = kPut;
+  KvOpKind kind = kPut;
   std::string key;
   std::string value;
 
-  Bytes Encode() const {
-    Encoder enc;
-    enc.PutU8(kind);
-    enc.PutString(key);
-    enc.PutString(value);
-    return enc.Take();
-  }
-  static bool Decode(const Bytes& buf, KvOp* out) {
-    Decoder dec(buf);
-    uint8_t kind = 0;
-    if (!dec.GetU8(&kind).ok() || kind < 1 || kind > 2) return false;
-    out->kind = kind;
-    return dec.GetString(&out->key).ok() && dec.GetString(&out->value).ok();
-  }
+  BP_WIRE(KvOp, kind, key, value)
 };
 
 /// Deterministic shard assignment by key hash.
@@ -43,7 +34,7 @@ net::SiteId ShardOf(const std::string& key, int num_sites) {
 
 bool KvStore::Shard::Apply(const core::LogRecord& record) {
   KvOp op;
-  if (!KvOp::Decode(record.payload, &op)) return false;
+  if (!KvOp::Decode(record.payload, &op).ok()) return false;
   if (op.kind == kPut) {
     data[op.key] = op.value;
   } else {
@@ -55,7 +46,7 @@ bool KvStore::Shard::Apply(const core::LogRecord& record) {
 bool KvStore::CheckOp(const core::LogRecord& record, net::SiteId owner,
                       int num_sites) {
   KvOp op;
-  if (!KvOp::Decode(record.payload, &op)) return false;
+  if (!KvOp::Decode(record.payload, &op).ok()) return false;
   if (op.key.empty()) return false;
   // Shard ownership: only the owner's Local Log may hold writes for a key.
   // Remote writes arrive as received records (whose f_i+1 source

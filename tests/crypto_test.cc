@@ -132,10 +132,10 @@ TEST(ProofCodecTest, RoundTrip) {
   std::vector<Signature> proof = {s0->Sign(msg), s1->Sign(msg)};
 
   Encoder enc;
-  EncodeProof(&enc, proof);
+  WirePut(&enc, proof);
   Decoder dec(enc.buffer());
   std::vector<Signature> decoded;
-  ASSERT_TRUE(DecodeProof(&dec, &decoded).ok());
+  ASSERT_TRUE(WireGet(&dec, &decoded).ok());
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0], proof[0]);
   EXPECT_EQ(decoded[1], proof[1]);
@@ -146,14 +146,14 @@ TEST(ProofCodecTest, TruncatedMacRejected) {
   KeyStore store;
   auto s0 = store.RegisterNode({0, 0});
   Encoder enc;
-  EncodeProof(&enc, {s0->Sign(ToBytes("m"))});
+  WirePut(&enc, std::vector<Signature>{s0->Sign(ToBytes("m"))});
   const Bytes& wire = enc.buffer();
   // Every cut inside the 32-byte MAC must fail cleanly.
   for (size_t cut = wire.size() - 32; cut < wire.size(); ++cut) {
     Bytes truncated(wire.data(), wire.data() + cut);
     Decoder dec(truncated);
     std::vector<Signature> decoded;
-    EXPECT_TRUE(DecodeProof(&dec, &decoded).IsCorruption()) << "cut=" << cut;
+    EXPECT_TRUE(WireGet(&dec, &decoded).IsCorruption()) << "cut=" << cut;
   }
 }
 
@@ -162,7 +162,7 @@ TEST(ProofCodecTest, OversizedProofRejected) {
   enc.PutVarint(100000);
   Decoder dec(enc.buffer());
   std::vector<Signature> decoded;
-  EXPECT_TRUE(DecodeProof(&dec, &decoded).IsCorruption());
+  EXPECT_TRUE(WireGet(&dec, &decoded).IsCorruption());
 }
 
 // --- PrecomputedHmacKey equivalence (property test) --------------------------

@@ -58,10 +58,10 @@ TEST(PbftMessageTest, PrePrepareRoundTrip) {
   EXPECT_EQ(out.digest, msg.digest);
   EXPECT_EQ(out.value, msg.value);
   EXPECT_EQ(out.sig, msg.sig);
-  // The canonical header is payload-independent (the digest stands in).
+  // The canonical body is payload-independent (the digest stands in).
   PrePrepareMsg other = msg;
   other.value = ToBytes("different");
-  EXPECT_EQ(other.CanonicalHeader(), msg.CanonicalHeader());
+  EXPECT_EQ(other.CanonicalBody(), msg.CanonicalBody());
 }
 
 TEST(PbftMessageTest, VoteRoundTripAndTypeSeparation) {
@@ -122,6 +122,12 @@ TEST(PbftMessageTest, ViewChangeWithProofsRoundTrip) {
   EXPECT_EQ(out.prepared[0].preprepare_sig, proof.preprepare_sig);
   ASSERT_EQ(out.prepared[0].prepare_sigs.size(), 2u);
   EXPECT_EQ(out.prepared[0].prepare_sigs[1], proof.prepare_sigs[1]);
+
+  // The signature covers the prepared proofs: a new leader that strips
+  // them from an honest view change breaks its signature.
+  ViewChangeMsg stripped = msg;
+  stripped.prepared.clear();
+  EXPECT_NE(stripped.CanonicalBody(), msg.CanonicalBody());
 }
 
 TEST(PbftMessageTest, NewViewRoundTripAndTamperDetection) {

@@ -246,6 +246,90 @@ TEST(PbftTest, BogusVoterIsHarmless) {
   harness.ExpectAgreement({3});
 }
 
+TEST(PbftTest, NewViewCannotDropPreparedProofs) {
+  // Only n2 is a real replica; the test speaks for n0, n1 and n3. `A`
+  // prepares at n2 in view 0. n1, the byzantine leader of view 1, strips
+  // A's prepared proof from n0's and n3's signed view changes and then
+  // proposes `B` at the same sequence number. A view change signs its
+  // proofs, so the stripped set does not verify and n2 never leaves view 0.
+  sim::Simulator simulator(1);
+  net::Network network(&simulator, Topology::SingleSite());
+  crypto::KeyStore keys;
+  const PbftConfig config = UnitConfig(/*site=*/0, /*f=*/1);
+  std::vector<uint64_t> executed;
+  PbftReplica n2(&network, &keys, config, config.nodes[2],
+                 [&](uint64_t seq, const Bytes&, const Digest&) {
+                   executed.push_back(seq);
+                 });
+  n2.RegisterWithNetwork();
+  std::vector<std::unique_ptr<crypto::Signer>> signers;
+  for (const NodeId& node : config.nodes) {
+    signers.push_back(keys.RegisterNode(node));
+  }
+  auto deliver = [&](int from, PbftMessageType type, Bytes body) {
+    net::Message msg;
+    msg.src = config.nodes[from];
+    msg.dst = n2.self();
+    msg.type = type;
+    msg.set_body(std::move(body));
+    n2.HandleMessage(msg);
+  };
+  auto pre_prepare = [&](uint64_t view, const std::string& value) {
+    PrePrepareMsg pp;
+    pp.view = view;
+    pp.seq = 1;
+    pp.value = ToBytes(value);
+    pp.digest = crypto::Sha256Digest(pp.value);
+    pp.sig = signers[view]->Sign(pp.CanonicalBody());
+    deliver(static_cast<int>(view), kPrePrepare, pp.Encode());
+    return pp;
+  };
+  auto vote = [&](int from, PbftMessageType type, const PrePrepareMsg& pp) {
+    VoteMsg v;
+    v.type = type;
+    v.view = pp.view;
+    v.seq = pp.seq;
+    v.digest = pp.digest;
+    v.sig = signers[from]->Sign(v.CanonicalBody());
+    deliver(from, type, v.Encode());
+    return v.sig;
+  };
+  auto view_change = [&](int from, std::vector<PreparedProof> prepared) {
+    ViewChangeMsg vc;
+    vc.new_view = 1;
+    vc.prepared = std::move(prepared);
+    vc.sig = signers[from]->Sign(vc.CanonicalBody());
+    return vc;
+  };
+
+  PrePrepareMsg a = pre_prepare(0, "A");
+  PreparedProof proof;
+  proof.seq = 1;
+  proof.digest = a.digest;
+  proof.value = a.value;
+  proof.preprepare_sig = a.sig;
+  proof.prepare_sigs = {vote(1, kPrepare, a), vote(3, kPrepare, a)};
+
+  ViewChangeMsg vc0 = view_change(0, {proof});
+  ViewChangeMsg vc3 = view_change(3, {proof});
+  vc0.prepared.clear();
+  vc3.prepared.clear();
+  NewViewMsg nv;
+  nv.view = 1;
+  nv.view_changes = {view_change(1, {}).Encode(), vc0.Encode(), vc3.Encode()};
+  nv.sig = signers[1]->Sign(nv.CanonicalBody());
+  deliver(1, kNewView, nv.Encode());
+
+  PrePrepareMsg b = pre_prepare(1, "B");
+  vote(3, kPrepare, b);
+  vote(1, kCommit, b);
+  vote(3, kCommit, b);
+  simulator.RunFor(Seconds(1));
+
+  EXPECT_EQ(n2.view(), 0u);
+  EXPECT_TRUE(executed.empty());
+}
+
 TEST(PbftTest, VerificationRoutineBlocksInvalidValues) {
   PbftHarness harness(1);
   // The Blockplane hook: replicas refuse values containing "bad".

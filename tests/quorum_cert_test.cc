@@ -32,14 +32,14 @@ TEST(QuorumCertTest, CodecRoundTripsEveryField) {
   }
 
   Encoder enc;
-  cert.EncodeTo(&enc);
+  WirePut(&enc, cert);
   // The whole certificate is 48 wire bytes: 4 (site) + 4 (base) + 8
   // (bitmap) + 32 (aggregate) — versus 40 bytes per individual signature.
   EXPECT_EQ(enc.buffer().size(), 48u);
 
   Decoder dec(enc.buffer());
   QuorumCert back;
-  ASSERT_TRUE(back.DecodeFrom(&dec).ok());
+  ASSERT_TRUE(WireGet(&dec, &back).ok());
   EXPECT_EQ(back, cert);
   EXPECT_EQ(back.signer_count(), 3);
 }
@@ -54,10 +54,10 @@ TEST(QuorumCertTest, CertListRoundTripsAndRejectsOversizedCount) {
   b.signer_bits = 0b111;
 
   Encoder enc;
-  EncodeCertList(&enc, {a, b});
+  WirePut(&enc, std::vector<QuorumCert>{a, b});
   Decoder dec(enc.buffer());
   std::vector<QuorumCert> back;
-  ASSERT_TRUE(DecodeCertList(&dec, &back).ok());
+  ASSERT_TRUE(WireGet(&dec, &back).ok());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0], a);
   EXPECT_EQ(back[1], b);
@@ -67,7 +67,7 @@ TEST(QuorumCertTest, CertListRoundTripsAndRejectsOversizedCount) {
   evil.PutVarint(1u << 20);
   Decoder evil_dec(evil.buffer());
   std::vector<QuorumCert> out;
-  EXPECT_FALSE(DecodeCertList(&evil_dec, &out).ok());
+  EXPECT_FALSE(WireGet(&evil_dec, &out).ok());
 }
 
 TEST(QuorumCertTest, BuildDedupsAndIgnoresOtherSites) {
