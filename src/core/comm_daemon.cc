@@ -16,17 +16,19 @@ namespace {
 constexpr sim::SimTime kTransmissionRetryCap = sim::Milliseconds(500);
 /// How often a reserve polls the destination for reception progress.
 constexpr sim::SimTime kReservePollInterval = sim::Milliseconds(800);
-/// Send/receive watermark gap (in records) that makes a reserve suspect
-/// the active daemon; the gap must persist across two consecutive polls
-/// before the reserve takes over.
+/// Send/receive watermark gap (in records) that makes a poll count as
+/// stalled: any communication record the destination has not attested,
+/// while the attested watermark did not move since the previous poll. A
+/// rank-r reserve takes over after 2r consecutive stalled polls.
 constexpr uint64_t kReserveGapThreshold = 1;
 
 }  // namespace
 
-CommDaemon::CommDaemon(BlockplaneNode* host, net::SiteId dest, bool reserve)
+CommDaemon::CommDaemon(BlockplaneNode* host, net::SiteId dest, int rank)
     : host_(host),
       dest_(dest),
-      active_(!reserve),
+      rank_(rank),
+      active_(rank == 0),
       // The RTT prior is the topology round trip plus an intra-site
       // allowance for the remote commit the ack waits on; measured samples
       // take over immediately.
@@ -36,7 +38,7 @@ CommDaemon::CommDaemon(BlockplaneNode* host, net::SiteId dest, bool reserve)
                   "daemon_s" + std::to_string(host->self().site) + "n" +
                       std::to_string(host->self().index) + "_to_s" +
                       std::to_string(dest)) {
-  if (reserve) PollReceiver();
+  if (!active_) PollReceiver();
 }
 
 CommDaemon::~CommDaemon() {
@@ -323,9 +325,26 @@ void CommDaemon::OnRetransmitTimer(uint64_t pos, sim::SimTime period) {
 }
 
 void CommDaemon::OnTransmissionAck(const net::Message& msg) {
+  if (!active_) return;
   TransmissionAckMsg ack;
   if (!TransmissionAckMsg::Decode(msg.body(), &ack).ok()) return;
   if (msg.src.site != dest_) return;
+  if (ack.src_log_pos > next_send_pos_) {
+    // Receivers ack a duplicate with their watermark: this node committed
+    // records this daemon never shipped. f_i+1 such nodes include an
+    // honest one, so another daemon is shipping ahead of this one (one
+    // liar cannot demote it). Step back before crediting the ack, or the
+    // pump would ship past the cursor.
+    uint64_t& ahead = acks_ahead_[msg.src];
+    ahead = std::max(ahead, ack.src_log_pos);
+    auto behind = std::count_if(
+        acks_ahead_.begin(), acks_ahead_.end(),
+        [this](const auto& entry) { return entry.second > next_send_pos_; });
+    if (behind >= host_->options_.fi + 1) {
+      StepBack();
+      return;
+    }
+  }
   // Any ack from the destination is progress for the in-order stream; the
   // retransmit timers defer to it (see last_progress_).
   last_progress_ = host_->network()->simulator()->Now();
@@ -381,6 +400,25 @@ void CommDaemon::AdvanceAckedWatermark() {
   }
 }
 
+void CommDaemon::StepBack() {
+  BP_LOG(kInfo) << host_->self().ToString()
+                << " daemon stepping back for dest " << dest_;
+  sim::Simulator* simulator = host_->network()->simulator();
+  for (auto& [pos, flight] : flights_) {
+    simulator->Cancel(flight.retransmit_timer);
+  }
+  flights_.clear();
+  acked_out_of_order_.clear();
+  acks_ahead_.clear();
+  window_stalled_ = false;
+  active_ = false;
+  rank_ = host_->options_.fi + 2;
+  stalled_polls_ = 0;
+  // A promoted reserve's poll timer lapses on its first tick after
+  // promotion; it may still be pending.
+  if (poll_timer_ == sim::kInvalidEventId) PollReceiver();
+}
+
 // --- reserve ------------------------------------------------------------------
 
 void CommDaemon::PollReceiver() {
@@ -426,11 +464,13 @@ void CommDaemon::OnRecvStatusReply(const net::Message& msg) {
   if (comm_it != host_->comm_positions_.end() && !comm_it->second.empty()) {
     expected = comm_it->second.back();
   }
-  // A substantial gap that persists across polls means the active daemon
-  // is failing to deliver (maliciously or otherwise): take over.
+  // A gap that persists across polls means the active daemon is failing
+  // to deliver (maliciously or otherwise): take over, in rank order. The
+  // first promoted reserve moves the attested watermark before the next
+  // one's deadline, which resets that one's count.
   if (expected >= attested + kReserveGapThreshold &&
       attested <= last_attested_) {
-    if (++stalled_polls_ >= 2) {
+    if (++stalled_polls_ >= 2 * rank_) {
       BP_LOG(kInfo) << host_->self().ToString()
                     << " reserve daemon activating for dest " << dest_;
       active_ = true;

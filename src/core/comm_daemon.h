@@ -19,6 +19,16 @@
 // participant (taking the value attested by some group of f_i+1 responders)
 // and activates itself when the gap to the local send watermark suggests
 // the active daemon is faulty or malicious.
+//
+// Exactly one daemon per destination ships (DESIGN.md §5 item 5). Each
+// daemon has a rank: 0 for the active daemon on node 0, r for the reserve
+// on node r. A rank-r reserve promotes after 2r consecutive stalled polls,
+// so one stall promotes one reserve: by the next reserve's deadline the
+// promoted one has moved the attested watermark, which resets every other
+// reserve's count. An active daemon steps back to reserve (rank f_i+2)
+// once f_i+1 destination nodes ack a position above its own send cursor:
+// receivers ack a duplicate with their watermark, so such acks prove that
+// another daemon delivered records this one never shipped.
 #ifndef BLOCKPLANE_CORE_COMM_DAEMON_H_
 #define BLOCKPLANE_CORE_COMM_DAEMON_H_
 
@@ -37,7 +47,9 @@ struct AttestResponseMsg;
 
 class CommDaemon {
  public:
-  CommDaemon(BlockplaneNode* host, net::SiteId dest, bool reserve);
+  /// `rank` 0 starts active; a reserve of rank r >= 1 promotes after 2r
+  /// stalled polls.
+  CommDaemon(BlockplaneNode* host, net::SiteId dest, int rank);
   ~CommDaemon();
   BP_DISALLOW_COPY_AND_ASSIGN(CommDaemon);
 
@@ -104,10 +116,14 @@ class CommDaemon {
   /// the head-of-line flight report loss (DESIGN.md §13).
   void OnRetransmitTimer(uint64_t pos, sim::SimTime period);
   void AdvanceAckedWatermark();
+  /// Drops every flight and becomes a reserve of rank f_i+2: another
+  /// daemon is shipping ahead of this one.
+  void StepBack();
   void PollReceiver();
 
   BlockplaneNode* host_;
   net::SiteId dest_;
+  int rank_;
   bool active_;
   bool muted_ = false;
 
@@ -128,6 +144,9 @@ class CommDaemon {
   /// destination-side queueing under a deep window would otherwise make
   /// every flight's timer fire spuriously and Karn-freeze the estimator.
   sim::SimTime last_progress_ = 0;
+  /// Highest position each destination node acked above next_send_pos_
+  /// (empty on the fault-free path); f_i+1 entries trigger StepBack.
+  std::map<net::NodeId, uint64_t> acks_ahead_;
 
   /// Reserve state.
   sim::EventId poll_timer_ = sim::kInvalidEventId;

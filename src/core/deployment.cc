@@ -41,12 +41,12 @@ Deployment::Deployment(sim::Simulator* simulator, net::Topology topology,
           &network_, &keys_, options_, group, group.nodes[i], site));
     }
     // Communication daemons: the active daemon per destination runs on
-    // node 0; nodes 1..fi+1 hold the daemon reserve (§IV-C).
+    // node 0 (rank 0); node r in 1..fi+1 holds the rank-r reserve (§IV-C).
     for (net::SiteId dest = 0; dest < num_sites; ++dest) {
       if (dest == site) continue;
-      nodes[0]->StartCommDaemon(dest, /*reserve=*/false);
-      for (int r = 1; r <= options_.fi + 1 && r < unit_size; ++r) {
-        nodes[r]->StartCommDaemon(dest, /*reserve=*/true);
+      for (int rank = 0; rank <= options_.fi + 1 && rank < unit_size;
+           ++rank) {
+        nodes[rank]->StartCommDaemon(dest, rank);
       }
     }
   }

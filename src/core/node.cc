@@ -214,8 +214,8 @@ void BlockplaneNode::SubmitRequest(const LogRecord& record, uint64_t req_id,
   SendTo(replica_->leader(), pbft::kRequest, std::move(encoded));
 }
 
-void BlockplaneNode::StartCommDaemon(net::SiteId dest, bool reserve) {
-  daemons_.push_back(std::make_unique<CommDaemon>(this, dest, reserve));
+void BlockplaneNode::StartCommDaemon(net::SiteId dest, int rank) {
+  daemons_.push_back(std::make_unique<CommDaemon>(this, dest, rank));
 }
 
 void BlockplaneNode::MuteDaemons() {
@@ -232,6 +232,13 @@ uint64_t BlockplaneNode::daemon_acked(net::SiteId dest) const {
     if (daemon->dest() == dest) return daemon->acked_watermark();
   }
   return 0;
+}
+
+bool BlockplaneNode::daemon_active(net::SiteId dest) const {
+  for (const auto& daemon : daemons_) {
+    if (daemon->dest() == dest) return daemon->active();
+  }
+  return false;
 }
 
 // --- PBFT hooks ----------------------------------------------------------------
@@ -467,10 +474,8 @@ void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
       auto key = std::make_pair(record.src_site, record.src_log_pos);
       auto pending = pending_acks_.find(key);
       if (pending != pending_acks_.end()) {
-        TransmissionAckMsg ack;
-        ack.src_log_pos = record.src_log_pos;
         for (const net::NodeId& requester : pending->second) {
-          SendTo(requester, kTransmissionAck, ack.Encode());
+          SendTransmissionAck(requester, record.src_log_pos);
         }
         pending_acks_.erase(pending);
       }
@@ -704,15 +709,16 @@ void BlockplaneNode::OnTransmission(const net::Message& msg) {
   TransmissionRecord tr;
   if (!TransmissionRecord::Decode(msg.body(), &tr).ok()) return;
   if (is_mirror() || tr.dest_site != origin_site_) return;
-  if (tr.src_log_pos <= last_received_pos(tr.src_site)) {
+  uint64_t watermark = last_received_pos(tr.src_site);
+  if (tr.src_log_pos <= watermark) {
     // Already in the Local Log (duplicate daemons or retransmission): the
     // receiving end verifies validity and duplicates are dropped (§IV-C),
     // but we still ack so the sender stops retrying. Proofs are checked
     // once, by the verification routine at commit, so a duplicate costs
-    // no MAC work.
-    TransmissionAckMsg ack;
-    ack.src_log_pos = tr.src_log_pos;
-    SendTo(msg.src, kTransmissionAck, ack.Encode());
+    // no MAC work. The ack carries the watermark, not the position: the
+    // chain commits in order, so it acks the position cumulatively, and a
+    // daemon behind the watermark learns that another daemon is ahead.
+    SendTransmissionAck(msg.src, watermark);
     return;
   }
   pending_acks_[{tr.src_site, tr.src_log_pos}].insert(msg.src);
@@ -797,12 +803,9 @@ void BlockplaneNode::OnAttestRequest(const net::Message& msg) {
 uint64_t BlockplaneNode::PrevCommPos(net::SiteId dest, uint64_t pos) const {
   auto it = comm_positions_.find(dest);
   if (it == comm_positions_.end()) return 0;
-  uint64_t prev = 0;
-  for (uint64_t p : it->second) {
-    if (p >= pos) break;
-    prev = p;
-  }
-  return prev;
+  const std::vector<uint64_t>& positions = it->second;
+  auto next = std::lower_bound(positions.begin(), positions.end(), pos);
+  return next == positions.begin() ? 0 : *(next - 1);
 }
 
 // --- status queries ----------------------------------------------------------------
@@ -820,8 +823,18 @@ void BlockplaneNode::OnRecvStatusQuery(const net::Message& msg) {
     // transmission record and not the one at the receiver's Local Log."
     reply.last_pos = last_received_pos(query.src_site);
   }
-  if (lie_about_reception_) reply.last_pos += 1000000;
+  reply.last_pos = ReportedReception(reply.last_pos);
   SendTo(msg.src, kRecvStatusReply, reply.Encode());
+}
+
+uint64_t BlockplaneNode::ReportedReception(uint64_t pos) const {
+  return lie_about_reception_ ? pos + 1000000 : pos;
+}
+
+void BlockplaneNode::SendTransmissionAck(net::NodeId to, uint64_t pos) {
+  TransmissionAckMsg ack;
+  ack.src_log_pos = ReportedReception(pos);
+  SendTo(to, kTransmissionAck, ack.Encode());
 }
 
 // --- geo replication ----------------------------------------------------------------

@@ -76,9 +76,10 @@ class BlockplaneNode : public net::Host {
   void SubmitRequest(const LogRecord& record, uint64_t req_id,
                      bool broadcast);
 
-  /// Starts the communication daemon for `dest` on this node. `reserve`
-  /// daemons stay passive until they detect a delivery gap (§IV-C).
-  void StartCommDaemon(net::SiteId dest, bool reserve);
+  /// Starts the communication daemon for `dest` on this node. Rank 0 is
+  /// the active daemon; a reserve of rank r >= 1 stays passive until it
+  /// has seen a delivery gap for 2r polls (§IV-C, DESIGN.md §5 item 5).
+  void StartCommDaemon(net::SiteId dest, int rank);
 
   /// Mirror role only: the other host sites mirroring the same origin, the
   /// fetch targets of gap backfill (§V, DESIGN.md §10). Backfill fills
@@ -126,14 +127,18 @@ class BlockplaneNode : public net::Host {
   /// Highest source-log position this node's daemon for `dest` has seen
   /// acknowledged by f_i+1 destination nodes (0 if no daemon here).
   uint64_t daemon_acked(net::SiteId dest) const;
+  /// Whether this node's daemon for `dest` is shipping (false if no daemon
+  /// here).
+  bool daemon_active(net::SiteId dest) const;
 
   /// Byzantine test hooks.
   void SetByzantineMode(pbft::ByzantineMode mode) {
     replica_->SetByzantineMode(mode);
   }
   void RefuseAttestations() { refuse_attestations_ = true; }
-  /// Makes this node inflate its reception watermark in status replies
-  /// (an attack on the daemon-reserve gap detection, §IV-C).
+  /// Makes this node inflate its reception watermark in status replies and
+  /// transmission acks (an attack on the daemon-reserve gap detection,
+  /// §IV-C, and on the active daemon's step-back).
   void LieAboutReception() { lie_about_reception_ = true; }
   /// Makes this node answer read requests with corrupted records (shows
   /// why read-1 trusts a single node while quorum reads do not, §VI-A).
@@ -201,6 +206,12 @@ class BlockplaneNode : public net::Host {
   void OnAttestResponse(const net::Message& msg);
   void OnAttestRequest(const net::Message& msg);
   void OnRecvStatusQuery(const net::Message& msg);
+  /// The reception watermark this node reports, inflated under
+  /// LieAboutReception.
+  uint64_t ReportedReception(uint64_t pos) const;
+  /// Tells daemon `to` that this node committed its stream up to `pos`
+  /// (the chain commits in order, so an ack is cumulative).
+  void SendTransmissionAck(net::NodeId to, uint64_t pos);
   void OnGeoReplicate(const net::Message& msg);
   void OnGeoProofBundle(const net::Message& msg);
 

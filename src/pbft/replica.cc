@@ -908,7 +908,7 @@ void PbftReplica::StartViewChange(uint64_t new_view) {
   ++viewchange_attempts_;
   RobustnessStats& rs = robustness_stats();
   rs.viewchange_attempts++;
-  rs.viewchange_backoff_ms += static_cast<int64_t>(sim::ToMillis(delay));
+  rs.viewchange_backoff_ms += delay / sim::Milliseconds(1);
   sim_->Cancel(view_change_timer_);
   view_change_timer_ = sim_->Schedule(delay, [this, new_view]() {
     if (view_ >= new_view) return;

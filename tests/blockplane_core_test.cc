@@ -264,14 +264,125 @@ TEST(BlockplaneCoreTest, DuplicateTransmissionCommitsOnce) {
 
 TEST(BlockplaneCoreTest, MutedDaemonReserveTakesOver) {
   // §IV-C: a malicious daemon "may pretend maliciously to send messages";
-  // the reserve detects the reception gap and becomes a daemon.
+  // the reserve detects the reception gap and becomes a daemon. The
+  // rank-1 reserve takes over after two stalled polls (about 1.7 s).
   CoreHarness harness;
   harness.deployment_.node(kCalifornia, 0)->MuteDaemons();
   Bytes received;
   ASSERT_TRUE(harness.SendAndDeliver(kCalifornia, kVirginia,
                                      "despite malicious daemon", &received,
-                                     Seconds(60)));
+                                     Milliseconds(2500)));
   EXPECT_EQ(ToString(received), "despite malicious daemon");
+}
+
+// --- one shipping daemon per destination (DESIGN.md §5 item 5) ----------------
+
+/// What happens to California node 0 (view-0 leader and active daemon for
+/// every destination) during a ShipperRun.
+enum class Outage {
+  kNone,
+  kDown,       // crashed from 2 s to 8 s, then the network lets it back in
+  kRecovered,  // kDown, plus BlockplaneNode::Recover at 8 s
+};
+
+/// 400 sends California -> Virginia, one every 25 ms, on a network that
+/// counts WAN bytes per message type.
+class ShipperRun {
+ public:
+  static constexpr int kSends = 400;
+
+  explicit ShipperRun(Outage outage)
+      : deployment_(&simulator_, Topology::Aws4(), {}, PerTypeWanBytes()) {
+    for (int i = 0; i < kSends; ++i) {
+      simulator_.ScheduleAt(i * Milliseconds(25), [this, i] {
+        deployment_.participant(kCalifornia)
+            ->Send(kVirginia, ToBytes("m" + std::to_string(i)), 0, nullptr);
+      });
+    }
+    if (outage == Outage::kNone) return;
+    BlockplaneNode* node0 = deployment_.node(kCalifornia, 0);
+    simulator_.ScheduleAt(Seconds(2), [this, node0] {
+      deployment_.network()->Crash(node0->self());
+    });
+    simulator_.ScheduleAt(Seconds(8), [this, node0, outage] {
+      deployment_.network()->Recover(node0->self());
+      if (outage == Outage::kRecovered) node0->Recover();
+    });
+  }
+
+  /// Runs until every send arrived, then one more second for stragglers.
+  /// Expects each send exactly once, in California's log order.
+  void DeliverAll() {
+    Participant* receiver = deployment_.participant(kVirginia);
+    std::vector<std::string> received;
+    ASSERT_TRUE(simulator_.RunUntilCondition(
+        [&] {
+          Bytes payload;
+          while (receiver->TryReceive(kCalifornia, &payload)) {
+            received.push_back(ToString(payload));
+          }
+          return static_cast<int>(received.size()) >= kSends;
+        },
+        Seconds(60)));
+    simulator_.RunFor(Seconds(1));
+    std::vector<std::string> logged;
+    for (const auto& [pos, record] :
+         deployment_.node(kCalifornia, 1)->log()) {
+      if (record.type == RecordType::kCommunication &&
+          record.dest_site == kVirginia) {
+        logged.push_back(ToString(record.payload));
+      }
+    }
+    EXPECT_EQ(received, logged);
+    std::sort(logged.begin(), logged.end());
+    EXPECT_EQ(std::unique(logged.begin(), logged.end()), logged.end());
+    EXPECT_EQ(static_cast<int>(logged.size()), kSends);
+  }
+
+  bool daemon_active(int node) {
+    return deployment_.node(kCalifornia, node)->daemon_active(kVirginia);
+  }
+  int active_daemons() {
+    int active = 0;
+    for (int i = 0; i < 4; ++i) active += daemon_active(i) ? 1 : 0;
+    return active;
+  }
+  int64_t transmission_wan_bytes() {
+    return deployment_.network()->counters().Get(
+        "wan_bytes.type_" + std::to_string(kTransmission));
+  }
+
+ private:
+  static net::NetworkOptions PerTypeWanBytes() {
+    net::NetworkOptions options;
+    options.per_type_wan_counters = true;
+    return options;
+  }
+
+  sim::Simulator simulator_{1};
+  Deployment deployment_;
+};
+
+TEST(BlockplaneCoreTest, CrashedDaemonIsReplacedByOneReserve) {
+  // Rank-staggered takeover: one stall promotes one reserve, so after the
+  // crash each record still crosses the WAN once per receiver.
+  ShipperRun clean(Outage::kNone);
+  clean.DeliverAll();
+  ShipperRun crashed(Outage::kDown);
+  crashed.DeliverAll();
+  EXPECT_NE(crashed.daemon_active(1), crashed.daemon_active(2));
+  EXPECT_LE(crashed.transmission_wan_bytes(),
+            clean.transmission_wan_bytes() * 11 / 10)
+      << "without the crash: " << clean.transmission_wan_bytes();
+}
+
+TEST(BlockplaneCoreTest, RecoveredDaemonStepsBack) {
+  // The recovered node's daemon resumes from its pre-crash cursor; the
+  // receivers' watermark acks show it is behind, and it steps back.
+  ShipperRun run(Outage::kRecovered);
+  run.DeliverAll();
+  EXPECT_FALSE(run.daemon_active(0));
+  EXPECT_EQ(run.active_daemons(), 1);
 }
 
 TEST(BlockplaneCoreTest, CrashedUnitNodeDoesNotBlockAnything) {

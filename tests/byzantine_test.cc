@@ -77,7 +77,9 @@ TEST(ByzantineEndToEndTest, LyingStatusRepliesCannotSuppressReserve) {
 
 TEST(ByzantineEndToEndTest, DoubleDaemonFailureStillDelivers) {
   // Both the active daemon and the first reserve go mute; the second
-  // reserve (nodes 1..f_i+1 hold reserves) must still take over.
+  // reserve (nodes 1..f_i+1 hold reserves) must still take over. It waits
+  // four stalled polls to the first reserve's two, so the double fault
+  // costs two more polls (about 3.3 s in all).
   sim::Simulator simulator(43);
   Deployment deployment(&simulator, Topology::Aws4(), {});
   deployment.node(kCalifornia, 0)->MuteDaemons();
@@ -89,8 +91,35 @@ TEST(ByzantineEndToEndTest, DoubleDaemonFailureStillDelivers) {
   Bytes payload;
   ASSERT_TRUE(simulator.RunUntilCondition(
       [&] { return receiver->TryReceive(kCalifornia, &payload); },
-      Seconds(120)));
+      sim::Milliseconds(4500)));
   EXPECT_EQ(ToString(payload), "twice unlucky");
+}
+
+TEST(ByzantineEndToEndTest, LyingAcksCannotDemoteActiveDaemon) {
+  // A daemon steps back once f_i+1 destination nodes ack above its send
+  // cursor. One receiver that inflates every ack stays below that.
+  sim::Simulator simulator(47);
+  Deployment deployment(&simulator, Topology::Aws4(), {});
+  deployment.node(kVirginia, 0)->LieAboutReception();
+
+  constexpr int kSends = 20;
+  for (int i = 0; i < kSends; ++i) {
+    deployment.participant(kCalifornia)
+        ->Send(kVirginia, ToBytes("m" + std::to_string(i)), 0, nullptr);
+  }
+  Participant* receiver = deployment.participant(kVirginia);
+  int received = 0;
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] {
+        Bytes payload;
+        while (receiver->TryReceive(kCalifornia, &payload)) ++received;
+        return received == kSends;
+      },
+      Seconds(30)));
+  simulator.RunFor(Seconds(2));
+  EXPECT_TRUE(deployment.node(kCalifornia, 0)->daemon_active(kVirginia));
+  EXPECT_FALSE(deployment.node(kCalifornia, 1)->daemon_active(kVirginia));
+  EXPECT_FALSE(deployment.node(kCalifornia, 2)->daemon_active(kVirginia));
 }
 
 TEST(ByzantineEndToEndTest, TwoMixedByzantineNodesUnderF2) {
