@@ -52,16 +52,20 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
   group.window = options_.pbft_window;
   replica_ = std::make_unique<pbft::PbftReplica>(
       network_, keys_, std::move(group), self_,
-      [this](uint64_t seq, const Bytes& value, const crypto::Digest& digest) {
-        OnExecute(seq, value, digest);
+      [this](uint64_t seq, const Bytes& value, const crypto::Digest&) {
+        OnExecute(seq, value);
       });
   replica_->SetVerifier(
       [this](const Bytes& value) { return VerifyValue(value); });
   replica_->SetAdmission(
       [this](const Bytes& value) { return AdmitValue(value); },
       [this]() { ResetAdmission(); });
-  replica_->SetSnapshotCallback([this](const pbft::SnapshotMsg& snapshot) {
-    OnSnapshotCertificate(snapshot);
+  // Catch-up pages are served from this node's copy of the Local Log.
+  replica_->SetReadExecuted([this](uint64_t seq, Bytes* value) {
+    auto it = log_.find(seq);
+    if (it == log_.end()) return false;
+    *value = it->second.Encode();
+    return true;
   });
   network_->Register(self_, this);
 }
@@ -101,19 +105,21 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
       for (auto& daemon : daemons_) daemon->OnMessage(msg);
       return;
     case kRecvStatusReply: {
-      if (!is_mirror()) {
+      RecvStatusReplyMsg target;
+      if (msg.src != ParticipantNodeId(self_.site) ||
+          !RecvStatusReplyMsg::Decode(msg.body(), &target).ok()) {
         for (auto& daemon : daemons_) daemon->OnMessage(msg);
         return;
       }
-      // On a mirror node: this site's participant, about to take over for
-      // the origin, relays the highest position a peer mirror attests.
-      RecvStatusReplyMsg target;
-      if (msg.src != ParticipantNodeId(self_.site) ||
-          !RecvStatusReplyMsg::Decode(msg.body(), &target).ok() ||
-          target.src_site != origin_site_) {
-        return;
+      // From this site's participant. On a mirror node: about to take over
+      // for the origin, it relays the highest position a peer mirror
+      // attests. On a unit node: every notice of the record it must deliver
+      // after `last_pos` was lost.
+      if (!is_mirror()) {
+        ResendDeliverNotice(target.src_site, target.last_pos);
+      } else if (target.src_site == origin_site_) {
+        MaybeFetchMirrorGap(target.last_pos);
       }
-      MaybeFetchMirrorGap(target.last_pos);
       return;
     }
     case kAttestRequest:
@@ -127,12 +133,6 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
       return;
     case kGeoProofBundle:
       OnGeoProofBundle(msg);
-      return;
-    case kLogSyncRequest:
-      OnLogSyncRequest(msg);
-      return;
-    case kLogSyncReply:
-      OnLogSyncReply(msg);
       return;
     case kMirrorFetch: {
       // Mirror gap backfill (§V): hand out the mirrored entries (with
@@ -417,17 +417,7 @@ bool BlockplaneNode::VerifyMirroredProof(const LogRecord& record) const {
   return keys_->VerifyCert(canonical, *cert, options_.fi + 1);
 }
 
-void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value,
-                               const crypto::Digest& digest) {
-  if (seq <= applied_high_) return;  // already applied via log sync
-  ApplyValue(seq, value, digest);
-}
-
-void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
-                                const crypto::Digest& digest) {
-  // Mirror the PBFT replica's state-digest chain so synced log contents
-  // can be verified against a certified checkpoint.
-  chain_digest_ = pbft::ChainDigest(chain_digest_, digest);
+void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value) {
   applied_high_ = seq;
 
   LogRecord record;
@@ -451,8 +441,7 @@ void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
       break;
     }
     case RecordType::kReceived: {
-      // Monotonic: a synced or caught-up log can replay records whose
-      // source positions are below an already-advanced watermark.
+      // Monotonic: a transmission two nodes submitted can commit twice.
       uint64_t& watermark = last_received_pos_[record.src_site];
       watermark = std::max(watermark, record.src_log_pos);
       {
@@ -480,13 +469,7 @@ void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
         pending_acks_.erase(pending);
       }
       recv_submits_.erase(key);
-      // Notify the participant process (f_i+1 matching notices convince it).
-      DeliverNoticeMsg notice;
-      notice.src_site = record.src_site;
-      notice.src_log_pos = record.src_log_pos;
-      notice.prev_src_log_pos = record.prev_src_log_pos;
-      notice.payload = record.payload;
-      SendTo(ParticipantNodeId(origin_site_), kDeliverNotice, notice.Encode());
+      SendDeliverNotice(record);
       break;
     }
     case RecordType::kMirrored: {
@@ -615,92 +598,6 @@ void BlockplaneNode::ReleaseQuarantineContiguous() {
     robustness_stats().geo_quarantine_released++;
     ApplyApiRecord(q.seq, q.type, q.dest_site, geo_pos);
   }
-}
-
-// --- recovery past the checkpoint window (§VI-B) --------------------------------
-
-void BlockplaneNode::OnSnapshotCertificate(const pbft::SnapshotMsg& snapshot) {
-  if (snapshot.seq <= applied_high_) return;
-  // The PBFT layer already verified the 2f+1-signature certificate. Fetch
-  // the committed values from peers; the digest chain makes one honest
-  // copy sufficient (and any dishonest copy detectable).
-  sync_target_seq_ = snapshot.seq;
-  sync_target_digest_ = snapshot.state_digest;
-  LogSyncRequestMsg request;
-  request.from_pos = applied_high_ + 1;
-  request.to_pos = snapshot.seq;
-  Bytes encoded = request.Encode();
-  for (const net::NodeId& peer : replica_->config().nodes) {
-    if (peer == self_) continue;
-    SendTo(peer, kLogSyncRequest, Bytes(encoded));
-  }
-}
-
-void BlockplaneNode::OnLogSyncRequest(const net::Message& msg) {
-  if (replica_->config().ReplicaIndex(msg.src) < 0) return;
-  LogSyncRequestMsg request;
-  if (!LogSyncRequestMsg::Decode(msg.body(), &request).ok()) return;
-  constexpr uint64_t kMaxEntries = 256;
-  uint64_t sent = 0;
-  for (uint64_t pos = request.from_pos;
-       pos <= request.to_pos && sent < kMaxEntries; ++pos) {
-    auto it = log_.find(pos);
-    if (it == log_.end()) return;  // pruned or not yet applied here
-    LogSyncReplyMsg reply;
-    reply.pos = pos;
-    reply.value = it->second.Encode();
-    SendTo(msg.src, kLogSyncReply, reply.Encode());
-    ++sent;
-  }
-}
-
-void BlockplaneNode::OnLogSyncReply(const net::Message& msg) {
-  if (sync_target_seq_ == 0) return;
-  if (replica_->config().ReplicaIndex(msg.src) < 0) return;
-  LogSyncReplyMsg reply;
-  if (!LogSyncReplyMsg::Decode(msg.body(), &reply).ok()) return;
-  if (reply.pos <= applied_high_ || reply.pos > sync_target_seq_) return;
-  sync_buffer_.emplace(reply.pos, std::move(reply.value));
-  TryInstallSyncedLog();
-}
-
-void BlockplaneNode::TryInstallSyncedLog() {
-  // Need a contiguous run from our applied high to the certified seq.
-  for (uint64_t pos = applied_high_ + 1; pos <= sync_target_seq_; ++pos) {
-    if (sync_buffer_.count(pos) == 0) return;
-  }
-  // Verify the digest chain against the certified checkpoint digest
-  // before applying anything; the value digests are kept for ApplyValue.
-  crypto::Digest chain = chain_digest_;
-  std::vector<crypto::Digest> value_digests;
-  value_digests.reserve(sync_target_seq_ - applied_high_);
-  for (uint64_t pos = applied_high_ + 1; pos <= sync_target_seq_; ++pos) {
-    value_digests.push_back(crypto::Sha256Digest(sync_buffer_.at(pos)));
-    chain = pbft::ChainDigest(chain, value_digests.back());
-  }
-  if (chain != sync_target_digest_) {
-    // A lying peer fed us garbage; drop it all and re-request.
-    BP_LOG(kWarning) << self_.ToString()
-                     << " log sync failed digest verification; retrying";
-    sync_buffer_.clear();
-    pbft::SnapshotMsg snapshot;
-    snapshot.seq = sync_target_seq_;
-    snapshot.state_digest = sync_target_digest_;
-    sync_target_seq_ = 0;
-    OnSnapshotCertificate(snapshot);
-    return;
-  }
-
-  uint64_t target = sync_target_seq_;
-  crypto::Digest target_digest = sync_target_digest_;
-  sync_target_seq_ = 0;
-  const uint64_t first = applied_high_ + 1;
-  for (uint64_t pos = first; pos <= target; ++pos) {
-    ApplyValue(pos, sync_buffer_.at(pos), value_digests[pos - first]);
-  }
-  sync_buffer_.clear();
-  replica_->InstallCheckpoint(target, target_digest);
-  replica_->CatchUp();  // anything committed since the checkpoint
 }
 
 // --- transmissions ---------------------------------------------------------------
@@ -835,6 +732,30 @@ void BlockplaneNode::SendTransmissionAck(net::NodeId to, uint64_t pos) {
   TransmissionAckMsg ack;
   ack.src_log_pos = ReportedReception(pos);
   SendTo(to, kTransmissionAck, ack.Encode());
+}
+
+void BlockplaneNode::SendDeliverNotice(const LogRecord& record) {
+  // f_i+1 matching notices convince the participant process.
+  DeliverNoticeMsg notice;
+  notice.src_site = record.src_site;
+  notice.src_log_pos = record.src_log_pos;
+  notice.prev_src_log_pos = record.prev_src_log_pos;
+  notice.payload = record.payload;
+  SendTo(ParticipantNodeId(origin_site_), kDeliverNotice, notice.Encode());
+}
+
+void BlockplaneNode::ResendDeliverNotice(net::SiteId src, uint64_t delivered) {
+  // A source's received records enter the log in chain order, so the one
+  // that follows `delivered` is found walking back from the tail.
+  for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
+    const LogRecord& record = it->second;
+    if (record.type != RecordType::kReceived || record.src_site != src ||
+        record.prev_src_log_pos > delivered) {
+      continue;
+    }
+    if (record.prev_src_log_pos == delivered) SendDeliverNotice(record);
+    return;
+  }
 }
 
 // --- geo replication ----------------------------------------------------------------

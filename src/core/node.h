@@ -91,12 +91,7 @@ class BlockplaneNode : public net::Host {
   /// §VI-B: after an outage, "the replica reads the state of the Local Log
   /// from other nodes to catch up with the current state". Call once the
   /// network declares this node recovered.
-  void Recover() {
-    replica_->CatchUp();
-    // If the outage outlived the checkpoint window, plain catch-up cannot
-    // find the entries anymore; a certified snapshot can.
-    replica_->RequestSnapshot();
-  }
+  void Recover() { replica_->CatchUp(); }
 
   /// Makes this node's daemons stop transmitting (byzantine test hook: a
   /// malicious daemon that pretends to send).
@@ -114,7 +109,9 @@ class BlockplaneNode : public net::Host {
   const std::map<uint64_t, LogRecord>& log() const { return log_; }
   uint64_t log_size() const { return log_.empty() ? 0 : log_.rbegin()->first; }
   /// Rolling digest chain over applied values (invariant checking).
-  const crypto::Digest& chain_digest() const { return chain_digest_; }
+  const crypto::Digest& chain_digest() const {
+    return replica_->state_digest();
+  }
   /// Highest log position applied to this node's derived state.
   uint64_t applied_high() const { return applied_high_; }
   /// Number of API records released into the geo stream (== the geo
@@ -155,22 +152,13 @@ class BlockplaneNode : public net::Host {
   /// projection on success. At window 1 this degenerates to VerifyValue.
   bool AdmitValue(const Bytes& value);
   /// Re-bases the admission projection on applied state (called by the
-  /// replica on view entry / checkpoint install before replaying the
-  /// in-flight values through AdmitValue).
+  /// replica on view entry before replaying the in-flight values through
+  /// AdmitValue).
   void ResetAdmission();
-  void OnExecute(uint64_t seq, const Bytes& value,
-                 const crypto::Digest& digest);
-  /// Applies a committed value to this node's Local Log copy and derived
-  /// state (used by both normal execution and log sync). `digest` is the
-  /// value's SHA-256 digest, already computed by the caller.
-  void ApplyValue(uint64_t seq, const Bytes& value,
-                  const crypto::Digest& digest);
-
-  // -- recovery past the checkpoint window (§VI-B) --
-  void OnSnapshotCertificate(const pbft::SnapshotMsg& snapshot);
-  void OnLogSyncRequest(const net::Message& msg);
-  void OnLogSyncReply(const net::Message& msg);
-  void TryInstallSyncedLog();
+  /// Applies a value the replica executed (in order, whether it committed
+  /// here or arrived in a catch-up page) to this node's Local Log copy and
+  /// derived state.
+  void OnExecute(uint64_t seq, const Bytes& value);
 
   /// Commit-time geo-contiguity gate for API records (DESIGN.md §10,
   /// quarantine-and-gap-fill). Returns true when the record may enter the
@@ -214,6 +202,10 @@ class BlockplaneNode : public net::Host {
   void SendTransmissionAck(net::NodeId to, uint64_t pos);
   void OnGeoReplicate(const net::Message& msg);
   void OnGeoProofBundle(const net::Message& msg);
+  /// Tells the participant that a received record committed (§IV-C);
+  /// the Resend variant repeats it for the record after `delivered`.
+  void SendDeliverNotice(const LogRecord& record);
+  void ResendDeliverNotice(net::SiteId src, uint64_t delivered);
 
   // -- mirror gap backfill (§V, DESIGN.md §10) --
   /// A fetched (or ahead-of-stream replicated) mirror entry arrived:
@@ -274,7 +266,7 @@ class BlockplaneNode : public net::Host {
   /// state will look like once every admitted-but-unexecuted value commits.
   /// Floored at applied state on every admission (values can commit through
   /// paths the projection never saw, e.g. catch-up or other leaders' terms)
-  /// and re-based by ResetAdmission on view entry / checkpoint install.
+  /// and re-based by ResetAdmission on view entry.
   uint64_t adm_api_count_ = 0;
   uint64_t adm_mirror_high_ = 0;
   std::unordered_map<net::SiteId, uint64_t> adm_last_received_;
@@ -319,17 +311,7 @@ class BlockplaneNode : public net::Host {
   };
   std::map<std::pair<net::SiteId, uint64_t>, RecvSubmit> recv_submits_;
 
-  /// Running digest chain over applied values — mirrors the PBFT replica's
-  /// state digest, so synced log contents can be verified against a
-  /// certified checkpoint digest.
-  crypto::Digest chain_digest_{};
   uint64_t applied_high_ = 0;
-
-  /// Pending snapshot-driven log sync.
-  uint64_t sync_target_seq_ = 0;
-  crypto::Digest sync_target_digest_{};
-  std::map<uint64_t, Bytes> sync_buffer_;  // pos -> committed value bytes
-
   uint64_t next_req_id_ = 1;
   bool refuse_attestations_ = false;
   bool lie_about_reception_ = false;

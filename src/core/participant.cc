@@ -763,6 +763,15 @@ void Participant::OnDeliverNotice(const net::Message& msg) {
       receive_queues_[notice.src_site].push_back(std::move(payload));
     }
   }
+  if (ready.empty()) return;
+  // A later record is believed but not the next: every notice of the next
+  // was lost (nodes send theirs in commit order). Ask for them again.
+  RecvStatusReplyMsg gap;
+  gap.src_site = notice.src_site;
+  gap.last_pos = delivered;
+  for (const net::NodeId& node : unit_group_.nodes) {
+    SendTo(node, kRecvStatusReply, gap.Encode());
+  }
 }
 
 // --- read (§VI-A) -------------------------------------------------------------------

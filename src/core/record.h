@@ -19,7 +19,7 @@
 
 namespace blockplane::core {
 
-/// Core-layer network message types (the PBFT module owns 101..110).
+/// Core-layer network message types (the PBFT module owns 101..112).
 enum CoreMessageType : net::MessageType {
   kTransmission = 201,
   kTransmissionAck = 202,
@@ -35,8 +35,7 @@ enum CoreMessageType : net::MessageType {
   kReadReply = 212,
   kMirrorFetch = 213,
   kMirrorEntry = 214,
-  kLogSyncRequest = 215,
-  kLogSyncReply = 216,
+  // 215 and 216 are retired.
   /// Unit node -> own participant: an API record committed with a geo
   /// position ahead of the contiguous stream and was quarantined; the
   /// participant should nudge its pending submissions to fill the gap

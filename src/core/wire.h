@@ -122,23 +122,6 @@ struct MirrorEntryMsg {
   BP_WIRE(MirrorEntryMsg, origin_site, record)
 };
 
-/// Log synchronization past the checkpoint window (§VI-B): a recovering
-/// node fetches committed values and verifies them against a certified
-/// checkpoint digest chain.
-struct LogSyncRequestMsg {
-  uint64_t from_pos = 0;  // inclusive
-  uint64_t to_pos = 0;    // inclusive
-
-  BP_WIRE(LogSyncRequestMsg, from_pos, to_pos)
-};
-
-struct LogSyncReplyMsg {
-  uint64_t pos = 0;
-  Bytes value;  // the committed PBFT value (encoded LogRecord)
-
-  BP_WIRE(LogSyncReplyMsg, pos, value)
-};
-
 struct GeoProofBundleMsg {
   uint64_t pos = 0;  // unit log position of the communication record
   /// One quorum cert per mirror site that acked the record.

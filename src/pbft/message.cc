@@ -14,9 +14,15 @@ net::NodeId ClientFromToken(uint64_t token) {
                      static_cast<int32_t>(token & 0xffffffffu)};
 }
 
-Digest ChainDigest(const Digest& prev, const Digest& value_digest) {
+Digest ChainDigest(const Digest& prev, uint64_t seq,
+                   const Digest& value_digest) {
+  uint8_t seq_le[8];
+  for (size_t i = 0; i < sizeof(seq_le); ++i) {
+    seq_le[i] = static_cast<uint8_t>(seq >> (8 * i));
+  }
   crypto::Sha256 ctx;
   ctx.Update(prev.data(), prev.size());
+  ctx.Update(seq_le, sizeof(seq_le));
   ctx.Update(value_digest.data(), value_digest.size());
   return ctx.Finish();
 }

@@ -29,8 +29,7 @@ enum PbftMessageType : net::MessageType {
   kCheckpoint = 106,
   kViewChange = 107,
   kNewView = 108,
-  kFetchCommitted = 109,
-  kCommittedEntry = 110,
+  // 109 and 110 are retired.
   kFetchSnapshot = 111,
   kSnapshot = 112,
 };
@@ -42,10 +41,13 @@ using crypto::Signature;
 uint64_t ClientToken(net::NodeId id);
 net::NodeId ClientFromToken(uint64_t token);
 
-/// One link of the executed-state digest chain: SHA-256(prev || value_digest).
-/// Replicas chain every executed value's digest; Blockplane nodes keep the
-/// same chain to verify synced logs against a certified checkpoint.
-Digest ChainDigest(const Digest& prev, const Digest& value_digest);
+/// One link of the executed-state digest chain:
+/// SHA-256(prev || seq || value_digest). Replicas chain every value they
+/// execute. No-ops and duplicates execute nothing and leave no link, so the
+/// sequence number pins each value to its position: a catch-up page cannot
+/// move a value across such a gap.
+Digest ChainDigest(const Digest& prev, uint64_t seq,
+                   const Digest& value_digest);
 
 struct RequestMsg {
   uint64_t client_token = 0;
@@ -127,52 +129,28 @@ struct PreparedProof {
           preprepare_sig, prepare_sigs)
 };
 
-/// State transfer (§VI-B of the paper: a recovering replica "reads the
-/// state of the Local Log from other nodes to catch up"). A lagging replica
-/// broadcasts kFetchCommitted{from_seq}; peers answer with committed
-/// entries plus their 2f+1 commit-signature certificates.
-struct FetchCommittedMsg {
-  uint64_t from_seq = 0;
-
-  BP_WIRE(FetchCommittedMsg, from_seq)
-};
-
-struct CommittedEntryMsg {
-  uint64_t seq = 0;
-  uint64_t view = 0;  // view whose commit votes form the certificate
-  Digest digest{};
-  uint64_t client_token = 0;
-  uint64_t req_id = 0;
-  Bytes value;
-  std::vector<Signature> commit_sigs;  // over VoteMsg(kCommit) canonical body
-
-  BP_WIRE(CommittedEntryMsg, seq, view, digest, client_token, req_id, value,
-          commit_sigs)
-};
-
-/// Snapshot transfer for nodes that fell behind the stable-checkpoint
-/// garbage-collection window. The certificate — 2f+1 checkpoint signatures
-/// over (seq, state digest) — proves the digest; the application layer then
-/// fetches the log contents from any single peer and verifies them against
-/// the certified digest chain.
-struct SnapshotMsg {
+/// A stable checkpoint and its proof: 2f+1 checkpoint signatures over
+/// (seq, state_digest). Seq 0 is the initial state and needs no proof.
+struct StableCheckpoint {
   uint64_t seq = 0;
   Digest state_digest{};
   std::vector<Signature> cert;  // over CheckpointMsg canonical body
 
-  BP_WIRE(SnapshotMsg, seq, state_digest, cert)
+  BP_WIRE(StableCheckpoint, seq, state_digest, cert)
 };
 
 struct ViewChangeMsg {
   uint64_t new_view = 0;
-  uint64_t last_stable = 0;
+  /// The sender's latest stable checkpoint, with its certificate: the new
+  /// view starts above the highest one the set proves.
+  StableCheckpoint stable;
   std::vector<PreparedProof> prepared;
   Signature sig;
 
   // The signature covers `prepared`: a new leader that drops a proof from
   // an honest view change breaks that view change's signature.
   BP_WIRE_SIGNED(ViewChangeMsg, kViewChange,
-                 (new_view, last_stable, Capped<100000>(prepared)), sig)
+                 (new_view, stable, Capped<100000>(prepared)), sig)
 };
 
 /// The new leader's NEW-VIEW carries the full set of 2f+1 signed
@@ -186,6 +164,44 @@ struct NewViewMsg {
 
   BP_WIRE_SIGNED(NewViewMsg, kNewView, (view, Capped<10000>(view_changes)),
                  sig)
+};
+
+/// State transfer (§VI-B: a recovering replica "reads the state of the
+/// Local Log from other nodes to catch up"). A lagging replica broadcasts
+/// kFetchSnapshot; every peer answers with one kSnapshot page.
+struct FetchSnapshotMsg {
+  uint64_t from_seq = 0;  // the asker's last executed seq + 1
+  uint64_t view = 0;      // the asker's view
+
+  BP_WIRE(FetchSnapshotMsg, from_seq, view)
+};
+
+/// One executed entry of a catch-up page. An entry above the page's
+/// checkpoint carries its frozen commit certificate: 2f+1 commit votes of
+/// `view`. An entry at or below it carries its value alone, and the
+/// checkpoint's digest chain proves it.
+struct CommittedEntry {
+  uint64_t seq = 0;
+  uint64_t view = 0;
+  uint64_t client_token = 0;
+  uint64_t req_id = 0;
+  Bytes value;
+  std::vector<Signature> commit_sigs;  // over VoteMsg(kCommit) canonical body
+
+  BP_WIRE(CommittedEntry, seq, view, client_token, req_id, value,
+          commit_sigs)
+};
+
+/// One catch-up page, in seq order from the asker's `from_seq`: executed
+/// values up to the responder's next stable checkpoint (no entry for a
+/// no-op or duplicate), then committed entries above it. `new_view` holds
+/// the NEW-VIEW of the responder's view when the asker's view is lower.
+struct SnapshotMsg {
+  StableCheckpoint checkpoint;
+  std::vector<CommittedEntry> entries;
+  std::vector<NewViewMsg> new_view;
+
+  BP_WIRE(SnapshotMsg, checkpoint, entries, Capped<1>(new_view))
 };
 
 }  // namespace blockplane::pbft

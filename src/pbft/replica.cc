@@ -85,12 +85,6 @@ void PbftReplica::HandleMessage(const net::Message& msg) {
     case kNewView:
       OnNewView(msg);
       break;
-    case kFetchCommitted:
-      OnFetchCommitted(msg);
-      break;
-    case kCommittedEntry:
-      OnCommittedEntry(msg);
-      break;
     case kFetchSnapshot:
       OnFetchSnapshot(msg);
       break;
@@ -226,11 +220,16 @@ void PbftReplica::ArmRequestWatchdog(
   if (it == watched_requests_.end()) return;
   sim_->Cancel(it->second.timer);
   it->second.timer = sim_->Schedule(config_.view_timeout, [this, key]() {
+    RequestMsg request;
+    const bool valid =
+        RequestMsg::Decode(*watched_requests_[key].payload, &request).ok() &&
+        RunVerifier(request.value);
     watched_requests_.erase(key);
     // The quorum may have executed the request without us; fetch decided
-    // entries before blaming the leader.
+    // entries before blaming the leader, and blame it only for a request
+    // that can still execute (not one committed for another client).
     CatchUp();
-    StartViewChange(view_ + 1);
+    if (valid) StartViewChange(view_ + 1);
   });
 }
 
@@ -535,7 +534,7 @@ void PbftReplica::MaybeCommitted(uint64_t seq) {
     return;
   }
   instance.committed = true;
-  // Freeze the certificate OnFetchCommitted serves: commit votes that
+  // Freeze the certificate catch-up pages serve: commit votes that
   // arrive later, e.g. from a view that re-proposes this seq, must not mix
   // into it, or peers reject it.
   instance.cert_view = instance.view;
@@ -569,9 +568,9 @@ void PbftReplica::ExecuteReady() {
 
     if (!is_noop && !duplicate) {
       executed_reqs_[instance.client_token].insert(instance.req_id);
-      executed_log_[seq] = instance.value;
+      if (!read_executed_) executed_log_[seq] = instance.value;
       // Chain the state digest (cheap: fixed 64-byte input).
-      state_digest_ = ChainDigest(state_digest_, instance.digest);
+      state_digest_ = ChainDigest(state_digest_, seq, instance.digest);
       if (execute_) execute_(seq, instance.value, instance.digest);
       Tracer& tr = tracer();
       if (tr.enabled() && instance.trace_id != 0) {
@@ -660,132 +659,142 @@ void PbftReplica::SendReply(const Instance& instance, uint64_t seq) {
 // --- state transfer / catch-up -------------------------------------------------
 
 void PbftReplica::CatchUp() {
-  FetchCommittedMsg fetch;
+  FetchSnapshotMsg fetch;
   fetch.from_seq = last_executed_ + 1;
-  Broadcast(kFetchCommitted, fetch.Encode());
-}
-
-void PbftReplica::OnFetchCommitted(const net::Message& msg) {
-  FetchCommittedMsg fetch;
-  if (!FetchCommittedMsg::Decode(msg.body(), &fetch).ok()) return;
-  if (config_.ReplicaIndex(msg.src) < 0) return;
-  // Answer with a bounded range of committed entries we still hold.
-  constexpr uint64_t kMaxEntries = 32;
-  uint64_t sent = 0;
-  for (auto it = instances_.lower_bound(fetch.from_seq);
-       it != instances_.end() && sent < kMaxEntries; ++it) {
-    const Instance& instance = it->second;
-    if (!instance.committed) continue;
-    CommittedEntryMsg entry;
-    entry.seq = it->first;
-    entry.view = instance.cert_view;
-    entry.digest = instance.digest;
-    entry.client_token = instance.client_token;
-    entry.req_id = instance.req_id;
-    entry.value = instance.value;
-    entry.commit_sigs = instance.cert;
-    SendTo(msg.src, kCommittedEntry, entry.Encode());
-    ++sent;
-  }
-}
-
-void PbftReplica::OnCommittedEntry(const net::Message& msg) {
-  CommittedEntryMsg entry;
-  if (!CommittedEntryMsg::Decode(msg.body(), &entry).ok()) return;
-  if (config_.ReplicaIndex(msg.src) < 0) return;
-  if (entry.seq <= last_executed_ || entry.seq <= last_stable_) return;
-  auto existing = instances_.find(entry.seq);
-  if (existing != instances_.end() && existing->second.committed) return;
-
-  if (crypto::Sha256Digest(entry.value) != entry.digest) return;
-  // The certificate must hold 2f+1 distinct valid commit votes.
-  VoteMsg commit;
-  commit.type = kCommit;
-  commit.view = entry.view;
-  commit.seq = entry.seq;
-  commit.digest = entry.digest;
-  Bytes body = commit.CanonicalBody();
-  std::map<int32_t, Signature> valid;
-  for (const Signature& sig : entry.commit_sigs) {
-    if (config_.ReplicaIndex(sig.signer) < 0) continue;
-    if (!keys_->Verify(body, sig)) continue;
-    valid.emplace(config_.ReplicaIndex(sig.signer), sig);
-  }
-  if (static_cast<int>(valid.size()) < config_.quorum()) return;
-
-  Instance& instance = instances_[entry.seq];
-  CancelProgressTimer(&instance);
-  instance.view = entry.view;
-  instance.digest = entry.digest;
-  instance.value = std::move(entry.value);
-  instance.client_token = entry.client_token;
-  instance.req_id = entry.req_id;
-  instance.has_preprepare = true;
-  instance.prepared = true;
-  instance.committed = true;
-  // Keep the verified certificate so this replica can serve it onward.
-  instance.cert_view = entry.view;
-  for (const auto& [index, sig] : valid) {
-    if (static_cast<int>(instance.cert.size()) == config_.quorum()) break;
-    instance.cert.push_back(sig);
-  }
-  ExecuteReady();
-}
-
-void PbftReplica::RequestSnapshot() {
-  Broadcast(kFetchSnapshot, Bytes{});
+  fetch.view = view_;
+  Broadcast(kFetchSnapshot, fetch.Encode());
 }
 
 void PbftReplica::OnFetchSnapshot(const net::Message& msg) {
-  if (config_.ReplicaIndex(msg.src) < 0) return;
-  if (stable_snapshot_.seq == 0) return;  // no stable checkpoint yet
-  SendTo(msg.src, kSnapshot, stable_snapshot_.Encode());
+  FetchSnapshotMsg fetch;
+  if (config_.ReplicaIndex(msg.src) < 0 ||
+      !FetchSnapshotMsg::Decode(msg.body(), &fetch).ok()) {
+    return;
+  }
+  SnapshotMsg page;
+  uint64_t from = std::max<uint64_t>(fetch.from_seq, 1);
+  // The certified part: every value executed from `from` up to the first
+  // stable checkpoint at or above it. Its digest chain proves them all,
+  // with no entry for a no-op or duplicate position.
+  auto checkpoint = checkpoints_.lower_bound(from);
+  if (read_executed_ && checkpoint != checkpoints_.end() &&
+      checkpoint->first <= last_executed_) {
+    page.checkpoint = checkpoint->second;
+    Bytes value;
+    for (uint64_t seq = from; seq <= checkpoint->first; ++seq) {
+      if (read_executed_(seq, &value)) {
+        page.entries.push_back({seq, 0, 0, 0, std::move(value), {}});
+      }
+    }
+    from = checkpoint->first + 1;
+  }
+  // The live part: committed instances above the stable checkpoint, each
+  // with its frozen certificate, up to one checkpoint interval per page.
+  if (from > last_stable_) {
+    for (auto it = instances_.lower_bound(from);
+         it != instances_.end() &&
+         page.entries.size() < config_.checkpoint_interval;
+         ++it) {
+      const Instance& instance = it->second;
+      if (!instance.committed) continue;
+      page.entries.push_back({it->first, instance.cert_view,
+                              instance.client_token, instance.req_id,
+                              instance.value, instance.cert});
+    }
+  }
+  if (fetch.view < view_) page.new_view.push_back(new_view_);
+  if (page.entries.empty() && page.new_view.empty()) return;
+  SendTo(msg.src, kSnapshot, page.Encode());
 }
 
 void PbftReplica::OnSnapshot(const net::Message& msg) {
-  if (config_.ReplicaIndex(msg.src) < 0) return;
-  SnapshotMsg snapshot;
-  if (!SnapshotMsg::Decode(msg.body(), &snapshot).ok()) return;
-  if (snapshot.seq <= last_executed_) return;
-  // The certificate must hold 2f+1 distinct valid checkpoint votes.
-  CheckpointMsg cp;
-  cp.seq = snapshot.seq;
-  cp.state_digest = snapshot.state_digest;
-  Bytes body = cp.CanonicalBody();
-  std::set<int32_t> valid;
-  for (const Signature& sig : snapshot.cert) {
-    if (config_.ReplicaIndex(sig.signer) < 0) continue;
-    if (!keys_->Verify(body, sig)) continue;
-    valid.insert(config_.ReplicaIndex(sig.signer));
-  }
-  if (static_cast<int>(valid.size()) < config_.quorum()) return;
-  if (snapshot_callback_) {
-    // The application fetches + verifies the log contents, then installs.
-    snapshot_callback_(snapshot);
+  SnapshotMsg page;
+  if (config_.ReplicaIndex(msg.src) < 0 ||
+      !SnapshotMsg::Decode(msg.body(), &page).ok()) {
     return;
   }
-  InstallCheckpoint(snapshot.seq, snapshot.state_digest);
-  CatchUp();
+  const uint64_t executed = last_executed_;
+  InstallPage(&page);
+  const bool entered =
+      !page.new_view.empty() && AdoptNewView(page.new_view.front());
+  // A page that advanced execution asks for the next one; one that added
+  // nothing asks for nothing.
+  if (last_executed_ > executed ||
+      (entered && last_stable_ > last_executed_)) {
+    CatchUp();
+  }
 }
 
-void PbftReplica::InstallCheckpoint(uint64_t seq, const Digest& digest) {
-  if (seq <= last_executed_) return;
-  last_executed_ = seq;
-  last_stable_ = std::max(last_stable_, seq);
-  state_digest_ = digest;
-  for (auto it = instances_.begin();
-       it != instances_.end() && it->first <= seq;) {
-    CancelProgressTimer(&it->second);
-    it = instances_.erase(it);
+void PbftReplica::InstallPage(SnapshotMsg* page) {
+  const uint64_t executed = last_executed_;
+  const StableCheckpoint& checkpoint = page->checkpoint;
+  auto live = std::find_if(
+      page->entries.begin(), page->entries.end(),
+      [&](const CommittedEntry& e) { return e.seq > checkpoint.seq; });
+  if (checkpoint.seq > last_executed_) {
+    // The values up to the checkpoint must chain from our executed state
+    // to its certified digest; check them all before executing any.
+    if (!ValidCheckpoint(checkpoint)) return;
+    auto first = std::find_if(
+        page->entries.begin(), live,
+        [&](const CommittedEntry& e) { return e.seq > last_executed_; });
+    Digest chain = state_digest_;
+    std::vector<Digest> digests;
+    for (auto it = first; it != live; ++it) {
+      digests.push_back(crypto::Sha256Digest(it->value));
+      chain = ChainDigest(chain, it->seq, digests.back());
+    }
+    // A lying responder, or one that no longer holds every value.
+    if (chain != checkpoint.state_digest) return;
+    for (auto it = first; it != live; ++it) {
+      if (execute_) execute_(it->seq, it->value, digests[it - first]);
+    }
+    state_digest_ = chain;
+    last_executed_ = checkpoint.seq;
+    AdoptStableCheckpoint(checkpoint);
+    // The admission projection needs no re-base: it is floored at applied
+    // state, and a rebuild would forget this leader's uncommitted
+    // proposals and admit their values a second time.
   }
-  executed_log_.erase(executed_log_.begin(),
-                      executed_log_.upper_bound(seq));
-  checkpoint_votes_.erase(checkpoint_votes_.begin(),
-                          checkpoint_votes_.upper_bound(seq));
-  // The fast-forward may have skipped values the admission projection
-  // counted (or never saw); re-base it on the new applied state.
-  if (IsLeader()) RebuildAdmissionProjection({});
-  ExecuteReady();
+  // Entries above the checkpoint: each needs 2f+1 distinct valid commit
+  // votes of its view.
+  bool filled = false;
+  for (auto it = live; it != page->entries.end(); ++it) {
+    CommittedEntry& entry = *it;
+    if (entry.seq <= last_executed_ || entry.seq <= last_stable_) continue;
+    auto existing = instances_.find(entry.seq);
+    if (existing != instances_.end() && existing->second.committed) continue;
+    VoteMsg commit;
+    commit.type = kCommit;
+    commit.view = entry.view;
+    commit.seq = entry.seq;
+    commit.digest = crypto::Sha256Digest(entry.value);
+    const auto valid = ValidSigners(commit.CanonicalBody(), entry.commit_sigs);
+    if (static_cast<int>(valid.size()) < config_.quorum()) continue;
+
+    Instance& instance = instances_[entry.seq];
+    CancelProgressTimer(&instance);
+    if (!instance.prepared || instance.digest != commit.digest) {
+      // Without a prepared certificate of our own for this value, the
+      // instance takes the entry's; one we have still goes into view
+      // changes.
+      instance.view = entry.view;
+      instance.digest = commit.digest;
+      instance.value = std::move(entry.value);
+      instance.client_token = entry.client_token;
+      instance.req_id = entry.req_id;
+      instance.has_preprepare = true;
+      instance.prepared = true;
+      instance.caught_up = true;
+    }
+    instance.committed = true;
+    // Keep the verified certificate so this replica can serve it onward.
+    instance.cert_view = entry.view;
+    instance.cert.clear();
+    for (const auto& [index, sig] : valid) instance.cert.push_back(sig);
+    filled = true;
+  }
+  if (filled || last_executed_ > executed) ExecuteReady();
 }
 
 // --- checkpoints --------------------------------------------------------------
@@ -812,19 +821,40 @@ void PbftReplica::OnCheckpoint(const net::Message& msg) {
   votes[sender] = cp.sig;
   if (static_cast<int>(votes.size()) < config_.quorum()) return;
 
-  // Keep the certificate: it lets far-behind replicas verify snapshots.
-  stable_snapshot_.seq = cp.seq;
-  stable_snapshot_.state_digest = cp.state_digest;
-  stable_snapshot_.cert.clear();
-  for (auto& [index, sig] : votes) stable_snapshot_.cert.push_back(sig);
+  StableCheckpoint stable{cp.seq, cp.state_digest, {}};
+  for (auto& [index, sig] : votes) stable.cert.push_back(sig);
+  AdoptStableCheckpoint(std::move(stable));
+  // A quorum executed past us: fetch what we missed (§VI-B).
+  if (last_stable_ > last_executed_) CatchUp();
+}
 
+std::map<int32_t, Signature> PbftReplica::ValidSigners(
+    const Bytes& body, const std::vector<Signature>& sigs) const {
+  std::map<int32_t, Signature> valid;
+  for (const Signature& sig : sigs) {
+    const int index = config_.ReplicaIndex(sig.signer);
+    if (index >= 0 && keys_->Verify(body, sig)) valid.emplace(index, sig);
+  }
+  return valid;
+}
+
+bool PbftReplica::ValidCheckpoint(const StableCheckpoint& checkpoint) const {
+  const CheckpointMsg vote{checkpoint.seq, checkpoint.state_digest, {}};
+  return checkpoint.seq == 0 ||
+         static_cast<int>(ValidSigners(vote.CanonicalBody(), checkpoint.cert)
+                              .size()) >= config_.quorum();
+}
+
+void PbftReplica::AdoptStableCheckpoint(StableCheckpoint checkpoint) {
+  const uint64_t seq = checkpoint.seq;
+  checkpoints_.emplace(seq, std::move(checkpoint));
+  if (seq <= last_stable_) return;
   // Stable: truncate everything at or below the checkpoint.
-  last_stable_ = cp.seq;
-  instances_.erase(instances_.begin(), instances_.upper_bound(cp.seq));
+  last_stable_ = seq;
+  instances_.erase(instances_.begin(), instances_.upper_bound(seq));
   checkpoint_votes_.erase(checkpoint_votes_.begin(),
-                          checkpoint_votes_.upper_bound(cp.seq));
-  executed_log_.erase(executed_log_.begin(),
-                      executed_log_.upper_bound(cp.seq));
+                          checkpoint_votes_.upper_bound(seq));
+  executed_log_.erase(executed_log_.begin(), executed_log_.upper_bound(seq));
 }
 
 // --- view changes --------------------------------------------------------------
@@ -860,9 +890,16 @@ void PbftReplica::StartViewChange(uint64_t new_view) {
 
   ViewChangeMsg vc;
   vc.new_view = new_view;
-  vc.last_stable = last_stable_;
+  if (!checkpoints_.empty()) vc.stable = checkpoints_.rbegin()->second;
   for (auto& [seq, instance] : instances_) {
-    if (!instance.prepared || seq <= last_stable_) continue;
+    // Prepared or not, a pre-prepared value may fill a gap (EnterView). One
+    // filled by catch-up has no pre-prepare signature, so its proof would
+    // fail at every peer; it needs none, as its commit certificate shows
+    // that f+1 honest replicas prepared it and every quorum holds one.
+    if (!instance.has_preprepare || instance.caught_up ||
+        seq <= last_stable_) {
+      continue;
+    }
     PreparedProof proof;
     proof.view = instance.view;
     proof.seq = seq;
@@ -956,13 +993,15 @@ void PbftReplica::MaybeSendNewView(uint64_t v) {
   }
   nv.sig = signer_->Sign(nv.CanonicalBody());
   Broadcast(kNewView, nv.Encode());
+  new_view_ = std::move(nv);
   EnterView(v, vcs);
+  if (last_stable_ > last_executed_) CatchUp();
 }
 
-bool PbftReplica::ValidatePreparedProof(const PreparedProof& proof) const {
+int PbftReplica::ValidPrepares(const PreparedProof& proof) const {
   // An executed instance's digest must be the digest of its value
   // (ExecuteCallback hands it on instead of rehashing).
-  if (crypto::Sha256Digest(proof.value) != proof.digest) return false;
+  if (crypto::Sha256Digest(proof.value) != proof.digest) return -1;
   // The pre-prepare must be signed by the leader of the view it cites.
   PrePrepareMsg pp;
   pp.view = proof.view;
@@ -971,34 +1010,32 @@ bool PbftReplica::ValidatePreparedProof(const PreparedProof& proof) const {
   pp.client_token = proof.client_token;
   pp.req_id = proof.req_id;
   if (proof.preprepare_sig.signer != config_.LeaderOf(proof.view)) {
-    return false;
+    return -1;
   }
-  if (!keys_->Verify(pp.CanonicalBody(), proof.preprepare_sig)) return false;
+  if (!keys_->Verify(pp.CanonicalBody(), proof.preprepare_sig)) return -1;
 
-  // 2f distinct valid backup prepares over the canonical vote body.
+  // Distinct valid backup prepares over the canonical vote body.
   VoteMsg vote;
   vote.type = kPrepare;
   vote.view = proof.view;
   vote.seq = proof.seq;
   vote.digest = proof.digest;
-  Bytes body = vote.CanonicalBody();
-  std::set<int32_t> valid;
-  for (const Signature& sig : proof.prepare_sigs) {
-    if (config_.ReplicaIndex(sig.signer) < 0) continue;
-    if (sig.signer == config_.LeaderOf(proof.view)) continue;
-    if (!keys_->Verify(body, sig)) continue;
-    valid.insert(config_.ReplicaIndex(sig.signer));
-  }
-  return static_cast<int>(valid.size()) >= 2 * config_.f;
+  auto valid = ValidSigners(vote.CanonicalBody(), proof.prepare_sigs);
+  valid.erase(config_.ReplicaIndex(config_.LeaderOf(proof.view)));
+  return static_cast<int>(valid.size());
 }
 
 void PbftReplica::OnNewView(const net::Message& msg) {
   NewViewMsg nv;
   if (!NewViewMsg::Decode(msg.body(), &nv).ok()) return;
-  if (nv.view <= view_) return;
-  if (msg.src != config_.LeaderOf(nv.view)) return;
-  if (!keys_->Verify(nv.CanonicalBody(), nv.sig) || nv.sig.signer != msg.src) {
-    return;
+  if (AdoptNewView(nv) && last_stable_ > last_executed_) CatchUp();
+}
+
+bool PbftReplica::AdoptNewView(const NewViewMsg& nv) {
+  if (nv.view <= view_) return false;
+  if (nv.sig.signer != config_.LeaderOf(nv.view) ||
+      !keys_->Verify(nv.CanonicalBody(), nv.sig)) {
+    return false;
   }
 
   // Validate the embedded view-change set: 2f+1 distinct, properly signed,
@@ -1007,34 +1044,54 @@ void PbftReplica::OnNewView(const net::Message& msg) {
   std::set<int32_t> senders;
   for (const Bytes& encoded : nv.view_changes) {
     ViewChangeMsg vc;
-    if (!ViewChangeMsg::Decode(encoded, &vc).ok()) return;
-    if (vc.new_view != nv.view) return;
+    if (!ViewChangeMsg::Decode(encoded, &vc).ok()) return false;
+    if (vc.new_view != nv.view) return false;
     int sender = config_.ReplicaIndex(vc.sig.signer);
-    if (sender < 0) return;
-    if (!keys_->Verify(vc.CanonicalBody(), vc.sig)) return;
-    if (!senders.insert(sender).second) return;
+    if (sender < 0) return false;
+    if (!keys_->Verify(vc.CanonicalBody(), vc.sig)) return false;
+    if (!senders.insert(sender).second) return false;
     vcs.push_back(std::move(vc));
   }
-  if (static_cast<int>(vcs.size()) < config_.quorum()) return;
+  if (static_cast<int>(vcs.size()) < config_.quorum()) return false;
 
+  new_view_ = nv;
   EnterView(nv.view, vcs);
+  return true;
 }
 
 void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
   if (v <= view_) return;
 
-  // Recompute the carried-over proposals deterministically from the
-  // view-change set: for every sequence above the highest stable
-  // checkpoint, the valid prepared-certificate from the highest view wins.
-  uint64_t stable = last_stable_;
-  for (const ViewChangeMsg& vc : vcs) stable = std::max(stable, vc.last_stable);
+  // The view starts above the highest stable checkpoint the set proves;
+  // an unproven claim would let one replica push it past every seq its
+  // peers accept.
+  const StableCheckpoint* proven = nullptr;
+  for (const ViewChangeMsg& vc : vcs) {
+    if (vc.stable.seq > (proven ? proven->seq : last_stable_) &&
+        ValidCheckpoint(vc.stable)) {
+      proven = &vc.stable;
+    }
+  }
+  if (proven != nullptr) AdoptStableCheckpoint(*proven);
+  const uint64_t stable = last_stable_;
 
+  // Recompute the carried-over proposals deterministically from the
+  // view-change set: for every sequence above the stable checkpoint, the
+  // valid prepared-certificate from the highest view wins.
+
+  // A seq no proof in the set prepared cannot have committed, so it may
+  // take any value: a pre-prepare that reached only some replicas fills
+  // it in preference to a no-op, which would strand a prepared successor
+  // whose verification needs this value first.
   std::map<uint64_t, const PreparedProof*> winners;
+  std::map<uint64_t, const PreparedProof*> fillers;
   for (const ViewChangeMsg& vc : vcs) {
     for (const PreparedProof& proof : vc.prepared) {
       if (proof.seq <= stable) continue;
-      if (!ValidatePreparedProof(proof)) continue;
-      auto [it, inserted] = winners.emplace(proof.seq, &proof);
+      const int prepares = ValidPrepares(proof);
+      if (prepares < 0) continue;
+      auto& table = prepares >= 2 * config_.f ? winners : fillers;
+      auto [it, inserted] = table.emplace(proof.seq, &proof);
       if (!inserted && proof.view > it->second->view) it->second = &proof;
     }
   }
@@ -1073,9 +1130,12 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
   std::map<uint64_t, PreparedProof> carryover;
   for (uint64_t seq = stable + 1; seq <= max_seq; ++seq) {
     auto win = winners.find(seq);
+    auto fill = fillers.find(seq);
     PreparedProof proof;
     if (win != winners.end()) {
       proof = *win->second;
+    } else if (fill != fillers.end()) {
+      proof = *fill->second;
     } else {
       proof.seq = seq;  // gap: fill with a no-op
       proof.value.clear();

@@ -73,7 +73,7 @@ class PbftReplica : public net::Host {
   /// deployments only; embedded deployments forward messages instead).
   void RegisterWithNetwork();
 
-  /// Feeds one PBFT message (types kRequest..kNewView).
+  /// Feeds one PBFT message (types kRequest..kSnapshot).
   void HandleMessage(const net::Message& msg) override;
 
   void SetVerifier(Verifier verifier) { verifier_ = std::move(verifier); }
@@ -85,11 +85,11 @@ class PbftReplica : public net::Host {
   /// *projected* state that assumes every earlier admitted value commits.
   /// `admit` is called once per admitted value in proposal order (and must
   /// advance its projection on success); `reset` re-bases the projection on
-  /// applied state. The replica calls `reset` on view entry and checkpoint
-  /// install, then replays all decided-or-carried-but-unexecuted values
-  /// through `admit` in sequence order to rebuild the projection. When no
-  /// admission hook is set the plain verifier is used (seed behaviour,
-  /// sufficient at window 1).
+  /// applied state. The replica calls `reset` on view entry, then replays
+  /// all decided-or-carried-but-unexecuted values through `admit` in
+  /// sequence order to rebuild the projection. When no admission hook is
+  /// set the plain verifier is used (seed behaviour, sufficient at window
+  /// 1).
   using AdmissionCheck = std::function<bool(const Bytes& value)>;
   void SetAdmission(AdmissionCheck admit, std::function<void()> reset) {
     admission_ = std::move(admit);
@@ -103,33 +103,27 @@ class PbftReplica : public net::Host {
   bool IsLeader() const { return leader() == self_; }
   uint64_t last_executed() const { return last_executed_; }
   uint64_t last_stable_checkpoint() const { return last_stable_; }
+  /// The digest chain over every value executed so far (ChainDigest).
+  const Digest& state_digest() const { return state_digest_; }
   const PbftConfig& config() const { return config_; }
 
-  /// Committed values by sequence number (test/diagnostic access).
+  /// Executed values by sequence number above the last stable checkpoint,
+  /// kept only without a read hook (test/diagnostic access).
   const std::map<uint64_t, Bytes>& executed_log() const {
     return executed_log_;
   }
 
-  /// Asks peers for committed entries this replica is missing (used after
-  /// recovery, and automatically when a replica falls behind). §VI-B.
+  /// §VI-B: asks every peer for the entries this replica has not executed
+  /// (after recovery, and whenever it finds itself behind). Each answer is
+  /// one verified page; a page that advances execution asks for the next.
   void CatchUp();
 
-  /// Asks peers for their latest stable-checkpoint certificate — the
-  /// recovery path when this replica is behind the garbage-collection
-  /// window and plain CatchUp cannot find the entries anymore.
-  void RequestSnapshot();
-
-  /// Invoked with a verified snapshot certificate when this replica lags
-  /// behind it. The application fetches and verifies the log contents,
-  /// then calls InstallCheckpoint. Without a callback the checkpoint is
-  /// installed directly (the executed values themselves are skipped).
-  using SnapshotCallback = std::function<void(const SnapshotMsg&)>;
-  void SetSnapshotCallback(SnapshotCallback callback) {
-    snapshot_callback_ = std::move(callback);
-  }
-
-  /// Fast-forwards this replica to a certified checkpoint.
-  void InstallCheckpoint(uint64_t seq, const Digest& state_digest);
+  /// Reads the value this replica executed at `seq` into `*value`; false
+  /// when it executed nothing there (a no-op or a duplicate). Catch-up
+  /// pages below the stable checkpoint are served through it; without one
+  /// a replica serves only the committed entries above it.
+  using ReadExecuted = std::function<bool(uint64_t seq, Bytes* value)>;
+  void SetReadExecuted(ReadExecuted read) { read_executed_ = std::move(read); }
 
  private:
   struct Instance {
@@ -154,13 +148,16 @@ class PbftReplica : public net::Host {
     std::map<int32_t, Vote> commits;
     /// The commit certificate served to catching-up peers: 2f+1 matching
     /// commit votes of `cert_view`, frozen when the instance committed, or
-    /// the verified certificate of the CommittedEntry that filled it.
+    /// the verified certificate of the page entry that filled it.
     uint64_t cert_view = 0;
     std::vector<Signature> cert;
     bool sent_prepare = false;
     bool sent_commit = false;
     bool prepared = false;
     bool committed = false;
+    /// Filled from a page entry: committed, but with no pre-prepare
+    /// signature to prove it prepared, so view changes leave it out.
+    bool caught_up = false;
     /// Prepared but the verification routine rejected; re-tried as local
     /// state advances (the routine may depend on earlier executions).
     bool verify_pending = false;
@@ -187,9 +184,10 @@ class PbftReplica : public net::Host {
 
   // -- message handlers --
   void OnRequest(const net::Message& msg);
-  void OnFetchCommitted(const net::Message& msg);
-  void OnCommittedEntry(const net::Message& msg);
+  /// kFetchSnapshot: answers with one page (see SnapshotMsg).
   void OnFetchSnapshot(const net::Message& msg);
+  /// kSnapshot: verifies and executes a page, adopts a proven higher view,
+  /// and asks for the next page when this one advanced execution.
   void OnSnapshot(const net::Message& msg);
   void OnCheckpoint(const net::Message& msg);
   void OnViewChange(const net::Message& msg);
@@ -231,6 +229,19 @@ class PbftReplica : public net::Host {
   void SendReply(const Instance& instance, uint64_t seq);
   void TakeCheckpoint(uint64_t seq);
 
+  // -- checkpoints and catch-up --
+  /// The members among `sigs` whose signature over `body` verifies.
+  std::map<int32_t, Signature> ValidSigners(
+      const Bytes& body, const std::vector<Signature>& sigs) const;
+  /// 2f+1 distinct valid checkpoint signatures (seq 0 needs none).
+  bool ValidCheckpoint(const StableCheckpoint& checkpoint) const;
+  /// Keeps `checkpoint`'s certificate and, if it is above the last stable
+  /// checkpoint, makes it the new one and truncates the log below it.
+  void AdoptStableCheckpoint(StableCheckpoint checkpoint);
+  /// Executes the certified part of `page` and fills committed instances
+  /// from its certified entries above the checkpoint (moving their values).
+  void InstallPage(SnapshotMsg* page);
+
   // -- view changes --
   void ArmProgressTimer(uint64_t seq);
   void CancelProgressTimer(Instance* instance);
@@ -239,10 +250,17 @@ class PbftReplica : public net::Host {
   void ArmRequestWatchdog(const std::pair<uint64_t, uint64_t>& key);
   void StartViewChange(uint64_t new_view);
   void MaybeAbandonViewChange();
-  /// Installs view `v` from a validated set of view-change messages,
-  /// recomputing the carried-over proposals deterministically.
+  /// Installs view `v` from a validated set of view-change messages:
+  /// adopts the highest stable checkpoint the set proves, then recomputes
+  /// the carried-over proposals deterministically.
   void EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs);
-  bool ValidatePreparedProof(const PreparedProof& proof) const;
+  /// The number of distinct valid backup prepares in `proof` (2f make it
+  /// a prepared certificate), or -1 without a valid pre-prepare.
+  int ValidPrepares(const PreparedProof& proof) const;
+  /// Enters `nv.view` if it is above ours and `nv` proves it: the new
+  /// leader's signature over 2f+1 distinct signed view changes for it. The
+  /// NEW-VIEW may come from its leader or inside a catch-up page.
+  bool AdoptNewView(const NewViewMsg& nv);
   void MaybeSendNewView(uint64_t v);
 
   // -- plumbing --
@@ -319,13 +337,17 @@ class PbftReplica : public net::Host {
   std::unordered_map<uint64_t, std::set<uint64_t>> executed_reqs_;
   std::unordered_map<uint64_t, std::map<uint64_t, Bytes>> cached_replies_;
 
+  ReadExecuted read_executed_;
+
   /// Checkpoint votes: seq -> digest -> signatures by replica index.
   std::map<uint64_t, std::map<Digest, std::map<int32_t, Signature>>>
       checkpoint_votes_;
-  /// The latest stable checkpoint's certificate (2f+1 signatures), served
-  /// to recovering peers.
-  SnapshotMsg stable_snapshot_;
-  SnapshotCallback snapshot_callback_;
+  /// Every stable checkpoint's certificate, by seq (about 200 B per
+  /// interval); the last is at `last_stable_`. A page ends at one of them.
+  std::map<uint64_t, StableCheckpoint> checkpoints_;
+  /// The NEW-VIEW that installed `view_` (unset in view 0), relayed in
+  /// pages to peers in a lower view.
+  NewViewMsg new_view_;
 
   /// View-change messages per target view, by replica index.
   std::map<uint64_t, std::map<int32_t, ViewChangeMsg>> view_changes_;

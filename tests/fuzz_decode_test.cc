@@ -55,8 +55,6 @@ void DecodeEverything(const Bytes& input) {
   DecodeAs<core::ReadReplyMsg>(input);
   DecodeAs<core::MirrorFetchMsg>(input);
   DecodeAs<core::MirrorEntryMsg>(input);
-  DecodeAs<core::LogSyncRequestMsg>(input);
-  DecodeAs<core::LogSyncReplyMsg>(input);
   DecodeAs<core::GeoProofBundleMsg>(input);
   {
     std::vector<Bytes> ops;
@@ -70,8 +68,9 @@ void DecodeEverything(const Bytes& input) {
   }
   DecodeAs<pbft::ReplyMsg>(input);
   DecodeAs<pbft::CheckpointMsg>(input);
-  DecodeAs<pbft::FetchCommittedMsg>(input);
-  DecodeAs<pbft::CommittedEntryMsg>(input);
+  DecodeAs<pbft::StableCheckpoint>(input);
+  DecodeAs<pbft::FetchSnapshotMsg>(input);
+  DecodeAs<pbft::CommittedEntry>(input);
   DecodeAs<pbft::SnapshotMsg>(input);
   DecodeAs<pbft::ViewChangeMsg>(input);
   DecodeAs<pbft::NewViewMsg>(input);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/deployment.h"
+#include "core/wire.h"
 #include "sim/simulator.h"
 
 namespace blockplane::core {
@@ -133,6 +134,41 @@ TEST_F(ParticipantTest, InterleavedReadsResolveIndependently) {
   }
   ASSERT_TRUE(
       simulator_.RunUntilCondition([&] { return done == 4; }, Seconds(60)));
+}
+
+TEST_F(ParticipantTest, LostDeliverNoticesAreSentAgain) {
+  // Every unit node's notice for the second message is lost on its way to
+  // the receiving participant. The third message's notices reveal the gap,
+  // and the participant asks its unit for the lost notice again.
+  struct NoticeFilter : net::Host {
+    void HandleMessage(const net::Message& msg) override {
+      DeliverNoticeMsg notice;
+      if (msg.type == kDeliverNotice && dropped < 4 &&
+          DeliverNoticeMsg::Decode(msg.body(), &notice).ok() &&
+          ToString(notice.payload) == "two") {
+        ++dropped;
+        return;
+      }
+      participant->HandleMessage(msg);
+    }
+    Participant* participant = nullptr;
+    int dropped = 0;
+  } filter;
+  Participant* receiver = deployment_.participant(kOregon);
+  filter.participant = receiver;
+  deployment_.network()->Register(ParticipantNodeId(kOregon), &filter);
+  std::vector<std::string> got;
+  receiver->SetReceiveHandler([&](net::SiteId, const Bytes& payload) {
+    got.push_back(ToString(payload));
+  });
+  for (const char* text : {"one", "two", "three"}) {
+    deployment_.participant(kCalifornia)
+        ->Send(kOregon, ToBytes(text), 0, nullptr);
+  }
+  ASSERT_TRUE(simulator_.RunUntilCondition([&] { return got.size() == 3; },
+                                           Seconds(120)));
+  EXPECT_EQ(filter.dropped, 4);
+  EXPECT_EQ(got, (std::vector<std::string>{"one", "two", "three"}));
 }
 
 }  // namespace

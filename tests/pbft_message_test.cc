@@ -100,7 +100,10 @@ TEST(PbftMessageTest, CanonicalBodiesDifferAcrossTypes) {
 TEST(PbftMessageTest, ViewChangeWithProofsRoundTrip) {
   ViewChangeMsg msg;
   msg.new_view = 7;
-  msg.last_stable = 64;
+  msg.stable.seq = 64;
+  msg.stable.state_digest = TestDigest(0x22);
+  msg.stable.cert = {TestSig({0, 0}, 1), TestSig({0, 1}, 2),
+                     TestSig({0, 2}, 3)};
   PreparedProof proof;
   proof.view = 6;
   proof.seq = 65;
@@ -116,7 +119,10 @@ TEST(PbftMessageTest, ViewChangeWithProofsRoundTrip) {
   ViewChangeMsg out;
   ASSERT_TRUE(ViewChangeMsg::Decode(msg.Encode(), &out).ok());
   EXPECT_EQ(out.new_view, 7u);
-  EXPECT_EQ(out.last_stable, 64u);
+  EXPECT_EQ(out.stable.seq, 64u);
+  EXPECT_EQ(out.stable.state_digest, msg.stable.state_digest);
+  ASSERT_EQ(out.stable.cert.size(), 3u);
+  EXPECT_EQ(out.stable.cert[2], msg.stable.cert[2]);
   ASSERT_EQ(out.prepared.size(), 1u);
   EXPECT_EQ(out.prepared[0].value, proof.value);
   EXPECT_EQ(out.prepared[0].preprepare_sig, proof.preprepare_sig);
@@ -128,6 +134,10 @@ TEST(PbftMessageTest, ViewChangeWithProofsRoundTrip) {
   ViewChangeMsg stripped = msg;
   stripped.prepared.clear();
   EXPECT_NE(stripped.CanonicalBody(), msg.CanonicalBody());
+  // It covers the checkpoint certificate too.
+  ViewChangeMsg uncertified = msg;
+  uncertified.stable.cert.clear();
+  EXPECT_NE(uncertified.CanonicalBody(), msg.CanonicalBody());
 }
 
 TEST(PbftMessageTest, NewViewRoundTripAndTamperDetection) {
@@ -153,28 +163,45 @@ TEST(PbftMessageTest, NewViewRoundTripAndTamperDetection) {
 
 TEST(PbftMessageTest, SnapshotRoundTrip) {
   SnapshotMsg msg;
-  msg.seq = 128;
-  msg.state_digest = TestDigest(0x88);
-  msg.cert = {TestSig({0, 0}, 1), TestSig({0, 1}, 2), TestSig({0, 2}, 3)};
+  msg.checkpoint.seq = 128;
+  msg.checkpoint.state_digest = TestDigest(0x88);
+  msg.checkpoint.cert = {TestSig({0, 0}, 1), TestSig({0, 1}, 2),
+                         TestSig({0, 2}, 3)};
+  CommittedEntry below;
+  below.seq = 127;
+  below.value = ToBytes("executed");
+  msg.entries = {below};
+  NewViewMsg nv;
+  nv.view = 3;
+  nv.sig = TestSig({0, 3}, 4);
+  msg.new_view = {nv};
   SnapshotMsg out;
   ASSERT_TRUE(SnapshotMsg::Decode(msg.Encode(), &out).ok());
-  EXPECT_EQ(out.seq, 128u);
-  EXPECT_EQ(out.state_digest, msg.state_digest);
-  ASSERT_EQ(out.cert.size(), 3u);
+  EXPECT_EQ(out.checkpoint.seq, 128u);
+  EXPECT_EQ(out.checkpoint.state_digest, msg.checkpoint.state_digest);
+  ASSERT_EQ(out.checkpoint.cert.size(), 3u);
+  ASSERT_EQ(out.entries.size(), 1u);
+  EXPECT_EQ(out.entries[0].seq, 127u);
+  EXPECT_EQ(out.entries[0].value, below.value);
+  ASSERT_EQ(out.new_view.size(), 1u);
+  EXPECT_EQ(out.new_view[0].view, 3u);
+
+  // A page relays at most one NEW-VIEW.
+  msg.new_view = {nv, nv};
+  EXPECT_FALSE(SnapshotMsg::Decode(msg.Encode(), &out).ok());
 }
 
 TEST(PbftMessageTest, CommittedEntryRoundTrip) {
-  CommittedEntryMsg msg;
+  CommittedEntry msg;
   msg.seq = 10;
   msg.view = 2;
-  msg.digest = TestDigest(0x99);
   msg.client_token = 55;
   msg.req_id = 6;
   msg.value = ToBytes("committed");
   msg.commit_sigs = {TestSig({0, 0}, 4), TestSig({0, 1}, 5),
                      TestSig({0, 2}, 6)};
-  CommittedEntryMsg out;
-  ASSERT_TRUE(CommittedEntryMsg::Decode(msg.Encode(), &out).ok());
+  CommittedEntry out;
+  ASSERT_TRUE(CommittedEntry::Decode(msg.Encode(), &out).ok());
   EXPECT_EQ(out.value, msg.value);
   EXPECT_EQ(out.commit_sigs.size(), 3u);
 }

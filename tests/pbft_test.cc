@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -328,6 +330,280 @@ TEST(PbftTest, NewViewCannotDropPreparedProofs) {
 
   EXPECT_EQ(n2.view(), 0u);
   EXPECT_TRUE(executed.empty());
+}
+
+/// One real replica of a four-replica group; the test speaks for the other
+/// three, signing with their keys and handing messages straight to it.
+class ScriptedPeers {
+ public:
+  explicit ScriptedPeers(int real)
+      : network_(&simulator_, Topology::SingleSite()),
+        config_(UnitConfig(/*site=*/0, /*f=*/1)),
+        replica_(&network_, &keys_, config_, config_.nodes[real],
+                 [this](uint64_t seq, const Bytes& value, const Digest&) {
+                   executed_[seq] = ToString(value);
+                 }) {
+    replica_.RegisterWithNetwork();
+    for (const NodeId& node : config_.nodes) {
+      signers_.push_back(keys_.RegisterNode(node));
+    }
+  }
+
+  void Deliver(int from, PbftMessageType type, Bytes body) {
+    net::Message msg;
+    msg.src = config_.nodes[from];
+    msg.dst = replica_.self();
+    msg.type = type;
+    msg.set_body(std::move(body));
+    replica_.HandleMessage(msg);
+  }
+  /// The pre-prepare the leader of `view` signs for `value` at `seq`, as
+  /// request `seq` of one client.
+  PrePrepareMsg PrePrepare(uint64_t view, uint64_t seq, const Bytes& value) {
+    PrePrepareMsg pp;
+    pp.view = view;
+    pp.seq = seq;
+    pp.client_token = 7;
+    pp.req_id = seq;
+    pp.value = value;
+    pp.digest = crypto::Sha256Digest(pp.value);
+    pp.sig = signers_[view]->Sign(pp.CanonicalBody());
+    Deliver(static_cast<int>(view), kPrePrepare, pp.Encode());
+    return pp;
+  }
+  Signature Vote(int from, PbftMessageType type, const PrePrepareMsg& pp) {
+    VoteMsg vote;
+    vote.type = type;
+    vote.view = pp.view;
+    vote.seq = pp.seq;
+    vote.digest = pp.digest;
+    vote.sig = signers_[from]->Sign(vote.CanonicalBody());
+    Deliver(from, type, vote.Encode());
+    return vote.sig;
+  }
+
+  sim::Simulator simulator_{1};
+  net::Network network_;
+  crypto::KeyStore keys_;
+  const PbftConfig config_;
+  std::map<uint64_t, std::string> executed_;
+  PbftReplica replica_;
+  std::vector<std::unique_ptr<crypto::Signer>> signers_;
+};
+
+TEST(PbftTest, ViewChangeFillsAGapWithAPrePreparedValue) {
+  // Only n2 is real. `A` reached it at seq 1 only as a pre-prepare, while
+  // `B` prepared at seq 2. No value can have committed at a seq without a
+  // prepared certificate in the view-change set, so the new view may put
+  // any value there: the pre-prepared `A`, not a no-op that would run `B`
+  // ahead of the value it was proposed after.
+  ScriptedPeers group(/*real=*/2);
+  const PrePrepareMsg a = group.PrePrepare(0, 1, ToBytes("A"));
+  const PrePrepareMsg b = group.PrePrepare(0, 2, ToBytes("B"));
+  const PreparedProof a_pre_prepared{0, 1, a.digest, 7, 1, a.value, a.sig, {}};
+  const PreparedProof b_prepared{
+      0, 2, b.digest, 7, 2, b.value, b.sig,
+      {group.Vote(1, kPrepare, b), group.Vote(3, kPrepare, b)}};
+  auto view_change = [&](int from, std::vector<PreparedProof> proofs) {
+    ViewChangeMsg vc;
+    vc.new_view = 1;
+    vc.prepared = std::move(proofs);
+    vc.sig = group.signers_[from]->Sign(vc.CanonicalBody());
+    return vc.Encode();
+  };
+  NewViewMsg nv;
+  nv.view = 1;
+  nv.view_changes = {view_change(0, {a_pre_prepared, b_prepared}),
+                     view_change(1, {}), view_change(3, {})};
+  nv.sig = group.signers_[1]->Sign(nv.CanonicalBody());
+  group.Deliver(1, kNewView, nv.Encode());
+  ASSERT_EQ(group.replica_.view(), 1u);
+
+  for (const PrePrepareMsg* carried : {&a, &b}) {
+    const PrePrepareMsg pp = group.PrePrepare(1, carried->seq, carried->value);
+    group.Vote(3, kPrepare, pp);
+    group.Vote(1, kCommit, pp);
+    group.Vote(3, kCommit, pp);
+  }
+  group.simulator_.RunFor(Seconds(1));
+  EXPECT_EQ(group.executed_,
+            (std::map<uint64_t, std::string>{{1, "A"}, {2, "B"}}));
+}
+
+TEST(PbftTest, WatchdogSparesTheLeaderForARequestThatNoLongerVerifies) {
+  // The backups watch a request the mute leader never proposes. Before
+  // their watchdogs fire, the request stops verifying (in Blockplane: the
+  // same transmission committed under another node's request), so it can
+  // never execute, and deposing the leader for it would gain nothing.
+  PbftHarness harness(1);
+  bool valid = true;
+  for (auto& replica : harness.replicas_) {
+    replica->SetVerifier([&valid](const Bytes&) { return valid; });
+  }
+  harness.replicas_[0]->SetByzantineMode(ByzantineMode::kSilent);
+  harness.client_->Submit(ToBytes("stale"), nullptr);
+  // The client's retry broadcasts the request; the backups forward it and
+  // arm their watchdogs.
+  harness.simulator_.RunFor(harness.config_.client_retry + Milliseconds(1));
+  valid = false;
+  harness.simulator_.RunFor(Seconds(2));
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(harness.replicas_[i]->view(), 0u) << "replica " << i;
+  }
+}
+
+TEST(PbftTest, UnprovenStableCheckpointIsIgnoredInViewChange) {
+  // n0 is mute, but it signs view changes for views 1-200 that claim a
+  // stable checkpoint at seq 1000, backed by its own checkpoint vote
+  // alone. Believed, the claim would start every view it joins past every
+  // seq the honest replicas accept. Only proven checkpoints count, so the
+  // request completes in view 1.
+  PbftHarness harness(1);
+  const NodeId n0 = harness.config_.nodes[0];
+  harness.replicas_[0]->SetByzantineMode(ByzantineMode::kSilent);
+  std::unique_ptr<crypto::Signer> signer = harness.keys_.RegisterNode(n0);
+  CheckpointMsg claim;
+  claim.seq = 1000;
+  claim.state_digest.fill(0xab);
+  claim.sig = signer->Sign(claim.CanonicalBody());
+  for (uint64_t view = 1; view <= 200; ++view) {
+    ViewChangeMsg vc;
+    vc.new_view = view;
+    vc.stable.seq = claim.seq;
+    vc.stable.state_digest = claim.state_digest;
+    vc.stable.cert = {claim.sig, claim.sig, claim.sig};
+    vc.sig = signer->Sign(vc.CanonicalBody());
+    for (int i = 1; i < 4; ++i) {
+      net::Message msg;
+      msg.src = n0;
+      msg.dst = harness.config_.nodes[i];
+      msg.type = kViewChange;
+      msg.set_body(vc.Encode());
+      harness.network_.Send(std::move(msg));
+    }
+  }
+  ASSERT_TRUE(harness.CommitAndWait("request", Seconds(1)));
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(harness.replicas_[i]->view(), 1u) << "replica " << i;
+  }
+}
+
+/// Whether `proof` is a prepared certificate a peer accepts: the leader of
+/// its view signed the pre-prepare, and 2f other replicas the prepare.
+bool ProofValidates(const PbftConfig& config, const crypto::KeyStore& keys,
+                    const PreparedProof& proof) {
+  if (crypto::Sha256Digest(proof.value) != proof.digest) return false;
+  PrePrepareMsg pp;
+  pp.view = proof.view;
+  pp.seq = proof.seq;
+  pp.digest = proof.digest;
+  pp.client_token = proof.client_token;
+  pp.req_id = proof.req_id;
+  const NodeId leader = config.LeaderOf(proof.view);
+  if (proof.preprepare_sig.signer != leader ||
+      !keys.Verify(pp.CanonicalBody(), proof.preprepare_sig)) {
+    return false;
+  }
+  VoteMsg prepare;
+  prepare.type = kPrepare;
+  prepare.view = proof.view;
+  prepare.seq = proof.seq;
+  prepare.digest = proof.digest;
+  std::set<int> signers;
+  for (const Signature& sig : proof.prepare_sigs) {
+    if (sig.signer != leader && keys.Verify(prepare.CanonicalBody(), sig)) {
+      signers.insert(config.ReplicaIndex(sig.signer));
+    }
+  }
+  signers.erase(-1);
+  return static_cast<int>(signers.size()) >= 2 * config.f;
+}
+
+TEST(PbftTest, CaughtUpInstancesStayOutOfViewChanges) {
+  // n3 misses three commits and fills them from a catch-up page, so those
+  // instances are committed without a pre-prepare signature. When n3 then
+  // demands a view change, every prepared proof it signs must validate at
+  // its peers.
+  struct ViewChangeTap : net::Host {
+    void HandleMessage(const net::Message& msg) override {
+      ViewChangeMsg vc;
+      if (msg.type == kViewChange && msg.src == from &&
+          ViewChangeMsg::Decode(msg.body(), &vc).ok()) {
+        seen.push_back(std::move(vc));
+      }
+      replica->HandleMessage(msg);
+    }
+    NodeId from;
+    PbftReplica* replica = nullptr;
+    std::vector<ViewChangeMsg> seen;
+  } tap;  // declared first, so it outlives the network
+  PbftHarness harness(1);
+  const NodeId n3 = harness.config_.nodes[3];
+  harness.network_.Crash(n3);
+  for (const char* value : {"a", "b", "c"}) {
+    ASSERT_TRUE(harness.CommitAndWait(value));
+  }
+  harness.network_.Recover(n3);
+  harness.replicas_[3]->CatchUp();
+  harness.simulator_.RunFor(Seconds(1));
+  ASSERT_EQ(harness.replicas_[3]->last_executed(), 3u);
+  ASSERT_TRUE(harness.CommitAndWait("d"));  // prepared at n3 as usual
+
+  tap.from = n3;
+  tap.replica = harness.replicas_[1].get();
+  harness.network_.Register(harness.config_.nodes[1], &tap);
+  harness.network_.Crash(harness.config_.nodes[0]);
+  ASSERT_TRUE(harness.CommitAndWait("e", Seconds(60)));
+
+  ASSERT_FALSE(tap.seen.empty());
+  size_t proofs = 0;
+  for (const ViewChangeMsg& vc : tap.seen) {
+    for (const PreparedProof& proof : vc.prepared) {
+      EXPECT_TRUE(ProofValidates(harness.config_, harness.keys_, proof))
+          << "seq " << proof.seq << " in the view change for "
+          << vc.new_view;
+      ++proofs;
+    }
+  }
+  EXPECT_GT(proofs, 0u) << "n3 carried no prepared proof at all";
+}
+
+TEST(PbftTest, PageCannotMoveAValuePastANoOpGap) {
+  // A certified checkpoint at seq 6 over values at seqs 1, 2, 3, 5 and 6:
+  // seq 4 was a no-op, which executes nothing and leaves no link in the
+  // digest chain. A responder that shifts the value of seq 3 into the gap
+  // must not get it executed at seq 4.
+  ScriptedPeers group(/*real=*/3);
+  const std::map<uint64_t, std::string> values = {
+      {1, "a"}, {2, "b"}, {3, "c"}, {5, "e"}, {6, "f"}};
+  StableCheckpoint checkpoint;
+  checkpoint.seq = 6;
+  for (const auto& [seq, value] : values) {
+    checkpoint.state_digest = ChainDigest(
+        checkpoint.state_digest, seq, crypto::Sha256Digest(ToBytes(value)));
+  }
+  const CheckpointMsg vote{checkpoint.seq, checkpoint.state_digest, {}};
+  for (int i = 0; i < 3; ++i) {
+    checkpoint.cert.push_back(group.signers_[i]->Sign(vote.CanonicalBody()));
+  }
+  auto deliver_page = [&](const std::map<uint64_t, std::string>& entries) {
+    SnapshotMsg page;
+    page.checkpoint = checkpoint;
+    for (const auto& [seq, value] : entries) {
+      page.entries.push_back({seq, 0, 0, 0, ToBytes(value), {}});
+    }
+    group.Deliver(1, kSnapshot, page.Encode());
+  };
+
+  deliver_page({{1, "a"}, {2, "b"}, {4, "c"}, {5, "e"}, {6, "f"}});
+  EXPECT_EQ(group.replica_.last_executed(), 0u);
+  EXPECT_TRUE(group.executed_.empty());
+
+  // The honest page, gap and all, installs.
+  deliver_page(values);
+  EXPECT_EQ(group.replica_.last_executed(), 6u);
+  EXPECT_EQ(group.replica_.last_stable_checkpoint(), 6u);
+  EXPECT_EQ(group.executed_, values);
 }
 
 TEST(PbftTest, VerificationRoutineBlocksInvalidValues) {

@@ -1,12 +1,13 @@
-// Recovery tests (§VI-B): short outages recover through PBFT catch-up;
-// outages longer than the stable-checkpoint garbage-collection window
-// recover through certified snapshot transfer plus chain-verified log sync.
+// Recovery tests (§VI-B): a recovered replica catches up through one path,
+// pages of executed entries proven by a stable checkpoint's digest chain or
+// by their own commit certificates, and adopts the view its peers moved to.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
 
 #include "core/deployment.h"
+#include "crypto/sha256.h"
 #include "net/topology.h"
 #include "pbft/message.h"
 #include "sim/simulator.h"
@@ -67,49 +68,53 @@ TEST(RecoveryTest, ShortOutageRecoversViaCatchUp) {
   // The recovered replica filled its instances from the peers' committed
   // entries and kept each entry's certificate, so a replica lagging behind
   // it can catch up from it in turn. Ask it in node 2's name: every entry
-  // it serves must carry 2f+1 valid commit votes of the entry's view.
+  // it serves above the page's checkpoint must carry 2f+1 valid commit
+  // votes of the entry's view.
   const pbft::PbftReplica* recovered =
       harness.deployment_->node(0, 3)->replica();
   harness.deployment_->network()->Register({0, 2}, &asker);
-  pbft::FetchCommittedMsg fetch;
+  pbft::FetchSnapshotMsg fetch;
   fetch.from_seq = 1;
   net::Message msg;
   msg.src = {0, 2};
   msg.dst = down;
-  msg.type = pbft::kFetchCommitted;
+  msg.type = pbft::kFetchSnapshot;
   msg.set_body(fetch.Encode());
   harness.deployment_->network()->Send(msg);
   harness.simulator_.RunFor(Seconds(1));
 
   uint64_t served = 0;
   for (const net::Message& reply : asker.received) {
-    if (reply.type != pbft::kCommittedEntry) continue;
-    pbft::CommittedEntryMsg entry;
-    ASSERT_TRUE(pbft::CommittedEntryMsg::Decode(reply.body(), &entry).ok());
-    pbft::VoteMsg commit;
-    commit.type = pbft::kCommit;
-    commit.view = entry.view;
-    commit.seq = entry.seq;
-    commit.digest = entry.digest;
-    const Bytes body = commit.CanonicalBody();
-    std::set<int> signers;
-    for (const crypto::Signature& sig : entry.commit_sigs) {
-      if (harness.deployment_->keys()->Verify(body, sig)) {
-        signers.insert(recovered->config().ReplicaIndex(sig.signer));
+    if (reply.type != pbft::kSnapshot) continue;
+    pbft::SnapshotMsg page;
+    ASSERT_TRUE(pbft::SnapshotMsg::Decode(reply.body(), &page).ok());
+    for (const pbft::CommittedEntry& entry : page.entries) {
+      if (entry.seq <= page.checkpoint.seq) continue;
+      pbft::VoteMsg commit;
+      commit.type = pbft::kCommit;
+      commit.view = entry.view;
+      commit.seq = entry.seq;
+      commit.digest = crypto::Sha256Digest(entry.value);
+      const Bytes body = commit.CanonicalBody();
+      std::set<int> signers;
+      for (const crypto::Signature& sig : entry.commit_sigs) {
+        if (harness.deployment_->keys()->Verify(body, sig)) {
+          signers.insert(recovered->config().ReplicaIndex(sig.signer));
+        }
       }
+      EXPECT_GE(static_cast<int>(signers.size()),
+                recovered->config().quorum())
+          << "seq " << entry.seq;
+      ++served;
     }
-    EXPECT_GE(static_cast<int>(signers.size()), recovered->config().quorum())
-        << "seq " << entry.seq;
-    ++served;
   }
   EXPECT_EQ(served, recovered->last_executed());
 }
 
 TEST(RecoveryTest, LongOutageRecoversViaSnapshotTransfer) {
   // Checkpoints every 4 entries: after 20 commits the early instances (and
-  // their commit certificates) are garbage-collected everywhere, so plain
-  // catch-up cannot serve them. The snapshot certificate + digest-chain
-  // log sync must kick in.
+  // their commit certificates) are garbage-collected everywhere. Pages of
+  // values proven by each checkpoint's digest chain must serve them.
   RecoveryHarness harness(/*checkpoint_interval=*/4);
   net::NodeId down{0, 3};
   harness.deployment_->network()->Crash(down);
@@ -154,11 +159,11 @@ TEST(RecoveryTest, RecoveredNodeParticipatesAgain) {
 }
 
 TEST(RecoveryTest, CrashDuringSnapshotTransferRestartsIdempotently) {
-  // The recovering node goes down again *mid snapshot transfer* (snapshot
-  // certificate received, log-sync replies still in flight). The partial
-  // sync state must not poison the second recovery: the transfer restarts
-  // from scratch — against a target that moved while the node was down —
-  // and still installs a byte-for-byte copy.
+  // The recovering node goes down again *mid transfer* (a first page
+  // installed, later pages still to come). The partial transfer must not
+  // poison the second recovery: it resumes from the executed prefix —
+  // against a target that moved while the node was down — and still
+  // installs a byte-for-byte copy.
   RecoveryHarness harness(/*checkpoint_interval=*/4);
   net::NodeId down{0, 3};
   harness.deployment_->network()->Crash(down);
@@ -168,8 +173,8 @@ TEST(RecoveryTest, CrashDuringSnapshotTransferRestartsIdempotently) {
       harness.deployment_->node(0, 0)->replica()->last_stable_checkpoint(),
       16u);
 
-  // First recovery attempt: let the snapshot certificate and the first few
-  // sync replies land, then yank the node again mid-transfer.
+  // First recovery attempt: let the first pages land, then yank the node
+  // again mid-transfer.
   harness.deployment_->network()->Recover(down);
   harness.deployment_->node(0, 3)->Recover();
   harness.simulator_.RunFor(sim::Microseconds(700));
@@ -215,11 +220,11 @@ TEST(RecoveryTest, ForgedSnapshotCertificateIsRejected) {
   harness.deployment_->network()->Recover(down);
 
   pbft::SnapshotMsg forged;
-  forged.seq = 1000;
-  forged.state_digest.fill(0xEE);
+  forged.checkpoint.seq = 1000;
+  forged.checkpoint.state_digest.fill(0xEE);
   crypto::Signature bogus;
   bogus.signer = {0, 0};
-  forged.cert = {bogus, bogus, bogus};
+  forged.checkpoint.cert = {bogus, bogus, bogus};
   net::Message msg;
   msg.src = {0, 1};
   msg.dst = down;
@@ -234,6 +239,55 @@ TEST(RecoveryTest, ForgedSnapshotCertificateIsRejected) {
   // The replica did not fast-forward past reality.
   EXPECT_EQ(harness.deployment_->node(0, 3)->replica()->last_executed(),
             20u);
+}
+
+TEST(RecoveryTest, RecoveredLeaderConvergesWhileTheUnitCommits) {
+  // The view-0 leader misses a view change and several checkpoint
+  // intervals, and the unit keeps committing while it recovers. It must
+  // reach its peers' applied position, digest chain and view, and count
+  // as a voter again.
+  RecoveryHarness harness(/*checkpoint_interval=*/8);
+  Deployment& deployment = *harness.deployment_;
+  net::NodeId down{0, 0};
+  deployment.network()->Crash(down);
+  harness.CommitMany(40);
+  const pbft::PbftReplica* peer = deployment.node(0, 1)->replica();
+  ASSERT_GE(peer->view(), 1u);
+  ASSERT_GE(peer->last_stable_checkpoint(), 2 * 8u);
+
+  deployment.network()->Recover(down);
+  deployment.node(0, 0)->Recover();
+  constexpr int kDuringRecovery = 40;
+  int completed = 0;
+  for (int i = 0; i < kDuringRecovery; ++i) {
+    harness.simulator_.Schedule(sim::Milliseconds(2 * i), [&, i] {
+      deployment.participant(0)->LogCommit(
+          ToBytes("during-" + std::to_string(i)), 0,
+          [&](uint64_t) { ++completed; });
+    });
+  }
+  ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+      [&] { return completed == kDuringRecovery; }, Seconds(60)));
+  harness.simulator_.RunFor(Seconds(1));
+
+  BlockplaneNode* recovered = deployment.node(0, 0);
+  for (int index = 1; index < 4; ++index) {
+    BlockplaneNode* other = deployment.node(0, index);
+    EXPECT_EQ(recovered->applied_high(), other->applied_high()) << index;
+    EXPECT_EQ(recovered->chain_digest(), other->chain_digest()) << index;
+    EXPECT_EQ(recovered->replica()->view(), other->replica()->view())
+        << index;
+  }
+
+  // The unit survives losing the leader of the new view: the recovered
+  // node's votes are needed for the next view and every commit after it.
+  deployment.network()->Crash(deployment.node(0, 1)->self());
+  harness.CommitMany(5);
+  const BlockplaneNode* survivor = deployment.node(0, 2);
+  ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+      [&] { return recovered->applied_high() == survivor->applied_high(); },
+      Seconds(60)));
+  EXPECT_EQ(recovered->chain_digest(), survivor->chain_digest());
 }
 
 TEST(RecoveryTest, PipelinedGeoCommitsCompleteInOrder) {
