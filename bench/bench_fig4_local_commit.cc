@@ -24,7 +24,6 @@ Result RunOne(size_t batch_kb, int warmup, int batches) {
   core::BlockplaneOptions options;
   options.fi = 1;
   options.checkpoint_interval = 8;
-  options.prune_applied_log = 8;
   // Intra-datacenter parameters calibrated to the paper's EC2 testbed
   // (m5.xlarge, same-AZ latency ~0.2 ms RTT, 640 MB/s iperf bandwidth).
   net::NetworkOptions net_options;

@@ -194,7 +194,6 @@ void BM_LocalCommitEndToEnd(benchmark::State& state) {
   sim::Simulator simulator(1);
   core::BlockplaneOptions options;
   options.checkpoint_interval = 8;
-  options.prune_applied_log = 8;
   core::Deployment deployment(&simulator, net::Topology::SingleSite(),
                               options);
   Bytes batch(1000, 0x99);

@@ -15,7 +15,6 @@ void RunOne(int fi) {
   core::BlockplaneOptions options;
   options.fi = fi;
   options.checkpoint_interval = 8;
-  options.prune_applied_log = 8;
   net::NetworkOptions net_options;
   net_options.intra_site_one_way = sim::Microseconds(100);
   net_options.per_message_cpu = sim::Microseconds(25);

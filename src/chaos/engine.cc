@@ -237,8 +237,9 @@ class Engine {
 
   // --- invariants -------------------------------------------------------------
 
-  /// I1: pairwise common-prefix agreement + equal digest chains at equal
-  /// heights, for every honest unit node and every mirror node.
+  /// I1: pairwise agreement on the log positions both nodes still hold +
+  /// equal digest chains at equal heights, for every honest unit node and
+  /// every mirror node.
   void CheckLogAgreement() {
     for (net::SiteId site = 0; site < cfg_.num_sites; ++site) {
       std::vector<core::BlockplaneNode*> honest;
@@ -267,7 +268,10 @@ class Engine {
     for (size_t n = 1; n < nodes.size(); ++n) {
       core::BlockplaneNode* other = nodes[n];
       uint64_t common = std::min(ref->applied_high(), other->applied_high());
-      for (uint64_t pos = 1; pos <= common; ++pos) {
+      // A unit node serves nothing at or below its horizon (DESIGN.md §10,
+      // retention); nodes move theirs at their own stable checkpoints.
+      uint64_t held_from = std::max(ref->horizon(), other->horizon()) + 1;
+      for (uint64_t pos = held_from; pos <= common; ++pos) {
         auto a = ref->log().find(pos);
         auto b = other->log().find(pos);
         if (a == ref->log().end() && b == other->log().end()) continue;

@@ -82,7 +82,14 @@ void CommDaemon::PumpPipeline() {
   bool geo_proof_wait = false;
   for (; pos_it != positions.end() && flights_.size() < window; ++pos_it) {
     uint64_t pos = *pos_it;
-    const LogRecord& record = host_->log_.at(pos);
+    auto record_it = host_->log_.find(pos);
+    if (record_it == host_->log_.end()) {
+      // The host installed a base state past this record: another daemon
+      // holds it and ships it.
+      StepBack();
+      return;
+    }
+    const LogRecord& record = record_it->second;
 
     // With geo-correlated tolerance, transmissions must carry the mirror
     // proofs; wait until the participant bundles them (§V).
@@ -398,6 +405,7 @@ void CommDaemon::AdvanceAckedWatermark() {
     acked_pos_ = *pos_it;
     acked_out_of_order_.erase(acked);
   }
+  delivered_ = std::max(delivered_, acked_pos_);
 }
 
 void CommDaemon::StepBack() {
@@ -458,6 +466,8 @@ void CommDaemon::OnRecvStatusReply(const net::Message& msg) {
   std::sort(values.begin(), values.end(), std::greater<>());
   uint64_t attested = values[needed - 1];
   status_replies_.clear();
+  // f_i+1 nodes report it, so an honest one committed it.
+  delivered_ = std::max(delivered_, attested);
 
   uint64_t expected = 0;
   auto comm_it = host_->comm_positions_.find(dest_);
@@ -474,8 +484,9 @@ void CommDaemon::OnRecvStatusReply(const net::Message& msg) {
       BP_LOG(kInfo) << host_->self().ToString()
                     << " reserve daemon activating for dest " << dest_;
       active_ = true;
-      acked_pos_ = attested;
-      next_send_pos_ = attested;
+      // Records up to `delivered_` may be gone from the host's log.
+      acked_pos_ = delivered_;
+      next_send_pos_ = delivered_;
       PumpPipeline();
       return;
     }

@@ -28,7 +28,9 @@
 // reserve's count. An active daemon steps back to reserve (rank f_i+2)
 // once f_i+1 destination nodes ack a position above its own send cursor:
 // receivers ack a duplicate with their watermark, so such acks prove that
-// another daemon delivered records this one never shipped.
+// another daemon delivered records this one never shipped. It also steps
+// back when the next record it would ship is gone from its host's log: the
+// host installed a base state past it (DESIGN.md §10, retention).
 #ifndef BLOCKPLANE_CORE_COMM_DAEMON_H_
 #define BLOCKPLANE_CORE_COMM_DAEMON_H_
 
@@ -72,6 +74,10 @@ class CommDaemon {
   bool active() const { return active_; }
   /// Highest contiguously acknowledged source-log position.
   uint64_t acked_watermark() const { return acked_pos_; }
+  /// Highest source-log position f_i+1 destination nodes are known to
+  /// hold: acked to this daemon while active, or attested to its polls as
+  /// a reserve. The host may drop communication records up to it.
+  uint64_t delivered() const { return delivered_; }
 
  private:
   /// One pipelined transmission.
@@ -129,6 +135,7 @@ class CommDaemon {
 
   uint64_t acked_pos_ = 0;     // contiguous ack watermark
   uint64_t next_send_pos_ = 0;  // highest source-log pos already shipped
+  uint64_t delivered_ = 0;
   std::map<uint64_t, Flight> flights_;   // by source-log pos
   std::set<uint64_t> acked_out_of_order_;
 

@@ -24,6 +24,14 @@ const crypto::QuorumCert* CertFrom(
   return nullptr;
 }
 
+/// Decodes a Local Log value that re-encodes to its own bytes. A node
+/// keeps decoded records and catch-up pages re-encode them, so a value
+/// with another encoding (trailing bytes, a padded varint) could never be
+/// proven by a page; honest replicas neither admit nor commit one.
+bool DecodeValue(const Bytes& value, LogRecord* record) {
+  return LogRecord::Decode(value, record).ok() && record->Encode() == value;
+}
+
 }  // namespace
 
 net::NodeId ParticipantNodeId(net::SiteId site) {
@@ -67,6 +75,17 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
     *value = it->second.Encode();
     return true;
   });
+  // A unit log keeps a bounded window, so its checkpoints certify the
+  // state derived from what it drops (DESIGN.md §10, retention). Mirror
+  // logs keep every entry: kMirrorFetch backfill serves from them.
+  if (!is_mirror()) {
+    replica_->SetStateHooks(
+        {[this]() { return SaveState(); },
+         [this](uint64_t seq, const Bytes& state) {
+           return LoadState(seq, state);
+         },
+         [this](uint64_t horizon) { DropThrough(horizon); }});
+  }
   network_->Register(self_, this);
 }
 
@@ -166,8 +185,10 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
       reply.read_id = request.read_id;
       reply.pos = request.pos;
       auto it = log_.find(request.pos);
-      if (it != log_.end()) {
-        reply.found = true;
+      if (request.pos <= horizon_) {
+        reply.outcome = ReadOutcome::kOutOfRange;
+      } else if (it != log_.end()) {
+        reply.outcome = ReadOutcome::kFound;
         if (lie_on_reads_) {
           LogRecord forged = it->second;
           forged.payload = ToBytes("forged read result");
@@ -227,25 +248,28 @@ uint64_t BlockplaneNode::last_received_pos(net::SiteId src) const {
   return it == last_received_pos_.end() ? 0 : it->second;
 }
 
-uint64_t BlockplaneNode::daemon_acked(net::SiteId dest) const {
+const CommDaemon* BlockplaneNode::DaemonFor(net::SiteId dest) const {
   for (const auto& daemon : daemons_) {
-    if (daemon->dest() == dest) return daemon->acked_watermark();
+    if (daemon->dest() == dest) return daemon.get();
   }
-  return 0;
+  return nullptr;
+}
+
+uint64_t BlockplaneNode::daemon_acked(net::SiteId dest) const {
+  const CommDaemon* daemon = DaemonFor(dest);
+  return daemon == nullptr ? 0 : daemon->acked_watermark();
 }
 
 bool BlockplaneNode::daemon_active(net::SiteId dest) const {
-  for (const auto& daemon : daemons_) {
-    if (daemon->dest() == dest) return daemon->active();
-  }
-  return false;
+  const CommDaemon* daemon = DaemonFor(dest);
+  return daemon != nullptr && daemon->active();
 }
 
 // --- PBFT hooks ----------------------------------------------------------------
 
 bool BlockplaneNode::VerifyValue(const Bytes& value) {
   LogRecord record;
-  if (!LogRecord::Decode(value, &record).ok()) return false;
+  if (!DecodeValue(value, &record)) return false;
 
   if (is_mirror()) {
     // A mirror group only ever stores mirrored entries of its origin.
@@ -282,7 +306,7 @@ bool BlockplaneNode::AdmitValue(const Bytes& value) {
   }
 
   LogRecord record;
-  if (!LogRecord::Decode(value, &record).ok()) return false;
+  if (!DecodeValue(value, &record)) return false;
 
   if (is_mirror()) {
     if (record.type != RecordType::kMirrored) return false;
@@ -496,24 +520,111 @@ void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value) {
     }
   }
   if (apply_hook_) apply_hook_(seq, record);
+}
 
-  if (options_.prune_applied_log > 0 &&
-      log_.size() > options_.prune_applied_log) {
-    // Drop old non-communication entries. Communication records stay for
-    // good: the daemons transmit from this log, and only the active
-    // daemon's node ever learns of the acks that would make one safe to
-    // drop.
-    uint64_t keep_from = seq > options_.prune_applied_log
-                             ? seq - options_.prune_applied_log
-                             : 0;
-    for (auto it = log_.begin();
-         it != log_.end() && it->first < keep_from;) {
-      if (it->second.type == RecordType::kCommunication) {
-        ++it;
+// --- retention (DESIGN.md §10) ---------------------------------------------------
+
+Bytes BlockplaneNode::SaveState() const {
+  DerivedState state;
+  state.applied_high = applied_high_;
+  state.api_record_count = api_record_count_;
+  for (const auto& [src, pos] : last_received_pos_) {
+    state.received.push_back({src, pos});
+  }
+  for (const auto& [dest, positions] : comm_positions_) {
+    if (!positions.empty()) state.last_comm.push_back({dest, positions.back()});
+  }
+  // The tables are hashed; their encoding must not be.
+  auto by_site = [](const SitePos& a, const SitePos& b) {
+    return a.site < b.site;
+  };
+  std::sort(state.received.begin(), state.received.end(), by_site);
+  std::sort(state.last_comm.begin(), state.last_comm.end(), by_site);
+  state.mirror_high = mirror_high_pos_;
+  for (const auto& [geo_pos, q] : geo_quarantine_) {
+    state.quarantined.push_back({geo_pos, q.seq, q.type, q.dest_site});
+  }
+  return state.Encode();
+}
+
+bool BlockplaneNode::LoadState(uint64_t seq, const Bytes& encoded) {
+  DerivedState state;
+  if (!DerivedState::Decode(encoded, &state).ok()) return false;
+  applied_high_ = state.applied_high;
+  api_record_count_ = state.api_record_count;
+  last_received_pos_.clear();
+  for (const SitePos& source : state.received) {
+    last_received_pos_[source.site] = source.pos;
+  }
+  // Each stream's last record is the chain pointer of its next one.
+  comm_positions_.clear();
+  for (const SitePos& dest : state.last_comm) {
+    comm_positions_[dest.site] = {dest.pos};
+  }
+  mirror_high_pos_ = state.mirror_high;
+  geo_quarantine_.clear();
+  for (const QuarantinedRecord& q : state.quarantined) {
+    geo_quarantine_[q.geo_pos] = QuarantinedApi{q.seq, q.type, q.dest_site};
+  }
+  // Nothing at or below the base is held here any more. A transmission
+  // that committed below it is acked with the watermark when its sender
+  // retransmits.
+  log_.erase(log_.begin(), log_.upper_bound(seq));
+  std::erase_if(api_pos_by_log_pos_,
+                [seq](const auto& entry) { return entry.first <= seq; });
+  std::erase_if(geo_proofs_,
+                [seq](const auto& entry) { return entry.first <= seq; });
+  auto received = [this](const auto& entry) {
+    return entry.first.second <= last_received_pos(entry.first.first);
+  };
+  std::erase_if(pending_acks_, received);
+  std::erase_if(recv_submits_, received);
+  horizon_ = seq;
+  return true;
+}
+
+void BlockplaneNode::DropThrough(uint64_t horizon) {
+  horizon_ = std::max(horizon_, horizon);
+  for (auto it = log_.begin(); it != log_.end() && it->first <= horizon;) {
+    const uint64_t pos = it->first;
+    const LogRecord& record = it->second;
+    // The release of a quarantined record reads it (DESIGN.md §10).
+    bool keep = std::any_of(
+        geo_quarantine_.begin(), geo_quarantine_.end(),
+        [pos](const auto& entry) { return entry.second.seq == pos; });
+    if (!keep && record.type == RecordType::kCommunication) {
+      const CommDaemon* daemon = DaemonFor(record.dest_site);
+      if (daemon != nullptr) {
+        // f_i+1 receivers have not been seen to hold it yet.
+        keep = pos > daemon->delivered();
       } else {
-        api_pos_by_log_pos_.erase(it->first);
-        it = log_.erase(it);
+        // No daemon here ships it, but a promoting reserve may still need
+        // this node's attestation.
+        dropped_transmissions_.insert(
+            std::lower_bound(dropped_transmissions_.begin(),
+                             dropped_transmissions_.end(), pos),
+            {pos, TransmissionDigest(pos, record)});
       }
+    }
+    if (keep) {
+      ++it;
+      continue;
+    }
+    api_pos_by_log_pos_.erase(pos);
+    geo_proofs_.erase(pos);
+    it = log_.erase(it);
+  }
+  // Keep each stream from the chain pointer of its first record still
+  // held.
+  for (auto& [dest, positions] : comm_positions_) {
+    size_t held = 0;
+    while (held < positions.size() && positions[held] <= horizon &&
+           log_.count(positions[held]) == 0) {
+      ++held;
+    }
+    if (held > 1) {
+      positions.erase(positions.begin(),
+                      positions.begin() + static_cast<std::ptrdiff_t>(held - 1));
     }
   }
 }
@@ -651,22 +762,30 @@ void BlockplaneNode::OnAttestRequest(const net::Message& msg) {
   switch (request.purpose) {
     case AttestPurpose::kTransmission: {
       // Sign "communication record at pos is committed and its transmission
-      // form (including the chain pointer) is accurate" — from OUR log.
+      // form (including the chain pointer) is accurate" — from OUR log, or
+      // from the digest kept when the record was dropped.
+      crypto::Digest digest;
       auto it = log_.find(request.pos);
-      if (it == log_.end() ||
-          it->second.type != RecordType::kCommunication ||
-          it->second.dest_site != request.dest_site) {
-        return;
+      if (it != log_.end()) {
+        if (it->second.type != RecordType::kCommunication ||
+            it->second.dest_site != request.dest_site) {
+          return;
+        }
+        digest = TransmissionDigest(request.pos, it->second);
+      } else {
+        auto dropped = std::lower_bound(dropped_transmissions_.begin(),
+                                        dropped_transmissions_.end(),
+                                        request.pos);
+        // The digest binds the record's destination, so a request naming
+        // another one gets a signature its canonical cannot match.
+        if (dropped == dropped_transmissions_.end() ||
+            dropped->pos != request.pos) {
+          return;
+        }
+        digest = dropped->digest;
       }
-      LogRecord as_received = it->second;
-      as_received.type = RecordType::kReceived;
-      as_received.src_site = origin_site_;
-      as_received.src_log_pos = request.pos;
-      as_received.prev_src_log_pos = PrevCommPos(request.dest_site,
-                                                 request.pos);
-      response.sig = signer_->Sign(
-          AttestCanonical(AttestPurpose::kTransmission, origin_site_,
-                          request.pos, as_received.ContentDigest()));
+      response.sig = signer_->Sign(AttestCanonical(
+          AttestPurpose::kTransmission, origin_site_, request.pos, digest));
       break;
     }
     case AttestPurpose::kGeoSource: {
@@ -695,6 +814,16 @@ void BlockplaneNode::OnAttestRequest(const net::Message& msg) {
       return;  // geo-acks are pushed, never requested
   }
   SendTo(msg.src, kAttestResponse, response.Encode());
+}
+
+crypto::Digest BlockplaneNode::TransmissionDigest(
+    uint64_t pos, const LogRecord& record) const {
+  LogRecord as_received = record;
+  as_received.type = RecordType::kReceived;
+  as_received.src_site = origin_site_;
+  as_received.src_log_pos = pos;
+  as_received.prev_src_log_pos = PrevCommPos(record.dest_site, pos);
+  return as_received.ContentDigest();
 }
 
 uint64_t BlockplaneNode::PrevCommPos(net::SiteId dest, uint64_t pos) const {

@@ -14,9 +14,15 @@
 // differs from its own site replicates another participant's Local Log for
 // geo-correlated fault tolerance and answers geo-replication requests with
 // geo-acks instead of delivery notices.
+//
+// A unit node keeps a bounded window of its Local Log (DESIGN.md §10,
+// retention): when its replica adopts a stable checkpoint c it drops the
+// entries at or below c - 4·I, except communication records one of its
+// daemons still has to ship. A mirror node keeps every entry.
 #ifndef BLOCKPLANE_CORE_NODE_H_
 #define BLOCKPLANE_CORE_NODE_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -105,9 +111,14 @@ class BlockplaneNode : public net::Host {
   crypto::KeyStore* keys() const { return keys_; }
   net::Network* network() const { return network_; }
 
-  /// The node's copy of the Local Log, 1-based by position.
+  /// The node's copy of the Local Log, 1-based by position: every entry
+  /// above the horizon, plus the communication records at or below it
+  /// that a daemon here still has to ship.
   const std::map<uint64_t, LogRecord>& log() const { return log_; }
   uint64_t log_size() const { return log_.empty() ? 0 : log_.rbegin()->first; }
+  /// The position at or below which this node no longer serves its Local
+  /// Log: reads there return OutOfRange (0 on a mirror, which keeps all).
+  uint64_t horizon() const { return horizon_; }
   /// Rolling digest chain over applied values (invariant checking).
   const crypto::Digest& chain_digest() const {
     return replica_->state_digest();
@@ -159,6 +170,23 @@ class BlockplaneNode : public net::Host {
   /// here or arrived in a catch-up page) to this node's Local Log copy and
   /// derived state.
   void OnExecute(uint64_t seq, const Bytes& value);
+
+  // -- retention (DESIGN.md §10) --
+  /// The derived state a checkpoint certifies (DerivedState, encoded).
+  Bytes SaveState() const;
+  /// Installs a certified base state at `seq`: nothing at or below it is
+  /// held here any more.
+  bool LoadState(uint64_t seq, const Bytes& encoded);
+  /// Drops the entries at or below `horizon` and their side tables, except
+  /// what a daemon here still has to ship and quarantined API records.
+  void DropThrough(uint64_t horizon);
+  /// The digest this node attests for the communication record at `pos`:
+  /// the record as its destination will receive it, chain pointer
+  /// included.
+  crypto::Digest TransmissionDigest(uint64_t pos,
+                                    const LogRecord& record) const;
+  /// The daemon here for `dest`, or null.
+  const CommDaemon* DaemonFor(net::SiteId dest) const;
 
   /// Commit-time geo-contiguity gate for API records (DESIGN.md §10,
   /// quarantine-and-gap-fill). Returns true when the record may enter the
@@ -231,6 +259,18 @@ class BlockplaneNode : public net::Host {
 
   std::unique_ptr<pbft::PbftReplica> replica_;
   std::map<uint64_t, LogRecord> log_;
+  uint64_t horizon_ = 0;
+  /// Communication records dropped on a node with no daemon for their
+  /// destination: the digest OnAttestRequest signs, by position (40 B
+  /// each, in a deque so it grows without copies). A promoting reserve may
+  /// need these attestations (DESIGN.md §10).
+  struct DroppedTransmission {
+    uint64_t pos = 0;
+    crypto::Digest digest{};
+
+    bool operator<(uint64_t other) const { return pos < other; }
+  };
+  std::deque<DroppedTransmission> dropped_transmissions_;
   std::unordered_map<uint64_t, VerifyRoutine> verifiers_;
   ApplyHook apply_hook_;
 

@@ -16,7 +16,8 @@ struct BlockplaneOptions {
   /// participants and commits require proofs from fg of them.
   int fg = 0;
 
-  /// Checkpoint interval for unit logs.
+  /// Checkpoint interval I for unit logs. A unit node keeps the entries
+  /// above its replica's stable checkpoint minus 4·I (DESIGN.md §10).
   uint64_t checkpoint_interval = 128;
 
   /// Pipeline window knobs (DESIGN.md §9). Each knob is the ceiling of a
@@ -36,12 +37,6 @@ struct BlockplaneOptions {
   /// completion callbacks still fire in submission order). 1 reproduces
   /// the paper's stop-and-wait behaviour.
   uint64_t participant_window = 1;
-
-  /// When positive, each node keeps only this many recent non-communication
-  /// Local Log entries in memory (communication records are never pruned).
-  /// Benches with multi-megabyte batches use this to bound memory; 0 keeps
-  /// everything.
-  uint64_t prune_applied_log = 0;
 };
 
 }  // namespace blockplane::core

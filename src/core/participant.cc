@@ -763,6 +763,11 @@ void Participant::OnDeliverNotice(const net::Message& msg) {
       receive_queues_[notice.src_site].push_back(std::move(payload));
     }
   }
+  // Notices of delivered records need no more votes: OnDeliverNotice
+  // returns before counting them.
+  notice_votes_.erase(
+      notice_votes_.lower_bound(NoticeKey{notice.src_site, 0, {}}),
+      notice_votes_.lower_bound(NoticeKey{notice.src_site, delivered + 1, {}}));
   if (ready.empty()) return;
   // A later record is believed but not the next: every notice of the next
   // was lost (nodes send theirs in commit order). Ask for them again.
@@ -827,12 +832,12 @@ void Participant::OnReadReply(const net::Message& msg) {
 
   LogRecord record;
   crypto::Digest digest{};
-  if (reply.found) {
+  if (reply.outcome == ReadOutcome::kFound) {
     if (!LogRecord::Decode(reply.record, &record).ok()) return;
     digest = record.ContentDigest();
     pending.values[digest] = record;
   }
-  auto& votes = pending.votes[digest];
+  auto& votes = pending.votes[{reply.outcome, digest}];
   votes.insert(msg.src);
 
   int needed = pending.strategy == ReadStrategy::kReadOne
@@ -841,16 +846,23 @@ void Participant::OnReadReply(const net::Message& msg) {
   if (static_cast<int>(votes.size()) < needed) return;
 
   ReadCallback done = std::move(pending.done);
-  bool found = reply.found;
-  LogRecord result = found ? pending.values[digest] : LogRecord{};
+  LogRecord result = reply.outcome == ReadOutcome::kFound
+                         ? pending.values[digest]
+                         : LogRecord{};
   sim_->Cancel(pending.retry_timer);
   reads_.erase(it);
-  if (done) {
-    if (found) {
+  if (!done) return;
+  switch (reply.outcome) {
+    case ReadOutcome::kFound:
       done(Status::OK(), std::move(result));
-    } else {
+      return;
+    case ReadOutcome::kNotFound:
       done(Status::NotFound("no committed entry at position"), LogRecord{});
-    }
+      return;
+    case ReadOutcome::kOutOfRange:
+      done(Status::OutOfRange("position below the unit's retained window"),
+           LogRecord{});
+      return;
   }
 }
 

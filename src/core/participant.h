@@ -90,6 +90,9 @@ class Participant : public net::Host {
 
   net::SiteId site() const { return site_; }
   uint64_t commits_completed() const { return commits_completed_; }
+  /// Received records with notices counted but not yet delivered (test
+  /// access).
+  size_t pending_notice_count() const { return notice_votes_.size(); }
   const BlockplaneOptions& options() const { return options_; }
 
  private:
@@ -259,7 +262,9 @@ class Participant : public net::Host {
     uint64_t pos = 0;
     ReadStrategy strategy;
     ReadCallback done;
-    std::map<crypto::Digest, std::set<net::NodeId>> votes;
+    /// Replies by outcome and record digest (zero unless found).
+    std::map<std::pair<ReadOutcome, crypto::Digest>, std::set<net::NodeId>>
+        votes;
     std::map<crypto::Digest, LogRecord> values;
     /// read-1 fallback: if the closest node is down, widen to the unit.
     sim::EventId retry_timer = sim::kInvalidEventId;

@@ -97,13 +97,26 @@ struct ReadRequestMsg {
   BP_WIRE(ReadRequestMsg, read_id, pos)
 };
 
+/// What a node holds at a read position: the entry, nothing committed
+/// yet, or a position at or below its horizon (DESIGN.md §10, retention).
+enum class ReadOutcome : uint8_t {
+  kNotFound = 0,
+  kFound = 1,
+  kOutOfRange = 2,
+};
+
+inline Status WireGet(Decoder* dec, ReadOutcome* outcome) {
+  return WireGetEnum(dec, outcome, ReadOutcome::kNotFound,
+                     ReadOutcome::kOutOfRange);
+}
+
 struct ReadReplyMsg {
   uint64_t read_id = 0;
   uint64_t pos = 0;
-  bool found = false;
+  ReadOutcome outcome = ReadOutcome::kNotFound;
   Bytes record;  // encoded LogRecord when found
 
-  BP_WIRE(ReadReplyMsg, read_id, pos, found, record)
+  BP_WIRE(ReadReplyMsg, read_id, pos, outcome, record)
 };
 
 /// Mirror gap backfill (§V, DESIGN.md §10): a lagging mirror group's
@@ -120,6 +133,41 @@ struct MirrorEntryMsg {
   Bytes record;  // encoded outer kMirrored LogRecord (with its proof)
 
   BP_WIRE(MirrorEntryMsg, origin_site, record)
+};
+
+/// A position per site: a reception watermark per source, or the last
+/// communication record per destination.
+struct SitePos {
+  net::SiteId site = -1;
+  uint64_t pos = 0;
+
+  BP_WIRE(SitePos, site, pos)
+};
+
+/// An API record quarantined at `seq` until the geo stream reaches
+/// `geo_pos` (DESIGN.md §10).
+struct QuarantinedRecord {
+  uint64_t geo_pos = 0;
+  uint64_t seq = 0;
+  RecordType type = RecordType::kLogCommit;
+  net::SiteId dest_site = -1;
+
+  BP_WIRE(QuarantinedRecord, geo_pos, seq, type, dest_site)
+};
+
+/// A unit node's state derived from its Local Log (DESIGN.md §10,
+/// retention): what every checkpoint certifies beside the value chain and
+/// the dedup window, and what a base page installs.
+struct DerivedState {
+  uint64_t applied_high = 0;
+  uint64_t api_record_count = 0;
+  std::vector<SitePos> received;   // by source site
+  std::vector<SitePos> last_comm;  // by destination site
+  uint64_t mirror_high = 0;
+  std::vector<QuarantinedRecord> quarantined;  // by geo position
+
+  BP_WIRE(DerivedState, applied_high, api_record_count, received, last_comm,
+          mirror_high, quarantined)
 };
 
 struct GeoProofBundleMsg {

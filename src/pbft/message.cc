@@ -27,4 +27,21 @@ Digest ChainDigest(const Digest& prev, uint64_t seq,
   return ctx.Finish();
 }
 
+Digest RequestDigest(uint64_t client_token, uint64_t req_id,
+                     const Digest& value_digest) {
+  uint8_t ids[16];
+  for (size_t i = 0; i < 8; ++i) {
+    ids[i] = static_cast<uint8_t>(client_token >> (8 * i));
+    ids[8 + i] = static_cast<uint8_t>(req_id >> (8 * i));
+  }
+  crypto::Sha256 ctx;
+  ctx.Update(ids, sizeof(ids));
+  ctx.Update(value_digest.data(), value_digest.size());
+  return ctx.Finish();
+}
+
+Digest CheckpointState::StateDigest() const {
+  return crypto::Sha256Digest(Encode());
+}
+
 }  // namespace blockplane::pbft

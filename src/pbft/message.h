@@ -4,9 +4,9 @@
 // Every control message is signed over a canonical body: a message-type
 // tag (so a prepare cannot be replayed as a commit) followed by every field
 // listed before the signature. The pre-prepare's signature covers the
-// header and the payload digest, not the payload itself — payload
-// integrity comes from the digest, exactly as in Castro & Liskov's
-// protocol.
+// header and the request digest, not the payload itself — payload
+// integrity comes from the digest (RequestDigest), exactly as in Castro &
+// Liskov's protocol.
 #ifndef BLOCKPLANE_PBFT_MESSAGE_H_
 #define BLOCKPLANE_PBFT_MESSAGE_H_
 
@@ -48,6 +48,14 @@ net::NodeId ClientFromToken(uint64_t token);
 /// move a value across such a gap.
 Digest ChainDigest(const Digest& prev, uint64_t seq,
                    const Digest& value_digest);
+
+/// The digest an instance's votes endorse: SHA-256(client_token || req_id
+/// || value_digest). Like Castro and Liskov's D(m) over the whole request,
+/// it binds the client and id that the dedup window records, so a leader
+/// cannot give replicas one value under two ids and a commit certificate
+/// proves the id a catch-up page carries.
+Digest RequestDigest(uint64_t client_token, uint64_t req_id,
+                     const Digest& value_digest);
 
 struct RequestMsg {
   uint64_t client_token = 0;
@@ -129,6 +137,32 @@ struct PreparedProof {
           preprepare_sig, prepare_sigs)
 };
 
+/// One entry of the dedup window: request (client, id) executed at `seq`.
+struct ExecutedRequest {
+  uint64_t seq = 0;
+  uint64_t client_token = 0;
+  uint64_t req_id = 0;
+
+  BP_WIRE(ExecutedRequest, Varint(seq), Varint(client_token), Varint(req_id))
+};
+
+/// What a checkpoint certifies: its `state_digest` is SHA-256 over this
+/// encoding (DESIGN.md §10, retention).
+struct CheckpointState {
+  /// The ChainDigest over every value executed up to the checkpoint.
+  Digest chain{};
+  /// The executor's derived state (PbftReplica::StateHooks::save); empty
+  /// without hooks.
+  Bytes app;
+  /// The dedup window: the requests executed at the 4·I sequence numbers
+  /// up to the checkpoint, by seq.
+  std::vector<ExecutedRequest> executed;
+
+  BP_WIRE(CheckpointState, chain, app, executed)
+
+  Digest StateDigest() const;
+};
+
 /// A stable checkpoint and its proof: 2f+1 checkpoint signatures over
 /// (seq, state_digest). Seq 0 is the initial state and needs no proof.
 struct StableCheckpoint {
@@ -194,14 +228,18 @@ struct CommittedEntry {
 
 /// One catch-up page, in seq order from the asker's `from_seq`: executed
 /// values up to the responder's next stable checkpoint (no entry for a
-/// no-op or duplicate), then committed entries above it. `new_view` holds
-/// the NEW-VIEW of the responder's view when the asker's view is lower.
+/// no-op or duplicate), then committed entries above it. `state` is what
+/// `checkpoint` certifies. A base page starts at the responder's oldest
+/// kept checkpoint and carries no values up to it: the asker installs
+/// `state` instead. `new_view` holds the NEW-VIEW of the responder's view
+/// when the asker's view is lower.
 struct SnapshotMsg {
   StableCheckpoint checkpoint;
+  CheckpointState state;
   std::vector<CommittedEntry> entries;
   std::vector<NewViewMsg> new_view;
 
-  BP_WIRE(SnapshotMsg, checkpoint, entries, Capped<1>(new_view))
+  BP_WIRE(SnapshotMsg, checkpoint, state, entries, Capped<1>(new_view))
 };
 
 }  // namespace blockplane::pbft

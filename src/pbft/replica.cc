@@ -155,17 +155,22 @@ bool PbftReplica::RunVerifier(const Bytes& value) const {
   return verifier_(value);
 }
 
+bool PbftReplica::KnownClient(uint64_t client_token) const {
+  const net::NodeId client = ClientFromToken(client_token);
+  return client.valid() && client.site < network_->topology().num_sites();
+}
+
 // --- client requests ---------------------------------------------------------
 
 void PbftReplica::OnRequest(const net::Message& msg) {
   RequestMsg request;
   if (!RequestMsg::Decode(msg.body(), &request).ok()) return;
+  // A reply to a token that names no node could not be sent.
+  if (!KnownClient(request.client_token)) return;
 
-  // Already executed? Re-send the cached reply (the client's first reply
-  // may have been lost).
-  auto executed_it = executed_reqs_.find(request.client_token);
-  if (executed_it != executed_reqs_.end() &&
-      executed_it->second.count(request.req_id) > 0) {
+  // Executed within the dedup window? Re-send the cached reply (the
+  // client's first reply may have been lost).
+  if (Executed(request.client_token, request.req_id)) {
     auto client_it = cached_replies_.find(request.client_token);
     if (client_it != cached_replies_.end()) {
       auto reply_it = client_it->second.find(request.req_id);
@@ -311,6 +316,7 @@ void PbftReplica::MaybeProposeNext() {
     // the check runs against the projected state (DESIGN.md §9).
     if (!AdmitValue(request.value)) {
       pipeline_stats().pbft_admission_rejects++;
+      assigned_requests_.erase({request.client_token, request.req_id});
       continue;
     }
     Propose(request.client_token, request.req_id, std::move(request.value),
@@ -340,7 +346,8 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
   PrePrepareMsg pp;
   pp.view = view_;
   pp.seq = seq;
-  pp.digest = crypto::Sha256Digest(value);
+  const Digest value_digest = crypto::Sha256Digest(value);
+  pp.digest = RequestDigest(client_token, req_id, value_digest);
   pp.client_token = client_token;
   pp.req_id = req_id;
   pp.value = std::move(value);
@@ -349,6 +356,7 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
   Instance& instance = instances_[seq];
   instance.view = view_;
   instance.digest = pp.digest;
+  instance.value_digest = value_digest;
   instance.has_preprepare = true;
   instance.preprepare_sig = pp.sig;
   instance.value = pp.value;
@@ -366,7 +374,8 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
       PrePrepareMsg forged = pp;
       if (parity++ % 2 == 1) {
         forged.value.push_back(0xEE);
-        forged.digest = crypto::Sha256Digest(forged.value);
+        forged.digest = RequestDigest(forged.client_token, forged.req_id,
+                                      crypto::Sha256Digest(forged.value));
         forged.sig = signer_->Sign(forged.CanonicalBody());
       }
       SendTo(node, kPrePrepare, forged.Encode(), trace_id);
@@ -384,7 +393,10 @@ void PbftReplica::OnPrePrepare(const net::Message& msg) {
   if (msg.src != config_.LeaderOf(pp.view)) return;
   if (!keys_->Verify(pp.CanonicalBody(), pp.sig)) return;
   if (pp.sig.signer != msg.src) return;
-  if (crypto::Sha256Digest(pp.value) != pp.digest) return;
+  const Digest value_digest = crypto::Sha256Digest(pp.value);
+  if (RequestDigest(pp.client_token, pp.req_id, value_digest) != pp.digest) {
+    return;
+  }
   if (pp.view != view_ || in_view_change_) return;
   if (pp.seq <= last_stable_) return;
   // Flood protection: reject sequence numbers far beyond our high
@@ -411,6 +423,7 @@ void PbftReplica::OnPrePrepare(const net::Message& msg) {
   }
   instance.view = pp.view;
   instance.digest = pp.digest;
+  instance.value_digest = value_digest;
   instance.has_preprepare = true;
   instance.preprepare_sig = pp.sig;
   instance.value = std::move(pp.value);
@@ -563,15 +576,16 @@ void PbftReplica::ExecuteReady() {
 
     bool is_noop = instance.client_token == 0 && instance.value.empty();
     bool duplicate =
-        !is_noop &&
-        executed_reqs_[instance.client_token].count(instance.req_id) > 0;
+        !is_noop && Executed(instance.client_token, instance.req_id);
 
     if (!is_noop && !duplicate) {
-      executed_reqs_[instance.client_token].insert(instance.req_id);
+      executed_window_.push_back(
+          {seq, instance.client_token, instance.req_id});
+      executed_reqs_.insert({instance.client_token, instance.req_id});
       if (!read_executed_) executed_log_[seq] = instance.value;
       // Chain the state digest (cheap: fixed 64-byte input).
-      state_digest_ = ChainDigest(state_digest_, seq, instance.digest);
-      if (execute_) execute_(seq, instance.value, instance.digest);
+      state_digest_ = ChainDigest(state_digest_, seq, instance.value_digest);
+      if (execute_) execute_(seq, instance.value, instance.value_digest);
       Tracer& tr = tracer();
       if (tr.enabled() && instance.trace_id != 0) {
         // Per-replica phase spans: how long this instance spent reaching
@@ -608,8 +622,17 @@ void PbftReplica::ExecuteReady() {
       sim_->Cancel(wit->second.timer);
       watched_requests_.erase(wit);
     }
+    assigned_requests_.erase({instance.client_token, instance.req_id});
     expected_digests_.erase(seq);
     ++last_executed_;
+    // The window slides by seq, not by executed value, so every replica
+    // holds the same pairs at a checkpoint.
+    while (!executed_window_.empty() &&
+           executed_window_.front().seq + RetainedSpan() <= last_executed_) {
+      const ExecutedRequest& oldest = executed_window_.front();
+      executed_reqs_.erase({oldest.client_token, oldest.req_id});
+      executed_window_.pop_front();
+    }
 
     if (last_executed_ % config_.checkpoint_interval == 0) {
       TakeCheckpoint(last_executed_);
@@ -638,7 +661,9 @@ void PbftReplica::MaybeAbandonViewChange() {
 }
 
 void PbftReplica::SendReply(const Instance& instance, uint64_t seq) {
-  if (instance.client_token == 0) return;
+  if (instance.client_token == 0 || !KnownClient(instance.client_token)) {
+    return;
+  }
   ReplyMsg reply;
   reply.view = view_;
   reply.req_id = instance.req_id;
@@ -674,19 +699,28 @@ void PbftReplica::OnFetchSnapshot(const net::Message& msg) {
   SnapshotMsg page;
   uint64_t from = std::max<uint64_t>(fetch.from_seq, 1);
   // The certified part: every value executed from `from` up to the first
-  // stable checkpoint at or above it. Its digest chain proves them all,
-  // with no entry for a no-op or duplicate position.
-  auto checkpoint = checkpoints_.lower_bound(from);
-  if (read_executed_ && checkpoint != checkpoints_.end() &&
-      checkpoint->first <= last_executed_) {
+  // kept checkpoint at or above it, and what that checkpoint certifies.
+  // The digest chain proves the values, with no entry for a no-op or
+  // duplicate position. At or below the horizon of an executor that
+  // dropped its values, the page is a base page: the horizon's state and
+  // no values.
+  const bool base = state_hooks_.drop && from <= horizon_;
+  for (auto checkpoint = checkpoints_.lower_bound(base ? horizon_ : from);
+       read_executed_ && checkpoint != checkpoints_.end() &&
+       checkpoint->first <= last_executed_;
+       ++checkpoint) {
+    auto state = states_.find(checkpoint->first);
+    if (state == states_.end()) continue;
     page.checkpoint = checkpoint->second;
+    page.state = state->second;
     Bytes value;
-    for (uint64_t seq = from; seq <= checkpoint->first; ++seq) {
+    for (uint64_t seq = from; !base && seq <= checkpoint->first; ++seq) {
       if (read_executed_(seq, &value)) {
         page.entries.push_back({seq, 0, 0, 0, std::move(value), {}});
       }
     }
     from = checkpoint->first + 1;
+    break;
   }
   // The live part: committed instances above the stable checkpoint, each
   // with its frozen certificate, up to one checkpoint interval per page.
@@ -703,7 +737,10 @@ void PbftReplica::OnFetchSnapshot(const net::Message& msg) {
     }
   }
   if (fetch.view < view_) page.new_view.push_back(new_view_);
-  if (page.entries.empty() && page.new_view.empty()) return;
+  if (page.checkpoint.seq == 0 && page.entries.empty() &&
+      page.new_view.empty()) {
+    return;
+  }
   SendTo(msg.src, kSnapshot, page.Encode());
 }
 
@@ -732,9 +769,13 @@ void PbftReplica::InstallPage(SnapshotMsg* page) {
       page->entries.begin(), page->entries.end(),
       [&](const CommittedEntry& e) { return e.seq > checkpoint.seq; });
   if (checkpoint.seq > last_executed_) {
-    // The values up to the checkpoint must chain from our executed state
-    // to its certified digest; check them all before executing any.
-    if (!ValidCheckpoint(checkpoint)) return;
+    // The checkpoint certifies the page's state; the values up to it must
+    // chain from our executed state to the state's chain. Check them all
+    // before executing any.
+    if (!ValidCheckpoint(checkpoint) ||
+        page->state.StateDigest() != checkpoint.state_digest) {
+      return;
+    }
     auto first = std::find_if(
         page->entries.begin(), live,
         [&](const CommittedEntry& e) { return e.seq > last_executed_; });
@@ -744,14 +785,24 @@ void PbftReplica::InstallPage(SnapshotMsg* page) {
       digests.push_back(crypto::Sha256Digest(it->value));
       chain = ChainDigest(chain, it->seq, digests.back());
     }
-    // A lying responder, or one that no longer holds every value.
-    if (chain != checkpoint.state_digest) return;
-    for (auto it = first; it != live; ++it) {
-      if (execute_) execute_(it->seq, it->value, digests[it - first]);
+    const bool base = chain != page->state.chain;
+    if (!base) {
+      for (auto it = first; it != live; ++it) {
+        if (execute_) execute_(it->seq, it->value, digests[it - first]);
+      }
+    } else if (first != live || !state_hooks_.load ||
+               !state_hooks_.load(checkpoint.seq, page->state.app)) {
+      // A lying responder, or one that no longer holds every value and
+      // an asker that must have them.
+      return;
     }
-    state_digest_ = chain;
+    state_digest_ = page->state.chain;
+    InstallExecuted(page->state.executed);
     last_executed_ = checkpoint.seq;
+    states_[checkpoint.seq] = std::move(page->state);
     AdoptStableCheckpoint(checkpoint);
+    // Nothing at or below a base is executed here.
+    if (base) SetHorizon(checkpoint.seq);
     // The admission projection needs no re-base: it is floored at applied
     // state, and a rebuild would forget this leader's uncommitted
     // proposals and admit their values a second time.
@@ -768,7 +819,9 @@ void PbftReplica::InstallPage(SnapshotMsg* page) {
     commit.type = kCommit;
     commit.view = entry.view;
     commit.seq = entry.seq;
-    commit.digest = crypto::Sha256Digest(entry.value);
+    const Digest value_digest = crypto::Sha256Digest(entry.value);
+    commit.digest =
+        RequestDigest(entry.client_token, entry.req_id, value_digest);
     const auto valid = ValidSigners(commit.CanonicalBody(), entry.commit_sigs);
     if (static_cast<int>(valid.size()) < config_.quorum()) continue;
 
@@ -780,6 +833,7 @@ void PbftReplica::InstallPage(SnapshotMsg* page) {
       // changes.
       instance.view = entry.view;
       instance.digest = commit.digest;
+      instance.value_digest = value_digest;
       instance.value = std::move(entry.value);
       instance.client_token = entry.client_token;
       instance.req_id = entry.req_id;
@@ -799,10 +853,35 @@ void PbftReplica::InstallPage(SnapshotMsg* page) {
 
 // --- checkpoints --------------------------------------------------------------
 
+CheckpointState PbftReplica::CurrentState() const {
+  CheckpointState state;
+  state.chain = state_digest_;
+  if (state_hooks_.save) state.app = state_hooks_.save();
+  state.executed.assign(executed_window_.begin(), executed_window_.end());
+  return state;
+}
+
+void PbftReplica::InstallExecuted(const std::vector<ExecutedRequest>& executed) {
+  executed_window_.assign(executed.begin(), executed.end());
+  executed_reqs_.clear();
+  for (const ExecutedRequest& request : executed) {
+    executed_reqs_.insert({request.client_token, request.req_id});
+    // Its watchdog would blame a leader for a request that already ran.
+    auto watched =
+        watched_requests_.find({request.client_token, request.req_id});
+    if (watched != watched_requests_.end()) {
+      sim_->Cancel(watched->second.timer);
+      watched_requests_.erase(watched);
+    }
+  }
+}
+
 void PbftReplica::TakeCheckpoint(uint64_t seq) {
+  CheckpointState state = CurrentState();
   CheckpointMsg cp;
   cp.seq = seq;
-  cp.state_digest = state_digest_;
+  cp.state_digest = state.StateDigest();
+  states_[seq] = std::move(state);
   cp.sig = signer_->Sign(cp.CanonicalBody());
   checkpoint_votes_[seq][cp.state_digest][index_] = cp.sig;
   Broadcast(kCheckpoint, cp.Encode());
@@ -847,6 +926,7 @@ bool PbftReplica::ValidCheckpoint(const StableCheckpoint& checkpoint) const {
 
 void PbftReplica::AdoptStableCheckpoint(StableCheckpoint checkpoint) {
   const uint64_t seq = checkpoint.seq;
+  if (seq < horizon_) return;
   checkpoints_.emplace(seq, std::move(checkpoint));
   if (seq <= last_stable_) return;
   // Stable: truncate everything at or below the checkpoint.
@@ -855,6 +935,28 @@ void PbftReplica::AdoptStableCheckpoint(StableCheckpoint checkpoint) {
   checkpoint_votes_.erase(checkpoint_votes_.begin(),
                           checkpoint_votes_.upper_bound(seq));
   executed_log_.erase(executed_log_.begin(), executed_log_.upper_bound(seq));
+  std::erase_if(canonical_memo_, [seq](const auto& entry) {
+    return std::get<2>(entry.first) <= seq;
+  });
+  // Move the horizon to the newest checkpoint at or below seq - 4·I that
+  // a page can start at: one with a certificate and a state.
+  if (seq <= RetainedSpan()) return;
+  for (auto it = checkpoints_.upper_bound(seq - RetainedSpan());
+       it != checkpoints_.begin();) {
+    --it;
+    if (it->first <= horizon_) return;
+    if (states_.count(it->first) > 0) {
+      SetHorizon(it->first);
+      return;
+    }
+  }
+}
+
+void PbftReplica::SetHorizon(uint64_t horizon) {
+  horizon_ = horizon;
+  checkpoints_.erase(checkpoints_.begin(), checkpoints_.lower_bound(horizon));
+  states_.erase(states_.begin(), states_.lower_bound(horizon));
+  if (state_hooks_.drop) state_hooks_.drop(horizon);
 }
 
 // --- view changes --------------------------------------------------------------
@@ -999,9 +1101,13 @@ void PbftReplica::MaybeSendNewView(uint64_t v) {
 }
 
 int PbftReplica::ValidPrepares(const PreparedProof& proof) const {
-  // An executed instance's digest must be the digest of its value
-  // (ExecuteCallback hands it on instead of rehashing).
-  if (crypto::Sha256Digest(proof.value) != proof.digest) return -1;
+  // The digest must be the request digest of the proof's client, id and
+  // value: it is what the votes endorse and what the dedup window
+  // records.
+  if (RequestDigest(proof.client_token, proof.req_id,
+                    crypto::Sha256Digest(proof.value)) != proof.digest) {
+    return -1;
+  }
   // The pre-prepare must be signed by the leader of the view it cites.
   PrePrepareMsg pp;
   pp.view = proof.view;
@@ -1141,7 +1247,7 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
       proof.value.clear();
       proof.client_token = 0;
       proof.req_id = 0;
-      proof.digest = crypto::Sha256Digest(proof.value);
+      proof.digest = RequestDigest(0, 0, crypto::Sha256Digest(proof.value));
     }
     auto inst_it = instances_.find(seq);
     if (inst_it != instances_.end() && inst_it->second.committed) {
@@ -1182,6 +1288,7 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
       Instance& instance = instances_[seq];
       instance.view = view_;
       instance.digest = pp.digest;
+      instance.value_digest = crypto::Sha256Digest(pp.value);
       instance.has_preprepare = true;
       instance.preprepare_sig = pp.sig;
       instance.value = pp.value;

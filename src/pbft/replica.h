@@ -125,10 +125,41 @@ class PbftReplica : public net::Host {
   using ReadExecuted = std::function<bool(uint64_t seq, Bytes* value)>;
   void SetReadExecuted(ReadExecuted read) { read_executed_ = std::move(read); }
 
+  /// The executor's derived state, for an executor that keeps a bounded
+  /// window of values (DESIGN.md §10, retention). `save` encodes it right
+  /// after an execution; every checkpoint certifies it with the value
+  /// chain and the dedup window. When the replica adopts stable checkpoint
+  /// c it moves its horizon to its newest checkpoint at or below c - 4·I
+  /// and calls `drop` with it: pages no longer read values at or below it.
+  /// A fetch at or below the horizon gets a base page, which an asker
+  /// installs through `load` (false: malformed) instead of executing the
+  /// values. Without hooks, pages always carry the values.
+  struct StateHooks {
+    std::function<Bytes()> save;
+    std::function<bool(uint64_t seq, const Bytes& state)> load;
+    std::function<void(uint64_t horizon)> drop;
+  };
+  void SetStateHooks(StateHooks hooks) { state_hooks_ = std::move(hooks); }
+
+  /// The oldest stable checkpoint whose certificate and state this replica
+  /// keeps (0 before the first move); pages start at or above it.
+  uint64_t horizon() const { return horizon_; }
+  /// The oldest stable checkpoint certificate kept (test access).
+  uint64_t oldest_checkpoint() const {
+    return checkpoints_.empty() ? 0 : checkpoints_.begin()->first;
+  }
+  /// Sizes of the dedup window and of the leader's proposed-request set
+  /// (test access).
+  size_t executed_request_count() const { return executed_window_.size(); }
+  size_t assigned_request_count() const { return assigned_requests_.size(); }
+
  private:
   struct Instance {
     uint64_t view = 0;
+    /// The RequestDigest the votes endorse, and the value's own digest,
+    /// which the value chain links.
     Digest digest{};
+    Digest value_digest{};
     bool has_preprepare = false;
     Signature preprepare_sig;
     Bytes value;
@@ -236,11 +267,29 @@ class PbftReplica : public net::Host {
   /// 2f+1 distinct valid checkpoint signatures (seq 0 needs none).
   bool ValidCheckpoint(const StableCheckpoint& checkpoint) const;
   /// Keeps `checkpoint`'s certificate and, if it is above the last stable
-  /// checkpoint, makes it the new one and truncates the log below it.
+  /// checkpoint, makes it the new one, truncates the log below it and
+  /// moves the horizon.
   void AdoptStableCheckpoint(StableCheckpoint checkpoint);
-  /// Executes the certified part of `page` and fills committed instances
-  /// from its certified entries above the checkpoint (moving their values).
+  /// Drops the certificates and states below `horizon` and tells the
+  /// executor (StateHooks::drop).
+  void SetHorizon(uint64_t horizon);
+  /// Executes the certified part of `page`, or installs its base state,
+  /// and fills committed instances from its certified entries above the
+  /// checkpoint (moving their values).
   void InstallPage(SnapshotMsg* page);
+
+  // -- the dedup window --
+  /// Sequence numbers a request counts as executed for after the one that
+  /// executed it, and the span of values kept below the last stable
+  /// checkpoint: 4·I.
+  uint64_t RetainedSpan() const { return 4 * config_.checkpoint_interval; }
+  bool Executed(uint64_t client_token, uint64_t req_id) const {
+    return executed_reqs_.count({client_token, req_id}) > 0;
+  }
+  /// What a checkpoint taken now certifies.
+  CheckpointState CurrentState() const;
+  /// Replaces the dedup window with a certified one.
+  void InstallExecuted(const std::vector<ExecutedRequest>& executed);
 
   // -- view changes --
   void ArmProgressTimer(uint64_t seq);
@@ -281,6 +330,9 @@ class PbftReplica : public net::Host {
   /// bogus-digest votes) bypass the memo.
   const Bytes& CanonicalBodyFor(const VoteMsg& vote);
   bool RunVerifier(const Bytes& value) const;
+  /// Whether a client token names a node of the topology. A request
+  /// carries no integrity check, so a corrupted one may name none.
+  bool KnownClient(uint64_t client_token) const;
 
   net::Network* network_;
   sim::Simulator* sim_;
@@ -322,7 +374,8 @@ class PbftReplica : public net::Host {
   /// (partial drain included) closes the episode.
   bool window_stalled_ = false;
   std::deque<PendingRequest> pending_requests_;
-  /// Requests already assigned a sequence number (leader-side dedup).
+  /// Requests queued or proposed and not yet executed (leader-side dedup;
+  /// OnRequest checks the dedup window first).
   std::set<std::pair<uint64_t, uint64_t>> assigned_requests_;
 
   std::map<uint64_t, Instance> instances_;  // by seq
@@ -331,20 +384,30 @@ class PbftReplica : public net::Host {
   std::map<uint64_t, Bytes> executed_log_;
   Digest state_digest_{};  // rolling digest chained over executed values
 
-  /// Per-client dedup of executed requests and cached replies. Request ids
-  /// are tracked as sets: concurrent submissions may execute out of id
-  /// order under network jitter.
-  std::unordered_map<uint64_t, std::set<uint64_t>> executed_reqs_;
+  /// The dedup window (DESIGN.md §10, retention): the requests executed at
+  /// the last RetainedSpan() sequence numbers, by seq, and their (client,
+  /// id) pairs. A request counts as executed for that many sequence
+  /// numbers after the one that executed it, at every replica alike:
+  /// checkpoints certify the window and pages install it.
+  std::deque<ExecutedRequest> executed_window_;
+  std::set<std::pair<uint64_t, uint64_t>> executed_reqs_;
+  /// Cached replies per client, for re-sent requests in the window.
   std::unordered_map<uint64_t, std::map<uint64_t, Bytes>> cached_replies_;
 
   ReadExecuted read_executed_;
+  StateHooks state_hooks_;
 
   /// Checkpoint votes: seq -> digest -> signatures by replica index.
   std::map<uint64_t, std::map<Digest, std::map<int32_t, Signature>>>
       checkpoint_votes_;
-  /// Every stable checkpoint's certificate, by seq (about 200 B per
-  /// interval); the last is at `last_stable_`. A page ends at one of them.
+  /// Stable checkpoints' certificates from the horizon up, by seq (about
+  /// 200 B per interval); the last is at `last_stable_`.
   std::map<uint64_t, StableCheckpoint> checkpoints_;
+  /// What each checkpoint from the horizon up certifies, saved when this
+  /// replica executed it or installed a page ending at it. A page ends at
+  /// a checkpoint that has both a certificate and a state.
+  std::map<uint64_t, CheckpointState> states_;
+  uint64_t horizon_ = 0;
   /// The NEW-VIEW that installed `view_` (unset in view 0), relayed in
   /// pages to peers in a lower view.
   NewViewMsg new_view_;
@@ -370,9 +433,9 @@ class PbftReplica : public net::Host {
   std::map<uint64_t, Digest> expected_digests_;
 
   /// Memo for CanonicalBodyFor: (vote type, view, seq) -> (digest, encoded
-  /// canonical body). Bounded: cleared wholesale past kCanonicalMemoMax
-  /// entries (deterministic, and instances churn fast enough that a full
-  /// reset is cheap).
+  /// canonical body). Entries at or below a new stable checkpoint go with
+  /// its instances; past kCanonicalMemoMax entries the memo is cleared
+  /// wholesale (deterministic, and a full reset is cheap).
   struct CanonicalMemoEntry {
     Digest digest{};
     Bytes body;

@@ -464,15 +464,75 @@ TEST(BlockplaneCoreTest, ReadMissingPositionIsNotFound) {
       harness.simulator_.RunUntilCondition([&] { return done; }, Seconds(30)));
 }
 
-TEST(BlockplaneCoreTest, PrunedLogKeepsCommunicationRecords) {
-  // With prune_applied_log = 8 a node drops every entry more than 8
-  // positions behind the newest one it applied, except communication
-  // records: those stay for good.
+TEST(BlockplaneCoreTest, ReadBelowTheWindowIsOutOfRange) {
+  // At I = 8 a unit node keeps the entries above its stable checkpoint
+  // minus 4·I: after 100 commits position 1 is gone from every node.
   BlockplaneOptions options;
-  options.prune_applied_log = 8;
+  options.checkpoint_interval = 8;
   CoreHarness harness(options);
+  for (int i = 0; i < 100; ++i) harness.CommitAndWait(kCalifornia, "commit");
+  harness.simulator_.RunFor(Seconds(1));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_GE(harness.deployment_.node(kCalifornia, i)->horizon(), 1u);
+  }
   Participant* california = harness.deployment_.participant(kCalifornia);
-  for (uint64_t i = 1; i <= 40; ++i) {
+  auto read = [&](uint64_t pos) {
+    Status result;
+    bool done = false;
+    california->Read(pos, ReadStrategy::kReadQuorum,
+                     [&](Status status, LogRecord) {
+                       result = status;
+                       done = true;
+                     });
+    EXPECT_TRUE(harness.simulator_.RunUntilCondition(
+        [&] { return done; }, harness.simulator_.Now() + Seconds(30)));
+    return result;
+  };
+  EXPECT_TRUE(read(1).IsOutOfRange()) << read(1);
+  EXPECT_TRUE(read(1000).IsNotFound()) << read(1000);
+  EXPECT_TRUE(read(100).ok()) << read(100);
+}
+
+TEST(BlockplaneCoreTest, ValueThatDoesNotReencodeIsNotCommitted) {
+  // A node keeps decoded records and catch-up pages re-encode them, so a
+  // value with trailing bytes could never be proven by a page: honest
+  // replicas neither admit nor commit one.
+  CoreHarness harness;
+  LogRecord record;
+  record.payload = ToBytes("padded");
+  pbft::RequestMsg request;
+  request.client_token = pbft::ClientToken({kCalifornia, 2});
+  request.req_id = 999;
+  request.value = record.Encode();
+  request.value.push_back(0);
+  for (int i = 0; i < 4; ++i) {
+    net::Message msg;
+    msg.src = {kCalifornia, 2};
+    msg.dst = {kCalifornia, i};
+    msg.type = pbft::kRequest;
+    msg.set_body(request.Encode());
+    harness.deployment_.network()->Send(std::move(msg));
+  }
+  harness.simulator_.RunFor(Seconds(5));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(harness.deployment_.node(kCalifornia, i)->applied_high(), 0u);
+  }
+  EXPECT_EQ(harness.CommitAndWait(kCalifornia, "canonical"), 1u);
+}
+
+TEST(BlockplaneCoreTest, PrunedLogKeepsCommunicationRecords) {
+  // A unit node drops the entries at or below its stable checkpoint minus
+  // 4·I, except communication records its daemon has not yet seen f_i+1
+  // receivers hold. Oregon is cut off for more than 6·I of California's
+  // positions, so every send to it is at or below the horizon by the heal.
+  BlockplaneOptions options;
+  options.checkpoint_interval = 8;
+  CoreHarness harness(options);
+  Deployment& deployment = harness.deployment_;
+  deployment.network()->PartitionSites(kCalifornia, kOregon);
+  Participant* california = deployment.participant(kCalifornia);
+  std::vector<uint64_t> sends;
+  for (uint64_t i = 1; i <= 60; ++i) {
     if (i % 10 != 6) {
       ASSERT_EQ(harness.CommitAndWait(kCalifornia, "commit"), i);
       continue;
@@ -483,10 +543,26 @@ TEST(BlockplaneCoreTest, PrunedLogKeepsCommunicationRecords) {
     ASSERT_TRUE(harness.simulator_.RunUntilCondition(
         [&] { return pos != 0; }, harness.simulator_.Now() + Seconds(60)));
     ASSERT_EQ(pos, i);
+    sends.push_back(pos);
+  }
+  auto held = [&](int index, uint64_t pos) {
+    return deployment.node(kCalifornia, index)->log().count(pos) > 0;
+  };
+  // Nodes 0-2 host Oregon's daemon and its reserves: they keep every
+  // undelivered send. Node 3 hosts none and keeps only what is above its
+  // horizon.
+  for (int i = 0; i < 4; ++i) {
+    BlockplaneNode* node = deployment.node(kCalifornia, i);
+    ASSERT_GE(node->horizon(), 16u) << "node " << i;
+    for (uint64_t pos : sends) {
+      EXPECT_EQ(held(i, pos), i < 3 || pos > node->horizon())
+          << "node " << i << " pos " << pos;
+    }
   }
 
-  // Oregon receives every send.
-  Participant* oregon = harness.deployment_.participant(kOregon);
+  // After the heal Oregon receives every send once, in order.
+  deployment.network()->HealPartition(kCalifornia, kOregon);
+  Participant* oregon = deployment.participant(kOregon);
   std::vector<std::string> received;
   ASSERT_TRUE(harness.simulator_.RunUntilCondition(
       [&] {
@@ -494,34 +570,88 @@ TEST(BlockplaneCoreTest, PrunedLogKeepsCommunicationRecords) {
         while (oregon->TryReceive(kCalifornia, &payload)) {
           received.push_back(ToString(payload));
         }
-        return received.size() == 4;
+        return received.size() == sends.size();
       },
       harness.simulator_.Now() + Seconds(60)));
-  EXPECT_EQ(received, (std::vector<std::string>{"send 6", "send 16",
-                                                "send 26", "send 36"}));
+  std::vector<std::string> want;
+  for (uint64_t pos : sends) want.push_back("send " + std::to_string(pos));
+  EXPECT_EQ(received, want);
 
-  // Each unit node holds positions 32-40 plus the three older
-  // communication records (36 is recent enough to stay anyway).
-  std::vector<uint64_t> want = {6, 16, 26};
-  for (uint64_t pos = 32; pos <= 40; ++pos) want.push_back(pos);
+  // Once the active daemon's acks and the reserves' polls show the sends
+  // delivered, the next checkpoints drop them everywhere.
+  harness.simulator_.RunFor(Seconds(2));
+  for (int i = 0; i < 6 * 8; ++i) harness.CommitAndWait(kCalifornia, "more");
+  harness.simulator_.RunFor(Seconds(1));
+  Bytes payload;
+  EXPECT_FALSE(oregon->TryReceive(kCalifornia, &payload));
   for (int i = 0; i < 4; ++i) {
-    std::vector<uint64_t> held;
-    for (const auto& [pos, record] :
-         harness.deployment_.node(kCalifornia, i)->log()) {
-      held.push_back(pos);
+    BlockplaneNode* node = deployment.node(kCalifornia, i);
+    ASSERT_GT(node->horizon(), sends.back()) << "node " << i;
+    for (uint64_t pos : sends) {
+      EXPECT_FALSE(held(i, pos)) << "node " << i << " pos " << pos;
     }
-    EXPECT_EQ(held, want) << "node " << i;
   }
+}
 
-  // A pruned entry is gone from every node: a quorum read finds nothing.
-  bool done = false;
-  california->Read(1, ReadStrategy::kReadQuorum,
-                   [&](Status status, LogRecord) {
-                     EXPECT_TRUE(status.IsNotFound()) << status;
-                     done = true;
-                   });
+TEST(BlockplaneCoreTest, UnitLogsStayWithinTheRetainedWindow) {
+  // 5,000 commits and sends at I = 8: every unit node ends with at most
+  // 4·I entries below its stable checkpoint plus the HighWatermark span
+  // above it, a dedup window of at most 4·I requests, and checkpoint
+  // certificates from its horizon up.
+  BlockplaneOptions options;
+  options.checkpoint_interval = 8;
+  CoreHarness harness(options);
+  Deployment& deployment = harness.deployment_;
+  Participant* california = deployment.participant(kCalifornia);
+  Participant* oregon = deployment.participant(kOregon);
+  int sent = 0;
+  int received = 0;
+  oregon->SetReceiveHandler([&](net::SiteId, const Bytes&) { ++received; });
+  for (int i = 0; i < 5000; ++i) {
+    if (i % 5 == 1 || i % 5 == 3) {
+      bool done = false;
+      california->Send(kOregon, ToBytes("send " + std::to_string(i)), 0,
+                       [&](uint64_t) { done = true; });
+      ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+          [&] { return done; }, harness.simulator_.Now() + Seconds(60)));
+      ++sent;
+    } else {
+      harness.CommitAndWait(kCalifornia, "commit " + std::to_string(i));
+    }
+  }
   ASSERT_TRUE(harness.simulator_.RunUntilCondition(
-      [&] { return done; }, harness.simulator_.Now() + Seconds(30)));
+      [&] { return received == sent; },
+      harness.simulator_.Now() + Seconds(60)));
+  // The reserves learn of deliveries from polls 800 ms apart; let them
+  // poll, then let two more intervals commit at both ends.
+  harness.simulator_.RunFor(Seconds(2));
+  for (int i = 0; i < 2 * 8; ++i) {
+    harness.CommitAndWait(kCalifornia, "tail");
+    harness.CommitAndWait(kOregon, "tail");
+  }
+  harness.simulator_.RunFor(Seconds(1));
+
+  constexpr uint64_t kInterval = 8;
+  const uint64_t span = 2 * kInterval;  // HighWatermark at window 1
+  for (net::SiteId site : {kCalifornia, kOregon}) {
+    for (int i = 0; i < 4; ++i) {
+      BlockplaneNode* node = deployment.node(site, i);
+      const pbft::PbftReplica* replica = node->replica();
+      SCOPED_TRACE("site " + std::to_string(site) + " node " +
+                   std::to_string(i));
+      EXPECT_LE(node->log().size(), 4 * kInterval + span);
+      EXPECT_GT(node->horizon(), 0u);
+      EXPECT_EQ(node->horizon(), replica->horizon());
+      EXPECT_EQ(replica->oldest_checkpoint(), replica->horizon());
+      EXPECT_LE(replica->executed_request_count(), 4 * kInterval);
+    }
+  }
+  // Per-op bookkeeping that nothing reads once the op is done is gone too,
+  // after 2,000 sends.
+  ASSERT_EQ(sent, 2000);
+  EXPECT_LE(deployment.node(kOregon, 0)->replica()->assigned_request_count(),
+            4 * kInterval);
+  EXPECT_LE(oregon->pending_notice_count(), 4 * kInterval);
 }
 
 // --- geo-correlated fault tolerance (§V) ----------------------------------------

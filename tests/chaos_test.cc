@@ -193,6 +193,49 @@ TEST(ChaosEngineTest, GeoReorderLeaderNoLongerStallsParticipant) {
   EXPECT_GT(rs.viewchange_attempts, 0);
 }
 
+// Every unit log runs past 6·I positions at the default interval, so I1
+// compares logs that dropped their prefix. The view-0 leader of site 0,
+// which also runs its active daemons, is down for more than 4·I of its
+// unit's positions and catches up from a base state. Site 0 is cut off
+// from site 1 until the workload ends, so site 0's daemon hosts still
+// hold sends below their horizon that node 3 dropped.
+TEST(ChaosEngineTest, CollectedLogsHoldInvariants) {
+  CampaignConfig config;
+  config.seed = 23;
+  config.schedule = ScheduleTemplate::kCrashHeavy;  // label only
+  config.num_sites = 3;
+  config.fi = 1;
+  config.ops_per_site = 1000;
+  config.sends_per_site = 300;
+  config.horizon = sim::Seconds(20);
+  config.deadline = sim::Seconds(60);
+
+  Campaign campaign;
+  campaign.config = config;
+  campaign.actions.push_back(
+      {sim::Seconds(2), FaultType::kCrashNode, 0, -1, 0});
+  campaign.actions.push_back(
+      {sim::Seconds(10), FaultType::kRecoverNode, 0, -1, 0});
+  campaign.actions.push_back({sim::Seconds(12), FaultType::kPartition, 0, 1});
+  campaign.actions.push_back({config.horizon, FaultType::kHealAll});
+
+  ChaosReport report = RunCampaign(campaign);
+  EXPECT_TRUE(report.ok) << report.ToString() << "\n" << campaign.ToJson();
+  EXPECT_EQ(report.completions, report.expected_completions);
+}
+
+// A corruption burst flips a byte of a request's client token, so the
+// token names no node. A replica that executed it replied to that token
+// and aborted the run; replicas now drop such a request on arrival.
+TEST(ChaosEngineTest, CorruptedClientTokenDoesNotAbort) {
+  CampaignConfig config;
+  config.seed = 255;
+  config.schedule = ScheduleTemplate::kPartitionHeavy;
+  Campaign campaign = CompileCampaign(config);
+  ChaosReport report = RunCampaign(campaign);
+  EXPECT_TRUE(report.ok) << report.ToString() << "\n" << campaign.ToJson();
+}
+
 // One quick end-to-end campaign per template — the soak test covers many
 // seeds; this keeps a cheap always-on sanity check in the default suite.
 TEST(ChaosEngineTest, OneCampaignPerTemplateHoldsInvariants) {

@@ -56,6 +56,7 @@ void DecodeEverything(const Bytes& input) {
   DecodeAs<core::MirrorFetchMsg>(input);
   DecodeAs<core::MirrorEntryMsg>(input);
   DecodeAs<core::GeoProofBundleMsg>(input);
+  DecodeAs<core::DerivedState>(input);
   {
     std::vector<Bytes> ops;
     (void)core::Batcher::DecodeBatch(input, &ops);
@@ -69,6 +70,7 @@ void DecodeEverything(const Bytes& input) {
   DecodeAs<pbft::ReplyMsg>(input);
   DecodeAs<pbft::CheckpointMsg>(input);
   DecodeAs<pbft::StableCheckpoint>(input);
+  DecodeAs<pbft::CheckpointState>(input);
   DecodeAs<pbft::FetchSnapshotMsg>(input);
   DecodeAs<pbft::CommittedEntry>(input);
   DecodeAs<pbft::SnapshotMsg>(input);

@@ -167,6 +167,9 @@ TEST(PbftMessageTest, SnapshotRoundTrip) {
   msg.checkpoint.state_digest = TestDigest(0x88);
   msg.checkpoint.cert = {TestSig({0, 0}, 1), TestSig({0, 1}, 2),
                          TestSig({0, 2}, 3)};
+  msg.state.chain = TestDigest(0x99);
+  msg.state.app = ToBytes("derived state");
+  msg.state.executed = {{126, 0x100000003e9, 7}, {127, 0x100000003e9, 8}};
   CommittedEntry below;
   below.seq = 127;
   below.value = ToBytes("executed");
@@ -180,6 +183,12 @@ TEST(PbftMessageTest, SnapshotRoundTrip) {
   EXPECT_EQ(out.checkpoint.seq, 128u);
   EXPECT_EQ(out.checkpoint.state_digest, msg.checkpoint.state_digest);
   ASSERT_EQ(out.checkpoint.cert.size(), 3u);
+  // What the checkpoint certifies round-trips to the same digest.
+  EXPECT_EQ(out.state.chain, msg.state.chain);
+  EXPECT_EQ(out.state.app, msg.state.app);
+  ASSERT_EQ(out.state.executed.size(), 2u);
+  EXPECT_EQ(out.state.executed[1].req_id, 8u);
+  EXPECT_EQ(out.state.StateDigest(), msg.state.StateDigest());
   ASSERT_EQ(out.entries.size(), 1u);
   EXPECT_EQ(out.entries[0].seq, 127u);
   EXPECT_EQ(out.entries[0].value, below.value);

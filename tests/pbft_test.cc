@@ -181,10 +181,10 @@ TEST(PbftTest, LeaderCrashTriggersViewChange) {
 }
 
 TEST(PbftTest, ExecutedDigestIsTheValueDigestAcrossViewChange) {
-  // The execute callback hands on the instance digest instead of letting
-  // the application rehash the value, so it must be the value's SHA-256
-  // on every path that fills an instance: the leader's proposal, verified
-  // pre-prepares, and prepared proposals carried into a new view.
+  // The execute callback hands on the instance's value digest instead of
+  // letting the application rehash the value, so it must be the value's
+  // SHA-256 on every path that fills an instance: the leader's proposal,
+  // verified pre-prepares, and prepared proposals carried into a new view.
   PbftHarness harness(1);
   for (auto& replica : harness.replicas_) {
     const_cast<PbftConfig&>(replica->config()).window = 4;
@@ -281,7 +281,8 @@ TEST(PbftTest, NewViewCannotDropPreparedProofs) {
     pp.view = view;
     pp.seq = 1;
     pp.value = ToBytes(value);
-    pp.digest = crypto::Sha256Digest(pp.value);
+    pp.digest = RequestDigest(pp.client_token, pp.req_id,
+                              crypto::Sha256Digest(pp.value));
     pp.sig = signers[view]->Sign(pp.CanonicalBody());
     deliver(static_cast<int>(view), kPrePrepare, pp.Encode());
     return pp;
@@ -366,7 +367,8 @@ class ScriptedPeers {
     pp.client_token = 7;
     pp.req_id = seq;
     pp.value = value;
-    pp.digest = crypto::Sha256Digest(pp.value);
+    pp.digest = RequestDigest(pp.client_token, pp.req_id,
+                              crypto::Sha256Digest(pp.value));
     pp.sig = signers_[view]->Sign(pp.CanonicalBody());
     Deliver(static_cast<int>(view), kPrePrepare, pp.Encode());
     return pp;
@@ -492,7 +494,10 @@ TEST(PbftTest, UnprovenStableCheckpointIsIgnoredInViewChange) {
 /// its view signed the pre-prepare, and 2f other replicas the prepare.
 bool ProofValidates(const PbftConfig& config, const crypto::KeyStore& keys,
                     const PreparedProof& proof) {
-  if (crypto::Sha256Digest(proof.value) != proof.digest) return false;
+  if (RequestDigest(proof.client_token, proof.req_id,
+                    crypto::Sha256Digest(proof.value)) != proof.digest) {
+    return false;
+  }
   PrePrepareMsg pp;
   pp.view = proof.view;
   pp.seq = proof.seq;
@@ -576,12 +581,14 @@ TEST(PbftTest, PageCannotMoveAValuePastANoOpGap) {
   ScriptedPeers group(/*real=*/3);
   const std::map<uint64_t, std::string> values = {
       {1, "a"}, {2, "b"}, {3, "c"}, {5, "e"}, {6, "f"}};
+  CheckpointState state;
+  for (const auto& [seq, value] : values) {
+    state.chain = ChainDigest(state.chain, seq,
+                              crypto::Sha256Digest(ToBytes(value)));
+  }
   StableCheckpoint checkpoint;
   checkpoint.seq = 6;
-  for (const auto& [seq, value] : values) {
-    checkpoint.state_digest = ChainDigest(
-        checkpoint.state_digest, seq, crypto::Sha256Digest(ToBytes(value)));
-  }
+  checkpoint.state_digest = state.StateDigest();
   const CheckpointMsg vote{checkpoint.seq, checkpoint.state_digest, {}};
   for (int i = 0; i < 3; ++i) {
     checkpoint.cert.push_back(group.signers_[i]->Sign(vote.CanonicalBody()));
@@ -589,6 +596,7 @@ TEST(PbftTest, PageCannotMoveAValuePastANoOpGap) {
   auto deliver_page = [&](const std::map<uint64_t, std::string>& entries) {
     SnapshotMsg page;
     page.checkpoint = checkpoint;
+    page.state = state;
     for (const auto& [seq, value] : entries) {
       page.entries.push_back({seq, 0, 0, 0, ToBytes(value), {}});
     }
@@ -604,6 +612,37 @@ TEST(PbftTest, PageCannotMoveAValuePastANoOpGap) {
   EXPECT_EQ(group.replica_.last_executed(), 6u);
   EXPECT_EQ(group.replica_.last_stable_checkpoint(), 6u);
   EXPECT_EQ(group.executed_, values);
+}
+
+TEST(PbftTest, PageCannotRenameARequest) {
+  // A commit certificate endorses the request digest, which binds the
+  // client and id along with the value. A page entry that carries the
+  // certified value under another id must not install: the dedup window
+  // would record an id its peers never executed.
+  ScriptedPeers group(/*real=*/3);
+  const Bytes value = ToBytes("v");
+  VoteMsg commit;
+  commit.type = kCommit;
+  commit.view = 0;
+  commit.seq = 1;
+  commit.digest = RequestDigest(7, 1, crypto::Sha256Digest(value));
+  CommittedEntry entry{1, 0, 7, 1, value, {}};
+  for (int i = 0; i < 3; ++i) {
+    entry.commit_sigs.push_back(
+        group.signers_[i]->Sign(commit.CanonicalBody()));
+  }
+  auto deliver_page = [&](uint64_t req_id) {
+    SnapshotMsg page;
+    page.entries.push_back(entry);
+    page.entries.back().req_id = req_id;
+    group.Deliver(1, kSnapshot, page.Encode());
+  };
+  deliver_page(2);
+  EXPECT_EQ(group.replica_.last_executed(), 0u);
+  EXPECT_TRUE(group.executed_.empty());
+  deliver_page(1);
+  EXPECT_EQ(group.replica_.last_executed(), 1u);
+  EXPECT_EQ(group.executed_.at(1), "v");
 }
 
 TEST(PbftTest, VerificationRoutineBlocksInvalidValues) {
@@ -644,6 +683,35 @@ TEST(PbftTest, CheckpointTruncatesLog) {
   // Entries at or below the stable checkpoint were truncated.
   EXPECT_LT(harness.LogOf(0).size(), 10u);
   EXPECT_EQ(harness.replicas_[0]->last_executed(), 10u);
+}
+
+TEST(PbftTest, RequestFromNoNodeIsDropped) {
+  // A request carries no integrity check: a flipped byte of its client
+  // token can name no node at all (a negative site, or one past the
+  // topology). Replying to it would abort the run, so no replica caches,
+  // queues, forwards, watches or executes it.
+  PbftHarness harness(1);
+  for (NodeId client : {NodeId{-3, 1000}, NodeId{0, -1}, NodeId{9, 1000}}) {
+    RequestMsg request;
+    request.client_token = ClientToken(client);
+    request.req_id = 1;
+    request.value = ToBytes("from nowhere");
+    for (const NodeId& replica : harness.config_.nodes) {
+      net::Message msg;
+      msg.src = NodeId{0, 1000};
+      msg.dst = replica;
+      msg.type = kRequest;
+      msg.set_body(request.Encode());
+      harness.network_.Send(std::move(msg));
+    }
+  }
+  harness.simulator_.RunFor(Seconds(5));
+  EXPECT_TRUE(harness.executions_.empty());
+  for (const auto& replica : harness.replicas_) {
+    EXPECT_EQ(replica->view(), 0u);
+  }
+  ASSERT_TRUE(harness.CommitAndWait("from a client"));
+  EXPECT_EQ(harness.replicas_[0]->last_executed(), 1u);
 }
 
 TEST(PbftTest, WideAreaDeployment) {

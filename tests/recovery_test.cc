@@ -3,10 +3,13 @@
 // by their own commit certificates, and adopts the view its peers moved to.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/deployment.h"
+#include "core/wire.h"
 #include "crypto/sha256.h"
 #include "net/topology.h"
 #include "pbft/message.h"
@@ -94,7 +97,8 @@ TEST(RecoveryTest, ShortOutageRecoversViaCatchUp) {
       commit.type = pbft::kCommit;
       commit.view = entry.view;
       commit.seq = entry.seq;
-      commit.digest = crypto::Sha256Digest(entry.value);
+      commit.digest = pbft::RequestDigest(entry.client_token, entry.req_id,
+                                          crypto::Sha256Digest(entry.value));
       const Bytes body = commit.CanonicalBody();
       std::set<int> signers;
       for (const crypto::Signature& sig : entry.commit_sigs) {
@@ -288,6 +292,170 @@ TEST(RecoveryTest, RecoveredLeaderConvergesWhileTheUnitCommits) {
       [&] { return recovered->applied_high() == survivor->applied_high(); },
       Seconds(60)));
   EXPECT_EQ(recovered->chain_digest(), survivor->chain_digest());
+}
+
+TEST(RecoveryTest, ReplicaDownPastTheWindowInstallsABaseAndDedupsLikeItsPeers) {
+  // The view-0 leader misses more than 10·I positions and a view change.
+  // Its peers dropped what it missed below their horizon, so it installs
+  // a base state and pages on from there. It must reach its peers'
+  // applied position, digest chain and view, and it must skip a re-sent
+  // request that executed while it was down, as they do.
+  constexpr uint64_t kInterval = 32;
+  RecoveryHarness harness(kInterval);
+  Deployment& deployment = *harness.deployment_;
+  Participant* participant = deployment.participant(0);
+  auto commit = [&](const std::string& payload) {
+    uint64_t pos = 0;
+    participant->LogCommit(ToBytes(payload), 0, [&](uint64_t p) { pos = p; });
+    EXPECT_TRUE(harness.simulator_.RunUntilCondition(
+        [&] { return pos != 0; }, harness.simulator_.Now() + Seconds(60)));
+    return pos;
+  };
+  net::NodeId down{0, 0};
+  deployment.network()->Crash(down);
+  // The participant's client numbers its requests from 1, one per commit.
+  std::map<uint64_t, uint64_t> req_id_at;
+  for (uint64_t req_id = 1; req_id <= 11 * kInterval; ++req_id) {
+    req_id_at[commit("entry-" + std::to_string(req_id))] = req_id;
+  }
+  BlockplaneNode* peer = deployment.node(0, 1);
+  ASSERT_GE(peer->replica()->view(), 1u);
+  ASSERT_GT(peer->replica()->last_executed(), 10 * kInterval);
+  ASSERT_GT(peer->horizon(), 0u);
+
+  deployment.network()->Recover(down);
+  BlockplaneNode* recovered = deployment.node(0, 0);
+  recovered->Recover();
+  auto converged = [&](BlockplaneNode* node) {
+    return harness.simulator_.RunUntilCondition(
+        [&] {
+          return node->applied_high() == peer->applied_high() &&
+                 node->replica()->view() == peer->replica()->view();
+        },
+        harness.simulator_.Now() + Seconds(60));
+  };
+  ASSERT_TRUE(converged(recovered));
+  EXPECT_EQ(recovered->chain_digest(), peer->chain_digest());
+  // It executed nothing at or below its base.
+  EXPECT_GT(recovered->horizon(), 0u);
+  EXPECT_EQ(recovered->log().count(1), 0u);
+
+  // A request executed while it was down, below the page checkpoints it
+  // caught up through and inside the dedup window.
+  const uint64_t caught_up = recovered->applied_high();
+  auto dup = req_id_at.upper_bound(caught_up - 2 * kInterval);
+  ASSERT_NE(dup, req_id_at.begin());
+  --dup;
+
+  // Rotate leadership back to it (view 4): crash each leader in turn.
+  for (int leader = 1; leader <= 3; ++leader) {
+    net::NodeId id{0, leader};
+    deployment.network()->Crash(id);
+    commit("rotate");
+    deployment.network()->Recover(id);
+    deployment.node(0, leader)->Recover();
+    ASSERT_TRUE(converged(deployment.node(0, leader))) << leader;
+  }
+  ASSERT_TRUE(recovered->replica()->IsLeader());
+  ASSERT_LE(recovered->applied_high() + 1, dup->first + 4 * kInterval)
+      << "the request left the dedup window";
+
+  // The participant's PBFT client (index 1001) re-sends it.
+  const net::NodeId client{0, 1001};
+  LogRecord record;
+  record.type = RecordType::kLogCommit;
+  record.payload = ToBytes("entry-" + std::to_string(dup->second));
+  pbft::RequestMsg request;
+  request.client_token = pbft::ClientToken(client);
+  request.req_id = dup->second;
+  request.value = record.Encode();
+  net::Message msg;
+  msg.src = client;
+  msg.dst = recovered->self();
+  msg.type = pbft::kRequest;
+  msg.set_body(request.Encode());
+  deployment.network()->Send(std::move(msg));
+  commit("after the duplicate");
+  harness.simulator_.RunFor(Seconds(1));
+  for (int index = 1; index < 4; ++index) {
+    const BlockplaneNode* other = deployment.node(0, index);
+    EXPECT_EQ(recovered->applied_high(), other->applied_high()) << index;
+    EXPECT_EQ(recovered->chain_digest(), other->chain_digest()) << index;
+  }
+}
+
+TEST(RecoveryTest, TamperedBaseStateIsRejected) {
+  // A base page from a real responder, with one reception watermark of
+  // its certified state changed, must not install; the untouched page
+  // does.
+  CapturingHost asker;  // declared first, so it outlives the network
+  sim::Simulator simulator(53);
+  BlockplaneOptions options;
+  options.checkpoint_interval = 4;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  net::NodeId down{net::kOregon, 3};
+  deployment.network()->Crash(down);
+  int received = 0;
+  deployment.participant(net::kOregon)
+      ->SetReceiveHandler([&](net::SiteId, const Bytes&) { ++received; });
+  for (int i = 0; i < 30; ++i) {
+    deployment.participant(net::kCalifornia)
+        ->Send(net::kOregon, ToBytes("m" + std::to_string(i)), 0, nullptr);
+  }
+  ASSERT_TRUE(simulator.RunUntilCondition([&] { return received == 30; },
+                                          Seconds(120)));
+  simulator.RunFor(Seconds(1));
+  const BlockplaneNode* responder = deployment.node(net::kOregon, 0);
+  ASSERT_GT(responder->horizon(), 0u);
+
+  // Ask the responder from the crashed node's address.
+  deployment.network()->Recover(down);
+  deployment.network()->Register(down, &asker);
+  pbft::FetchSnapshotMsg fetch;
+  fetch.from_seq = 1;
+  net::Message ask;
+  ask.src = down;
+  ask.dst = responder->self();
+  ask.type = pbft::kFetchSnapshot;
+  ask.set_body(fetch.Encode());
+  deployment.network()->Send(ask);
+  simulator.RunFor(Seconds(1));
+  BlockplaneNode* node = deployment.node(net::kOregon, 3);
+  deployment.network()->Register(down, node);
+  pbft::SnapshotMsg page;
+  for (const net::Message& reply : asker.received) {
+    if (reply.type == pbft::kSnapshot && reply.src == responder->self()) {
+      ASSERT_TRUE(pbft::SnapshotMsg::Decode(reply.body(), &page).ok());
+    }
+  }
+  ASSERT_EQ(page.checkpoint.seq, responder->horizon());
+  ASSERT_TRUE(page.entries.empty()) << "not a base page";
+  DerivedState state;
+  ASSERT_TRUE(DerivedState::Decode(page.state.app, &state).ok());
+  ASSERT_EQ(state.received.size(), 1u);
+  const uint64_t watermark = state.received[0].pos;
+  ASSERT_GT(watermark, 0u);
+
+  auto deliver = [&](const pbft::SnapshotMsg& snapshot) {
+    net::Message msg;
+    msg.src = responder->self();
+    msg.dst = down;
+    msg.type = pbft::kSnapshot;
+    msg.set_body(snapshot.Encode());
+    node->HandleMessage(msg);
+  };
+  pbft::SnapshotMsg tampered = page;
+  state.received[0].pos = watermark + 1;
+  tampered.state.app = state.Encode();
+  deliver(tampered);
+  EXPECT_EQ(node->replica()->last_executed(), 0u);
+  EXPECT_EQ(node->last_received_pos(net::kCalifornia), 0u);
+  EXPECT_EQ(node->horizon(), 0u);
+
+  deliver(page);
+  EXPECT_EQ(node->replica()->last_executed(), page.checkpoint.seq);
+  EXPECT_EQ(node->last_received_pos(net::kCalifornia), watermark);
+  EXPECT_EQ(node->horizon(), page.checkpoint.seq);
 }
 
 TEST(RecoveryTest, PipelinedGeoCommitsCompleteInOrder) {
