@@ -73,7 +73,7 @@ int main() {
       deployment.mirror_node(net::kVirginia, net::kCalifornia, 0);
   simulator.RunFor(sim::Seconds(2));
   std::printf("\nVirginia's mirror of California's log (%lu entries):\n",
-              static_cast<unsigned long>(mirror->log_size()));
+              static_cast<unsigned long>(mirror->mirror_high()));
   for (const auto& [mirror_pos, record] : mirror->log()) {
     core::LogRecord inner;
     if (core::LogRecord::Decode(record.payload, &inner).ok()) {
@@ -86,7 +86,7 @@ int main() {
                       .c_str());
     }
   }
-  bool ok = mirror->log_size() == 6;
+  bool ok = mirror->mirror_high() == 6;
   std::printf("\n%s\n", ok ? "OK: the log survived the datacenter outage"
                            : "UNEXPECTED mirror state");
   return ok ? 0 : 1;

@@ -64,7 +64,7 @@ class Engine {
         os << " q=" << deployment_.node(site, 0)->quarantined_api_records();
         for (net::SiteId host : deployment_.mirror_sites_of(site)) {
           os << " mirror@" << host << "="
-             << deployment_.mirror_node(host, site, 0)->log_size();
+             << deployment_.mirror_node(host, site, 0)->mirror_high();
         }
       }
       Fail("liveness", os.str());
@@ -298,7 +298,8 @@ class Engine {
     }
   }
 
-  /// I3: mirror logs hold geo positions 1..max with no holes, and no honest
+  /// I3: every mirror node holds the geo positions from just above its
+  /// base or horizon up to its mirror high with no holes, and no honest
   /// unit node ends the run with quarantined API records.
   void CheckMirrorContiguity() {
     for (net::SiteId site = 0; site < cfg_.num_sites; ++site) {
@@ -319,19 +320,26 @@ class Engine {
       for (net::SiteId host : deployment_.mirror_sites_of(origin)) {
         for (int i = 0; i < 3 * cfg_.fi + 1; ++i) {
           core::BlockplaneNode* node = deployment_.mirror_node(host, origin, i);
+          const uint64_t low = node->mirror_horizon();
+          const uint64_t high = node->mirror_high();
           std::set<uint64_t> positions;
-          uint64_t high = 0;
           for (const auto& [pos, record] : node->log()) {
-            if (record.type != core::RecordType::kMirrored) continue;
-            positions.insert(record.geo_pos);
-            high = std::max(high, record.geo_pos);
+            if (record.type == core::RecordType::kMirrored &&
+                record.geo_pos > low) {
+              positions.insert(record.geo_pos);
+            }
           }
-          if (positions.size() != high) {
+          // Distinct positions above `low`: as many as the span and the
+          // highest at `high` means every one of them.
+          const bool contiguous =
+              low <= high && positions.size() == high - low &&
+              (positions.empty() || *positions.rbegin() == high);
+          if (!contiguous) {
             std::ostringstream os;
             os << "mirror node " << node->self().ToString() << " (origin "
                << origin << ") holds " << positions.size()
-               << " mirrored entries but high position " << high
-               << " (stream has holes)";
+               << " mirrored entries above position " << low
+               << " but high position " << high << " (stream has holes)";
             Fail("mirror-contiguity", os.str());
           }
         }

@@ -101,6 +101,7 @@ MetricsRegistry::MetricsRegistry() {
             {"geo_gap_nudges", s.geo_gap_nudges},
             {"mirror_gap_fetches", s.mirror_gap_fetches},
             {"mirror_gap_filled", s.mirror_gap_filled},
+            {"mirror_bases_installed", s.mirror_bases_installed},
         };
       },
       []() { robustness_stats().Reset(); });

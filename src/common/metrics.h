@@ -193,6 +193,9 @@ struct RobustnessStats {
   int64_t mirror_gap_fetches = 0;
   /// Backfilled mirror entries submitted for commit to close a gap.
   int64_t mirror_gap_filled = 0;
+  /// Peer mirror groups' certified bases a lagging mirror group executed
+  /// instead of the entries below them (counted by the group's leader).
+  int64_t mirror_bases_installed = 0;
 
   void Reset() { *this = RobustnessStats{}; }
 };

@@ -75,17 +75,14 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
     *value = it->second.Encode();
     return true;
   });
-  // A unit log keeps a bounded window, so its checkpoints certify the
-  // state derived from what it drops (DESIGN.md §10, retention). Mirror
-  // logs keep every entry: kMirrorFetch backfill serves from them.
-  if (!is_mirror()) {
-    replica_->SetStateHooks(
-        {[this]() { return SaveState(); },
-         [this](uint64_t seq, const Bytes& state) {
-           return LoadState(seq, state);
-         },
-         [this](uint64_t horizon) { DropThrough(horizon); }});
-  }
+  // Every log keeps a bounded window, so its checkpoints certify the state
+  // derived from what it drops (DESIGN.md §10, retention).
+  replica_->SetStateHooks(
+      {[this]() { return SaveState(); },
+       [this](uint64_t seq, const Bytes& state) {
+         return LoadState(seq, state);
+       },
+       [this](uint64_t horizon) { DropThrough(horizon); }});
   network_->Register(self_, this);
 }
 
@@ -153,28 +150,9 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
     case kGeoProofBundle:
       OnGeoProofBundle(msg);
       return;
-    case kMirrorFetch: {
-      // Mirror gap backfill (§V): hand out the mirrored entries (with
-      // their proofs) a lagging peer mirror group's leader is missing.
-      // Mirror logs commit strictly in geo order, so the PBFT sequence
-      // number equals the geo position.
-      if (!is_mirror()) return;
-      MirrorFetchMsg fetch;
-      if (!MirrorFetchMsg::Decode(msg.body(), &fetch).ok()) return;
-      if (fetch.origin_site != origin_site_) return;
-      constexpr uint64_t kMaxEntries = 64;
-      for (uint64_t pos = fetch.from_geo_pos + 1;
-           pos <= mirror_high_pos_ && pos <= fetch.from_geo_pos + kMaxEntries;
-           ++pos) {
-        auto it = log_.find(pos);
-        if (it == log_.end()) break;
-        MirrorEntryMsg entry;
-        entry.origin_site = origin_site_;
-        entry.record = it->second.Encode();
-        SendTo(msg.src, kMirrorEntry, entry.Encode());
-      }
+    case kMirrorFetch:
+      OnMirrorFetch(msg);
       return;
-    }
     case kMirrorEntry:
       OnMirrorEntry(msg);
       return;
@@ -272,13 +250,17 @@ bool BlockplaneNode::VerifyValue(const Bytes& value) {
   if (!DecodeValue(value, &record)) return false;
 
   if (is_mirror()) {
-    // A mirror group only ever stores mirrored entries of its origin.
-    if (record.type != RecordType::kMirrored) return false;
-    return VerifyMirrored(record);
+    // A mirror group only ever stores mirrored entries of its origin and
+    // peer groups' bases of them.
+    if (record.type == RecordType::kMirrorBase) {
+      return VerifyMirrorBase(record, mirror_high_pos_);
+    }
+    return record.type == RecordType::kMirrored && VerifyMirrored(record);
   }
   switch (record.type) {
     case RecordType::kMirrored:
-      return false;  // mirrored entries never enter a unit's own log
+    case RecordType::kMirrorBase:
+      return false;  // mirror records never enter a unit's own log
     case RecordType::kReceived:
       if (!VerifyReceived(record)) return false;
       break;
@@ -309,15 +291,20 @@ bool BlockplaneNode::AdmitValue(const Bytes& value) {
   if (!DecodeValue(value, &record)) return false;
 
   if (is_mirror()) {
-    if (record.type != RecordType::kMirrored) return false;
-    if (record.geo_pos != adm_mirror_high_ + 1) return false;
-    if (!VerifyMirroredProof(record)) return false;
+    if (record.type == RecordType::kMirrorBase) {
+      if (!VerifyMirrorBase(record, adm_mirror_high_)) return false;
+    } else if (record.type != RecordType::kMirrored ||
+               record.geo_pos != adm_mirror_high_ + 1 ||
+               !VerifyMirroredProof(record)) {
+      return false;
+    }
     adm_mirror_high_ = record.geo_pos;
     return true;
   }
   switch (record.type) {
     case RecordType::kMirrored:
-      return false;  // mirrored entries never enter a unit's own log
+    case RecordType::kMirrorBase:
+      return false;  // mirror records never enter a unit's own log
     case RecordType::kReceived: {
       uint64_t& last = adm_last_received_[record.src_site];
       if (!VerifyReceivedAt(record, last)) return false;
@@ -441,6 +428,41 @@ bool BlockplaneNode::VerifyMirroredProof(const LogRecord& record) const {
   return keys_->VerifyCert(canonical, *cert, options_.fi + 1);
 }
 
+bool BlockplaneNode::VerifyMirrorBase(const LogRecord& record,
+                                      uint64_t high) const {
+  if (record.geo_pos <= high) return false;
+  // The host's group mirrors the same origin, so its checkpoints certify
+  // states of this very log; this group's own votes and the origin unit's
+  // do not qualify.
+  if (std::find(mirror_peer_hosts_.begin(), mirror_peer_hosts_.end(),
+                record.src_site) == mirror_peer_hosts_.end()) {
+    return false;
+  }
+  MirrorBase base;
+  DerivedState state;
+  if (!MirrorBase::Decode(record.payload, &base).ok() ||
+      base.state.StateDigest() != base.checkpoint.state_digest ||
+      !DerivedState::Decode(base.state.app, &state).ok() ||
+      state.mirror_high != record.geo_pos) {
+    return false;
+  }
+  // 2f_i+1 distinct valid checkpoint votes of that group: f_i+1 of them
+  // come from honest replicas that mirrored every position up to the high.
+  const pbft::CheckpointMsg vote{base.checkpoint.seq,
+                                 base.checkpoint.state_digest, {}};
+  const Bytes body = vote.CanonicalBody();
+  const int32_t first = MirrorNodeId(record.src_site, origin_site_, 0).index;
+  std::set<int32_t> voters;
+  for (const crypto::Signature& sig : base.checkpoint.cert) {
+    if (sig.signer.site == record.src_site && sig.signer.index >= first &&
+        sig.signer.index <= first + 3 * options_.fi &&
+        keys_->Verify(body, sig)) {
+      voters.insert(sig.signer.index);
+    }
+  }
+  return static_cast<int>(voters.size()) >= 2 * options_.fi + 1;
+}
+
 void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value) {
   applied_high_ = seq;
 
@@ -496,18 +518,28 @@ void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value) {
       SendDeliverNotice(record);
       break;
     }
-    case RecordType::kMirrored: {
-      mirror_high_pos_ = record.geo_pos;
-      mirror_digest_by_pos_[record.geo_pos] =
-          crypto::Sha256Digest(record.payload);
-      // Geo-ack back to the acting participant (§V): our signature counts
-      // toward its f_i+1-per-site proof.
-      GeoAckMsg ack;
-      ack.geo_pos = record.geo_pos;
-      ack.sig = signer_->Sign(
-          AttestCanonical(AttestPurpose::kGeoAck, self_.site, record.geo_pos,
-                          mirror_digest_by_pos_[record.geo_pos]));
-      SendTo(ParticipantNodeId(record.src_site), kGeoAck, ack.Encode());
+    case RecordType::kMirrored:
+    case RecordType::kMirrorBase: {
+      if (record.type == RecordType::kMirrored) {
+        mirror_high_pos_ = record.geo_pos;
+        const crypto::Digest digest = crypto::Sha256Digest(record.payload);
+        mirror_entries_[record.geo_pos] = {seq, digest};
+        // Geo-ack back to the acting participant (§V): our signature
+        // counts toward its f_i+1-per-site proof.
+        GeoAckMsg ack;
+        ack.geo_pos = record.geo_pos;
+        ack.sig = signer_->Sign(AttestCanonical(
+            AttestPurpose::kGeoAck, self_.site, record.geo_pos, digest));
+        SendTo(ParticipantNodeId(record.src_site), kGeoAck, ack.Encode());
+      } else if (record.geo_pos > mirror_high_pos_) {
+        // A peer group's certified checkpoint (DESIGN.md §10): this group
+        // now mirrors up to its high and serves nothing at or below it.
+        // Only a byzantine leader could order one at or below the high.
+        mirror_high_pos_ = record.geo_pos;
+        mirror_horizon_ = record.geo_pos;
+        mirror_entries_.clear();
+        if (replica_->IsLeader()) robustness_stats().mirror_bases_installed++;
+      }
       // Keep the backfill loop self-driving: drain what just became
       // contiguous, and if a known gap remains with nothing buffered to
       // extend it, fetch the next batch (each fetch serves a bounded run).
@@ -562,6 +594,8 @@ bool BlockplaneNode::LoadState(uint64_t seq, const Bytes& encoded) {
     comm_positions_[dest.site] = {dest.pos};
   }
   mirror_high_pos_ = state.mirror_high;
+  mirror_horizon_ = state.mirror_high;
+  mirror_entries_.clear();
   geo_quarantine_.clear();
   for (const QuarantinedRecord& q : state.quarantined) {
     geo_quarantine_[q.geo_pos] = QuarantinedApi{q.seq, q.type, q.dest_site};
@@ -610,10 +644,16 @@ void BlockplaneNode::DropThrough(uint64_t horizon) {
       ++it;
       continue;
     }
+    if (record.type == RecordType::kMirrored ||
+        record.type == RecordType::kMirrorBase) {
+      mirror_horizon_ = std::max(mirror_horizon_, record.geo_pos);
+    }
     api_pos_by_log_pos_.erase(pos);
     geo_proofs_.erase(pos);
     it = log_.erase(it);
   }
+  mirror_entries_.erase(mirror_entries_.begin(),
+                        mirror_entries_.upper_bound(mirror_horizon_));
   // Keep each stream from the chain pointer of its first record still
   // held.
   for (auto& [dest, positions] : comm_positions_) {
@@ -792,10 +832,11 @@ void BlockplaneNode::OnAttestRequest(const net::Message& msg) {
       if (is_mirror()) {
         // Acting-site flow: attest an entry of our mirror log by its
         // geo position.
-        auto it = mirror_digest_by_pos_.find(request.pos);
-        if (it == mirror_digest_by_pos_.end()) return;
+        auto it = mirror_entries_.find(request.pos);
+        if (it == mirror_entries_.end()) return;
         response.sig = signer_->Sign(AttestCanonical(
-            AttestPurpose::kGeoSource, self_.site, request.pos, it->second));
+            AttestPurpose::kGeoSource, self_.site, request.pos,
+            it->second.digest));
         break;
       }
       auto it = log_.find(request.pos);
@@ -897,12 +938,13 @@ void BlockplaneNode::OnGeoReplicate(const net::Message& msg) {
   if (replicate.geo_pos <= mirror_high_pos_) {
     // Already mirrored: re-ack (the acting participant's first ack set may
     // have been lost, or a retry raced a slow quorum).
-    auto it = mirror_digest_by_pos_.find(replicate.geo_pos);
-    if (it == mirror_digest_by_pos_.end()) return;
+    auto it = mirror_entries_.find(replicate.geo_pos);
+    if (it == mirror_entries_.end()) return;
     GeoAckMsg ack;
     ack.geo_pos = replicate.geo_pos;
-    ack.sig = signer_->Sign(AttestCanonical(
-        AttestPurpose::kGeoAck, self_.site, replicate.geo_pos, it->second));
+    ack.sig = signer_->Sign(AttestCanonical(AttestPurpose::kGeoAck, self_.site,
+                                            replicate.geo_pos,
+                                            it->second.digest));
     SendTo(ParticipantNodeId(replicate.acting_site), kGeoAck, ack.Encode());
     return;
   }
@@ -937,6 +979,47 @@ void BlockplaneNode::OnGeoReplicate(const net::Message& msg) {
   SubmitLocalCommit(record);
 }
 
+void BlockplaneNode::OnMirrorFetch(const net::Message& msg) {
+  // Mirror gap backfill (§V): hand out the mirrored entries (with their
+  // proofs) a lagging peer mirror group's leader is missing, by geo
+  // position.
+  if (!is_mirror()) return;
+  MirrorFetchMsg fetch;
+  if (!MirrorFetchMsg::Decode(msg.body(), &fetch).ok()) return;
+  if (fetch.origin_site != origin_site_) return;
+  MirrorEntryMsg reply;
+  reply.origin_site = origin_site_;
+  if (mirror_entries_.count(fetch.from_geo_pos + 1) == 0) {
+    // Not held here: below this node's horizon the asker gets the base its
+    // own base pages carry instead (DESIGN.md §10, retention).
+    MirrorBase base;
+    DerivedState state;
+    if (!replica_->HorizonBase(&base.checkpoint, &base.state) ||
+        !DerivedState::Decode(base.state.app, &state).ok() ||
+        state.mirror_high <= fetch.from_geo_pos) {
+      return;
+    }
+    LogRecord record;
+    record.type = RecordType::kMirrorBase;
+    record.payload = base.Encode();
+    record.src_site = self_.site;
+    record.geo_pos = state.mirror_high;
+    reply.record = record.Encode();
+    SendTo(msg.src, kMirrorEntry, reply.Encode());
+    return;
+  }
+  constexpr uint64_t kMaxEntries = 64;
+  for (uint64_t pos = fetch.from_geo_pos + 1;
+       pos <= fetch.from_geo_pos + kMaxEntries; ++pos) {
+    auto held = mirror_entries_.find(pos);
+    if (held == mirror_entries_.end()) break;
+    auto it = log_.find(held->second.seq);
+    if (it == log_.end()) break;
+    reply.record = it->second.Encode();
+    SendTo(msg.src, kMirrorEntry, reply.Encode());
+  }
+}
+
 void BlockplaneNode::OnMirrorEntry(const net::Message& msg) {
   if (!is_mirror()) return;
   MirrorEntryMsg entry;
@@ -944,6 +1027,16 @@ void BlockplaneNode::OnMirrorEntry(const net::Message& msg) {
   if (entry.origin_site != origin_site_) return;
   LogRecord record;
   if (!LogRecord::Decode(entry.record, &record).ok()) return;
+  if (record.type == RecordType::kMirrorBase) {
+    // A peer group's base: the leader proposes one above everything it
+    // applied or admitted, and admission and every replica's commit vote
+    // check it in full (VerifyMirrorBase).
+    if (replica_->leader() == self_ &&
+        record.geo_pos > std::max(mirror_high_pos_, adm_mirror_high_)) {
+      SubmitLocalCommit(record);
+    }
+    return;
+  }
   if (record.type != RecordType::kMirrored) return;
   if (record.geo_pos <= mirror_high_pos_) return;
   if (record.geo_pos > mirror_high_pos_ + kMirrorBackfillCap) return;

@@ -15,10 +15,12 @@
 // geo-correlated fault tolerance and answers geo-replication requests with
 // geo-acks instead of delivery notices.
 //
-// A unit node keeps a bounded window of its Local Log (DESIGN.md §10,
-// retention): when its replica adopts a stable checkpoint c it drops the
-// entries at or below c - 4·I, except communication records one of its
-// daemons still has to ship. A mirror node keeps every entry.
+// Every node keeps a bounded window of its log (DESIGN.md §10, retention):
+// when its replica adopts a stable checkpoint c it drops the entries at or
+// below c - 4·I, except communication records one of its daemons still has
+// to ship. A mirror group that falls behind a peer group's horizon installs
+// that group's certified checkpoint (a kMirrorBase record) instead of
+// fetching every entry.
 #ifndef BLOCKPLANE_CORE_NODE_H_
 #define BLOCKPLANE_CORE_NODE_H_
 
@@ -117,8 +119,14 @@ class BlockplaneNode : public net::Host {
   const std::map<uint64_t, LogRecord>& log() const { return log_; }
   uint64_t log_size() const { return log_.empty() ? 0 : log_.rbegin()->first; }
   /// The position at or below which this node no longer serves its Local
-  /// Log: reads there return OutOfRange (0 on a mirror, which keeps all).
+  /// Log: reads there return OutOfRange.
   uint64_t horizon() const { return horizon_; }
+  /// Mirror role: the highest geo position mirrored here, and the one at or
+  /// below which this node serves no mirrored entry (the mirror high at its
+  /// horizon or of the last base it installed). The entries between them
+  /// are held, contiguously.
+  uint64_t mirror_high() const { return mirror_high_pos_; }
+  uint64_t mirror_horizon() const { return mirror_horizon_; }
   /// Rolling digest chain over applied values (invariant checking).
   const crypto::Digest& chain_digest() const {
     return replica_->state_digest();
@@ -210,6 +218,10 @@ class BlockplaneNode : public net::Host {
   /// The stateless (proof-only) part of VerifyMirrored, shared with the
   /// admission projection.
   bool VerifyMirroredProof(const LogRecord& record) const;
+  /// Verification for a peer mirror group's base (DESIGN.md §10): 2f_i+1
+  /// valid checkpoint votes of a host that mirrors the same origin, the
+  /// state they certify, and a mirror high above `high`.
+  bool VerifyMirrorBase(const LogRecord& record, uint64_t high) const;
   /// Position of the last communication record to `dest` before `pos`.
   uint64_t PrevCommPos(net::SiteId dest, uint64_t pos) const;
 
@@ -236,8 +248,12 @@ class BlockplaneNode : public net::Host {
   void ResendDeliverNotice(net::SiteId src, uint64_t delivered);
 
   // -- mirror gap backfill (§V, DESIGN.md §10) --
+  /// A peer mirror's kMirrorFetch: the entries from its position on, or
+  /// this node's base when it no longer holds the first of them.
+  void OnMirrorFetch(const net::Message& msg);
   /// A fetched (or ahead-of-stream replicated) mirror entry arrived:
-  /// buffer it and drain whatever became contiguous.
+  /// buffer it and drain whatever became contiguous. A base goes to
+  /// admission.
   void OnMirrorEntry(const net::Message& msg);
   /// Rate-limited, leader-only kMirrorFetch fan-out to the peer mirror
   /// hosts for the positions between `mirror_high_pos_` and
@@ -311,10 +327,17 @@ class BlockplaneNode : public net::Host {
   uint64_t adm_mirror_high_ = 0;
   std::unordered_map<net::SiteId, uint64_t> adm_last_received_;
 
-  /// Mirror role: high watermark of the mirror log and the digest of each
-  /// mirrored entry (for re-acks and attestations).
+  /// Mirror role: high watermark of the mirror log, the geo position at or
+  /// below which nothing is served (mirror_horizon()), and each held
+  /// mirrored entry by geo position: its log position (a base makes the
+  /// two differ) and its payload digest (for re-acks and attestations).
   uint64_t mirror_high_pos_ = 0;
-  std::map<uint64_t, crypto::Digest> mirror_digest_by_pos_;
+  uint64_t mirror_horizon_ = 0;
+  struct MirroredEntry {
+    uint64_t seq = 0;
+    crypto::Digest digest{};
+  };
+  std::map<uint64_t, MirroredEntry> mirror_entries_;
 
   /// Mirror gap backfill (§V, DESIGN.md §10). After an outage the geo
   /// stream has moved on; replicates for positions ahead of

@@ -16,8 +16,9 @@ struct BlockplaneOptions {
   /// participants and commits require proofs from fg of them.
   int fg = 0;
 
-  /// Checkpoint interval I for unit logs. A unit node keeps the entries
-  /// above its replica's stable checkpoint minus 4·I (DESIGN.md §10).
+  /// Checkpoint interval I for unit and mirror logs. A node keeps the
+  /// entries above its replica's stable checkpoint minus 4·I (DESIGN.md
+  /// §10).
   uint64_t checkpoint_interval = 128;
 
   /// Pipeline window knobs (DESIGN.md §9). Each knob is the ceiling of a

@@ -50,10 +50,14 @@ enum class RecordType : uint8_t {
   kCommunication = 2,  // an outgoing message written via send
   kReceived = 3,       // a transmission record committed at the receiver
   kMirrored = 4,       // an entry of another participant's mirrored log (§V)
+  /// A peer mirror group's certified checkpoint of the same mirrored log
+  /// (DESIGN.md §10, retention): a lagging mirror group installs it instead
+  /// of the entries up to its mirror high.
+  kMirrorBase = 5,
 };
 
 inline Status WireGet(Decoder* dec, RecordType* t) {
-  return WireGetEnum(dec, t, RecordType::kLogCommit, RecordType::kMirrored);
+  return WireGetEnum(dec, t, RecordType::kLogCommit, RecordType::kMirrorBase);
 }
 
 /// A Local Log entry. The same encoding is used as the PBFT value, so the
@@ -77,7 +81,7 @@ struct LogRecord {
   uint64_t prev_src_log_pos = 0;
   /// Position in the origin participant's geo-replication stream (counts
   /// API records only; 0 when fg == 0). For kMirrored records this is the
-  /// mirror-log position.
+  /// mirror-log position; for a kMirrorBase, the mirror high it installs.
   uint64_t geo_pos = 0;
   /// kReceived: the source unit's quorum cert over the transmission
   /// canonical bytes, embedded so every replica can run the receive

@@ -8,6 +8,7 @@
 
 #include "core/record.h"
 #include "crypto/signer.h"
+#include "pbft/message.h"
 
 namespace blockplane::core {
 
@@ -120,7 +121,8 @@ struct ReadReplyMsg {
 };
 
 /// Mirror gap backfill (§V, DESIGN.md §10): a lagging mirror group's
-/// leader fetches the mirrored entries it is missing from peer mirrors.
+/// leader fetches the mirrored entries it is missing from peer mirrors. A
+/// peer that no longer holds the first of them answers with its base.
 struct MirrorFetchMsg {
   net::SiteId origin_site = -1;
   uint64_t from_geo_pos = 0;  // exclusive
@@ -130,7 +132,9 @@ struct MirrorFetchMsg {
 
 struct MirrorEntryMsg {
   net::SiteId origin_site = -1;
-  Bytes record;  // encoded outer kMirrored LogRecord (with its proof)
+  /// An encoded outer kMirrored LogRecord (with its proof), or a
+  /// kMirrorBase one.
+  Bytes record;
 
   BP_WIRE(MirrorEntryMsg, origin_site, record)
 };
@@ -155,9 +159,10 @@ struct QuarantinedRecord {
   BP_WIRE(QuarantinedRecord, geo_pos, seq, type, dest_site)
 };
 
-/// A unit node's state derived from its Local Log (DESIGN.md §10,
+/// A node's state derived from its Local Log or mirror log (DESIGN.md §10,
 /// retention): what every checkpoint certifies beside the value chain and
-/// the dedup window, and what a base page installs.
+/// the dedup window, and what a base page installs. A mirror node's
+/// reception, communication and quarantine tables stay empty.
 struct DerivedState {
   uint64_t applied_high = 0;
   uint64_t api_record_count = 0;
@@ -168,6 +173,18 @@ struct DerivedState {
 
   BP_WIRE(DerivedState, applied_high, api_record_count, received, last_comm,
           mirror_high, quarantined)
+};
+
+/// The payload of a kMirrorBase record: a mirror group's horizon
+/// checkpoint, the one its base pages carry, with the 2f_i+1 checkpoint
+/// votes of that group and the state they certify (DESIGN.md §10,
+/// retention). The record's `src_site` names the group's host site and its
+/// `geo_pos` the state's mirror high.
+struct MirrorBase {
+  pbft::StableCheckpoint checkpoint;
+  pbft::CheckpointState state;
+
+  BP_WIRE(MirrorBase, checkpoint, state)
 };
 
 struct GeoProofBundleMsg {

@@ -952,6 +952,18 @@ void PbftReplica::AdoptStableCheckpoint(StableCheckpoint checkpoint) {
   }
 }
 
+bool PbftReplica::HorizonBase(StableCheckpoint* checkpoint,
+                              CheckpointState* state) const {
+  auto cert = checkpoints_.find(horizon_);
+  auto held = states_.find(horizon_);
+  if (horizon_ == 0 || cert == checkpoints_.end() || held == states_.end()) {
+    return false;
+  }
+  *checkpoint = cert->second;
+  *state = held->second;
+  return true;
+}
+
 void PbftReplica::SetHorizon(uint64_t horizon) {
   horizon_ = horizon;
   checkpoints_.erase(checkpoints_.begin(), checkpoints_.lower_bound(horizon));

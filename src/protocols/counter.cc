@@ -80,7 +80,8 @@ void CounterProtocol::InstallAt(net::SiteId site) {
           ++state->receives;
           break;
         case core::RecordType::kMirrored:
-          // Mirror entries replay another participant's log; the counter
+        case core::RecordType::kMirrorBase:
+          // Mirror records replay another participant's log; the counter
           // protocol reads them through the geo layer, not the apply hook.
           break;
         default:

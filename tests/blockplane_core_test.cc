@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -680,7 +681,7 @@ TEST(BlockplaneGeoTest, MirrorLogsHoldTheRecord) {
   for (net::SiteId host : harness.deployment_.mirror_sites_of(kCalifornia)) {
     BlockplaneNode* node =
         harness.deployment_.mirror_node(host, kCalifornia, 0);
-    if (node->log_size() >= 1) {
+    if (node->mirror_high() >= 1) {
       LogRecord inner;
       ASSERT_TRUE(
           LogRecord::Decode(node->log().at(1).payload, &inner).ok());
@@ -751,7 +752,7 @@ TEST(BlockplaneGeoTest, SecondaryActsAfterPrimaryFailure) {
   for (net::SiteId host : harness.deployment_.mirror_sites_of(kCalifornia)) {
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ(
-          harness.deployment_.mirror_node(host, kCalifornia, i)->log_size(),
+          harness.deployment_.mirror_node(host, kCalifornia, i)->mirror_high(),
           4u)
           << "site " << host << ", node " << i;
     }
@@ -763,11 +764,20 @@ TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
   // can lag. Before acting as primary its mirror group must fetch the
   // missing entries from an up-to-date peer (§V's fg+1-intersection
   // argument), or it would fork the stream. Runs with the secondary one,
-  // two and 100 entries behind; 100 spans two 64-entry fetches.
-  for (int lag : {1, 2, 100}) {
-    SCOPED_TRACE("lag " + std::to_string(lag));
+  // two and 100 entries behind; 100 spans two 64-entry fetches. At 40
+  // behind with a checkpoint interval of 4 the peer mirror has dropped the
+  // first missed entries, so the secondary installs the peer group's base
+  // and fetches only the entries above it (DESIGN.md §10, retention).
+  struct Case {
+    int lag;
+    uint64_t checkpoint_interval;
+  };
+  for (Case c : {Case{1, 128}, Case{2, 128}, Case{100, 128}, Case{40, 4}}) {
+    SCOPED_TRACE("lag " + std::to_string(c.lag) + ", interval " +
+                 std::to_string(c.checkpoint_interval));
     BlockplaneOptions options;
     options.fg = 1;
+    options.checkpoint_interval = c.checkpoint_interval;
     CoreHarness harness(options);
     harness.CommitAndWait(kCalifornia, "first");
     harness.simulator_.RunFor(Seconds(2));
@@ -776,7 +786,7 @@ TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
     // (Oregon supplies the fg=1 proofs).
     harness.deployment_.network()->CrashSite(kVirginia);
     std::vector<std::string> expected = {"first"};
-    for (int i = 0; i < lag; ++i) {
+    for (int i = 0; i < c.lag; ++i) {
       expected.push_back("missed " + std::to_string(i));
       harness.CommitAndWait(kCalifornia, expected.back());
     }
@@ -789,6 +799,12 @@ TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
         harness.deployment_.mirror_sites_of(kCalifornia);
     peers.push_back(kCalifornia);
     secondary->SetMirrorPeers(kCalifornia, peers);
+    BlockplaneNode* mirror =
+        harness.deployment_.mirror_node(kVirginia, kCalifornia, 0);
+    uint64_t base_high = 0;
+    mirror->SetApplyHook([&](uint64_t, const LogRecord& record) {
+      if (record.type == RecordType::kMirrorBase) base_high = record.geo_pos;
+    });
 
     bool done = false;
     uint64_t pos = 0;
@@ -804,21 +820,102 @@ TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
     // The new entry continues after the ones the old primary committed —
     // Virginia reconciled the missed entries from Oregon before acting.
     EXPECT_EQ(pos, expected.size());
-    // One mechanism: every missed entry entered Virginia's mirror through
-    // its leader's backfill, exactly once.
-    EXPECT_EQ(robustness_stats().mirror_gap_filled, lag);
+    // One mechanism: every missed entry above the base (if any) entered
+    // Virginia's mirror through its leader's backfill, exactly once.
+    const bool past_the_window = c.checkpoint_interval < 128;
+    EXPECT_EQ(robustness_stats().mirror_bases_installed,
+              past_the_window ? 1 : 0);
+    if (past_the_window) {
+      EXPECT_GT(base_high, 1u);
+    } else {
+      EXPECT_EQ(base_high, 0u);
+    }
+    // Virginia held the first entry, or the base, and the takeover entry
+    // is new.
+    const uint64_t held = std::max<uint64_t>(base_high, 1);
+    EXPECT_EQ(robustness_stats().mirror_gap_filled,
+              static_cast<int64_t>(expected.size() - 1 - held));
     harness.simulator_.RunFor(Seconds(2));
-    BlockplaneNode* mirror =
-        harness.deployment_.mirror_node(kVirginia, kCalifornia, 0);
-    ASSERT_EQ(mirror->log_size(), expected.size());
+    // The entries Virginia holds are the stream's, contiguous up to the
+    // takeover entry.
+    ASSERT_EQ(mirror->mirror_high(), expected.size());
     std::vector<std::string> contents;
     for (const auto& [mirror_pos, record] : mirror->log()) {
+      if (record.type != RecordType::kMirrored ||
+          record.geo_pos <= mirror->mirror_horizon()) {
+        continue;
+      }
       LogRecord inner;
       ASSERT_TRUE(LogRecord::Decode(record.payload, &inner).ok());
       contents.push_back(ToString(inner.payload));
     }
-    EXPECT_EQ(contents, expected);
+    EXPECT_EQ(contents,
+              std::vector<std::string>(
+                  expected.begin() +
+                      static_cast<std::ptrdiff_t>(mirror->mirror_horizon()),
+                  expected.end()));
   }
+}
+
+TEST(BlockplaneGeoTest, MirrorPastABaseServesItsPeerByGeoPosition) {
+  // A base moves a mirror's log positions off its geo positions, so a
+  // mirror serves kMirrorFetch by geo position. Virginia's group installs
+  // Oregon's base, then Oregon falls behind and backfills from Virginia.
+  BlockplaneOptions options;
+  options.fg = 1;
+  options.checkpoint_interval = 4;
+  CoreHarness harness(options);
+  net::Network* network = harness.deployment_.network();
+  auto mirror = [&](net::SiteId host, int index) {
+    return harness.deployment_.mirror_node(host, kCalifornia, index);
+  };
+  auto converged = [&](net::SiteId host, uint64_t high) {
+    return harness.simulator_.RunUntilCondition(
+        [&] {
+          for (int i = 0; i < 4; ++i) {
+            if (mirror(host, i)->mirror_high() != high) return false;
+          }
+          return true;
+        },
+        harness.simulator_.Now() + Seconds(30));
+  };
+  robustness_stats().Reset();
+  network->CrashSite(kVirginia);
+  for (int i = 0; i < 40; ++i) harness.CommitAndWait(kCalifornia, "early");
+  network->RecoverSite(kVirginia);
+  harness.CommitAndWait(kCalifornia, "ahead of Virginia");
+  ASSERT_TRUE(converged(kVirginia, 41));
+  ASSERT_EQ(robustness_stats().mirror_bases_installed, 1);
+  const uint64_t base_high = mirror(kVirginia, 0)->mirror_horizon();
+  ASSERT_GT(base_high, 1u);
+  ASSERT_LT(mirror(kVirginia, 0)->applied_high(), 41u);
+
+  network->CrashSite(kOregon);
+  for (int i = 0; i < 3; ++i) {
+    harness.CommitAndWait(kCalifornia, "late " + std::to_string(i));
+  }
+  network->RecoverSite(kOregon);
+  harness.CommitAndWait(kCalifornia, "ahead of Oregon");
+  ASSERT_TRUE(converged(kOregon, 45));
+  EXPECT_EQ(robustness_stats().mirror_bases_installed, 1);
+  // Both groups hold the same entries at each geo position above
+  // Virginia's base.
+  std::map<uint64_t, Bytes> virginia;
+  for (const auto& [pos, record] : mirror(kVirginia, 0)->log()) {
+    if (record.type == RecordType::kMirrored) {
+      virginia[record.geo_pos] = record.payload;
+    }
+  }
+  int compared = 0;
+  for (const auto& [pos, record] : mirror(kOregon, 0)->log()) {
+    if (record.type != RecordType::kMirrored || record.geo_pos <= base_high) {
+      continue;
+    }
+    ASSERT_EQ(virginia.count(record.geo_pos), 1u) << record.geo_pos;
+    EXPECT_EQ(virginia[record.geo_pos], record.payload) << record.geo_pos;
+    ++compared;
+  }
+  EXPECT_GE(compared, 4);
 }
 
 TEST(BlockplaneGeoTest, SendCarriesGeoProofs) {

@@ -285,6 +285,157 @@ TEST(ByzantineEndToEndTest, UnprovenReplicateCannotPinMirrorBackfill) {
             0);
 }
 
+TEST(ByzantineEndToEndTest, ForgedMirrorBasesAreRefused) {
+  // A mirror group behind a peer group's horizon installs that group's
+  // certified base (DESIGN.md §10, retention). A byzantine peer mirror node
+  // answering the lagging leader's fetch must not move its mirror high with
+  // a forged one; admission refuses each of them (every replica's commit
+  // vote runs the same check), while an honest base still lets the group
+  // catch up.
+  sim::Simulator simulator(17);
+  BlockplaneOptions options;
+  options.fg = 1;
+  options.checkpoint_interval = 4;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  robustness_stats().Reset();
+  deployment.network()->CrashSite(kVirginia);
+  Participant* primary = deployment.participant(kCalifornia);
+  auto commit = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      bool committed = false;
+      primary->LogCommit(ToBytes("op"), 0, [&](uint64_t) { committed = true; });
+      ASSERT_TRUE(simulator.RunUntilCondition(
+          [&] { return committed; }, simulator.Now() + Seconds(30)));
+    }
+  };
+  // Oregon's group mirrors every entry and moves its horizon; Virginia's
+  // group is down.
+  BlockplaneNode* peer = deployment.mirror_node(kOregon, kCalifornia, 0);
+  auto horizon_base = [&](MirrorBase* base) {
+    ASSERT_TRUE(peer->replica()->HorizonBase(&base->checkpoint, &base->state));
+  };
+  MirrorBase older;
+  commit(30);
+  horizon_base(&older);
+  MirrorBase honest;
+  commit(10);
+  horizon_base(&honest);
+  deployment.network()->RecoverSite(kVirginia);
+
+  BlockplaneNode* leader = deployment.mirror_node(kVirginia, kCalifornia, 0);
+  ASSERT_EQ(leader->replica()->leader(), leader->self());
+  ASSERT_EQ(leader->mirror_high(), 0u);
+  auto record_of = [](net::SiteId host, const MirrorBase& base) {
+    DerivedState state;
+    EXPECT_TRUE(DerivedState::Decode(base.state.app, &state).ok());
+    LogRecord record;
+    record.type = RecordType::kMirrorBase;
+    record.payload = base.Encode();
+    record.src_site = host;
+    record.geo_pos = state.mirror_high;
+    return record;
+  };
+  // Delivers `record` as a peer mirror node's fetch reply.
+  auto deliver = [&](const LogRecord& record) {
+    MirrorEntryMsg reply;
+    reply.origin_site = kCalifornia;
+    reply.record = record.Encode();
+    net::Message msg;
+    msg.src = MirrorNodeId(kOregon, kCalifornia, 1);
+    msg.dst = leader->self();
+    msg.type = kMirrorEntry;
+    msg.set_body(reply.Encode());
+    deployment.network()->Send(msg);
+    simulator.RunFor(Seconds(1));
+  };
+  // The same state under 2f_i+1 checkpoint votes of `signers`.
+  auto signed_by = [&](const std::vector<net::NodeId>& signers) {
+    MirrorBase base = honest;
+    const pbft::CheckpointMsg vote{base.checkpoint.seq,
+                                   base.checkpoint.state_digest, {}};
+    base.checkpoint.cert.clear();
+    for (const net::NodeId& id : signers) {
+      base.checkpoint.cert.push_back(
+          deployment.keys()->RegisterNode(id)->Sign(vote.CanonicalBody()));
+    }
+    return base;
+  };
+  auto group = [](net::SiteId host, net::SiteId origin) {
+    std::vector<net::NodeId> ids;
+    for (int i = 0; i < 3; ++i) ids.push_back(MirrorNodeId(host, origin, i));
+    return ids;
+  };
+  const std::vector<net::NodeId> origin_unit = {
+      {kCalifornia, 0}, {kCalifornia, 1}, {kCalifornia, 2}};
+
+  std::vector<std::pair<std::string, LogRecord>> forged;
+  {
+    // The state changed after signing: a higher mirror high.
+    MirrorBase base = honest;
+    DerivedState state;
+    ASSERT_TRUE(DerivedState::Decode(base.state.app, &state).ok());
+    state.mirror_high += 10;
+    base.state.app = state.Encode();
+    forged.emplace_back("tampered state", record_of(kOregon, base));
+  }
+  forged.emplace_back("own group",
+                      record_of(kVirginia, signed_by(group(kVirginia,
+                                                           kCalifornia))));
+  forged.emplace_back("own group's votes under a peer's name",
+                      record_of(kOregon, signed_by(group(kVirginia,
+                                                         kCalifornia))));
+  forged.emplace_back("origin unit",
+                      record_of(kCalifornia, signed_by(origin_unit)));
+  forged.emplace_back("origin unit's votes under a peer's name",
+                      record_of(kOregon, signed_by(origin_unit)));
+  {
+    // Two distinct valid votes, the first one repeated.
+    MirrorBase base = honest;
+    ASSERT_GE(base.checkpoint.cert.size(), 3u);
+    base.checkpoint.cert.resize(2);
+    base.checkpoint.cert.push_back(base.checkpoint.cert[0]);
+    forged.emplace_back("2f votes", record_of(kOregon, base));
+  }
+  // Ireland hosts no mirror of California.
+  forged.emplace_back("non-host",
+                      record_of(kIreland, signed_by(group(kIreland,
+                                                          kCalifornia))));
+  for (const auto& [label, record] : forged) {
+    SCOPED_TRACE(label);
+    deliver(record);
+    EXPECT_EQ(leader->mirror_high(), 0u);
+    EXPECT_EQ(robustness_stats().mirror_bases_installed, 0);
+  }
+
+  // The honest peer's base installs; one at or below the high does not.
+  const LogRecord base = record_of(kOregon, honest);
+  deliver(base);
+  ASSERT_EQ(leader->mirror_high(), base.geo_pos);
+  EXPECT_EQ(leader->mirror_horizon(), base.geo_pos);
+  EXPECT_EQ(robustness_stats().mirror_bases_installed, 1);
+  for (const MirrorBase& stale : {honest, older}) {
+    deliver(record_of(kOregon, stale));
+    EXPECT_EQ(leader->mirror_high(), base.geo_pos);
+    EXPECT_EQ(robustness_stats().mirror_bases_installed, 1);
+  }
+  // The next replicate is ahead of the base: the group fetches the entries
+  // above it and reaches the stream's high.
+  commit(1);
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] {
+        for (int i = 0; i < 4; ++i) {
+          if (deployment.mirror_node(kVirginia, kCalifornia, i)
+                  ->mirror_high() != peer->mirror_high()) {
+            return false;
+          }
+        }
+        return true;
+      },
+      simulator.Now() + Seconds(30)));
+  EXPECT_EQ(peer->mirror_high(), 41u);
+  EXPECT_EQ(robustness_stats().mirror_bases_installed, 1);
+}
+
 TEST(ByzantineEndToEndTest, ReplayedWireCannotDoubleCredit) {
   // A byzantine daemon replaying a committed wire must not mint money.
   sim::Simulator simulator(39);

@@ -224,6 +224,40 @@ TEST(ChaosEngineTest, CollectedLogsHoldInvariants) {
   EXPECT_EQ(report.completions, report.expected_completions);
 }
 
+// Mirror logs keep the same window as unit logs (DESIGN.md §10,
+// retention). Site 2 hosts a mirror group of each other origin and sits out
+// more than 6·I of their geo positions, so when it heals its groups are
+// behind their peers' horizons: each installs a peer group's base and
+// fetches only the entries above it. I1–I4 must hold.
+TEST(ChaosEngineTest, CollectedMirrorLogsHoldInvariants) {
+  CampaignConfig config;
+  config.seed = 29;
+  config.schedule = ScheduleTemplate::kCrashHeavy;  // label only
+  config.num_sites = 3;
+  config.fi = 1;
+  config.fg = 1;
+  config.pbft_window = 8;
+  config.participant_window = 8;
+  config.ops_per_site = 1000;
+  config.sends_per_site = 300;
+  config.horizon = sim::Seconds(20);
+  config.deadline = sim::Seconds(60);
+
+  Campaign campaign;
+  campaign.config = config;
+  campaign.actions.push_back(
+      {sim::Seconds(2), FaultType::kCrashSite, 2, -1, 0});
+  campaign.actions.push_back(
+      {sim::Seconds(17), FaultType::kRecoverSite, 2, -1, 0});
+  campaign.actions.push_back({config.horizon, FaultType::kHealAll});
+
+  robustness_stats().Reset();
+  ChaosReport report = RunCampaign(campaign);
+  EXPECT_TRUE(report.ok) << report.ToString() << "\n" << campaign.ToJson();
+  EXPECT_EQ(report.completions, report.expected_completions);
+  EXPECT_GE(robustness_stats().mirror_bases_installed, 1);
+}
+
 // A corruption burst flips a byte of a request's client token, so the
 // token names no node. A replica that executed it replied to that token
 // and aborted the run; replicas now drop such a request on arrival.

@@ -57,6 +57,7 @@ void DecodeEverything(const Bytes& input) {
   DecodeAs<core::MirrorEntryMsg>(input);
   DecodeAs<core::GeoProofBundleMsg>(input);
   DecodeAs<core::DerivedState>(input);
+  DecodeAs<core::MirrorBase>(input);
   {
     std::vector<Bytes> ops;
     (void)core::Batcher::DecodeBatch(input, &ops);

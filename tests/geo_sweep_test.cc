@@ -58,7 +58,7 @@ TEST_P(GeoSweepTest, CommitLatencyBoundedByMirrorRtt) {
   int holding = 0;
   for (net::SiteId host : deployment.mirror_sites_of(site)) {
     BlockplaneNode* node = deployment.mirror_node(host, site, 0);
-    if (node->log_size() == 0) continue;
+    if (node->mirror_high() == 0) continue;
     ++holding;
     for (auto& [pos, record] : node->log()) {
       auto [it, inserted] = reference.emplace(record.geo_pos, record.payload);

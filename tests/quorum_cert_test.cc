@@ -385,7 +385,7 @@ TEST(QuorumCertEndToEndTest, GeoCommitsCarryCertsInReplicationAndBundles) {
   // Mirror logs hold the records.
   int holding = 0;
   for (net::SiteId host : deployment.mirror_sites_of(kCalifornia)) {
-    if (deployment.mirror_node(host, kCalifornia, 0)->log_size() >= 3) {
+    if (deployment.mirror_node(host, kCalifornia, 0)->mirror_high() >= 3) {
       ++holding;
     }
   }

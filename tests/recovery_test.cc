@@ -384,6 +384,59 @@ TEST(RecoveryTest, ReplicaDownPastTheWindowInstallsABaseAndDedupsLikeItsPeers) {
   }
 }
 
+TEST(RecoveryTest, MirrorReplicaDownPastTheWindowInstallsABase) {
+  // The mirror twin of the test above: a replica of Oregon's mirror group
+  // of California misses more than 4·I of its group's positions. Its peers
+  // dropped them below their horizon, so it installs a base page with no
+  // values and pages on from there, to its peers' applied position, digest
+  // chain and mirror high.
+  constexpr uint64_t kInterval = 8;
+  sim::Simulator simulator(59);
+  BlockplaneOptions options;
+  options.fg = 1;
+  options.checkpoint_interval = kInterval;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  const net::NodeId down = MirrorNodeId(net::kOregon, net::kCalifornia, 3);
+  deployment.network()->Crash(down);
+  Participant* primary = deployment.participant(net::kCalifornia);
+  for (uint64_t i = 0; i < 6 * kInterval; ++i) {
+    uint64_t pos = 0;
+    primary->LogCommit(ToBytes("geo-" + std::to_string(i)), 0,
+                       [&](uint64_t p) { pos = p; });
+    ASSERT_TRUE(simulator.RunUntilCondition(
+        [&] { return pos != 0; }, simulator.Now() + Seconds(60)));
+  }
+  simulator.RunFor(Seconds(1));
+  BlockplaneNode* peer =
+      deployment.mirror_node(net::kOregon, net::kCalifornia, 0);
+  ASSERT_EQ(peer->mirror_high(), 6 * kInterval);
+  const uint64_t base = peer->horizon();
+  ASSERT_GT(base, 0u);
+
+  deployment.network()->Recover(down);
+  BlockplaneNode* recovered =
+      deployment.mirror_node(net::kOregon, net::kCalifornia, 3);
+  uint64_t first_executed = 0;
+  recovered->SetApplyHook([&](uint64_t seq, const LogRecord&) {
+    if (first_executed == 0) first_executed = seq;
+  });
+  recovered->Recover();
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return recovered->applied_high() == peer->applied_high(); },
+      simulator.Now() + Seconds(60)));
+  // It executed nothing at or below its base, and mirrors from there on.
+  EXPECT_GT(first_executed, base);
+  EXPECT_GE(recovered->horizon(), base);
+  EXPECT_GT(recovered->mirror_horizon(), 0u);
+  for (int index = 0; index < 3; ++index) {
+    const BlockplaneNode* other =
+        deployment.mirror_node(net::kOregon, net::kCalifornia, index);
+    EXPECT_EQ(recovered->applied_high(), other->applied_high()) << index;
+    EXPECT_EQ(recovered->chain_digest(), other->chain_digest()) << index;
+    EXPECT_EQ(recovered->mirror_high(), other->mirror_high()) << index;
+  }
+}
+
 TEST(RecoveryTest, TamperedBaseStateIsRejected) {
   // A base page from a real responder, with one reception watermark of
   // its certified state changed, must not install; the untouched page
@@ -480,7 +533,7 @@ TEST(RecoveryTest, PipelinedGeoCommitsCompleteInOrder) {
   simulator.RunFor(Seconds(3));
   BlockplaneNode* mirror =
       deployment.mirror_node(net::kOregon, net::kCalifornia, 0);
-  ASSERT_EQ(mirror->log_size(), 5u);
+  ASSERT_EQ(mirror->mirror_high(), 5u);
   uint64_t expected_geo_pos = 1;
   for (auto& [pos, record] : mirror->log()) {
     EXPECT_EQ(record.geo_pos, expected_geo_pos++);
