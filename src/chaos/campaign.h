@@ -50,7 +50,7 @@ enum class FaultType : uint8_t {
   kByzSilent,           // mute node
   kByzBogusVotes,       // corrupted vote digests
   kByzWithholdAttest,   // certificate withholding: never attests
-  kByzForgeReads,       // reply forgery on the read path
+  kByzForgeReads,       // forged read bodies under the honest digest
   kByzReorderGeo,       // unit leader censors a request -> non-contiguous
                         // geo positions (DESIGN.md §10 defense target)
 };

@@ -479,7 +479,9 @@ void ApplyFault(core::Deployment* deployment, const FaultAction& action) {
       node()->RefuseAttestations();
       break;
     case FaultType::kByzForgeReads:
-      node()->LieOnReads();
+      // Forged bytes under the honest digest: the lie that gets past the
+      // digest vote and only the body check stops.
+      node()->LieOnReads(core::ReadLie::kForgedBody);
       break;
     case FaultType::kByzReorderGeo:
       node()->SetByzantineMode(pbft::ByzantineMode::kReorderGeo);

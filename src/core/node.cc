@@ -60,8 +60,9 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
   group.window = options_.pbft_window;
   replica_ = std::make_unique<pbft::PbftReplica>(
       network_, keys_, std::move(group), self_,
-      [this](uint64_t seq, const Bytes& value, const crypto::Digest&) {
-        OnExecute(seq, value);
+      [this](uint64_t seq, const Bytes& value,
+             const crypto::Digest& value_digest) {
+        OnExecute(seq, value, value_digest);
       });
   replica_->SetVerifier(
       [this](const Bytes& value) { return VerifyValue(value); });
@@ -156,28 +157,9 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
     case kMirrorEntry:
       OnMirrorEntry(msg);
       return;
-    case kReadRequest: {
-      ReadRequestMsg request;
-      if (!ReadRequestMsg::Decode(msg.body(), &request).ok()) return;
-      ReadReplyMsg reply;
-      reply.read_id = request.read_id;
-      reply.pos = request.pos;
-      auto it = log_.find(request.pos);
-      if (request.pos <= horizon_) {
-        reply.outcome = ReadOutcome::kOutOfRange;
-      } else if (it != log_.end()) {
-        reply.outcome = ReadOutcome::kFound;
-        if (lie_on_reads_) {
-          LogRecord forged = it->second;
-          forged.payload = ToBytes("forged read result");
-          reply.record = forged.Encode();
-        } else {
-          reply.record = it->second.Encode();
-        }
-      }
-      SendTo(msg.src, kReadReply, reply.Encode());
+    case kReadRequest:
+      OnReadRequest(msg);
       return;
-    }
     default:
       break;
   }
@@ -463,16 +445,19 @@ bool BlockplaneNode::VerifyMirrorBase(const LogRecord& record,
   return static_cast<int>(voters.size()) >= 2 * options_.fi + 1;
 }
 
-void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value) {
+void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value,
+                               const crypto::Digest& value_digest) {
   applied_high_ = seq;
 
-  LogRecord record;
-  if (!LogRecord::Decode(value, &record).ok()) {
+  LogEntry entry;
+  if (!LogRecord::Decode(value, &entry).ok()) {
     // Can only happen if f+1 replicas committed garbage — i.e. never.
     BP_LOG(kError) << self_.ToString() << " undecodable committed record";
     return;
   }
-  log_[seq] = record;
+  entry.value_digest = value_digest;
+  const LogRecord& record =
+      log_.insert_or_assign(seq, std::move(entry)).first->second;
 
   switch (record.type) {
     case RecordType::kLogCommit:
@@ -848,7 +833,7 @@ void BlockplaneNode::OnAttestRequest(const net::Message& msg) {
       if (api == api_pos_by_log_pos_.end()) return;
       response.sig = signer_->Sign(AttestCanonical(
           AttestPurpose::kGeoSource, origin_site_, api->second,
-          crypto::Sha256Digest(it->second.Encode())));
+          it->second.value_digest));
       break;
     }
     case AttestPurpose::kGeoAck:
@@ -873,6 +858,35 @@ uint64_t BlockplaneNode::PrevCommPos(net::SiteId dest, uint64_t pos) const {
   const std::vector<uint64_t>& positions = it->second;
   auto next = std::lower_bound(positions.begin(), positions.end(), pos);
   return next == positions.begin() ? 0 : *(next - 1);
+}
+
+// --- reads (§VI-A) ------------------------------------------------------------------
+
+void BlockplaneNode::OnReadRequest(const net::Message& msg) {
+  ReadRequestMsg request;
+  if (!ReadRequestMsg::Decode(msg.body(), &request).ok()) return;
+  ReadReplyMsg reply;
+  reply.read_id = request.read_id;
+  reply.pos = request.pos;
+  auto it = log_.find(request.pos);
+  if (request.pos <= horizon_) {
+    reply.outcome = ReadOutcome::kOutOfRange;
+  } else if (it != log_.end()) {
+    reply.outcome = ReadOutcome::kFound;
+    reply.digest = it->second.value_digest;
+    if (read_lie_ == ReadLie::kNone) {
+      if (request.body) reply.record = it->second.Encode();
+    } else {
+      LogRecord forged = it->second;
+      forged.payload = ToBytes("forged read result");
+      Bytes encoded = forged.Encode();
+      if (read_lie_ == ReadLie::kForgedEntry) {
+        reply.digest = crypto::Sha256Digest(encoded);
+      }
+      if (request.body) reply.record = std::move(encoded);
+    }
+  }
+  SendTo(msg.src, kReadReply, reply.Encode());
 }
 
 // --- status queries ----------------------------------------------------------------
@@ -990,11 +1004,12 @@ void BlockplaneNode::OnMirrorFetch(const net::Message& msg) {
   MirrorEntryMsg reply;
   reply.origin_site = origin_site_;
   if (mirror_entries_.count(fetch.from_geo_pos + 1) == 0) {
-    // Not held here: below this node's horizon the asker gets the base its
-    // own base pages carry instead (DESIGN.md §10, retention).
+    // Not held here: below this node's horizon the asker gets the newest
+    // checkpoint this group certified instead, which leaves it fewer than
+    // 2·I entries to fetch above it (DESIGN.md §10, retention).
     MirrorBase base;
     DerivedState state;
-    if (!replica_->HorizonBase(&base.checkpoint, &base.state) ||
+    if (!replica_->NewestBase(&base.checkpoint, &base.state) ||
         !DerivedState::Decode(base.state.app, &state).ok() ||
         state.mirror_high <= fetch.from_geo_pos) {
       return;

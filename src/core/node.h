@@ -58,6 +58,22 @@ using VerifyRoutine = std::function<bool(const LogRecord&)>;
 /// Local Log append in order.
 using ApplyHook = std::function<void(uint64_t pos, const LogRecord&)>;
 
+/// A held Local Log entry: the decoded record and its value digest, the
+/// SHA-256 of its encoding that PBFT computed when it executed. Read
+/// replies and kGeoSource attestations carry the digest (DESIGN.md §7).
+struct LogEntry : LogRecord {
+  crypto::Digest value_digest{};
+};
+
+/// How a node lying on reads forges its answers (§VI-A).
+enum class ReadLie : uint8_t {
+  kNone,
+  /// Forged entry bytes under the honest value digest.
+  kForgedBody,
+  /// A forged entry under its own digest, consistent on its face.
+  kForgedEntry,
+};
+
 class BlockplaneNode : public net::Host {
  public:
   /// `group` is the PBFT group replicating this log; `origin_site` is the
@@ -116,7 +132,7 @@ class BlockplaneNode : public net::Host {
   /// The node's copy of the Local Log, 1-based by position: every entry
   /// above the horizon, plus the communication records at or below it
   /// that a daemon here still has to ship.
-  const std::map<uint64_t, LogRecord>& log() const { return log_; }
+  const std::map<uint64_t, LogEntry>& log() const { return log_; }
   uint64_t log_size() const { return log_.empty() ? 0 : log_.rbegin()->first; }
   /// The position at or below which this node no longer serves its Local
   /// Log: reads there return OutOfRange.
@@ -156,9 +172,9 @@ class BlockplaneNode : public net::Host {
   /// transmission acks (an attack on the daemon-reserve gap detection,
   /// §IV-C, and on the active daemon's step-back).
   void LieAboutReception() { lie_about_reception_ = true; }
-  /// Makes this node answer read requests with corrupted records (shows
-  /// why read-1 trusts a single node while quorum reads do not, §VI-A).
-  void LieOnReads() { lie_on_reads_ = true; }
+  /// Makes this node answer read requests with a forged entry (shows why
+  /// read-1 trusts a single node while quorum reads do not, §VI-A).
+  void LieOnReads(ReadLie lie) { read_lie_ = lie; }
 
  private:
   friend class CommDaemon;
@@ -176,8 +192,9 @@ class BlockplaneNode : public net::Host {
   void ResetAdmission();
   /// Applies a value the replica executed (in order, whether it committed
   /// here or arrived in a catch-up page) to this node's Local Log copy and
-  /// derived state.
-  void OnExecute(uint64_t seq, const Bytes& value);
+  /// derived state. `value_digest` is the SHA-256 of `value`.
+  void OnExecute(uint64_t seq, const Bytes& value,
+                 const crypto::Digest& value_digest);
 
   // -- retention (DESIGN.md §10) --
   /// The derived state a checkpoint certifies (DerivedState, encoded).
@@ -233,6 +250,9 @@ class BlockplaneNode : public net::Host {
   /// A unit peer's attestation of one of this node's daemon flights.
   void OnAttestResponse(const net::Message& msg);
   void OnAttestRequest(const net::Message& msg);
+  /// A read (§VI-A): the outcome and the stored value digest, plus the
+  /// encoded entry when the reader asked for it.
+  void OnReadRequest(const net::Message& msg);
   void OnRecvStatusQuery(const net::Message& msg);
   /// The reception watermark this node reports, inflated under
   /// LieAboutReception.
@@ -274,7 +294,7 @@ class BlockplaneNode : public net::Host {
   net::SiteId origin_site_;
 
   std::unique_ptr<pbft::PbftReplica> replica_;
-  std::map<uint64_t, LogRecord> log_;
+  std::map<uint64_t, LogEntry> log_;
   uint64_t horizon_ = 0;
   /// Communication records dropped on a node with no daemon for their
   /// destination: the digest OnAttestRequest signs, by position (40 B
@@ -378,7 +398,7 @@ class BlockplaneNode : public net::Host {
   uint64_t next_req_id_ = 1;
   bool refuse_attestations_ = false;
   bool lie_about_reception_ = false;
-  bool lie_on_reads_ = false;
+  ReadLie read_lie_ = ReadLie::kNone;
 
   std::vector<std::unique_ptr<CommDaemon>> daemons_;
 };

@@ -27,6 +27,25 @@ TraceId BeginOpTrace(sim::Simulator* sim) {
   return trace;
 }
 
+/// Decodes into `*record` a held body whose SHA-256 is `digest`. A body
+/// claimed for `digest` that hashes to anything else is dropped (its
+/// sender lied); bodies claimed for other digests stay unhashed. False
+/// while no body proves `digest`.
+bool TakeBody(std::vector<std::pair<crypto::Digest, Bytes>>* bodies,
+              const crypto::Digest& digest, LogRecord* record) {
+  for (auto it = bodies->begin(); it != bodies->end();) {
+    if (it->first != digest) {
+      ++it;
+    } else if (crypto::Sha256Digest(it->second) == digest &&
+               LogRecord::Decode(it->second, record).ok()) {
+      return true;
+    } else {
+      it = bodies->erase(it);
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 Participant::Participant(net::Network* network, crypto::KeyStore* keys,
@@ -800,6 +819,7 @@ void Participant::Read(uint64_t pos, ReadStrategy strategy, ReadCallback done) {
   ReadRequestMsg request;
   request.read_id = read_id;
   request.pos = pos;
+  request.body = true;
   Bytes encoded = request.Encode();
   if (strategy == ReadStrategy::kReadOne) {
     // Served from the closest node; if it is down or slow, widen to the
@@ -816,8 +836,19 @@ void Participant::Read(uint64_t pos, ReadStrategy strategy, ReadCallback done) {
           }
         });
   } else {
-    for (const net::NodeId& node : unit_group_.nodes) {
-      SendTo(node, kReadRequest, Bytes(encoded));
+    // f_i+1 nodes, rotating with the read id, ship the entry; the other
+    // 2f_i ship its digest only. So any 2f_i+1 replies include a body, and
+    // one of the f_i+1 bodies comes from a correct node (DESIGN.md §5
+    // item 7).
+    request.body = false;
+    const Bytes digest_only = request.Encode();
+    const size_t n = unit_group_.nodes.size();
+    const size_t first = read_id % n;
+    for (size_t i = 0; i < n; ++i) {
+      const bool body =
+          (i + n - first) % n <= static_cast<size_t>(options_.fi);
+      SendTo(unit_group_.nodes[i], kReadRequest,
+             Bytes(body ? encoded : digest_only));
     }
   }
 }
@@ -830,25 +861,23 @@ void Participant::OnReadReply(const net::Message& msg) {
   if (msg.src.site != site_ || unit_group_.ReplicaIndex(msg.src) < 0) return;
   PendingRead& pending = it->second;
 
-  LogRecord record;
-  crypto::Digest digest{};
-  if (reply.outcome == ReadOutcome::kFound) {
-    if (!LogRecord::Decode(reply.record, &record).ok()) return;
-    digest = record.ContentDigest();
-    pending.values[digest] = record;
+  const bool found = reply.outcome == ReadOutcome::kFound;
+  auto& votes = pending.votes[{reply.outcome, reply.digest}];
+  if (!votes.insert(msg.src).second) return;
+  if (found && !reply.record.empty()) {
+    pending.bodies.emplace_back(reply.digest, std::move(reply.record));
   }
-  auto& votes = pending.votes[{reply.outcome, digest}];
-  votes.insert(msg.src);
 
   int needed = pending.strategy == ReadStrategy::kReadOne
                    ? 1
                    : 2 * options_.fi + 1;
   if (static_cast<int>(votes.size()) < needed) return;
+  // The quorum vouches for the digest, and a body proves itself against
+  // it: the vote covers the whole encoded entry, proofs included.
+  LogRecord result;
+  if (found && !TakeBody(&pending.bodies, reply.digest, &result)) return;
 
   ReadCallback done = std::move(pending.done);
-  LogRecord result = reply.outcome == ReadOutcome::kFound
-                         ? pending.values[digest]
-                         : LogRecord{};
   sim_->Cancel(pending.retry_timer);
   reads_.erase(it);
   if (!done) return;

@@ -30,7 +30,8 @@ namespace blockplane::core {
 enum class ReadStrategy {
   /// Served by the closest node with the entry's validity proof.
   kReadOne,
-  /// Waits for 2f_i+1 identical responses.
+  /// Waits for 2f_i+1 identical responses: f_i+1 nodes ship the entry and
+  /// the rest its value digest.
   kReadQuorum,
   /// Commits the read to the log like any entry (strongest).
   kLinearizable,
@@ -262,10 +263,12 @@ class Participant : public net::Host {
     uint64_t pos = 0;
     ReadStrategy strategy;
     ReadCallback done;
-    /// Replies by outcome and record digest (zero unless found).
+    /// Replies by outcome and value digest (zero unless found).
     std::map<std::pair<ReadOutcome, crypto::Digest>, std::set<net::NodeId>>
         votes;
-    std::map<crypto::Digest, LogRecord> values;
+    /// Encoded entries not yet hashed, with the digest each sender claimed.
+    /// A body is hashed only once its digest has a quorum.
+    std::vector<std::pair<crypto::Digest, Bytes>> bodies;
     /// read-1 fallback: if the closest node is down, widen to the unit.
     sim::EventId retry_timer = sim::kInvalidEventId;
   };

@@ -91,11 +91,15 @@ struct GeoGapNoticeMsg {
   BP_WIRE(GeoGapNoticeMsg, missing_geo_pos, quarantined_high)
 };
 
+/// A read of one Local Log entry (§VI-A). Every node answers with the
+/// outcome and the entry's value digest; only a node asked for the `body`
+/// also ships the encoded entry.
 struct ReadRequestMsg {
   uint64_t read_id = 0;
   uint64_t pos = 0;
+  bool body = false;
 
-  BP_WIRE(ReadRequestMsg, read_id, pos)
+  BP_WIRE(ReadRequestMsg, read_id, pos, body)
 };
 
 /// What a node holds at a read position: the entry, nothing committed
@@ -115,9 +119,12 @@ struct ReadReplyMsg {
   uint64_t read_id = 0;
   uint64_t pos = 0;
   ReadOutcome outcome = ReadOutcome::kNotFound;
-  Bytes record;  // encoded LogRecord when found
+  /// When found: the SHA-256 of the encoded entry, the value digest PBFT
+  /// computed when it executed (DESIGN.md §7); zero otherwise.
+  crypto::Digest digest{};
+  Bytes record;  // the encoded LogRecord, when found and asked for
 
-  BP_WIRE(ReadReplyMsg, read_id, pos, outcome, record)
+  BP_WIRE(ReadReplyMsg, read_id, pos, outcome, digest, record)
 };
 
 /// Mirror gap backfill (§V, DESIGN.md §10): a lagging mirror group's

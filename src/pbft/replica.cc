@@ -952,16 +952,17 @@ void PbftReplica::AdoptStableCheckpoint(StableCheckpoint checkpoint) {
   }
 }
 
-bool PbftReplica::HorizonBase(StableCheckpoint* checkpoint,
-                              CheckpointState* state) const {
-  auto cert = checkpoints_.find(horizon_);
-  auto held = states_.find(horizon_);
-  if (horizon_ == 0 || cert == checkpoints_.end() || held == states_.end()) {
-    return false;
+bool PbftReplica::NewestBase(StableCheckpoint* checkpoint,
+                             CheckpointState* state) const {
+  for (auto cert = checkpoints_.rbegin(); cert != checkpoints_.rend();
+       ++cert) {
+    auto held = states_.find(cert->first);
+    if (held == states_.end()) continue;
+    *checkpoint = cert->second;
+    *state = held->second;
+    return true;
   }
-  *checkpoint = cert->second;
-  *state = held->second;
-  return true;
+  return false;
 }
 
 void PbftReplica::SetHorizon(uint64_t horizon) {

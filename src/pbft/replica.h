@@ -144,9 +144,10 @@ class PbftReplica : public net::Host {
   /// The oldest stable checkpoint whose certificate and state this replica
   /// keeps (0 before the first move); pages start at or above it.
   uint64_t horizon() const { return horizon_; }
-  /// Copies the horizon's certificate and the state it certifies, the ones
-  /// a base page carries; false before the first move.
-  bool HorizonBase(StableCheckpoint* checkpoint, CheckpointState* state) const;
+  /// Copies the newest kept checkpoint that has both a certificate and a
+  /// state, with that state: the base a lagging peer group installs
+  /// (DESIGN.md §10); false while there is none.
+  bool NewestBase(StableCheckpoint* checkpoint, CheckpointState* state) const;
   /// The oldest stable checkpoint certificate kept (test access).
   uint64_t oldest_checkpoint() const {
     return checkpoints_.empty() ? 0 : checkpoints_.begin()->first;

@@ -430,6 +430,34 @@ TEST(BlockplaneCoreTest, ReadStrategies) {
   }
 }
 
+TEST(BlockplaneCoreTest, QuorumReadShipsFiPlusOneBodies) {
+  // Digest replies (DESIGN.md §5 item 7): of the 3f_i+1 nodes a quorum
+  // read asks, f_i+1 ship the entry and the rest its 32 B value digest.
+  CoreHarness harness;
+  const uint64_t pos =
+      harness.CommitAndWait(kCalifornia, std::string(32 * 1024, 'x'));
+  harness.simulator_.RunFor(Seconds(1));
+  const net::Network* network = harness.deployment_.network();
+  const int64_t before = network->counters().Get("lan_bytes");
+  bool done = false;
+  harness.deployment_.participant(kCalifornia)
+      ->Read(pos, ReadStrategy::kReadQuorum, [&](Status status, LogRecord) {
+        EXPECT_TRUE(status.ok()) << status;
+        done = true;
+      });
+  ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+      [&] { return done; }, harness.simulator_.Now() + Seconds(1)));
+  // Every node answered at once; let the last reply land.
+  harness.simulator_.RunFor(Milliseconds(5));
+  const int64_t read_bytes = network->counters().Get("lan_bytes") - before;
+  const int64_t body = static_cast<int64_t>(
+      harness.deployment_.node(kCalifornia, 0)->log().at(pos).Encode().size());
+  const int fi = harness.deployment_.options().fi;
+  // Four requests and four replies fit well inside the 4 KB of slack.
+  EXPECT_GT(read_bytes, fi * body);
+  EXPECT_LE(read_bytes, (fi + 1) * body + 4096);
+}
+
 TEST(BlockplaneCoreTest, ReadOneFallsBackWhenClosestNodeIsDown) {
   CoreHarness harness;
   uint64_t pos = harness.CommitAndWait(kCalifornia, "still readable");
@@ -835,6 +863,12 @@ TEST(BlockplaneGeoTest, LaggingSecondaryReconcilesBeforeActing) {
     const uint64_t held = std::max<uint64_t>(base_high, 1);
     EXPECT_EQ(robustness_stats().mirror_gap_filled,
               static_cast<int64_t>(expected.size() - 1 - held));
+    if (past_the_window) {
+      // The peer served its newest certified checkpoint, so fewer than
+      // 2·I entries remain above the base.
+      EXPECT_LT(robustness_stats().mirror_gap_filled,
+                static_cast<int64_t>(2 * c.checkpoint_interval));
+    }
     harness.simulator_.RunFor(Seconds(2));
     // The entries Virginia holds are the stream's, contiguous up to the
     // takeover entry.

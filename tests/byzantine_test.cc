@@ -134,16 +134,34 @@ TEST(ByzantineEndToEndTest, TwoMixedByzantineNodesUnderF2) {
   deployment.node(kCalifornia, 6)
       ->SetByzantineMode(pbft::ByzantineMode::kBogusVotes);
   deployment.node(kCalifornia, 6)->RefuseAttestations();
-  deployment.node(kCalifornia, 6)->LieOnReads();
+  deployment.node(kCalifornia, 6)->LieOnReads(ReadLie::kForgedBody);
 
-  int completed = 0;
+  std::map<uint64_t, std::string> committed;
   for (int i = 0; i < 5; ++i) {
+    const std::string value = "v" + std::to_string(i);
     deployment.participant(kCalifornia)
-        ->LogCommit(ToBytes("v" + std::to_string(i)), 0,
-                    [&](uint64_t) { ++completed; });
+        ->LogCommit(ToBytes(value), 0,
+                    [&, value](uint64_t pos) { committed[pos] = value; });
   }
-  ASSERT_TRUE(simulator.RunUntilCondition([&] { return completed == 5; },
-                                          Seconds(120)));
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return committed.size() == 5; }, Seconds(120)));
+  // Quorum reads: three body senders, rotating over 3f_i+1 reads, so the
+  // liar and the silent node each ship a body and a digest in turn.
+  const auto& [pos, value] = *committed.rbegin();
+  for (int i = 0; i < 7; ++i) {
+    bool read_done = false;
+    LogRecord result;
+    deployment.participant(kCalifornia)
+        ->Read(pos, ReadStrategy::kReadQuorum,
+               [&](Status s, LogRecord record) {
+                 EXPECT_TRUE(s.ok()) << s;
+                 result = std::move(record);
+                 read_done = true;
+               });
+    ASSERT_TRUE(simulator.RunUntilCondition(
+        [&] { return read_done; }, simulator.Now() + Seconds(1)));
+    EXPECT_EQ(ToString(result.payload), value) << "read " << i;
+  }
   // Cross-site traffic also survives (attestations need f_i+1 = 3 of 7).
   deployment.participant(kCalifornia)
       ->Send(kOregon, ToBytes("from the f2 unit"), 0, nullptr);
@@ -311,15 +329,15 @@ TEST(ByzantineEndToEndTest, ForgedMirrorBasesAreRefused) {
   // Oregon's group mirrors every entry and moves its horizon; Virginia's
   // group is down.
   BlockplaneNode* peer = deployment.mirror_node(kOregon, kCalifornia, 0);
-  auto horizon_base = [&](MirrorBase* base) {
-    ASSERT_TRUE(peer->replica()->HorizonBase(&base->checkpoint, &base->state));
+  auto newest_base = [&](MirrorBase* base) {
+    ASSERT_TRUE(peer->replica()->NewestBase(&base->checkpoint, &base->state));
   };
   MirrorBase older;
   commit(30);
-  horizon_base(&older);
+  newest_base(&older);
   MirrorBase honest;
   commit(10);
-  horizon_base(&honest);
+  newest_base(&honest);
   deployment.network()->RecoverSite(kVirginia);
 
   BlockplaneNode* leader = deployment.mirror_node(kVirginia, kCalifornia, 0);
@@ -711,8 +729,9 @@ TEST(ByzantineEndToEndTest, QuorumReadSurvivesALyingReplica) {
       simulator.RunUntilCondition([&] { return committed; }, Seconds(30)));
   simulator.RunFor(Seconds(1));
 
-  // Node 0 — the one read-1 happens to consult — starts lying.
-  deployment.node(kCalifornia, 0)->LieOnReads();
+  // Node 0 — the one read-1 happens to consult — starts lying with a
+  // forged entry under its own digest.
+  deployment.node(kCalifornia, 0)->LieOnReads(ReadLie::kForgedEntry);
 
   bool read_done = false;
   LogRecord result;
@@ -739,6 +758,118 @@ TEST(ByzantineEndToEndTest, QuorumReadSurvivesALyingReplica) {
   ASSERT_TRUE(
       simulator.RunUntilCondition([&] { return read_done; }, Seconds(30)));
   EXPECT_EQ(ToString(result.payload), "the truth");
+}
+
+TEST(ByzantineEndToEndTest, QuorumReadsSurviveAFaultyNodeInEveryRole) {
+  // A quorum read asks f_i+1 nodes, rotating with the read id, for the
+  // entry and the other 2f_i for its digest (DESIGN.md §5 item 7). Over
+  // 3f_i+1 consecutive reads one faulty node holds every role, and each
+  // read still returns the true entry in one round: a forged body fails
+  // its hash, a forged digest finds no quorum, a crashed node is not
+  // needed.
+  enum class Fault { kForgedBody, kForgedEntry, kCrash };
+  for (Fault fault : {Fault::kForgedBody, Fault::kForgedEntry, Fault::kCrash}) {
+    SCOPED_TRACE("fault " + std::to_string(static_cast<int>(fault)));
+    sim::Simulator simulator(43);
+    Deployment deployment(&simulator, Topology::Aws4(), {});
+    Participant* participant = deployment.participant(kCalifornia);
+    uint64_t pos = 0;
+    participant->LogCommit(ToBytes("the truth"), 0,
+                           [&](uint64_t p) { pos = p; });
+    ASSERT_TRUE(
+        simulator.RunUntilCondition([&] { return pos != 0; }, Seconds(30)));
+    simulator.RunFor(Seconds(1));
+    switch (fault) {
+      case Fault::kForgedBody:
+        deployment.node(kCalifornia, 2)->LieOnReads(ReadLie::kForgedBody);
+        break;
+      case Fault::kForgedEntry:
+        deployment.node(kCalifornia, 2)->LieOnReads(ReadLie::kForgedEntry);
+        break;
+      case Fault::kCrash:
+        deployment.network()->Crash({kCalifornia, 2});
+        break;
+    }
+    for (int i = 0; i < 4; ++i) {
+      bool read_done = false;
+      LogRecord result;
+      participant->Read(pos, ReadStrategy::kReadQuorum,
+                        [&](Status s, LogRecord record) {
+                          EXPECT_TRUE(s.ok()) << s;
+                          result = std::move(record);
+                          read_done = true;
+                        });
+      // A LAN round trip; a quorum read has no timer to wait for.
+      ASSERT_TRUE(simulator.RunUntilCondition(
+          [&] { return read_done; },
+          simulator.Now() + sim::Milliseconds(5)))
+          << "read " << i;
+      EXPECT_EQ(ToString(result.payload), "the truth") << "read " << i;
+    }
+  }
+}
+
+TEST(ByzantineEndToEndTest, QuorumReadReturnsOnlyAQuorumDigestsBody) {
+  // The unit is crashed and its replies are scripted, so their order is
+  // fixed. In the first read 2f_i+1 replies agree on the true digest but
+  // their one body is forged: the read waits for a body that hashes to the
+  // digest. In the second a forged entry comes first under its own digest:
+  // one vote is no quorum.
+  sim::Simulator simulator(47);
+  Deployment deployment(&simulator, Topology::Aws4(), {});
+  Participant* participant = deployment.participant(kCalifornia);
+  uint64_t pos = 0;
+  participant->LogCommit(ToBytes("the truth"), 0, [&](uint64_t p) { pos = p; });
+  ASSERT_TRUE(
+      simulator.RunUntilCondition([&] { return pos != 0; }, Seconds(30)));
+  simulator.RunFor(Seconds(1));
+  const LogEntry& held = deployment.node(kCalifornia, 0)->log().at(pos);
+  LogRecord forged = held;
+  forged.payload = ToBytes("forged read result");
+  const Bytes true_body = held.Encode();
+  const Bytes forged_body = forged.Encode();
+  const crypto::Digest digest = held.value_digest;
+  ASSERT_EQ(crypto::Sha256Digest(true_body), digest);
+  for (int i = 0; i < 4; ++i) deployment.network()->Crash({kCalifornia, i});
+
+  // Read ids count from 1.
+  for (uint64_t read_id : {1, 2}) {
+    SCOPED_TRACE("read " + std::to_string(read_id));
+    bool read_done = false;
+    LogRecord result;
+    participant->Read(pos, ReadStrategy::kReadQuorum,
+                      [&](Status s, LogRecord record) {
+                        EXPECT_TRUE(s.ok()) << s;
+                        result = std::move(record);
+                        read_done = true;
+                      });
+    auto reply_from = [&](int node, const crypto::Digest& claimed,
+                          const Bytes& body) {
+      ReadReplyMsg reply;
+      reply.read_id = read_id;
+      reply.pos = pos;
+      reply.outcome = ReadOutcome::kFound;
+      reply.digest = claimed;
+      reply.record = body;
+      net::Message msg;
+      msg.src = {kCalifornia, node};
+      msg.dst = ParticipantNodeId(kCalifornia);
+      msg.type = kReadReply;
+      msg.set_body(reply.Encode());
+      participant->HandleMessage(msg);
+    };
+    if (read_id == 1) {
+      reply_from(1, digest, forged_body);
+    } else {
+      reply_from(1, crypto::Sha256Digest(forged_body), forged_body);
+    }
+    reply_from(0, digest, {});
+    reply_from(3, digest, {});
+    EXPECT_FALSE(read_done);
+    reply_from(2, digest, true_body);
+    ASSERT_TRUE(read_done);
+    EXPECT_EQ(ToString(result.payload), "the truth");
+  }
 }
 
 // Regression: the client used to count f+1 replies as "matching" when they

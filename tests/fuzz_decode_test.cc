@@ -128,6 +128,56 @@ TEST_P(FuzzDecodeTest, TruncatedValidRecordsFailCleanly) {
   EXPECT_EQ(out.geo_proof, record.geo_proof);
 }
 
+TEST_P(FuzzDecodeTest, ReadMessagesRejectPrefixesAndMutations) {
+  // The read request's body flag and the reply's value digest (§VI-A).
+  Rng rng(static_cast<uint64_t>(GetParam()) * 577);
+  core::ReadRequestMsg request;
+  request.read_id = 12;
+  request.pos = 34;
+  request.body = true;
+  core::ReadReplyMsg reply;
+  reply.read_id = 12;
+  reply.pos = 34;
+  reply.outcome = core::ReadOutcome::kFound;
+  for (auto& b : reply.digest) b = static_cast<uint8_t>(rng.NextU64());
+  reply.record = RandomBytes(rng, 200);
+  const Bytes valid_request = request.Encode();
+  const Bytes valid_reply = reply.Encode();
+
+  for (size_t len = 0; len < valid_request.size(); ++len) {
+    core::ReadRequestMsg out;
+    EXPECT_FALSE(core::ReadRequestMsg::Decode(
+                     Bytes(valid_request.begin(), valid_request.begin() + len),
+                     &out)
+                     .ok())
+        << "request prefix of length " << len << " decoded";
+  }
+  for (size_t len = 0; len < valid_reply.size(); ++len) {
+    core::ReadReplyMsg out;
+    EXPECT_FALSE(core::ReadReplyMsg::Decode(
+                     Bytes(valid_reply.begin(), valid_reply.begin() + len),
+                     &out)
+                     .ok())
+        << "reply prefix of length " << len << " decoded";
+  }
+  core::ReadRequestMsg request_out;
+  ASSERT_TRUE(core::ReadRequestMsg::Decode(valid_request, &request_out).ok());
+  EXPECT_TRUE(request_out.body);
+  core::ReadReplyMsg reply_out;
+  ASSERT_TRUE(core::ReadReplyMsg::Decode(valid_reply, &reply_out).ok());
+  EXPECT_EQ(reply_out.digest, reply.digest);
+  EXPECT_EQ(reply_out.record, reply.record);
+
+  for (const Bytes& valid : {valid_request, valid_reply}) {
+    for (int i = 0; i < 100; ++i) {
+      Bytes mutated = valid;
+      mutated[rng.NextBelow(mutated.size())] =
+          static_cast<uint8_t>(rng.NextU64());
+      DecodeEverything(mutated);
+    }
+  }
+}
+
 TEST_P(FuzzDecodeTest, MutatedValidEncodingsNeverCrash) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 7);
   core::TransmissionRecord tr;
