@@ -9,11 +9,13 @@
 // completion callbacks stay strictly in submission order.
 //
 // (C) sweeps the communication daemon's window over the remote-delivery
-// path, lossless and at 1 % uniform loss.
+// path, lossless (sim seed 7) and at 1 % uniform loss. A lossy run swings
+// with which messages the seeded loss drops, so each lossy row reports the
+// median and quartiles over sim seeds 1-10.
 //
 // Writes BENCH_pipeline.json (`--out=PATH` to redirect it) and exits
 // non-zero unless window 8 beats window 1 in (A) and (B), by at least 4x in
-// (A), or if a lossy row of (C) saw no dropped message. scripts/check.sh
+// (A), or if a lossy run of (C) saw no dropped message. scripts/check.sh
 // runs it as a regression gate.
 #include <algorithm>
 #include <cstdio>
@@ -174,11 +176,11 @@ struct DeliveryResult {
 };
 
 DeliveryResult RunDelivery(uint64_t daemon_window, double loss,
-                           uint64_t records_per_dest) {
+                           uint64_t records_per_dest, uint64_t seed) {
   pipeline_stats().Reset();
   congestion_stats().Reset();
   robustness_stats().Reset();
-  sim::Simulator simulator(7);
+  sim::Simulator simulator(seed);
   core::BlockplaneOptions options;
   options.fi = 1;
   options.fg = 0;
@@ -214,11 +216,11 @@ DeliveryResult RunDelivery(uint64_t daemon_window, double loss,
                               simulator.Now() + sim::Seconds(600));
   if (received < total) {
     std::fprintf(stderr,
-                 "delivery stalled: window=%llu loss=%.3f "
+                 "delivery stalled: window=%llu loss=%.3f seed=%llu "
                  "received=%llu/%llu issued=%llu\n",
                  (unsigned long long)daemon_window, loss,
-                 (unsigned long long)received, (unsigned long long)total,
-                 (unsigned long long)issued);
+                 (unsigned long long)seed, (unsigned long long)received,
+                 (unsigned long long)total, (unsigned long long)issued);
     for (net::SiteId dest : {net::kCalifornia, net::kIreland}) {
       for (int i = 0; i < 4; ++i) {
         std::fprintf(
@@ -273,21 +275,105 @@ void PrintDeliveryRows(const char* name,
   }
 }
 
+void PutDeliveryResult(std::ofstream& out, const DeliveryResult& r) {
+  out << "{\"window\": " << r.window << ", \"loss\": " << r.loss
+      << ", \"delivered\": " << r.delivered << ", \"sim_ms\": " << r.sim_ms
+      << ", \"throughput_per_sec\": " << r.throughput_per_sec
+      << ", \"dropped_messages\": " << r.dropped
+      << ", \"loss_events\": " << r.loss_events
+      << ", \"decreases\": " << r.decreases
+      << ", \"viewchange_decreases\": " << r.viewchange_decreases
+      << ", \"viewchange_attempts\": " << r.viewchange_attempts
+      << ", \"window_stalls\": " << r.window_stalls << "}";
+}
+
 void PutDeliveryResults(std::ofstream& out,
                         const std::vector<DeliveryResult>& results) {
   out << "[\n";
   for (size_t i = 0; i < results.size(); ++i) {
-    const DeliveryResult& r = results[i];
-    out << "    {\"window\": " << r.window << ", \"loss\": " << r.loss
-        << ", \"delivered\": " << r.delivered << ", \"sim_ms\": " << r.sim_ms
-        << ", \"throughput_per_sec\": " << r.throughput_per_sec
-        << ", \"dropped_messages\": " << r.dropped
-        << ", \"loss_events\": " << r.loss_events
-        << ", \"decreases\": " << r.decreases
-        << ", \"viewchange_decreases\": " << r.viewchange_decreases
-        << ", \"viewchange_attempts\": " << r.viewchange_attempts
-        << ", \"window_stalls\": " << r.window_stalls << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
+    out << "    ";
+    PutDeliveryResult(out, results[i]);
+    out << (i + 1 < results.size() ? "," : "") << "\n";
+  }
+  out << "  ]";
+}
+
+/// One lossy row of (C): a daemon window's runs over sim seeds 1..N.
+struct LossyRow {
+  uint64_t window = 0;
+  double loss = 0.0;
+  std::vector<DeliveryResult> runs;  // runs[i] used sim seed i + 1
+  /// Delivered records/sec over the runs: the median and the quartiles,
+  /// computed as Python's statistics.quantiles(n=4) does
+  /// (bench/e2e/compare.py reports its quartiles the same way).
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+};
+
+/// The p-quantile of sorted `v` by the exclusive method: position
+/// (n + 1)·p, interpolated, clamped to the ends.
+double Quantile(const std::vector<double>& v, double p) {
+  const double h = (static_cast<double>(v.size()) + 1) * p;
+  if (h <= 1) return v.front();
+  if (h >= static_cast<double>(v.size())) return v.back();
+  const size_t lo = static_cast<size_t>(h) - 1;
+  return v[lo] + (h - static_cast<double>(lo + 1)) * (v[lo + 1] - v[lo]);
+}
+
+LossyRow RunLossyRow(uint64_t daemon_window, double loss,
+                     uint64_t records_per_dest, uint64_t seeds) {
+  LossyRow row;
+  row.window = daemon_window;
+  row.loss = loss;
+  std::vector<double> rates;
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    row.runs.push_back(
+        RunDelivery(daemon_window, loss, records_per_dest, seed));
+    rates.push_back(row.runs.back().throughput_per_sec);
+  }
+  std::sort(rates.begin(), rates.end());
+  row.median = Quantile(rates, 0.5);
+  row.q1 = Quantile(rates, 0.25);
+  row.q3 = Quantile(rates, 0.75);
+  return row;
+}
+
+void PrintLossyRows(const std::vector<LossyRow>& rows) {
+  std::printf("%8s %6s %14s %18s %8s %8s %8s\n", "window", "loss",
+              "records/sec", "[q1, q3]", "min", "max", "dropped");
+  for (const LossyRow& row : rows) {
+    double min = row.runs.front().throughput_per_sec;
+    double max = min;
+    uint64_t dropped = row.runs.front().dropped;
+    for (const DeliveryResult& r : row.runs) {
+      min = std::min(min, r.throughput_per_sec);
+      max = std::max(max, r.throughput_per_sec);
+      dropped = std::min(dropped, r.dropped);
+    }
+    std::printf("%8llu %5.1f%% %14.1f   [%6.1f, %6.1f] %8.1f %8.1f %8llu\n",
+                static_cast<unsigned long long>(row.window), 100.0 * row.loss,
+                row.median, row.q1, row.q3, min, max,
+                static_cast<unsigned long long>(dropped));
+  }
+  std::printf("(dropped: the fewest messages any seed's run dropped)\n");
+}
+
+void PutLossyRows(std::ofstream& out, const std::vector<LossyRow>& rows) {
+  out << "[\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const LossyRow& row = rows[i];
+    out << "    {\"window\": " << row.window << ", \"loss\": " << row.loss
+        << ", \"sim_seeds\": \"1-" << row.runs.size() << "\""
+        << ", \"median_throughput_per_sec\": " << row.median
+        << ", \"q1_throughput_per_sec\": " << row.q1
+        << ", \"q3_throughput_per_sec\": " << row.q3 << ", \"runs\": [\n";
+    for (size_t j = 0; j < row.runs.size(); ++j) {
+      out << "      ";
+      PutDeliveryResult(out, row.runs[j]);
+      out << (j + 1 < row.runs.size() ? "," : "") << "\n";
+    }
+    out << "    ]}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]";
 }
@@ -349,20 +435,29 @@ int main(int argc, char** argv) {
   for (uint64_t w : windows) geo.push_back(RunGeoCommit(w, geo_commits));
   PrintRows("B. geo-correlated commit (California, f_i=1, f_g=1)", geo);
 
-  // C: daemon windows, lossless and with 1% uniform message loss on the
-  // Table-I topology (Oregon -> California + Ireland).
+  // C: daemon windows, lossless (sim seed 7) and with 1% uniform message
+  // loss over sim seeds 1-10, on the Table-I topology (Oregon ->
+  // California + Ireland).
   const std::vector<uint64_t> daemon_windows = {1, 4, 16, 64};
   const uint64_t records_per_dest = 120;
   const double lossy = 0.01;
+  const uint64_t lossy_seeds = 10;
   std::vector<DeliveryResult> delivery;
-  for (double loss : {0.0, lossy}) {
-    for (uint64_t w : daemon_windows) {
-      delivery.push_back(RunDelivery(w, loss, records_per_dest));
-    }
+  for (uint64_t w : daemon_windows) {
+    delivery.push_back(RunDelivery(w, 0.0, records_per_dest, 7));
   }
   PrintDeliveryRows(
-      "C. remote delivery by daemon window (Oregon -> California+Ireland)",
+      "C. remote delivery by daemon window (Oregon -> California+Ireland), "
+      "lossless, sim seed 7",
       delivery);
+  std::vector<LossyRow> lossy_rows;
+  for (uint64_t w : daemon_windows) {
+    lossy_rows.push_back(
+        RunLossyRow(w, lossy, records_per_dest, lossy_seeds));
+  }
+  std::printf("\n   at 1%% loss, median over sim seeds 1-%llu:\n",
+              static_cast<unsigned long long>(lossy_seeds));
+  PrintLossyRows(lossy_rows);
 
   std::ofstream out(out_path);
   out << "{\n  \"wan_pbft\": ";
@@ -371,6 +466,8 @@ int main(int argc, char** argv) {
   PutResults(out, geo);
   out << ",\n  \"delivery\": ";
   PutDeliveryResults(out, delivery);
+  out << ",\n  \"delivery_lossy\": ";
+  PutLossyRows(out, lossy_rows);
   out << "\n}\n";
   out.close();
   std::printf("\nwrote %s\n", out_path.c_str());
@@ -393,18 +490,20 @@ int main(int argc, char** argv) {
   std::printf("pipeline speedup gate passed (w8/w1: wan %.2fx, geo %.2fx)\n",
               thpt(wan, 8) / thpt(wan, 1), thpt(geo, 8) / thpt(geo, 1));
 
-  // Loss gate (section C): a lossy row only tests the loss path if the
+  // Loss gate (section C): a lossy run only tests the loss path if the
   // network actually dropped messages during it.
-  for (const DeliveryResult& r : delivery) {
-    if (r.loss > 0.0 && r.dropped == 0) {
+  for (const LossyRow& row : lossy_rows) {
+    for (size_t i = 0; i < row.runs.size(); ++i) {
+      if (row.runs[i].dropped > 0) continue;
       std::fprintf(stderr,
-                   "FAIL: window-%llu row at %.0f%% loss dropped no "
-                   "messages\n",
-                   static_cast<unsigned long long>(r.window), 100.0 * r.loss);
+                   "FAIL: window-%llu run at %.0f%% loss, sim seed %zu, "
+                   "dropped no messages\n",
+                   static_cast<unsigned long long>(row.window),
+                   100.0 * row.loss, i + 1);
       return 1;
     }
   }
-  std::printf("loss gate passed (every %.0f%%-loss row dropped messages)\n",
+  std::printf("loss gate passed (every %.0f%%-loss run dropped messages)\n",
               100.0 * lossy);
   return 0;
 }

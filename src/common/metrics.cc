@@ -102,6 +102,7 @@ MetricsRegistry::MetricsRegistry() {
             {"mirror_gap_fetches", s.mirror_gap_fetches},
             {"mirror_gap_filled", s.mirror_gap_filled},
             {"mirror_bases_installed", s.mirror_bases_installed},
+            {"receiver_moves", s.receiver_moves},
         };
       },
       []() { robustness_stats().Reset(); });

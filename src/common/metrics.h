@@ -196,6 +196,10 @@ struct RobustnessStats {
   /// Peer mirror groups' certified bases a lagging mirror group executed
   /// instead of the entries below them (counted by the group's leader).
   int64_t mirror_bases_installed = 0;
+  /// Sticky body receivers that moved to the next node of their group:
+  /// a transmission or geo replicate first sent to the current receiver
+  /// was retried (DESIGN.md §5 item 5). 0 on a fault-free, lossless run.
+  int64_t receiver_moves = 0;
 
   void Reset() { *this = RobustnessStats{}; }
 };

@@ -233,13 +233,28 @@ void CommDaemon::Transmit(Flight& flight, bool widen) {
                  host_->self().index, flight.record.src_log_pos);
     }
   }
-  // Send P and its proof to Blockplane nodes in the destination. Initially
-  // f_i+1 receivers suffice; retransmissions widen to the whole unit in
-  // case some of the first picks are faulty.
-  int receivers = widen ? 3 * host_->options_.fi + 1 : host_->options_.fi + 1;
+  // Send P and its proof to Blockplane nodes in the destination. A first
+  // attempt ships one body, to the sticky receiver, and a notice to each
+  // of the next f_i nodes: all f_i+1 ack once the receiver's submission
+  // commits. Retransmissions ship the body to the whole unit in case the
+  // receiver is faulty (DESIGN.md §5 item 5).
+  const int unit = 3 * host_->options_.fi + 1;
   Bytes encoded = flight.record.Encode();
-  for (int i = 0; i < receivers; ++i) {
-    host_->SendTo(net::NodeId{dest_, i}, kTransmission, Bytes(encoded));
+  if (widen) {
+    for (int i = 0; i < unit; ++i) {
+      host_->SendTo(net::NodeId{dest_, i}, kTransmission, Bytes(encoded));
+    }
+    return;
+  }
+  flight.receiver = receiver_.index();
+  host_->SendTo(net::NodeId{dest_, flight.receiver}, kTransmission,
+                std::move(encoded));
+  TransmissionNoticeMsg notice;
+  notice.src_log_pos = flight.record.src_log_pos;
+  Bytes encoded_notice = notice.Encode();
+  for (int i = 1; i <= host_->options_.fi; ++i) {
+    host_->SendTo(net::NodeId{dest_, (flight.receiver + i) % unit},
+                  kTransmissionNotice, Bytes(encoded_notice));
   }
 }
 
@@ -309,6 +324,9 @@ void CommDaemon::OnRetransmitTimer(uint64_t pos, sim::SimTime period) {
   // head's timeout is a *loss signal*, though — the trailing timeouts are
   // a symptom of the same head-of-line event.
   flight.retransmitted = true;  // Karn: no RTT sample from this flight
+  // The body's receiver may be faulty: later first attempts may go to the
+  // next node.
+  receiver_.OnRetry(flight.receiver, 3 * host_->options_.fi + 1);
   if (flights_.begin()->first == pos) {
     uint64_t before = window_ctl_.window();
     window_ctl_.OnLoss(now);
@@ -352,20 +370,25 @@ void CommDaemon::OnTransmissionAck(const net::Message& msg) {
       return;
     }
   }
-  // Any ack from the destination is progress for the in-order stream; the
-  // retransmit timers defer to it (see last_progress_).
-  last_progress_ = host_->network()->simulator()->Now();
   // Cumulative ack: the receiver commits the chain strictly in order, so
   // a node acknowledging position p has committed every earlier position
   // too. Crediting the ack to all flights <= p unsticks a head flight
   // whose own ack frame was dropped — the stream is fine, only the ack was
   // lost, yet exact-match acking would pin the watermark and
   // progress-defer its timer forever.
+  const sim::SimTime now = host_->network()->simulator()->Now();
   bool completed = false;
   for (auto it = flights_.begin();
        it != flights_.end() && it->first <= ack.src_log_pos;) {
     Flight& flight = it->second;
-    flight.ack_senders.insert(msg.src);
+    // Progress is an ack that credits a flight a sender it did not have;
+    // the retransmit timers defer to it (see last_progress_). A repeated
+    // ack, or one below every flight, earns nothing.
+    if (!flight.ack_senders.insert(msg.src).second) {
+      ++it;
+      continue;
+    }
+    last_progress_ = now;
     if (static_cast<int>(flight.ack_senders.size()) <
         host_->options_.fi + 1) {
       ++it;
@@ -377,7 +400,7 @@ void CommDaemon::OnTransmissionAck(const net::Message& msg) {
     // the dead time (Karn's rule in spirit).
     if (it->first == ack.src_log_pos && flight.first_transmit != 0 &&
         !flight.retransmitted) {
-      window_ctl_.OnAck(last_progress_ - flight.first_transmit);
+      window_ctl_.OnAck(now - flight.first_transmit);
     } else {
       window_ctl_.OnAckNoSample();
     }

@@ -4,8 +4,10 @@
 // copy of the Local Log for communication records to that destination,
 // builds transmission records (message + pointer to the previous
 // communication record to the same destination), collects f_i+1 signatures
-// from local Blockplane nodes, pushes the record to nodes at the
-// destination, and retransmits until f_i+1 of them acknowledge the commit.
+// from local Blockplane nodes, pushes the record to one node at the
+// destination and a notice to f_i more, and retransmits to the whole unit
+// until f_i+1 of them acknowledge the commit. The node that gets the body
+// is sticky: it moves on only when a flight first sent to it is retried.
 //
 // Transmissions are pipelined up to a window: the receiver's chain-pointer
 // verification guarantees in-order commitment regardless, so the daemon
@@ -40,6 +42,7 @@
 
 #include "common/congestion.h"
 #include "core/record.h"
+#include "core/sticky_receiver.h"
 #include "net/network.h"
 
 namespace blockplane::core {
@@ -100,6 +103,8 @@ class CommDaemon {
     /// The flight was actually retransmitted on the wire: Karn's rule
     /// excludes it from RTT sampling.
     bool retransmitted = false;
+    /// The destination node that got the body of the first attempt.
+    int receiver = 0;
   };
 
   void PumpPipeline();
@@ -144,13 +149,17 @@ class CommDaemon {
   /// Open window-stall episode flag: pipeline.daemon_window_stalls counts
   /// episodes (any admission closes one), not pump invocations.
   bool window_stalled_ = false;
-  /// Last time any transmission ack arrived from dest_. The receiver
-  /// commits in order, so flowing acks prove the path and stream are
-  /// alive; the retransmit timer defers to
+  /// Last time an ack from dest_ credited some flight a sender it did not
+  /// have. The receiver commits in order, so such acks prove the path and
+  /// stream are alive; the retransmit timer defers to
   /// max(last_transmit, last_progress_) + RTO instead of firing blindly —
   /// destination-side queueing under a deep window would otherwise make
   /// every flight's timer fire spuriously and Karn-freeze the estimator.
+  /// An ack that credits nothing is no progress, so a destination node
+  /// repeating acks cannot hold the timers off.
   sim::SimTime last_progress_ = 0;
+  /// The destination node that gets the bodies of first attempts.
+  StickyReceiver receiver_;
   /// Highest position each destination node acked above next_send_pos_
   /// (empty on the fault-free path); f_i+1 entries trigger StepBack.
   std::map<net::NodeId, uint64_t> acks_ahead_;

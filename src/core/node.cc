@@ -115,6 +115,9 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
     case kTransmission:
       OnTransmission(msg);
       return;
+    case kTransmissionNotice:
+      OnTransmissionNotice(msg);
+      return;
     case kAttestResponse:
       OnAttestResponse(msg);
       return;
@@ -765,6 +768,23 @@ void BlockplaneNode::OnTransmission(const net::Message& msg) {
                 /*broadcast=*/sub.attempts >= 3);
 }
 
+void BlockplaneNode::OnTransmissionNotice(const net::Message& msg) {
+  TransmissionNoticeMsg notice;
+  if (!TransmissionNoticeMsg::Decode(msg.body(), &notice).ok()) return;
+  const net::SiteId src = msg.src.site;
+  if (is_mirror() || src == origin_site_) return;
+  // Another node of this unit got the body and submits it. This node acks
+  // when the record commits here, or at once with its watermark, as for a
+  // duplicate body: a daemon behind the watermark learns that another one
+  // is ahead.
+  uint64_t watermark = last_received_pos(src);
+  if (notice.src_log_pos <= watermark) {
+    SendTransmissionAck(msg.src, watermark);
+    return;
+  }
+  pending_acks_[{src, notice.src_log_pos}].insert(msg.src);
+}
+
 void BlockplaneNode::OnAttestResponse(const net::Message& msg) {
   AttestResponseMsg response;
   if (!AttestResponseMsg::Decode(msg.body(), &response).ok()) return;
@@ -945,7 +965,7 @@ void BlockplaneNode::ResendDeliverNotice(net::SiteId src, uint64_t delivered) {
 // --- geo replication ----------------------------------------------------------------
 
 void BlockplaneNode::OnGeoReplicate(const net::Message& msg) {
-  if (!is_mirror()) return;
+  if (!is_mirror() || drop_geo_replicates_) return;
   GeoReplicateMsg replicate;
   if (!GeoReplicateMsg::Decode(msg.body(), &replicate).ok()) return;
 

@@ -175,6 +175,9 @@ class BlockplaneNode : public net::Host {
   /// Makes this node answer read requests with a forged entry (shows why
   /// read-1 trusts a single node while quorum reads do not, §VI-A).
   void LieOnReads(ReadLie lie) { read_lie_ = lie; }
+  /// Makes this mirror node drop every geo replicate it receives while its
+  /// replica stays honest (a faulty first receiver of the geo stream).
+  void DropGeoReplicates() { drop_geo_replicates_ = true; }
 
  private:
   friend class CommDaemon;
@@ -247,6 +250,10 @@ class BlockplaneNode : public net::Host {
   /// acked and dropped; new records are submitted for commit, where the
   /// receive verification routine checks their proofs.
   void OnTransmission(const net::Message& msg);
+  /// A first attempt's notice (DESIGN.md §5 item 5): registers the sender
+  /// for the ack of a record another node of this unit received, and
+  /// submits nothing.
+  void OnTransmissionNotice(const net::Message& msg);
   /// A unit peer's attestation of one of this node's daemon flights.
   void OnAttestResponse(const net::Message& msg);
   void OnAttestRequest(const net::Message& msg);
@@ -377,7 +384,8 @@ class BlockplaneNode : public net::Host {
   sim::SimTime last_mirror_gap_fetch_ = 0;
   static constexpr size_t kMirrorBackfillCap = 4096;
 
-  /// Nodes awaiting an ack for a transmission: (src, src_pos) -> requesters.
+  /// Nodes awaiting an ack for a transmission, from a body or a notice:
+  /// (src, src_pos) -> requesters.
   std::map<std::pair<net::SiteId, uint64_t>, std::set<net::NodeId>>
       pending_acks_;
 
@@ -398,6 +406,7 @@ class BlockplaneNode : public net::Host {
   uint64_t next_req_id_ = 1;
   bool refuse_attestations_ = false;
   bool lie_about_reception_ = false;
+  bool drop_geo_replicates_ = false;
   ReadLie read_lie_ = ReadLie::kNone;
 
   std::vector<std::unique_ptr<CommDaemon>> daemons_;

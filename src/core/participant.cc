@@ -391,7 +391,8 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
   }
 
   round.last_sent = sim_->Now();
-  if (round.replicate_sent == 0) {
+  const bool first = round.replicate_sent == 0;
+  if (first) {
     round.replicate_sent = sim_->Now();
   } else {
     // Timer-driven re-send: Karn's rule excludes this round's RTT. Only
@@ -416,6 +417,18 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
   Bytes encoded = replicate.Encode();
   for (net::SiteId target : round.targets) {
     if (round.ack_sigs.count(target) > 0) continue;  // already proven
+    StickyReceiver& receiver = geo_receivers_[{target, round.origin}];
+    if (first) {
+      // One body, to the group's sticky receiver: every mirror node that
+      // executes the record signs a geo ack, so the f_i+1-node proof needs
+      // no second copy (DESIGN.md §5 item 5).
+      round.receivers[target] = receiver.index();
+      SendTo(MirrorNodeId(target, round.origin, receiver.index()),
+             kGeoReplicate, Bytes(encoded));
+      continue;
+    }
+    // A retry widens to f_i+1 nodes; the receiver may be faulty.
+    receiver.OnRetry(round.receivers[target], 3 * options_.fi + 1);
     for (int i = 0; i < options_.fi + 1; ++i) {
       SendTo(MirrorNodeId(target, round.origin, i), kGeoReplicate,
              Bytes(encoded));
@@ -436,12 +449,14 @@ void Participant::OnGeoAck(const net::Message& msg) {
     return;
   }
   if (round.ack_sigs.count(target) > 0) return;  // site already proven
-  last_geo_progress_ = sim_->Now();
   Bytes canonical = AttestCanonical(AttestPurpose::kGeoAck, target,
                                     round.geo_pos, round.digest);
   if (!keys_->Verify(canonical, ack.sig)) return;
   auto& nodes = round.ack_nodes[target];
   if (!nodes.insert(msg.src).second) return;
+  // Only a valid ack from a node new to the round is progress: a forged or
+  // repeated one must not hold the retries off (see last_geo_progress_).
+  last_geo_progress_ = sim_->Now();
   round.ack_sigs_partial[target].push_back(ack.sig);
   if (static_cast<int>(nodes.size()) < options_.fi + 1) return;
 

@@ -21,6 +21,7 @@
 #include "common/trace.h"
 #include "core/node.h"
 #include "core/options.h"
+#include "core/sticky_receiver.h"
 #include "core/wire.h"
 #include "pbft/client.h"
 
@@ -114,6 +115,8 @@ class Participant : public net::Host {
     /// Sites whose f_i+1-signature proof is complete.
     std::map<net::SiteId, std::vector<crypto::Signature>> ack_sigs;
     std::vector<net::SiteId> targets;  // mirror sites to replicate to
+    /// Per target, the mirror node that got the first replicate.
+    std::map<net::SiteId, int> receivers;
     bool is_communication = false;
     sim::EventId retry_timer = sim::kInvalidEventId;
     /// Time the replicate fan-out first hit the wire (0 = not yet); the
@@ -206,12 +209,16 @@ class Participant : public net::Host {
   /// Open window-stall episode flag (pipeline.participant_window_stalls
   /// counts episodes, closed by any admission — not pump invocations).
   bool geo_window_stalled_ = false;
-  /// Last time any geo ack arrived: flowing acks prove the mirror paths
-  /// are alive, so replicate retries defer to
-  /// max(round.last_sent, last_geo_progress_) + RTO — mirror-side commit
-  /// queueing would otherwise trigger spurious re-sends that Karn-freeze
-  /// the RTT estimators.
+  /// Last time a valid geo ack arrived from a node new to its round:
+  /// flowing acks prove the mirror paths are alive, so replicate retries
+  /// defer to max(round.last_sent, last_geo_progress_) + RTO — mirror-side
+  /// commit queueing would otherwise trigger spurious re-sends that
+  /// Karn-freeze the RTT estimators.
   sim::SimTime last_geo_progress_ = 0;
+  /// The node of each mirror group that gets a round's first replicate,
+  /// by (host site, mirrored origin).
+  std::map<std::pair<net::SiteId, net::SiteId>, StickyReceiver>
+      geo_receivers_;
   /// Highest geo position whose round completed (own stream).
   uint64_t geo_seq_ = 0;
   /// Highest geo position assigned to a submitted op (own stream); rounds

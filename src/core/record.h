@@ -41,6 +41,10 @@ enum CoreMessageType : net::MessageType {
   /// participant should nudge its pending submissions to fill the gap
   /// (byzantine-leader geo-reorder defense, DESIGN.md §10).
   kGeoGapNotice = 217,
+  /// Source daemon -> destination node: a first attempt shipped the body
+  /// of a transmission to another node of this unit; ack it once it
+  /// commits (DESIGN.md §5 item 5).
+  kTransmissionNotice = 218,
 };
 
 /// The paper's record-type annotation (§IV-B: "every value has a type

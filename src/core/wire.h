@@ -18,6 +18,15 @@ struct TransmissionAckMsg {
   BP_WIRE(TransmissionAckMsg, src_log_pos)
 };
 
+/// Stands in for a transmission body on a first attempt: the receiver
+/// waits for the record at `src_log_pos` of the sender's site to commit in
+/// its unit and acks it like a body, without submitting anything.
+struct TransmissionNoticeMsg {
+  uint64_t src_log_pos = 0;
+
+  BP_WIRE(TransmissionNoticeMsg, src_log_pos)
+};
+
 struct AttestRequestMsg {
   AttestPurpose purpose = AttestPurpose::kTransmission;
   uint64_t pos = 0;            // unit log position

@@ -276,6 +276,18 @@ TEST(BlockplaneCoreTest, MutedDaemonReserveTakesOver) {
   EXPECT_EQ(ToString(received), "despite malicious daemon");
 }
 
+/// A network that counts WAN bytes per message type.
+net::NetworkOptions PerTypeWanBytes() {
+  net::NetworkOptions options;
+  options.per_type_wan_counters = true;
+  return options;
+}
+
+int64_t WanBytes(Deployment& deployment, net::MessageType type) {
+  return deployment.network()->counters().Get("wan_bytes.type_" +
+                                              std::to_string(type));
+}
+
 // --- one shipping daemon per destination (DESIGN.md §5 item 5) ----------------
 
 /// What happens to California node 0 (view-0 leader and active daemon for
@@ -349,17 +361,10 @@ class ShipperRun {
     return active;
   }
   int64_t transmission_wan_bytes() {
-    return deployment_.network()->counters().Get(
-        "wan_bytes.type_" + std::to_string(kTransmission));
+    return WanBytes(deployment_, kTransmission);
   }
 
  private:
-  static net::NetworkOptions PerTypeWanBytes() {
-    net::NetworkOptions options;
-    options.per_type_wan_counters = true;
-    return options;
-  }
-
   sim::Simulator simulator_{1};
   Deployment deployment_;
 };
@@ -384,6 +389,108 @@ TEST(BlockplaneCoreTest, RecoveredDaemonStepsBack) {
   run.DeliverAll();
   EXPECT_FALSE(run.daemon_active(0));
   EXPECT_EQ(run.active_daemons(), 1);
+}
+
+// --- one body per first attempt (DESIGN.md §5 item 5) -------------------------
+
+/// Wire bytes of one message with `body`.
+int64_t OnWire(Deployment& deployment, const Bytes& body) {
+  return static_cast<int64_t>(body.size() +
+                              deployment.network()->options().header_bytes);
+}
+
+TEST(BlockplaneCoreTest, FirstAttemptsShipOneBodyPerGroup) {
+  // Fault-free, every first attempt ships one body per destination unit
+  // and per mirror site, and f_i notices stand in for the other
+  // transmission receivers: ten log commits and ten sends at f_g = 1 are
+  // twenty geo rounds to two mirror sites and ten transmissions.
+  robustness_stats().Reset();
+  sim::Simulator simulator(1);
+  BlockplaneOptions options;
+  options.fg = 1;
+  Deployment deployment(&simulator, Topology::Aws4(), options,
+                        PerTypeWanBytes());
+  constexpr int kCount = 10;
+  const Bytes payload(200, 'p');
+  Participant* sender = deployment.participant(kCalifornia);
+  int committed = 0;
+  int received = 0;
+  deployment.participant(kIreland)->SetReceiveHandler(
+      [&](net::SiteId, const Bytes&) { ++received; });
+  for (int i = 0; i < kCount; ++i) {
+    sender->LogCommit(payload, 0, [&](uint64_t) { ++committed; });
+    sender->Send(kIreland, payload, 0, nullptr);
+  }
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return committed == kCount && received == kCount; },
+      Seconds(60)));
+  simulator.RunFor(Seconds(1));
+
+  // Every body of a kind has the same size: fixed-width fields, one cert
+  // per proof, and one proving mirror site.
+  LogRecord record;
+  record.payload = payload;
+  GeoReplicateMsg replicate;
+  replicate.record = record.Encode();
+  replicate.proof = {crypto::QuorumCert{}};
+  TransmissionRecord transmission;
+  transmission.payload = payload;
+  transmission.proof = {crypto::QuorumCert{}};
+  transmission.geo_proof = {crypto::QuorumCert{}};
+  EXPECT_EQ(WanBytes(deployment, kGeoReplicate),
+            2 * kCount * 2 * OnWire(deployment, replicate.Encode()));
+  EXPECT_EQ(WanBytes(deployment, kTransmission),
+            kCount * OnWire(deployment, transmission.Encode()));
+  EXPECT_EQ(WanBytes(deployment, kTransmissionNotice),
+            kCount * options.fi *
+                OnWire(deployment, TransmissionNoticeMsg{}.Encode()));
+  EXPECT_EQ(robustness_stats().receiver_moves, 0);
+}
+
+TEST(BlockplaneCoreTest, CrashedFirstReceiverCostsOneRetry) {
+  // Virginia node 0, the view-0 leader and the first body receiver, is
+  // down. The first record's retry moves the sticky receiver to node 1;
+  // after that every record ships one body and arrives without a
+  // retransmission.
+  robustness_stats().Reset();
+  sim::Simulator simulator(5);
+  Deployment deployment(&simulator, Topology::Aws4(), {}, PerTypeWanBytes());
+  deployment.network()->Crash({kVirginia, 0});
+  std::vector<sim::SimTime> arrived;
+  deployment.participant(kVirginia)->SetReceiveHandler(
+      [&](net::SiteId, const Bytes&) { arrived.push_back(simulator.Now()); });
+  const Bytes payload(64, 'm');
+  Participant* sender = deployment.participant(kCalifornia);
+  sender->Send(kVirginia, payload, 0, nullptr);
+  // The unit's view change takes most of it.
+  ASSERT_TRUE(simulator.RunUntilCondition([&] { return arrived.size() == 1; },
+                                          Seconds(2)));
+  EXPECT_EQ(robustness_stats().receiver_moves, 1);
+
+  deployment.network()->ResetCounters();
+  constexpr int kSends = 50;
+  const sim::SimTime start = simulator.Now();
+  for (int i = 0; i < kSends; ++i) {
+    simulator.ScheduleAt(start + i * Milliseconds(20), [&] {
+      sender->Send(kVirginia, payload, 0, nullptr);
+    });
+  }
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return arrived.size() == kSends + 1; }, start + Seconds(5)));
+  // One crossing of the 30.5 ms one-way delay plus two local commits; a
+  // retransmission would add at least one 61 ms round trip.
+  for (int i = 0; i < kSends; ++i) {
+    EXPECT_LT(arrived[i + 1] - (start + i * Milliseconds(20)),
+              Milliseconds(45))
+        << "record " << i;
+  }
+  simulator.RunFor(Seconds(1));
+  TransmissionRecord transmission;
+  transmission.payload = payload;
+  transmission.proof = {crypto::QuorumCert{}};
+  EXPECT_EQ(WanBytes(deployment, kTransmission),
+            kSends * OnWire(deployment, transmission.Encode()));
+  EXPECT_EQ(robustness_stats().receiver_moves, 1);
 }
 
 TEST(BlockplaneCoreTest, CrashedUnitNodeDoesNotBlockAnything) {

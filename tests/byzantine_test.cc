@@ -3,6 +3,8 @@
 // soak over the counter protocol.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/codec.h"
 #include "common/metrics.h"
 #include "core/deployment.h"
@@ -120,6 +122,132 @@ TEST(ByzantineEndToEndTest, LyingAcksCannotDemoteActiveDaemon) {
   EXPECT_TRUE(deployment.node(kCalifornia, 0)->daemon_active(kVirginia));
   EXPECT_FALSE(deployment.node(kCalifornia, 1)->daemon_active(kVirginia));
   EXPECT_FALSE(deployment.node(kCalifornia, 2)->daemon_active(kVirginia));
+}
+
+TEST(ByzantineEndToEndTest, RepeatedAcksCannotHoldOffRetransmissions) {
+  // Retransmit timers defer only to an ack that credits a flight a sender
+  // it did not have (DESIGN.md §13). Virginia node 0, the view-0 leader
+  // and the first body receiver, is silent in PBFT and acks position 0 to
+  // every California node every 50 ms. If any ack were progress, no
+  // retransmission would reach the backups that depose it.
+  sim::Simulator simulator(1);
+  Deployment deployment(&simulator, Topology::Aws4(), {});
+  deployment.node(kVirginia, 0)
+      ->SetByzantineMode(pbft::ByzantineMode::kSilent);
+  std::function<void()> spray = [&] {
+    for (int i = 0; i < 4; ++i) {
+      net::Message msg;
+      msg.src = {kVirginia, 0};
+      msg.dst = {kCalifornia, i};
+      msg.type = kTransmissionAck;
+      msg.set_body(TransmissionAckMsg{}.Encode());
+      deployment.network()->Send(std::move(msg));
+    }
+    simulator.Schedule(sim::Milliseconds(50), spray);
+  };
+  spray();
+
+  constexpr int kSends = 5;
+  for (int i = 0; i < kSends; ++i) {
+    deployment.participant(kCalifornia)
+        ->Send(kVirginia, ToBytes("m" + std::to_string(i)), 0, nullptr);
+  }
+  Participant* receiver = deployment.participant(kVirginia);
+  int received = 0;
+  // About 0.6 s, as without the acks: a view change deposes node 0.
+  EXPECT_TRUE(simulator.RunUntilCondition(
+      [&] {
+        Bytes payload;
+        while (receiver->TryReceive(kCalifornia, &payload)) ++received;
+        return received == kSends;
+      },
+      Seconds(2)))
+      << received << " of " << kSends << " arrived";
+}
+
+TEST(ByzantineEndToEndTest, ForgedGeoAcksCannotHoldOffReplicateRetries) {
+  // Geo replicate retries defer only to a valid ack from a node new to its
+  // round. With Virginia down, Oregon alone can prove California's commit,
+  // and the first replicate to Oregon is lost. A byzantine Oregon mirror
+  // node sends a forged geo ack every 50 ms; the retry must still go out.
+  sim::Simulator simulator(1);
+  BlockplaneOptions options;
+  options.fg = 1;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  deployment.network()->CrashSite(kVirginia);
+  deployment.network()->PartitionOneWay(kCalifornia, kOregon);
+  simulator.Schedule(sim::Milliseconds(30), [&] {
+    deployment.network()->HealOneWay(kCalifornia, kOregon);
+  });
+  std::function<void()> spray = [&] {
+    GeoAckMsg forged;
+    forged.geo_pos = 1;
+    forged.sig.signer = MirrorNodeId(kOregon, kCalifornia, 3);
+    net::Message msg;
+    msg.src = forged.sig.signer;
+    msg.dst = ParticipantNodeId(kCalifornia);
+    msg.type = kGeoAck;
+    msg.set_body(forged.Encode());
+    deployment.network()->Send(std::move(msg));
+    simulator.Schedule(sim::Milliseconds(50), spray);
+  };
+  spray();
+
+  bool committed = false;
+  deployment.participant(kCalifornia)
+      ->LogCommit(ToBytes("proven by Oregon"), 0,
+                  [&](uint64_t) { committed = true; });
+  // About 0.2 s: one retry after the measured timeout.
+  EXPECT_TRUE(
+      simulator.RunUntilCondition([&] { return committed; }, Seconds(1)));
+}
+
+TEST(ByzantineEndToEndTest, MutedMirrorReceiverCostsOneRetry) {
+  // The first replicate of each round goes to one node of each mirror
+  // group, the group's sticky receiver (DESIGN.md §5 item 5). Node 0 of
+  // Oregon's mirror of California drops every replicate while its replica
+  // stays honest, and Virginia is down, so Oregon alone proves each
+  // commit. The first commit's retry moves both groups' receivers to node
+  // 1; every later commit ships one replicate per site and needs no retry.
+  robustness_stats().Reset();
+  sim::Simulator simulator(5);
+  BlockplaneOptions options;
+  options.fg = 1;
+  net::NetworkOptions net_options;
+  net_options.per_type_wan_counters = true;
+  Deployment deployment(&simulator, Topology::Aws4(), options, net_options);
+  deployment.network()->CrashSite(kVirginia);
+  deployment.mirror_node(kOregon, kCalifornia, 0)->DropGeoReplicates();
+  const Bytes payload(64, 'c');
+  Participant* primary = deployment.participant(kCalifornia);
+  int committed = 0;
+  auto commit = [&](sim::SimTime deadline) {
+    const int target = committed + 1;
+    primary->LogCommit(payload, 0, [&](uint64_t) { ++committed; });
+    return simulator.RunUntilCondition([&] { return committed == target; },
+                                       simulator.Now() + deadline);
+  };
+  ASSERT_TRUE(commit(Seconds(1)));
+  EXPECT_EQ(robustness_stats().receiver_moves, 2);
+
+  deployment.network()->ResetCounters();
+  constexpr int kCommits = 20;
+  for (int i = 0; i < kCommits; ++i) {
+    // Fault-free, a commit takes 22 ms; a retry would add a timeout of
+    // more than one 19 ms round trip.
+    ASSERT_TRUE(commit(sim::Milliseconds(30))) << "commit " << i;
+  }
+  LogRecord record;
+  record.payload = payload;
+  GeoReplicateMsg replicate;
+  replicate.record = record.Encode();
+  replicate.proof = {crypto::QuorumCert{}};
+  const int64_t one = static_cast<int64_t>(
+      replicate.Encode().size() + net_options.header_bytes);
+  EXPECT_EQ(deployment.network()->counters().Get(
+                "wan_bytes.type_" + std::to_string(kGeoReplicate)),
+            2 * kCommits * one);
+  EXPECT_EQ(robustness_stats().receiver_moves, 2);
 }
 
 TEST(ByzantineEndToEndTest, TwoMixedByzantineNodesUnderF2) {

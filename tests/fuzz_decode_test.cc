@@ -43,6 +43,7 @@ void DecodeEverything(const Bytes& input) {
   DecodeAs<core::LogRecord>(input);
   DecodeAs<core::TransmissionRecord>(input);
   DecodeAs<core::TransmissionAckMsg>(input);
+  DecodeAs<core::TransmissionNoticeMsg>(input);
   DecodeAs<core::AttestRequestMsg>(input);
   DecodeAs<core::AttestResponseMsg>(input);
   DecodeAs<core::DeliverNoticeMsg>(input);
