@@ -8,7 +8,9 @@
 // members once, in wire order, with BP_WIRE (or BP_WIRE_SIGNED for a signed
 // PBFT message), and that list generates Encode, Decode and the signed
 // CanonicalBody. Encode static-asserts that the list names every member, so
-// a field added to the struct but not to the list fails the build.
+// a field added to the struct but not to the list fails the build. The same
+// list also counts an encoding's bytes (WireSize), so WireEncode and
+// WireSignedBody allocate their buffer once, at its final size.
 #ifndef BLOCKPLANE_COMMON_CODEC_H_
 #define BLOCKPLANE_COMMON_CODEC_H_
 
@@ -49,9 +51,10 @@ class Encoder {
   /// Raw bytes with no length prefix (caller knows the length).
   void PutRaw(const uint8_t* data, size_t len);
 
-  /// Pre-sizes the buffer for `total` bytes of upcoming Puts. Encoders on
-  /// hot paths (e.g. the transport's frame encoder) reserve the exact frame
-  /// size up front so the byte-at-a-time appends never reallocate.
+  /// Pre-sizes the buffer for `total` bytes of upcoming Puts, so the
+  /// appends never reallocate. WireEncode, WireSignedBody and
+  /// AttestCanonical reserve their counted size, and the transport's frame
+  /// encoder its frame size.
   void Reserve(size_t total) { buf_.reserve(buf_.size() + total); }
 
   const Bytes& buffer() const { return buf_; }
@@ -61,13 +64,25 @@ class Encoder {
  private:
   template <typename T>
   void PutFixed(T v) {
+    uint8_t bytes[sizeof(T)];
     for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+      bytes[i] = static_cast<uint8_t>(v >> (8 * i));
     }
+    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
   }
 
   Bytes buf_;
 };
+
+/// Bytes PutVarint(v) appends.
+constexpr size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
 
 /// Reads primitive values from a byte buffer; all reads are bounds-checked.
 class Decoder {
@@ -219,6 +234,64 @@ void WirePut(Encoder* enc, const T& v) {
   WirePutAll(enc, v.WireFields());
 }
 
+// WireSize(x): the bytes WirePut(enc, x) appends, from the same overload
+// set shape, so a list is counted exactly as it is written.
+inline size_t WireSize(uint8_t) { return 1; }
+template <typename E>
+  requires(std::is_enum_v<E> && sizeof(E) == 1)
+size_t WireSize(E) {
+  return 1;
+}
+inline size_t WireSize(bool) { return 1; }
+inline size_t WireSize(int32_t) { return 4; }
+inline size_t WireSize(uint64_t) { return 8; }
+inline size_t WireSize(int64_t) { return 8; }
+inline size_t WireSize(const Bytes& v) {
+  return VarintSize(v.size()) + v.size();
+}
+inline size_t WireSize(const std::string& v) {
+  return VarintSize(v.size()) + v.size();
+}
+template <size_t N>
+size_t WireSize(const std::array<uint8_t, N>&) {
+  return N;
+}
+template <typename T>
+size_t WireSize(VarintField<T> f) {
+  return VarintSize(f.v);
+}
+template <typename T>
+size_t WireSize(EnvelopeField<T>) {
+  return 0;
+}
+template <typename T>
+size_t WireSize(const std::vector<T>& v);
+template <uint64_t kCap, typename T>
+size_t WireSize(CappedField<kCap, T> f);
+template <WireStruct T>
+size_t WireSize(const T& v);
+
+template <typename... F>
+size_t WireSizeAll(const std::tuple<F...>& fields) {
+  return std::apply(
+      [](const auto&... f) { return (size_t{0} + ... + WireSize(f)); },
+      fields);
+}
+template <typename T>
+size_t WireSize(const std::vector<T>& v) {
+  size_t n = VarintSize(v.size());
+  for (const T& x : v) n += WireSize(x);
+  return n;
+}
+template <uint64_t kCap, typename T>
+size_t WireSize(CappedField<kCap, T> f) {
+  return WireSize(f.v);
+}
+template <WireStruct T>
+size_t WireSize(const T& v) {
+  return WireSizeAll(v.WireFields());
+}
+
 inline Status WireGet(Decoder* dec, uint8_t* out) { return dec->GetU8(out); }
 inline Status WireGet(Decoder* dec, bool* out) { return dec->GetBool(out); }
 inline Status WireGet(Decoder* dec, int32_t* out) {
@@ -306,8 +379,11 @@ Status WireGetEnum(Decoder* dec, E* out, E first, E last) {
 
 template <typename T>
 Bytes WireEncode(const T& v) {
+  const size_t size = WireSize(v);
   Encoder enc;
+  enc.Reserve(size);
   WirePut(&enc, v);
+  BP_CHECK(enc.size() == size);
   return enc.Take();
 }
 
@@ -328,9 +404,12 @@ std::tuple<F...> WireTie(F&&... fields) {
 /// fields.
 template <typename... F>
 Bytes WireSignedBody(uint8_t tag, const std::tuple<F...>& fields) {
+  const size_t size = 1 + WireSizeAll(fields);
   Encoder enc;
+  enc.Reserve(size);
   enc.PutU8(tag);
   WirePutAll(&enc, fields);
+  BP_CHECK(enc.size() == size);
   return enc.Take();
 }
 

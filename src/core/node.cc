@@ -528,6 +528,8 @@ void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value,
         mirror_entries_.clear();
         if (replica_->IsLeader()) robustness_stats().mirror_bases_installed++;
       }
+      geo_submits_.erase(geo_submits_.begin(),
+                         geo_submits_.upper_bound(mirror_high_pos_));
       // Keep the backfill loop self-driving: drain what just became
       // contiguous, and if a known gap remains with nothing buffered to
       // extend it, fetch the next batch (each fetch serves a bounded run).
@@ -584,6 +586,8 @@ bool BlockplaneNode::LoadState(uint64_t seq, const Bytes& encoded) {
   mirror_high_pos_ = state.mirror_high;
   mirror_horizon_ = state.mirror_high;
   mirror_entries_.clear();
+  geo_submits_.erase(geo_submits_.begin(),
+                     geo_submits_.upper_bound(mirror_high_pos_));
   geo_quarantine_.clear();
   for (const QuarantinedRecord& q : state.quarantined) {
     geo_quarantine_[q.geo_pos] = QuarantinedApi{q.seq, q.type, q.dest_site};
@@ -1010,7 +1014,12 @@ void BlockplaneNode::OnGeoReplicate(const net::Message& msg) {
     MaybeFetchMirrorGap(replicate.geo_pos);
     return;
   }
-  SubmitLocalCommit(record);
+  // Escalating re-submission, as for received transmissions: the
+  // participant's retries drive later attempts.
+  RecvSubmit& sub = geo_submits_[replicate.geo_pos];
+  if (sub.attempts == 0) sub.req_id = next_req_id_++;
+  ++sub.attempts;
+  SubmitRequest(record, sub.req_id, /*broadcast=*/sub.attempts >= 3);
 }
 
 void BlockplaneNode::OnMirrorFetch(const net::Message& msg) {

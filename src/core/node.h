@@ -401,6 +401,11 @@ class BlockplaneNode : public net::Host {
     int attempts = 0;
   };
   std::map<std::pair<net::SiteId, uint64_t>, RecvSubmit> recv_submits_;
+  /// The same for replicates not yet mirrored, by geo position: a repeated
+  /// replicate keeps its req_id, and from the third attempt goes to the
+  /// whole mirror group, so the backups' request watchdogs replace a
+  /// crashed leader. Pruned once mirror_high_pos_ passes the position.
+  std::map<uint64_t, RecvSubmit> geo_submits_;
 
   uint64_t applied_high_ = 0;
   uint64_t next_req_id_ = 1;

@@ -64,11 +64,15 @@ crypto::Digest LogRecord::ContentDigest() const {
 
 Bytes AttestCanonical(AttestPurpose purpose, net::SiteId site, uint64_t pos,
                       const crypto::Digest& digest) {
+  // purpose, site, position, digest.
+  const size_t size = 1 + 4 + 8 + digest.size();
   Encoder enc;
+  enc.Reserve(size);
   enc.PutU8(static_cast<uint8_t>(purpose));
   PutSite(&enc, site);
   enc.PutU64(pos);
   enc.PutRaw(digest.data(), digest.size());
+  BP_CHECK(enc.size() == size);
   return enc.Take();
 }
 

@@ -7,7 +7,8 @@
 
 namespace blockplane::crypto {
 
-size_t KeyStore::VerifiedSigHash::operator()(const VerifiedSig& v) const {
+size_t KeyStore::VerifiedSigHash::Hash(const net::NodeId& signer,
+                                       const Digest& mac) {
   // FNV-1a over the discriminating prefix. The MAC is 32 bytes of
   // (pseudo)random data, so hashing its first 16 bytes plus the signer id
   // spreads perfectly; equality still compares the full triple, so hash
@@ -16,20 +17,20 @@ size_t KeyStore::VerifiedSigHash::operator()(const VerifiedSig& v) const {
   auto mix = [&h](uint64_t x) {
     h = (h ^ x) * 0x100000001b3ULL;
   };
-  mix(static_cast<uint64_t>(static_cast<uint32_t>(v.signer.site)) << 32 |
-      static_cast<uint32_t>(v.signer.index));
+  mix(static_cast<uint64_t>(static_cast<uint32_t>(signer.site)) << 32 |
+      static_cast<uint32_t>(signer.index));
   for (int i = 0; i < 16; i += 8) {
     uint64_t word = 0;
     for (int j = 0; j < 8; ++j) {
-      word |= static_cast<uint64_t>(v.mac[i + j]) << (8 * j);
+      word |= static_cast<uint64_t>(mac[i + j]) << (8 * j);
     }
     mix(word);
   }
   return static_cast<size_t>(h);
 }
 
-bool KeyStore::CacheLookup(const VerifiedSig& entry) const {
-  return verified_cur_.count(entry) > 0 || verified_prev_.count(entry) > 0;
+bool KeyStore::CacheLookup(const VerifiedSigView& probe) const {
+  return verified_cur_.contains(probe) || verified_prev_.contains(probe);
 }
 
 void KeyStore::CacheInsert(VerifiedSig entry) const {
@@ -69,14 +70,14 @@ bool KeyStore::Verify(const Bytes& msg, const Signature& sig) const {
   auto it = keys_.find(sig.signer);
   if (it == keys_.end()) return false;
   if (verify_cache_capacity_ > 0) {
-    VerifiedSig probe{sig.signer, sig.mac, msg};
-    if (CacheLookup(probe)) {
+    // A hit copies nothing; only a verified miss copies the message in.
+    if (CacheLookup(VerifiedSigView{sig.signer, sig.mac, msg})) {
       hotpath_stats().sig_cache_hits++;
       return true;
     }
     bool ok = it->second.hmac.Verify(msg, sig.mac);
     hotpath_stats().sig_cache_misses++;
-    if (ok) CacheInsert(std::move(probe));
+    if (ok) CacheInsert(VerifiedSig{sig.signer, sig.mac, msg});
     return ok;
   }
   return it->second.hmac.Verify(msg, sig.mac);

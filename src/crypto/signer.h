@@ -104,17 +104,35 @@ class KeyStore {
     net::NodeId signer;
     Digest mac;
     Bytes msg;
-
-    friend bool operator==(const VerifiedSig& a, const VerifiedSig& b) {
+  };
+  /// A cache probe that borrows the message instead of copying it.
+  struct VerifiedSigView {
+    const net::NodeId& signer;
+    const Digest& mac;
+    const Bytes& msg;
+  };
+  /// Hash and equality over entries and views alike (transparent lookup).
+  struct VerifiedSigHash {
+    using is_transparent = void;
+    size_t operator()(const VerifiedSig& v) const {
+      return Hash(v.signer, v.mac);
+    }
+    size_t operator()(const VerifiedSigView& v) const {
+      return Hash(v.signer, v.mac);
+    }
+    static size_t Hash(const net::NodeId& signer, const Digest& mac);
+  };
+  struct VerifiedSigEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
       return a.signer == b.signer && a.mac == b.mac && a.msg == b.msg;
     }
   };
-  struct VerifiedSigHash {
-    size_t operator()(const VerifiedSig& v) const;
-  };
-  using VerifiedSet = std::unordered_set<VerifiedSig, VerifiedSigHash>;
+  using VerifiedSet =
+      std::unordered_set<VerifiedSig, VerifiedSigHash, VerifiedSigEq>;
 
-  bool CacheLookup(const VerifiedSig& entry) const;
+  bool CacheLookup(const VerifiedSigView& probe) const;
   void CacheInsert(VerifiedSig entry) const;
 
   struct KeyEntry {

@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -13,6 +14,13 @@ namespace {
 /// wide-area value rarely matters).
 constexpr double kNicBytesPerSecond = 640e6;
 
+/// Reported names of Network's fixed counters, in Counter order.
+constexpr const char* kCounterNames[] = {
+    "lan_messages",     "wan_messages",       "lan_bytes",
+    "wan_bytes",        "dropped_messages",   "corrupted_messages",
+    "duplicated_messages",
+};
+
 }  // namespace
 
 Network::Network(sim::Simulator* simulator, Topology topology,
@@ -21,12 +29,11 @@ Network::Network(sim::Simulator* simulator, Topology topology,
       topology_(std::move(topology)),
       options_(options),
       rng_(simulator->rng().Fork()) {
-  // Expose this network's counters in the unified registry: snapshot copies
-  // the CounterSet; reset clears it. The handle is dropped in ~Network so a
-  // registry dump never reads freed memory.
+  // Expose this network's counters in the unified registry. The handle is
+  // dropped in ~Network so a registry dump never reads freed memory.
   metrics_handle_ = metrics_registry().Register(
-      "network", [this]() { return counters_.all(); },
-      [this]() { counters_.Clear(); });
+      "network", [this]() { return CounterMap(); },
+      [this]() { ResetCounters(); });
 }
 
 Network::~Network() { metrics_registry().Unregister(metrics_handle_); }
@@ -47,34 +54,33 @@ void Network::Send(Message msg) {
 
   // A crashed sender emits nothing, so its messages are not traffic.
   if (IsCrashed(msg.src)) {
-    counters_.Increment("dropped_messages");
+    ++counts_[kDroppedMessages];
     return;
   }
 
   const bool local = msg.src.site == msg.dst.site;
-  counters_.Increment(local ? "lan_messages" : "wan_messages");
-  counters_.Increment(local ? "lan_bytes" : "wan_bytes",
-                      static_cast<int64_t>(msg.wire_bytes));
+  ++counts_[local ? kLanMessages : kWanMessages];
+  counts_[local ? kLanBytes : kWanBytes] +=
+      static_cast<int64_t>(msg.wire_bytes);
   if (!local && options_.per_type_wan_counters) {
     // Bench-only breakdown: the network is protocol-agnostic, so the key
     // carries the numeric type tag; benches map tags back to names.
-    counters_.Increment("wan_bytes.type_" + std::to_string(msg.type),
-                        static_cast<int64_t>(msg.wire_bytes));
+    wan_bytes_by_type_[msg.type] += static_cast<int64_t>(msg.wire_bytes);
   }
 
   // A crashed destination hears nothing (the bytes did leave the sender).
   if (IsCrashed(msg.dst)) {
-    counters_.Increment("dropped_messages");
+    ++counts_[kDroppedMessages];
     return;
   }
   // Partitioned directions drop everything (symmetric partitions insert
   // both directed edges; one-way partitions just one).
   if (partitions_.count({msg.src.site, msg.dst.site}) > 0) {
-    counters_.Increment("dropped_messages");
+    ++counts_[kDroppedMessages];
     return;
   }
   if (options_.drop_prob > 0 && rng_.Bernoulli(options_.drop_prob)) {
-    counters_.Increment("dropped_messages");
+    ++counts_[kDroppedMessages];
     return;
   }
   if (options_.corrupt_prob > 0 && !msg.body().empty() &&
@@ -87,7 +93,7 @@ void Network::Send(Message msg) {
     size_t pos = rng_.NextBelow(corrupted->size());
     (*corrupted)[pos] ^= 0xff;
     msg.payload = std::move(corrupted);
-    counters_.Increment("corrupted_messages");
+    ++counts_[kCorruptedMessages];
   }
 
   const sim::SimTime serialize = static_cast<sim::SimTime>(
@@ -119,7 +125,7 @@ void Network::Send(Message msg) {
     hotpath_stats().bytes_copied_saved +=
         static_cast<int64_t>(msg.body().size());
     Deliver(msg, arrive + sim::Microseconds(10));
-    counters_.Increment("duplicated_messages");
+    ++counts_[kDuplicatedMessages];
   }
 }
 
@@ -129,35 +135,78 @@ void Network::Deliver(const Message& msg, sim::SimTime arrive) {
   // long-flight wide-area message from reserving the receiver's CPU far in
   // the future ahead of local traffic that actually arrives earlier.
   //
-  // Both stages capture the Message by value; with shared payloads each
-  // capture is a refcount bump, where it used to deep-copy the bytes twice
-  // per delivered message.
+  // The message waits in a pool slot, and both stages capture only the
+  // slot. With shared payloads parking it is a refcount bump, where it used
+  // to deep-copy the bytes twice per delivered message.
   hotpath_stats().bytes_copied_saved +=
       2 * static_cast<int64_t>(msg.body().size());
-  sim_->ScheduleAt(arrive, [this, msg]() {
-    sim::SimTime& cpu_free = cpu_free_at_[msg.dst];
-    sim::SimTime handled_at =
-        std::max(sim_->Now(), cpu_free) + options_.per_message_cpu;
-    cpu_free = handled_at;
-    HandleAt(msg, handled_at);
-  });
+  uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<uint32_t>(in_flight_.size());
+    in_flight_.push_back(msg);
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+    in_flight_[slot] = msg;
+  }
+  sim_->ScheduleAt(arrive, [this, slot]() { Arrive(slot); });
 }
 
-void Network::HandleAt(const Message& msg, sim::SimTime handled_at) {
-  sim_->ScheduleAt(handled_at, [this, msg]() {
-    // Re-check crash state at delivery time: the destination may have
-    // crashed while the message was in flight.
-    if (IsCrashed(msg.dst)) {
-      counters_.Increment("dropped_messages");
-      return;
-    }
-    auto it = hosts_.find(msg.dst);
-    if (it == hosts_.end()) {
-      counters_.Increment("dropped_messages");
-      return;
-    }
-    it->second->HandleMessage(msg);
-  });
+void Network::Arrive(uint32_t slot) {
+  sim::SimTime& cpu_free = cpu_free_at_[in_flight_[slot].dst];
+  sim::SimTime handled_at =
+      std::max(sim_->Now(), cpu_free) + options_.per_message_cpu;
+  cpu_free = handled_at;
+  sim_->ScheduleAt(handled_at, [this, slot]() { Handle(slot); });
+}
+
+void Network::Handle(uint32_t slot) {
+  // Take the message out and free its slot first: the handler sends, and
+  // its sends may reuse the slot or grow the pool.
+  const Message msg = std::move(in_flight_[slot]);
+  free_in_flight_.push_back(slot);
+  // Re-check crash state at delivery time: the destination may have
+  // crashed while the message was in flight.
+  if (IsCrashed(msg.dst)) {
+    ++counts_[kDroppedMessages];
+    return;
+  }
+  auto it = hosts_.find(msg.dst);
+  if (it == hosts_.end()) {
+    ++counts_[kDroppedMessages];
+    return;
+  }
+  it->second->HandleMessage(msg);
+}
+
+std::map<std::string, int64_t> Network::CounterMap() const {
+  static_assert(std::size(kCounterNames) == kNumCounters);
+  std::map<std::string, int64_t> out;
+  // Bytes move with their message count, possibly by 0; the other fixed
+  // counters move by 1.
+  for (int c = 0; c < kNumCounters; ++c) {
+    const int64_t moved = c == kLanBytes   ? counts_[kLanMessages]
+                          : c == kWanBytes ? counts_[kWanMessages]
+                                           : counts_[c];
+    if (moved != 0) out[kCounterNames[c]] = counts_[c];
+  }
+  for (const auto& [type, bytes] : wan_bytes_by_type_) {
+    out["wan_bytes.type_" + std::to_string(type)] = bytes;
+  }
+  return out;
+}
+
+const CounterSet& Network::counters() const {
+  counter_view_.Clear();
+  for (const auto& [name, value] : CounterMap()) {
+    counter_view_.Increment(name, value);
+  }
+  return counter_view_;
+}
+
+void Network::ResetCounters() {
+  counts_.fill(0);
+  wan_bytes_by_type_.clear();
 }
 
 void Network::Crash(NodeId id) { crashed_.insert(id); }

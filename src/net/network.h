@@ -17,13 +17,23 @@
 // Fault injection (crashes, site outages, partitions, drops, corruption,
 // duplication) lives here so that every protocol sees the same failure
 // semantics.
+//
+// Work per delivered message is constant and allocation-free once the
+// network is warm: a message in flight is parked in a pool slot the network
+// owns, and both delivery stages schedule a 16-byte [this, slot] callback,
+// which std::function stores inline. Counters are plain integers, turned
+// into named counters only when read.
 #ifndef BLOCKPLANE_NET_NETWORK_H_
 #define BLOCKPLANE_NET_NETWORK_H_
 
+#include <array>
+#include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "net/message.h"
@@ -119,14 +129,42 @@ class Network {
   // --- Accounting ----------------------------------------------------------
 
   /// Counters: {lan,wan}_messages, {lan,wan}_bytes, dropped_messages,
-  /// corrupted_messages. A crashed sender's messages count only as drops:
-  /// they never reach the wire.
-  const CounterSet& counters() const { return counters_; }
-  void ResetCounters() { counters_.Clear(); }
+  /// corrupted_messages, duplicated_messages and, with
+  /// per_type_wan_counters, wan_bytes.type_<id>. A counter that never moved
+  /// is absent. A crashed sender's messages count only as drops: they never
+  /// reach the wire. The set is rebuilt on each call; read it before the
+  /// simulation moves on.
+  const CounterSet& counters() const;
+  void ResetCounters();
 
  private:
+  /// The fixed counters, named by kCounterNames in network.cc.
+  enum Counter {
+    kLanMessages,
+    kWanMessages,
+    kLanBytes,
+    kWanBytes,
+    kDroppedMessages,
+    kCorruptedMessages,
+    kDuplicatedMessages,
+    kNumCounters,
+  };
+  /// Every counter that moved, by name.
+  std::map<std::string, int64_t> CounterMap() const;
+
+  /// Parks `msg` in the in-flight pool and schedules its arrival.
   void Deliver(const Message& msg, sim::SimTime arrive);
-  void HandleAt(const Message& msg, sim::SimTime handled_at);
+  /// Arrival: claims the destination's CPU and schedules the hand-off.
+  void Arrive(uint32_t slot);
+  /// Hand-off: frees the slot, then delivers to the destination host.
+  void Handle(uint32_t slot);
+
+  struct PairHash {
+    size_t operator()(const std::pair<NodeId, NodeId>& p) const {
+      NodeIdHash h;
+      return h(p.first) * 0x9e3779b97f4a7c15ULL ^ h(p.second);
+    }
+  };
 
   sim::Simulator* sim_;
   Topology topology_;
@@ -136,7 +174,8 @@ class Network {
   std::unordered_map<NodeId, Host*, NodeIdHash> hosts_;
   std::unordered_map<NodeId, sim::SimTime, NodeIdHash> nic_free_at_;
   std::unordered_map<NodeId, sim::SimTime, NodeIdHash> cpu_free_at_;
-  std::map<std::pair<NodeId, NodeId>, sim::SimTime> pair_last_arrival_;
+  std::unordered_map<std::pair<NodeId, NodeId>, sim::SimTime, PairHash>
+      pair_last_arrival_;
   std::unordered_set<NodeId, NodeIdHash> crashed_;
   std::unordered_set<SiteId> crashed_sites_;
   /// Directed partition edges: {from, to} present means traffic flowing
@@ -144,7 +183,15 @@ class Network {
   /// PartitionOneWay inserts just one.
   std::set<std::pair<SiteId, SiteId>> partitions_;
 
-  CounterSet counters_;
+  /// Messages between Send and their host's HandleMessage, by slot.
+  std::vector<Message> in_flight_;
+  std::vector<uint32_t> free_in_flight_;
+
+  std::array<int64_t, kNumCounters> counts_{};
+  /// WAN bytes per message type (per_type_wan_counters only).
+  std::map<MessageType, int64_t> wan_bytes_by_type_;
+  /// What counters() returns.
+  mutable CounterSet counter_view_;
   /// Handle of this network's group in the process-wide metrics registry.
   int64_t metrics_handle_ = 0;
 };

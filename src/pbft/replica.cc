@@ -500,6 +500,7 @@ void PbftReplica::MaybePrepared(uint64_t seq) {
     // pointer whose predecessor has not executed here yet); retry after
     // each execution instead of voting now.
     instance.verify_pending = true;
+    withheld_votes_.insert(seq);
     BP_LOG(kInfo) << self_.ToString() << " verification rejected seq " << seq;
     return;  // withhold the commit-phase vote for now
   }
@@ -528,11 +529,19 @@ void PbftReplica::SendCommitVote(uint64_t seq) {
 
 void PbftReplica::RetryPendingVerifications() {
   std::vector<uint64_t> ready;
-  for (auto& [seq, instance] : instances_) {
-    if (instance.verify_pending && instance.prepared &&
-        !instance.sent_commit && RunVerifier(instance.value)) {
-      ready.push_back(seq);
+  for (auto seq_it = withheld_votes_.begin();
+       seq_it != withheld_votes_.end();) {
+    auto it = instances_.find(*seq_it);
+    if (it == instances_.end() || !it->second.verify_pending ||
+        it->second.sent_commit) {
+      seq_it = withheld_votes_.erase(seq_it);
+      continue;
     }
+    const Instance& instance = it->second;
+    if (instance.prepared && RunVerifier(instance.value)) {
+      ready.push_back(*seq_it);
+    }
+    ++seq_it;
   }
   for (uint64_t seq : ready) SendCommitVote(seq);
 }

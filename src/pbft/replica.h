@@ -383,6 +383,10 @@ class PbftReplica : public net::Host {
   std::set<std::pair<uint64_t, uint64_t>> assigned_requests_;
 
   std::map<uint64_t, Instance> instances_;  // by seq
+  /// Seqs whose commit vote the verification routine withheld
+  /// (Instance::verify_pending), for RetryPendingVerifications. An entry
+  /// whose instance is gone or no longer pending is dropped when visited.
+  std::set<uint64_t> withheld_votes_;
   uint64_t last_executed_ = 0;
   uint64_t last_stable_ = 0;
   std::map<uint64_t, Bytes> executed_log_;

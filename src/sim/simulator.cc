@@ -8,14 +8,19 @@ namespace {
 /// Pre-sized backing storage: a busy deployment schedules thousands of
 /// events before the queue's vector would otherwise finish doubling.
 constexpr size_t kInitialQueueCapacity = 4096;
+
+EventId MakeId(uint32_t slot, uint32_t generation) {
+  return static_cast<EventId>(generation) << 32 | slot;
+}
 }  // namespace
 
 Simulator::Simulator(uint64_t seed) : rng_(seed) {
-  std::vector<Event> storage;
+  std::vector<Key> storage;
   storage.reserve(kInitialQueueCapacity);
-  queue_ = std::priority_queue<Event, std::vector<Event>, EventLater>(
-      EventLater{}, std::move(storage));
-  pending_ids_.reserve(kInitialQueueCapacity);
+  queue_ = std::priority_queue<Key, std::vector<Key>, KeyLater>(
+      KeyLater{}, std::move(storage));
+  slots_.reserve(kInitialQueueCapacity);
+  free_slots_.reserve(kInitialQueueCapacity);
 }
 
 EventId Simulator::Schedule(SimTime delay, std::function<void()> fn) {
@@ -25,35 +30,58 @@ EventId Simulator::Schedule(SimTime delay, std::function<void()> fn) {
 
 EventId Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
   BP_CHECK(when >= now_);
-  EventId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  pending_ids_.insert(id);
-  return id;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  queue_.push(Key{when, next_seq_++, slot, s.generation});
+  ++live_;
+  return MakeId(slot, s.generation);
+}
+
+void Simulator::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  // Generation 0 is never issued, so no id of a live event is ever
+  // kInvalidEventId.
+  if (++s.generation == 0) s.generation = 1;
+  free_slots_.push_back(slot);
+  --live_;
 }
 
 void Simulator::Cancel(EventId id) {
-  // Only ids that are actually live enter `cancelled_`. Cancelling an
-  // already-fired, already-cancelled, or invalid id is a strict no-op —
-  // previously such ids were inserted unconditionally and, with no queue
-  // entry left to pop them out, leaked for the simulator's lifetime.
-  if (id == kInvalidEventId) return;
-  if (pending_ids_.erase(id) > 0) cancelled_.insert(id);
+  // Only the id of a live event matches its slot's generation. An
+  // already-fired, already-cancelled or invalid id (generation 0) is a
+  // strict no-op. The event's key stays in the heap until it pops.
+  const uint64_t slot = id & 0xffffffffu;
+  const uint32_t generation = static_cast<uint32_t>(id >> 32);
+  if (generation == 0 || slot >= slots_.size() ||
+      slots_[slot].generation != generation) {
+    return;
+  }
+  slots_[slot].fn = nullptr;  // release the captures now
+  Release(static_cast<uint32_t>(slot));
 }
 
 bool Simulator::Step() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
+    const Key key = queue_.top();
     queue_.pop();
-    auto it = cancelled_.find(ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    pending_ids_.erase(ev.id);
-    BP_CHECK(ev.when >= now_);
-    now_ = ev.when;
+    Slot& slot = slots_[key.slot];
+    if (slot.generation != key.generation) continue;  // cancelled
+    // Move the callback out before running it: it may schedule events
+    // that reuse this slot or grow the slot array.
+    std::function<void()> fn = std::move(slot.fn);
+    Release(key.slot);
+    BP_CHECK(key.when >= now_);
+    now_ = key.when;
     ++processed_;
-    ev.fn();
+    fn();
     return true;
   }
   return false;

@@ -4,13 +4,19 @@
 // Blockplane deployment — replicas, clients, daemons, the network — runs as
 // callbacks scheduled on one Simulator, which makes every experiment
 // single-threaded and deterministic for a given seed.
+//
+// Events live in a slot array with a free list; the heap orders 24-byte
+// (when, seq, slot) keys, so scheduling, firing and cancelling never touch
+// a hash set and never copy a callback. An EventId is the pair (slot,
+// generation): a slot's generation moves on each time its event fires or
+// is cancelled, so a stale id can never cancel a later event that reuses
+// the slot, and its key left in the heap is skipped when it pops.
 #ifndef BLOCKPLANE_SIM_SIMULATOR_H_
 #define BLOCKPLANE_SIM_SIMULATOR_H_
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/macros.h"
@@ -58,39 +64,44 @@ class Simulator {
   Rng& rng() { return rng_; }
 
   uint64_t processed_events() const { return processed_; }
-  /// Events scheduled, not yet fired, and not cancelled. Exact: cancelled
-  /// ids leave the pending set immediately, fired ids leave it as they pop.
-  size_t pending_events() const { return pending_ids_.size(); }
+  /// Events scheduled, not yet fired, and not cancelled.
+  size_t pending_events() const { return live_; }
 
  private:
-  struct Event {
+  /// One event's storage. `generation` names the event the slot holds (or
+  /// held last); it moves on when that event fires or is cancelled.
+  struct Slot {
+    std::function<void()> fn;
+    uint32_t generation = 1;
+  };
+  /// A heap entry: the slot and the generation it was scheduled under, so
+  /// the key of a cancelled event is recognised (and skipped) when it pops.
+  struct Key {
     SimTime when;
     uint64_t seq;  // FIFO tie-break for equal timestamps
-    EventId id;
-    std::function<void()> fn;
+    uint32_t slot;
+    uint32_t generation;
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
+  struct KeyLater {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
 
-  /// Pops and runs one event. Returns false if the queue is empty.
+  /// Pops keys until one names a live event and runs it. Returns false if
+  /// the queue is empty.
   bool Step();
+  /// Ends the slot's current event and puts the slot on the free list.
+  void Release(uint32_t slot);
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  /// Ids of live (scheduled, unfired, uncancelled) events. Guards Cancel():
-  /// cancelling a fired/unknown id is a strict no-op, so `cancelled_` can
-  /// never accumulate ids that will never be popped.
-  std::unordered_set<EventId> pending_ids_;
-  /// Ids cancelled while still queued; entries are erased when their queue
-  /// slot pops, so this set is always a subset of the queue contents.
-  std::unordered_set<EventId> cancelled_;
+  size_t live_ = 0;
+  std::priority_queue<Key, std::vector<Key>, KeyLater> queue_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   Rng rng_;
 };
 

@@ -493,6 +493,45 @@ TEST(BlockplaneCoreTest, CrashedFirstReceiverCostsOneRetry) {
   EXPECT_EQ(robustness_stats().receiver_moves, 1);
 }
 
+TEST(BlockplaneCoreTest, CrashedMirrorLeaderIsReplaced) {
+  // Node 0, the view-0 leader, is down in both of California's mirror
+  // groups. A mirror node forwards a replicate to its group's leader; from
+  // a position's third replicate on it gives the request to the whole
+  // group, whose backups forward it and arm their request watchdogs, so a
+  // view change replaces the dead leader. Without that escalation nothing
+  // commits in 120 s.
+  sim::Simulator simulator(5);
+  BlockplaneOptions options;
+  options.fg = 1;
+  options.pbft_window = 8;
+  options.participant_window = 8;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  for (net::SiteId host : deployment.mirror_sites_of(kCalifornia)) {
+    deployment.network()->Crash(
+        deployment.mirror_node(host, kCalifornia, 0)->self());
+  }
+  Participant* primary = deployment.participant(kCalifornia);
+  const Bytes payload(64, 'c');
+  constexpr int kCommits = 100;
+  int committed = 0;
+  const sim::SimTime start = simulator.Now();
+  for (int i = 0; i < kCommits; ++i) {
+    simulator.ScheduleAt(start + i * Milliseconds(20), [&] {
+      primary->LogCommit(payload, 0, [&](uint64_t) { ++committed; });
+    });
+  }
+  // The first commit takes 766 ms (the two view changes), and the last
+  // completes 2,002 ms after the first was submitted.
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return committed == kCommits; }, start + Seconds(10)))
+      << committed << " of " << kCommits << " commits completed";
+  for (net::SiteId host : deployment.mirror_sites_of(kCalifornia)) {
+    EXPECT_GE(deployment.mirror_node(host, kCalifornia, 1)->replica()->view(),
+              1u)
+        << "mirror group at site " << host;
+  }
+}
+
 TEST(BlockplaneCoreTest, CrashedUnitNodeDoesNotBlockAnything) {
   CoreHarness harness;
   harness.deployment_.network()->Crash({kCalifornia, 2});

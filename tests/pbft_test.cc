@@ -662,6 +662,78 @@ TEST(PbftTest, VerificationRoutineBlocksInvalidValues) {
   }
 }
 
+/// Forwards to a replica and counts the commit votes it receives, by
+/// (sender, seq).
+class CommitVoteTap : public net::Host {
+ public:
+  explicit CommitVoteTap(net::Host* replica) : replica_(replica) {}
+  void HandleMessage(const net::Message& msg) override {
+    VoteMsg vote;
+    if (msg.type == kCommit &&
+        VoteMsg::Decode(kCommit, msg.body(), &vote).ok()) {
+      ++votes[{msg.src, vote.seq}];
+    }
+    replica_->HandleMessage(msg);
+  }
+  std::map<std::pair<NodeId, uint64_t>, int> votes;
+
+ private:
+  net::Host* replica_;
+};
+
+TEST(PbftTest, WithheldCommitVoteIsSentOnceTheRoutineAccepts) {
+  // Window 2: the leader proposes both values at once. Every replica's
+  // routine rejects the second until the first executed there, so each
+  // replica withholds its seq-2 commit vote when seq 2 prepares, and sends
+  // it once seq 1 executes (RetryPendingVerifications).
+  sim::Simulator simulator(1);
+  net::Network network(&simulator, Topology::SingleSite());
+  crypto::KeyStore keys;
+  PbftConfig config = UnitConfig(/*site=*/0, /*f=*/1);
+  config.window = 2;
+  std::map<NodeId, std::vector<uint64_t>> executed;
+  std::map<NodeId, int> rejected;
+  std::vector<std::unique_ptr<PbftReplica>> replicas;
+  std::vector<std::unique_ptr<CommitVoteTap>> taps;
+  for (const NodeId& node : config.nodes) {
+    auto replica = std::make_unique<PbftReplica>(
+        &network, &keys, config, node,
+        [&executed, node](uint64_t seq, const Bytes&, const Digest&) {
+          executed[node].push_back(seq);
+        });
+    replica->SetVerifier([&executed, &rejected, node](const Bytes& value) {
+      if (ToString(value) != "second" || !executed[node].empty()) return true;
+      ++rejected[node];
+      return false;
+    });
+    // The leader admits both values; the routine judges them at prepare.
+    replica->SetAdmission([](const Bytes&) { return true; }, [] {});
+    taps.push_back(std::make_unique<CommitVoteTap>(replica.get()));
+    network.Register(node, taps.back().get());
+    replicas.push_back(std::move(replica));
+  }
+  PbftClient client(&network, config, NodeId{0, 1000});
+  client.Submit(ToBytes("first"), nullptr);
+  client.Submit(ToBytes("second"), nullptr);
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return client.completed() == 2; }, Seconds(5)));
+  simulator.RunFor(Seconds(1));
+
+  for (const NodeId& node : config.nodes) {
+    EXPECT_GT(rejected[node], 0) << node.ToString() << " withheld no vote";
+    EXPECT_EQ(executed[node], (std::vector<uint64_t>{1, 2}))
+        << node.ToString();
+  }
+  for (size_t receiver = 0; receiver < taps.size(); ++receiver) {
+    for (size_t sender = 0; sender < config.nodes.size(); ++sender) {
+      if (sender == receiver) continue;
+      EXPECT_EQ((taps[receiver]->votes[{config.nodes[sender], 2}]), 1)
+          << config.nodes[sender].ToString() << "'s seq-2 commit vote at "
+          << config.nodes[receiver].ToString();
+    }
+  }
+}
+
 TEST(PbftTest, SingleRejectingVerifierDoesNotBlockCommit) {
   PbftHarness harness(1);
   harness.replicas_[2]->SetByzantineMode(ByzantineMode::kRejectVerification);

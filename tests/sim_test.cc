@@ -185,6 +185,36 @@ TEST(SimulatorTest, CancelInsideCallbackOfSameTimestamp) {
   EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
+TEST(SimulatorTest, StaleIdCannotCancelAReusedSlot) {
+  // An id names a (slot, generation) pair. Once its event fired or was
+  // cancelled, the slot goes to the next event, and the old id must not
+  // reach that event.
+  Simulator simulator;
+  int fired = 0;
+  auto count = [&fired] { ++fired; };
+  const EventId fired_id = simulator.Schedule(Milliseconds(1), count);
+  simulator.Run();
+  const EventId after_fire = simulator.Schedule(Milliseconds(1), count);
+  EXPECT_EQ(after_fire & 0xffffffffu, fired_id & 0xffffffffu)
+      << "the event reuses the fired event's slot";
+  EXPECT_NE(after_fire, fired_id);
+  simulator.Cancel(fired_id);
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  simulator.Run();
+  EXPECT_EQ(fired, 2);
+
+  const EventId cancelled = simulator.Schedule(Milliseconds(1), count);
+  simulator.Cancel(cancelled);
+  const EventId after_cancel = simulator.Schedule(Milliseconds(1), count);
+  EXPECT_EQ(after_cancel & 0xffffffffu, cancelled & 0xffffffffu)
+      << "the event reuses the cancelled event's slot";
+  simulator.Cancel(cancelled);
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  simulator.Run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(simulator.pending_events(), 0u);
+}
+
 TEST(RngTest, DeterministicForSeed) {
   Rng a(123);
   Rng b(123);
