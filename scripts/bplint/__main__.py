@@ -11,7 +11,7 @@ Usage:
   --root DIR            project root diagnostics are reported relative
                         to (default: the current directory)
   --disable RULES       comma-separated rule ids to disable
-                        (e.g. --disable BP004,BP005)
+                        (e.g. --disable BP001,BP005)
   --list-rules          print the rule catalog and exit
   -j, --jobs N          analyze files on N worker processes (the rule
                         passes stay serial over the merged project, so

@@ -18,22 +18,16 @@ CallSite resolution:
                                  graph degrades to silence, never to a
                                  guessed edge)
 
-Taint queries run over the graph in both directions:
-
-  * taint_toward(seeds): every node that can REACH a seed through any
-    call chain, with a deterministic witness chain for diagnostics
-    (ties broken by smallest node key, so output is byte-stable).
-  * forward_closure(roots): every node reachable FROM the roots — used
-    by BP010 to recognize a timer callback that re-arms through helpers.
-
-Cycles are handled naturally by the BFS visited sets; recursion neither
+taint_toward(seeds) returns every node that can REACH a seed through
+any call chain, with a deterministic witness chain for diagnostics (ties
+broken by smallest node key, so output is byte-stable). BP005 uses it.
+Cycles are handled naturally by the BFS visited set; recursion neither
 loops nor double-taints.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from cppmodel import CallSite, FileFacts, FunctionDef
 
@@ -115,28 +109,7 @@ class CallGraph:
             return [(owners[0], name)]
         return []
 
-    def resolve_name(self, name: str) -> List[Key]:
-        """All nodes a bare name could denote (free fn + every class)."""
-        out: List[Key] = []
-        if ("", name) in self.defs:
-            out.append(("", name))
-        for cls in self.owners.get(name, []):
-            out.append((cls, name))
-        return sorted(out)
-
-    # -- closures ----------------------------------------------------------
-
-    def forward_closure(self, roots: Iterable[Key]) -> Set[Key]:
-        seen: Set[Key] = set()
-        queue = deque(sorted(set(r for r in roots if r in self.defs)))
-        seen.update(queue)
-        while queue:
-            key = queue.popleft()
-            for callee in self.edges.get(key, ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    queue.append(callee)
-        return seen
+    # -- taint -------------------------------------------------------------
 
     def taint_toward(self, seeds: Dict[Key, str]) \
             -> Dict[Key, Tuple[str, Tuple[Key, ...]]]:

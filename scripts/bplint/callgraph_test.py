@@ -100,26 +100,12 @@ class ResolutionTest(unittest.TestCase):
         self.assertEqual(g.edges[("", "Use")], [("", "Helper")])
 
 
-class ClosureTest(unittest.TestCase):
+class TaintTest(unittest.TestCase):
     CYCLE = """
         void A() { B(); }
         void B() { A(); C(); }
         void C() {}
     """
-
-    def test_forward_closure_two_deep(self):
-        g = graph("""
-            void Leaf() {}
-            void Mid() { Leaf(); }
-            void Root() { Mid(); }
-        """)
-        self.assertEqual(g.forward_closure([("", "Root")]),
-                         {("", "Root"), ("", "Mid"), ("", "Leaf")})
-
-    def test_forward_closure_terminates_on_cycle(self):
-        g = graph(self.CYCLE)
-        self.assertEqual(g.forward_closure([("", "A")]),
-                         {("", "A"), ("", "B"), ("", "C")})
 
     def test_taint_through_cycle(self):
         g = graph(self.CYCLE)
@@ -158,16 +144,6 @@ class ClosureTest(unittest.TestCase):
 
 
 class NameTest(unittest.TestCase):
-    def test_resolve_name_spans_classes(self):
-        g = graph("""
-            void Reset() {}
-            struct Codec { void Reset() {} };
-            struct Timer { void Reset() {} };
-        """)
-        self.assertEqual(g.resolve_name("Reset"),
-                         [("", "Reset"), ("Codec", "Reset"),
-                          ("Timer", "Reset")])
-
     def test_key_str(self):
         self.assertEqual(key_str(("", "Free")), "Free")
         self.assertEqual(key_str(("Cls", "Method")), "Cls::Method")

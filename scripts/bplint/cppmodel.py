@@ -6,27 +6,18 @@ on patterns the model recognized positively, so an unrecognized
 construct degrades to silence, never to a false diagnostic.
 
 Facts per file (see FileFacts):
-  * enums (name, base, enumerators) and whether they are message-type
-    enums (name ends in "MessageType" or the base mentions MessageType)
-  * structs/classes with their data fields
-  * switch statements (subject tokens, case labels, default presence),
-    parsed recursively so nested switches don't leak labels outward
+  * structs/classes with their data fields (the call graph resolves
+    `member_->Fn()` through a field's declared type)
   * iterations: range-for targets and `it = x.begin()` style loops,
-    with their body token slices
+    with their body token slices (BP001)
   * unordered_map/unordered_set variable names (direct declarations
-    and via `using Alias = std::unordered_...` aliases)
+    and via `using Alias = std::unordered_...` aliases) (BP001)
   * `bplint:allow(...)` suppressions and `bplint:` file markers
-  * identifier usage contexts used by BP004 (case labels, ==/!=
-    comparisons)
   * function/method definitions (FunctionDef) with qualified-name
     resolution data: enclosing class (inline and out-of-line `T::M`),
     body, and the call sites inside the body (callee name + receiver +
     explicit `Cls::` qualifier) — the raw material callgraph.py links
-    into the project-wide call graph
-  * timer facts for BP010: Schedule/ScheduleAt sites (assigned handle or
-    discarded result, plus the names called / handles assigned inside
-    the scheduled lambda for self-rearm detection) and the identifiers
-    appearing in Cancel(...) argument lists
+    into the project-wide call graph (BP005)
 """
 
 from __future__ import annotations
@@ -51,18 +42,6 @@ class Suppression:
 
 
 @dataclass
-class Enum:
-    name: str
-    base: str
-    line: int
-    enumerators: List[Tuple[str, int]] = field(default_factory=list)
-
-    @property
-    def is_message_type(self) -> bool:
-        return self.name.endswith("MessageType") or "MessageType" in self.base
-
-
-@dataclass
 class Field:
     name: str
     type_str: str
@@ -74,16 +53,6 @@ class Struct:
     name: str
     line: int
     fields: List[Field] = field(default_factory=list)
-
-
-@dataclass
-class Switch:
-    line: int
-    subject: List[Tok]
-    # (enumerator, line, qualifier-or-None); qualifier is the `Foo` in a
-    # `case Foo::kBar:` label, used to resolve enumerator-name collisions.
-    cases: List[Tuple[str, int, Optional[str]]] = field(default_factory=list)
-    has_default: bool = False
 
 
 @dataclass
@@ -118,31 +87,15 @@ class FunctionDef:
 
 
 @dataclass
-class ScheduleSite:
-    """One Schedule/ScheduleAt call (BP010 timer hygiene)."""
-    line: int
-    handle: Optional[str]  # final identifier assigned, None if none
-    discarded: bool  # True when the TimerId result is dropped outright
-    lambda_calls: Set[str] = field(default_factory=set)
-    lambda_assigns: Set[str] = field(default_factory=set)
-
-
-@dataclass
 class FileFacts:
     path: str
     tokens: List[Tok] = field(default_factory=list)
     suppressions: List[Suppression] = field(default_factory=list)
     markers: Set[str] = field(default_factory=set)
-    enums: List[Enum] = field(default_factory=list)
     structs: List[Struct] = field(default_factory=list)
-    switches: List[Switch] = field(default_factory=list)
     iterations: List[Iteration] = field(default_factory=list)
     unordered_vars: Set[str] = field(default_factory=set)
-    string_literals: Set[str] = field(default_factory=set)
-    case_idents: Set[str] = field(default_factory=set)
-    cmp_idents: Set[str] = field(default_factory=set)
     fn_defs: List[FunctionDef] = field(default_factory=list)
-    cancel_args: Set[str] = field(default_factory=set)
 
 
 # ---------------------------------------------------------------------------
@@ -201,54 +154,13 @@ def match_template(toks: Sequence[Tok], i: int) -> int:
 # extraction passes
 # ---------------------------------------------------------------------------
 
-def _parse_enum(toks: List[Tok], i: int, facts: FileFacts) -> int:
-    """toks[i].text == 'enum'. Returns index past the enum body."""
-    n = len(toks)
-    j = i + 1
-    if j < n and toks[j].text in ("class", "struct"):
-        j += 1
-    if j >= n or toks[j].kind != "id":
-        return i + 1  # anonymous enum: skip keyword only
-    name = toks[j].text
-    line = toks[j].line
-    j += 1
-    base = ""
-    if j < n and toks[j].text == ":":
-        k = j + 1
-        base_toks = []
-        while k < n and toks[k].text not in ("{", ";"):
-            base_toks.append(toks[k].text)
-            k += 1
-        base = "".join(base_toks)
-        j = k
-    if j >= n or toks[j].text != "{":
-        return j  # forward declaration
-    end = match_balanced(toks, j)
-    enum = Enum(name=name, base=base, line=line)
-    k = j + 1
-    expect_name = True
-    while k < end - 1:
-        t = toks[k]
-        if expect_name and t.kind == "id":
-            enum.enumerators.append((t.text, t.line))
-            expect_name = False
-        elif t.text == ",":
-            expect_name = True
-        elif t.text in ("(", "{", "["):
-            k = match_balanced(toks, k)
-            continue
-        k += 1
-    facts.enums.append(enum)
-    return end
-
-
 def _field_from_stmt(stmt: List[Tok]) -> Optional[Field]:
     """A struct-body statement with no '(': extract the declared field."""
     if not stmt:
         return None
     head = stmt[0].text
     if head in ("using", "typedef", "static", "friend", "public", "private",
-                "protected", "template", "operator"):
+                "protected", "template", "operator", "enum"):
         return None
     # Name = last identifier before '=', '{', '[' or end.
     last_id = None
@@ -290,12 +202,6 @@ def _parse_struct(toks: List[Tok], i: int, facts: FileFacts) -> int:
         if t.kind == "id" and t.text in ("public", "private", "protected") \
                 and k + 1 < end and toks[k + 1].text == ":":
             k += 2
-            continue
-        if t.kind == "id" and t.text == "enum":
-            k = _parse_enum(toks, k, facts)
-            # Consume a trailing ';' if present.
-            if k < end and toks[k].text == ";":
-                k += 1
             continue
         if t.kind == "id" and t.text in ("struct", "class"):
             k = _parse_struct(toks, k, facts)
@@ -352,59 +258,6 @@ def _parse_struct(toks: List[Tok], i: int, facts: FileFacts) -> int:
     if struct.fields:
         facts.structs.append(struct)
     return end
-
-
-def _parse_switch_body(toks: List[Tok], start: int, end: int,
-                       sw: Switch, facts: FileFacts) -> None:
-    """Scans [start, end) for case labels; recurses into nested switches."""
-    k = start
-    while k < end:
-        t = toks[k]
-        if t.kind == "id" and t.text == "switch":
-            k = _parse_switch(toks, k, facts)
-            continue
-        if t.kind == "id" and t.text == "case":
-            label: List[Tok] = []
-            m = k + 1
-            while m < end and toks[m].text != ":":
-                label.append(toks[m])
-                m += 1
-            label_id = None
-            label_idx = -1
-            for li, lt in enumerate(label):
-                if lt.kind == "id":
-                    label_id = lt  # last identifier wins (handles Foo::kBar)
-                    label_idx = li
-            if label_id is not None:
-                qualifier = None
-                if label_idx >= 2 and label[label_idx - 1].text == "::" and \
-                        label[label_idx - 2].kind == "id":
-                    qualifier = label[label_idx - 2].text
-                sw.cases.append((label_id.text, label_id.line, qualifier))
-                facts.case_idents.add(label_id.text)
-            k = m + 1
-            continue
-        if t.kind == "id" and t.text == "default":
-            sw.has_default = True
-        k += 1
-
-
-def _parse_switch(toks: List[Tok], i: int, facts: FileFacts) -> int:
-    """toks[i].text == 'switch'. Returns index past the switch statement."""
-    n = len(toks)
-    j = i + 1
-    if j >= n or toks[j].text != "(":
-        return i + 1
-    subj_end = match_balanced(toks, j)
-    subject = list(toks[j + 1:subj_end - 1])
-    k = subj_end
-    if k >= n or toks[k].text != "{":
-        return subj_end
-    body_end = match_balanced(toks, k)
-    sw = Switch(line=toks[i].line, subject=subject)
-    _parse_switch_body(toks, k + 1, body_end - 1, sw, facts)
-    facts.switches.append(sw)
-    return body_end
 
 
 def _final_ident(expr: Sequence[Tok]) -> Optional[str]:
@@ -670,98 +523,6 @@ def _try_function(toks: List[Tok], paren: int,
 
 
 # ---------------------------------------------------------------------------
-# timer facts (BP010)
-# ---------------------------------------------------------------------------
-
-_SCHEDULE_NAMES = ("Schedule", "ScheduleAt")
-
-
-def schedule_sites(body: Sequence[Tok]) -> List[ScheduleSite]:
-    sites: List[ScheduleSite] = []
-    n = len(body)
-    i = 0
-    while i < n:
-        t = body[i]
-        if t.kind != "id" or t.text not in _SCHEDULE_NAMES or \
-                i + 1 >= n or body[i + 1].text != "(":
-            i += 1
-            continue
-        end = match_balanced(body, i + 1)
-        args = body[i + 2:end - 1]
-        site = ScheduleSite(line=t.line, handle=None, discarded=True)
-        for ci, ct in enumerate(args):
-            if ct.kind == "id" and ci + 1 < len(args) and \
-                    args[ci + 1].text == "(" and ct.text not in _NON_FN_IDS:
-                site.lambda_calls.add(ct.text)
-            if ct.text == "=" and ci >= 1 and args[ci - 1].kind == "id" and \
-                    (ci + 1 >= len(args) or args[ci + 1].text != "="):
-                site.lambda_assigns.add(args[ci - 1].text)
-        # Walk backwards to find what happens to the returned TimerId.
-        p = i - 1
-        steps = 0
-        while p >= 0 and steps < 48:
-            tt = body[p].text
-            if tt in (";", "{", "}"):
-                break  # statement-position call: result dropped
-            if tt in ("return", ",", "(") or tt == "co_return":
-                site.discarded = False  # escapes to the caller / an arg
-                break
-            if tt == "=":
-                site.discarded = False
-                if p >= 1 and body[p - 1].kind == "id":
-                    site.handle = body[p - 1].text
-                break
-            if tt == ")":
-                depth = 1
-                p -= 1
-                while p >= 0 and depth > 0:
-                    if body[p].text == ")":
-                        depth += 1
-                    elif body[p].text == "(":
-                        depth -= 1
-                    p -= 1
-                steps += 1
-                continue
-            p -= 1
-            steps += 1
-        sites.append(site)
-        i = end
-    return sites
-
-
-def _parse_cancels(toks: List[Tok], facts: FileFacts) -> None:
-    n = len(toks)
-    i = 0
-    while i < n:
-        t = toks[i]
-        if t.kind == "id" and t.text == "Cancel" and i + 1 < n and \
-                toks[i + 1].text == "(":
-            end = match_balanced(toks, i + 1)
-            for a in toks[i + 2:end - 1]:
-                if a.kind == "id":
-                    facts.cancel_args.add(a.text)
-            i = end
-            continue
-        i += 1
-
-
-# ---------------------------------------------------------------------------
-# usage contexts
-# ---------------------------------------------------------------------------
-
-def _parse_usage_contexts(toks: List[Tok], facts: FileFacts) -> None:
-    n = len(toks)
-    for i, t in enumerate(toks):
-        if t.kind == "str":
-            facts.string_literals.add(t.text)
-        if t.kind == "id":
-            prev = toks[i - 1].text if i > 0 else ""
-            nxt = toks[i + 1].text if i + 1 < n else ""
-            if prev in ("==", "!=") or nxt in ("==", "!="):
-                facts.cmp_idents.add(t.text)
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -784,10 +545,8 @@ def analyze_file(path: str, text: str) -> FileFacts:
     n = len(toks)
     while i < n:
         t = toks[i]
-        if t.kind == "id" and t.text == "enum":
-            i = _parse_enum(toks, i, facts)
-            continue
-        if t.kind == "id" and t.text in ("struct", "class"):
+        if t.kind == "id" and t.text in ("struct", "class") and \
+                not (i > 0 and toks[i - 1].text == "enum"):
             nxt = _parse_struct(toks, i, facts)
             if nxt <= i:
                 nxt = i + 1
@@ -795,16 +554,7 @@ def analyze_file(path: str, text: str) -> FileFacts:
             continue
         i += 1
 
-    i = 0
-    while i < n:
-        if toks[i].kind == "id" and toks[i].text == "switch":
-            i = _parse_switch(toks, i, facts)
-            continue
-        i += 1
-
     _parse_iterations(toks, facts)
     _parse_unordered(toks, facts)
-    _parse_usage_contexts(toks, facts)
     _parse_functions(toks, facts)
-    _parse_cancels(toks, facts)
     return facts

@@ -13,8 +13,8 @@ Checks performed:
      byte-for-byte against fixtures/golden.txt.  Re-generate with
      --regold (or env BPLINT_REGOLD=1) after an intentional change.
 
-  2. Per-rule kill check. For each live rule (BP001, BP002, BP004-BP006,
-     BP010, BP011; BP003 and BP007-BP009 are retired) the matching
+  2. Per-rule kill check. For each live rule (BP001 and BP005; BP002,
+     BP003, BP004 and BP006-BP011 are retired) the matching
      bpNNN_violation.cc fixture must produce at least one diagnostic of
      that rule, and must produce zero diagnostics of that rule when the
      rule is disabled.  This is what makes each rule's fixture test fail
@@ -31,11 +31,11 @@ Checks performed:
      byte-identical, and a jobs=2 parallel analysis must produce exactly
      the serial diagnostics.
 
-  6. Transitive chains. Each fixtures/transitive/bpNNN/ group is
-     analyzed as one multi-file project; the rule must fire in a file
-     that is clean when analyzed alone — proving the diagnostic exists
-     only through the interprocedural chain, not through anything
-     lexical in the flagged file.
+  6. Transitive chains. Each fixtures/transitive/bpNNN/ group (today
+     only bp005) is analyzed as one multi-file project; the rule must
+     fire in a file that is clean when analyzed alone — proving the
+     diagnostic exists only through the interprocedural chain, not
+     through anything lexical in the flagged file.
 
   7. CLI + SARIF smoke. --list-rules names every rule, a violation
      fixture drives exit status 1 (0 under --disable), and the SARIF

@@ -23,14 +23,16 @@
 #       compile database — skipped with a notice when clang-tidy is not
 #       installed.
 #   4b. bplint: the project-invariant static-analysis suite
-#       (scripts/bplint; rules BP001–BP011 except the retired BP003 and
-#       BP007–BP009 — determinism, entropy hygiene, dispatch
-#       exhaustiveness, integer consensus math, metrics registration,
-#       timer hygiene, bounded decode; the entropy and float rules chase
-#       call chains across translation units via the project call
-#       graph). A discarded Status and a wire-struct member missing from
-#       its BP_WIRE list are no bplint rules: pass 1's build rejects both
-#       (-Werror=unused-result and a static_assert).
+#       (scripts/bplint; BP001 unordered-iteration determinism and BP005
+#       integer consensus math, whose float check chases call chains
+#       across translation units via the project call graph). The
+#       retired rules are checked by pass 1 instead: its build rejects a
+#       discarded Status (-Werror=unused-result), a wire or stats member
+#       missing from its BP_WIRE or BP_STATS list (static_asserts), an
+#       unrouted message type (-Werror=switch) and an uncancellable
+#       timer handle (Simulator::Schedule returns nothing; sim::Timer
+#       owns every cancellable event), and its ctest runs the entropy
+#       link check and alloc_test's bounded-decode case.
 #       Zero unsuppressed diagnostics required; the serial run, a
 #       rerun, and a --jobs=4 run must all be byte-identical; and the
 #       whole-tree pass must finish inside its 1.5 s budget. Runs even
@@ -97,7 +99,7 @@ ctest --test-dir build --output-on-failure
 # must also stay inside the 1.5 s whole-tree budget that keeps the gate
 # viable as a pre-commit hook.
 run_bplint() {
-  echo "=== pass 4b: bplint (BP001-BP011 project invariants, BP003 and BP007-BP009 retired) ==="
+  echo "=== pass 4b: bplint (BP001 and BP005 project invariants) ==="
   local t0 t1 elapsed_ms
   t0="$(date +%s%N)"
   python3 scripts/bplint -p build src bench | tee build/bplint.out

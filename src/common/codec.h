@@ -338,7 +338,8 @@ Status WireGetList(Decoder* dec, std::vector<T>* out, uint64_t cap) {
   if (n > cap) return Status::Corruption("oversized list");
   // Every element is at least one byte, so a count past the remaining
   // bytes is corrupt; reject it before reserve() turns an attacker-chosen
-  // varint into an allocation (BP011).
+  // varint into an allocation. No other decoder sizes an allocation from
+  // a count (AllocTest.OversizedListCountAllocatesNothing pins this one).
   if (n > dec->remaining()) return Status::Corruption("truncated list");
   out->clear();
   out->reserve(n);
@@ -412,29 +413,6 @@ Bytes WireSignedBody(uint8_t tag, const std::tuple<F...>& fields) {
   BP_CHECK(enc.size() == size);
   return enc.Take();
 }
-
-namespace wire_internal {
-
-/// Converts to any member type; counts an aggregate's members.
-struct AnyMember {
-  template <typename T>
-  operator T() const;
-};
-
-template <typename T, typename... Members>
-constexpr size_t Arity() {
-  if constexpr (requires { T{Members{}..., AnyMember{}}; }) {
-    return Arity<T, Members..., AnyMember>();
-  } else {
-    return sizeof...(Members);
-  }
-}
-
-}  // namespace wire_internal
-
-/// The number of members of aggregate `T`.
-template <typename T>
-constexpr size_t kMemberCount = wire_internal::Arity<T>();
 
 #define BP_WIRE_LIST(...) __VA_ARGS__
 

@@ -6,6 +6,7 @@
 #ifndef BLOCKPLANE_COMMON_MACROS_H_
 #define BLOCKPLANE_COMMON_MACROS_H_
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 
@@ -45,5 +46,32 @@
 #define BP_DISALLOW_COPY_AND_ASSIGN(TypeName) \
   TypeName(const TypeName&) = delete;         \
   TypeName& operator=(const TypeName&) = delete
+
+namespace blockplane {
+namespace member_count_internal {
+
+/// Converts to any member type; counts an aggregate's members.
+struct AnyMember {
+  template <typename T>
+  operator T() const;
+};
+
+template <typename T, typename... Members>
+constexpr size_t Arity() {
+  if constexpr (requires { T{Members{}..., AnyMember{}}; }) {
+    return Arity<T, Members..., AnyMember>();
+  } else {
+    return sizeof...(Members);
+  }
+}
+
+}  // namespace member_count_internal
+
+/// The number of members of aggregate `T`. BP_WIRE (common/codec.h) and
+/// BP_STATS (common/metrics.h) assert that their lists name every member.
+template <typename T>
+constexpr size_t kMemberCount = member_count_internal::Arity<T>();
+
+}  // namespace blockplane
 
 #endif  // BLOCKPLANE_COMMON_MACROS_H_

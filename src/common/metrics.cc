@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string_view>
+#include <tuple>
 
 #include "common/macros.h"
 
@@ -40,99 +42,45 @@ QcStats& qc_stats() {
 
 // --- MetricsRegistry ---------------------------------------------------------
 
+namespace {
+
+/// A stats block's counters, each under its BP_STATS name.
+template <typename Stats>
+std::map<std::string, int64_t> StatsSnapshot(const Stats& stats) {
+  std::map<std::string, int64_t> out;
+  std::string_view names = Stats::kStatNames;  // "a, b, c"
+  auto next_name = [&names]() {
+    const size_t comma = std::min(names.find(','), names.size());
+    std::string_view name = names.substr(0, comma);
+    names.remove_prefix(std::min(comma + 1, names.size()));
+    while (!name.empty() && name.front() == ' ') name.remove_prefix(1);
+    while (!name.empty() && name.back() == ' ') name.remove_suffix(1);
+    return std::string(name);
+  };
+  std::apply(
+      [&](const auto&... value) { (out.emplace(next_name(), value), ...); },
+      stats.StatFields());
+  return out;
+}
+
+template <typename Stats>
+void RegisterStats(MetricsRegistry* registry, std::string name,
+                   Stats& (*block)()) {
+  registry->Register(
+      std::move(name), [block]() { return StatsSnapshot(block()); },
+      [block]() { block().Reset(); });
+}
+
+}  // namespace
+
 MetricsRegistry::MetricsRegistry() {
   // Built-in groups: the process-wide counter blocks.
-  Register(
-      "hotpath",
-      []() {
-        const HotPathStats& s = hotpath_stats();
-        return std::map<std::string, int64_t>{
-            {"sig_cache_hits", s.sig_cache_hits},
-            {"sig_cache_misses", s.sig_cache_misses},
-            {"encodes_elided", s.encodes_elided},
-            {"bytes_copied_saved", s.bytes_copied_saved},
-            {"hmac_precomputed_ops", s.hmac_precomputed_ops},
-            {"verify_cache_evictions", s.verify_cache_evictions},
-        };
-      },
-      []() { hotpath_stats().Reset(); });
-  Register(
-      "transport",
-      []() {
-        const TransportStats& s = transport_stats();
-        return std::map<std::string, int64_t>{
-            {"frames_sent", s.frames_sent},
-            {"retransmissions", s.retransmissions},
-            {"discarded_corrupt", s.discarded_corrupt},
-            {"frames_abandoned", s.frames_abandoned},
-            {"bytes_copied_saved", s.bytes_copied_saved},
-            {"rtt_samples", s.rtt_samples},
-        };
-      },
-      []() { transport_stats().Reset(); });
-  Register(
-      "pipeline",
-      []() {
-        const PipelineStats& s = pipeline_stats();
-        return std::map<std::string, int64_t>{
-            {"pbft_proposals", s.pbft_proposals},
-            {"pbft_inflight_peak", s.pbft_inflight_peak},
-            {"pbft_admission_rejects", s.pbft_admission_rejects},
-            {"pbft_window_stalls", s.pbft_window_stalls},
-            {"pbft_ooo_commits", s.pbft_ooo_commits},
-            {"participant_inflight_peak", s.participant_inflight_peak},
-            {"participant_ooo_completions", s.participant_ooo_completions},
-            {"participant_window_stalls", s.participant_window_stalls},
-            {"daemon_window_stalls", s.daemon_window_stalls},
-        };
-      },
-      []() { pipeline_stats().Reset(); });
-  Register(
-      "robustness",
-      []() {
-        const RobustnessStats& s = robustness_stats();
-        return std::map<std::string, int64_t>{
-            {"viewchange_attempts", s.viewchange_attempts},
-            {"viewchange_backoff_ms", s.viewchange_backoff_ms},
-            {"geo_quarantined", s.geo_quarantined},
-            {"geo_quarantine_released", s.geo_quarantine_released},
-            {"geo_quarantine_dropped", s.geo_quarantine_dropped},
-            {"geo_gap_notices", s.geo_gap_notices},
-            {"geo_gap_nudges", s.geo_gap_nudges},
-            {"mirror_gap_fetches", s.mirror_gap_fetches},
-            {"mirror_gap_filled", s.mirror_gap_filled},
-            {"mirror_bases_installed", s.mirror_bases_installed},
-            {"receiver_moves", s.receiver_moves},
-        };
-      },
-      []() { robustness_stats().Reset(); });
-  Register(
-      "congestion",
-      []() {
-        const CongestionStats& s = congestion_stats();
-        return std::map<std::string, int64_t>{
-            {"controllers_created", s.controllers_created},
-            {"rtt_samples", s.rtt_samples},
-            {"increases", s.increases},
-            {"decreases", s.decreases},
-            {"loss_events", s.loss_events},
-            {"viewchange_decreases", s.viewchange_decreases},
-        };
-      },
-      []() { congestion_stats().Reset(); });
-  Register(
-      "qc",
-      []() {
-        const QcStats& s = qc_stats();
-        return std::map<std::string, int64_t>{
-            {"certs_built", s.certs_built},
-            {"certs_verified", s.certs_verified},
-            {"cache_hits", s.cache_hits},
-            {"verifies_elided", s.verifies_elided},
-            {"proof_sig_verifies", s.proof_sig_verifies},
-        };
-      },
-      []() { qc_stats().Reset(); });
+  RegisterStats(this, "hotpath", hotpath_stats);
+  RegisterStats(this, "transport", transport_stats);
+  RegisterStats(this, "pipeline", pipeline_stats);
+  RegisterStats(this, "robustness", robustness_stats);
+  RegisterStats(this, "congestion", congestion_stats);
+  RegisterStats(this, "qc", qc_stats);
 }
 
 int64_t MetricsRegistry::Register(std::string name, SnapshotFn snapshot,

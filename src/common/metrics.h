@@ -7,11 +7,27 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/macros.h"
 
 namespace blockplane {
+
+/// Lists a *Stats block's counters once, inside the struct, as BP_WIRE
+/// lists a wire struct's members. The list must name every member (a
+/// static_assert against kMemberCount), defines Reset(), and is where the
+/// registry's snapshot of the block takes its keys: each counter under its
+/// own name, in list order.
+#define BP_STATS(Type, ...)                                                \
+  auto StatFields() const { return std::tie(__VA_ARGS__); }                \
+  static constexpr const char* kStatNames = #__VA_ARGS__;                  \
+  void Reset() {                                                           \
+    static_assert(::blockplane::kMemberCount<Type> ==                      \
+                      std::tuple_size_v<decltype(StatFields())>,           \
+                  "every counter of a stats block must be in BP_STATS");   \
+    *this = {};                                                            \
+  }
 
 /// Collects double-valued samples (typically latencies in milliseconds) and
 /// reports summary statistics.
@@ -62,7 +78,8 @@ struct HotPathStats {
   /// Entries evicted from bounded verify-once caches.
   int64_t verify_cache_evictions = 0;
 
-  void Reset() { *this = HotPathStats{}; }
+  BP_STATS(HotPathStats, sig_cache_hits, sig_cache_misses, encodes_elided,
+           bytes_copied_saved, hmac_precomputed_ops, verify_cache_evictions)
 };
 
 /// The process-wide hot-path counter block.
@@ -91,7 +108,9 @@ struct TransportStats {
   /// estimator (acks of never-retransmitted frames; Karn's rule).
   int64_t rtt_samples = 0;
 
-  void Reset() { *this = TransportStats{}; }
+  BP_STATS(TransportStats, frames_sent, retransmissions,
+           discarded_corrupt, frames_abandoned, bytes_copied_saved,
+           rtt_samples)
 };
 
 /// The process-wide transport counter block.
@@ -130,7 +149,10 @@ struct PipelineStats {
   /// above: any admission closes the episode.
   int64_t daemon_window_stalls = 0;
 
-  void Reset() { *this = PipelineStats{}; }
+  BP_STATS(PipelineStats, pbft_proposals, pbft_inflight_peak,
+           pbft_admission_rejects, pbft_window_stalls, pbft_ooo_commits,
+           participant_inflight_peak, participant_ooo_completions,
+           participant_window_stalls, daemon_window_stalls)
 };
 
 /// The process-wide pipeline counter block.
@@ -157,7 +179,8 @@ struct CongestionStats {
   /// Decreases attributed to view-change churn rather than loss spikes.
   int64_t viewchange_decreases = 0;
 
-  void Reset() { *this = CongestionStats{}; }
+  BP_STATS(CongestionStats, controllers_created, rtt_samples,
+           increases, decreases, loss_events, viewchange_decreases)
 };
 
 /// The process-wide congestion counter block.
@@ -201,7 +224,11 @@ struct RobustnessStats {
   /// was retried (DESIGN.md §5 item 5). 0 on a fault-free, lossless run.
   int64_t receiver_moves = 0;
 
-  void Reset() { *this = RobustnessStats{}; }
+  BP_STATS(RobustnessStats, viewchange_attempts,
+           viewchange_backoff_ms, geo_quarantined, geo_quarantine_released,
+           geo_quarantine_dropped, geo_gap_notices, geo_gap_nudges,
+           mirror_gap_fetches, mirror_gap_filled, mirror_bases_installed,
+           receiver_moves)
 };
 
 /// The process-wide robustness counter block.
@@ -226,7 +253,8 @@ struct QcStats {
   /// per listed signer in a cold cert verification.
   int64_t proof_sig_verifies = 0;
 
-  void Reset() { *this = QcStats{}; }
+  BP_STATS(QcStats, certs_built, certs_verified, cache_hits,
+           verifies_elided, proof_sig_verifies)
 };
 
 /// The process-wide quorum-certificate counter block.

@@ -7,11 +7,9 @@ namespace blockplane::core {
 Batcher::Batcher(Participant* participant, sim::Simulator* simulator,
                  Options options, uint64_t routine_id)
     : participant_(participant),
-      sim_(simulator),
       options_(options),
-      routine_id_(routine_id) {}
-
-Batcher::~Batcher() { sim_->Cancel(delay_timer_); }
+      routine_id_(routine_id),
+      delay_timer_(simulator) {}
 
 Bytes Batcher::EncodeBatch(const std::vector<Bytes>& ops) {
   return WireEncode(ops);
@@ -28,10 +26,7 @@ void Batcher::Add(Bytes op, OpCallback done) {
   pending_bytes_ += op.size();
   pending_.push_back(PendingOp{std::move(op), std::move(done)});
   if (pending_.size() == 1 && options_.max_delay > 0) {
-    delay_timer_ = sim_->Schedule(options_.max_delay, [this]() {
-      delay_timer_ = sim::kInvalidEventId;
-      MaybeFlush();
-    });
+    delay_timer_.Arm(options_.max_delay, [this]() { MaybeFlush(); });
   }
   if (pending_bytes_ >= options_.max_batch_bytes ||
       pending_.size() >= options_.max_ops) {
@@ -48,8 +43,7 @@ void Batcher::MaybeFlush() {
 
 void Batcher::CommitBatch() {
   batch_in_flight_ = true;
-  sim_->Cancel(delay_timer_);
-  delay_timer_ = sim::kInvalidEventId;
+  delay_timer_.Disarm();
 
   // Submission order is preserved, which preserves any dependency order.
   size_t take = std::min(pending_.size(), options_.max_ops);

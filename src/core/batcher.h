@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/participant.h"
+#include "sim/timer.h"
 
 namespace blockplane::core {
 
@@ -45,7 +46,6 @@ class Batcher {
   /// Default options.
   Batcher(Participant* participant, sim::Simulator* simulator)
       : Batcher(participant, simulator, Options()) {}
-  ~Batcher();
   BP_DISALLOW_COPY_AND_ASSIGN(Batcher);
 
   /// Queues one operation for the next batch.
@@ -72,14 +72,13 @@ class Batcher {
   void CommitBatch();
 
   Participant* participant_;
-  sim::Simulator* sim_;
   Options options_;
   uint64_t routine_id_;
 
   std::deque<PendingOp> pending_;
   size_t pending_bytes_ = 0;
   bool batch_in_flight_ = false;
-  sim::EventId delay_timer_ = sim::kInvalidEventId;
+  sim::Timer delay_timer_;
   uint64_t batches_committed_ = 0;
   uint64_t ops_committed_ = 0;
 };

@@ -37,33 +37,12 @@ CommDaemon::CommDaemon(BlockplaneNode* host, net::SiteId dest, int rank)
                       4 * host->network()->options().intra_site_one_way,
                   "daemon_s" + std::to_string(host->self().site) + "n" +
                       std::to_string(host->self().index) + "_to_s" +
-                      std::to_string(dest)) {
+                      std::to_string(dest)),
+      poll_timer_(host->network()->simulator()) {
   if (!active_) PollReceiver();
 }
 
-CommDaemon::~CommDaemon() {
-  sim::Simulator* simulator = host_->network()->simulator();
-  for (auto& [pos, flight] : flights_) {
-    simulator->Cancel(flight.retransmit_timer);
-  }
-  simulator->Cancel(poll_timer_);
-}
-
 void CommDaemon::NotifyLogAppend() { PumpPipeline(); }
-
-void CommDaemon::OnMessage(const net::Message& msg) {
-  switch (msg.type) {
-    case kTransmissionAck:
-      OnTransmissionAck(msg);
-      break;
-    case kRecvStatusReply:
-      OnRecvStatusReply(msg);
-      break;
-    default:
-      // kAttestResponse arrives pre-decoded via OnAttestResponse.
-      break;
-  }
-}
 
 void CommDaemon::PumpPipeline() {
   if (!active_) return;
@@ -103,7 +82,8 @@ void CommDaemon::PumpPipeline() {
       geo_proof = proof_it->second;
     }
 
-    Flight& flight = flights_[pos];
+    Flight& flight =
+        flights_.try_emplace(pos, host_->network()->simulator()).first->second;
     flight.record.src_site = host_->origin_site();
     flight.record.dest_site = dest_;
     flight.record.src_log_pos = pos;
@@ -198,8 +178,6 @@ void CommDaemon::ApplyAttestation(uint64_t pos, const crypto::Signature& sig) {
   // The pending timer was armed with the attest-retry period while
   // signatures were outstanding; re-arm so the first wire retransmit uses
   // the measured, per-destination timeout.
-  host_->network()->simulator()->Cancel(flight.retransmit_timer);
-  flight.retransmit_timer = sim::kInvalidEventId;
   ArmRetransmit(pos);
 }
 
@@ -259,7 +237,6 @@ void CommDaemon::Transmit(Flight& flight, bool widen) {
 }
 
 void CommDaemon::ArmRetransmit(uint64_t pos) {
-  sim::Simulator* simulator = host_->network()->simulator();
   auto it = flights_.find(pos);
   if (it == flights_.end()) return;
   // Signature collection is intra-site: attestation round trips are a
@@ -272,13 +249,8 @@ void CommDaemon::ArmRetransmit(uint64_t pos) {
           ? window_ctl_.RetryTimeout(common::kMinRto, kTransmissionRetryCap)
           : std::max(common::kMinRto,
                      8 * host_->network()->options().intra_site_one_way);
-  it->second.retransmit_timer =
-      simulator->Schedule(period, [this, pos, period]() {
-        auto flight_it = flights_.find(pos);
-        if (flight_it == flights_.end()) return;
-        flight_it->second.retransmit_timer = sim::kInvalidEventId;
-        OnRetransmitTimer(pos, period);
-      });
+  it->second.retransmit_timer.Arm(
+      period, [this, pos, period]() { OnRetransmitTimer(pos, period); });
 }
 
 void CommDaemon::OnRetransmitTimer(uint64_t pos, sim::SimTime period) {
@@ -298,8 +270,7 @@ void CommDaemon::OnRetransmitTimer(uint64_t pos, sim::SimTime period) {
     ArmRetransmit(pos);
     return;
   }
-  sim::Simulator* simulator = host_->network()->simulator();
-  sim::SimTime now = simulator->Now();
+  const sim::SimTime now = host_->network()->simulator()->Now();
   // Progress-deferred timeout: the receiver commits in order, so flowing
   // acks prove the path (and the stream ahead of this flight) is alive. A
   // timeout only counts once nothing progressed for a full RTO since the
@@ -309,13 +280,8 @@ void CommDaemon::OnRetransmitTimer(uint64_t pos, sim::SimTime period) {
   sim::SimTime deadline =
       std::max(flight.last_transmit, last_progress_) + period;
   if (now < deadline) {
-    flight.retransmit_timer =
-        simulator->Schedule(deadline - now, [this, pos, period]() {
-          auto again = flights_.find(pos);
-          if (again == flights_.end()) return;
-          again->second.retransmit_timer = sim::kInvalidEventId;
-          OnRetransmitTimer(pos, period);
-        });
+    flight.retransmit_timer.ArmAt(
+        deadline, [this, pos, period]() { OnRetransmitTimer(pos, period); });
     return;
   }
   // The receiver validates the chain pointer strictly (no out-of-order
@@ -404,7 +370,6 @@ void CommDaemon::OnTransmissionAck(const net::Message& msg) {
     } else {
       window_ctl_.OnAckNoSample();
     }
-    host_->network()->simulator()->Cancel(flight.retransmit_timer);
     acked_out_of_order_.insert(it->first);
     it = flights_.erase(it);
     completed = true;
@@ -434,10 +399,6 @@ void CommDaemon::AdvanceAckedWatermark() {
 void CommDaemon::StepBack() {
   BP_LOG(kInfo) << host_->self().ToString()
                 << " daemon stepping back for dest " << dest_;
-  sim::Simulator* simulator = host_->network()->simulator();
-  for (auto& [pos, flight] : flights_) {
-    simulator->Cancel(flight.retransmit_timer);
-  }
   flights_.clear();
   acked_out_of_order_.clear();
   acks_ahead_.clear();
@@ -447,28 +408,24 @@ void CommDaemon::StepBack() {
   stalled_polls_ = 0;
   // A promoted reserve's poll timer lapses on its first tick after
   // promotion; it may still be pending.
-  if (poll_timer_ == sim::kInvalidEventId) PollReceiver();
+  if (!poll_timer_.armed()) PollReceiver();
 }
 
 // --- reserve ------------------------------------------------------------------
 
 void CommDaemon::PollReceiver() {
-  sim::Simulator* simulator = host_->network()->simulator();
-  poll_timer_ = simulator->Schedule(
-      kReservePollInterval, [this]() {
-        poll_timer_ = sim::kInvalidEventId;
-        if (active_) return;  // promoted; no more polling
-        status_replies_.clear();
-        RecvStatusQueryMsg query;
-        query.src_site = host_->origin_site();
-        Bytes encoded = query.Encode();
-        // Ask 2f_i+1 destination nodes so that some group of f_i+1 agrees.
-        for (int i = 0; i < 2 * host_->options_.fi + 1; ++i) {
-          host_->SendTo(net::NodeId{dest_, i}, kRecvStatusQuery,
-                        Bytes(encoded));
-        }
-        PollReceiver();
-      });
+  poll_timer_.Arm(kReservePollInterval, [this]() {
+    if (active_) return;  // promoted; no more polling
+    status_replies_.clear();
+    RecvStatusQueryMsg query;
+    query.src_site = host_->origin_site();
+    Bytes encoded = query.Encode();
+    // Ask 2f_i+1 destination nodes so that some group of f_i+1 agrees.
+    for (int i = 0; i < 2 * host_->options_.fi + 1; ++i) {
+      host_->SendTo(net::NodeId{dest_, i}, kRecvStatusQuery, Bytes(encoded));
+    }
+    PollReceiver();
+  });
 }
 
 void CommDaemon::OnRecvStatusReply(const net::Message& msg) {

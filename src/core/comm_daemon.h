@@ -44,6 +44,7 @@
 #include "core/record.h"
 #include "core/sticky_receiver.h"
 #include "net/network.h"
+#include "sim/timer.h"
 
 namespace blockplane::core {
 
@@ -55,14 +56,15 @@ class CommDaemon {
   /// `rank` 0 starts active; a reserve of rank r >= 1 promotes after 2r
   /// stalled polls.
   CommDaemon(BlockplaneNode* host, net::SiteId dest, int rank);
-  ~CommDaemon();
   BP_DISALLOW_COPY_AND_ASSIGN(CommDaemon);
 
   /// Called by the host node when its log (or geo-proof store) grows.
   void NotifyLogAppend();
 
-  /// Routes kTransmissionAck / kRecvStatusReply traffic.
-  void OnMessage(const net::Message& msg);
+  /// The host node's dispatch hands every daemon each kTransmissionAck
+  /// and kRecvStatusReply; a daemon keeps those from its destination.
+  void OnTransmissionAck(const net::Message& msg);
+  void OnRecvStatusReply(const net::Message& msg);
 
   /// A decoded attestation response (the host node already checked
   /// signer==src). Verifies the MAC against the flight's attestation
@@ -85,6 +87,8 @@ class CommDaemon {
  private:
   /// One pipelined transmission.
   struct Flight {
+    explicit Flight(sim::Simulator* simulator) : retransmit_timer(simulator) {}
+
     TransmissionRecord record;
     /// AttestCanonical over the record: what this node signs and what
     /// every peer attestation must verify against. Built once per flight.
@@ -94,7 +98,7 @@ class CommDaemon {
     std::vector<crypto::Signature> sigs;
     bool sigs_complete = false;
     std::set<net::NodeId> ack_senders;
-    sim::EventId retransmit_timer = sim::kInvalidEventId;
+    sim::Timer retransmit_timer;
     /// Time of the first actual wire transmission (0 = not yet sent).
     sim::SimTime first_transmit = 0;
     /// Time of the most recent wire transmission (retransmit deadline
@@ -115,8 +119,6 @@ class CommDaemon {
   /// Applies a verified attestation: re-finds the flight, dedups signers,
   /// and transmits on the f_i+1-th signature.
   void ApplyAttestation(uint64_t pos, const crypto::Signature& sig);
-  void OnTransmissionAck(const net::Message& msg);
-  void OnRecvStatusReply(const net::Message& msg);
   void Transmit(Flight& flight, bool widen);
   /// Ships every sigs-complete flight that has never been transmitted, in
   /// log order, stopping at the first flight still collecting signatures.
@@ -165,7 +167,7 @@ class CommDaemon {
   std::map<net::NodeId, uint64_t> acks_ahead_;
 
   /// Reserve state.
-  sim::EventId poll_timer_ = sim::kInvalidEventId;
+  sim::Timer poll_timer_;
   std::map<net::NodeId, uint64_t> status_replies_;
   uint64_t last_attested_ = 0;
   int stalled_polls_ = 0;

@@ -105,13 +105,15 @@ void BlockplaneNode::SendTo(net::NodeId dst, net::MessageType type,
 
 void BlockplaneNode::HandleMessage(const net::Message& msg) {
   if (msg.type >= 100 && msg.type < 200) {
-    // kReply messages addressed to this node are answers to SubmitLocalCommit
-    // requests; execution is what matters, so they need no handling.
-    if (msg.type == pbft::kReply) return;
+    // The replica drops kReply: answers to SubmitLocalCommit requests need
+    // no handling, execution is what matters.
     replica_->HandleMessage(msg);
     return;
   }
-  switch (msg.type) {
+  // Every enumerator has a case and there is no default, so a new message
+  // type fails the build (-Werror=switch) until it is routed; an
+  // unknown wire value matches no case.
+  switch (static_cast<CoreMessageType>(msg.type)) {
     case kTransmission:
       OnTransmission(msg);
       return;
@@ -122,13 +124,13 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
       OnAttestResponse(msg);
       return;
     case kTransmissionAck:
-      for (auto& daemon : daemons_) daemon->OnMessage(msg);
+      for (auto& daemon : daemons_) daemon->OnTransmissionAck(msg);
       return;
     case kRecvStatusReply: {
       RecvStatusReplyMsg target;
       if (msg.src != ParticipantNodeId(self_.site) ||
           !RecvStatusReplyMsg::Decode(msg.body(), &target).ok()) {
-        for (auto& daemon : daemons_) daemon->OnMessage(msg);
+        for (auto& daemon : daemons_) daemon->OnRecvStatusReply(msg);
         return;
       }
       // From this site's participant. On a mirror node: about to take over
@@ -163,8 +165,11 @@ void BlockplaneNode::HandleMessage(const net::Message& msg) {
     case kReadRequest:
       OnReadRequest(msg);
       return;
-    default:
-      break;
+    case kDeliverNotice:
+    case kGeoAck:
+    case kReadReply:
+    case kGeoGapNotice:
+      return;  // for the participant
   }
 }
 

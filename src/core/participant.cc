@@ -59,7 +59,8 @@ Participant::Participant(net::Network* network, crypto::KeyStore* keys,
       unit_group_(unit_group),
       site_(site),
       self_(ParticipantNodeId(site)),
-      mirror_sites_(std::move(mirror_sites)) {
+      mirror_sites_(std::move(mirror_sites)),
+      mirror_op_timer_(sim_) {
   signer_ = keys_->RegisterNode(self_);
   client_ = std::make_unique<pbft::PbftClient>(
       network_, unit_group_, net::NodeId{site, kClientIndexBase});
@@ -76,12 +77,7 @@ Participant::Participant(net::Network* network, crypto::KeyStore* keys,
   network_->Register(self_, this);
 }
 
-Participant::~Participant() {
-  for (auto& [geo_pos, round] : geo_rounds_) sim_->Cancel(round->retry_timer);
-  sim_->Cancel(mirror_op_timer_);
-  for (auto& [read_id, pending] : reads_) sim_->Cancel(pending.retry_timer);
-  network_->Unregister(self_);
-}
+Participant::~Participant() { network_->Unregister(self_); }
 
 void Participant::SendTo(net::NodeId dst, net::MessageType type,
                          Bytes payload) {
@@ -265,7 +261,7 @@ void Participant::OnLocalCommitted(uint64_t geo_pos, uint64_t unit_pos) {
 // --- geo-correlated commits (§V) ---------------------------------------------------
 
 void Participant::StartGeoRound(const ApiOp& op, uint64_t unit_pos) {
-  auto owned = std::make_unique<GeoRound>();
+  auto owned = std::make_unique<GeoRound>(sim_);
   GeoRound& round = *owned;
   round.unit_pos = unit_pos;
   round.geo_pos = op.record.geo_pos;
@@ -287,8 +283,8 @@ void Participant::StartGeoRound(const ApiOp& op, uint64_t unit_pos) {
   for (const net::NodeId& node : unit_group_.nodes) {
     SendTo(node, kAttestRequest, Bytes(encoded));
   }
-  round.retry_timer = sim_->Schedule(
-      kGeoRetry, [this, geo_pos]() { ReplicateRound(geo_pos); });
+  round.retry_timer.Arm(kGeoRetry,
+                        [this, geo_pos]() { ReplicateRound(geo_pos); });
 }
 
 void Participant::OnAttestResponse(const net::Message& msg) {
@@ -337,7 +333,7 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
   auto it = geo_rounds_.find(geo_pos);
   if (it == geo_rounds_.end()) return;
   GeoRound& round = *it->second;
-  sim_->Cancel(round.retry_timer);
+  round.retry_timer.Disarm();
   const bool attested =
       static_cast<int>(round.source_sigs.size()) >= options_.fi + 1;
   sim::SimTime period = kGeoRetry;
@@ -362,14 +358,13 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
     sim::SimTime deadline =
         std::max(round.last_sent, last_geo_progress_) + period;
     if (sim_->Now() < deadline) {
-      round.retry_timer =
-          sim_->Schedule(deadline - sim_->Now(),
-                         [this, geo_pos]() { ReplicateRound(geo_pos); });
+      round.retry_timer.ArmAt(
+          deadline, [this, geo_pos]() { ReplicateRound(geo_pos); });
       return;
     }
   }
-  round.retry_timer = sim_->Schedule(
-      period, [this, geo_pos]() { ReplicateRound(geo_pos); });
+  round.retry_timer.Arm(period,
+                        [this, geo_pos]() { ReplicateRound(geo_pos); });
 
   if (!attested) {
     // Still collecting attestations: re-ask (covers lost responses).
@@ -479,7 +474,7 @@ void Participant::FinishGeoRound(uint64_t geo_pos) {
   BP_CHECK(it != geo_rounds_.end());
   GeoRound round = std::move(*it->second);
   geo_rounds_.erase(it);
-  sim_->Cancel(round.retry_timer);
+  round.retry_timer.Disarm();
 
   if (round.is_communication) {
     // Hand the mirror proofs to the unit so the communication daemons can
@@ -570,9 +565,7 @@ void Participant::StartMirrorOp() {
     }
   }
   // Dead peers never answer; proceed with whoever responded.
-  sim_->Cancel(mirror_op_timer_);
-  mirror_op_timer_ =
-      sim_->Schedule(kGeoRetry, [this]() { ProceedMirrorOp(); });
+  mirror_op_timer_.Arm(kGeoRetry, [this]() { ProceedMirrorOp(); });
 }
 
 namespace {
@@ -618,14 +611,11 @@ void Participant::ProceedMirrorOp() {
   if (local_it == mirror_status_.end() ||
       static_cast<int>(local_it->second.size()) < 2 * options_.fi + 1) {
     // Local replies are mandatory; re-poll shortly.
-    sim_->Cancel(mirror_op_timer_);
-    mirror_op_timer_ =
-        sim_->Schedule(kGeoRetry, [this]() { StartMirrorOp(); });
+    mirror_op_timer_.Arm(kGeoRetry, [this]() { StartMirrorOp(); });
     return;
   }
   mirror_op_proceeded_ = true;
-  sim_->Cancel(mirror_op_timer_);
-  mirror_op_timer_ = sim::kInvalidEventId;
+  mirror_op_timer_.Disarm();
 
   uint64_t local_high = AttestedHigh(local_it->second, options_.fi + 1);
   uint64_t target_high = local_high;
@@ -650,9 +640,7 @@ void Participant::ProceedMirrorOp() {
       SendTo(MirrorNodeId(site_, mirror_status_origin_, i), kRecvStatusReply,
              Bytes(encoded));
     }
-    sim_->Cancel(mirror_op_timer_);
-    mirror_op_timer_ =
-        sim_->Schedule(kGeoRetry, [this]() { StartMirrorOp(); });
+    mirror_op_timer_.Arm(kGeoRetry, [this]() { StartMirrorOp(); });
     return;
   }
 
@@ -691,7 +679,7 @@ void Participant::CommitMirrorRecord(net::SiteId origin, uint64_t geo_pos) {
         if (tr.enabled() && trace != kNoTrace) {
           tr.Mark(trace, TracePhase::kLocalCommitted, sim_->Now());
         }
-        auto owned = std::make_unique<GeoRound>();
+        auto owned = std::make_unique<GeoRound>(sim_);
         GeoRound& round = *owned;
         round.unit_pos = 0;
         round.geo_pos = geo_pos;
@@ -712,7 +700,7 @@ void Participant::CommitMirrorRecord(net::SiteId origin, uint64_t geo_pos) {
           SendTo(MirrorNodeId(site_, origin, i), kAttestRequest,
                  Bytes(encoded));
         }
-        round.retry_timer = sim_->Schedule(
+        round.retry_timer.Arm(
             kGeoRetry, [this, geo_pos]() { ReplicateRound(geo_pos); });
         geo_rounds_[geo_pos] = std::move(owned);
       },
@@ -826,7 +814,7 @@ void Participant::Read(uint64_t pos, ReadStrategy strategy, ReadCallback done) {
     return;
   }
   uint64_t read_id = next_read_id_++;
-  PendingRead& pending = reads_[read_id];
+  PendingRead& pending = reads_.try_emplace(read_id, sim_).first->second;
   pending.pos = pos;
   pending.strategy = strategy;
   pending.done = std::move(done);
@@ -840,12 +828,8 @@ void Participant::Read(uint64_t pos, ReadStrategy strategy, ReadCallback done) {
     // Served from the closest node; if it is down or slow, widen to the
     // whole unit after a grace period (the first response still wins).
     SendTo(unit_group_.nodes[0], kReadRequest, Bytes(encoded));
-    pending.retry_timer = sim_->Schedule(
-        2 * unit_group_.client_retry,
-        [this, read_id, encoded = std::move(encoded)]() {
-          auto it = reads_.find(read_id);
-          if (it == reads_.end()) return;
-          it->second.retry_timer = sim::kInvalidEventId;
+    pending.retry_timer.Arm(
+        2 * unit_group_.client_retry, [this, encoded = std::move(encoded)]() {
           for (const net::NodeId& node : unit_group_.nodes) {
             SendTo(node, kReadRequest, Bytes(encoded));
           }
@@ -893,7 +877,6 @@ void Participant::OnReadReply(const net::Message& msg) {
   if (found && !TakeBody(&pending.bodies, reply.digest, &result)) return;
 
   ReadCallback done = std::move(pending.done);
-  sim_->Cancel(pending.retry_timer);
   reads_.erase(it);
   if (!done) return;
   switch (reply.outcome) {
@@ -911,7 +894,7 @@ void Participant::OnReadReply(const net::Message& msg) {
 }
 
 void Participant::HandleMessage(const net::Message& msg) {
-  switch (msg.type) {
+  switch (static_cast<CoreMessageType>(msg.type)) {
     case kDeliverNotice:
       OnDeliverNotice(msg);
       break;
@@ -930,8 +913,17 @@ void Participant::HandleMessage(const net::Message& msg) {
     case kGeoGapNotice:
       OnGeoGapNotice(msg);
       break;
-    default:
-      break;
+    case kTransmission:
+    case kTransmissionAck:
+    case kAttestRequest:
+    case kRecvStatusQuery:
+    case kGeoReplicate:
+    case kGeoProofBundle:
+    case kReadRequest:
+    case kMirrorFetch:
+    case kMirrorEntry:
+    case kTransmissionNotice:
+      return;  // for the unit's nodes
   }
 }
 

@@ -24,6 +24,7 @@
 #include "core/sticky_receiver.h"
 #include "core/wire.h"
 #include "pbft/client.h"
+#include "sim/timer.h"
 
 namespace blockplane::core {
 
@@ -99,6 +100,8 @@ class Participant : public net::Host {
 
  private:
   struct GeoRound {
+    explicit GeoRound(sim::Simulator* simulator) : retry_timer(simulator) {}
+
     uint64_t unit_pos = 0;  // 0 for MirrorCommit rounds
     uint64_t geo_pos = 0;
     net::SiteId origin;     // whose log stream
@@ -118,7 +121,7 @@ class Participant : public net::Host {
     /// Per target, the mirror node that got the first replicate.
     std::map<net::SiteId, int> receivers;
     bool is_communication = false;
-    sim::EventId retry_timer = sim::kInvalidEventId;
+    sim::Timer retry_timer;
     /// Time the replicate fan-out first hit the wire (0 = not yet); the
     /// geo-ack round trip is sampled from it under Karn's rule.
     sim::SimTime replicate_sent = 0;
@@ -240,7 +243,7 @@ class Participant : public net::Host {
   /// mirror leader backfills the hole.
   std::map<net::SiteId, std::map<net::NodeId, uint64_t>> mirror_status_;
   net::SiteId mirror_status_origin_ = -1;
-  sim::EventId mirror_op_timer_ = sim::kInvalidEventId;
+  sim::Timer mirror_op_timer_;
   bool mirror_op_proceeded_ = false;
   /// Once acting as primary for an origin, the next stream position —
   /// the reconciliation round only runs at takeover.
@@ -267,6 +270,8 @@ class Participant : public net::Host {
 
   // --- read machinery ------------------------------------------------------------
   struct PendingRead {
+    explicit PendingRead(sim::Simulator* simulator) : retry_timer(simulator) {}
+
     uint64_t pos = 0;
     ReadStrategy strategy;
     ReadCallback done;
@@ -277,7 +282,7 @@ class Participant : public net::Host {
     /// A body is hashed only once its digest has a quorum.
     std::vector<std::pair<crypto::Digest, Bytes>> bodies;
     /// read-1 fallback: if the closest node is down, widen to the unit.
-    sim::EventId retry_timer = sim::kInvalidEventId;
+    sim::Timer retry_timer;
   };
   std::map<uint64_t, PendingRead> reads_;  // by read id
   uint64_t next_read_id_ = 1;

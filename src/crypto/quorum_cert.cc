@@ -26,7 +26,7 @@ QuorumCert BuildQuorumCert(net::SiteId site,
   QuorumCert cert;
   cert.site = site;
   // The bitmap base is the group's lowest signer index: unit nodes give
-  // base 0, a mirror group gives its range start (quorum_cert.h).
+  // base 0, a mirror group gives its range start (QuorumCert::index_base).
   bool have_base = false;
   for (const Signature& sig : sigs) {
     if (sig.signer.site != site || sig.signer.index < 0) continue;
@@ -65,38 +65,23 @@ QuorumCert BuildQuorumCert(net::SiteId site,
 // they are KeyStore members because verification needs the registered key
 // material and the shared two-generation cert cache.
 
-size_t KeyStore::VerifiedCertHash::operator()(const VerifiedCert& v) const {
+size_t KeyStore::ProofHash(const QuorumCert& cert) {
   // FNV-1a over site, bitmap, and the aggregate's first 16 bytes — the
   // aggregate is SHA-256 output, so this spreads perfectly; equality still
   // compares the full entry including the message bytes.
   uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](uint64_t x) { h = (h ^ x) * 0x100000001b3ULL; };
-  mix(static_cast<uint64_t>(static_cast<uint32_t>(v.site)) << 32 |
-      static_cast<uint32_t>(v.index_base));
-  mix(v.signer_bits);
+  mix(static_cast<uint64_t>(static_cast<uint32_t>(cert.site)) << 32 |
+      static_cast<uint32_t>(cert.index_base));
+  mix(cert.signer_bits);
   for (int i = 0; i < 16; i += 8) {
     uint64_t word = 0;
     for (int j = 0; j < 8; ++j) {
-      word |= static_cast<uint64_t>(v.agg[i + j]) << (8 * j);
+      word |= static_cast<uint64_t>(cert.agg[i + j]) << (8 * j);
     }
     mix(word);
   }
   return static_cast<size_t>(h);
-}
-
-bool KeyStore::CertCacheLookup(const VerifiedCert& entry) const {
-  return cert_cur_.count(entry) > 0 || cert_prev_.count(entry) > 0;
-}
-
-void KeyStore::CertCacheInsert(VerifiedCert entry) const {
-  if (verify_cache_capacity_ == 0) return;
-  if (cert_cur_.size() >= std::max<size_t>(1, verify_cache_capacity_ / 2)) {
-    hotpath_stats().verify_cache_evictions +=
-        static_cast<int64_t>(cert_prev_.size());
-    cert_prev_ = std::move(cert_cur_);
-    cert_cur_.clear();
-  }
-  cert_cur_.insert(std::move(entry));
 }
 
 bool KeyStore::RecomputeCert(const Bytes& msg, const QuorumCert& cert) const {
@@ -125,9 +110,7 @@ bool KeyStore::VerifyCert(const Bytes& msg, const QuorumCert& cert,
     qc_stats().proof_sig_verifies += cert.signer_count();
     return ok;
   }
-  VerifiedCert probe{cert.site, cert.index_base, cert.signer_bits, cert.agg,
-                     msg};
-  if (CertCacheLookup(probe)) {
+  if (cert_cache_.Contains(cert, msg)) {
     // One probe answers for every constituent MAC: the signer_count()
     // individual recomputations are elided wholesale.
     qc_stats().cache_hits++;
@@ -137,7 +120,7 @@ bool KeyStore::VerifyCert(const Bytes& msg, const QuorumCert& cert,
   bool ok = RecomputeCert(msg, cert);
   qc_stats().certs_verified++;
   qc_stats().proof_sig_verifies += cert.signer_count();
-  if (ok) CertCacheInsert(std::move(probe));
+  if (ok) cert_cache_.Insert(cert, msg, verify_cache_capacity_);
   return ok;
 }
 

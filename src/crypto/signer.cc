@@ -7,8 +7,7 @@
 
 namespace blockplane::crypto {
 
-size_t KeyStore::VerifiedSigHash::Hash(const net::NodeId& signer,
-                                       const Digest& mac) {
+size_t KeyStore::ProofHash(const Signature& sig) {
   // FNV-1a over the discriminating prefix. The MAC is 32 bytes of
   // (pseudo)random data, so hashing its first 16 bytes plus the signer id
   // spreads perfectly; equality still compares the full triple, so hash
@@ -17,31 +16,16 @@ size_t KeyStore::VerifiedSigHash::Hash(const net::NodeId& signer,
   auto mix = [&h](uint64_t x) {
     h = (h ^ x) * 0x100000001b3ULL;
   };
-  mix(static_cast<uint64_t>(static_cast<uint32_t>(signer.site)) << 32 |
-      static_cast<uint32_t>(signer.index));
+  mix(static_cast<uint64_t>(static_cast<uint32_t>(sig.signer.site)) << 32 |
+      static_cast<uint32_t>(sig.signer.index));
   for (int i = 0; i < 16; i += 8) {
     uint64_t word = 0;
     for (int j = 0; j < 8; ++j) {
-      word |= static_cast<uint64_t>(mac[i + j]) << (8 * j);
+      word |= static_cast<uint64_t>(sig.mac[i + j]) << (8 * j);
     }
     mix(word);
   }
   return static_cast<size_t>(h);
-}
-
-bool KeyStore::CacheLookup(const VerifiedSigView& probe) const {
-  return verified_cur_.contains(probe) || verified_prev_.contains(probe);
-}
-
-void KeyStore::CacheInsert(VerifiedSig entry) const {
-  if (verify_cache_capacity_ == 0) return;
-  if (verified_cur_.size() >= std::max<size_t>(1, verify_cache_capacity_ / 2)) {
-    hotpath_stats().verify_cache_evictions +=
-        static_cast<int64_t>(verified_prev_.size());
-    verified_prev_ = std::move(verified_cur_);
-    verified_cur_.clear();
-  }
-  verified_cur_.insert(std::move(entry));
 }
 
 std::unique_ptr<Signer> KeyStore::RegisterNode(net::NodeId node) {
@@ -71,13 +55,13 @@ bool KeyStore::Verify(const Bytes& msg, const Signature& sig) const {
   if (it == keys_.end()) return false;
   if (verify_cache_capacity_ > 0) {
     // A hit copies nothing; only a verified miss copies the message in.
-    if (CacheLookup(VerifiedSigView{sig.signer, sig.mac, msg})) {
+    if (sig_cache_.Contains(sig, msg)) {
       hotpath_stats().sig_cache_hits++;
       return true;
     }
     bool ok = it->second.hmac.Verify(msg, sig.mac);
     hotpath_stats().sig_cache_misses++;
-    if (ok) CacheInsert(VerifiedSig{sig.signer, sig.mac, msg});
+    if (ok) sig_cache_.Insert(sig, msg, verify_cache_capacity_);
     return ok;
   }
   return it->second.hmac.Verify(msg, sig.mac);

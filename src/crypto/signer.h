@@ -11,6 +11,7 @@
 #ifndef BLOCKPLANE_CRYPTO_SIGNER_H_
 #define BLOCKPLANE_CRYPTO_SIGNER_H_
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -18,6 +19,7 @@
 
 #include "common/codec.h"
 #include "common/macros.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "crypto/hmac.h"
 #include "net/node_id.h"
@@ -39,7 +41,36 @@ struct Signature {
 };
 
 class Signer;
-struct QuorumCert;  // crypto/quorum_cert.h
+
+/// A compact certificate (crypto/quorum_cert.h, DESIGN.md §14):
+/// `signer_bits` distinct nodes of `site` signed one canonical message,
+/// and `agg` is SHA-256 over their MACs in ascending signer-index order.
+struct QuorumCert {
+  net::SiteId site = -1;
+  /// The node index bit 0 maps to. Signer groups are dense but not always
+  /// zero-based: unit nodes are 0..3f_i, while mirror groups occupy a
+  /// disjoint range per mirrored origin (100*(origin+1)+k). The base keeps
+  /// the bitmap 64 bits regardless of where the group sits.
+  int32_t index_base = 0;
+  /// Bit k set = node index `index_base + k` of `site` contributed its
+  /// MAC. A group is 3f_i+1 nodes, so 64 bits covers f_i <= 21; signers
+  /// further than 64 from the base cannot be certified.
+  uint64_t signer_bits = 0;
+  /// SHA-256 over the constituent MACs, ascending signer index.
+  Digest agg{};
+
+  /// Number of distinct signers (popcount of the bitmap).
+  int signer_count() const;
+
+  BP_WIRE(QuorumCert, site, index_base, signer_bits, agg)
+  /// Decode cap on a list of certs (the proof fields of core records).
+  static constexpr uint64_t kWireListCap = 64;
+
+  friend bool operator==(const QuorumCert& a, const QuorumCert& b) {
+    return a.site == b.site && a.index_base == b.index_base &&
+           a.signer_bits == b.signer_bits && a.agg == b.agg;
+  }
+};
 
 /// Registry of node keys for one simulated deployment.
 ///
@@ -84,10 +115,8 @@ class KeyStore {
   void set_verify_cache_capacity(size_t capacity) {
     verify_cache_capacity_ = capacity;
     if (capacity == 0) {
-      verified_cur_.clear();
-      verified_prev_.clear();
-      cert_cur_.clear();
-      cert_prev_.clear();
+      sig_cache_.Clear();
+      cert_cache_.Clear();
     }
   }
   size_t verify_cache_capacity() const { return verify_cache_capacity_; }
@@ -99,42 +128,6 @@ class KeyStore {
   /// and compares the aggregate.
   bool RecomputeCert(const Bytes& msg, const QuorumCert& cert) const;
 
-  /// One verified (signer, mac, message) triple.
-  struct VerifiedSig {
-    net::NodeId signer;
-    Digest mac;
-    Bytes msg;
-  };
-  /// A cache probe that borrows the message instead of copying it.
-  struct VerifiedSigView {
-    const net::NodeId& signer;
-    const Digest& mac;
-    const Bytes& msg;
-  };
-  /// Hash and equality over entries and views alike (transparent lookup).
-  struct VerifiedSigHash {
-    using is_transparent = void;
-    size_t operator()(const VerifiedSig& v) const {
-      return Hash(v.signer, v.mac);
-    }
-    size_t operator()(const VerifiedSigView& v) const {
-      return Hash(v.signer, v.mac);
-    }
-    static size_t Hash(const net::NodeId& signer, const Digest& mac);
-  };
-  struct VerifiedSigEq {
-    using is_transparent = void;
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
-      return a.signer == b.signer && a.mac == b.mac && a.msg == b.msg;
-    }
-  };
-  using VerifiedSet =
-      std::unordered_set<VerifiedSig, VerifiedSigHash, VerifiedSigEq>;
-
-  bool CacheLookup(const VerifiedSigView& probe) const;
-  void CacheInsert(VerifiedSig entry) const;
-
   struct KeyEntry {
     Bytes raw;
     PrecomputedHmacKey hmac;
@@ -142,40 +135,73 @@ class KeyStore {
   std::unordered_map<net::NodeId, KeyEntry, net::NodeIdHash> keys_;
   uint64_t next_key_seed_ = 0x517cc1b727220a95ULL;
 
-  /// One verified (site, bitmap, aggregate, message) certificate — the
-  /// cert cache key covers every byte a forgery could vary.
-  struct VerifiedCert {
-    net::SiteId site;
-    int32_t index_base;
-    uint64_t signer_bits;
-    Digest agg;
+  /// One verified (proof, message) pair, where a proof is a Signature or
+  /// a QuorumCert: the key covers every byte a forgery could vary.
+  template <typename Proof>
+  struct Verified {
+    Proof proof;
     Bytes msg;
-
-    friend bool operator==(const VerifiedCert& a, const VerifiedCert& b) {
-      return a.site == b.site && a.index_base == b.index_base &&
-             a.signer_bits == b.signer_bits && a.agg == b.agg &&
-             a.msg == b.msg;
+  };
+  /// A cache probe that borrows the proof and the message instead of
+  /// copying them.
+  template <typename Proof>
+  struct VerifiedView {
+    const Proof& proof;
+    const Bytes& msg;
+  };
+  /// Hash and equality over entries and views alike (transparent lookup).
+  struct VerifiedHash {
+    using is_transparent = void;
+    template <typename V>
+    size_t operator()(const V& v) const {
+      return ProofHash(v.proof);
     }
   };
-  struct VerifiedCertHash {
-    size_t operator()(const VerifiedCert& v) const;
+  struct VerifiedEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return a.proof == b.proof && a.msg == b.msg;
+    }
   };
-  using CertSet = std::unordered_set<VerifiedCert, VerifiedCertHash>;
+  static size_t ProofHash(const Signature& sig);
+  static size_t ProofHash(const QuorumCert& cert);
 
-  bool CertCacheLookup(const VerifiedCert& entry) const;
-  void CertCacheInsert(VerifiedCert entry) const;
-
-  /// Two-generation bounded caches: inserts go to `cur`; when `cur` fills
+  /// A two-generation bounded cache: inserts go to `cur`; when `cur` fills
   /// to half the capacity, it becomes `prev` and a fresh `cur` starts.
   /// Lookups consult both, so entries survive between half-capacity and
-  /// capacity insertions — O(1) amortized, strictly bounded memory. The
-  /// signature cache keys (signer, mac, msg) triples (PR 1); the cert
-  /// cache keys whole certificates (DESIGN.md §14).
+  /// capacity insertions — O(1) amortized, strictly bounded memory. A
+  /// lookup copies nothing; only an insert copies the message.
+  template <typename Proof>
+  struct VerifyCache {
+    std::unordered_set<Verified<Proof>, VerifiedHash, VerifiedEq> cur;
+    std::unordered_set<Verified<Proof>, VerifiedHash, VerifiedEq> prev;
+
+    bool Contains(const Proof& proof, const Bytes& msg) const {
+      const VerifiedView<Proof> probe{proof, msg};
+      return cur.contains(probe) || prev.contains(probe);
+    }
+    void Insert(const Proof& proof, const Bytes& msg, size_t capacity) {
+      if (capacity == 0) return;
+      if (cur.size() >= std::max<size_t>(1, capacity / 2)) {
+        hotpath_stats().verify_cache_evictions +=
+            static_cast<int64_t>(prev.size());
+        prev = std::move(cur);
+        cur.clear();
+      }
+      cur.insert(Verified<Proof>{proof, msg});
+    }
+    void Clear() {
+      cur.clear();
+      prev.clear();
+    }
+  };
+
+  /// The signature cache keys (signer, mac, msg) triples; the cert cache
+  /// keys whole certificates (DESIGN.md §14).
   size_t verify_cache_capacity_ = 8192;
-  mutable VerifiedSet verified_cur_;
-  mutable VerifiedSet verified_prev_;
-  mutable CertSet cert_cur_;
-  mutable CertSet cert_prev_;
+  mutable VerifyCache<Signature> sig_cache_;
+  mutable VerifyCache<QuorumCert> cert_cache_;
 };
 
 /// A node's private signing capability. Only the KeyStore can mint these.

@@ -66,7 +66,8 @@ struct NetworkOptions {
   /// per-message-type breakdown), and keeping it off leaves the counter
   /// namespace byte-identical to the seed.
   bool per_type_wan_counters = false;
-  /// Unreliable-channel knobs (exercised through ReliableTransport).
+  /// Unreliable-channel knobs, applied to every send through this
+  /// Network (chaos campaigns and lossy_network_test set them).
   double drop_prob = 0.0;
   double corrupt_prob = 0.0;
   double duplicate_prob = 0.0;

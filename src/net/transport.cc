@@ -51,14 +51,7 @@ ReliableTransport::ReliableTransport(Network* network, NodeId self,
   network_->Register(self_, this);
 }
 
-ReliableTransport::~ReliableTransport() {
-  for (auto& [dst, peer] : send_state_) {
-    for (auto& [seq, pending] : peer.in_flight) {
-      network_->simulator()->Cancel(pending.timer);
-    }
-  }
-  network_->Unregister(self_);
-}
+ReliableTransport::~ReliableTransport() { network_->Unregister(self_); }
 
 bool ReliableTransport::has_rtt_estimate(NodeId dst) const {
   auto it = rtt_.find(dst);
@@ -101,7 +94,7 @@ void ReliableTransport::Send(NodeId dst, MessageType type, Bytes&& payload,
                              uint64_t trace_id) {
   PeerSend& peer = send_state_[dst];
   uint64_t seq = peer.next_seq++;
-  Pending pending;
+  Pending pending(network_->simulator());
   pending.app_type = type;
   pending.trace_id = trace_id;
   pending.first_sent = network_->simulator()->Now();
@@ -135,7 +128,7 @@ void ReliableTransport::TransmitFrame(NodeId dst, uint64_t seq) {
 
 void ReliableTransport::ArmTimer(NodeId dst, uint64_t seq) {
   Pending& pending = send_state_[dst].in_flight.at(seq);
-  pending.timer = network_->simulator()->Schedule(
+  pending.timer.Arm(
       RtoFor(dst, pending.retries), [this, dst, seq]() {
         auto peer_it = send_state_.find(dst);
         if (peer_it == send_state_.end()) return;
@@ -284,7 +277,6 @@ void ReliableTransport::HandleAckFrame(const Message& raw) {
                             it->second.first_sent);
     ++transport_stats().rtt_samples;
   }
-  network_->simulator()->Cancel(it->second.timer);
   peer_it->second.in_flight.erase(it);
 }
 

@@ -22,6 +22,7 @@
 #include "common/codec.h"
 #include "common/rtt_estimator.h"
 #include "net/network.h"
+#include "sim/timer.h"
 
 namespace blockplane::net {
 
@@ -84,10 +85,12 @@ class ReliableTransport : public Host {
 
  private:
   struct Pending {
+    explicit Pending(sim::Simulator* simulator) : timer(simulator) {}
+
     /// Encoded data frame, shared with every (re)transmission in flight:
     /// retransmitting is a refcount bump, not a buffer copy.
     PayloadPtr frame;
-    sim::EventId timer = sim::kInvalidEventId;
+    sim::Timer timer;
     int retries = 0;
     /// The application message type inside the frame, kept so an abandoned
     /// frame can be reported meaningfully without re-decoding the frame.

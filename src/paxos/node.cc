@@ -13,7 +13,9 @@ PaxosNode::PaxosNode(net::Network* network, PaxosConfig config,
       config_(std::move(config)),
       self_(self),
       commit_(std::move(commit)),
-      rng_(network->simulator()->rng().Fork()) {
+      rng_(network->simulator()->rng().Fork()),
+      election_timer_(sim_),
+      heartbeat_timer_(sim_) {
   index_ = config_.IndexOf(self_);
   BP_CHECK_MSG(index_ >= 0, "paxos node not in its own config");
 }
@@ -38,7 +40,7 @@ void PaxosNode::SendTo(net::NodeId dst, net::MessageType type,
 }
 
 void PaxosNode::HandleMessage(const net::Message& msg) {
-  switch (msg.type) {
+  switch (static_cast<PaxosMessageType>(msg.type)) {
     case kPrepare:
       OnPrepare(msg);
       break;
@@ -62,8 +64,6 @@ void PaxosNode::HandleMessage(const net::Message& msg) {
       break;
     case kForward:
       OnForward(msg);
-      break;
-    default:
       break;
   }
 }
@@ -186,7 +186,7 @@ void PaxosNode::OnPromise(const net::Message& msg) {
                /*refill=*/true);
   }
   next_slot_ = max_slot + 1;
-  if (heartbeat_timer_ == sim::kInvalidEventId && failure_detector_) {
+  if (!heartbeat_timer_.armed() && failure_detector_) {
     SendHeartbeats();
   }
   ProposeNext();
@@ -216,7 +216,7 @@ void PaxosNode::ProposeNext() {
 
 void PaxosNode::SendAccept(uint64_t slot, Bytes value, bool refill) {
   replication_outstanding_ = true;
-  Proposal& proposal = proposals_[slot];
+  Proposal& proposal = proposals_.try_emplace(slot, sim_).first->second;
   proposal.ballot = ballot_;
   proposal.value = value;
   proposal.noop_refill = refill;
@@ -230,22 +230,23 @@ void PaxosNode::SendAccept(uint64_t slot, Bytes value, bool refill) {
   accept.slot = slot;
   accept.value = std::move(value);
   Broadcast(kAccept, accept.Encode());
-  ArmAcceptRetry(slot, ballot_);
+  ArmAcceptRetry(slot);
 }
 
-void PaxosNode::ArmAcceptRetry(uint64_t slot, Ballot ballot) {
+void PaxosNode::ArmAcceptRetry(uint64_t slot) {
   // Accept messages can be lost (drops, partitions); the leader keeps
-  // retransmitting an undecided proposal while it still leads.
-  sim_->Schedule(config_.election_timeout, [this, slot, ballot]() {
-    auto it = proposals_.find(slot);
-    if (it == proposals_.end() || it->second.ballot != ballot) return;
-    if (!is_leader_ || ballot_ != ballot) return;
+  // retransmitting an undecided proposal while it still leads. Deciding
+  // the slot destroys the proposal and its timer; a new ballot for the
+  // slot re-arms it.
+  proposals_.at(slot).retry.Arm(config_.election_timeout, [this, slot]() {
+    const Proposal& proposal = proposals_.at(slot);
+    if (!is_leader_ || ballot_ != proposal.ballot) return;
     AcceptMsg accept;
-    accept.ballot = ballot;
+    accept.ballot = proposal.ballot;
     accept.slot = slot;
-    accept.value = it->second.value;
+    accept.value = proposal.value;
     Broadcast(kAccept, accept.Encode());
-    ArmAcceptRetry(slot, ballot);
+    ArmAcceptRetry(slot);
   });
 }
 
@@ -331,16 +332,13 @@ void PaxosNode::EnableFailureDetector() {
 }
 
 void PaxosNode::SendHeartbeats() {
-  if (!is_leader_) {
-    heartbeat_timer_ = sim::kInvalidEventId;
-    return;
-  }
+  if (!is_leader_) return;
   HeartbeatMsg hb;
   hb.ballot = ballot_;
   hb.last_committed = last_committed_;
   Broadcast(kHeartbeat, hb.Encode());
-  heartbeat_timer_ = sim_->Schedule(config_.heartbeat_interval,
-                                    [this]() { SendHeartbeats(); });
+  heartbeat_timer_.Arm(config_.heartbeat_interval,
+                       [this]() { SendHeartbeats(); });
 }
 
 void PaxosNode::OnHeartbeat(const net::Message& msg) {
@@ -356,7 +354,6 @@ void PaxosNode::OnHeartbeat(const net::Message& msg) {
 
 void PaxosNode::ResetElectionTimer() {
   if (!failure_detector_ || is_leader_) return;
-  sim_->Cancel(election_timer_);
   // Randomized timeout to break symmetry between would-be leaders.
   // Integer draw in [0, election_timeout] keeps the consensus path free of
   // floating point (BP005), so schedules replay bit-identically.
@@ -364,8 +361,7 @@ void PaxosNode::ResetElectionTimer() {
       config_.election_timeout +
       static_cast<sim::SimTime>(rng_.NextBelow(
           static_cast<uint64_t>(config_.election_timeout) + 1));
-  election_timer_ = sim_->Schedule(timeout, [this]() {
-    election_timer_ = sim::kInvalidEventId;
+  election_timer_.Arm(timeout, [this]() {
     if (is_leader_) return;
     BP_LOG(kInfo) << self_.ToString() << " paxos election timeout";
     StartLeaderElection();

@@ -17,6 +17,7 @@
 
 #include "net/network.h"
 #include "paxos/message.h"
+#include "sim/timer.h"
 
 namespace blockplane::paxos {
 
@@ -68,10 +69,14 @@ class PaxosNode : public net::Host {
 
  private:
   struct Proposal {
+    explicit Proposal(sim::Simulator* simulator) : retry(simulator) {}
+
     Ballot ballot = 0;
     Bytes value;
     std::set<int> acks;
     bool noop_refill = false;  // re-proposal of an adopted value
+    /// Re-broadcasts the accept while this ballot still leads.
+    sim::Timer retry;
   };
 
   void OnPrepare(const net::Message& msg);
@@ -85,7 +90,7 @@ class PaxosNode : public net::Host {
 
   void ProposeNext();
   void SendAccept(uint64_t slot, Bytes value, bool refill);
-  void ArmAcceptRetry(uint64_t slot, Ballot ballot);
+  void ArmAcceptRetry(uint64_t slot);
   void Decide(uint64_t slot, Bytes value);
   void DeliverReady();
   void ResetElectionTimer();
@@ -123,8 +128,8 @@ class PaxosNode : public net::Host {
   // Failure detector.
   bool failure_detector_ = false;
   int leader_hint_ = 0;  // index of the believed leader
-  sim::EventId election_timer_ = sim::kInvalidEventId;
-  sim::EventId heartbeat_timer_ = sim::kInvalidEventId;
+  sim::Timer election_timer_;
+  sim::Timer heartbeat_timer_;
 };
 
 }  // namespace blockplane::paxos

@@ -14,16 +14,11 @@ PbftClient::PbftClient(net::Network* network, PbftConfig config,
   network_->Register(self_, this);
 }
 
-PbftClient::~PbftClient() {
-  for (auto& [req_id, pending] : pending_) {
-    sim_->Cancel(pending.retry_timer);
-  }
-  network_->Unregister(self_);
-}
+PbftClient::~PbftClient() { network_->Unregister(self_); }
 
 void PbftClient::Submit(Bytes value, DoneCallback done, TraceId trace_id) {
   uint64_t req_id = next_req_id_++;
-  PendingRequest& pending = pending_[req_id];
+  PendingRequest& pending = pending_.try_emplace(req_id, sim_).first->second;
   pending.value = std::move(value);
   pending.done = std::move(done);
   pending.trace = trace_id;
@@ -65,23 +60,18 @@ void PbftClient::SendRequest(uint64_t req_id, bool broadcast) {
 void PbftClient::ArmRetry(uint64_t req_id) {
   auto it = pending_.find(req_id);
   if (it == pending_.end()) return;
-  it->second.retry_timer =
-      sim_->Schedule(config_.client_retry, [this, req_id]() {
-        auto pending_it = pending_.find(req_id);
-        if (pending_it == pending_.end()) return;
-        // The leader may be faulty: broadcast so every replica sees the
-        // request and can push for a view change.
-        pending_it->second.broadcast = true;
-        SendRequest(req_id, /*broadcast=*/true);
-        ArmRetry(req_id);
-      });
+  it->second.retry_timer.Arm(config_.client_retry, [this, req_id]() {
+    // The leader may be faulty: broadcast so every replica sees the
+    // request and can push for a view change.
+    pending_.at(req_id).broadcast = true;
+    SendRequest(req_id, /*broadcast=*/true);
+    ArmRetry(req_id);
+  });
 }
 
 void PbftClient::NudgePending() {
   for (auto& [req_id, pending] : pending_) {
     pending.broadcast = true;
-    sim_->Cancel(pending.retry_timer);
-    pending.retry_timer = sim::kInvalidEventId;
     SendRequest(req_id, /*broadcast=*/true);
     ArmRetry(req_id);
   }
@@ -112,7 +102,6 @@ void PbftClient::HandleMessage(const net::Message& msg) {
             sim_->Now(), self_.site, self_.index, reply.seq);
   }
   DoneCallback done = std::move(it->second.done);
-  sim_->Cancel(it->second.retry_timer);
   pending_.erase(it);
   ++completed_;
   if (done) done(reply.seq);

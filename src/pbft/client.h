@@ -23,6 +23,7 @@
 #include "net/network.h"
 #include "pbft/config.h"
 #include "pbft/message.h"
+#include "sim/timer.h"
 
 namespace blockplane::pbft {
 
@@ -57,6 +58,9 @@ class PbftClient : public net::Host {
 
  private:
   struct PendingRequest {
+    explicit PendingRequest(sim::Simulator* simulator)
+        : retry_timer(simulator) {}
+
     Bytes value;
     DoneCallback done;
     /// (seq, result digest) -> replica indices that replied with exactly
@@ -64,7 +68,7 @@ class PbftClient : public net::Host {
     /// replies actually match (seq alone cannot tell divergent states
     /// apart).
     std::map<std::pair<uint64_t, crypto::Digest>, std::set<int32_t>> votes;
-    sim::EventId retry_timer = sim::kInvalidEventId;
+    sim::Timer retry_timer;
     bool broadcast = false;
     TraceId trace = kNoTrace;
     sim::SimTime submitted_at = 0;

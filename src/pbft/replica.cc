@@ -37,7 +37,8 @@ PbftReplica::PbftReplica(net::Network* network, crypto::KeyStore* keys,
       window_ctl_(config_.window, 4 * network->options().intra_site_one_way,
                   "pbft_s" + std::to_string(self.site) + "n" +
                       std::to_string(self.index)),
-      execute_(std::move(execute)) {
+      execute_(std::move(execute)),
+      view_change_timer_(sim_) {
   config_.Validate();
   BP_CHECK_MSG(index_ >= 0, "replica is not a member of its own group");
   signer_ = keys_->RegisterNode(self_);
@@ -65,7 +66,7 @@ int PbftReplica::CountMatching(
 
 void PbftReplica::HandleMessage(const net::Message& msg) {
   if (byzantine_ == ByzantineMode::kSilent) return;
-  switch (msg.type) {
+  switch (static_cast<PbftMessageType>(msg.type)) {
     case kPrePrepare:
       OnPrePrepare(msg);
       break;
@@ -91,8 +92,8 @@ void PbftReplica::HandleMessage(const net::Message& msg) {
     case kSnapshot:
       OnSnapshot(msg);
       break;
-    default:
-      break;  // not a PBFT message; ignore
+    case kReply:
+      return;  // for the client
   }
 }
 
@@ -213,7 +214,8 @@ void PbftReplica::OnRequest(const net::Message& msg) {
   SendShared(leader(), kRequest, msg.payload, msg.trace_id);
   auto key = std::make_pair(request.client_token, request.req_id);
   if (watched_requests_.count(key) > 0) return;
-  WatchedRequest& watch = watched_requests_[key];
+  WatchedRequest& watch =
+      watched_requests_.try_emplace(key, sim_).first->second;
   watch.payload = msg.payload;  // kept for re-forwarding on view entry
   watch.trace_id = msg.trace_id;
   ArmRequestWatchdog(key);
@@ -223,11 +225,11 @@ void PbftReplica::ArmRequestWatchdog(
     const std::pair<uint64_t, uint64_t>& key) {
   auto it = watched_requests_.find(key);
   if (it == watched_requests_.end()) return;
-  sim_->Cancel(it->second.timer);
-  it->second.timer = sim_->Schedule(config_.view_timeout, [this, key]() {
+  it->second.timer.Arm(config_.view_timeout, [this, key]() {
     RequestMsg request;
     const bool valid =
-        RequestMsg::Decode(*watched_requests_[key].payload, &request).ok() &&
+        RequestMsg::Decode(*watched_requests_.at(key).payload, &request)
+            .ok() &&
         RunVerifier(request.value);
     watched_requests_.erase(key);
     // The quorum may have executed the request without us; fetch decided
@@ -353,7 +355,7 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
   pp.value = std::move(value);
   pp.sig = signer_->Sign(pp.CanonicalBody());
 
-  Instance& instance = instances_[seq];
+  Instance& instance = InstanceAt(seq);
   instance.view = view_;
   instance.digest = pp.digest;
   instance.value_digest = value_digest;
@@ -412,7 +414,7 @@ void PbftReplica::OnPrePrepare(const net::Message& msg) {
     return;
   }
 
-  Instance& instance = instances_[pp.seq];
+  Instance& instance = InstanceAt(pp.seq);
   if (instance.has_preprepare) {
     // Accept only an identical re-transmission for this view.
     if (instance.view == pp.view && instance.digest != pp.digest) {
@@ -465,7 +467,7 @@ void PbftReplica::OnVote(const net::Message& msg) {
   if (vote.seq <= last_stable_) return;
 
   if (vote.type == kPrepare) {
-    Instance& instance = instances_[vote.seq];
+    Instance& instance = InstanceAt(vote.seq);
     if (!instance.has_preprepare) instance.view = vote.view;
     if (instance.trace_id == 0) instance.trace_id = msg.trace_id;
     // Buffered early votes carry their digest; only matching ones count.
@@ -475,7 +477,7 @@ void PbftReplica::OnVote(const net::Message& msg) {
     MaybePrepared(vote.seq);
     return;
   }
-  Instance& instance = instances_[vote.seq];
+  Instance& instance = InstanceAt(vote.seq);
   if (instance.trace_id == 0) instance.trace_id = msg.trace_id;
   instance.commits[sender] = {vote.view, vote.digest, vote.sig};
   MaybeCommitted(vote.seq);
@@ -572,7 +574,7 @@ void PbftReplica::MaybeCommitted(uint64_t seq) {
     // until every earlier instance commits (in-order delivery).
     pipeline_stats().pbft_ooo_commits++;
   }
-  CancelProgressTimer(&instance);
+  instance.progress_timer.Disarm();
   ExecuteReady();
 }
 
@@ -627,10 +629,7 @@ void PbftReplica::ExecuteReady() {
 
     auto wit =
         watched_requests_.find({instance.client_token, instance.req_id});
-    if (wit != watched_requests_.end()) {
-      sim_->Cancel(wit->second.timer);
-      watched_requests_.erase(wit);
-    }
+    if (wit != watched_requests_.end()) watched_requests_.erase(wit);
     assigned_requests_.erase({instance.client_token, instance.req_id});
     expected_digests_.erase(seq);
     ++last_executed_;
@@ -665,8 +664,7 @@ void PbftReplica::MaybeAbandonViewChange() {
   in_view_change_ = false;
   target_view_ = view_;
   viewchange_attempts_ = 0;
-  sim_->Cancel(view_change_timer_);
-  view_change_timer_ = sim::kInvalidEventId;
+  view_change_timer_.Disarm();
 }
 
 void PbftReplica::SendReply(const Instance& instance, uint64_t seq) {
@@ -834,8 +832,8 @@ void PbftReplica::InstallPage(SnapshotMsg* page) {
     const auto valid = ValidSigners(commit.CanonicalBody(), entry.commit_sigs);
     if (static_cast<int>(valid.size()) < config_.quorum()) continue;
 
-    Instance& instance = instances_[entry.seq];
-    CancelProgressTimer(&instance);
+    Instance& instance = InstanceAt(entry.seq);
+    instance.progress_timer.Disarm();
     if (!instance.prepared || instance.digest != commit.digest) {
       // Without a prepared certificate of our own for this value, the
       // instance takes the entry's; one we have still goes into view
@@ -878,10 +876,7 @@ void PbftReplica::InstallExecuted(const std::vector<ExecutedRequest>& executed) 
     // Its watchdog would blame a leader for a request that already ran.
     auto watched =
         watched_requests_.find({request.client_token, request.req_id});
-    if (watched != watched_requests_.end()) {
-      sim_->Cancel(watched->second.timer);
-      watched_requests_.erase(watched);
-    }
+    if (watched != watched_requests_.end()) watched_requests_.erase(watched);
   }
 }
 
@@ -983,26 +978,23 @@ void PbftReplica::SetHorizon(uint64_t horizon) {
 
 // --- view changes --------------------------------------------------------------
 
+PbftReplica::Instance& PbftReplica::InstanceAt(uint64_t seq) {
+  return instances_.try_emplace(seq, sim_).first->second;
+}
+
 void PbftReplica::ArmProgressTimer(uint64_t seq) {
-  Instance& instance = instances_[seq];
-  if (instance.progress_timer != sim::kInvalidEventId) return;
-  instance.progress_timer = sim_->Schedule(config_.view_timeout, [this, seq]() {
-    auto it = instances_.find(seq);
-    if (it == instances_.end() || it->second.committed) return;
-    it->second.progress_timer = sim::kInvalidEventId;
+  Instance& instance = InstanceAt(seq);
+  // A committed instance needs no watchdog, and an armed one keeps its
+  // deadline.
+  if (instance.committed || instance.progress_timer.armed()) return;
+  instance.progress_timer.Arm(config_.view_timeout, [this, seq]() {
+    if (instances_.at(seq).committed) return;
     BP_LOG(kDebug) << self_.ToString() << " progress timeout on seq " << seq;
     // We may simply have fallen behind a quorum that committed without us;
     // ask for the decided entries before demanding a new leader.
     CatchUp();
     StartViewChange(view_ + 1);
   });
-}
-
-void PbftReplica::CancelProgressTimer(Instance* instance) {
-  if (instance->progress_timer != sim::kInvalidEventId) {
-    sim_->Cancel(instance->progress_timer);
-    instance->progress_timer = sim::kInvalidEventId;
-  }
 }
 
 void PbftReplica::StartViewChange(uint64_t new_view) {
@@ -1070,8 +1062,7 @@ void PbftReplica::StartViewChange(uint64_t new_view) {
   RobustnessStats& rs = robustness_stats();
   rs.viewchange_attempts++;
   rs.viewchange_backoff_ms += delay / sim::Milliseconds(1);
-  sim_->Cancel(view_change_timer_);
-  view_change_timer_ = sim_->Schedule(delay, [this, new_view]() {
+  view_change_timer_.Arm(delay, [this, new_view]() {
     if (view_ >= new_view) return;
     StartViewChange(target_view_ + 1);
   });
@@ -1235,8 +1226,7 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
   // that never gather a quorum are not churn; counting attempts would let
   // 1% message loss collapse the window for nothing.
   window_ctl_.OnViewChange(sim_->Now());
-  sim_->Cancel(view_change_timer_);
-  view_change_timer_ = sim::kInvalidEventId;
+  view_change_timer_.Disarm();
   view_changes_.erase(view_changes_.begin(),
                       view_changes_.upper_bound(v));
   BP_LOG(kInfo) << self_.ToString() << " entered view " << v << " (leader "
@@ -1247,7 +1237,6 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
   for (auto it = instances_.begin(); it != instances_.end();) {
     Instance& instance = it->second;
     if (!instance.committed && it->first > stable) {
-      CancelProgressTimer(&instance);
       it = instances_.erase(it);
     } else {
       ++it;
@@ -1307,7 +1296,7 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
       pp.value = proof.value;
       pp.sig = signer_->Sign(pp.CanonicalBody());
 
-      Instance& instance = instances_[seq];
+      Instance& instance = InstanceAt(seq);
       instance.view = view_;
       instance.digest = pp.digest;
       instance.value_digest = crypto::Sha256Digest(pp.value);

@@ -30,6 +30,7 @@
 #include "net/network.h"
 #include "pbft/config.h"
 #include "pbft/message.h"
+#include "sim/timer.h"
 
 namespace blockplane::pbft {
 
@@ -159,6 +160,8 @@ class PbftReplica : public net::Host {
 
  private:
   struct Instance {
+    explicit Instance(sim::Simulator* simulator) : progress_timer(simulator) {}
+
     uint64_t view = 0;
     /// The RequestDigest the votes endorse, and the value's own digest,
     /// which the value chain links.
@@ -196,7 +199,7 @@ class PbftReplica : public net::Host {
     /// Prepared but the verification routine rejected; re-tried as local
     /// state advances (the routine may depend on earlier executions).
     bool verify_pending = false;
-    sim::EventId progress_timer = sim::kInvalidEventId;
+    sim::Timer progress_timer;
     /// Causal trace of the request driving this instance (0 = untraced).
     /// Set from the pre-prepare (or the leader's pending request) and
     /// backfilled from the first traced vote that arrives before it.
@@ -296,8 +299,9 @@ class PbftReplica : public net::Host {
   void InstallExecuted(const std::vector<ExecutedRequest>& executed);
 
   // -- view changes --
+  /// The instance for `seq`, created empty if there is none yet.
+  Instance& InstanceAt(uint64_t seq);
   void ArmProgressTimer(uint64_t seq);
-  void CancelProgressTimer(Instance* instance);
   /// (Re-)arms the censorship watchdog for a watched client request; when
   /// it fires without the request executing, the leader is suspect.
   void ArmRequestWatchdog(const std::pair<uint64_t, uint64_t>& key);
@@ -357,7 +361,7 @@ class PbftReplica : public net::Host {
   uint64_t view_ = 0;
   bool in_view_change_ = false;
   uint64_t target_view_ = 0;
-  sim::EventId view_change_timer_ = sim::kInvalidEventId;
+  sim::Timer view_change_timer_;
   /// Consecutive view-change escalations without entering a view. Drives
   /// the capped exponential backoff of the escalation timer; reset on view
   /// entry and when a lone view change is abandoned.
@@ -430,7 +434,9 @@ class PbftReplica : public net::Host {
   /// change depose each new leader before a client retransmission can
   /// reach it, and the request starves through a view-change storm.
   struct WatchedRequest {
-    sim::EventId timer = sim::kInvalidEventId;
+    explicit WatchedRequest(sim::Simulator* simulator) : timer(simulator) {}
+
+    sim::Timer timer;
     net::PayloadPtr payload;  // the encoded kRequest body, shared
     uint64_t trace_id = 0;
   };

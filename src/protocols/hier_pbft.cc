@@ -79,7 +79,7 @@ void HierPbft::Replicate(net::SiteId leader_site, Bytes value,
 }
 
 void HierPbft::Coordinator::HandleMessage(const net::Message& msg) {
-  switch (msg.type) {
+  switch (static_cast<HierMsg>(msg.type)) {
     case kPush: {
       Round push;
       if (!Round::Decode(msg.body(), &push).ok()) return;
@@ -121,8 +121,6 @@ void HierPbft::Coordinator::HandleMessage(const net::Message& msg) {
                      });
       break;
     }
-    default:
-      break;
   }
 }
 

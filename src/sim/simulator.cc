@@ -9,8 +9,8 @@ namespace {
 /// events before the queue's vector would otherwise finish doubling.
 constexpr size_t kInitialQueueCapacity = 4096;
 
-EventId MakeId(uint32_t slot, uint32_t generation) {
-  return static_cast<EventId>(generation) << 32 | slot;
+uint64_t MakeId(uint32_t slot, uint32_t generation) {
+  return static_cast<uint64_t>(generation) << 32 | slot;
 }
 }  // namespace
 
@@ -23,12 +23,17 @@ Simulator::Simulator(uint64_t seed) : rng_(seed) {
   free_slots_.reserve(kInitialQueueCapacity);
 }
 
-EventId Simulator::Schedule(SimTime delay, std::function<void()> fn) {
+void Simulator::Schedule(SimTime delay, std::function<void()> fn) {
   if (delay < 0) delay = 0;
-  return ScheduleAt(now_ + delay, std::move(fn));
+  Enqueue(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
+void Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
+  Enqueue(when, std::move(fn));
+}
+
+Simulator::EventId Simulator::Enqueue(SimTime when,
+                                      std::function<void()> fn) {
   BP_CHECK(when >= now_);
   uint32_t slot;
   if (free_slots_.empty()) {
@@ -47,44 +52,51 @@ EventId Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
 
 void Simulator::Release(uint32_t slot) {
   Slot& s = slots_[slot];
-  // Generation 0 is never issued, so no id of a live event is ever
-  // kInvalidEventId.
+  // Generation 0 is never issued, so no live event's id is kNoEvent.
   if (++s.generation == 0) s.generation = 1;
   free_slots_.push_back(slot);
   --live_;
 }
 
-void Simulator::Cancel(EventId id) {
-  // Only the id of a live event matches its slot's generation. An
-  // already-fired, already-cancelled or invalid id (generation 0) is a
-  // strict no-op. The event's key stays in the heap until it pops.
+bool Simulator::Pending(EventId id) const {
+  // Only the id of a live event matches its slot's generation; a fired,
+  // cancelled or never-issued id (generation 0) does not.
   const uint64_t slot = id & 0xffffffffu;
   const uint32_t generation = static_cast<uint32_t>(id >> 32);
-  if (generation == 0 || slot >= slots_.size() ||
-      slots_[slot].generation != generation) {
-    return;
-  }
+  return generation != 0 && slot < slots_.size() &&
+         slots_[slot].generation == generation;
+}
+
+void Simulator::Cancel(EventId id) {
+  if (!Pending(id)) return;
+  const uint32_t slot = static_cast<uint32_t>(id & 0xffffffffu);
   slots_[slot].fn = nullptr;  // release the captures now
-  Release(static_cast<uint32_t>(slot));
+  Release(slot);
+}
+
+const Simulator::Key* Simulator::NextLive() {
+  while (!queue_.empty()) {
+    const Key& key = queue_.top();
+    if (slots_[key.slot].generation == key.generation) return &key;
+    queue_.pop();  // cancelled
+  }
+  return nullptr;
 }
 
 bool Simulator::Step() {
-  while (!queue_.empty()) {
-    const Key key = queue_.top();
-    queue_.pop();
-    Slot& slot = slots_[key.slot];
-    if (slot.generation != key.generation) continue;  // cancelled
-    // Move the callback out before running it: it may schedule events
-    // that reuse this slot or grow the slot array.
-    std::function<void()> fn = std::move(slot.fn);
-    Release(key.slot);
-    BP_CHECK(key.when >= now_);
-    now_ = key.when;
-    ++processed_;
-    fn();
-    return true;
-  }
-  return false;
+  const Key* next = NextLive();
+  if (next == nullptr) return false;
+  const Key key = *next;
+  queue_.pop();
+  // Move the callback out before running it: it may schedule events that
+  // reuse this slot or grow the slot array.
+  std::function<void()> fn = std::move(slots_[key.slot].fn);
+  Release(key.slot);
+  BP_CHECK(key.when >= now_);
+  now_ = key.when;
+  ++processed_;
+  fn();
+  return true;
 }
 
 SimTime Simulator::Run() {
@@ -94,8 +106,8 @@ SimTime Simulator::Run() {
 }
 
 bool Simulator::RunUntil(SimTime deadline) {
-  while (!queue_.empty()) {
-    if (queue_.top().when > deadline) {
+  while (const Key* next = NextLive()) {
+    if (next->when > deadline) {
       now_ = deadline;
       return false;
     }
@@ -108,7 +120,8 @@ bool Simulator::RunUntil(SimTime deadline) {
 bool Simulator::RunUntilCondition(const std::function<bool()>& pred,
                                   SimTime deadline) {
   if (pred()) return true;
-  while (!queue_.empty() && queue_.top().when <= deadline) {
+  for (const Key* next = NextLive(); next != nullptr && next->when <= deadline;
+       next = NextLive()) {
     Step();
     if (pred()) return true;
   }

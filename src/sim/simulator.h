@@ -7,10 +7,14 @@
 //
 // Events live in a slot array with a free list; the heap orders 24-byte
 // (when, seq, slot) keys, so scheduling, firing and cancelling never touch
-// a hash set and never copy a callback. An EventId is the pair (slot,
+// a hash set and never copy a callback. An event's id is the pair (slot,
 // generation): a slot's generation moves on each time its event fires or
 // is cancelled, so a stale id can never cancel a later event that reuses
 // the slot, and its key left in the heap is skipped when it pops.
+//
+// Schedule and ScheduleAt are fire-and-forget: they return nothing, so an
+// event that may need cancelling is armed through a sim::Timer
+// (sim/timer.h), which owns the id and cancels it when destroyed.
 #ifndef BLOCKPLANE_SIM_SIMULATOR_H_
 #define BLOCKPLANE_SIM_SIMULATOR_H_
 
@@ -25,10 +29,6 @@
 
 namespace blockplane::sim {
 
-/// Handle for a scheduled event; used to cancel timers.
-using EventId = uint64_t;
-constexpr EventId kInvalidEventId = 0;
-
 class Simulator {
  public:
   explicit Simulator(uint64_t seed = 1);
@@ -38,14 +38,10 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   /// Schedules `fn` to run `delay` from now. Delays clamp to >= 0.
-  EventId Schedule(SimTime delay, std::function<void()> fn);
+  void Schedule(SimTime delay, std::function<void()> fn);
 
   /// Schedules `fn` at an absolute virtual time (>= Now()).
-  EventId ScheduleAt(SimTime when, std::function<void()> fn);
-
-  /// Cancels a pending event. Cancelling an already-fired or invalid id is a
-  /// no-op, which keeps timer bookkeeping simple for callers.
-  void Cancel(EventId id);
+  void ScheduleAt(SimTime when, std::function<void()> fn);
 
   /// Runs until the event queue drains. Returns the final virtual time.
   SimTime Run();
@@ -68,6 +64,12 @@ class Simulator {
   size_t pending_events() const { return live_; }
 
  private:
+  friend class Timer;
+
+  /// (generation << 32 | slot). Generation 0 is never issued.
+  using EventId = uint64_t;
+  static constexpr EventId kNoEvent = 0;
+
   /// One event's storage. `generation` names the event the slot holds (or
   /// held last); it moves on when that event fires or is cancelled.
   struct Slot {
@@ -89,8 +91,19 @@ class Simulator {
     }
   };
 
-  /// Pops keys until one names a live event and runs it. Returns false if
-  /// the queue is empty.
+  /// Schedules `fn` at `when` (>= Now()) and returns its id.
+  EventId Enqueue(SimTime when, std::function<void()> fn);
+  /// True while event `id` is scheduled and has neither fired nor been
+  /// cancelled; false from the moment it starts to run.
+  bool Pending(EventId id) const;
+  /// Cancels event `id` if it is pending; any other id is a no-op. Its key
+  /// stays in the heap until it pops.
+  void Cancel(EventId id);
+  /// Pops the keys of cancelled events off the top of the heap and returns
+  /// the key of the next live event, or nullptr if none is pending. Every
+  /// deadline test looks at this key, never at a cancelled one.
+  const Key* NextLive();
+  /// Runs the next live event. Returns false if none is pending.
   bool Step();
   /// Ends the slot's current event and puts the slot on the free list.
   void Release(uint32_t slot);

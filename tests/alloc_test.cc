@@ -1,26 +1,36 @@
 // Allocation budgets of the per-message hot path (DESIGN.md §7 item 6).
 //
-// This binary replaces the global operator new with a counting one. After
-// a warm-up, scheduling and running a simulator event, delivering an
-// already-encoded message, and a signature-cache hit allocate nothing, and
-// a wire encoding allocates its buffer exactly once.
+// This binary replaces the global operator new with a counting one that
+// also records its largest request. After a warm-up, scheduling and
+// running a simulator event, re-arming a timer, delivering an
+// already-encoded message, and a signature- or cert-cache hit allocate
+// nothing, and a wire encoding allocates its buffer exactly once. A decoded
+// list count never sizes an allocation past what the message can hold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "common/codec.h"
+#include "core/batcher.h"
+#include "crypto/quorum_cert.h"
 #include "crypto/signer.h"
 #include "net/network.h"
 #include "pbft/message.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 
 namespace {
 int64_t g_allocations = 0;
+std::size_t g_largest = 0;
 
 void* CountedAlloc(std::size_t size) {
   ++g_allocations;
+  g_largest = std::max(g_largest, size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -63,6 +73,30 @@ TEST(AllocTest, SimulatorEventsAllocateNothing) {
   });
   EXPECT_EQ(fired, 10001);
   EXPECT_EQ(allocations, 0);
+}
+
+TEST(AllocTest, TimerRearmAllocatesNothing) {
+  sim::Simulator simulator;
+  sim::Timer timer(&simulator);
+  int64_t fired = 0;
+  int64_t* counter = &fired;
+  const int64_t step = 1;
+  const int64_t* by = &step;
+  auto event = [counter, by] { *counter += *by; };
+  static_assert(sizeof(event) == 16);
+  timer.Arm(2, event);
+  simulator.RunFor(1);
+  // A watchdog fed before it fires: each re-arm cancels the pending event
+  // and schedules the callback as given, with no wrapper around it.
+  const int64_t allocations = AllocationsIn([&] {
+    for (int i = 0; i < 10000; ++i) {
+      timer.Arm(2, event);
+      simulator.RunFor(1);
+    }
+  });
+  EXPECT_EQ(allocations, 0);
+  simulator.Run();
+  EXPECT_EQ(fired, 1);
 }
 
 /// Counts what it is handed and does nothing else.
@@ -127,6 +161,39 @@ TEST(AllocTest, SignatureCacheHitAllocatesNothing) {
   bool ok = false;
   EXPECT_EQ(AllocationsIn([&] { ok = keys.Verify(msg, sig); }), 0);
   EXPECT_TRUE(ok);
+}
+
+TEST(AllocTest, CertCacheHitAllocatesNothing) {
+  crypto::KeyStore keys;
+  const Bytes msg(200, 1);
+  std::vector<std::unique_ptr<crypto::Signer>> signers;
+  std::vector<crypto::Signature> sigs;
+  for (int32_t i = 0; i < 2; ++i) {
+    signers.push_back(keys.RegisterNode({0, i}));
+    sigs.push_back(signers.back()->Sign(msg));
+  }
+  const crypto::QuorumCert cert = crypto::BuildQuorumCert(0, sigs);
+  ASSERT_TRUE(keys.VerifyCert(msg, cert, 2));  // a miss: the entry goes in
+  bool ok = false;
+  EXPECT_EQ(AllocationsIn([&] { ok = keys.VerifyCert(msg, cert, 2); }), 0);
+  EXPECT_TRUE(ok);
+}
+
+TEST(AllocTest, OversizedListCountAllocatesNothing) {
+  // A 4-byte batch body whose count claims 1,000,000 elements, the default
+  // list cap. The codec's one count reader (WireGetList) bounds a count by
+  // the bytes left before it reserves anything.
+  Encoder enc;
+  enc.PutVarint(1000000);
+  enc.PutU8(0);
+  const Bytes body = enc.Take();
+  ASSERT_EQ(body.size(), 4u);
+  std::vector<Bytes> ops;
+  Status status;
+  g_largest = 0;
+  AllocationsIn([&] { status = core::Batcher::DecodeBatch(body, &ops); });
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_LE(g_largest, 1024u) << "largest single request, in bytes";
 }
 
 }  // namespace

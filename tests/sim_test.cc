@@ -1,12 +1,15 @@
-// Unit tests for the discrete-event simulator.
+// Unit tests for the discrete-event simulator and its owning timers.
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/random.h"
 #include "sim/sim_time.h"
+#include "sim/timer.h"
 
 namespace blockplane::sim {
 namespace {
@@ -56,13 +59,16 @@ TEST(SimulatorTest, NestedScheduling) {
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator simulator;
   bool fired = false;
-  EventId id = simulator.Schedule(Milliseconds(1), [&] { fired = true; });
-  simulator.Cancel(id);
+  Timer timer(&simulator);
+  timer.Arm(Milliseconds(1), [&] { fired = true; });
+  timer.Disarm();
   simulator.Run();
   EXPECT_FALSE(fired);
-  // Cancelling again (or a bogus id) is a no-op.
-  simulator.Cancel(id);
-  simulator.Cancel(kInvalidEventId);
+  // Disarming again, or a timer that never armed, is a no-op.
+  timer.Disarm();
+  Timer idle(&simulator);
+  idle.Disarm();
+  EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
 TEST(SimulatorTest, RunUntilStopsAtDeadline) {
@@ -75,6 +81,33 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(simulator.Now(), Milliseconds(20));
   EXPECT_TRUE(simulator.RunUntil(Milliseconds(100)));
   EXPECT_EQ(fired, 2);
+}
+
+TEST(SimulatorTest, CancelledHeadCannotRunALaterEventEarly) {
+  // A cancelled event's key can sit at the top of the heap before the
+  // deadline while the next live event lies past it. Neither deadline
+  // loop may run that event early.
+  for (const bool until_condition : {false, true}) {
+    SCOPED_TRACE(until_condition ? "RunUntilCondition" : "RunUntil");
+    Simulator simulator;
+    bool late_ran = false;
+    Timer early(&simulator);
+    early.Arm(Milliseconds(10), [] {});
+    simulator.Schedule(Milliseconds(30), [&] { late_ran = true; });
+    early.Disarm();
+    if (until_condition) {
+      EXPECT_FALSE(simulator.RunUntilCondition([] { return false; },
+                                               Milliseconds(20)));
+    } else {
+      EXPECT_FALSE(simulator.RunUntil(Milliseconds(20)));
+      EXPECT_EQ(simulator.Now(), Milliseconds(20));
+    }
+    EXPECT_FALSE(late_ran);
+    EXPECT_LE(simulator.Now(), Milliseconds(20));
+    simulator.Run();
+    EXPECT_TRUE(late_ran);
+    EXPECT_EQ(simulator.Now(), Milliseconds(30));
+  }
 }
 
 TEST(SimulatorTest, RunUntilAdvancesClockWhenQueueDrains) {
@@ -123,48 +156,54 @@ TEST(SimulatorTest, ProcessedEventCount) {
 TEST(SimulatorTest, PendingEventsTracksScheduleFireCancel) {
   Simulator simulator;
   EXPECT_EQ(simulator.pending_events(), 0u);
-  EventId a = simulator.Schedule(Milliseconds(1), [] {});
+  Timer a(&simulator);
+  a.Arm(Milliseconds(1), [] {});
   simulator.Schedule(Milliseconds(2), [] {});
   EXPECT_EQ(simulator.pending_events(), 2u);
-  simulator.Cancel(a);
+  a.Disarm();
   EXPECT_EQ(simulator.pending_events(), 1u);
   simulator.Run();
   EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
 TEST(SimulatorTest, CancelChurnDoesNotLeakOrSkewPendingCount) {
-  // Regression: Cancel() used to insert ids into the tombstone set
+  // Regression: cancelling used to insert ids into the tombstone set
   // unconditionally. Cancelling ids that had already fired left tombstones
   // that nothing would ever pop, growing memory without bound and making
   // pending_events() (then queue size minus tombstones) wildly wrong —
   // even underflowing below zero.
   Simulator simulator;
-  std::vector<EventId> fired_ids;
   constexpr int kRounds = 1000;
+  std::vector<Timer> fired_timers;
+  fired_timers.reserve(kRounds);
   for (int i = 0; i < kRounds; ++i) {
-    fired_ids.push_back(simulator.Schedule(Milliseconds(i + 1), [] {}));
+    fired_timers.emplace_back(&simulator);
+    fired_timers.back().Arm(Milliseconds(i + 1), [] {});
   }
   simulator.Run();
   ASSERT_EQ(simulator.pending_events(), 0u);
 
-  // Heavy churn: cancel every fired id (twice), plus ids never issued.
-  for (EventId id : fired_ids) {
-    simulator.Cancel(id);
-    simulator.Cancel(id);
+  // Heavy churn: disarm every fired timer, twice.
+  for (Timer& timer : fired_timers) {
+    timer.Disarm();
+    timer.Disarm();
   }
-  for (EventId id = 1'000'000; id < 1'001'000; ++id) simulator.Cancel(id);
   EXPECT_EQ(simulator.pending_events(), 0u);
 
   // New events still schedule, cancel, and fire with an exact count: no
   // stale tombstone swallows a live event or skews the arithmetic.
   int fired = 0;
-  std::vector<EventId> keep, drop;
+  std::vector<Timer> keep, drop;
+  keep.reserve(100);
+  drop.reserve(100);
   for (int i = 0; i < 100; ++i) {
-    keep.push_back(simulator.Schedule(Milliseconds(i + 1), [&] { ++fired; }));
-    drop.push_back(simulator.Schedule(Milliseconds(i + 1), [&] { ++fired; }));
+    keep.emplace_back(&simulator);
+    keep.back().Arm(Milliseconds(i + 1), [&] { ++fired; });
+    drop.emplace_back(&simulator);
+    drop.back().Arm(Milliseconds(i + 1), [&] { ++fired; });
   }
   EXPECT_EQ(simulator.pending_events(), 200u);
-  for (EventId id : drop) simulator.Cancel(id);
+  for (Timer& timer : drop) timer.Disarm();
   EXPECT_EQ(simulator.pending_events(), 100u);
   simulator.Run();
   EXPECT_EQ(fired, 100);
@@ -176,10 +215,9 @@ TEST(SimulatorTest, CancelInsideCallbackOfSameTimestamp) {
   // cancelled event must not run and the pending count must stay exact.
   Simulator simulator;
   bool second_ran = false;
-  EventId second = kInvalidEventId;
-  simulator.Schedule(Milliseconds(1),
-                     [&] { simulator.Cancel(second); });
-  second = simulator.Schedule(Milliseconds(1), [&] { second_ran = true; });
+  Timer second(&simulator);
+  simulator.Schedule(Milliseconds(1), [&] { second.Disarm(); });
+  second.Arm(Milliseconds(1), [&] { second_ran = true; });
   simulator.Run();
   EXPECT_FALSE(second_ran);
   EXPECT_EQ(simulator.pending_events(), 0u);
@@ -192,27 +230,95 @@ TEST(SimulatorTest, StaleIdCannotCancelAReusedSlot) {
   Simulator simulator;
   int fired = 0;
   auto count = [&fired] { ++fired; };
-  const EventId fired_id = simulator.Schedule(Milliseconds(1), count);
+  Timer first(&simulator);
+  first.Arm(Milliseconds(1), count);
   simulator.Run();
-  const EventId after_fire = simulator.Schedule(Milliseconds(1), count);
-  EXPECT_EQ(after_fire & 0xffffffffu, fired_id & 0xffffffffu)
-      << "the event reuses the fired event's slot";
-  EXPECT_NE(after_fire, fired_id);
-  simulator.Cancel(fired_id);
+  // The next event reuses the fired event's slot; the fired timer's id
+  // neither reads it as armed nor cancels it.
+  Timer second(&simulator);
+  second.Arm(Milliseconds(1), count);
+  EXPECT_FALSE(first.armed());
+  first.Disarm();
+  EXPECT_TRUE(second.armed());
   EXPECT_EQ(simulator.pending_events(), 1u);
   simulator.Run();
   EXPECT_EQ(fired, 2);
 
-  const EventId cancelled = simulator.Schedule(Milliseconds(1), count);
-  simulator.Cancel(cancelled);
-  const EventId after_cancel = simulator.Schedule(Milliseconds(1), count);
-  EXPECT_EQ(after_cancel & 0xffffffffu, cancelled & 0xffffffffu)
-      << "the event reuses the cancelled event's slot";
-  simulator.Cancel(cancelled);
+  // Re-arming cancels the pending event and reuses its slot at once; the
+  // cancelled event's key, still in the heap, must not run the new one.
+  second.Arm(Milliseconds(1), count);
+  second.Arm(Milliseconds(1), count);
   EXPECT_EQ(simulator.pending_events(), 1u);
   simulator.Run();
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(simulator.pending_events(), 0u);
+}
+
+TEST(TimerTest, RearmReplacesThePendingEvent) {
+  Simulator simulator;
+  std::vector<int> ran;
+  Timer timer(&simulator);
+  timer.Arm(Milliseconds(10), [&] { ran.push_back(1); });
+  timer.ArmAt(Milliseconds(20), [&] { ran.push_back(2); });
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  simulator.Run();
+  EXPECT_EQ(ran, (std::vector<int>{2}));
+  EXPECT_EQ(simulator.Now(), Milliseconds(20));
+  EXPECT_EQ(simulator.processed_events(), 1u);
+}
+
+TEST(TimerTest, DestructionCancels) {
+  Simulator simulator;
+  bool fired = false;
+  {
+    Timer timer(&simulator);
+    timer.Arm(Milliseconds(1), [&] { fired = true; });
+    EXPECT_EQ(simulator.pending_events(), 1u);
+  }
+  EXPECT_EQ(simulator.pending_events(), 0u);
+  simulator.Run();
+  EXPECT_FALSE(fired);
+}
+
+TEST(TimerTest, ArmedEndsWhenItFires) {
+  Simulator simulator;
+  Timer timer(&simulator);
+  EXPECT_FALSE(timer.armed());
+  bool armed_inside = true;
+  timer.Arm(Milliseconds(1), [&] { armed_inside = timer.armed(); });
+  EXPECT_TRUE(timer.armed());
+  simulator.Run();
+  EXPECT_FALSE(armed_inside) << "a callback sees its own timer disarmed";
+  EXPECT_FALSE(timer.armed());
+  // So a callback can re-arm its own timer.
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    if (++ticks < 3) timer.Arm(Milliseconds(1), tick);
+  };
+  timer.Arm(Milliseconds(1), tick);
+  simulator.Run();
+  EXPECT_EQ(ticks, 3);
+}
+
+TEST(TimerTest, MovedTimerOwnsTheEvent) {
+  Simulator simulator;
+  std::vector<int> ran;
+  Timer a(&simulator);
+  a.Arm(Milliseconds(1), [&] { ran.push_back(1); });
+  Timer b(std::move(a));
+  EXPECT_FALSE(a.armed());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.armed());
+  a.Disarm();  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(simulator.pending_events(), 1u);
+
+  // Move assignment cancels the target's own event first.
+  Timer c(&simulator);
+  c.Arm(Milliseconds(2), [&] { ran.push_back(2); });
+  c = std::move(b);
+  EXPECT_TRUE(c.armed());
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  simulator.Run();
+  EXPECT_EQ(ran, (std::vector<int>{1}));
 }
 
 TEST(RngTest, DeterministicForSeed) {
