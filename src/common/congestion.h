@@ -26,7 +26,7 @@
 // Every controller registers a "congestion.<label>" gauge group with the
 // process MetricsRegistry for the lifetime of the controller, and feeds
 // the aggregate CongestionStats block. Integer arithmetic throughout
-// (bplint BP005): controllers run on consensus-adjacent paths.
+// (BP005, the float_check target): controllers run on consensus paths.
 #ifndef BLOCKPLANE_COMMON_CONGESTION_H_
 #define BLOCKPLANE_COMMON_CONGESTION_H_
 

@@ -7,7 +7,6 @@ namespace blockplane {
 namespace {
 
 LogLevel g_level = LogLevel::kWarning;
-std::function<int64_t()>* g_time_source = nullptr;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -31,21 +30,9 @@ void Logger::SetLevel(LogLevel level) { g_level = level; }
 
 LogLevel Logger::level() { return g_level; }
 
-void Logger::SetTimeSource(std::function<int64_t()> now_ns) {
-  delete g_time_source;
-  g_time_source =
-      now_ns ? new std::function<int64_t()>(std::move(now_ns)) : nullptr;
-}
-
 void Logger::Write(LogLevel level, const std::string& msg) {
   if (level < g_level) return;
-  if (g_time_source != nullptr) {
-    int64_t ns = (*g_time_source)();
-    std::fprintf(stderr, "[%s t=%.3fms] %s\n", LevelName(level),
-                 static_cast<double>(ns) / 1e6, msg.c_str());
-  } else {
-    std::fprintf(stderr, "[%s] %s\n", LevelName(level), msg.c_str());
-  }
+  std::fprintf(stderr, "[%s] %s\n", LevelName(level), msg.c_str());
 }
 
 }  // namespace blockplane

@@ -1,10 +1,8 @@
 // Minimal leveled logging. Off by default above WARNING so that benches and
-// tests stay quiet; flip with Logger::SetLevel. A time source callback lets
-// the simulator stamp log lines with virtual time.
+// tests stay quiet; flip with Logger::SetLevel.
 #ifndef BLOCKPLANE_COMMON_LOGGING_H_
 #define BLOCKPLANE_COMMON_LOGGING_H_
 
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -22,9 +20,6 @@ class Logger {
  public:
   static void SetLevel(LogLevel level);
   static LogLevel level();
-  /// Installs a callback that returns the current (virtual) time in
-  /// nanoseconds for log-line prefixes. Pass nullptr to clear.
-  static void SetTimeSource(std::function<int64_t()> now_ns);
   static void Write(LogLevel level, const std::string& msg);
 };
 

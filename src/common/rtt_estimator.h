@@ -4,7 +4,7 @@
 // This is the RFC 6298 estimator in pure integer arithmetic: srtt and
 // rttvar use the standard 1/8 and 1/4 gains, computed with int64 division
 // on nanosecond SimTime values. Consensus-adjacent code must stay
-// float-free (bplint BP005), and integer math keeps the estimator
+// float-free (BP005, DESIGN.md §11), and integer math keeps the estimator
 // bit-for-bit deterministic across hosts.
 #ifndef BLOCKPLANE_COMMON_RTT_ESTIMATOR_H_
 #define BLOCKPLANE_COMMON_RTT_ESTIMATOR_H_

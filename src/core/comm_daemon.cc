@@ -319,7 +319,9 @@ void CommDaemon::OnTransmissionAck(const net::Message& msg) {
   if (!active_) return;
   TransmissionAckMsg ack;
   if (!TransmissionAckMsg::Decode(msg.body(), &ack).ok()) return;
-  if (msg.src.site != dest_) return;
+  // Only the destination unit commits the stream; the mirror groups its
+  // site hosts cannot vouch for it.
+  if (!InGroup(msg.src, net::NodeId{dest_, 0}, host_->options_.fi)) return;
   if (ack.src_log_pos > next_send_pos_) {
     // Receivers ack a duplicate with their watermark: this node committed
     // records this daemon never shipped. f_i+1 such nodes include an
@@ -432,19 +434,18 @@ void CommDaemon::OnRecvStatusReply(const net::Message& msg) {
   if (active_) return;
   RecvStatusReplyMsg reply;
   if (!RecvStatusReplyMsg::Decode(msg.body(), &reply).ok()) return;
-  if (msg.src.site != dest_ || reply.src_site != host_->origin_site()) return;
+  if (!InGroup(msg.src, net::NodeId{dest_, 0}, host_->options_.fi) ||
+      reply.src_site != host_->origin_site()) {
+    return;
+  }
   status_replies_[msg.src] = reply.last_pos;
-  int needed = host_->options_.fi + 1;
   if (static_cast<int>(status_replies_.size()) <
       2 * host_->options_.fi + 1) {
     return;
   }
   // The reserve chooses the f_i+1 group that maximizes the lowest reported
-  // position: with sorted replies, that is the (f_i+1)-th largest value.
-  std::vector<uint64_t> values;
-  for (auto& [node, pos] : status_replies_) values.push_back(pos);
-  std::sort(values.begin(), values.end(), std::greater<>());
-  uint64_t attested = values[needed - 1];
+  // position: the (f_i+1)-th largest reply.
+  uint64_t attested = AttestedHigh(status_replies_, host_->options_.fi + 1);
   status_replies_.clear();
   // f_i+1 nodes report it, so an honest one committed it.
   delivered_ = std::max(delivered_, attested);

@@ -45,6 +45,20 @@ net::NodeId MirrorNodeId(net::SiteId host_site, net::SiteId origin_site,
   return net::NodeId{host_site, 100 * (origin_site + 1) + index};
 }
 
+bool InGroup(net::NodeId node, net::NodeId first, int fi) {
+  return node.site == first.site && node.index >= first.index &&
+         node.index <= first.index + 3 * fi;
+}
+
+uint64_t AttestedHigh(const std::map<net::NodeId, uint64_t>& replies,
+                      int threshold) {
+  std::vector<uint64_t> values;
+  for (const auto& [node, pos] : replies) values.push_back(pos);
+  if (static_cast<int>(values.size()) < threshold) return 0;
+  std::sort(values.begin(), values.end(), std::greater<>());
+  return values[threshold - 1];
+}
+
 BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
                                const BlockplaneOptions& options,
                                pbft::PbftConfig group, net::NodeId self,
@@ -561,12 +575,6 @@ Bytes BlockplaneNode::SaveState() const {
   for (const auto& [dest, positions] : comm_positions_) {
     if (!positions.empty()) state.last_comm.push_back({dest, positions.back()});
   }
-  // The tables are hashed; their encoding must not be.
-  auto by_site = [](const SitePos& a, const SitePos& b) {
-    return a.site < b.site;
-  };
-  std::sort(state.received.begin(), state.received.end(), by_site);
-  std::sort(state.last_comm.begin(), state.last_comm.end(), by_site);
   state.mirror_high = mirror_high_pos_;
   for (const auto& [geo_pos, q] : geo_quarantine_) {
     state.quarantined.push_back({geo_pos, q.seq, q.type, q.dest_site});
@@ -601,10 +609,9 @@ bool BlockplaneNode::LoadState(uint64_t seq, const Bytes& encoded) {
   // that committed below it is acked with the watermark when its sender
   // retransmits.
   log_.erase(log_.begin(), log_.upper_bound(seq));
-  std::erase_if(api_pos_by_log_pos_,
-                [seq](const auto& entry) { return entry.first <= seq; });
-  std::erase_if(geo_proofs_,
-                [seq](const auto& entry) { return entry.first <= seq; });
+  api_pos_by_log_pos_.erase(api_pos_by_log_pos_.begin(),
+                            api_pos_by_log_pos_.upper_bound(seq));
+  geo_proofs_.erase(geo_proofs_.begin(), geo_proofs_.upper_bound(seq));
   auto received = [this](const auto& entry) {
     return entry.first.second <= last_received_pos(entry.first.first);
   };

@@ -29,9 +29,9 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/options.h"
 #include "core/record.h"
 #include "crypto/signer.h"
@@ -49,6 +49,17 @@ net::NodeId ParticipantNodeId(net::SiteId site);
 /// `origin_site`'s log at `host_site` (§V).
 net::NodeId MirrorNodeId(net::SiteId host_site, net::SiteId origin_site,
                          int index);
+
+/// Whether `node` is one of the 3f_i+1 nodes of the group whose node 0 is
+/// `first`: a unit (`{site, 0}`) or a mirror group (`MirrorNodeId(host,
+/// origin, 0)`). A site can host a unit and mirror groups side by side, so
+/// a quorum about one group's log counts only that group's replies.
+bool InGroup(net::NodeId node, net::NodeId first, int fi);
+
+/// The highest position some `threshold` repliers jointly report: the
+/// `threshold`-th largest reply, or 0 with fewer replies.
+uint64_t AttestedHigh(const std::map<net::NodeId, uint64_t>& replies,
+                      int threshold);
 
 /// Per-node user verification routine (§III-C): attests that a record is a
 /// valid state transition given this node's replica of the protocol state.
@@ -314,21 +325,21 @@ class BlockplaneNode : public net::Host {
     bool operator<(uint64_t other) const { return pos < other; }
   };
   std::deque<DroppedTransmission> dropped_transmissions_;
-  std::unordered_map<uint64_t, VerifyRoutine> verifiers_;
+  common::HashMap<uint64_t, VerifyRoutine> verifiers_;
   ApplyHook apply_hook_;
 
   /// Reception bookkeeping per source site.
-  std::unordered_map<net::SiteId, uint64_t> last_received_pos_;
+  std::map<net::SiteId, uint64_t> last_received_pos_;
   /// Communication records per destination (positions, in order).
-  std::unordered_map<net::SiteId, std::vector<uint64_t>> comm_positions_;
+  std::map<net::SiteId, std::vector<uint64_t>> comm_positions_;
   /// Geo proofs (one cert per acking mirror site) attached by the
   /// participant, by log position.
-  std::unordered_map<uint64_t, std::vector<crypto::QuorumCert>> geo_proofs_;
+  std::map<uint64_t, std::vector<crypto::QuorumCert>> geo_proofs_;
 
   /// Count of API records (log-commit + communication) executed so far —
   /// the geo-replication stream position of the latest API record.
   uint64_t api_record_count_ = 0;
-  std::unordered_map<uint64_t, uint64_t> api_pos_by_log_pos_;
+  std::map<uint64_t, uint64_t> api_pos_by_log_pos_;
 
   /// Quarantined API records (geo_pos -> where/what), waiting for the geo
   /// stream to become contiguous again (DESIGN.md §10). Only populated on
@@ -352,7 +363,7 @@ class BlockplaneNode : public net::Host {
   /// and re-based by ResetAdmission on view entry.
   uint64_t adm_api_count_ = 0;
   uint64_t adm_mirror_high_ = 0;
-  std::unordered_map<net::SiteId, uint64_t> adm_last_received_;
+  std::map<net::SiteId, uint64_t> adm_last_received_;
 
   /// Mirror role: high watermark of the mirror log, the geo position at or
   /// below which nothing is served (mirror_horizon()), and each held

@@ -568,27 +568,23 @@ void Participant::StartMirrorOp() {
   mirror_op_timer_.Arm(kGeoRetry, [this]() { ProceedMirrorOp(); });
 }
 
-namespace {
-
-/// The (threshold)-th largest value of a reply set, i.e. the highest
-/// position some group of `threshold` responders jointly attests.
-uint64_t AttestedHigh(const std::map<net::NodeId, uint64_t>& replies,
-                      int threshold) {
-  std::vector<uint64_t> values;
-  for (auto& [node, pos] : replies) values.push_back(pos);
-  if (static_cast<int>(values.size()) < threshold) return 0;
-  std::sort(values.begin(), values.end(), std::greater<>());
-  return values[threshold - 1];
-}
-
-}  // namespace
-
 void Participant::OnRecvStatusReply(const net::Message& msg) {
   if (mirror_status_origin_ < 0 || !mirror_op_active_) return;
   RecvStatusReplyMsg reply;
   if (!RecvStatusReplyMsg::Decode(msg.body(), &reply).ok()) return;
   if (reply.src_site != mirror_status_origin_) return;
-  mirror_status_[msg.src.site][msg.src] = reply.last_pos;
+  // Only the origin's mirror group here or at a peer reports its stream.
+  const net::SiteId host = msg.src.site;
+  const std::vector<net::SiteId>& peers = mirror_peers_[mirror_status_origin_];
+  if (host != site_ &&
+      std::find(peers.begin(), peers.end(), host) == peers.end()) {
+    return;
+  }
+  if (!InGroup(msg.src, MirrorNodeId(host, mirror_status_origin_, 0),
+               options_.fi)) {
+    return;
+  }
+  mirror_status_[host][msg.src] = reply.last_pos;
   // Proceed as soon as the local quorum plus every peer quorum answered;
   // the timer covers crashed peers.
   if (static_cast<int>(mirror_status_[site_].size()) < 2 * options_.fi + 1) {

@@ -13,11 +13,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/codec.h"
+#include "common/hash.h"
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -132,7 +131,7 @@ class KeyStore {
     Bytes raw;
     PrecomputedHmacKey hmac;
   };
-  std::unordered_map<net::NodeId, KeyEntry, net::NodeIdHash> keys_;
+  common::HashMap<net::NodeId, KeyEntry, net::NodeIdHash> keys_;
   uint64_t next_key_seed_ = 0x517cc1b727220a95ULL;
 
   /// One verified (proof, message) pair, where a proof is a Signature or
@@ -174,8 +173,8 @@ class KeyStore {
   /// lookup copies nothing; only an insert copies the message.
   template <typename Proof>
   struct VerifyCache {
-    std::unordered_set<Verified<Proof>, VerifiedHash, VerifiedEq> cur;
-    std::unordered_set<Verified<Proof>, VerifiedHash, VerifiedEq> prev;
+    common::HashSet<Verified<Proof>, VerifiedHash, VerifiedEq> cur;
+    common::HashSet<Verified<Proof>, VerifiedHash, VerifiedEq> prev;
 
     bool Contains(const Proof& proof, const Bytes& msg) const {
       const VerifiedView<Proof> probe{proof, msg};

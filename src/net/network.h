@@ -30,11 +30,10 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/metrics.h"
 #include "net/message.h"
 #include "net/node_id.h"
@@ -172,13 +171,13 @@ class Network {
   NetworkOptions options_;
   sim::Rng rng_;
 
-  std::unordered_map<NodeId, Host*, NodeIdHash> hosts_;
-  std::unordered_map<NodeId, sim::SimTime, NodeIdHash> nic_free_at_;
-  std::unordered_map<NodeId, sim::SimTime, NodeIdHash> cpu_free_at_;
-  std::unordered_map<std::pair<NodeId, NodeId>, sim::SimTime, PairHash>
+  common::HashMap<NodeId, Host*, NodeIdHash> hosts_;
+  common::HashMap<NodeId, sim::SimTime, NodeIdHash> nic_free_at_;
+  common::HashMap<NodeId, sim::SimTime, NodeIdHash> cpu_free_at_;
+  common::HashMap<std::pair<NodeId, NodeId>, sim::SimTime, PairHash>
       pair_last_arrival_;
-  std::unordered_set<NodeId, NodeIdHash> crashed_;
-  std::unordered_set<SiteId> crashed_sites_;
+  common::HashSet<NodeId, NodeIdHash> crashed_;
+  common::HashSet<SiteId> crashed_sites_;
   /// Directed partition edges: {from, to} present means traffic flowing
   /// from -> to is dropped. PartitionSites inserts both directions;
   /// PartitionOneWay inserts just one.

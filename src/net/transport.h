@@ -17,9 +17,9 @@
 
 #include <functional>
 #include <map>
-#include <unordered_map>
 
 #include "common/codec.h"
+#include "common/hash.h"
 #include "common/rtt_estimator.h"
 #include "net/network.h"
 #include "sim/timer.h"
@@ -115,7 +115,7 @@ class ReliableTransport : public Host {
   };
   struct PeerSend {
     uint64_t next_seq = 1;
-    std::unordered_map<uint64_t, Pending> in_flight;
+    common::HashMap<uint64_t, Pending> in_flight;
   };
 
   void TransmitFrame(NodeId dst, uint64_t seq);
@@ -129,10 +129,10 @@ class ReliableTransport : public Host {
   DropCallback on_drop_;
   TransportOptions options_;
 
-  std::unordered_map<NodeId, PeerSend, NodeIdHash> send_state_;
-  std::unordered_map<NodeId, PeerRecv, NodeIdHash> recv_state_;
+  common::HashMap<NodeId, PeerSend, NodeIdHash> send_state_;
+  common::HashMap<NodeId, PeerRecv, NodeIdHash> recv_state_;
   /// Smoothed per-peer RTT from clean ack round trips; drives RtoFor.
-  std::unordered_map<NodeId, common::RttEstimator, NodeIdHash> rtt_;
+  common::HashMap<NodeId, common::RttEstimator, NodeIdHash> rtt_;
   int64_t retransmissions_ = 0;
   int64_t discarded_corrupt_ = 0;
   int64_t frames_abandoned_ = 0;

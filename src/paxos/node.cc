@@ -356,7 +356,7 @@ void PaxosNode::ResetElectionTimer() {
   if (!failure_detector_ || is_leader_) return;
   // Randomized timeout to break symmetry between would-be leaders.
   // Integer draw in [0, election_timeout] keeps the consensus path free of
-  // floating point (BP005), so schedules replay bit-identically.
+  // floating point (DESIGN.md §11), so schedules replay bit-identically.
   sim::SimTime timeout =
       config_.election_timeout +
       static_cast<sim::SimTime>(rng_.NextBelow(

@@ -18,7 +18,7 @@ constexpr sim::SimTime kViewBackoffCap = sim::Seconds(2);
 /// delay (200 = up to +20%), so that replicas whose timers fired together
 /// under a partition do not re-synchronize into a retry storm. Integer so
 /// that replicas compute bit-identical schedules regardless of libm or
-/// optimization level (BP005).
+/// optimization level (BP005, DESIGN.md §11).
 constexpr uint64_t kViewBackoffJitterPermille = 200;
 
 }  // namespace
@@ -1054,7 +1054,7 @@ void PbftReplica::StartViewChange(uint64_t new_view) {
   }
   delay = std::min(delay, kViewBackoffCap);
   // Uniform in [0, kViewBackoffJitterPermille/1000 * delay], all-integer so the
-  // schedule replays bit-identically (BP005: no FP in consensus paths).
+  // schedule replays bit-identically (BP005: no FP in consensus math).
   const uint64_t span =
       static_cast<uint64_t>(delay) * kViewBackoffJitterPermille / 1000;
   delay += static_cast<sim::SimTime>(backoff_rng_.NextBelow(span + 1));

@@ -23,9 +23,9 @@
 #include <map>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 
 #include "common/congestion.h"
+#include "common/hash.h"
 #include "crypto/signer.h"
 #include "net/network.h"
 #include "pbft/config.h"
@@ -404,7 +404,7 @@ class PbftReplica : public net::Host {
   std::deque<ExecutedRequest> executed_window_;
   std::set<std::pair<uint64_t, uint64_t>> executed_reqs_;
   /// Cached replies per client, for re-sent requests in the window.
-  std::unordered_map<uint64_t, std::map<uint64_t, Bytes>> cached_replies_;
+  common::HashMap<uint64_t, std::map<uint64_t, Bytes>> cached_replies_;
 
   ReadExecuted read_executed_;
   StateHooks state_hooks_;

@@ -12,10 +12,10 @@
 #define BLOCKPLANE_PROTOCOLS_BANK_H_
 
 #include <map>
-#include <unordered_map>
 #include <memory>
 #include <string>
 
+#include "common/hash.h"
 #include "core/deployment.h"
 
 namespace blockplane::protocols {
@@ -66,7 +66,7 @@ class BankLedger {
 
   core::Deployment* deployment_;
   std::map<net::SiteId, Accounts> user_state_;
-  std::unordered_map<net::NodeId, std::shared_ptr<Accounts>, net::NodeIdHash>
+  common::HashMap<net::NodeId, std::shared_ptr<Accounts>, net::NodeIdHash>
       node_state_;
 };
 

@@ -20,6 +20,7 @@
 #include <memory>
 #include <set>
 
+#include "common/hash.h"
 #include "core/deployment.h"
 
 namespace blockplane::protocols {
@@ -59,8 +60,7 @@ class CounterProtocol {
   core::Deployment* deployment_;
   std::map<net::SiteId, int64_t> counters_;
   std::map<net::SiteId, uint64_t> next_request_id_;
-  std::unordered_map<net::NodeId, std::shared_ptr<NodeState>,
-                     net::NodeIdHash>
+  common::HashMap<net::NodeId, std::shared_ptr<NodeState>, net::NodeIdHash>
       node_states_;
 };
 

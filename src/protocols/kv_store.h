@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 
+#include "common/hash.h"
 #include "core/deployment.h"
 
 namespace blockplane::protocols {
@@ -72,7 +73,7 @@ class KvStore {
   core::Deployment* deployment_;
   std::map<net::SiteId, Shard> user_state_;
   std::map<net::SiteId, uint64_t> writes_;
-  std::unordered_map<net::NodeId, std::shared_ptr<Shard>, net::NodeIdHash>
+  common::HashMap<net::NodeId, std::shared_ptr<Shard>, net::NodeIdHash>
       node_state_;
 };
 

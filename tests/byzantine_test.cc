@@ -26,6 +26,32 @@ using net::kVirginia;
 using net::Topology;
 using sim::Seconds;
 
+/// Makes each of `liars` send a `type` message with `body` to each of
+/// `targets` now and every 50 ms after.
+void SprayEvery50Ms(sim::Simulator* simulator, net::Network* network,
+                    const std::vector<net::NodeId>& liars,
+                    const std::vector<net::NodeId>& targets,
+                    net::MessageType type, const Bytes& body) {
+  for (const net::NodeId& liar : liars) {
+    for (const net::NodeId& target : targets) {
+      net::Message msg;
+      msg.src = liar;
+      msg.dst = target;
+      msg.type = type;
+      msg.set_body(Bytes(body));
+      network->Send(std::move(msg));
+    }
+  }
+  simulator->Schedule(sim::Milliseconds(50), [=] {
+    SprayEvery50Ms(simulator, network, liars, targets, type, body);
+  });
+}
+
+/// The nodes of `site`'s unit at f_i = 1.
+std::vector<net::NodeId> UnitOf(net::SiteId site) {
+  return {{site, 0}, {site, 1}, {site, 2}, {site, 3}};
+}
+
 TEST(ByzantineEndToEndTest, EquivocatingUnitLeaderIsDethroned) {
   // Lemma 1: honest nodes of a participant agree on every Local Log entry
   // even when the unit's PBFT leader equivocates.
@@ -124,6 +150,82 @@ TEST(ByzantineEndToEndTest, LyingAcksCannotDemoteActiveDaemon) {
   EXPECT_FALSE(deployment.node(kCalifornia, 2)->daemon_active(kVirginia));
 }
 
+TEST(ByzantineEndToEndTest, AcksFromAnotherGroupCannotDemoteActiveDaemon) {
+  // Only the destination unit's nodes ack its stream. With f_g = 1
+  // Virginia also hosts mirror groups, and f_i = 1 allows one faulty node
+  // in each group: Virginia unit node 3 and node 0 of Oregon's mirror
+  // group there ack position 1,000,000 to every California node every
+  // 50 ms. Counted together they would be the f_i+1 acks above its cursor
+  // that make the active daemon step back, and every reserve that
+  // promotes would step back in turn.
+  sim::Simulator simulator(47);
+  BlockplaneOptions options;
+  options.fg = 1;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  TransmissionAckMsg inflated;
+  inflated.src_log_pos = 1'000'000;
+  SprayEvery50Ms(&simulator, deployment.network(),
+                 {{kVirginia, 3}, MirrorNodeId(kVirginia, kOregon, 0)},
+                 UnitOf(kCalifornia), kTransmissionAck, inflated.Encode());
+
+  constexpr int kSends = 20;
+  for (int i = 0; i < kSends; ++i) {
+    deployment.participant(kCalifornia)
+        ->Send(kVirginia, ToBytes("m" + std::to_string(i)), 0, nullptr);
+  }
+  Participant* receiver = deployment.participant(kVirginia);
+  int received = 0;
+  // About 0.48 s, as with the unit node's acks alone.
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] {
+        Bytes payload;
+        while (receiver->TryReceive(kCalifornia, &payload)) ++received;
+        return received == kSends;
+      },
+      Seconds(1)))
+      << received << " of " << kSends << " arrived";
+  EXPECT_TRUE(deployment.node(kCalifornia, 0)->daemon_active(kVirginia));
+  EXPECT_FALSE(deployment.node(kCalifornia, 1)->daemon_active(kVirginia));
+  EXPECT_FALSE(deployment.node(kCalifornia, 2)->daemon_active(kVirginia));
+}
+
+TEST(ByzantineEndToEndTest, StatusRepliesFromAnotherGroupCannotHoldOffReserves) {
+  // The reserve's attested watermark counts only the destination unit's
+  // replies. California's active daemon is mute; Virginia unit node 3 and
+  // node 0 of Oregon's mirror group there report position 1,000,000 to
+  // every California node every 50 ms. Counted together they would make
+  // the lie the (f_i+1)-th largest reply, and no reserve would ever see a
+  // gap and promote.
+  sim::Simulator simulator(47);
+  BlockplaneOptions options;
+  options.fg = 1;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  deployment.node(kCalifornia, 0)->MuteDaemons();
+  RecvStatusReplyMsg inflated;
+  inflated.src_site = kCalifornia;
+  inflated.last_pos = 1'000'000;
+  SprayEvery50Ms(&simulator, deployment.network(),
+                 {{kVirginia, 3}, MirrorNodeId(kVirginia, kOregon, 0)},
+                 UnitOf(kCalifornia), kRecvStatusReply, inflated.Encode());
+
+  constexpr int kSends = 20;
+  for (int i = 0; i < kSends; ++i) {
+    deployment.participant(kCalifornia)
+        ->Send(kVirginia, ToBytes("m" + std::to_string(i)), 0, nullptr);
+  }
+  Participant* receiver = deployment.participant(kVirginia);
+  int received = 0;
+  // About 1.7 s: the rank-1 reserve promotes after two stalled polls.
+  EXPECT_TRUE(simulator.RunUntilCondition(
+      [&] {
+        Bytes payload;
+        while (receiver->TryReceive(kCalifornia, &payload)) ++received;
+        return received == kSends;
+      },
+      sim::Milliseconds(4500)))
+      << received << " of " << kSends << " arrived";
+}
+
 TEST(ByzantineEndToEndTest, RepeatedAcksCannotHoldOffRetransmissions) {
   // Retransmit timers defer only to an ack that credits a flight a sender
   // it did not have (DESIGN.md §13). Virginia node 0, the view-0 leader
@@ -134,18 +236,9 @@ TEST(ByzantineEndToEndTest, RepeatedAcksCannotHoldOffRetransmissions) {
   Deployment deployment(&simulator, Topology::Aws4(), {});
   deployment.node(kVirginia, 0)
       ->SetByzantineMode(pbft::ByzantineMode::kSilent);
-  std::function<void()> spray = [&] {
-    for (int i = 0; i < 4; ++i) {
-      net::Message msg;
-      msg.src = {kVirginia, 0};
-      msg.dst = {kCalifornia, i};
-      msg.type = kTransmissionAck;
-      msg.set_body(TransmissionAckMsg{}.Encode());
-      deployment.network()->Send(std::move(msg));
-    }
-    simulator.Schedule(sim::Milliseconds(50), spray);
-  };
-  spray();
+  SprayEvery50Ms(&simulator, deployment.network(), {{kVirginia, 0}},
+                 UnitOf(kCalifornia), kTransmissionAck,
+                 TransmissionAckMsg{}.Encode());
 
   constexpr int kSends = 5;
   for (int i = 0; i < kSends; ++i) {
@@ -179,19 +272,11 @@ TEST(ByzantineEndToEndTest, ForgedGeoAcksCannotHoldOffReplicateRetries) {
   simulator.Schedule(sim::Milliseconds(30), [&] {
     deployment.network()->HealOneWay(kCalifornia, kOregon);
   });
-  std::function<void()> spray = [&] {
-    GeoAckMsg forged;
-    forged.geo_pos = 1;
-    forged.sig.signer = MirrorNodeId(kOregon, kCalifornia, 3);
-    net::Message msg;
-    msg.src = forged.sig.signer;
-    msg.dst = ParticipantNodeId(kCalifornia);
-    msg.type = kGeoAck;
-    msg.set_body(forged.Encode());
-    deployment.network()->Send(std::move(msg));
-    simulator.Schedule(sim::Milliseconds(50), spray);
-  };
-  spray();
+  GeoAckMsg forged;
+  forged.geo_pos = 1;
+  forged.sig.signer = MirrorNodeId(kOregon, kCalifornia, 3);
+  SprayEvery50Ms(&simulator, deployment.network(), {forged.sig.signer},
+                 {ParticipantNodeId(kCalifornia)}, kGeoAck, forged.Encode());
 
   bool committed = false;
   deployment.participant(kCalifornia)
@@ -248,6 +333,48 @@ TEST(ByzantineEndToEndTest, MutedMirrorReceiverCostsOneRetry) {
                 "wan_bytes.type_" + std::to_string(kGeoReplicate)),
             2 * kCommits * one);
   EXPECT_EQ(robustness_stats().receiver_moves, 2);
+}
+
+TEST(ByzantineEndToEndTest, StatusRepliesFromAnotherGroupCannotStallATakeover) {
+  // A takeover learns how far the origin's stream reached from the
+  // origin's mirror groups (§V), here and at each peer. Node 3 of Oregon's
+  // mirror of California inflates its status replies, and Oregon unit
+  // node 1 sends Oregon's participant an inflated reply every 50 ms.
+  // Counted together they would make a lie the (f_i+1)-th largest local
+  // reply, and the takeover would commit at a position Oregon's mirror
+  // group never admits.
+  sim::Simulator simulator(5);
+  BlockplaneOptions options;
+  options.fg = 1;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  int committed = 0;
+  for (int i = 0; i < 5; ++i) {
+    deployment.participant(kCalifornia)
+        ->LogCommit(ToBytes("c" + std::to_string(i)), 0,
+                    [&](uint64_t) { ++committed; });
+  }
+  ASSERT_TRUE(simulator.RunUntilCondition([&] { return committed == 5; },
+                                          Seconds(10)));
+  deployment.network()->CrashSite(kCalifornia);
+  deployment.mirror_node(kOregon, kCalifornia, 3)->LieAboutReception();
+  RecvStatusReplyMsg inflated;
+  inflated.src_site = kCalifornia;
+  inflated.last_pos = 1'000'000;
+  SprayEvery50Ms(&simulator, deployment.network(), {{kOregon, 1}},
+                 {ParticipantNodeId(kOregon)}, kRecvStatusReply,
+                 inflated.Encode());
+
+  Participant* secondary = deployment.participant(kOregon);
+  secondary->SetMirrorPeers(kCalifornia,
+                            deployment.mirror_sites_of(kCalifornia));
+  const sim::SimTime start = simulator.Now();
+  uint64_t pos = 0;
+  secondary->MirrorCommit(kCalifornia, ToBytes("takeover"), 0,
+                          [&](uint64_t p) { pos = p; });
+  // About 0.16 s, as with the mirror node's lie alone.
+  EXPECT_TRUE(simulator.RunUntilCondition([&] { return pos != 0; },
+                                          start + Seconds(1)));
+  EXPECT_EQ(pos, 6u);
 }
 
 TEST(ByzantineEndToEndTest, TwoMixedByzantineNodesUnderF2) {

@@ -98,8 +98,8 @@ JsonExports RunScenarioWithExports(uint64_t seed) {
 }
 
 // Two runs over the same seed must serialize byte for byte: map-ordered
-// exporters, no wall-clock timestamps, no iteration-order leaks (the
-// property bplint rule BP001 guards statically).
+// exporters, no wall-clock timestamps, no iteration-order leaks (BP001:
+// the hash containers in src/ cannot be iterated, DESIGN.md §11).
 TEST(DeterminismTest, SameSeedByteIdenticalJsonExports) {
   JsonExports a = RunScenarioWithExports(777);
   JsonExports b = RunScenarioWithExports(777);
